@@ -69,6 +69,26 @@ func TestRepeatSolveAllocations(t *testing.T) {
 	}
 }
 
+// TestRefactorizeAllocations pins the basis-kernel arena reuse: once a
+// simplex has refactorized, doing it again allocates a constant number of
+// objects (none today), not one slice per basis column.
+func TestRefactorizeAllocations(t *testing.T) {
+	for _, capRows := range []int{100, 400} {
+		s := midSolveSimplex(t, 20, capRows)
+		if err := s.refactorize(); err != nil { // AllocsPerRun's warm-up sizes the other of the two LU buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := s.refactorize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("m=%d: a repeated refactorize allocates %v objects, want O(1)", s.m, allocs)
+		}
+	}
+}
+
 // TestAutoPricingSelection checks the size-based default and that an
 // explicit rule always wins.
 func TestAutoPricingSelection(t *testing.T) {

@@ -25,6 +25,61 @@ func randomDenseLP(n, m int, seed int64) *Model {
 	return model
 }
 
+// pathFlowLP builds a stage-1-shaped LP: maximize Z subject to one EQ row
+// per job (Σ x − D·Z = 0) and LE capacity rows that each path variable
+// loads a few of. Its bases are what the scheduler's are: mostly unit slack
+// and artificial columns, the rest short 0/1 path columns.
+func pathFlowLP(jobs, capRows, varsPerJob int, seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	model := NewModel("pathflow", Maximize)
+	z := model.AddVar("Z", 0, Inf, 1)
+	caps := make([]RowID, capRows)
+	for i := range caps {
+		caps[i] = model.AddRow("cap", LE, float64(2+rng.Intn(4)))
+	}
+	for k := 0; k < jobs; k++ {
+		r := model.AddRow("job", EQ, 0)
+		model.AddTerm(r, z, -float64(1+rng.Intn(8)))
+		for p := 0; p < varsPerJob; p++ {
+			x := model.AddVar("x", 0, Inf, 0)
+			model.AddTerm(r, x, 1)
+			for _, c := range rng.Perm(capRows)[:2+rng.Intn(4)] {
+				model.AddTerm(caps[c], x, 1)
+			}
+		}
+	}
+	return model
+}
+
+// midSolveSimplex returns the solver state of pathFlowLP(jobs, capRows, …)
+// after rows/2 cold pivots: about half the artificial crash basis has been
+// swapped for slack and path columns, and refactorize has already run
+// several times, so its arenas are at size.
+func midSolveSimplex(tb testing.TB, jobs, capRows int) *simplex {
+	tb.Helper()
+	model := pathFlowLP(jobs, capRows, 40, 5)
+	s := model.assemble(Options{MaxIter: (jobs + capRows) / 2})
+	if _, sol, err := model.coldSolve(s, s.opt); err != nil || sol.Status != IterLimit {
+		tb.Fatalf("cold solve: status %v, err %v; want it cut short by the pivot limit", sol.Status, err)
+	}
+	return s
+}
+
+// BenchmarkRefactorize times one refactorization (LU + recomputeXB) of an
+// m ≈ 1200 slack-heavy basis, the size and shape of the daemon benchmark's
+// steady-enum stage-1 basis; allocs/op is the arena-reuse guard.
+func BenchmarkRefactorize(b *testing.B) {
+	s := midSolveSimplex(b, 60, 1150)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.refactorize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(s.factor.lu.lent)+len(s.factor.lu.uent)), "lu_offdiag_nnz")
+}
+
 func BenchmarkSimplexSolve(b *testing.B) {
 	for _, sz := range []struct{ n, m int }{{50, 30}, {200, 120}, {800, 500}} {
 		b.Run(fmt.Sprintf("n%d_m%d", sz.n, sz.m), func(b *testing.B) {
@@ -88,9 +143,11 @@ func BenchmarkLUFactorize(b *testing.B) {
 				a[i][i] += float64(m)
 			}
 			rows, vals := denseToCols(m, a)
+			col := func(j int) ([]int, []float64) { return rows[j], vals[j] }
+			f := new(luFactors) // refilled in place, as refactorize does
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := luFactorize(m, rows, vals); err != nil {
+				if err := f.factorize(m, col); err != nil {
 					b.Fatal(err)
 				}
 			}

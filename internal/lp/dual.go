@@ -142,10 +142,9 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 			continue
 		}
 		t := delta / w[r]
-		for i := 0; i < m; i++ {
-			if w[i] != 0 {
-				s.xB[i] -= t * w[i]
-			}
+		nz := s.nonzeros(w)
+		for _, i := range nz {
+			s.xB[i] -= t * w[i]
 		}
 		// Leaving variable settles on the violated bound.
 		if sigma > 0 {
@@ -159,7 +158,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		enterVal := s.nonbasicValue(q) + t
 		s.state[q] = stBasic
 		s.xB[r] = enterVal
-		s.factor.push(r, w)
+		s.factor.push(r, w, nz)
 		s.iters++
 
 		if len(s.factor.etas) >= s.opt.RefactorEvery {

@@ -17,6 +17,30 @@ type eta struct {
 type basisFactor struct {
 	lu   *luFactors
 	etas []eta
+
+	// spare is the factorization refactor builds into, so that a singular
+	// basis leaves lu and the eta file intact; the two swap on success.
+	spare *luFactors
+	// idx and vals back the etas' entry slices. An append that moves an
+	// arena leaves earlier etas on the old block, which stays valid:
+	// entries are never rewritten.
+	idx  []int
+	vals []float64
+}
+
+// refactor replaces B₀ with a fresh LU of the m×m matrix whose columns col
+// returns (see luFactors.factorize) and empties the eta file. On error the
+// factorization in use is unchanged.
+func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error {
+	if b.spare == nil {
+		b.spare = new(luFactors)
+	}
+	if err := b.spare.factorize(m, col); err != nil {
+		return err
+	}
+	b.lu, b.spare = b.spare, b.lu
+	b.etas, b.idx, b.vals = b.etas[:0], b.idx[:0], b.vals[:0]
+	return nil
 }
 
 // ftran solves B x = v in place. On input v is indexed by original
@@ -54,19 +78,17 @@ func (b *basisFactor) btran(c []float64) {
 }
 
 // push records an eta update for basis position r with pivot column w
-// (dense, indexed by basis position). Entries with magnitude below dropTol
-// are dropped.
-func (b *basisFactor) push(r int, w []float64) {
-	e := eta{r: r, wr: w[r]}
-	for p, v := range w {
-		if p == r || v == 0 {
+// (dense, indexed by basis position; nz lists its nonzero positions in
+// ascending order). Entries with magnitude below luDropTol are dropped.
+func (b *basisFactor) push(r int, w []float64, nz []int) {
+	start := len(b.idx)
+	for _, p := range nz {
+		v := w[p]
+		if p == r || (v < luDropTol && v > -luDropTol) {
 			continue
 		}
-		if v < luDropTol && v > -luDropTol {
-			continue
-		}
-		e.idx = append(e.idx, p)
-		e.vals = append(e.vals, v)
+		b.idx = append(b.idx, p)
+		b.vals = append(b.vals, v)
 	}
-	b.etas = append(b.etas, e)
+	b.etas = append(b.etas, eta{r: r, wr: w[r], idx: b.idx[start:], vals: b.vals[start:]})
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// errSingular is returned by luFactorize when the basis matrix is
+// errSingular is returned by factorize when the basis matrix is
 // numerically singular.
 var errSingular = errors.New("lp: singular basis matrix")
 
@@ -19,71 +19,97 @@ type luEntry struct {
 // P·B = L·U, where P sends original row perm[k] to position k, L is unit
 // lower triangular (stored without the unit diagonal, entries addressed by
 // original row index) and U is upper triangular (stored by column, with the
-// diagonal kept separately).
+// diagonal kept separately). Columns live in flat arenas that factorize
+// refills in place, so a re-factorization of the same shape allocates
+// nothing once the arenas have grown to size.
 type luFactors struct {
 	m     int
-	perm  []int // position -> original row
-	pinv  []int // original row -> position
-	lcols [][]luEntry
-	ucols [][]luEntry // entries with idx < column position
+	perm  []int     // position -> original row
+	pinv  []int     // original row -> position
+	lptr  []int     // L column k is lent[lptr[k]:lptr[k+1]]
+	lent  []luEntry // in the order elimination first touched the rows
+	uptr  []int     // U column j is uent[uptr[j]:uptr[j+1]]
+	uent  []luEntry // entries with idx < j, ascending
 	udiag []float64
 
-	// scratch for solves
-	work    []float64
-	touched []int
+	// lact lists the positions with a nonempty L column, uact those with a
+	// nonempty U column or a diagonal other than 1, both ascending. Every
+	// other position is an identity step of the triangular solves (no
+	// entries, and x/1 is x bit for bit), so solve and solveT visit only
+	// these and still perform exactly the dense loops' operations.
+	lact, uact []int
+
+	work      []float64 // dense scratch, all zero between calls
+	touched   []int     // factorize: rows of work written for this column
+	isTouched []bool
+	heap      []int // factorize: touched pivot positions, a min-heap
 }
 
 const luDropTol = 1e-12
 
-// luFactorize factors the m×m matrix whose columns are given as parallel
-// sparse (rowIdx, val) slices, cols[j] describing column j. It uses a
+// factorize factors the m×m matrix whose column j is the sparse (rows,
+// vals) pair col(j) returns (valid until the next call of col). It is a
 // left-looking column algorithm with a dense scratch vector and partial
 // pivoting by maximum magnitude.
-func luFactorize(m int, colRows [][]int, colVals [][]float64) (*luFactors, error) {
-	f := &luFactors{
-		m:     m,
-		perm:  make([]int, m),
-		pinv:  make([]int, m),
-		lcols: make([][]luEntry, m),
-		ucols: make([][]luEntry, m),
-		udiag: make([]float64, m),
-		work:  make([]float64, m),
+//
+// Column j must be eliminated against the earlier pivot positions holding
+// a nonzero, in ascending position order. Only a row the scratch has
+// touched can be nonzero, so each touched row that is already pivoted puts
+// its position on a min-heap, once; and L column k only reaches rows that
+// were pivoted after k, so everything pushed while k is being applied sorts
+// after k and popping the heap yields the ascending order. That is the set
+// and the order a scan over all positions 0..j−1 acts on, hence the same
+// floating-point operations, the same order of first touches (which breaks
+// pivot ties and orders the L entries) and the same factors, bit for bit.
+//
+// On errSingular the receiver holds a partial factorization and must not
+// be used for solves.
+func (f *luFactors) factorize(m int, col func(j int) (rows []int, vals []float64)) error {
+	if f.m != m {
+		*f = luFactors{
+			m: m, perm: make([]int, m), pinv: make([]int, m),
+			lptr: make([]int, m+1), uptr: make([]int, m+1),
+			udiag: make([]float64, m), work: make([]float64, m),
+			isTouched: make([]bool, m),
+		}
 	}
+	f.lent, f.uent, f.lact, f.uact = f.lent[:0], f.uent[:0], f.lact[:0], f.uact[:0]
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
-	work := f.work
-	touched := make([]int, 0, m)
-	isTouched := make([]bool, m)
+	work, isTouched := f.work, f.isTouched
+	touched, heap := f.touched[:0], f.heap[:0]
+	// touch marks row r written and queues it for elimination if pivoted.
+	touch := func(r int) {
+		if !isTouched[r] {
+			isTouched[r] = true
+			touched = append(touched, r)
+			if p := f.pinv[r]; p >= 0 {
+				heap = heapPush(heap, p)
+			}
+		}
+	}
 
 	for j := 0; j < m; j++ {
 		// Scatter column j into the dense scratch.
-		rows, vals := colRows[j], colVals[j]
+		rows, vals := col(j)
 		for k, r := range rows {
-			if !isTouched[r] {
-				isTouched[r] = true
-				touched = append(touched, r)
-			}
+			touch(r)
 			work[r] += vals[k]
 		}
-		// Left-looking elimination against previously pivoted columns, in
-		// pivot order. Only positions that are nonzero matter; scanning in
-		// pivot order keeps dependencies correct.
-		var ucol []luEntry
-		for k := 0; k < j; k++ {
+		// Left-looking elimination against the touched pivot positions.
+		for len(heap) > 0 {
+			var k int
+			k, heap = heapPop(heap)
 			piv := f.perm[k]
 			v := work[piv]
 			if v == 0 || math.Abs(v) < luDropTol {
 				continue
 			}
-			ucol = append(ucol, luEntry{idx: k, val: v})
-			for _, le := range f.lcols[k] {
-				r := le.idx
-				if !isTouched[r] {
-					isTouched[r] = true
-					touched = append(touched, r)
-				}
-				work[r] -= v * le.val
+			f.uent = append(f.uent, luEntry{idx: k, val: v})
+			for _, le := range f.lent[f.lptr[k]:f.lptr[k+1]] {
+				touch(le.idx)
+				work[le.idx] -= v * le.val
 			}
 			work[piv] = 0
 		}
@@ -104,60 +130,107 @@ func luFactorize(m int, colRows [][]int, colVals [][]float64) (*luFactors, error
 				work[r] = 0
 				isTouched[r] = false
 			}
-			return nil, errSingular
+			return errSingular
 		}
 		d := work[bestRow]
 		f.perm[j] = bestRow
 		f.pinv[bestRow] = j
 		f.udiag[j] = d
-		f.ucols[j] = ucol
-		var lcol []luEntry
 		for _, r := range touched {
 			// Rows pivoted in earlier steps were zeroed during elimination;
 			// bestRow's pinv was just set, excluding it here as well.
 			if f.pinv[r] < 0 {
 				if v := work[r]; math.Abs(v) > luDropTol {
-					lcol = append(lcol, luEntry{idx: r, val: v / d})
+					f.lent = append(f.lent, luEntry{idx: r, val: v / d})
 				}
 			}
 			work[r] = 0
 			isTouched[r] = false
 		}
-		f.lcols[j] = lcol
 		touched = touched[:0]
+		f.lptr[j+1], f.uptr[j+1] = len(f.lent), len(f.uent)
+		if f.lptr[j+1] > f.lptr[j] {
+			f.lact = append(f.lact, j)
+		}
+		if f.uptr[j+1] > f.uptr[j] || d != 1 {
+			f.uact = append(f.uact, j)
+		}
 	}
-	return f, nil
+	f.touched, f.heap = touched, heap
+	return nil
+}
+
+// heapPush adds x to the binary min-heap h.
+func heapPush(h []int, x int) []int {
+	h = append(h, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= x {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	return h
+}
+
+// heapPop removes and returns the minimum of the nonempty min-heap h.
+func heapPop(h []int) (int, []int) {
+	top, n := h[0], len(h)-1
+	x := h[n] // the last leaf, sifted down from the root
+	h = h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= x {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	return top, h
 }
 
 // solve computes x with B x = v in place: v is both input and output, and
 // is indexed by original row on input and by basis position on output.
-// scratch must have length m; it is zeroed on return.
 func (f *luFactors) solve(v []float64) {
-	m := f.m
-	// Forward: y = L^{-1} P v, computed in pivot order.
+	// Forward: y = L^{-1} P v, computed in pivot order. Row perm[k] is
+	// final once position k is reached (later L columns only reach rows
+	// pivoted later), so the gather into position order can wait for the
+	// end.
 	w := f.work
 	copy(w, v)
-	for k := 0; k < m; k++ {
+	for _, k := range f.lact {
 		val := w[f.perm[k]]
-		v[k] = val
 		if val == 0 {
 			continue
 		}
-		for _, le := range f.lcols[k] {
+		for _, le := range f.lent[f.lptr[k]:f.lptr[k+1]] {
 			w[le.idx] -= val * le.val
 		}
+	}
+	for k, r := range f.perm {
+		v[k] = w[r]
 	}
 	for i := range w {
 		w[i] = 0
 	}
 	// Backward: solve U x = y with column-oriented substitution.
-	for j := m - 1; j >= 0; j-- {
+	for i := len(f.uact) - 1; i >= 0; i-- {
+		j := f.uact[i]
 		xj := v[j] / f.udiag[j]
 		v[j] = xj
 		if xj == 0 {
 			continue
 		}
-		for _, ue := range f.ucols[j] {
+		for _, ue := range f.uent[f.uptr[j]:f.uptr[j+1]] {
 			v[ue.idx] -= ue.val * xj
 		}
 	}
@@ -166,27 +239,27 @@ func (f *luFactors) solve(v []float64) {
 // solveT computes y with Bᵀ y = c in place: c is indexed by basis position
 // on input; the result is indexed by original row on output.
 func (f *luFactors) solveT(c []float64) {
-	m := f.m
 	// Solve Uᵀ w = c (forward over positions).
-	for j := 0; j < m; j++ {
+	for _, j := range f.uact {
 		s := c[j]
-		for _, ue := range f.ucols[j] {
+		for _, ue := range f.uent[f.uptr[j]:f.uptr[j+1]] {
 			s -= ue.val * c[ue.idx]
 		}
 		c[j] = s / f.udiag[j]
 	}
 	// Solve Lᵀ z = w (backward over positions).
-	for k := m - 1; k >= 0; k-- {
+	for i := len(f.lact) - 1; i >= 0; i-- {
+		k := f.lact[i]
 		s := c[k]
-		for _, le := range f.lcols[k] {
+		for _, le := range f.lent[f.lptr[k]:f.lptr[k+1]] {
 			s -= le.val * c[f.pinv[le.idx]]
 		}
 		c[k] = s
 	}
 	// Scatter z from positions to original rows: y[perm[k]] = z[k].
 	w := f.work
-	for k := 0; k < m; k++ {
-		w[f.perm[k]] = c[k]
+	for k, r := range f.perm {
+		w[r] = c[k]
 	}
 	copy(c, w)
 	for i := range w {

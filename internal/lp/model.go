@@ -7,8 +7,8 @@
 //	              l_j ≤ x_j ≤ u_j                 for every variable j
 //
 // with a sparse column (CSC) constraint matrix, an LU-factorized basis with
-// Gilbert–Peierls-style left-looking factorization, product-form (eta)
-// basis updates, periodic refactorization, and a Bland anti-cycling
+// a left-looking factorization over an ordered sparse reach, product-form
+// (eta) basis updates, periodic refactorization, and a Bland anti-cycling
 // fallback. The default pricing rule (Options.Pricing zero value, Auto)
 // is size-based: Dantzig for small models, PartialDantzig once
 // columns+rows reach autoPricingThreshold, where the full reduced-cost

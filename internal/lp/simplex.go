@@ -208,26 +208,28 @@ type simplex struct {
 	pos    []int  // column -> slot, or -1
 	state  []int8 // column -> stAtLower/stAtUpper/stBasic
 	xB     []float64
-	factor basisFactor
+	factor *basisFactor
 
-	iters      int
-	boundFlips int // pivots resolved as bound flips (no basis change)
-	degenRun   int
-	blandMode  bool
+	iters       int
+	boundFlips  int // pivots resolved as bound flips (no basis change)
+	degenRun    int
+	blandMode   bool
 	cursor      int       // rotating start for partial pricing
 	gamma       []float64 // devex reference weights, length nTotal; nil until first devex price
 	devexResets int       // reference-framework restarts this solve
 
 	// Infeasibility provenance, for Farkas-certificate extraction.
-	phase1      bool    // state still holds phase-1 costs (cold infeasible exit)
-	infeasRow   int     // dual-simplex exit row, or -1
-	infeasSigma float64 // dual-simplex exit direction (±1)
-	scratch   []float64 // length m
-	yRow      []float64 // BTRAN result, by row
-	wBuf      []float64 // ratio-test column buffer, by slot
-	rho       []float64 // dual-simplex pivot-row buffer, length m
-	deadline  time.Time // zero value: no wall-clock limit
-	untilTick int       // pivots until the next wall-clock check
+	phase1      bool      // state still holds phase-1 costs (cold infeasible exit)
+	infeasRow   int       // dual-simplex exit row, or -1
+	infeasSigma float64   // dual-simplex exit direction (±1)
+	scratch     []float64 // length m
+	yRow        []float64 // BTRAN result, by row
+	wBuf        []float64 // ratio-test column buffer, by slot
+	rho         []float64 // dual-simplex pivot-row buffer, length m
+	nz          []int     // nonzero slots of wBuf after an FTRAN (see nonzeros)
+	unitRow     [1]int    // row index of the artificial basisCol last returned
+	deadline    time.Time // zero value: no wall-clock limit
+	untilTick   int       // pivots until the next wall-clock check
 }
 
 // deadlineCheckEvery spaces out the wall-clock checks so the time syscall
@@ -284,26 +286,43 @@ func (s *simplex) nonbasicValue(j int) float64 {
 	return s.l[j]
 }
 
+// basisCol returns the sparse column sitting in basis slot `slot`. An
+// artificial's single entry is staged in s.unitRow, so the slices are only
+// valid until the next call.
+func (s *simplex) basisCol(slot int) ([]int, []float64) {
+	j := s.basis[slot]
+	if j < s.n {
+		return s.a.col(j)
+	}
+	i := j - s.n
+	s.unitRow[0] = i
+	return s.unitRow[:], s.art[i : i+1]
+}
+
+// nonzeros lists, in ascending order, the slots where the slot-indexed
+// vector w is nonzero. The ratio test, the xB update and the eta push skip
+// the other slots anyway; sharing one list lets them skip the scan too.
+func (s *simplex) nonzeros(w []float64) []int {
+	nz := s.nz[:0]
+	for i, v := range w {
+		if v != 0 {
+			nz = append(nz, i)
+		}
+	}
+	s.nz = nz
+	return nz
+}
+
 // refactorize rebuilds the LU factorization from the current basis and
 // recomputes the basic values from scratch.
 func (s *simplex) refactorize() error {
-	colRows := make([][]int, s.m)
-	colVals := make([][]float64, s.m)
-	for slot, j := range s.basis {
-		if j < s.n {
-			r, v := s.a.col(j)
-			colRows[slot], colVals[slot] = r, v
-		} else {
-			i := j - s.n
-			colRows[slot] = []int{i}
-			colVals[slot] = []float64{s.art[i]}
-		}
-	}
-	lu, err := luFactorize(s.m, colRows, colVals)
-	if err != nil {
+	start := time.Now()
+	if err := s.factor.refactor(s.m, s.basisCol); err != nil {
 		return err
 	}
-	s.factor = basisFactor{lu: lu}
+	telRefactorizations.Inc()
+	telRefactorSeconds.Add(time.Since(start).Seconds())
+	telLUNnz.Set(float64(len(s.factor.lu.lent) + len(s.factor.lu.uent) + s.m))
 	s.recomputeXB()
 	return nil
 }
@@ -439,13 +458,13 @@ func (s *simplex) price() int {
 // step performs one simplex iteration with entering column q. It returns
 // false with status when the phase ends (unbounded), true otherwise.
 func (s *simplex) step(q int) (ok bool, status Status, err error) {
-	m := s.m
 	w := s.wBuf
 	for i := range w {
 		w[i] = 0
 	}
 	s.colInto(q, w)
 	s.factor.ftran(w)
+	nz := s.nonzeros(w)
 
 	dir := 1.0
 	if s.state[q] == stAtUpper {
@@ -460,7 +479,7 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	}
 	leave := -1 // slot of the leaving variable, or -1 for a bound flip
 	leaveAtUpper := false
-	for i := 0; i < m; i++ {
+	for _, i := range nz {
 		wi := dir * w[i]
 		bj := s.basis[i]
 		var t float64
@@ -502,10 +521,8 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 
 	// Update basic values: xB ← xB − dir·t·w.
 	if tBest != 0 {
-		for i := 0; i < m; i++ {
-			if w[i] != 0 {
-				s.xB[i] -= dir * tBest * w[i]
-			}
+		for _, i := range nz {
+			s.xB[i] -= dir * tBest * w[i]
 		}
 	}
 
@@ -544,7 +561,7 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	s.pos[q] = leave
 	s.state[q] = stBasic
 	s.xB[leave] = enterVal
-	s.factor.push(leave, w)
+	s.factor.push(leave, w, nz)
 	s.iters++
 
 	if len(s.factor.etas) >= s.opt.RefactorEvery {

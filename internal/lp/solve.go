@@ -224,6 +224,8 @@ type solverBufs struct {
 	yRow     []float64
 	wBuf     []float64
 	rho      []float64
+	nz       []int
+	factor   basisFactor // LU arenas and eta file, refilled by refactorize
 }
 
 // grab returns the model's cached buffers resliced to the assembled shape
@@ -275,6 +277,7 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		yRow:    make([]float64, nRows, capM),
 		wBuf:    make([]float64, nRows, capM),
 		rho:     make([]float64, nRows, capM),
+		nz:      make([]int, 0, capM),
 	}
 	m.bufs = bf
 	return bf
@@ -354,6 +357,8 @@ func (m *Model) assemble(opt Options) *simplex {
 		yRow:    bf.yRow,
 		wBuf:    bf.wBuf,
 		rho:     bf.rho,
+		nz:      bf.nz,
+		factor:  &bf.factor,
 	}
 	for j := range s.pos {
 		s.pos[j] = -1

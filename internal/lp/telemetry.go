@@ -3,9 +3,9 @@ package lp
 import "wavesched/internal/telemetry"
 
 // Package-level instruments on the default telemetry registry. Counter
-// and histogram updates are a handful of atomic operations per *solve*
-// (never per pivot), so they stay enabled unconditionally; span tracing
-// is gated on Options.Tracer being non-nil.
+// and histogram updates are a handful of atomic operations per *solve* or
+// per refactorization (never per pivot), so they stay enabled
+// unconditionally; span tracing is gated on Options.Tracer being non-nil.
 var (
 	telSolveSeconds = telemetry.Default().Histogram("lp_solve_seconds",
 		"Wall time of lp.Model.SolveWith in seconds.", nil)
@@ -31,6 +31,12 @@ var (
 		"Devex reference-framework restarts triggered by weight overflow.")
 	telProbePruned = telemetry.Default().Counter("lp_probe_pruned_total",
 		"Feasibility probes answered by a certificate check instead of a simplex solve.")
+	telRefactorizations = telemetry.Default().Counter("lp_refactorizations_total",
+		"Basis LU factorizations: the first of each solve, one per Options.RefactorEvery eta updates, and the repair ones.")
+	telRefactorSeconds = telemetry.Default().Gauge("lp_refactor_seconds",
+		"Sum of the wall time spent in basis LU factorization, in seconds.")
+	telLUNnz = telemetry.Default().Gauge("lp_lu_nnz",
+		"Stored entries of the last basis factorization: L and U off-diagonals plus the U diagonal.")
 
 	telSolvesByStatus = func() map[Status]*telemetry.Counter {
 		m := make(map[Status]*telemetry.Counter)

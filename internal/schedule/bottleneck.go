@@ -40,7 +40,7 @@ func BottleneckAnalysis(inst *Instance, opts lp.Options) ([]Bottleneck, *Stage1R
 		})
 		m.AddTerm(r, z, -jb.Size)
 	}
-	capRows := addCapacityRows(m, inst, xvars, 0)
+	capRows := addCapacityRows(m, inst, xvars)
 
 	sol, sens, err := m.SolveWithSensitivity(opts)
 	if err != nil {

@@ -361,7 +361,7 @@ func (d *cgDiscovery) discoverStage1(inst *Instance) (float64, error) {
 		})
 		m.AddTerm(r, z, -jb.Size)
 	}
-	capRows := addCapacityRows(m, inst, xv, 0)
+	capRows := addCapacityRows(m, inst, xv)
 	sol, err := d.run(&cgMaster{inst: inst, m: m, xv: xv, capRows: capRows})
 	if err != nil {
 		return 0, err

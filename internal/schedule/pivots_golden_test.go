@@ -1,0 +1,118 @@
+package schedule
+
+import (
+	"testing"
+
+	"wavesched/internal/job"
+	"wavesched/internal/lp"
+	"wavesched/internal/netgraph"
+	"wavesched/internal/telemetry"
+	"wavesched/internal/workload"
+)
+
+// pivotCounts is the pivot trajectory of one scheduling run in numbers:
+// the per-stage counts the result reports plus the process-wide
+// lp_pivots_total / lp_phase1_pivots_total deltas the run caused.
+type pivotCounts struct {
+	stage1, stage2 int   // Result.Stage1Iters / Stage2Iters (MaxThroughput)
+	retIters       int   // RETResult.LPIters (SolveRET)
+	retProbes      int   // len(RETResult.Probes)
+	pivots, phase1 int64 // lp_pivots_total, lp_phase1_pivots_total deltas
+}
+
+// countPivots runs fn and returns the lp pivot-counter deltas it caused.
+func countPivots(t *testing.T, fn func()) (pivots, phase1 int64) {
+	t.Helper()
+	read := func(name string) int64 {
+		v, ok := telemetry.Default().CounterValue(name, nil)
+		if !ok {
+			t.Fatalf("counter %s not registered", name)
+		}
+		return v
+	}
+	p0, q0 := read("lp_pivots_total"), read("lp_phase1_pivots_total")
+	fn()
+	return read("lp_pivots_total") - p0, read("lp_phase1_pivots_total") - q0
+}
+
+// goldenGraphJobs is the fixed 30-node input both golden runs share.
+func goldenGraphJobs(t *testing.T) (*netgraph.Graph, []job.Job) {
+	t.Helper()
+	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
+		Nodes: 30, LinkPairs: 60, Wavelengths: 4, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := workload.Generate(g, workload.Config{
+		Jobs: 15, Seed: 14, GBToDemand: 2, MinWindow: 3, MaxWindow: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, jobs
+}
+
+// TestPivotSequenceGolden pins the simplex trajectory of the two solver
+// entry points on one fixed 30-node instance (SolveRET on its first six
+// jobs, which keeps the per-pivot-refactorization arm short), under the
+// default options
+// and under the byte-identity harness's Dantzig + RefactorEvery:1. The
+// basis kernels (LU, FTRAN/BTRAN, eta updates) promise to keep every
+// floating-point operation and its order, so every LP must take the same
+// pivots; a kernel change that silently alters the trajectory moves these
+// counts and fails here rather than at the benchmark gate. The counts were
+// captured at the commit before the sparse kernels went in.
+func TestPivotSequenceGolden(t *testing.T) {
+	g, jobs := goldenGraphJobs(t)
+	for _, tc := range []struct {
+		name          string
+		opts          lp.Options
+		wantMT, wantR pivotCounts
+	}{
+		{
+			name: "default", opts: solverOpts(),
+			wantMT: pivotCounts{stage1: 777, stage2: 623, pivots: 1400, phase1: 1306},
+			wantR:  pivotCounts{retIters: 1782, retProbes: 12, pivots: 213, phase1: 1615},
+		},
+		{
+			name: "dantzig_refactor1", opts: dantzigOpts(),
+			wantMT: pivotCounts{stage1: 694, stage2: 582, pivots: 1276, phase1: 1201},
+			wantR:  pivotCounts{retIters: 2340, retProbes: 12, pivots: 213, phase1: 1912},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, err := NewInstance(g, mustGrid(t, 6), jobs, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got pivotCounts
+			got.pivots, got.phase1 = countPivots(t, func() {
+				res, err := MaxThroughput(inst, Config{AlphaGrowth: 0.1, Solver: tc.opts, Monolithic: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.stage1, got.stage2 = res.Stage1Iters, res.Stage2Iters
+			})
+			if got != tc.wantMT {
+				t.Errorf("MaxThroughput pivot counts = %+v, want %+v", got, tc.wantMT)
+			}
+
+			rinst, err := BuildRETInstance(g, jobs[:6], 1, 4, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = pivotCounts{}
+			got.pivots, got.phase1 = countPivots(t, func() {
+				res, err := SolveRET(rinst, RETConfig{Solver: tc.opts, Monolithic: true, WarmStart: true, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.retIters, got.retProbes = res.LPIters, len(res.Probes)
+			})
+			if got != tc.wantR {
+				t.Errorf("SolveRET pivot counts = %+v, want %+v", got, tc.wantR)
+			}
+		})
+	}
+}

@@ -44,7 +44,7 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 		m.AddTerm(r, z, -jb.Size)
 	}
 
-	addCapacityRows(m, inst, xvars, 0)
+	addCapacityRows(m, inst, xvars)
 
 	sol, err := m.SolveWith(opts)
 	if err != nil {
@@ -79,8 +79,9 @@ type flowVars [][][]lp.VarID
 
 // addFlowVars creates the x_i(p,j) ≥ 0 variables for every job, path, and
 // in-window slice. extendedLast, when non-nil, overrides each job's last
-// usable slice (the RET extension); objGamma, when non-zero... (unused
-// here; stage-specific objectives are set by the callers via SetObj).
+// usable slice (the RET extension). objCoef is the objective coefficient
+// every variable starts with; callers with per-variable objectives pass 0
+// and set them afterwards with SetObj.
 func addFlowVars(m *lp.Model, inst *Instance, extendedLast []int, objCoef float64) (flowVars, error) {
 	xv := make(flowVars, inst.NumJobs())
 	ns := inst.Grid.Num()
@@ -126,7 +127,7 @@ func forEachVar(inst *Instance, xv flowVars, k int, fn func(p, j int, v lp.VarID
 // wavelength count. Rows are only emitted for (edge, slice) pairs that
 // some variable can load; the returned map records which row constrains
 // which (edge, slice).
-func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, _ int) map[capKey]lp.RowID {
+func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars) map[capKey]lp.RowID {
 	ns := inst.Grid.Num()
 	rows := make(map[capKey]lp.RowID)
 	for k := range inst.Jobs {

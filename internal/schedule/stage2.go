@@ -312,7 +312,7 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (
 		})
 		m.AddTerm(r, zvars[k], -jb.Size)
 	}
-	capRows := addCapacityRows(m, inst, xvars, 0)
+	capRows := addCapacityRows(m, inst, xvars)
 	return m, zvars, xvars, capRows, nil
 }
 
