@@ -35,6 +35,29 @@ func countPivots(t *testing.T, fn func()) (pivots, phase1 int64) {
 	return read("lp_pivots_total") - p0, read("lp_phase1_pivots_total") - q0
 }
 
+// countRefactorizations runs fn and returns how many basis LU
+// factorizations it caused (lp_refactorizations_total delta).
+func countRefactorizations(t *testing.T, fn func()) int64 {
+	t.Helper()
+	read := func() int64 {
+		v, ok := telemetry.Default().CounterValue("lp_refactorizations_total", nil)
+		if !ok {
+			t.Fatal("counter lp_refactorizations_total not registered")
+		}
+		return v
+	}
+	r0 := read()
+	fn()
+	return read() - r0
+}
+
+// partialDantzigOpts is the solver configuration `serve` and the daemon-epoch
+// benchmark run with: the rotating-window rule set explicitly, every other
+// option (RefactorEvery 64 included) at its default.
+func partialDantzigOpts() lp.Options {
+	return lp.Options{MaxIter: 200000, Pricing: lp.PartialDantzig}
+}
+
 // goldenGraphJobs is the fixed 30-node input both golden runs share.
 func goldenGraphJobs(t *testing.T) (*netgraph.Graph, []job.Job) {
 	t.Helper()
@@ -56,13 +79,17 @@ func goldenGraphJobs(t *testing.T) (*netgraph.Graph, []job.Job) {
 // TestPivotSequenceGolden pins the simplex trajectory of the two solver
 // entry points on one fixed 30-node instance (SolveRET on its first six
 // jobs, which keeps the per-pivot-refactorization arm short), under the
-// default options
-// and under the byte-identity harness's Dantzig + RefactorEvery:1. The
+// default options, under the byte-identity harness's Dantzig +
+// RefactorEvery:1 and under the explicit PartialDantzig that `serve` and the
+// benchmark run, plus one BMax-horizon RET solve long enough to refactorize
+// a few hundred times. The
 // basis kernels (LU, FTRAN/BTRAN, eta updates) promise to keep every
 // floating-point operation and its order, so every LP must take the same
 // pivots; a kernel change that silently alters the trajectory moves these
-// counts and fails here rather than at the benchmark gate. The counts were
-// captured at the commit before the sparse kernels went in.
+// counts and fails here rather than at the benchmark gate. The counts of
+// the first two arms were captured at the commit before the sparse LU
+// kernels went in, those of the partial_dantzig and ret_bmax_horizon arms
+// on the kernels of the commit before the O(changes) iteration kernels.
 func TestPivotSequenceGolden(t *testing.T) {
 	g, jobs := goldenGraphJobs(t)
 	for _, tc := range []struct {
@@ -79,6 +106,13 @@ func TestPivotSequenceGolden(t *testing.T) {
 			name: "dantzig_refactor1", opts: dantzigOpts(),
 			wantMT: pivotCounts{stage1: 694, stage2: 582, pivots: 1276, phase1: 1201},
 			wantR:  pivotCounts{retIters: 2340, retProbes: 12, pivots: 213, phase1: 1912},
+		},
+		{
+			// The rule `serve` and the benchmark set explicitly; Auto only
+			// resolves to it from 2048 rows+columns up.
+			name: "partial_dantzig", opts: partialDantzigOpts(),
+			wantMT: pivotCounts{stage1: 533, stage2: 523, pivots: 1056, phase1: 723},
+			wantR:  pivotCounts{retIters: 1799, retProbes: 12, pivots: 230, phase1: 1632},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,4 +149,32 @@ func TestPivotSequenceGolden(t *testing.T) {
 			}
 		})
 	}
+	// The shape steady-ret solves every epoch: 14 jobs on the
+	// (1+BMax)-fold horizon at serve's BMax = 5, under serve's pricing rule
+	// and the default RefactorEvery, so one solve runs through many eta
+	// files and refactorizations — the schedule of which (and with it every
+	// rounding) a kernel change must keep. The probes chain through
+	// lp.Incremental, whose pivots only LPIters sees.
+	t.Run("ret_bmax_horizon", func(t *testing.T) {
+		rinst, err := BuildRETInstance(g, jobs[:14], 1, 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got pivotCounts
+		refactors := countRefactorizations(t, func() {
+			got.pivots, got.phase1 = countPivots(t, func() {
+				res, err := SolveRET(rinst, RETConfig{BMax: 5, Solver: partialDantzigOpts(), Monolithic: true, WarmStart: true, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.retIters, got.retProbes = res.LPIters, len(res.Probes)
+			})
+		})
+		want := pivotCounts{retIters: 17138, retProbes: 11, pivots: 13181, phase1: 11651}
+		const wantRefactors = 271
+		if got != want || refactors != wantRefactors {
+			t.Errorf("SolveRET pivot counts = %+v with %d refactorizations, want %+v with %d",
+				got, refactors, want, wantRefactors)
+		}
+	})
 }
