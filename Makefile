@@ -40,12 +40,15 @@ bench:
 # Benchmark smoke: one iteration of the telemetry-off guard, the
 # warm-vs-cold RET comparison, and the decomposition speedup, so those
 # paths are exercised (and kept compiling) on every PR without paying for
-# a full bench run. The later steps regenerate Fig. 3 (gated ±20% against
+# a full bench run; likewise one iteration of the lp kernel benchmarks
+# (primal iteration on both sides of its cut-overs, refactorize, LU). The
+# later steps regenerate Fig. 3 (gated ±20% against
 # BENCH_04.json), the Fig. 4 RET sweep (gated ±10% against BENCH_09.json,
 # which also pins fig4 lp_ms at the certificate-pruned level), and the
 # scale-tier proxy (gated ±10% against BENCH_10.json) at quick scale.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSolveTelemetryOff$$|BenchmarkRETWarmVsCold|BenchmarkRETDecomposition' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPrimalIteration|BenchmarkRefactorize$$|BenchmarkLUFactorize' -benchtime 1x ./internal/lp
 	$(GO) run ./cmd/benchfig -quick -fig 3 -json /tmp/benchsmoke.json -baseline BENCH_04.json -max-regress 20
 	$(MAKE) bench-admission
 	$(MAKE) bench-ret

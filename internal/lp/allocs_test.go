@@ -69,9 +69,54 @@ func TestRepeatSolveAllocations(t *testing.T) {
 	}
 }
 
+// TestRepeatColdSolveAllocations pins what a cold solve of an already-solved
+// model allocates: the solver state and what the caller keeps (Solution, X,
+// Duals), a handful of objects whatever the model's size — not the
+// assembled matrix, its row index, the crash residual, the pricing cache or
+// any other working array, all of which live on the model's buffer cache.
+func TestRepeatColdSolveAllocations(t *testing.T) {
+	for _, model := range []*Model{
+		slicedPathLP(4, 10, 4, 2, 2, 4, 3),
+		slicedPathLP(8, 20, 10, 3, 2, 4, 3),
+	} {
+		opt := Options{Pricing: PartialDantzig}
+		if sol, err := model.SolveWith(opt); err != nil || sol.Status != Optimal {
+			t.Fatalf("first solve: status %v, err %v", sol.Status, err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := model.SolveWith(opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 6 {
+			t.Fatalf("%d rows: a repeated cold solve allocates %v objects, want at most 6", model.NumRows(), allocs)
+		}
+	}
+}
+
+// TestIncrementalFullSolveAllocations pins the same for an Incremental that
+// has to start over (a structure change, a stalled or over-budget re-entry —
+// most RET probes): the state it abandons hands its buffers to the next.
+func TestIncrementalFullSolveAllocations(t *testing.T) {
+	model := slicedPathLP(8, 20, 10, 3, 2, 4, 3)
+	inc := NewIncremental(model, Options{Pricing: PartialDantzig})
+	if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
+		t.Fatalf("first solve: status %v, err %v", sol.Status, err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		inc.valid = false
+		if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
+			t.Fatalf("status %v, err %v", sol.Status, err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("a repeated full solve of an Incremental allocates %v objects, want at most 6", allocs)
+	}
+}
+
 // TestRefactorizeAllocations pins the basis-kernel arena reuse: once a
-// simplex has refactorized, doing it again allocates a constant number of
-// objects (none today), not one slice per basis column.
+// simplex has refactorized, doing it again allocates nothing — not one
+// slice per basis column, and no row-cover scratch either.
 func TestRefactorizeAllocations(t *testing.T) {
 	for _, capRows := range []int{100, 400} {
 		s := midSolveSimplex(t, 20, capRows)
@@ -83,8 +128,8 @@ func TestRefactorizeAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 2 {
-			t.Fatalf("m=%d: a repeated refactorize allocates %v objects, want O(1)", s.m, allocs)
+		if allocs != 0 {
+			t.Fatalf("m=%d: a repeated refactorize allocates %v objects, want none", s.m, allocs)
 		}
 	}
 }

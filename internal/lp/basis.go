@@ -122,6 +122,33 @@ func (ws *Basis) compatible(s *simplex) bool {
 	return true
 }
 
+// installBasis makes a compatible snapshot the current basis, under the
+// phase-2 costs.
+func (s *simplex) installBasis(ws *Basis) {
+	copy(s.basis, ws.basis)
+	copy(s.state, ws.state)
+	copy(s.art, ws.art)
+	for j := range s.pos {
+		s.pos[j] = -1
+	}
+	for slot, j := range s.basis {
+		s.pos[j] = slot
+		s.state[j] = stBasic
+	}
+	s.enterPhase2()
+	// Repair stale nonbasic states: a column recorded basic in the snapshot
+	// but displaced above, or recorded at an upper bound that is now
+	// infinite, rests at its lower bound.
+	for j := 0; j < s.nTotal(); j++ {
+		if s.pos[j] >= 0 {
+			continue
+		}
+		if s.state[j] == stBasic || (s.state[j] == stAtUpper && math.IsInf(s.u[j], 1)) {
+			s.state[j] = stAtLower
+		}
+	}
+}
+
 // warmSolve attempts to solve from the basis in opt.WarmStart instead of
 // the two-phase cold start: install the snapshot, re-factorize the LU, run
 // the dual simplex to restore primal feasibility under the (possibly
@@ -140,38 +167,7 @@ func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
 	if !ws.compatible(s) {
 		return nil, nil, false
 	}
-
-	// Install the snapshot.
-	copy(s.basis, ws.basis)
-	copy(s.state, ws.state)
-	copy(s.art, ws.art)
-	for j := range s.pos {
-		s.pos[j] = -1
-	}
-	for slot, j := range s.basis {
-		s.pos[j] = slot
-		s.state[j] = stBasic
-	}
-
-	// Phase-2 costs; artificials pinned to zero so they can never re-enter
-	// with a nonzero value (their bounds collapse to [0,0]).
-	copy(s.c, s.cMin)
-	for i := 0; i < s.m; i++ {
-		col := s.n + i
-		s.c[col] = 0
-		s.l[col], s.u[col] = 0, 0
-	}
-	// Repair stale nonbasic states: a column recorded basic in the snapshot
-	// but displaced above, or recorded at an upper bound that is now
-	// infinite, rests at its lower bound.
-	for j := 0; j < s.nTotal(); j++ {
-		if s.pos[j] >= 0 {
-			continue
-		}
-		if s.state[j] == stBasic || (s.state[j] == stAtUpper && math.IsInf(s.u[j], 1)) {
-			s.state[j] = stAtLower
-		}
-	}
+	s.installBasis(ws)
 
 	if err := s.refactorize(); err != nil {
 		return nil, nil, false // singular basis under the current data

@@ -2,8 +2,10 @@ package lp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // randomDenseLP builds a feasible bounded LP with n variables and m rows.
@@ -51,6 +53,40 @@ func pathFlowLP(jobs, capRows, varsPerJob int, seed int64) *Model {
 	return model
 }
 
+// slicedPathLP builds a stage-1 LP with the scheduler's time structure:
+// maximize Z subject to one EQ row per job (Σ x − D·Z = 0) and one LE
+// capacity row per (edge, slice); job k has a window of slices and a few
+// paths of minHops..maxHops edges, and variable x[k,p,t] loads its path's
+// edges in slice t only. Unlike pathFlowLP's unstructured rows this keeps
+// the basis factors as sparse as the daemon's, at any size: capacity rows
+// couple only within a slice, and the slices only through the job rows.
+func slicedPathLP(jobs, edges, slices, pathsPerJob, minHops, maxHops int, seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	model := NewModel("slicedpath", Maximize)
+	z := model.AddVar("Z", 0, Inf, 1)
+	caps := make([]RowID, edges*slices)
+	for i := range caps {
+		caps[i] = model.AddRow("cap", LE, float64(2+rng.Intn(4)))
+	}
+	for k := 0; k < jobs; k++ {
+		r := model.AddRow("job", EQ, 0)
+		model.AddTerm(r, z, -float64(1+rng.Intn(8)))
+		from := rng.Intn(slices - 1)
+		to := from + 2 + rng.Intn(slices-from-1) // window [from, to), at least two slices
+		for p := 0; p < pathsPerJob; p++ {
+			path := rng.Perm(edges)[:minHops+rng.Intn(maxHops-minHops+1)]
+			for t := from; t < to; t++ {
+				x := model.AddVar("x", 0, Inf, 0)
+				model.AddTerm(r, x, 1)
+				for _, e := range path {
+					model.AddTerm(caps[e*slices+t], x, 1)
+				}
+			}
+		}
+	}
+	return model
+}
+
 // midSolveSimplex returns the solver state of pathFlowLP(jobs, capRows, …)
 // after rows/2 cold pivots: about half the artificial crash basis has been
 // swapped for slack and path columns, and refactorize has already run
@@ -78,6 +114,51 @@ func BenchmarkRefactorize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(s.factor.lu.lent)+len(s.factor.lu.uent)), "lu_offdiag_nnz")
+}
+
+// BenchmarkPrimalIteration times the primal pivot loop (price + step) per
+// pivot on the two shapes the iteration kernels' cut-overs sit between, under
+// the pricing rule `serve` runs: "ret" is slack-heavy at m ≈ 1000, where
+// nearly every FTRAN result is a unit vector and most pivots swap an
+// artificial for its row's slack (hypersparse FTRAN, elided BTRAN and cached
+// reduced costs all engage); "colgen" is a small master of long paths, whose
+// entering columns fill in and whose duals move broadly (the dense loops and
+// whole-cache invalidation take over). Each iteration is one cold solve of
+// the same model, so allocs/op is also the repeated-cold-solve guard.
+func BenchmarkPrimalIteration(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		model *Model
+	}{
+		{"ret", slicedPathLP(12, 60, 18, 4, 3, 6, 5)},
+		{"colgen", slicedPathLP(15, 60, 6, 8, 6, 12, 6)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			opt := Options{Pricing: PartialDantzig}
+			if _, err := tc.model.SolveWith(opt); err != nil { // size the buffers
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			pivots, fastest := 0, math.Inf(1)
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				sol, err := tc.model.SolveWith(opt)
+				if err != nil || sol.Status != Optimal {
+					b.Fatalf("status %v, err %v", sol.Status, err)
+				}
+				if d := float64(time.Since(start).Nanoseconds()) / float64(sol.Iters); d < fastest {
+					fastest = d
+				}
+				pivots += sol.Iters
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+			// The mean moves ±20 % with the host's other tenants; the fastest
+			// solve is the figure to compare two kernels by.
+			b.ReportMetric(fastest, "min-ns/pivot")
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
+	}
 }
 
 func BenchmarkSimplexSolve(b *testing.B) {

@@ -67,8 +67,9 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		rho[r] = 1
 		s.factor.btran(rho)
 
-		// Current duals for the ratio test.
-		y := s.yRow
+		// Current duals for the ratio test, in the spare buffer: yRow stays
+		// what the primal pricing cache was computed from.
+		y := s.yNext
 		for slot, j := range s.basis {
 			y[slot] = s.c[j]
 		}
@@ -124,12 +125,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 
 		// Primal update: w = B⁻¹ a_q; the entering variable moves by
 		// t = delta / α_rq so the leaving variable lands on its bound.
-		w := s.wBuf
-		for i := range w {
-			w[i] = 0
-		}
-		s.colInto(q, w)
-		s.factor.ftran(w)
+		w, nz := s.factor.ftranCol(s.column(q))
 		if math.Abs(w[r]) < pivTol {
 			// Pivot row/column mismatch due to round-off: refactorize and
 			// retry once; if it persists, stall out to the primal fallback.
@@ -142,7 +138,6 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 			continue
 		}
 		t := delta / w[r]
-		nz := s.nonzeros(w)
 		for _, i := range nz {
 			s.xB[i] -= t * w[i]
 		}
@@ -159,6 +154,8 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		s.state[q] = stBasic
 		s.xB[r] = enterVal
 		s.factor.push(r, w, nz)
+		s.swapCover(leaving, q)
+		s.dualsFresh = false
 		s.iters++
 
 		if len(s.factor.etas) >= s.opt.RefactorEvery {
@@ -189,6 +186,7 @@ type Incremental struct {
 	opt   Options
 
 	s     *simplex
+	bufs  *solverBufs // what s lives on, detached from the model
 	nVars int
 	nRows int
 	valid bool // s holds a chainable basis for the current costs
@@ -268,46 +266,14 @@ func (inc *Incremental) solve() (*Solution, error) {
 		s.deadline = time.Now().Add(inc.opt.TimeLimit)
 		s.untilTick = 0
 	}
-	// Refresh structural bounds from the model, tracking whether any
-	// nonbasic variable's resting VALUE moved. The RET probes only toggle
-	// columns between [0,0] and [0,∞) — the nonbasic value stays 0 either
-	// way — so on that path both the basic values and the factorization
-	// remain exact and the refactorize/recompute step is pure overhead.
-	needRecompute := false
-	for j := 0; j < s.nStruct; j++ {
-		lb, ub := inc.model.Bounds(VarID(j))
-		if lb == s.l[j] && ub == s.u[j] {
-			continue
-		}
-		st := s.state[j]
-		var oldV float64
-		if st != stBasic {
-			oldV = s.nonbasicValue(j)
-		}
-		s.l[j], s.u[j] = lb, ub
-		if st == stAtUpper && math.IsInf(ub, 1) {
-			s.state[j] = stAtLower
-		}
-		if st != stBasic && s.nonbasicValue(j) != oldV {
-			needRecompute = true
-		}
-	}
+	needRecompute := s.syncBounds(inc.model)
 	if s.phase1 {
 		// Chained from a cold infeasible exit: the state still carries
 		// phase-1 costs and loose artificials. Install the real costs and
 		// pin the artificials, exactly as a warm start would; any basic
 		// artificial stuck at a positive value becomes a bound violation
 		// the dual simplex resolves below.
-		copy(s.c, s.cMin)
-		for i := 0; i < s.m; i++ {
-			col := s.n + i
-			s.c[col] = 0
-			s.l[col], s.u[col] = 0, 0
-		}
-		s.phase1 = false
-		if s.gamma != nil {
-			s.resetDevex()
-		}
+		s.enterPhase2()
 	}
 	if needRecompute {
 		// A nonbasic resting value moved: rebuild the basic values (and
@@ -378,14 +344,46 @@ func (inc *Incremental) solve() (*Solution, error) {
 	return sol, nil
 }
 
+// syncBounds refreshes the structural bounds from the model and reports
+// whether any nonbasic variable's resting VALUE moved. The RET probes only
+// toggle columns between [0,0] and [0,∞) — the nonbasic value stays 0 either
+// way — so on that path both the basic values and the factorization remain
+// exact and a refactorize/recompute step would be pure overhead.
+func (s *simplex) syncBounds(m *Model) (moved bool) {
+	for j := 0; j < s.nStruct; j++ {
+		lb, ub := m.Bounds(VarID(j))
+		if lb == s.l[j] && ub == s.u[j] {
+			continue
+		}
+		st := s.state[j]
+		var oldV float64
+		if st != stBasic {
+			oldV = s.nonbasicValue(j)
+		}
+		s.l[j], s.u[j] = lb, ub
+		if st == stAtUpper && math.IsInf(ub, 1) {
+			s.state[j] = stAtLower
+		}
+		if st != stBasic && s.nonbasicValue(j) != oldV {
+			moved = true
+		}
+	}
+	return moved
+}
+
 // fullSolve runs the two-phase primal simplex from scratch (or from a
 // SeedBasis warm start) and caches the final state.
 func (inc *Incremental) fullSolve() (*Solution, error) {
+	// The state in hand is abandoned whether or not this solve succeeds, so
+	// the next one is built on its buffers instead of fresh ones.
+	if inc.bufs != nil {
+		inc.model.bufs, inc.bufs, inc.valid = inc.bufs, nil, false
+	}
 	s, sol, err := inc.model.solveCore(inc.opt)
 	// The cached simplex aliases the model's reusable scratch buffers;
 	// detach them so a later direct SolveWith on the same model cannot
 	// clobber the basis this wrapper resumes from.
-	inc.model.bufs = nil
+	inc.bufs, inc.model.bufs = inc.model.bufs, nil
 	inc.opt.WarmStart = nil // a seed applies to the first solve only
 	if err != nil {
 		return sol, err

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"sort"
 )
 
 // errSingular is returned by factorize when the basis matrix is
@@ -201,13 +202,19 @@ func heapPop(h []int) (int, []int) {
 // solve computes x with B x = v in place: v is both input and output, and
 // is indexed by original row on input and by basis position on output.
 func (f *luFactors) solve(v []float64) {
-	// Forward: y = L^{-1} P v, computed in pivot order. Row perm[k] is
-	// final once position k is reached (later L columns only reach rows
-	// pivoted later), so the gather into position order can wait for the
-	// end.
+	copy(f.work, v)
+	f.forwardFrom(0)
+	f.gather(v)
+	f.backwardFrom(v, f.m-1)
+}
+
+// forwardFrom runs the forward substitution y = L⁻¹ P v on the row-indexed
+// scratch, over the pivot positions from `from` up. Row perm[k] is final
+// once position k is reached (later L columns only reach rows pivoted
+// later), so the gather into position order can wait for the end.
+func (f *luFactors) forwardFrom(from int) {
 	w := f.work
-	copy(w, v)
-	for _, k := range f.lact {
+	for _, k := range f.lact[sort.SearchInts(f.lact, from):] {
 		val := w[f.perm[k]]
 		if val == 0 {
 			continue
@@ -216,14 +223,24 @@ func (f *luFactors) solve(v []float64) {
 			w[le.idx] -= val * le.val
 		}
 	}
+}
+
+// gather moves the scratch into position order (v[k] = work[perm[k]]) and
+// zeroes it.
+func (f *luFactors) gather(v []float64) {
+	w := f.work
 	for k, r := range f.perm {
 		v[k] = w[r]
 	}
 	for i := range w {
 		w[i] = 0
 	}
-	// Backward: solve U x = y with column-oriented substitution.
-	for i := len(f.uact) - 1; i >= 0; i-- {
+}
+
+// backwardFrom solves U x = y in place by column-oriented substitution over
+// the positions from `from` down; those above it must be final already.
+func (f *luFactors) backwardFrom(v []float64, from int) {
+	for i := sort.SearchInts(f.uact, from+1) - 1; i >= 0; i-- {
 		j := f.uact[i]
 		xj := v[j] / f.udiag[j]
 		v[j] = xj

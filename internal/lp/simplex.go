@@ -223,13 +223,34 @@ type simplex struct {
 	infeasRow   int       // dual-simplex exit row, or -1
 	infeasSigma float64   // dual-simplex exit direction (±1)
 	scratch     []float64 // length m
-	yRow        []float64 // BTRAN result, by row
-	wBuf        []float64 // ratio-test column buffer, by slot
 	rho         []float64 // dual-simplex pivot-row buffer, length m
-	nz          []int     // nonzero slots of wBuf after an FTRAN (see nonzeros)
-	unitRow     [1]int    // row index of the artificial basisCol last returned
+	unitRow     [1]int    // row index of the artificial column last returned
 	deadline    time.Time // zero value: no wall-clock limit
 	untilTick   int       // pivots until the next wall-clock check
+
+	// Pricing state (see price). yRow holds the duals the cached reduced
+	// costs were computed from; dualsFresh says they are also the duals of
+	// the current basis, factorization and costs, bit for bit, so the next
+	// price may skip its BTRAN. dj[j] = c_j − a_j·yRow is valid while
+	// djGen[j] == gen.
+	yRow       []float64 // duals, by row
+	yNext      []float64 // BTRAN target, swapped with yRow once compared
+	dualsFresh bool
+	dj         []float64 // cached raw reduced costs, length nTotal
+	djGen      []uint32
+	gen        uint32
+	byRow      *rowIndex // row-wise pattern of a
+	changed    []int     // refreshDuals: rows whose dual changed, capacity m
+
+	// rowCover[r] counts the basic columns with an entry in row r;
+	// rowDirty[r] is set when such a column has entered or left the basis
+	// since the last refactorization. Together they recognize the pivots
+	// that leave the duals alone (see step).
+	rowCover []int32
+	rowDirty []bool
+
+	// Kernel work since the last flushKernelCounts.
+	nBtran, nBtranElided, nRescored int
 }
 
 // deadlineCheckEvery spaces out the wall-clock checks so the time syscall
@@ -255,18 +276,16 @@ func (s *simplex) deadlineExceeded() bool {
 // nTotal is the column count including artificials.
 func (s *simplex) nTotal() int { return s.n + s.m }
 
-// colInto scatters column j (structural, slack, or artificial) into the
-// dense length-m vector out, which must be zeroed by the caller afterwards.
-func (s *simplex) colInto(j int, out []float64) {
+// column returns the sparse column j (structural, slack, or artificial). An
+// artificial's single entry is staged in s.unitRow, so the slices are only
+// valid until the next call.
+func (s *simplex) column(j int) ([]int, []float64) {
 	if j < s.n {
-		rows, vals := s.a.col(j)
-		for k, r := range rows {
-			out[r] += vals[k]
-		}
-		return
+		return s.a.col(j)
 	}
 	i := j - s.n
-	out[i] += s.art[i]
+	s.unitRow[0] = i
+	return s.unitRow[:], s.art[i : i+1]
 }
 
 // colDotY returns the dot product of column j with the row-indexed vector y.
@@ -286,32 +305,9 @@ func (s *simplex) nonbasicValue(j int) float64 {
 	return s.l[j]
 }
 
-// basisCol returns the sparse column sitting in basis slot `slot`. An
-// artificial's single entry is staged in s.unitRow, so the slices are only
-// valid until the next call.
-func (s *simplex) basisCol(slot int) ([]int, []float64) {
-	j := s.basis[slot]
-	if j < s.n {
-		return s.a.col(j)
-	}
-	i := j - s.n
-	s.unitRow[0] = i
-	return s.unitRow[:], s.art[i : i+1]
-}
-
-// nonzeros lists, in ascending order, the slots where the slot-indexed
-// vector w is nonzero. The ratio test, the xB update and the eta push skip
-// the other slots anyway; sharing one list lets them skip the scan too.
-func (s *simplex) nonzeros(w []float64) []int {
-	nz := s.nz[:0]
-	for i, v := range w {
-		if v != 0 {
-			nz = append(nz, i)
-		}
-	}
-	s.nz = nz
-	return nz
-}
+// basisCol returns the sparse column sitting in basis slot `slot`, valid
+// until the next call (see column).
+func (s *simplex) basisCol(slot int) ([]int, []float64) { return s.column(s.basis[slot]) }
 
 // refactorize rebuilds the LU factorization from the current basis and
 // recomputes the basic values from scratch.
@@ -324,7 +320,36 @@ func (s *simplex) refactorize() error {
 	telRefactorSeconds.Add(time.Since(start).Seconds())
 	telLUNnz.Set(float64(len(s.factor.lu.lent) + len(s.factor.lu.uent) + s.m))
 	s.recomputeXB()
+
+	// New factors round a BTRAN differently, so the duals in hand are no
+	// longer the ones it would return; and the row cover starts over from
+	// this basis.
+	s.dualsFresh = false
+	for r := range s.rowCover {
+		s.rowCover[r], s.rowDirty[r] = 0, false
+	}
+	for slot := range s.basis {
+		rows, _ := s.basisCol(slot)
+		for _, r := range rows {
+			s.rowCover[r]++
+		}
+	}
 	return nil
+}
+
+// swapCover accounts for column in replacing column out in the basis: the
+// rows either covers are dirty until the next refactorization.
+func (s *simplex) swapCover(out, in int) {
+	rows, _ := s.column(out)
+	for _, r := range rows {
+		s.rowCover[r]--
+		s.rowDirty[r] = true
+	}
+	rows, _ = s.column(in)
+	for _, r := range rows {
+		s.rowCover[r]++
+		s.rowDirty[r] = true
+	}
 }
 
 // recomputeXB sets xB = B⁻¹(b − N x_N) from scratch.
@@ -352,15 +377,79 @@ func (s *simplex) recomputeXB() {
 	}
 }
 
-// price computes duals for the current basis and returns the entering
-// column, or -1 when the current point is optimal for the phase costs.
-func (s *simplex) price() int {
+// staleRowDiv bounds the per-row invalidation of refreshDuals: once more
+// than m/staleRowDiv duals have changed, nearly every column has a changed
+// dual on one of its handful of rows, and walking those rows to say so
+// costs more than the few cached values left would save; the whole cache is
+// dropped instead (an O(1) generation bump). Like hyperDiv it is a cost
+// rule: either way a cached d_j is only ever served when recomputing it
+// would give the same bits.
+const staleRowDiv = 8
+
+// dropReducedCosts invalidates every cached reduced cost. Anything that
+// changes a phase cost c_j must call it (and clear dualsFresh).
+func (s *simplex) dropReducedCosts() {
+	s.gen++
+	if s.gen == 0 { // wrapped: 0 is the per-column stale mark
+		for j := range s.djGen {
+			s.djGen[j] = 0
+		}
+		s.gen = 1
+	}
+}
+
+// staleRow invalidates the cached reduced costs of the columns with an
+// entry in row r, its artificial included.
+func (s *simplex) staleRow(r int) {
+	for _, j := range s.byRow.row(r) {
+		s.djGen[j] = 0
+	}
+	s.djGen[s.n+r] = 0
+}
+
+// refreshDuals computes y = B⁻ᵀ c_B into yRow and invalidates the cached
+// reduced costs it moves. d_j = c_j − a_j·y is a fixed expression over c_j
+// and the duals on column j's rows, so a column none of whose operands
+// changed bit pattern still has the d_j a fresh evaluation would return;
+// only the columns on rows whose dual changed are marked stale.
+func (s *simplex) refreshDuals() {
 	// y = B⁻ᵀ c_B, computed slot-indexed then transformed to row-indexed.
-	y := s.yRow
+	y, old := s.yNext, s.yRow
 	for slot, j := range s.basis {
 		y[slot] = s.c[j]
 	}
 	s.factor.btran(y)
+	s.nBtran++
+	changed := s.changed[:0]
+	for r, v := range y {
+		if math.Float64bits(v) != math.Float64bits(old[r]) {
+			changed = append(changed, r)
+		}
+	}
+	if len(changed) > s.m/staleRowDiv {
+		s.dropReducedCosts()
+	} else {
+		for _, r := range changed {
+			s.staleRow(r)
+		}
+	}
+	s.yRow, s.yNext = y, old
+	s.dualsFresh = true
+}
+
+// price brings the duals up to date and returns the entering column, or -1
+// when the current point is optimal for the phase costs. The BTRAN is
+// skipped when the last pivot left the duals in hand exact (dualsFresh), and
+// a column is re-scored only when its cached reduced cost is stale, so the
+// scan below visits the columns the rule prescribes but pays a dot product
+// only where an operand changed.
+func (s *simplex) price() int {
+	if s.dualsFresh {
+		s.nBtranElided++
+	} else {
+		s.refreshDuals()
+	}
+	y := s.yRow
 
 	tol := s.opt.Tol
 	useBland := s.blandMode || s.opt.Pricing == Bland
@@ -371,7 +460,12 @@ func (s *simplex) price() int {
 		if st == stBasic || s.l[j] == s.u[j] {
 			return 0
 		}
-		d := s.c[j] - s.colDotY(j, y)
+		if s.djGen[j] != s.gen {
+			s.dj[j] = s.c[j] - s.colDotY(j, y)
+			s.djGen[j] = s.gen
+			s.nRescored++
+		}
+		d := s.dj[j]
 		if st == stAtLower {
 			d = -d // want d < -tol
 		}
@@ -412,11 +506,9 @@ func (s *simplex) price() int {
 		// then finish the current window and take the best seen.
 		best := -1
 		bestScore := tol
-		scanned := 0
 		remaining := -1 // columns left to scan after the first hit
-		for scanned < n {
-			j := (s.cursor + scanned) % n
-			scanned++
+		j := s.cursor % n
+		for scanned := 0; scanned < n; scanned++ {
 			if sc := score(j); sc > bestScore {
 				bestScore = sc
 				best = j
@@ -429,6 +521,9 @@ func (s *simplex) price() int {
 				if remaining <= 0 {
 					break
 				}
+			}
+			if j++; j == n {
+				j = 0
 			}
 		}
 		if best >= 0 {
@@ -458,13 +553,7 @@ func (s *simplex) price() int {
 // step performs one simplex iteration with entering column q. It returns
 // false with status when the phase ends (unbounded), true otherwise.
 func (s *simplex) step(q int) (ok bool, status Status, err error) {
-	w := s.wBuf
-	for i := range w {
-		w[i] = 0
-	}
-	s.colInto(q, w)
-	s.factor.ftran(w)
-	nz := s.nonzeros(w)
+	w, nz := s.factor.ftranCol(s.column(q))
 
 	dir := 1.0
 	if s.state[q] == stAtUpper {
@@ -544,6 +633,7 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 
 	// Basis change.
 	out := s.basis[leave]
+	keepsDuals := s.dualsFresh && s.isolatedSwap(out, q)
 	if leaveAtUpper {
 		s.state[out] = stAtUpper
 		s.xB[leave] = 0
@@ -562,14 +652,46 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	s.state[q] = stBasic
 	s.xB[leave] = enterVal
 	s.factor.push(leave, w, nz)
+	s.swapCover(out, q)
 	s.iters++
 
 	if len(s.factor.etas) >= s.opt.RefactorEvery {
 		if err := s.refactorize(); err != nil {
 			return false, Numerical, err
 		}
+		return true, Optimal, nil
+	}
+	if keepsDuals {
+		// The next BTRAN would return yRow with c_q on row r: patch it and
+		// let price skip the solve.
+		r := out - s.n
+		s.yRow[r] = s.c[q]
+		s.staleRow(r)
+	} else {
+		s.dualsFresh = false
 	}
 	return true, Optimal, nil
+}
+
+// isolatedSwap reports whether entering column q replaces leaving column
+// out without moving any dual but one: q is the slack +e_r, out the
+// artificial +e_r of the same row, no other basic column has an entry in
+// row r, and none has had one since the last refactorization. The basis
+// matrix is then unchanged, and row r and the artificial's slot are a 1×1
+// block of it that the factorization and every eta since keep apart: the
+// slot's pivot is 1 with empty L and U columns, no other L or U column and
+// no eta reaches it (each entering column since had a structural zero on
+// row r, and FTRAN never touched the slot), and the eta this swap pushes is
+// the identity. BTRAN therefore carries c_B's entry for the slot to y_r
+// untouched and computes every other y_i from the operands it had before:
+// y changes in y_r = c_q alone, bit for bit.
+func (s *simplex) isolatedSwap(out, q int) bool {
+	r := out - s.n
+	if q >= s.n || r < 0 || s.art[r] != 1 || s.rowCover[r] != 1 || s.rowDirty[r] {
+		return false
+	}
+	rows, vals := s.a.col(q)
+	return len(rows) == 1 && rows[0] == r && vals[0] == 1
 }
 
 // betterLeaving is the tie-break for the ratio test: prefer larger pivot
@@ -649,6 +771,7 @@ func (s *simplex) devexUpdate(q, leave int, w []float64) {
 // runPhase iterates until optimality, unboundedness, or the iteration
 // limit for the current cost vector.
 func (s *simplex) runPhase() (Status, error) {
+	defer s.flushKernelCounts()
 	for {
 		if s.iters >= s.opt.MaxIter {
 			return IterLimit, nil
@@ -669,6 +792,15 @@ func (s *simplex) runPhase() (Status, error) {
 			return status, nil
 		}
 	}
+}
+
+// flushKernelCounts moves the per-pivot kernel tallies to the process-wide
+// counters, once per phase rather than once per pivot.
+func (s *simplex) flushKernelCounts() {
+	telBtran.Add(int64(s.nBtran))
+	telBtranElided.Add(int64(s.nBtranElided))
+	telRescored.Add(int64(s.nRescored))
+	s.nBtran, s.nBtranElided, s.nRescored = 0, 0, 0
 }
 
 // objective returns c·x for the current phase costs and point.

@@ -222,10 +222,20 @@ type solverBufs struct {
 	xB       []float64
 	scratch  []float64
 	yRow     []float64
-	wBuf     []float64
+	yNext    []float64
 	rho      []float64
-	nz       []int
+	dj       []float64
+	djGen    []uint32
+	rowCover []int32
+	rowDirty []bool
+	changed  []int
 	factor   basisFactor // LU arenas and eta file, refilled by refactorize
+
+	// The assembled matrix, its row-wise pattern and the builder they come
+	// out of: refilled in place by every assemble.
+	a     cscMatrix
+	byRow rowIndex
+	tb    tripletBuilder
 }
 
 // grab returns the model's cached buffers resliced to the assembled shape
@@ -240,16 +250,21 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		bf.l, bf.u = bf.l[:t], bf.u[:t]
 		bf.c, bf.cMin = bf.c[:t], bf.cMin[:t]
 		bf.pos, bf.state = bf.pos[:t], bf.state[:t]
+		bf.dj, bf.djGen = bf.dj[:t], bf.djGen[:t]
 		bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
 		bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
-		bf.scratch, bf.yRow = bf.scratch[:nRows], bf.yRow[:nRows]
-		bf.wBuf, bf.rho = bf.wBuf[:nRows], bf.rho[:nRows]
+		bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
+		bf.yRow, bf.yNext = bf.yRow[:nRows], bf.yNext[:nRows]
+		bf.rowCover, bf.rowDirty = bf.rowCover[:nRows], bf.rowDirty[:nRows]
 		// Zero the two cost vectors: phase 1 needs zero structural costs,
 		// and the minimization-form costs are only written for structural
-		// columns. All other arrays are fully overwritten before use.
+		// columns; and the reduced-cost stamps, so nothing cached by the
+		// last solve is served to this one. All other arrays are fully
+		// overwritten before use.
 		for i := range bf.c {
 			bf.c[i] = 0
 			bf.cMin[i] = 0
+			bf.djGen[i] = 0
 		}
 		return bf
 	}
@@ -275,9 +290,14 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		xB:      make([]float64, nRows, capM),
 		scratch: make([]float64, nRows, capM),
 		yRow:    make([]float64, nRows, capM),
-		wBuf:    make([]float64, nRows, capM),
+		yNext:   make([]float64, nRows, capM),
 		rho:     make([]float64, nRows, capM),
-		nz:      make([]int, 0, capM),
+		dj:      make([]float64, t, capT),
+		djGen:   make([]uint32, t, capT),
+
+		rowCover: make([]int32, nRows, capM),
+		rowDirty: make([]bool, nRows, capM),
+		changed:  make([]int, 0, capM),
 	}
 	m.bufs = bf
 	return bf
@@ -302,7 +322,12 @@ func (m *Model) assemble(opt Options) *simplex {
 	bf := m.grabBufs(n, nRows)
 
 	// Assemble the CSC matrix over structural + slack columns.
-	tb := newTripletBuilder(nRows, n)
+	nnz := nSlack
+	for _, r := range m.rows {
+		nnz += len(r.terms)
+	}
+	tb := &bf.tb
+	tb.reset(nRows, n, nnz)
 	for k, r := range m.rows {
 		for _, t := range r.terms {
 			tb.add(k, int(t.col), t.coef)
@@ -335,30 +360,37 @@ func (m *Model) assemble(opt Options) *simplex {
 			slack++
 		}
 	}
-	a := tb.build()
+	tb.buildInto(&bf.a)
+	bf.byRow.build(&bf.a)
 
 	s := &simplex{
-		opt:     opt,
-		a:       a,
-		b:       b,
-		c:       bf.c,
-		cMin:    c,
-		negate:  negate,
-		l:       l,
-		u:       u,
-		m:       nRows,
-		n:       n,
-		art:     bf.art,
-		basis:   bf.basis,
-		pos:     bf.pos,
-		state:   bf.state,
-		xB:      bf.xB,
-		scratch: bf.scratch,
-		yRow:    bf.yRow,
-		wBuf:    bf.wBuf,
-		rho:     bf.rho,
-		nz:      bf.nz,
-		factor:  &bf.factor,
+		opt:      opt,
+		a:        &bf.a,
+		b:        b,
+		c:        bf.c,
+		cMin:     c,
+		negate:   negate,
+		l:        l,
+		u:        u,
+		m:        nRows,
+		n:        n,
+		art:      bf.art,
+		basis:    bf.basis,
+		pos:      bf.pos,
+		state:    bf.state,
+		xB:       bf.xB,
+		scratch:  bf.scratch,
+		rho:      bf.rho,
+		yRow:     bf.yRow,
+		yNext:    bf.yNext,
+		dj:       bf.dj,
+		djGen:    bf.djGen,
+		gen:      1,
+		byRow:    &bf.byRow,
+		rowCover: bf.rowCover,
+		rowDirty: bf.rowDirty,
+		changed:  bf.changed,
+		factor:   &bf.factor,
 	}
 	for j := range s.pos {
 		s.pos[j] = -1
@@ -377,49 +409,15 @@ func (m *Model) assemble(opt Options) *simplex {
 // crash basis.
 func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) {
 	opt = s.opt // assemble already applied the defaults
-	n, nRows := s.n, s.m
-	c, l, u := s.cMin, s.l, s.u
 	negate := s.negate
 	capture := opt.CaptureBasis || opt.WarmStart != nil
 
-	// Start all structural and slack columns at their lower bound; pick the
-	// bound closer to zero when the lower bound is very large in magnitude
-	// to reduce the initial residual. (Lower bound is always finite.)
-	for j := 0; j < n; j++ {
-		s.state[j] = stAtLower
-		if !math.IsInf(u[j], 1) && math.Abs(u[j]) < math.Abs(l[j]) {
-			s.state[j] = stAtUpper
-		}
-	}
-	// Residual determines artificial signs so artificial values start ≥ 0.
-	res := make([]float64, nRows)
-	copy(res, s.b)
-	for j := 0; j < n; j++ {
-		if v := s.nonbasicValue(j); v != 0 {
-			s.a.addColTimes(j, -v, res)
-		}
-	}
-	for i := 0; i < nRows; i++ {
-		sign := 1.0
-		if res[i] < 0 {
-			sign = -1
-		}
-		s.art[i] = sign
-		col := n + i
-		s.basis[i] = col
-		s.pos[col] = i
-		s.state[col] = stBasic
-		s.xB[i] = math.Abs(res[i])
-		l[col], u[col] = 0, Inf
-		s.c[col] = 1 // phase-1 cost
-	}
-
+	s.crashBasis()
 	if err := s.refactorize(); err != nil {
 		return nil, &Solution{Status: Numerical}, fmt.Errorf("lp: initial factorization: %w", err)
 	}
 
 	// Phase 1: minimize the sum of artificial values.
-	s.phase1 = true
 	st, err := s.runPhase()
 	phase1Iters := s.iters
 	telPhase1Pivots.Add(int64(phase1Iters))
@@ -452,23 +450,9 @@ func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) 
 	}
 
 	// Phase 2: real costs; artificials pinned to zero and never attractive.
-	s.phase1 = false
-	for j := 0; j < n; j++ {
-		s.c[j] = c[j]
-	}
-	for i := 0; i < nRows; i++ {
-		col := n + i
-		s.c[col] = 0
-		u[col] = 0
-		if s.state[col] != stBasic {
-			s.state[col] = stAtLower
-		}
-	}
+	s.enterPhase2()
 	s.blandMode = false
 	s.degenRun = 0
-	if s.gamma != nil {
-		s.resetDevex() // phase-2 costs invalidate the phase-1 framework
-	}
 	st, err = s.runPhase()
 	telPhase2Pivots.Add(int64(s.iters - phase1Iters))
 	if err != nil {
@@ -491,8 +475,68 @@ func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) 
 	return s, sol, err
 }
 
+// crashBasis installs the cold start: every structural and slack column
+// nonbasic at a bound, the artificials basic with the signs that make their
+// values nonnegative, and the phase-1 costs (1 on each artificial).
+func (s *simplex) crashBasis() {
+	n, l, u := s.n, s.l, s.u
+	// Start all structural and slack columns at their lower bound; pick the
+	// bound closer to zero when the lower bound is very large in magnitude
+	// to reduce the initial residual. (Lower bound is always finite.)
+	for j := 0; j < n; j++ {
+		s.state[j] = stAtLower
+		if !math.IsInf(u[j], 1) && math.Abs(u[j]) < math.Abs(l[j]) {
+			s.state[j] = stAtUpper
+		}
+	}
+	// Residual determines artificial signs so artificial values start ≥ 0.
+	res := s.scratch
+	copy(res, s.b)
+	for j := 0; j < n; j++ {
+		if v := s.nonbasicValue(j); v != 0 {
+			s.a.addColTimes(j, -v, res)
+		}
+	}
+	for i := 0; i < s.m; i++ {
+		sign := 1.0
+		if res[i] < 0 {
+			sign = -1
+		}
+		s.art[i] = sign
+		col := n + i
+		s.basis[i] = col
+		s.pos[col] = i
+		s.state[col] = stBasic
+		s.xB[i] = math.Abs(res[i])
+		l[col], u[col] = 0, Inf
+		s.c[col] = 1 // phase-1 cost
+	}
+	s.phase1 = true
+}
+
+// enterPhase2 installs the real (minimization-form) costs and pins the
+// artificials to [0, 0], so they can never re-enter with a nonzero value.
+// It serves the cold phase switch, the warm start and an Incremental
+// re-entry chained from a cold infeasible exit alike. The costs change, so
+// everything pricing derived from them goes.
+func (s *simplex) enterPhase2() {
+	copy(s.c, s.cMin)
+	for i := 0; i < s.m; i++ {
+		col := s.n + i
+		s.c[col] = 0
+		s.l[col], s.u[col] = 0, 0
+	}
+	s.phase1 = false
+	s.dropReducedCosts()
+	s.dualsFresh = false
+	if s.gamma != nil {
+		s.resetDevex() // the reference framework was built under the old costs
+	}
+}
+
 // extract builds the user-facing Solution from the final simplex state.
 func (s *simplex) extract(m *Model, negate bool) (*Solution, error) {
+	s.flushKernelCounts() // a certifying price call may have run outside runPhase
 	nVars := len(m.vars)
 	x := make([]float64, nVars)
 	for j := 0; j < nVars; j++ {

@@ -44,15 +44,31 @@ func (a *cscMatrix) addColTimes(j int, scale float64, out []float64) {
 }
 
 // tripletBuilder accumulates (row, col, value) entries and compiles them
-// into a cscMatrix. Duplicate (row, col) entries are summed.
+// into a cscMatrix. Duplicate (row, col) entries are summed. A builder is
+// reusable: reset empties it and keeps every array, so a model that is
+// assembled again and again (warm re-solves, column-generation rounds)
+// builds its matrix without allocating once the arrays have grown to size.
 type tripletBuilder struct {
 	nRows, nCols int
 	rows, cols   []int
 	vals         []float64
+
+	next          []int // build: next write position of each column
+	seenAt, stamp []int // build: duplicate detection, by row
 }
 
 func newTripletBuilder(nRows, nCols int) *tripletBuilder {
 	return &tripletBuilder{nRows: nRows, nCols: nCols}
+}
+
+// reset empties the builder for an nRows×nCols matrix of about nnz entries.
+func (t *tripletBuilder) reset(nRows, nCols, nnz int) {
+	t.nRows, t.nCols = nRows, nCols
+	if cap(t.rows) < nnz {
+		nnz += nnz / 8
+		t.rows, t.cols, t.vals = make([]int, 0, nnz), make([]int, 0, nnz), make([]float64, 0, nnz)
+	}
+	t.rows, t.cols, t.vals = t.rows[:0], t.cols[:0], t.vals[:0]
 }
 
 func (t *tripletBuilder) add(r, c int, v float64) {
@@ -64,60 +80,115 @@ func (t *tripletBuilder) add(r, c int, v float64) {
 	t.vals = append(t.vals, v)
 }
 
-// build compiles the triplets into CSC form, summing duplicates.
+// build compiles the triplets into a new matrix.
 func (t *tripletBuilder) build() *cscMatrix {
-	count := make([]int, t.nCols+1)
+	a := new(cscMatrix)
+	t.buildInto(a)
+	return a
+}
+
+// buildInto compiles the triplets into a, reusing its arrays: a counting
+// sort by column that keeps the insertion order within a column, then a
+// pass that folds each repeated row index into its first occurrence.
+func (t *tripletBuilder) buildInto(a *cscMatrix) {
+	a.nRows = t.nRows
+	colPtr := growInts(a.colPtr, t.nCols+1)
+	for j := range colPtr {
+		colPtr[j] = 0
+	}
 	for _, c := range t.cols {
-		count[c+1]++
+		colPtr[c+1]++
 	}
 	for j := 0; j < t.nCols; j++ {
-		count[j+1] += count[j]
+		colPtr[j+1] += colPtr[j]
 	}
-	colPtr := make([]int, t.nCols+1)
-	copy(colPtr, count)
-	rowIdx := make([]int, len(t.rows))
-	val := make([]float64, len(t.rows))
-	next := make([]int, t.nCols)
-	for j := range next {
-		next[j] = colPtr[j]
+	rowIdx := growInts(a.rowIdx, len(t.rows))
+	val := a.val
+	if cap(val) < len(t.rows) {
+		val = make([]float64, len(t.rows), len(t.rows)+len(t.rows)/8)
 	}
+	val = val[:len(t.rows)]
+	next := growInts(t.next, t.nCols)
+	copy(next, colPtr)
 	for k, c := range t.cols {
 		p := next[c]
 		rowIdx[p] = t.rows[k]
 		val[p] = t.vals[k]
 		next[c] = p + 1
 	}
-	m := &cscMatrix{nRows: t.nRows, colPtr: colPtr, rowIdx: rowIdx, val: val}
-	m.sumDuplicates()
-	return m
-}
+	t.next = next
 
-// sumDuplicates merges repeated row indices within each column in place.
-func (a *cscMatrix) sumDuplicates() {
-	seenAt := make([]int, a.nRows) // 1-based write position for the current column
-	stamp := make([]int, a.nRows)
-	cur := 0
+	// Merge repeated row indices within each column in place. stamp[r] is
+	// the 1-based column that last saw row r, seenAt[r] where it was kept.
+	seenAt, stamp := growInts(t.seenAt, t.nRows), growInts(t.stamp, t.nRows)
+	for r := range stamp {
+		stamp[r] = 0
+	}
 	w := 0
-	newPtr := make([]int, len(a.colPtr))
-	for j := 0; j < a.nCols(); j++ {
-		cur++
-		newPtr[j] = w
-		s, e := a.colPtr[j], a.colPtr[j+1]
+	for j := 0; j < t.nCols; j++ {
+		s, e := colPtr[j], colPtr[j+1]
+		colPtr[j] = w
 		for k := s; k < e; k++ {
-			r := a.rowIdx[k]
-			if stamp[r] == cur {
-				a.val[seenAt[r]] += a.val[k]
+			r := rowIdx[k]
+			if stamp[r] == j+1 {
+				val[seenAt[r]] += val[k]
 				continue
 			}
-			stamp[r] = cur
+			stamp[r] = j + 1
 			seenAt[r] = w
-			a.rowIdx[w] = r
-			a.val[w] = a.val[k]
+			rowIdx[w] = r
+			val[w] = val[k]
 			w++
 		}
 	}
-	newPtr[a.nCols()] = w
-	a.colPtr = newPtr
-	a.rowIdx = a.rowIdx[:w]
-	a.val = a.val[:w]
+	colPtr[t.nCols] = w
+	t.seenAt, t.stamp = seenAt, stamp
+	a.colPtr, a.rowIdx, a.val = colPtr, rowIdx[:w], val[:w]
 }
+
+// growInts returns s resliced to length n, or a new slice with an eighth of
+// headroom (a model under column generation grows a little every round) when
+// s is too short. The contents are unspecified.
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n, n+n/8)
+	}
+	return s[:n]
+}
+
+// rowIndex is the row-wise pattern of a cscMatrix: the columns with a
+// stored entry in row r are cols[ptr[r]:ptr[r+1]], ascending. Pricing uses
+// it to find the reduced costs a changed dual value invalidates.
+type rowIndex struct {
+	ptr  []int
+	cols []int
+}
+
+// build fills the index from a, reusing its arrays.
+func (x *rowIndex) build(a *cscMatrix) {
+	ptr := growInts(x.ptr, a.nRows+1)
+	for r := range ptr {
+		ptr[r] = 0
+	}
+	for _, r := range a.rowIdx {
+		ptr[r+1]++
+	}
+	for r := 0; r < a.nRows; r++ {
+		ptr[r+1] += ptr[r]
+	}
+	cols := growInts(x.cols, len(a.rowIdx))
+	// ptr[r] is advanced to the end of row r while filling, then the whole
+	// array shifts back by one row.
+	for j := 0; j < a.nCols(); j++ {
+		for _, r := range a.rowIdx[a.colPtr[j]:a.colPtr[j+1]] {
+			cols[ptr[r]] = j
+			ptr[r]++
+		}
+	}
+	copy(ptr[1:], ptr[:a.nRows])
+	ptr[0] = 0
+	x.ptr, x.cols = ptr, cols
+}
+
+// row returns the columns with a stored entry in row r.
+func (x *rowIndex) row(r int) []int { return x.cols[x.ptr[r]:x.ptr[r+1]] }

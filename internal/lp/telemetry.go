@@ -3,9 +3,11 @@ package lp
 import "wavesched/internal/telemetry"
 
 // Package-level instruments on the default telemetry registry. Counter
-// and histogram updates are a handful of atomic operations per *solve* or
-// per refactorization (never per pivot), so they stay enabled
-// unconditionally; span tracing is gated on Options.Tracer being non-nil.
+// and histogram updates are a handful of atomic operations per *solve*, per
+// phase or per refactorization (never per pivot: the per-pivot kernel
+// tallies are kept on the simplex and flushed per phase), so they stay
+// enabled unconditionally; span tracing is gated on Options.Tracer being
+// non-nil.
 var (
 	telSolveSeconds = telemetry.Default().Histogram("lp_solve_seconds",
 		"Wall time of lp.Model.SolveWith in seconds.", nil)
@@ -35,6 +37,12 @@ var (
 		"Basis LU factorizations: the first of each solve, one per Options.RefactorEvery eta updates, and the repair ones.")
 	telRefactorSeconds = telemetry.Default().Gauge("lp_refactor_seconds",
 		"Sum of the wall time spent in basis LU factorization, in seconds.")
+	telBtran = telemetry.Default().Counter("lp_btran_total",
+		"BTRAN solves run by primal pricing to bring the duals up to date.")
+	telBtranElided = telemetry.Default().Counter("lp_btran_elided_total",
+		"Primal pricing calls that skipped the BTRAN: the last pivot (a bound flip, or a slack replacing the artificial of an isolated row) left the duals in hand exact. The elided share is this over its sum with lp_btran_total.")
+	telRescored = telemetry.Default().Counter("lp_pricing_rescored_columns_total",
+		"Reduced costs recomputed by primal pricing (one sparse dot product each); columns scanned beyond these were served from the reduced-cost cache.")
 	telLUNnz = telemetry.Default().Gauge("lp_lu_nnz",
 		"Stored entries of the last basis factorization: L and U off-diagonals plus the U diagonal.")
 
