@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-serve cluster-test bench bench-smoke bench-epoch-smoke bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
+.PHONY: check vet build test race race-serve cluster-test bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
 
 check: vet build race-serve race cluster-test bench-epoch-smoke
 
@@ -41,7 +41,8 @@ bench:
 # warm-vs-cold RET comparison, and the decomposition speedup, so those
 # paths are exercised (and kept compiling) on every PR without paying for
 # a full bench run; likewise one iteration of the lp kernel benchmarks
-# (primal iteration on both sides of its cut-overs, refactorize, LU). The
+# (primal iteration on both sides of its cut-overs and on a slack run,
+# refactorize with and without the factors kept, LU). The
 # later steps regenerate Fig. 3 (gated ±20% against
 # BENCH_04.json), the Fig. 4 RET sweep (gated ±10% against BENCH_09.json,
 # which also pins fig4 lp_ms at the certificate-pruned level), and the
@@ -66,6 +67,18 @@ bench-smoke:
 bench-epoch-smoke:
 	$(GO) run ./bench -smoke
 	$(GO) run ./bench -check
+
+# Paired runs for a performance claim (the choosing-metrics procedure):
+#   make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]
+# builds ./bench at BASE (in a temporary git worktree) and in the working
+# tree, runs the two binaries alternately with -traced=false, and prints per
+# end-to-end metric both medians, both inter-quartile ranges, the win count
+# and every run. WORKLOAD empty runs all five (~2 min per run).
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	$(if $(BASE),,$(error usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]))
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload '$(WORKLOAD)' -n $(N) -seed $(SEED)
 
 # RET search-speed gate: regenerate the Fig. 4 sweep at quick scale under
 # the probe-economy lens and fail if lp_ms or wall time regressed more

@@ -116,20 +116,25 @@ func TestIncrementalFullSolveAllocations(t *testing.T) {
 
 // TestRefactorizeAllocations pins the basis-kernel arena reuse: once a
 // simplex has refactorized, doing it again allocates nothing — not one
-// slice per basis column, and no row-cover scratch either.
+// slice per basis column, and no row-cover scratch either — whether it has
+// to factorize (the basis matrix changed) or keeps the factors.
 func TestRefactorizeAllocations(t *testing.T) {
 	for _, capRows := range []int{100, 400} {
 		s := midSolveSimplex(t, 20, capRows)
+		s.luCurrent = false
 		if err := s.refactorize(); err != nil { // AllocsPerRun's warm-up sizes the other of the two LU buffers
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := s.refactorize(); err != nil {
-				t.Fatal(err)
+		for _, reused := range []bool{false, true} {
+			allocs := testing.AllocsPerRun(5, func() {
+				s.luCurrent, s.onlySwaps = reused, false
+				if err := s.refactorize(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("m=%d, factors kept %v: a repeated refactorize allocates %v objects, want none", s.m, reused, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("m=%d: a repeated refactorize allocates %v objects, want none", s.m, allocs)
 		}
 	}
 }

@@ -135,7 +135,8 @@ func (s *simplex) installBasis(ws *Basis) {
 		s.pos[j] = slot
 		s.state[j] = stBasic
 	}
-	s.enterPhase2()
+	s.luCurrent = false
+	s.enterPhase2() // drops the pricing summaries with the reduced costs
 	// Repair stale nonbasic states: a column recorded basic in the snapshot
 	// but displaced above, or recorded at an upper bound that is now
 	// infinite, rests at its lower bound.

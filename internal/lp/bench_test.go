@@ -101,19 +101,37 @@ func midSolveSimplex(tb testing.TB, jobs, capRows int) *simplex {
 	return s
 }
 
-// BenchmarkRefactorize times one refactorization (LU + recomputeXB) of an
-// m ≈ 1200 slack-heavy basis, the size and shape of the daemon benchmark's
-// steady-enum stage-1 basis; allocs/op is the arena-reuse guard.
+// BenchmarkRefactorize times one refactorization of an m ≈ 1200 slack-heavy
+// basis, the size and shape of the daemon benchmark's steady-enum stage-1
+// basis: "full" after a pivot that changed the basis matrix (LU, recomputeXB
+// and the row-cover recount), "reused" after pivots that did not (the factors
+// stay; xB is still recomputed, as after a swap that was not isolated).
+// allocs/op is the arena-reuse guard.
 func BenchmarkRefactorize(b *testing.B) {
-	s := midSolveSimplex(b, 60, 1150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.refactorize(); err != nil {
-			b.Fatal(err)
+	for _, reused := range []bool{false, true} {
+		name := "full"
+		if reused {
+			name = "reused"
 		}
+		b.Run(name, func(b *testing.B) {
+			s := midSolveSimplex(b, 60, 1150)
+			for warm := 0; warm < 2; warm++ { // size both LU buffers
+				s.luCurrent = false
+				if err := s.refactorize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.luCurrent, s.onlySwaps = reused, false
+				if err := s.refactorize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(s.factor.lu.lent)+len(s.factor.lu.uent)), "lu_offdiag_nnz")
+		})
 	}
-	b.ReportMetric(float64(len(s.factor.lu.lent)+len(s.factor.lu.uent)), "lu_offdiag_nnz")
 }
 
 // BenchmarkPrimalIteration times the primal pivot loop (price + step) per
@@ -123,8 +141,12 @@ func BenchmarkRefactorize(b *testing.B) {
 // artificial for its row's slack (hypersparse FTRAN, elided BTRAN and cached
 // reduced costs all engage); "colgen" is a small master of long paths, whose
 // entering columns fill in and whose duals move broadly (the dense loops and
-// whole-cache invalidation take over). Each iteration is one cold solve of
-// the same model, so allocs/op is also the repeated-cold-solve guard.
+// whole-cache invalidation take over); "slack-run" is a few jobs in the corner
+// of a wide (edge, slice) grid, a RET probe at a small b, whose cold solve is
+// nearly all phase 1 swapping the artificial of an idle capacity row for its
+// slack (block summaries answer the window scan, and refactorizations find
+// the basis matrix as they left it). Each iteration is one cold solve of the
+// same model, so allocs/op is also the repeated-cold-solve guard.
 func BenchmarkPrimalIteration(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -132,6 +154,7 @@ func BenchmarkPrimalIteration(b *testing.B) {
 	}{
 		{"ret", slicedPathLP(12, 60, 18, 4, 3, 6, 5)},
 		{"colgen", slicedPathLP(15, 60, 6, 8, 6, 12, 6)},
+		{"slack-run", slicedPathLP(3, 90, 14, 2, 2, 4, 7)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			opt := Options{Pricing: PartialDantzig}

@@ -155,7 +155,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		s.xB[r] = enterVal
 		s.factor.push(r, w, nz)
 		s.swapCover(leaving, q)
-		s.dualsFresh = false
+		s.dualsFresh, s.luCurrent, s.onlySwaps = false, false, false
 		s.iters++
 
 		if len(s.factor.etas) >= s.opt.RefactorEvery {
@@ -364,9 +364,13 @@ func (s *simplex) syncBounds(m *Model) (moved bool) {
 		if st == stAtUpper && math.IsInf(ub, 1) {
 			s.state[j] = stAtLower
 		}
+		s.dirtyBlock(j)
 		if st != stBasic && s.nonbasicValue(j) != oldV {
 			moved = true
 		}
+	}
+	if moved {
+		s.onlySwaps = false // xB no longer solves the right-hand side
 	}
 	return moved
 }

@@ -64,8 +64,14 @@ func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error 
 		return err
 	}
 	b.lu, b.spare = b.spare, b.lu
-	b.etas, b.idx, b.vals = b.etas[:0], b.idx[:0], b.vals[:0]
+	b.dropEtas()
 	return nil
+}
+
+// dropEtas empties the eta file, leaving B₀ and its factors as they are:
+// what refactor amounts to when the basis matrix is B₀ again.
+func (b *basisFactor) dropEtas() {
+	b.etas, b.idx, b.vals = b.etas[:0], b.idx[:0], b.vals[:0]
 }
 
 // ftran solves B x = v in place for a dense right-hand side. On input v is

@@ -239,6 +239,13 @@ type lockstep struct {
 
 	// What the run exercised, summed by the test over all LPs.
 	pivots, flips, elided, swaps, sparse, dualPivots, blandPivots int
+
+	validBlocks int // block summaries found valid and held against their columns
+	reusedLU    int // refactorizations that kept the factors
+	keptDuals   int // ... and with them the basic values and the duals
+	clamped     int // swaps that took a negative artificial out from under onlySwaps
+	swapRun     int // isolated swaps in a row, so far and at most
+	maxSwapRun  int
 }
 
 func newLockstep(t *testing.T, name string, s *simplex) *lockstep {
@@ -269,7 +276,8 @@ func (ls *lockstep) checkDuals() {
 }
 
 // checkCache requires every cached reduced cost marked valid to equal a
-// fresh evaluation against the duals in hand.
+// fresh evaluation against the duals in hand, and every block summary marked
+// valid to be what reading its columns one by one returns.
 func (ls *lockstep) checkCache() {
 	ls.t.Helper()
 	s := ls.s
@@ -280,6 +288,135 @@ func (ls *lockstep) checkCache() {
 		if d := s.c[j] - s.colDotY(j, s.yRow); !sameBits(s.dj[j], d) {
 			ls.fatalf("cached d[%d] = %b, a fresh evaluation gives %b", j, s.dj[j], d)
 		}
+	}
+	if len(s.blocks) != numPriceBlocks(s.nTotal()) {
+		ls.fatalf("%d pricing blocks for %d columns", len(s.blocks), s.nTotal())
+	}
+	for b, blk := range s.blocks {
+		if !blk.valid {
+			continue
+		}
+		ls.validBlocks++
+		// The per-column loop of densePrice over the block, on the cached
+		// reduced costs (held against fresh ones above): a valid block has
+		// none stale among the columns that loop evaluates.
+		want := priceBlock{valid: true, first: -1, best: -1}
+		for j := b * priceBlockSize; j < (b+1)*priceBlockSize && j < s.nTotal(); j++ {
+			st := s.state[j]
+			if st == stBasic || s.l[j] == s.u[j] {
+				continue
+			}
+			if s.djGen[j] != s.gen {
+				ls.fatalf("block %d is marked valid, the reduced cost of its column %d stale", b, j)
+			}
+			d := s.dj[j]
+			if st == stAtLower {
+				d = -d
+			}
+			if d > s.opt.Tol && d > want.score {
+				if want.first < 0 {
+					want.first = int32(j)
+				}
+				want.best, want.score = int32(j), d
+			}
+		}
+		if blk.first != want.first || blk.best != want.best || !sameBits(blk.score, want.score) {
+			ls.fatalf("block %d is marked valid with first %d, best %d (score %b); its columns give first %d, best %d (score %b)",
+				b, blk.first, blk.best, blk.score, want.first, want.best, want.score)
+		}
+	}
+}
+
+// refactorize runs the production refactorization where the flows call it
+// between the loops, and holds what it kept against a full one.
+func (ls *lockstep) refactorize() error {
+	ls.t.Helper()
+	lu := ls.s.factor.lu
+	if err := ls.s.refactorize(); err != nil {
+		return err
+	}
+	ls.checkRefactor(lu)
+	return nil
+}
+
+// checkRefactor follows every production refactorization; lu is the
+// factorization in use before it. One that kept the factors (a full one
+// swaps the two LU buffers) must leave the state a full refactorization of a
+// copy produces, bit for bit: the factors, the basic values, the row cover
+// and dirty marks, and the duals the next BTRAN returns — which are the
+// duals in hand if it kept those as well.
+func (ls *lockstep) checkRefactor(lu *luFactors) {
+	ls.t.Helper()
+	s := ls.s
+	if len(s.factor.etas) != 0 {
+		ls.fatalf("%d etas left after a refactorization", len(s.factor.etas))
+	}
+	if s.factor.lu != lu {
+		return
+	}
+	ls.reusedLU++
+
+	ref := *s
+	ref.factor = new(basisFactor)
+	ref.xB, ref.scratch = make([]float64, s.m), make([]float64, s.m)
+	ref.rowCover, ref.rowDirty, ref.dirtied = make([]int32, s.m), make([]bool, s.m), nil
+	ref.luCurrent, ref.onlySwaps, ref.dualsFresh = false, false, false
+	if err := ref.refactorize(); err != nil {
+		ls.fatalf("the factors were kept, a full refactorization of the same basis fails: %v", err)
+	}
+
+	f, g := s.factor.lu, ref.factor.lu
+	for k := 0; k < s.m; k++ {
+		if f.perm[k] != g.perm[k] || f.pinv[k] != g.pinv[k] || !sameBits(f.udiag[k], g.udiag[k]) {
+			ls.fatalf("kept factors: position %d has perm/pinv/udiag %d/%d/%b, a full factorization %d/%d/%b",
+				k, f.perm[k], f.pinv[k], f.udiag[k], g.perm[k], g.pinv[k], g.udiag[k])
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []luEntry
+		}{
+			{"L", f.lent[f.lptr[k]:f.lptr[k+1]], g.lent[g.lptr[k]:g.lptr[k+1]]},
+			{"U", f.uent[f.uptr[k]:f.uptr[k+1]], g.uent[g.uptr[k]:g.uptr[k+1]]},
+		} {
+			if len(c.got) != len(c.want) {
+				ls.fatalf("kept factors: %s column %d has %d entries, a full factorization %d", c.name, k, len(c.got), len(c.want))
+			}
+			for i, e := range c.want {
+				if c.got[i].idx != e.idx || !sameBits(c.got[i].val, e.val) {
+					ls.fatalf("kept factors: %s column %d entry %d = (%d, %b), a full factorization gives (%d, %b)",
+						c.name, k, i, c.got[i].idx, c.got[i].val, e.idx, e.val)
+				}
+			}
+		}
+	}
+	for i := range s.xB {
+		if !sameBits(s.xB[i], ref.xB[i]) {
+			ls.fatalf("xB[%d] = %b after a refactorization that kept the factors, a full one recomputes %b", i, s.xB[i], ref.xB[i])
+		}
+		if s.rowCover[i] != ref.rowCover[i] || s.rowDirty[i] != ref.rowDirty[i] {
+			ls.fatalf("row %d: cover %d, dirty %v after a refactorization that kept the factors, a full one counts %d, %v",
+				i, s.rowCover[i], s.rowDirty[i], ref.rowCover[i], ref.rowDirty[i])
+		}
+	}
+	if len(s.dirtied) != 0 {
+		ls.fatalf("%d rows still listed dirty after a refactorization", len(s.dirtied))
+	}
+	got, want := make([]float64, s.m), make([]float64, s.m)
+	for slot, j := range s.basis {
+		got[slot], want[slot] = s.c[j], s.c[j]
+	}
+	s.factor.btran(got)
+	ref.factor.btran(want)
+	for r := range want {
+		if !sameBits(got[r], want[r]) {
+			ls.fatalf("BTRAN over the kept factors gives y[%d] = %b, over fresh ones %b", r, got[r], want[r])
+		}
+		if s.dualsFresh && !sameBits(s.yRow[r], want[r]) {
+			ls.fatalf("the duals were kept with y[%d] = %b, a BTRAN over fresh factors gives %b", r, s.yRow[r], want[r])
+		}
+	}
+	if s.dualsFresh {
+		ls.keptDuals++
 	}
 }
 
@@ -346,6 +483,8 @@ func (ls *lockstep) primalStep() (more bool, st Status) {
 	copy(ls.basis, s.basis)
 	copy(ls.state, s.state)
 	etas, iters, wasFresh, wasBland := len(s.factor.etas), s.iters, s.dualsFresh, s.blandMode
+	lu, wasOnlySwaps := s.factor.lu, s.onlySwaps
+	negative := leave >= 0 && s.xB[leave] < 0
 
 	// One production iteration.
 	limit := s.opt.MaxIter
@@ -411,9 +550,22 @@ func (ls *lockstep) primalStep() (more bool, st Status) {
 		if len(s.factor.etas) != wantEtas {
 			ls.fatalf("%d etas after the pivot, want %d", len(s.factor.etas), wantEtas)
 		}
+		if wantEtas == 0 {
+			ls.checkRefactor(lu)
+		}
 		if s.dualsFresh {
 			ls.swaps++
+			ls.swapRun++
+			if ls.swapRun > ls.maxSwapRun {
+				ls.maxSwapRun = ls.swapRun
+			}
+			if negative && wasOnlySwaps {
+				ls.clamped++
+			}
 		}
+	}
+	if !s.dualsFresh || leave < 0 {
+		ls.swapRun = 0
 	}
 	// yRow still holds the duals price used, those of the basis before the
 	// pivot — unless the pivot patched them for the basis after it, and then
@@ -472,6 +624,8 @@ func (ls *lockstep) dual() dualStatus {
 					ls.checkColumn(j, nz)
 				}
 			}
+		} else if len(s.factor.etas) == 0 {
+			ls.checkRefactor(lu)
 		}
 		ls.checkCache()
 		if st != dualIterLimit || s.iters >= limit {
@@ -488,7 +642,7 @@ func (ls *lockstep) cold() Status {
 	ls.t.Helper()
 	s := ls.s
 	s.crashBasis()
-	if err := s.refactorize(); err != nil {
+	if err := ls.refactorize(); err != nil {
 		ls.fatalf("initial factorization: %v", err)
 	}
 	if st := ls.primal(); st != Optimal {
@@ -534,7 +688,7 @@ func (ls *lockstep) warm(ws *Basis) (st Status, ok bool) {
 		return 0, false
 	}
 	s.installBasis(ws)
-	if err := s.refactorize(); err != nil {
+	if err := ls.refactorize(); err != nil {
 		return 0, false
 	}
 	dst := ls.dual()
@@ -553,7 +707,7 @@ func (ls *lockstep) reenter(m *Model) Status {
 		s.enterPhase2()
 	}
 	if moved {
-		if err := s.refactorize(); err != nil {
+		if err := ls.refactorize(); err != nil {
 			ls.fatalf("refactorize on re-entry: %v", err)
 		}
 	}
@@ -688,6 +842,31 @@ func colgenShapedLP(rng *rand.Rand, trial int) *Model {
 	return slicedPathLP(3+rng.Intn(4), edges, slices, 3+rng.Intn(4), 3, 6, rng.Int63())
 }
 
+// slackRunLP is a RET probe at a small b: a few live jobs in the corner of a
+// wide (edge, slice) grid whose other columns are pinned to [0, 0]. Phase 1
+// is then one long run of capacity rows that nothing else touches swapping
+// their artificial for their slack — over three refactorization periods of
+// 64 of it, so refactorizations in a row find nothing to redo. The last rows
+// are each loaded by two boxed columns of their own, sized so that the two
+// bound flips phase 1 makes of them leave the row's artificial at
+// 0.3 − 0.1 − 0.2 = −2⁻⁵⁵: a −ε basic artificial on an isolated row, whose
+// swap goes through the ratio test's t < 0 clamp and comes out at 0.
+func slackRunLP(rng *rand.Rand) *Model {
+	model := slicedPathLP(2+rng.Intn(2), 4+rng.Intn(3), 3+rng.Intn(3), 2, 2, 3, rng.Int63())
+	for idle := 200 + rng.Intn(60); idle > 0; {
+		x := model.AddVar("pinned", 0, 0, 0)
+		for k := 1 + rng.Intn(3); k > 0 && idle > 0; k, idle = k-1, idle-1 {
+			model.AddTerm(model.AddRow("idle", LE, float64(2+rng.Intn(4))), x, 1)
+		}
+	}
+	for k := 3 + rng.Intn(4); k > 0; k-- {
+		r := model.AddRow("eps", LE, 0.3)
+		model.AddTerm(r, model.AddVar("tenth", 0, 0.1, 0), 1)
+		model.AddTerm(r, model.AddVar("fifth", 0, 0.2, 0), 1)
+	}
+	return model
+}
+
 // iterationOptions rotates the pricing rules and refactorization periods
 // over the trials; DegenLimit is small so stalls reach the Bland fallback.
 func iterationOptions(trial int) Options {
@@ -749,13 +928,21 @@ func toggleBounds(rng *rand.Rand, m *Model) {
 // BTRAN in every bit, computes an entering column with the dense FTRAN's
 // nonzero list and bits, leaves through the slot the dense ratio test picks
 // and keeps the eta count on the refactorization schedule; every dual pivot's
-// FTRAN matches likewise; and at every point each reduced cost the cache
-// would serve equals a fresh evaluation bit for bit. The counts at the end
-// require the run to have gone through what the kernels special-case.
+// FTRAN matches likewise; at every point each reduced cost the cache would
+// serve equals a fresh evaluation bit for bit, and each block summary marked
+// valid is what reading the block's columns one by one returns; and after
+// every refactorization that kept the factors, they, xB, the row cover and
+// dirty marks and the next BTRAN's duals are those of a full refactorization
+// of a copy (checkRefactor). The counts at the end require the run to have
+// gone through what the kernels special-case.
 //
-// Three mutations were checked to fail it: dropping the rowDirty test from
-// isolatedSwap, accepting a −1 artificial (and −1 slack) there, and
-// patching y_r in step without staleRow(r).
+// Six mutations were checked to fail it: dropping the rowDirty test from
+// isolatedRow, accepting a −1 artificial (and −1 slack) there, patching y_r
+// in step without staleRow(r); and, for the block index and the factor reuse,
+// a bound flip that does not drop its column's block, a dual pivot that
+// leaves luCurrent set, and onlySwaps kept through an identical-column swap
+// that is not isolated (recomputeXB then skipped). Dropping the Float64bits
+// test beside the last one fails it too, on slackRunLP's −ε artificials.
 func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -769,6 +956,7 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 		{"degenerate", func(rng *rand.Rand, _ int) *Model { return degenerateLP(rng) }, 40},
 		{"boxed", func(rng *rand.Rand, _ int) *Model { return boxedLP(rng) }, 30},
 		{"infeasible", func(rng *rand.Rand, _ int) *Model { return infeasibleLP(rng) }, 30},
+		{"slack_run", func(rng *rand.Rand, _ int) *Model { return slackRunLP(rng) }, 25},
 	}
 	var total lockstep
 	lps, statuses := 0, map[Status]int{}
@@ -781,6 +969,13 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 		total.sparse += ls.sparse
 		total.dualPivots += ls.dualPivots
 		total.blandPivots += ls.blandPivots
+		total.validBlocks += ls.validBlocks
+		total.reusedLU += ls.reusedLU
+		total.keptDuals += ls.keptDuals
+		total.clamped += ls.clamped
+		if ls.maxSwapRun >= 3*ls.s.opt.RefactorEvery && ls.s.opt.RefactorEvery > total.maxSwapRun {
+			total.maxSwapRun = ls.s.opt.RefactorEvery // the longest period a run of swaps spanned three times
+		}
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -840,9 +1035,11 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 		})
 	}
 	t.Logf("%d LPs, %d warm runs, %d re-entries: %d primal pivots (%d bound flips, %d under Bland), %d dual pivots; "+
-		"%d BTRANs elided, %d isolated swaps, %d FTRANs finished sparse; outcomes %v",
+		"%d BTRANs elided, %d isolated swaps, %d FTRANs finished sparse; %d valid block summaries checked; "+
+		"%d refactorizations kept the factors, %d of them the duals too, %d swaps of a negative artificial; outcomes %v",
 		lps, warmRuns, reentries, total.pivots, total.flips, total.blandPivots, total.dualPivots,
-		total.elided, total.swaps, total.sparse, statuses)
+		total.elided, total.swaps, total.sparse, total.validBlocks,
+		total.reusedLU, total.keptDuals, total.clamped, statuses)
 	if lps < 300 {
 		t.Errorf("only %d LPs", lps)
 	}
@@ -853,11 +1050,16 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 		{"bound flips", total.flips}, {"pivots under the Bland fallback", total.blandPivots},
 		{"dual pivots", total.dualPivots}, {"elided BTRANs", total.elided},
 		{"isolated swaps", total.swaps}, {"sparse FTRANs", total.sparse},
+		{"valid block summaries", total.validBlocks}, {"refactorizations that kept the factors", total.reusedLU},
+		{"refactorizations that kept the duals", total.keptDuals}, {"swaps of a negative artificial", total.clamped},
 		{"warm runs", warmRuns}, {"re-entries", reentries},
 		{"infeasible outcomes", statuses[Infeasible]}, {"optimal outcomes", statuses[Optimal]},
 	} {
 		if c.n < 20 {
 			t.Errorf("only %d %s: the generators no longer exercise the kernels", c.n, c.what)
 		}
+	}
+	if total.maxSwapRun < 64 {
+		t.Errorf("no run of isolated swaps spans three refactorization periods of 64 (the longest period one did: %d)", total.maxSwapRun)
 	}
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -310,6 +311,92 @@ func TestModelAccessors(t *testing.T) {
 	sol := mustSolve(t, m)
 	if math.Abs(sol.Objective-5) > 1e-9 {
 		t.Errorf("objective %g, want 5 (x at lb=1, obj 5)", sol.Objective)
+	}
+}
+
+// TestForkSharesRowsCopyOnWrite pins Model.Fork: the fork reads the rows'
+// coefficients out of the original's storage, bounds, objective and
+// right-hand sides set on one model do not reach the other, and a term added
+// to a shared row on either side — directly or through AddColumn, in either
+// order — moves that row to storage of its own instead of writing where the
+// other model could come to see it.
+func TestForkSharesRowsCopyOnWrite(t *testing.T) {
+	m := slicedPathLP(3, 5, 4, 2, 2, 3, 11)
+	want := m.Clone() // what m must still be at every step below
+	// Two rows whose term slices have room to append in place: where a fork
+	// that only copied the slice headers would let one model write into the
+	// other's next slot.
+	var roomy []RowID
+	for i, r := range m.rows {
+		if len(r.terms) > 0 && cap(r.terms) > len(r.terms) {
+			roomy = append(roomy, RowID(i))
+		}
+	}
+	if len(roomy) < 3 {
+		t.Fatalf("only %d rows with spare capacity", len(roomy))
+	}
+	r0, r1, r2 := roomy[0], roomy[1], roomy[2]
+	same := func(what string, got, want *Model) {
+		t.Helper()
+		if !reflect.DeepEqual(got.vars, want.vars) || !reflect.DeepEqual(got.rows, want.rows) {
+			t.Fatalf("%s: the model changed", what)
+		}
+	}
+
+	f := m.Fork("probe")
+	if f.Name() != "probe" || f.Sense() != m.Sense() || f.bufs != nil {
+		t.Fatalf("fork is named %q, sense %v, buffers %v", f.Name(), f.Sense(), f.bufs)
+	}
+	same("forking", m, want)
+	same("the fork", f, want)
+	for i := range m.rows {
+		if len(m.rows[i].terms) > 0 && &f.rows[i].terms[0] != &m.rows[i].terms[0] {
+			t.Fatalf("row %d: the fork copied the terms", i)
+		}
+	}
+
+	// Numbers: each model has its own.
+	f.SetBounds(1, 0, 0)
+	f.SetObj(0, 3)
+	f.SetRHS(0, 9)
+	same("SetBounds, SetObj and SetRHS on the fork", m, want)
+	fwant := want.Clone()
+	fwant.SetBounds(1, 0, 0)
+	fwant.SetObj(0, 3)
+	fwant.SetRHS(0, 9)
+	m.SetBounds(2, 0, 1)
+	want.SetBounds(2, 0, 1)
+	same("SetBounds on the original", f, fwant)
+
+	// Terms: the fork first, then the original, on the same shared row; then
+	// the other order on another row, through AddColumn.
+	f.AddTerm(r0, 1, 5)
+	fwant.AddTerm(r0, 1, 5)
+	same("AddTerm on the fork", m, want)
+	m.AddTerm(r0, 2, 7)
+	want.AddTerm(r0, 2, 7)
+	same("AddTerm on the original", f, fwant)
+	if _, err := m.AddColumn("c", 0, 1, 1, []RowID{r1, r2}, []float64{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	want.AddColumn("c", 0, 1, 1, []RowID{r1, r2}, []float64{2, 3})
+	same("AddColumn on the original", f, fwant)
+	if _, err := f.AddColumn("d", 0, 2, 1, []RowID{r1, r2}, []float64{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	fwant.AddColumn("d", 0, 2, 1, []RowID{r1, r2}, []float64{4, 5})
+	same("AddColumn on the fork", m, want)
+	same("the fork after both grew", f, fwant)
+
+	// A new row belongs to the model it was added to.
+	f.AddTerm(f.AddRow("extra", LE, 1), 0, 1)
+	same("AddRow on the fork", m, want)
+
+	// And solving one does not disturb the other.
+	before := mustSolve(t, m).Objective
+	mustSolve(t, f)
+	if got := mustSolve(t, m).Objective; !sameBits(got, before) {
+		t.Fatalf("the original solves to %b after the fork was solved, %b before", got, before)
 	}
 }
 

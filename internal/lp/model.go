@@ -180,6 +180,29 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
+// Fork returns a model named name with m's variables and rows whose bounds,
+// objective and right-hand sides are its own — SetBounds, SetObj and SetRHS
+// on one model do not reach the other — while the rows' coefficients, which
+// neither of those touch, stay in the storage m already holds. It is Clone
+// for the probe pattern: the same constraint matrix re-solved under other
+// bounds, without rebuilding or copying it.
+//
+// Both models may still grow. Fork leaves every row's term slice, on both
+// sides, without spare capacity, so the first AddTerm (or AddColumn) to reach
+// a shared row moves that row to storage of its own, and the other model
+// never sees the new term.
+func (m *Model) Fork(name string) *Model {
+	c := &Model{name: name, sense: m.sense}
+	c.vars = append([]variable(nil), m.vars...)
+	c.rows = make([]row, len(m.rows))
+	for i := range m.rows {
+		r := &m.rows[i]
+		r.terms = r.terms[:len(r.terms):len(r.terms)]
+		c.rows[i] = *r
+	}
+	return c
+}
+
 // AddRow adds an empty constraint row `(terms) op rhs`, returning its
 // identifier. Coefficients are attached with AddTerm.
 func (m *Model) AddRow(name string, op RelOp, rhs float64) RowID {

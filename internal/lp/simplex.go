@@ -242,15 +242,61 @@ type simplex struct {
 	byRow      *rowIndex // row-wise pattern of a
 	changed    []int     // refreshDuals: rows whose dual changed, capacity m
 
+	// blocks[b] summarizes what price would find in columns
+	// [b·priceBlockSize, (b+1)·priceBlockSize); see priceBlock.
+	blocks []priceBlock
+
 	// rowCover[r] counts the basic columns with an entry in row r;
 	// rowDirty[r] is set when such a column has entered or left the basis
-	// since the last refactorization. Together they recognize the pivots
-	// that leave the duals alone (see step).
+	// since the last refactorization, and dirtied lists those rows.
+	// Together they recognize the pivots that leave the duals alone (see
+	// step).
 	rowCover []int32
 	rowDirty []bool
+	dirtied  []int32
+
+	// What a refactorization may keep (see refactorize). luCurrent: every
+	// basis slot still holds, bit for bit, the column factor.lu was computed
+	// from. onlySwaps: every pivot since the last refactorization was an
+	// isolated swap that returned xB to its bits, and no nonbasic value has
+	// moved — so xB is what recomputeXB would return and every eta on file
+	// is the identity.
+	luCurrent, onlySwaps bool
 
 	// Kernel work since the last flushKernelCounts.
-	nBtran, nBtranElided, nRescored int
+	nBtran, nBtranElided, nRescored, nScanned, nBlockHits int
+}
+
+// priceBlockSize is the number of consecutive columns one pricing summary
+// covers. It only trades the cost of a rebuild against the columns a hit
+// skips — every setting prices the same column — so it is a constant, like
+// hyperDiv. It must not exceed the smallest PartialDantzig window.
+const priceBlockSize = 32
+
+// priceBlock caches what scoring a block of columns one by one returns: the
+// first eligible column, the leftmost one with the highest score, and that
+// score. score(j) is a pure function of state[j], l[j], u[j], c[j], the
+// cached reduced cost and Tol, so a summary stays exact until one of those
+// is written for a column of the block; every such write clears valid
+// (dirtyBlock, dropBlocks). A valid block therefore holds no stale reduced
+// cost, and reading its columns again would re-score none and find the same
+// three values.
+type priceBlock struct {
+	valid bool
+	first int32 // first column with a positive score, or -1
+	best  int32 // leftmost column with the highest score, or -1
+	score float64
+}
+
+// dirtyBlock drops the pricing summary covering column j. Every write to
+// state[j], l[j], u[j], c[j] or djGen[j] comes with one.
+func (s *simplex) dirtyBlock(j int) { s.blocks[j/priceBlockSize].valid = false }
+
+// dropBlocks drops every pricing summary.
+func (s *simplex) dropBlocks() {
+	for b := range s.blocks {
+		s.blocks[b].valid = false
+	}
 }
 
 // deadlineCheckEvery spaces out the wall-clock checks so the time syscall
@@ -309,46 +355,89 @@ func (s *simplex) nonbasicValue(j int) float64 {
 // until the next call (see column).
 func (s *simplex) basisCol(slot int) ([]int, []float64) { return s.column(s.basis[slot]) }
 
-// refactorize rebuilds the LU factorization from the current basis and
-// recomputes the basic values from scratch.
+// refactorize starts a new eta file: it factorizes the current basis, empties
+// the file, recomputes the basic values from scratch and restarts the row
+// cover — or keeps whichever of those it can show a recomputation would
+// return bit for bit.
+//
+// luFactors.factorize is a deterministic function of the m basis columns in
+// slot order, so while luCurrent holds it would rebuild the factors in hand,
+// and they stay. When moreover onlySwaps holds, recomputeXB would solve the
+// right-hand side it solved last time (a nonbasic slack and a nonbasic
+// artificial both rest at 0 and contribute nothing) with the factors it had
+// then, and xB still has that result's bits, so it stays too; and every eta
+// being dropped is the identity, which BTRAN passes c_B through unchanged,
+// so duals that were exact with the file are exact without it and dualsFresh
+// is left as the pivot set it. The row cover is kept exact by swapCover, so
+// only the dirty marks need clearing. The schedule (who calls this, and
+// when) is unchanged, and so is every number the solver reads afterwards.
 func (s *simplex) refactorize() error {
 	start := time.Now()
-	if err := s.factor.refactor(s.m, s.basisCol); err != nil {
-		return err
+	reused := s.luCurrent
+	if reused {
+		s.factor.dropEtas()
+		telRefactorReused.Inc()
+	} else {
+		if err := s.factor.refactor(s.m, s.basisCol); err != nil {
+			return err
+		}
+		s.luCurrent = true
+		telLUNnz.Set(float64(len(s.factor.lu.lent) + len(s.factor.lu.uent) + s.m))
 	}
 	telRefactorizations.Inc()
 	telRefactorSeconds.Add(time.Since(start).Seconds())
-	telLUNnz.Set(float64(len(s.factor.lu.lent) + len(s.factor.lu.uent) + s.m))
-	s.recomputeXB()
 
-	// New factors round a BTRAN differently, so the duals in hand are no
-	// longer the ones it would return; and the row cover starts over from
-	// this basis.
-	s.dualsFresh = false
-	for r := range s.rowCover {
-		s.rowCover[r], s.rowDirty[r] = 0, false
+	if !reused || !s.onlySwaps {
+		s.recomputeXB()
+		// Duals computed through a non-identity eta file, or through other
+		// factors, round differently from the ones a BTRAN returns now.
+		s.dualsFresh = false
 	}
-	for slot := range s.basis {
-		rows, _ := s.basisCol(slot)
-		for _, r := range rows {
-			s.rowCover[r]++
+	s.onlySwaps = true
+
+	if reused {
+		for _, r := range s.dirtied {
+			s.rowDirty[r] = false
+		}
+	} else {
+		// The basis may have been installed wholesale: count from scratch.
+		for r := range s.rowCover {
+			s.rowCover[r], s.rowDirty[r] = 0, false
+		}
+		for slot := range s.basis {
+			rows, _ := s.basisCol(slot)
+			for _, r := range rows {
+				s.rowCover[r]++
+			}
 		}
 	}
+	s.dirtied = s.dirtied[:0]
 	return nil
 }
 
-// swapCover accounts for column in replacing column out in the basis: the
-// rows either covers are dirty until the next refactorization.
+// swapCover accounts for column in replacing column out in the basis: both
+// changed state, so their pricing summaries go, and the rows either covers
+// are dirty until the next refactorization.
 func (s *simplex) swapCover(out, in int) {
+	s.dirtyBlock(out)
+	s.dirtyBlock(in)
 	rows, _ := s.column(out)
 	for _, r := range rows {
 		s.rowCover[r]--
-		s.rowDirty[r] = true
+		s.markDirty(r)
 	}
 	rows, _ = s.column(in)
 	for _, r := range rows {
 		s.rowCover[r]++
+		s.markDirty(r)
+	}
+}
+
+// markDirty sets rowDirty[r], listing the row the first time.
+func (s *simplex) markDirty(r int) {
+	if !s.rowDirty[r] {
 		s.rowDirty[r] = true
+		s.dirtied = append(s.dirtied, int32(r))
 	}
 }
 
@@ -389,6 +478,7 @@ const staleRowDiv = 8
 // dropReducedCosts invalidates every cached reduced cost. Anything that
 // changes a phase cost c_j must call it (and clear dualsFresh).
 func (s *simplex) dropReducedCosts() {
+	s.dropBlocks()
 	s.gen++
 	if s.gen == 0 { // wrapped: 0 is the per-column stale mark
 		for j := range s.djGen {
@@ -403,8 +493,10 @@ func (s *simplex) dropReducedCosts() {
 func (s *simplex) staleRow(r int) {
 	for _, j := range s.byRow.row(r) {
 		s.djGen[j] = 0
+		s.dirtyBlock(j)
 	}
 	s.djGen[s.n+r] = 0
+	s.dirtyBlock(s.n + r)
 }
 
 // refreshDuals computes y = B⁻ᵀ c_B into yRow and invalidates the cached
@@ -439,10 +531,15 @@ func (s *simplex) refreshDuals() {
 
 // price brings the duals up to date and returns the entering column, or -1
 // when the current point is optimal for the phase costs. The BTRAN is
-// skipped when the last pivot left the duals in hand exact (dualsFresh), and
-// a column is re-scored only when its cached reduced cost is stale, so the
-// scan below visits the columns the rule prescribes but pays a dot product
-// only where an operand changed.
+// skipped when the last pivot left the duals in hand exact (dualsFresh), a
+// column is re-scored only when its cached reduced cost is stale, and a block
+// of columns is read only when its summary is: the scan below visits the
+// columns the rule prescribes, but pays a dot product only where an operand
+// changed and a column read only where a score input did.
+//
+// A summary stands in for a block only when the per-column loop would read
+// every column of it from here (summarize's condition), so the columns that
+// get re-scored, the column chosen and the cursor are that loop's.
 func (s *simplex) price() int {
 	if s.dualsFresh {
 		s.nBtranElided++
@@ -452,9 +549,12 @@ func (s *simplex) price() int {
 	y := s.yRow
 
 	tol := s.opt.Tol
+	n := s.nTotal()
 	useBland := s.blandMode || s.opt.Pricing == Bland
 
-	// score returns the pricing merit of column j, or 0 when ineligible.
+	// score returns the pricing merit of column j, or 0 when ineligible. Its
+	// callers count the columns they read (nScanned): one more statement
+	// here and the compiler stops inlining it into their loops.
 	score := func(j int) float64 {
 		st := s.state[j]
 		if st == stBasic || s.l[j] == s.u[j] {
@@ -475,6 +575,33 @@ func (s *simplex) price() int {
 		return d
 	}
 
+	// summarize returns block b's summary, rebuilding it column by column
+	// when it is stale. The caller's scan must be about to read the whole
+	// block, so that the rebuild re-scores what that scan would.
+	summarize := func(b int) *priceBlock {
+		blk := &s.blocks[b]
+		if blk.valid {
+			s.nBlockHits++
+			return blk
+		}
+		lo := b * priceBlockSize
+		hi := lo + priceBlockSize
+		if hi > n {
+			hi = n
+		}
+		*blk = priceBlock{valid: true, first: -1, best: -1}
+		s.nScanned += hi - lo
+		for j := lo; j < hi; j++ {
+			if sc := score(j); sc > blk.score {
+				if blk.first < 0 {
+					blk.first = int32(j)
+				}
+				blk.best, blk.score = int32(j), sc
+			}
+		}
+		return blk
+	}
+
 	if s.opt.Pricing == Devex && !useBland {
 		// Devex: maximize d²/γ over eligible columns. Eligibility is the
 		// same d > tol test as Dantzig; only the merit differs.
@@ -483,7 +610,8 @@ func (s *simplex) price() int {
 		}
 		best := -1
 		bestMerit := 0.0
-		for j := 0; j < s.nTotal(); j++ {
+		s.nScanned += n
+		for j := 0; j < n; j++ {
 			d := score(j)
 			if d <= 0 {
 				continue
@@ -497,7 +625,6 @@ func (s *simplex) price() int {
 	}
 
 	if s.opt.Pricing == PartialDantzig && !useBland {
-		n := s.nTotal()
 		window := n / 8
 		if window < 256 {
 			window = 256
@@ -508,7 +635,38 @@ func (s *simplex) price() int {
 		bestScore := tol
 		remaining := -1 // columns left to scan after the first hit
 		j := s.cursor % n
-		for scanned := 0; scanned < n; scanned++ {
+		for scanned := 0; scanned < n; {
+			if j%priceBlockSize == 0 {
+				size := priceBlockSize
+				if size > n-j {
+					size = n - j
+				}
+				// The loop reads all of this block if the scan has that many
+				// columns left: before the first hit because a hit inside the
+				// block opens a window no shorter than a block, after it
+				// because the window has that many left.
+				if scanned+size <= n && (remaining < 0 || size <= remaining) {
+					if blk := summarize(j / priceBlockSize); blk.score > bestScore {
+						bestScore = blk.score
+						best = int(blk.best)
+						if remaining < 0 {
+							remaining = window + (int(blk.first) - j)
+						}
+					}
+					if remaining >= 0 {
+						remaining -= size
+						if remaining <= 0 {
+							break
+						}
+					}
+					scanned += size
+					if j += size; j == n {
+						j = 0
+					}
+					continue
+				}
+			}
+			s.nScanned++
 			if sc := score(j); sc > bestScore {
 				bestScore = sc
 				best = j
@@ -522,6 +680,7 @@ func (s *simplex) price() int {
 					break
 				}
 			}
+			scanned++
 			if j++; j == n {
 				j = 0
 			}
@@ -532,19 +691,37 @@ func (s *simplex) price() int {
 		return best
 	}
 
+	if useBland {
+		// The first eligible column. The loop stops there, so a stale block
+		// is read column by column and summarized only when it has none.
+		for b := range s.blocks {
+			blk := &s.blocks[b]
+			if blk.valid {
+				s.nBlockHits++
+				if blk.first >= 0 {
+					return int(blk.first)
+				}
+				continue
+			}
+			lo := b * priceBlockSize
+			for j := lo; j < lo+priceBlockSize && j < n; j++ {
+				s.nScanned++
+				if score(j) > 0 {
+					return j
+				}
+			}
+			*blk = priceBlock{valid: true, first: -1, best: -1}
+		}
+		return -1
+	}
+
+	// Dantzig reads every column: the leftmost best of the leftmost bests.
 	best := -1
 	bestScore := tol
-	for j := 0; j < s.nTotal(); j++ {
-		sc := score(j)
-		if sc <= 0 {
-			continue
-		}
-		if useBland {
-			return j
-		}
-		if sc > bestScore {
-			bestScore = sc
-			best = j
+	for b := range s.blocks {
+		if blk := summarize(b); blk.score > bestScore {
+			bestScore = blk.score
+			best = int(blk.best)
 		}
 	}
 	return best
@@ -609,6 +786,10 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	}
 
 	// Update basic values: xB ← xB − dir·t·w.
+	var xbLeave float64 // the leaving variable's value before the update
+	if leave >= 0 {
+		xbLeave = s.xB[leave]
+	}
 	if tBest != 0 {
 		for _, i := range nz {
 			s.xB[i] -= dir * tBest * w[i]
@@ -622,6 +803,8 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 		} else {
 			s.state[q] = stAtLower
 		}
+		s.dirtyBlock(q)
+		s.onlySwaps = false
 		s.iters++
 		s.boundFlips++
 		return true, Optimal, nil
@@ -633,7 +816,9 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 
 	// Basis change.
 	out := s.basis[leave]
-	keepsDuals := s.dualsFresh && s.isolatedSwap(out, q)
+	identical := s.identicalSwap(out, q)
+	isolated := identical && s.isolatedRow(out-s.n)
+	keepsDuals := s.dualsFresh && isolated
 	if leaveAtUpper {
 		s.state[out] = stAtUpper
 		s.xB[leave] = 0
@@ -654,44 +839,64 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	s.factor.push(leave, w, nz)
 	s.swapCover(out, q)
 	s.iters++
+	if !identical {
+		s.luCurrent = false
+	}
+	// An isolated swap moves nothing but xB[leave] (w is the slot's unit
+	// vector), and a slack rests at 0 as the artificial now does. The ratio
+	// test usually hands xB[leave] its own value back, but not from under
+	// the t < 0 clamp, and not the sign of a zero.
+	if !isolated || q < s.nStruct || math.Float64bits(enterVal) != math.Float64bits(xbLeave) {
+		s.onlySwaps = false
+	}
 
+	if !keepsDuals {
+		s.dualsFresh = false
+	}
 	if len(s.factor.etas) >= s.opt.RefactorEvery {
+		// Clears dualsFresh too, unless it keeps the factors and drops only
+		// identity etas (see refactorize).
 		if err := s.refactorize(); err != nil {
 			return false, Numerical, err
 		}
-		return true, Optimal, nil
 	}
-	if keepsDuals {
+	if s.dualsFresh {
 		// The next BTRAN would return yRow with c_q on row r: patch it and
 		// let price skip the solve.
 		r := out - s.n
 		s.yRow[r] = s.c[q]
 		s.staleRow(r)
-	} else {
-		s.dualsFresh = false
 	}
 	return true, Optimal, nil
 }
 
-// isolatedSwap reports whether entering column q replaces leaving column
-// out without moving any dual but one: q is the slack +e_r, out the
-// artificial +e_r of the same row, no other basic column has an entry in
-// row r, and none has had one since the last refactorization. The basis
-// matrix is then unchanged, and row r and the artificial's slot are a 1×1
-// block of it that the factorization and every eta since keep apart: the
-// slot's pivot is 1 with empty L and U columns, no other L or U column and
-// no eta reaches it (each entering column since had a structural zero on
-// row r, and FTRAN never touched the slot), and the eta this swap pushes is
-// the identity. BTRAN therefore carries c_B's entry for the slot to y_r
-// untouched and computes every other y_i from the operands it had before:
-// y changes in y_r = c_q alone, bit for bit.
-func (s *simplex) isolatedSwap(out, q int) bool {
+// identicalSwap reports whether entering column q is, entry for entry, the
+// column out it replaces, so that the basis matrix does not change in any
+// bit: out is the artificial ±e_r and q a column whose only entry is that
+// same ±1 on row r — the row's slack. (Two equal structural columns would
+// qualify too; they are treated as a change.)
+func (s *simplex) identicalSwap(out, q int) bool {
 	r := out - s.n
-	if q >= s.n || r < 0 || s.art[r] != 1 || s.rowCover[r] != 1 || s.rowDirty[r] {
+	if q >= s.n || r < 0 {
 		return false
 	}
 	rows, vals := s.a.col(q)
-	return len(rows) == 1 && rows[0] == r && vals[0] == 1
+	return len(rows) == 1 && rows[0] == r && vals[0] == s.art[r]
+}
+
+// isolatedRow reports whether an identical swap on row r — slack for
+// artificial, see identicalSwap — moves no dual but y_r: the two columns are
+// +e_r, no other basic column has an entry in row r, and none has had one
+// since the last refactorization. Row r and the artificial's slot are then a
+// 1×1 block of the basis matrix that the factorization and every eta since
+// keep apart: the slot's pivot is 1 with empty L and U columns, no other L
+// or U column and no eta reaches it (each entering column since had a
+// structural zero on row r, and FTRAN never touched the slot), and the eta
+// this swap pushes is the identity. BTRAN therefore carries c_B's entry for
+// the slot to y_r untouched and computes every other y_i from the operands
+// it had before: y changes in y_r = c_q alone, bit for bit.
+func (s *simplex) isolatedRow(r int) bool {
+	return s.art[r] == 1 && s.rowCover[r] == 1 && !s.rowDirty[r]
 }
 
 // betterLeaving is the tie-break for the ratio test: prefer larger pivot
@@ -800,7 +1005,9 @@ func (s *simplex) flushKernelCounts() {
 	telBtran.Add(int64(s.nBtran))
 	telBtranElided.Add(int64(s.nBtranElided))
 	telRescored.Add(int64(s.nRescored))
-	s.nBtran, s.nBtranElided, s.nRescored = 0, 0, 0
+	telScanned.Add(int64(s.nScanned))
+	telBlockHits.Add(int64(s.nBlockHits))
+	s.nBtran, s.nBtranElided, s.nRescored, s.nScanned, s.nBlockHits = 0, 0, 0, 0, 0
 }
 
 // objective returns c·x for the current phase costs and point.

@@ -226,8 +226,10 @@ type solverBufs struct {
 	rho      []float64
 	dj       []float64
 	djGen    []uint32
+	blocks   []priceBlock
 	rowCover []int32
 	rowDirty []bool
+	dirtied  []int32
 	changed  []int
 	factor   basisFactor // LU arenas and eta file, refilled by refactorize
 
@@ -256,16 +258,18 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
 		bf.yRow, bf.yNext = bf.yRow[:nRows], bf.yNext[:nRows]
 		bf.rowCover, bf.rowDirty = bf.rowCover[:nRows], bf.rowDirty[:nRows]
+		bf.blocks = bf.blocks[:numPriceBlocks(t)]
 		// Zero the two cost vectors: phase 1 needs zero structural costs,
 		// and the minimization-form costs are only written for structural
-		// columns; and the reduced-cost stamps, so nothing cached by the
-		// last solve is served to this one. All other arrays are fully
-		// overwritten before use.
+		// columns; and the reduced-cost stamps and pricing summaries, so
+		// nothing cached by the last solve is served to this one. All other
+		// arrays are fully overwritten before use.
 		for i := range bf.c {
 			bf.c[i] = 0
 			bf.cMin[i] = 0
 			bf.djGen[i] = 0
 		}
+		clear(bf.blocks)
 		return bf
 	}
 	// When an undersized cache is being replaced the model is growing
@@ -294,14 +298,19 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		rho:     make([]float64, nRows, capM),
 		dj:      make([]float64, t, capT),
 		djGen:   make([]uint32, t, capT),
+		blocks:  make([]priceBlock, numPriceBlocks(t), numPriceBlocks(capT)),
 
 		rowCover: make([]int32, nRows, capM),
 		rowDirty: make([]bool, nRows, capM),
+		dirtied:  make([]int32, 0, capM),
 		changed:  make([]int, 0, capM),
 	}
 	m.bufs = bf
 	return bf
 }
+
+// numPriceBlocks is the number of pricing summaries t columns take.
+func numPriceBlocks(t int) int { return (t + priceBlockSize - 1) / priceBlockSize }
 
 // assemble builds the simplex working state — CSC matrix over structural
 // and slack columns, bounds, and the minimization-form costs in s.cMin —
@@ -387,8 +396,10 @@ func (m *Model) assemble(opt Options) *simplex {
 		djGen:    bf.djGen,
 		gen:      1,
 		byRow:    &bf.byRow,
+		blocks:   bf.blocks,
 		rowCover: bf.rowCover,
 		rowDirty: bf.rowDirty,
+		dirtied:  bf.dirtied[:0],
 		changed:  bf.changed,
 		factor:   &bf.factor,
 	}
@@ -512,6 +523,8 @@ func (s *simplex) crashBasis() {
 		s.c[col] = 1 // phase-1 cost
 	}
 	s.phase1 = true
+	s.luCurrent = false
+	s.dropBlocks()
 }
 
 // enterPhase2 installs the real (minimization-form) costs and pins the

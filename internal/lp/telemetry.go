@@ -43,6 +43,12 @@ var (
 		"Primal pricing calls that skipped the BTRAN: the last pivot (a bound flip, or a slack replacing the artificial of an isolated row) left the duals in hand exact. The elided share is this over its sum with lp_btran_total.")
 	telRescored = telemetry.Default().Counter("lp_pricing_rescored_columns_total",
 		"Reduced costs recomputed by primal pricing (one sparse dot product each); columns scanned beyond these were served from the reduced-cost cache.")
+	telScanned = telemetry.Default().Counter("lp_pricing_scanned_columns_total",
+		"Columns primal pricing read one at a time; the columns of a block answered from its summary are not among them.")
+	telBlockHits = telemetry.Default().Counter("lp_pricing_block_hits_total",
+		"Blocks of 32 columns primal pricing answered from their cached summary (first eligible column, leftmost best, its score) instead of reading them.")
+	telRefactorReused = telemetry.Default().Counter("lp_refactor_reused_total",
+		"Refactorizations that kept the LU factors because no basis slot had received a different column since they were computed (only the eta file was emptied). Counted in lp_refactorizations_total as well.")
 	telLUNnz = telemetry.Default().Gauge("lp_lu_nnz",
 		"Stored entries of the last basis factorization: L and U off-diagonals plus the U diagonal.")
 

@@ -487,7 +487,7 @@ func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
 	}
 	var P *retProber
 	if cfg.WarmStart || cfg.Certificates {
-		P = newRETProber(inst, cfg, resolveCarry(cfg, fullKey, fc.PathsKey, true))
+		P = newRETProber(E, cfg, resolveCarry(cfg, fullKey, fc.PathsKey, true))
 	}
 	spec := newSpeculator(cfg, 1)
 
@@ -630,7 +630,7 @@ func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RET
 		}
 		st.chain = E
 		if cfg.WarmStart || cfg.Certificates {
-			st.prober = newRETProber(comps[i].Inst, st.cfg, resolveCarry(cfg, comps[i].Key, comps[i].PathsKey, false))
+			st.prober = newRETProber(E, st.cfg, resolveCarry(cfg, comps[i].Key, comps[i].PathsKey, false))
 		}
 		bhat, iters, steps, err := retSearch(comps[i].Inst, st.cfg, retSearchEnv{chain: E, prober: st.prober, spec: spec}, comps[i].Key)
 		st.bhat, st.iters, st.probes = bhat, iters, steps
@@ -918,6 +918,21 @@ func newRETChain(inst *Instance, name string, cfg RETConfig) (*retChain, error) 
 	}, nil
 }
 
+// fork returns a chain of its own — bounds, applied windows, basis — over
+// the receiver's constraint matrix (lp.Model.Fork), as of the windows the
+// receiver has applied now.
+func (ch *retChain) fork(name string, cfg RETConfig) *retChain {
+	m := ch.m.Fork(name)
+	return &retChain{
+		cfg:     cfg,
+		m:       m,
+		xv:      ch.xv,
+		maxLast: ch.maxLast,
+		curLast: append([]int(nil), ch.curLast...),
+		inc:     lp.NewIncremental(m, cfg.Solver),
+	}
+}
+
 // applyLast flips variable bounds to realize the given per-job windows.
 func (ch *retChain) applyLast(last []int) {
 	for k := range last {
@@ -1006,25 +1021,26 @@ func lastKey(last []int) string {
 // retProber answers feasibility probes for one component: first from the
 // window memo, then from stored certificates, and only then by an
 // incremental solve on its own probe chain. The chain is separate from
-// the extraction chain so probe traffic cannot perturb the extraction
-// solve sequence (which is what keeps schedules byte-identical across
-// configurations).
+// the extraction chain — a fork of it: the same rows, read-only, under
+// bounds, a basis and solver buffers of its own — so probe traffic cannot
+// perturb the extraction solve sequence (which is what keeps schedules
+// byte-identical across configurations).
 type retProber struct {
-	inst *Instance
-	cfg  RETConfig
+	ext *retChain // the extraction chain the probe chain is forked from
+	cfg RETConfig
 
-	seed     *lp.Basis // first-solve warm start: cross-epoch carry, else the extraction chain's ceiling basis
-	chain    *retChain // lazily built: a fully pruned search never pays for it
-	chainErr bool
+	seed  *lp.Basis // first-solve warm start: cross-epoch carry, else the extraction chain's ceiling basis
+	chain *retChain // lazily forked: a fully pruned search never pays for it
 
 	memo   map[string]bool // window fingerprint → feasibility verdict
 	feas   *lp.Certificate // most recent feasible witness (smallest proven b)
 	infeas *lp.Certificate // most recent Farkas ray (largest refuted b)
 }
 
-// newRETProber wires the prober with optional cross-epoch carry.
-func newRETProber(inst *Instance, cfg RETConfig, carry *ComponentBasis) *retProber {
-	p := &retProber{inst: inst, cfg: cfg, memo: make(map[string]bool)}
+// newRETProber wires the prober to its component's extraction chain, with
+// optional cross-epoch carry.
+func newRETProber(ext *retChain, cfg RETConfig, carry *ComponentBasis) *retProber {
+	p := &retProber{ext: ext, cfg: cfg, memo: make(map[string]bool)}
 	if carry != nil {
 		p.seed = carry.Basis
 		p.feas = carry.Feas
@@ -1063,17 +1079,13 @@ func (p *retProber) note(inst *Instance, b float64, feasible bool) {
 	p.memo[lastKey(retExtendedLast(inst, b, p.cfg))] = feasible
 }
 
+// ensureChain returns the probe chain, forking it on first use.
 func (p *retProber) ensureChain() *retChain {
-	if p.chain == nil && !p.chainErr {
-		ch, err := newRETChain(p.inst, "sub-ret-probe", p.cfg)
-		if err != nil {
-			p.chainErr = true
-			return nil
-		}
+	if p.chain == nil {
+		p.chain = p.ext.fork("sub-ret-probe", p.cfg)
 		if p.seed != nil {
-			ch.inc.SeedBasis(p.seed)
+			p.chain.inc.SeedBasis(p.seed)
 		}
-		p.chain = ch
 	}
 	return p.chain
 }
@@ -1088,9 +1100,6 @@ func (p *retProber) checkInfeasible(inst *Instance, b float64) bool {
 		return false
 	}
 	ch := p.ensureChain()
-	if ch == nil {
-		return false
-	}
 	ch.applyLast(retExtendedLast(inst, b, p.cfg))
 	f, ok := ch.m.CheckFeasibleWithCertificate(p.infeas)
 	return ok && !f
@@ -1110,9 +1119,6 @@ func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string,
 		return false, "", false
 	}
 	ch := p.ensureChain()
-	if ch == nil {
-		return false, "", false
-	}
 	ch.applyLast(last)
 	if f, ok := ch.m.CheckFeasibleWithCertificate(p.feas); ok {
 		p.memo[key] = f
@@ -1130,9 +1136,6 @@ func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string,
 // caller then falls back to a cold per-b solve.
 func (p *retProber) solve(inst *Instance, b float64) (feasible bool, iters int, ok bool, err error) {
 	ch := p.ensureChain()
-	if ch == nil {
-		return false, 0, false, nil
-	}
 	feasible, _, iters, ok, err = ch.solveAt(inst, b)
 	if err != nil {
 		return false, iters, false, fmt.Errorf("schedule: SUB-RET probe(b=%g): %w", b, err)

@@ -119,6 +119,87 @@ func TestSolveRETWarmByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRETProbeChainIsAFork pins what lets the prober skip building its own
+// SUB-RET model: its chain is a fork of the extraction chain — the same rows
+// under bounds, applied windows, a basis and solver buffers of its own — so
+// probe traffic on it leaves the extraction chain answering, pivot for pivot
+// and byte for byte, like a chain nobody forked; and a fork taken after the
+// extraction chain has moved starts from the windows that chain has applied.
+func TestRETProbeChainIsAFork(t *testing.T) {
+	inst := retWarmInstance(t)
+	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Certificates: true}.withDefaults()
+	E, err := newRETChain(inst, "sub-ret", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := newRETChain(inst, "sub-ret", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []*retChain{E, lone} {
+		if feasible, _, _, ok, err := ch.solveAt(inst, cfg.BMax); err != nil || !ok || !feasible {
+			t.Fatalf("ceiling solve: feasible %v, ok %v, err %v", feasible, ok, err)
+		}
+	}
+
+	P := newRETProber(E, cfg, nil)
+	P.seedFrom(E)
+	ch := P.ensureChain()
+	if ch.m == E.m || ch.inc == E.inc || ch.m.Name() != "sub-ret-probe" || ch.m.NumRows() != E.m.NumRows() {
+		t.Fatalf("probe chain: model %q (%d rows) on the extraction chain's %q (%d rows)", ch.m.Name(), ch.m.NumRows(), E.m.Name(), E.m.NumRows())
+	}
+	verdicts := 0
+	for _, b := range []float64{0.5, 4, 1.25, 0.1} {
+		feasible, _, ok, err := P.solve(inst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			verdicts++
+			want, _, _, err := solveSubRET(inst, b, cfg, false)
+			if err != nil || feasible != want {
+				t.Fatalf("b=%g: the probe chain says feasible=%v, a cold per-b model %v (err %v)", b, feasible, want, err)
+			}
+		}
+	}
+	if verdicts == 0 {
+		t.Fatal("the probe chain gave no verdict")
+	}
+	for k, last := range E.curLast {
+		if last != E.maxLast[k] {
+			t.Fatalf("job %d: probing moved the extraction chain's window to %d (BMax: %d)", k, last, E.maxLast[k])
+		}
+	}
+	for _, b := range []float64{2, 0.75} {
+		f1, a1, it1, err1 := E.extractAt(inst, b)
+		f2, a2, it2, err2 := lone.extractAt(inst, b)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if f1 != f2 || it1 != it2 || (f1 && assignmentBytes(a1) != assignmentBytes(a2)) {
+			t.Fatalf("b=%g: the forked-from chain extracts feasible=%v in %d pivots, an unforked one feasible=%v in %d (or other bytes)", b, f1, it1, f2, it2)
+		}
+	}
+
+	// E now stands at b = 0.75: a fork taken here flips bounds from there.
+	late := newRETProber(E, cfg, nil).ensureChain()
+	for k := range E.curLast {
+		if late.curLast[k] != E.curLast[k] {
+			t.Fatalf("job %d: late fork starts at window %d, the chain it forked stands at %d", k, late.curLast[k], E.curLast[k])
+		}
+	}
+	late.curLast[0]++ // its own copy
+	if late.curLast[0] == E.curLast[0] {
+		t.Fatal("the fork shares the applied-window vector")
+	}
+	late.curLast[0]--
+	got, _, _, ok, err := late.solveAt(inst, 5)
+	want, _, _, err2 := solveSubRET(inst, 5, cfg, false)
+	if err != nil || err2 != nil || !ok || got != want {
+		t.Fatalf("late fork at b=5: feasible=%v (ok %v, err %v), a cold per-b model %v (err %v)", got, ok, err, want, err2)
+	}
+}
+
 // TestStage2WarmAlphaLadder forces the Remark-1 retry ladder — stage 2
 // re-planned against a degraded topology with the healthy topology's Z*,
 // the controller's degraded-mode situation — and checks the warm path

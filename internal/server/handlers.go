@@ -515,6 +515,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad trace id")
 		return
 	}
+	writeJSON(w, http.StatusOK, s.traceSnapshot(trace))
+}
+
+// traceSnapshot builds the trace response under the server lock. Like every
+// read handler below, handleTrace encodes the snapshot only after the lock is
+// released: a client that stops reading its body mid-response must stall its
+// own connection, not Tick and every other request.
+func (s *Server) traceSnapshot(trace int64) traceResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := traceResponse{Trace: trace}
@@ -531,7 +539,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // flightResponse is the GET /v1/debug/flightrecorder body: the retained
@@ -542,6 +550,10 @@ type flightResponse struct {
 }
 
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.flightSnapshot())
+}
+
+func (s *Server) flightSnapshot() flightResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := flightResponse{Frames: []any{}}
@@ -551,7 +563,7 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 			resp.Frames = fs
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // scheduleSlice is one slice of committed bandwidth on one path.
@@ -584,6 +596,12 @@ type scheduleResponse struct {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.scheduleSnapshot())
+}
+
+// scheduleSnapshot copies the committed assignment's nonzero entries out
+// under the server lock.
+func (s *Server) scheduleSnapshot() scheduleResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	plan, start, end, ok := s.ctrl.CommittedSchedule()
@@ -616,7 +634,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // linkRequest optionally pins the virtual event time of a link
@@ -657,39 +675,48 @@ func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request, kind st
 		}
 	}
 
+	resp, status, msg := s.applyLinkEvent(id, kind, req.Time)
+	if msg != "" {
+		writeError(w, status, msg)
+		return
+	}
+	writeJSON(w, status, resp)
+}
+
+// applyLinkEvent logs and applies one link transition under the server lock
+// and returns what to answer: the resulting down set, or an error status with
+// its message.
+func (s *Server) applyLinkEvent(id int, kind store.EntryType, at *float64) (linkResponse, int, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
+		return linkResponse{}, http.StatusServiceUnavailable, "server is shutting down"
 	}
 	if id < 0 || id >= s.g.NumEdges() {
-		writeError(w, http.StatusNotFound, "unknown link")
-		return
+		return linkResponse{}, http.StatusNotFound, "unknown link"
 	}
 	t := s.virtualNow()
-	if req.Time != nil {
-		t = *req.Time
+	if at != nil {
+		t = *at
 	}
 	if err := s.logEvent(store.Entry{Type: kind, Time: t, Edge: id}); err != nil && !errors.Is(err, ErrNoQuorum) {
-		writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
-		return
+		return linkResponse{}, http.StatusInternalServerError, "wal append: " + err.Error()
 	}
+	var err error
 	if kind == store.EntryLinkDown {
 		err = s.ctrl.LinkDown(netgraph.EdgeID(id), t)
 	} else {
 		err = s.ctrl.LinkUp(netgraph.EdgeID(id), t)
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		return linkResponse{}, http.StatusInternalServerError, err.Error()
 	}
 	s.releaseFinishedLocked() // disruptions may have finalized records
 	down := make([]int, 0)
 	for _, e := range s.ctrl.DownLinks() {
 		down = append(down, int(e))
 	}
-	writeJSON(w, http.StatusOK, linkResponse{Edge: id, Time: t, Down: down})
+	return linkResponse{Edge: id, Time: t, Down: down}, http.StatusOK, ""
 }
 
 // healthzResponse is the GET /v1/healthz body. Role/Node/Leader are
@@ -707,6 +734,10 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.healthSnapshot())
+}
+
+func (s *Server) healthSnapshot() healthzResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := healthzResponse{
@@ -728,7 +759,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Leader = cv.LeaderURL()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // statsResponse is the GET /v1/stats body: per-epoch history plus the
@@ -743,18 +774,22 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.statsSnapshot())
+}
+
+func (s *Server) statsSnapshot() statsResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	down := make([]int, 0)
 	for _, e := range s.ctrl.DownLinks() {
 		down = append(down, int(e))
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
+	return statsResponse{
 		Epochs:      controller.EpochStatsJSON(s.ctrl.EpochStats()),
 		Summary:     controller.Summarize(s.ctrl.CurrentRecords()).JSON(),
 		Disruptions: controller.DisruptionsJSON(s.ctrl.Disruptions()),
 		Pending:     s.ctrl.PendingCount(),
 		Active:      s.ctrl.ActiveCount(),
 		DownLinks:   down,
-	})
+	}
 }
