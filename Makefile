@@ -1,11 +1,16 @@
 # Developer entry points. `make check` is the gate run before sending a
-# change: vet, build, and the full test suite under the race detector.
+# change: formatting, vet, build, and the full test suite under the race
+# detector.
 
 GO ?= go
 
-.PHONY: check vet build test race race-serve cluster-test bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
+.PHONY: check fmt-check vet build test race race-serve cluster-test bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
 
-check: vet build race-serve race cluster-test bench-epoch-smoke
+check: fmt-check vet build race-serve race cluster-test bench-epoch-smoke
+
+# Fails, listing them, when gofmt would rewrite any file.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -3,9 +3,12 @@ package controller
 import (
 	"io"
 	"log/slog"
+	"math"
 	"testing"
 
+	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/schedule"
 	"wavesched/internal/telemetry"
 	"wavesched/internal/workload"
 )
@@ -153,5 +156,86 @@ func TestControllerColumnGenCrossEpochReuse(t *testing.T) {
 	hits, _ := c.pathCache.Stats()
 	if hits == 0 {
 		t.Error("no path-cache hits across colgen epochs")
+	}
+}
+
+// TestControllerColumnGenPoolIndependence is the exactness argument of the
+// support carry as a property: a master priced to the end is optimal over
+// the full path space whatever pool it started from, so evicting columns
+// between epochs may change how much is re-priced but never an optimum.
+// Over seeded controller traces with arrivals and a moving horizon, every
+// epoch's Z* and fractional stage-2 objective — solved on the instance the
+// controller grew from its carried pool — must equal those of a cache-less
+// build of the same jobs, seeds only, priced from scratch.
+func TestControllerColumnGenPoolIndependence(t *testing.T) {
+	evicted := telemetry.Default().Counter("schedule_colgen_evicted_paths_total", "")
+	evictedBefore := evicted.Value()
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := netgraph.Waxman(netgraph.WaxmanConfig{Nodes: 16, LinkPairs: 26, Wavelengths: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(g, Config{
+			Tau: 1, SliceLen: 1, Policy: PolicyMaxThroughput, ColumnGen: true,
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := schedule.Config{AlphaGrowth: 0.1}
+		nextID := job.ID(1)
+		for e := 0; e < 12; e++ {
+			arrivals, err := workload.Generate(g, workload.Config{
+				Jobs: 3, Seed: seed*1000 + int64(e), GBToDemand: 0.4,
+				StartSpread: 1, MinWindow: 4, MaxWindow: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range arrivals {
+				j.ID, j.Start, j.End, j.Arrival = nextID, j.Start+c.Now(), j.End+c.Now(), c.Now()
+				nextID++
+				if err := c.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.EpochStats(); st[len(st)-1].Tier != TierFull {
+				t.Fatalf("seed %d epoch %d: tier %q", seed, e, st[len(st)-1].Tier)
+			}
+			plan, _, _, ok := c.CommittedSchedule()
+			if !ok {
+				t.Fatalf("seed %d epoch %d: nothing committed", seed, e)
+			}
+			inst := plan.Inst // grown from the carried pool, Z* certificate attached
+			carried, err := schedule.MaxThroughput(inst, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := schedule.NewInstanceOpts(inst.G, inst.Grid, inst.Jobs, schedule.InstanceOptions{ColumnGen: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := schedule.GeneratePaths(ref, schedule.ColGenConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			scratch, err := schedule.MaxThroughput(ref, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(carried.ZStar-scratch.ZStar) > 1e-7 {
+				t.Errorf("seed %d epoch %d: Z* %v from the carried pool, %v from scratch", seed, e, carried.ZStar, scratch.ZStar)
+			}
+			co, so := carried.LP.WeightedThroughput(), scratch.LP.WeightedThroughput()
+			if carried.Alpha != scratch.Alpha || math.Abs(co-so) > 1e-7 {
+				t.Errorf("seed %d epoch %d: stage-2 optimum %v (alpha %v) from the carried pool, %v (alpha %v) from scratch",
+					seed, e, co, carried.Alpha, so, scratch.Alpha)
+			}
+		}
+	}
+	if evicted.Value() == evictedBefore {
+		t.Fatal("no epoch evicted a carried path — the traces exercise nothing")
 	}
 }

@@ -148,8 +148,8 @@ type Config struct {
 	Incremental bool
 	// ColumnGen prices path columns on demand instead of enumerating K
 	// paths per job upfront: each epoch's instance starts from SeedPaths
-	// edge-disjoint seed paths per (src, dst) pair — plus whatever the
-	// previous epochs' pricing runs discovered, reused through the
+	// edge-disjoint seed paths per (src, dst) pair — plus the paths the
+	// previous epoch's master optima used, carried through the
 	// controller's PathCache — and schedule.GeneratePaths grows the sets
 	// by LP pricing before the policy solve. K is ignored for path
 	// construction while set.
@@ -1102,9 +1102,11 @@ func (c *Controller) buildInstance(now float64) (*schedule.Instance, []*activeJo
 // newInstance builds a scheduling instance with the controller's path
 // configuration. Under ColumnGen it also runs the pricing loop, so the
 // returned instance's path sets already cover every column the solves
-// that follow can use; discovered sets are published to the PathCache
-// and seed the next epoch's build. stage1Only skips stage-2 (and SUB-RET)
-// pricing — enough for feasibility probes that only consult Z*.
+// that follow can use and it carries the Z* pricing proved; the paths the
+// master optima used are published to the PathCache and, with the seeds,
+// start the next epoch's build. stage1Only skips stage-2 (and SUB-RET)
+// pricing — enough for feasibility probes that only consult Z*; such a
+// run adds to the cache entries and never evicts from them.
 func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Only bool) (*schedule.Instance, error) {
 	opts := schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache}
 	if c.cfg.ColumnGen {
@@ -1658,7 +1660,7 @@ func (c *Controller) admitPrefix(now float64) (int, error) {
 		if err != nil {
 			return false, err
 		}
-		s1, err := schedule.SolveStage1(inst, c.solverOpts())
+		s1, err := schedule.Stage1ZStar(inst, c.solverOpts())
 		if err != nil {
 			return false, err
 		}

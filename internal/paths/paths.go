@@ -16,9 +16,9 @@
 package paths
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"wavesched/internal/netgraph"
@@ -44,9 +44,19 @@ func (p Path) Clone() Path {
 // Hops returns the number of edges on the path.
 func (p Path) Hops() int { return len(p.Edges) }
 
-// Key returns a canonical string for de-duplication.
+// Key returns a canonical string for de-duplication: the edge IDs as
+// fmt.Sprint renders the slice ("[1 2 3]"), which Component.PathsKey
+// hashes, built without fmt's reflection.
 func (p Path) Key() string {
-	return fmt.Sprint(p.Edges)
+	b := make([]byte, 0, 2+4*len(p.Edges))
+	b = append(b, '[')
+	for i, e := range p.Edges {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(e), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // Loopless reports whether the path visits no node twice.

@@ -1,7 +1,9 @@
 package paths
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"wavesched/internal/netgraph"
@@ -178,6 +180,26 @@ func TestPathClone(t *testing.T) {
 	q.Nodes[0] = 99
 	if p.Edges[0] == 99 || p.Nodes[0] == 99 {
 		t.Error("Clone shares storage")
+	}
+}
+
+// TestPathKeyMatchesSprint holds the hand-built Key against the fmt
+// rendering it replaced: Component.PathsKey hashes the string, so carried
+// warm state keyed under the old form must keep matching.
+func TestPathKeyMatchesSprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]netgraph.EdgeID{nil, {}, {0}, {-3, 7}, {1 << 40}}
+	for i := 0; i < 200; i++ {
+		edges := make([]netgraph.EdgeID, rng.Intn(12))
+		for j := range edges {
+			edges[j] = netgraph.EdgeID(rng.Intn(100000))
+		}
+		cases = append(cases, edges)
+	}
+	for _, edges := range cases {
+		if got, want := (Path{Edges: edges}).Key(), fmt.Sprint(edges); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
 	}
 }
 

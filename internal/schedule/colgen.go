@@ -8,6 +8,7 @@ import (
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/paths"
+	"wavesched/internal/telemetry"
 )
 
 // Column generation for the path variables x_i(p, j).
@@ -67,18 +68,32 @@ type ColGenConfig struct {
 
 // ColGenStats reports what one GeneratePaths run did.
 type ColGenStats struct {
-	SeedPaths  int // paths present before discovery
+	SeedPaths  int // paths present before discovery (seeds plus what the cache carried)
 	AddedPaths int // paths appended by pricing
 	Rounds     int // pricing rounds that appended columns
 	Solves     int // restricted-master LP solves
 	Components int // independent blocks discovery ran over
+	Evicted    int // carried paths the publish dropped from the PathCache
 
-	// ZStar is the stage-1 optimum of the grown instance, proven optimal
-	// over the full (exponential) path space by the final pricing round
-	// that appended nothing. Callers that only need Z* can use it
-	// directly instead of re-solving stage 1.
+	// Support[k][p] reports that path p of job k carried flow above 1e-9 in
+	// the final optimum of some master. It is what the PathCache carries
+	// beyond the seeds.
+	Support [][]bool
+
+	// ZStar is the stage-1 optimum of the grown instance. When Proven it is
+	// optimal over the full (exponential) path space, and the instance
+	// carries it so the solves that follow skip the cold stage-1 solve
+	// (Stage1ZStar).
 	ZStar float64
+	// Proven reports that every stage-1 master behind ZStar ended Optimal
+	// on a pricing round that appended nothing. False when one stopped on
+	// MaxRounds: ZStar is then only the restricted master's optimum.
+	Proven bool
 }
+
+// supportTol is the flow above which a path counts as used by a master's
+// optimum. Positive on purpose: 1e-15 of simplex noise is not support.
+const supportTol = 1e-9
 
 // GeneratePaths grows the instance's path sets in place by column
 // generation: per connected component it solves restricted stage-1,
@@ -91,9 +106,12 @@ type ColGenStats struct {
 // couple previously independent components, one joint verification round
 // over the full instance closes the gap.
 //
-// When the instance was built with a PathCache, the discovered per-pair
-// path unions are published back to it, so the next epoch's instance
-// build starts from the columns this run priced in.
+// The instance keeps the whole grown pool. What a PathCache carries to the
+// next build is smaller: per pair, the seeds plus the paths some master's
+// final optimum routed flow over (publishColGenPaths). A master priced to
+// the end is optimal over the full path space whatever pool it started
+// from, so dropping unused columns changes how much the next run re-prices,
+// never an optimum.
 func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 50
@@ -105,20 +123,27 @@ func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 		cfg.Alpha = 0.1
 	}
 	stats := &ColGenStats{}
+	inst.provenZ = nil
 	if inst.NumJobs() == 0 {
+		telColGenCarried.Set(0)
 		return stats, nil
+	}
+	d := &cgDiscovery{
+		cfg: cfg, avoid: inst.colgenAvoid(),
+		carried: make([]int, inst.NumJobs()),
+		used:    make([][]bool, inst.NumJobs()),
 	}
 	// Exact-length clone of every path slice before any append: seed
 	// slices are shared across jobs with the same endpoints and with
 	// PathCache entries, and an in-place append through a shared header
 	// would corrupt its other owners.
 	for k := range inst.JobPaths {
-		stats.SeedPaths += len(inst.JobPaths[k])
+		d.carried[k] = len(inst.JobPaths[k])
+		stats.SeedPaths += d.carried[k]
 		cl := make([]paths.Path, len(inst.JobPaths[k]))
 		copy(cl, inst.JobPaths[k])
 		inst.JobPaths[k] = cl
 	}
-	d := &cgDiscovery{cfg: cfg, avoid: inst.colgenAvoid()}
 
 	var retCfg RETConfig
 	var extLast []int
@@ -142,52 +167,35 @@ func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	}
 	if mono {
 		stats.Components = 1
-		zstar, err := d.discoverStage1(inst)
+		zstar, proven, err := d.discoverAll(inst, nil, extLast, retCfg)
 		if err != nil {
 			return stats, err
 		}
-		if !cfg.SkipStage2 {
-			if err := d.discoverStage2(inst, zstar); err != nil {
-				return stats, err
-			}
-		}
-		if cfg.RET != nil {
-			if err := d.discoverSubRET(inst, extLast, retCfg); err != nil {
-				return stats, err
-			}
-		}
-		return d.finish(inst, stats, zstar), nil
+		return d.finish(inst, stats, zstar, proven), nil
 	}
 
 	// Stage-1 discovery per component; the global Z* is the minimum over
 	// blocks (they share no constraint at the seed decomposition).
 	zs := make([]float64, len(comps))
+	priced := make([]bool, len(comps))
 	if err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		z, err := d.discoverStage1(comps[i].Inst)
-		zs[i] = z
+		var err error
+		zs[i], priced[i], err = d.discoverStage1(comps[i].Inst, comps[i].JobIdx)
 		return err
 	}); err != nil {
 		return stats, err
 	}
-	zstar := zs[0]
-	for _, z := range zs[1:] {
+	zstar, proven := zs[0], true
+	for i, z := range zs {
 		if z < zstar {
 			zstar = z
 		}
+		proven = proven && priced[i]
 	}
-	if !cfg.SkipStage2 {
-		if err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-			return d.discoverStage2(comps[i].Inst, zstar)
-		}); err != nil {
-			return stats, err
-		}
-	}
-	if cfg.RET != nil {
-		if err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-			return d.discoverSubRET(comps[i].Inst, comps[i].subSlice(extLast), retCfg)
-		}); err != nil {
-			return stats, err
-		}
+	if err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
+		return d.discoverRest(comps[i].Inst, comps[i].JobIdx, zstar, comps[i].subSlice(extLast), retCfg)
+	}); err != nil {
+		return stats, err
 	}
 	// Components own clones of the parent's path slices; write the grown
 	// sets back.
@@ -203,36 +211,76 @@ func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	// instance; re-decomposing is orders of magnitude cheaper than the
 	// extra LP round it usually avoids.
 	if len(comps) > 1 && !samePartition(comps, Decompose(inst, extLast), inst.NumJobs()) {
-		z, err := d.discoverStage1(inst)
-		if err != nil {
+		var err error
+		if zstar, proven, err = d.discoverAll(inst, nil, extLast, retCfg); err != nil {
 			return stats, err
 		}
-		zstar = z
-		if !cfg.SkipStage2 {
-			if err := d.discoverStage2(inst, zstar); err != nil {
-				return stats, err
-			}
-		}
-		if cfg.RET != nil {
-			if err := d.discoverSubRET(inst, extLast, retCfg); err != nil {
-				return stats, err
-			}
-		}
 	}
-	return d.finish(inst, stats, zstar), nil
+	return d.finish(inst, stats, zstar, proven), nil
 }
 
-// finish publishes the grown path sets, fills the run counters, and
-// flushes the discovery telemetry.
-func (d *cgDiscovery) finish(inst *Instance, stats *ColGenStats, zstar float64) *ColGenStats {
-	inst.publishColGenPaths()
-	stats.ZStar = zstar
+// discoverAll prices every configured master over one block — the whole
+// instance (jobIdx nil) or a component with the parent index of each of
+// its jobs — and returns the block's Z* and whether pricing proved it.
+func (d *cgDiscovery) discoverAll(inst *Instance, jobIdx, extLast []int, retCfg RETConfig) (float64, bool, error) {
+	zstar, proven, err := d.discoverStage1(inst, jobIdx)
+	if err != nil {
+		return 0, false, err
+	}
+	return zstar, proven, d.discoverRest(inst, jobIdx, zstar, extLast, retCfg)
+}
+
+// discoverRest prices the masters that follow stage 1: stage 2 at the
+// given Z* unless skipped, SUB-RET when configured.
+func (d *cgDiscovery) discoverRest(inst *Instance, jobIdx []int, zstar float64, extLast []int, retCfg RETConfig) error {
+	if !d.cfg.SkipStage2 {
+		if err := d.discoverStage2(inst, jobIdx, zstar); err != nil {
+			return err
+		}
+	}
+	if d.cfg.RET != nil {
+		return d.discoverSubRET(inst, jobIdx, extLast, retCfg)
+	}
+	return nil
+}
+
+// finish publishes what the next build starts from, leaves a proven Z* on
+// the instance, fills the run counters, and flushes the discovery
+// telemetry.
+func (d *cgDiscovery) finish(inst *Instance, stats *ColGenStats, zstar float64, proven bool) *ColGenStats {
+	// Evict only on the word of a run that priced every master the epoch
+	// solve prices, each to the end: an admission probe (SkipStage2) knows
+	// nothing of stage 2's support and a master cut short knows too little
+	// of its own, so those add their marks to what the build started from.
+	evict := !d.cfg.SkipStage2 && !d.cutShort.Load()
+	for k := range d.used { // paths appended after the job's last mark
+		d.used[k] = append(d.used[k], make([]bool, len(inst.JobPaths[k])-len(d.used[k]))...)
+	}
+	stats.Support = d.used
+	stats.Evicted = inst.publishColGenPaths(d.carried, d.used, evict)
+	stats.ZStar, stats.Proven = zstar, proven
+	if proven {
+		inst.provenZ = &zstar
+	}
 	stats.Rounds = int(d.rounds)
 	stats.AddedPaths = int(d.added)
 	stats.Solves = int(d.solves)
 	telColGenRounds.Add(d.rounds)
 	telColGenPaths.Add(d.added)
 	telColGenSolves.Add(d.solves)
+	telColGenCarried.Set(float64(stats.SeedPaths))
+	telColGenEvicted.Add(int64(stats.Evicted))
+	if tr := d.cfg.Solver.Tracer; tr != nil {
+		tr.Event("schedule.colgen",
+			telemetry.KV("jobs", inst.NumJobs()),
+			telemetry.KV("carried", stats.SeedPaths),
+			telemetry.KV("added", stats.AddedPaths),
+			telemetry.KV("evicted", stats.Evicted),
+			telemetry.KV("rounds", stats.Rounds),
+			telemetry.KV("solves", stats.Solves),
+			telemetry.KV("zstar", zstar),
+			telemetry.KV("proven", proven))
+	}
 	return stats
 }
 
@@ -290,36 +338,56 @@ func (in *Instance) colgenAvoid() map[netgraph.EdgeID]bool {
 	return avoid
 }
 
-// publishColGenPaths stores the per-(src, dst) union of the instance's
-// path sets into the build-time PathCache under the colgen key, replacing
-// the seed entry — cross-epoch reuse of the discovered columns.
-func (in *Instance) publishColGenPaths() {
+// publishColGenPaths overwrites each (src, dst) pair's colgen entry in the
+// build-time PathCache with what the next build should start from: jobs in
+// instance order, each job's paths in list order, de-duplicated — the
+// paths the job keeps unconditionally plus those used[k][p] marks. With evict
+// a job keeps its first seedK paths (the edge-disjoint seeds, which stay
+// first because they are always kept); without, all carried[k] paths it
+// was built with, so the entry only grows. Returns how many paths of the
+// entries the build started from are gone from the new ones.
+func (in *Instance) publishColGenPaths(carried []int, used [][]bool, evict bool) (evicted int) {
 	cg := in.colgen
 	if cg == nil || cg.cache == nil {
-		return
+		return 0
 	}
 	type pair struct{ src, dst netgraph.NodeID }
-	union := make(map[pair][]paths.Path)
+	entry := make(map[pair][]paths.Path)
+	before := make(map[pair][]paths.Path) // the entry the build started from
 	seen := make(map[pair]map[string]bool)
 	for k, jb := range in.Jobs {
 		key := pair{jb.Src, jb.Dst}
 		if seen[key] == nil {
 			seen[key] = make(map[string]bool)
+			before[key] = in.JobPaths[k][:carried[k]]
 		}
-		for _, p := range in.JobPaths[k] {
-			if pk := p.Key(); !seen[key][pk] {
+		keep := carried[k]
+		if evict {
+			keep = cg.seedK
+		}
+		for p, path := range in.JobPaths[k] {
+			if p >= keep && !used[k][p] {
+				continue
+			}
+			if pk := path.Key(); !seen[key][pk] {
 				seen[key][pk] = true
-				union[key] = append(union[key], p)
+				entry[key] = append(entry[key], path)
 			}
 		}
 	}
-	for key, ps := range union {
+	for key, ps := range entry {
+		for _, p := range before[key] {
+			if !seen[key][p.Key()] {
+				evicted++
+			}
+		}
 		cg.cache.put(pathCacheKey{
 			src: key.src, dst: key.dst,
 			k: cg.seedK, colgen: true,
 			avoid: cg.avoidStr,
 		}, ps)
 	}
+	return evicted
 }
 
 // cgDiscovery is the shared state of one GeneratePaths run. The counters
@@ -330,29 +398,40 @@ type cgDiscovery struct {
 	rounds int64
 	added  int64
 	solves int64
+
+	// carried[k] is the number of paths job k (parent index) was built
+	// with; used[k][p] marks path p of job k as carrying flow in the final
+	// optimum of some master. Workers write disjoint jobs' entries.
+	carried []int
+	used    [][]bool
+	// cutShort is set when a master ended without a priced optimum: not
+	// Optimal, or out of rounds while columns still priced in.
+	cutShort atomic.Bool
 }
 
 // cgMaster is one restricted master being priced: its model, the
 // (job, path, slice) variable map, and the lazily grown capacity-row
 // map. Row k of the model is job k's coupling/demand row in all three
 // programs. gamma is non-nil exactly for the SUB-RET master, where the
-// x columns carry the Quick-Finish objective.
+// x columns carry the Quick-Finish objective. jobIdx maps the master's
+// job indices to the parent instance's (nil: they are the parent's).
 type cgMaster struct {
 	inst    *Instance
+	jobIdx  []int
 	m       *lp.Model
 	xv      flowVars
 	capRows map[capKey]lp.RowID
 	gamma   func(j int) float64
 }
 
-// discoverStage1 prices the stage-1 master to full-path-space optimality
-// and returns Z*.
-func (d *cgDiscovery) discoverStage1(inst *Instance) (float64, error) {
+// discoverStage1 prices the stage-1 master and returns Z* and whether the
+// last pricing round proved it optimal over the full path space.
+func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, bool, error) {
 	m := lp.NewModel("colgen-stage1", lp.Maximize)
 	z := m.AddVar("Z", 0, lp.Inf, 1)
 	xv, err := addFlowVars(m, inst, nil, 0)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	for k, jb := range inst.Jobs {
 		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
@@ -362,14 +441,14 @@ func (d *cgDiscovery) discoverStage1(inst *Instance) (float64, error) {
 		m.AddTerm(r, z, -jb.Size)
 	}
 	capRows := addCapacityRows(m, inst, xv)
-	sol, err := d.run(&cgMaster{inst: inst, m: m, xv: xv, capRows: capRows})
+	sol, priced, err := d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("schedule: colgen stage-1 master: solver returned %v", sol.Status)
+		return 0, false, fmt.Errorf("schedule: colgen stage-1 master: solver returned %v", sol.Status)
 	}
-	return sol.Value(z), nil
+	return sol.Value(z), priced, nil
 }
 
 // discoverStage2 prices the stage-2 master at the given Z* and the
@@ -377,12 +456,12 @@ func (d *cgDiscovery) discoverStage1(inst *Instance) (float64, error) {
 // infeasible for a component under a globally derived Z* only through
 // numerical trouble) stops discovery for it without failing the run —
 // the real solve's α ladder owns that outcome.
-func (d *cgDiscovery) discoverStage2(inst *Instance, zstar float64) error {
+func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64) error {
 	m, _, xv, capRows, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight)
 	if err != nil {
 		return err
 	}
-	_, err = d.run(&cgMaster{inst: inst, m: m, xv: xv, capRows: capRows})
+	_, _, err = d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
 	return err
 }
 
@@ -390,12 +469,12 @@ func (d *cgDiscovery) discoverStage2(inst *Instance, zstar float64) error {
 // An infeasible master (the network cannot finish every job even at the
 // ceiling) stops discovery without failing the run — SolveRET reports
 // that case itself.
-func (d *cgDiscovery) discoverSubRET(inst *Instance, extLast []int, cfg RETConfig) error {
+func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg RETConfig) error {
 	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast, cfg)
 	if err != nil {
 		return err
 	}
-	_, err = d.run(&cgMaster{inst: inst, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma})
+	_, _, err = d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma})
 	return err
 }
 
@@ -403,24 +482,24 @@ func (d *cgDiscovery) discoverSubRET(inst *Instance, extLast []int, cfg RETConfi
 // prices in (or MaxRounds). Each re-solve warm-starts from the previous
 // optimum extended over the appended columns and rows, so the simplex
 // only has to price the new columns in. A non-Optimal status ends the
-// loop — there is no dual solution to price against.
-func (d *cgDiscovery) run(ms *cgMaster) (*lp.Solution, error) {
+// loop — there is no dual solution to price against. priced reports the
+// first kind of end: the returned optimum is optimal over every path, not
+// just the master's. An Optimal end of either kind marks its support.
+func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err error) {
 	opts := d.cfg.Solver
 	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
 	opts.WarmStart = nil
-	sol, err := ms.m.SolveWith(opts)
+	sol, err = ms.m.SolveWith(opts)
 	atomic.AddInt64(&d.solves, 1)
-	for r := 0; r < d.cfg.MaxRounds; r++ {
-		if err != nil || sol.Status != lp.Optimal {
-			return sol, err
-		}
+	for r := 0; r < d.cfg.MaxRounds && err == nil && sol.Status == lp.Optimal; r++ {
 		nv, nr, perr := d.price(ms, sol)
 		if perr != nil {
-			return sol, perr
+			return sol, false, perr
 		}
 		if nv == 0 {
-			return sol, nil
+			priced = true
+			break
 		}
 		atomic.AddInt64(&d.rounds, 1)
 		wopts := opts
@@ -430,7 +509,37 @@ func (d *cgDiscovery) run(ms *cgMaster) (*lp.Solution, error) {
 		sol, err = ms.m.SolveWith(wopts)
 		atomic.AddInt64(&d.solves, 1)
 	}
-	return sol, err
+	if !priced {
+		d.cutShort.Store(true)
+	}
+	if err == nil && sol.Status == lp.Optimal {
+		d.markSupport(ms, sol)
+	}
+	return sol, priced, err
+}
+
+// markSupport records which of the master's paths carry flow on some
+// slice of its optimum.
+func (d *cgDiscovery) markSupport(ms *cgMaster, sol *lp.Solution) {
+	for k, rows := range ms.xv {
+		pk := k
+		if ms.jobIdx != nil {
+			pk = ms.jobIdx[k]
+		}
+		used := d.used[pk]
+		for len(used) < len(rows) {
+			used = append(used, false)
+		}
+		for p, row := range rows {
+			for _, v := range row {
+				if v >= 0 && sol.Value(v) > supportTol {
+					used[p] = true
+					break
+				}
+			}
+		}
+		d.used[pk] = used
+	}
 }
 
 // price runs one pricing round: build the per-slice dual edge weights,

@@ -169,7 +169,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Re
 		// Mirror MaxThroughput's single-block path exactly; a lone
 		// component has nothing to reuse against (any churn touches it).
 		observeComponents(comps)
-		s1, err := SolveStage1(inst, cfg.Solver)
+		s1, err := Stage1ZStar(inst, cfg.Solver)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -49,6 +49,12 @@ type Instance struct {
 	// at build time (seed parameters, avoided-edge set, the cache to
 	// publish discovered path sets into) for GeneratePaths.
 	colgen *colgenInfo
+
+	// provenZ, when non-nil, is the stage-1 optimum GeneratePaths proved
+	// over the full path space. It holds for JobPaths as GeneratePaths left
+	// them and for any superset; SetCapacity drops it. Sub-instances from
+	// Decompose do not inherit it.
+	provenZ *float64
 }
 
 // colgenInfo is the column-generation build context of an instance.
@@ -82,6 +88,7 @@ func (in *Instance) SetCapacity(e netgraph.EdgeID, j, c int) error {
 		in.capOverride = make(map[capKey]int)
 	}
 	in.capOverride[capKey{e, j}] = c
+	in.provenZ = nil
 	return nil
 }
 
@@ -118,9 +125,9 @@ type InstanceOptions struct {
 	// enumerating K paths per job, each job starts from a small seed set
 	// (SeedPaths greedy edge-disjoint shortest paths) and GeneratePaths
 	// grows it on demand by LP pricing. K and DisjointPaths are ignored
-	// for seeding. With a PathCache, path sets discovered by an earlier
-	// GeneratePaths run under the same avoid set are reused as this
-	// build's starting sets.
+	// for seeding. With a PathCache, what an earlier GeneratePaths run
+	// under the same avoid set published (the seeds plus the paths its
+	// master optima used) is this build's starting set.
 	ColumnGen bool
 	// SeedPaths is the per-pair seed set size under ColumnGen;
 	// non-positive selects 2.
@@ -197,8 +204,8 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 		if !seen {
 			if opts.PathCache != nil {
 				// Under ColumnGen the entry starts as the seed set and is
-				// overwritten by GeneratePaths with the discovered union, so
-				// later epochs begin from the priced-in columns.
+				// overwritten by every GeneratePaths run with the seeds plus
+				// the paths its master optima used.
 				ck := pathCacheKey{
 					src: j.Src, dst: j.Dst,
 					k: opts.K, disjoint: opts.DisjointPaths,

@@ -16,9 +16,10 @@ import (
 // (dead links). Two residual topologies of the same base graph with the
 // same failed links produce identical keys — and identical path sets —
 // so repeated masking of the same failure hits the cache. colgen entries
-// hold the column-generation path sets for a pair (seeds at first, the
-// discovered union after GeneratePaths publishes), keyed by the seed size
-// in k; they never collide with enumerated entries.
+// hold the column-generation starting set for a pair (seeds at first, then
+// whatever GeneratePaths last published: the seeds plus the paths a master
+// optimum used), keyed by the seed size in k; they never collide with
+// enumerated entries.
 type pathCacheKey struct {
 	src, dst netgraph.NodeID
 	k        int
@@ -125,9 +126,8 @@ func (pc *PathCache) get(key pathCacheKey, compute func() []paths.Path) []paths.
 	return ps
 }
 
-// put inserts or overwrites an entry. GeneratePaths publishes discovered
-// path-set unions through it, so the next epoch's instance build reuses
-// the columns this epoch priced in.
+// put inserts or overwrites an entry. GeneratePaths publishes through it
+// what the next epoch's instance build should start from.
 func (pc *PathCache) put(key pathCacheKey, ps []paths.Path) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

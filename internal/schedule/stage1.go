@@ -73,6 +73,21 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	return res, nil
 }
 
+// Stage1ZStar returns the stage-1 result the pipeline continues from. When
+// GeneratePaths proved Z* for the instance, that is the proof — ZStar
+// alone, no Frac and no solve: stage-2 discovery only appends paths and Z*
+// is already optimal over all of them, so a cold solve over the grown pool
+// would return the same value up to the pricing tolerance. Otherwise it is
+// SolveStage1.
+func Stage1ZStar(inst *Instance, opts lp.Options) (*Stage1Result, error) {
+	if inst.provenZ == nil {
+		return SolveStage1(inst, opts)
+	}
+	telStage1Certified.Inc()
+	telStage1ZStar.Set(*inst.provenZ)
+	return &Stage1Result{ZStar: *inst.provenZ}, nil
+}
+
 // flowVars records the LP variable of each (job, path, slice) triple, or
 // -1 where the slice is outside the job's window.
 type flowVars [][][]lp.VarID

@@ -107,7 +107,7 @@ func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
 		return maxThroughputDecomposed(inst, comps, cfg)
 	}
 	observeComponents(comps)
-	s1, err := SolveStage1(inst, cfg.Solver)
+	s1, err := Stage1ZStar(inst, cfg.Solver)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,8 @@ var (
 		"Wall time of stage-1 solves in seconds.", nil)
 	telStage1ZStar = telemetry.Default().Gauge("schedule_stage1_zstar",
 		"Z* from the most recent stage-1 solve.")
+	telStage1Certified = telemetry.Default().Counter("schedule_stage1_certified_total",
+		"Stage-1 solves replaced by the Z* the column-generation pricing proof left on the instance.")
 	telStage2Seconds = telemetry.Default().Histogram("schedule_stage2_seconds",
 		"Wall time of stage-2 solve + integerization in seconds.", nil)
 	telStage2AlphaRetries = telemetry.Default().Counter("schedule_stage2_alpha_retries_total",
@@ -43,6 +45,11 @@ var (
 		"Paths discovered by the column-generation pricing oracle.")
 	telColGenSolves = telemetry.Default().Counter("schedule_colgen_solves_total",
 		"Restricted-master LP solves during column generation.")
+
+	telColGenCarried = telemetry.Default().Gauge("schedule_colgen_carried_paths",
+		"Paths the most recent column-generation run started from, summed over jobs: seeds plus what the PathCache carried.")
+	telColGenEvicted = telemetry.Default().Counter("schedule_colgen_evicted_paths_total",
+		"Carried paths no master optimum used, dropped from the PathCache by a column-generation publish.")
 
 	telComponents = telemetry.Default().Counter("schedule_components_total",
 		"Connected components across decomposition-enabled solves (1 per solve for fully coupled instances).")

@@ -12,11 +12,12 @@ import (
 
 // traceRec mirrors the JSONL trace record fields the tests care about.
 type traceRec struct {
-	Kind   string `json:"kind"`
-	ID     int64  `json:"id"`
-	Trace  int64  `json:"trace"`
-	Parent int64  `json:"parent"`
-	Name   string `json:"name"`
+	Kind   string          `json:"kind"`
+	ID     int64           `json:"id"`
+	Trace  int64           `json:"trace"`
+	Parent int64           `json:"parent"`
+	Name   string          `json:"name"`
+	Attrs  json.RawMessage `json:"attrs"`
 }
 
 func parseTrace(t *testing.T, buf *bytes.Buffer) []traceRec {
