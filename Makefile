@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race race-serve cluster-test bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
+.PHONY: check fmt-check vet build test race race-serve cluster-test fuzz-smoke bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
 
-check: fmt-check vet build race-serve race cluster-test bench-epoch-smoke
+check: fmt-check vet build race-serve race cluster-test fuzz-smoke bench-epoch-smoke
 
 # Fails, listing them, when gofmt would rewrite any file.
 fmt-check:
@@ -37,6 +37,13 @@ race-serve:
 # suite; this target adds the real-process, real-signal layer.)
 cluster-test:
 	WAVESCHED_CLUSTER_E2E=1 $(GO) test ./cmd/wavesched -run TestClusterProcessE2E -count=1 -v
+
+# A short fuzz budget on the property the schedule's determinism rests on
+# (DESIGN §10): a lexicographic solve returns one point whatever the pricing
+# rule, refactorization period, starting basis and build order. A failing
+# input is written under internal/lp/testdata/fuzz; minimise and commit it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 15s ./internal/lp
 
 # Full benchmark harness at quick scale (minutes).
 bench:

@@ -1,9 +1,13 @@
 package controller
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"strings"
 	"testing"
 
 	"wavesched/internal/job"
@@ -237,5 +241,136 @@ func TestControllerColumnGenPoolIndependence(t *testing.T) {
 	}
 	if evicted.Value() == evictedBefore {
 		t.Fatal("no epoch evicted a carried path — the traces exercise nothing")
+	}
+}
+
+// TestControllerColumnGenPlanFromMaster is the plan-source oracle: under
+// ColumnGen every epoch commits the plan GeneratePaths read off its priced
+// stage-2 master, and that plan is the one a cold stage-2 solve ending with
+// the lexicographic phase returns over the same grown pool — byte for byte
+// once integerized, within 1e-7 before. Over seeded traces with arrivals and
+// a moving horizon no epoch may solve a stage-2 LP of its own: one master
+// plan per epoch, no schedule.stage2 span, and the planned event says so.
+func TestControllerColumnGenPlanFromMaster(t *testing.T) {
+	masterPlans := telemetry.Default().Counter("schedule_stage2_master_plans_total", "")
+	scfg := schedule.Config{AlphaGrowth: 0.1}
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := netgraph.Waxman(netgraph.WaxmanConfig{Nodes: 16, LinkPairs: 26, Wavelengths: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		tracer := telemetry.NewTracer(&trace)
+		c, err := New(g, Config{
+			Tau: 1, SliceLen: 1, Policy: PolicyMaxThroughput, ColumnGen: true, Tracer: tracer,
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const epochs = 12
+		nextID := job.ID(1)
+		for e := 0; e < epochs; e++ {
+			arrivals, err := workload.Generate(g, workload.Config{
+				Jobs: 3, Seed: seed*1000 + int64(e), GBToDemand: 0.4,
+				StartSpread: 1, MinWindow: 4, MaxWindow: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range arrivals {
+				j.ID, j.Start, j.End, j.Arrival = nextID, j.Start+c.Now(), j.End+c.Now(), c.Now()
+				nextID++
+				if err := c.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := masterPlans.Value()
+			if err := c.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("seed %d epoch %d", seed, e)
+			if got := masterPlans.Value() - before; got != 1 {
+				t.Errorf("%s: %d plans taken from the master, want 1", name, got)
+			}
+			committed, _, _, ok := c.CommittedSchedule()
+			if !ok {
+				t.Fatalf("%s: nothing committed", name)
+			}
+			inst := committed.Inst
+			// The same jobs over the same grown pool, with nothing left on the
+			// instance by a GeneratePaths run: stage 2 has to be solved.
+			ref, err := schedule.NewInstanceOpts(inst.G, inst.Grid, inst.Jobs, schedule.InstanceOptions{ColumnGen: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.JobPaths = inst.JobPaths
+			master, err := schedule.MaxThroughput(inst, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := schedule.MaxThroughputWithZ(ref, &schedule.Stage1Result{ZStar: master.ZStar}, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if master.Plan != schedule.PlanMaster || cold.Plan != schedule.PlanCold {
+				t.Fatalf("%s: plan sources %q and %q", name, master.Plan, cold.Plan)
+			}
+			if master.Stage2Iters == 0 || master.Stage2Time == 0 {
+				t.Errorf("%s: a master plan reports its lexicographic phase, got %d pivots in %v", name, master.Stage2Iters, master.Stage2Time)
+			}
+			if master.Alpha != cold.Alpha {
+				t.Errorf("%s: alpha %v from the master, %v cold", name, master.Alpha, cold.Alpha)
+			}
+			for k := range cold.LP.X {
+				for p := range cold.LP.X[k] {
+					for j, want := range cold.LP.X[k][p] {
+						if got := master.LP.X[k][p][j]; math.Abs(got-want) > 1e-7 {
+							t.Fatalf("%s: x[%d][%d][%d] = %v from the master, %v cold", name, k, p, j, got, want)
+						}
+						if got, want := committed.X[k][p][j], cold.LPDAR.X[k][p][j]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: committed x[%d][%d][%d] = %v, cold solve + lexicographic phase %v", name, k, p, j, got, want)
+						}
+					}
+				}
+			}
+			exp, ok := c.Explain(nextID - 1)
+			if !ok {
+				t.Fatalf("%s: no explanation for job %d", name, nextID-1)
+			}
+			planned := ""
+			for _, ev := range exp.Events {
+				if ev.Kind == AuditPlanned {
+					planned = ev.Detail
+				}
+			}
+			if !strings.Contains(planned, "plan=master") {
+				t.Errorf("%s: planned event %q does not name the plan source", name, planned)
+			}
+		}
+		if err := tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fromMaster := 0
+		for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+			var rec struct {
+				Name  string
+				Attrs struct{ Plan string }
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			switch rec.Name {
+			case "schedule.stage2":
+				t.Errorf("seed %d: an epoch solved stage 2 over the grown pool", seed)
+			case "schedule.colgen":
+				if rec.Attrs.Plan == schedule.PlanMaster {
+					fromMaster++
+				}
+			}
+		}
+		if fromMaster != epochs {
+			t.Errorf("seed %d: %d schedule.colgen spans with plan=master, want %d", seed, fromMaster, epochs)
+		}
 	}
 }

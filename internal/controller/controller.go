@@ -1211,6 +1211,9 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 		c.lastSolve = &solveInfo{components: res.Components}
 		detail := fmt.Sprintf("policy=max_throughput z*=%g alpha=%g components=%d",
 			res.ZStar, res.Alpha, res.Components)
+		if res.Plan != "" {
+			detail += " plan=" + res.Plan
+		}
 		for _, aj := range fresh {
 			c.appendAudit(aj.orig.ID, AuditEvent{
 				Epoch: c.Epochs, Time: now, Kind: AuditPlanned,

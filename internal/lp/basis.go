@@ -213,10 +213,15 @@ func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
 		}
 	}
 
-	sol, err := s.extract(m, s.negate)
+	sol, err := s.optimum(m)
+	if errors.Is(err, ErrTimeLimit) {
+		return sol, err, true
+	}
 	if err != nil {
 		return nil, nil, false
 	}
-	sol.Basis = s.snapshotBasis()
+	if sol.Status == Optimal {
+		sol.Basis = s.snapshotBasis()
+	}
 	return sol, nil, true
 }

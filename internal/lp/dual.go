@@ -196,9 +196,11 @@ type Incremental struct {
 }
 
 // NewIncremental wraps a model for repeated solves. Presolve is disabled
-// (reductions would invalidate the basis mapping).
+// (reductions would invalidate the basis mapping), and so is a secondary
+// objective (the dual re-entries end where the primary pivots end).
 func NewIncremental(m *Model, opt Options) *Incremental {
 	opt.Presolve = false
+	opt.Secondary = nil
 	return &Incremental{model: m, opt: opt, lastStatus: Numerical}
 }
 

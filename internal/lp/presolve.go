@@ -242,6 +242,7 @@ func (ps *presolved) postsolve(m *Model, sol *Solution) *Solution {
 		X:            x,
 		Duals:        duals,
 		Iters:        sol.Iters,
+		LexIters:     sol.LexIters,
 		PrimalInfeas: infeas,
 	}
 }

@@ -150,6 +150,19 @@ type Options struct {
 	// basis captured) when Presolve is active, since the reduced model's
 	// basis does not map back to the caller's variables.
 	CaptureBasis bool
+	// Secondary, when non-nil, is a second objective: one coefficient per
+	// model variable, in the model's sense. A solve that reaches the optimum
+	// of the model's own (primary) objective then continues over the set of
+	// primary-optimal points and returns the one that optimizes
+	// Σ Secondary[j]·x_j (see lexPhase). When that point is unique — give
+	// Secondary no ties — the returned X is a function of the model alone:
+	// the same whatever the pricing rule, RefactorEvery, starting basis or
+	// row and column order. Objective stays the primary objective, and Duals
+	// the primary duals at the optimum the primary pivots reached; Basis is
+	// the final one, still optimal for the primary. A second phase that does
+	// not end Optimal is the solve's status (Unbounded: the secondary
+	// objective is unbounded over the optimal face). Incremental ignores it.
+	Secondary []float64
 }
 
 func (o Options) withDefaults(m, n int) Options {

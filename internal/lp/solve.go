@@ -21,6 +21,10 @@ type Solution struct {
 	// path (0 on warm solves, which skip phase 1 entirely).
 	Phase1Iters int
 
+	// LexIters is the number of pivots (counted in Iters) the second phase
+	// of a lexicographic solve took; 0 without Options.Secondary.
+	LexIters int
+
 	// Warm reports the warm-start outcome: "hit" when the supplied basis
 	// was reused, "fallback" when it was rejected and the cold path ran,
 	// "" when no warm start was attempted.
@@ -93,6 +97,9 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 			if sol.Phase1Iters > 0 {
 				attrs = append(attrs, telemetry.KV("phase1_iters", sol.Phase1Iters))
 			}
+			if sol.LexIters > 0 {
+				attrs = append(attrs, telemetry.KV("lex_iters", sol.LexIters))
+			}
 			if sol.BoundFlips > 0 {
 				attrs = append(attrs, telemetry.KV("bound_flips", sol.BoundFlips))
 			}
@@ -138,6 +145,18 @@ func (m *Model) solveValidated(opt Options) (*Solution, error) {
 			return nil, fmt.Errorf("lp: presolve produced invalid model: %w", err)
 		}
 		inner.WarmStart = nil // a reduced-model basis cannot map back
+		if opt.Secondary != nil {
+			// A fixed variable adds a constant to the secondary objective.
+			if err := m.checkSecondary(opt.Secondary); err != nil {
+				return nil, err
+			}
+			inner.Secondary = make([]float64, ps.reduced.NumVars())
+			for j, rj := range ps.varMap {
+				if rj >= 0 {
+					inner.Secondary[rj] = opt.Secondary[j]
+				}
+			}
+		}
 		sol, err := ps.reduced.solveValidated(inner)
 		if err != nil {
 			return nil, err
@@ -161,15 +180,21 @@ func (m *Model) solveValidated(opt Options) (*Solution, error) {
 // supplied basis, then a primal clean-up) replaces the two-phase cold
 // start; any mismatch or numerical trouble falls back to the cold path.
 func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
+	if err := m.checkSecondary(opt.Secondary); err != nil {
+		return nil, nil, err
+	}
 	if len(m.rows) == 0 {
 		cMin := make([]float64, len(m.vars))
 		negate := m.sense == Maximize
 		for j, v := range m.vars {
-			if negate {
-				cMin[j] = -v.obj
-			} else {
-				cMin[j] = v.obj
+			c := v.obj
+			if c == 0 && opt.Secondary != nil {
+				c = opt.Secondary[j] // only the secondary objective tells its bounds apart
 			}
+			if negate {
+				c = -c
+			}
+			cMin[j] = c
 		}
 		sol, err := m.solveUnconstrained(cMin, negate)
 		return nil, sol, err
@@ -420,7 +445,6 @@ func (m *Model) assemble(opt Options) *simplex {
 // crash basis.
 func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) {
 	opt = s.opt // assemble already applied the defaults
-	negate := s.negate
 	capture := opt.CaptureBasis || opt.WarmStart != nil
 
 	s.crashBasis()
@@ -476,14 +500,30 @@ func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) 
 		return nil, &Solution{Status: st, Iters: s.iters, Phase1Iters: phase1Iters}, nil
 	}
 
-	sol, err := s.extract(m, negate)
+	sol, err := s.optimum(m)
 	if sol != nil {
 		sol.Phase1Iters = phase1Iters
 	}
-	if err == nil && capture {
+	if err == nil && sol.Status == Optimal && capture {
 		sol.Basis = s.snapshotBasis()
 	}
 	return s, sol, err
+}
+
+// checkSecondary validates Options.Secondary against the model.
+func (m *Model) checkSecondary(secondary []float64) error {
+	if secondary == nil {
+		return nil
+	}
+	if len(secondary) != len(m.vars) {
+		return fmt.Errorf("lp: Options.Secondary has %d coefficients for %d variables", len(secondary), len(m.vars))
+	}
+	for j, c := range secondary {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("lp: Options.Secondary: bad coefficient %v for variable %q (%d)", c, m.vars[j].name, j)
+		}
+	}
+	return nil
 }
 
 // crashBasis installs the cold start: every structural and slack column
@@ -540,6 +580,11 @@ func (s *simplex) enterPhase2() {
 		s.l[col], s.u[col] = 0, 0
 	}
 	s.phase1 = false
+	s.costsChanged()
+}
+
+// costsChanged drops everything pricing derived from the phase costs.
+func (s *simplex) costsChanged() {
 	s.dropReducedCosts()
 	s.dualsFresh = false
 	if s.gamma != nil {

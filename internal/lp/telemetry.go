@@ -17,6 +17,8 @@ var (
 		"Simplex pivots spent in phase 1 (finding a feasible basis).")
 	telPhase2Pivots = telemetry.Default().Counter("lp_phase2_pivots_total",
 		"Simplex pivots spent in phase 2 (optimizing the real objective).")
+	telLexPivots = telemetry.Default().Counter("lp_lex_pivots_total",
+		"Simplex pivots spent in the second phase of lexicographic solves (Options.Secondary): from the primary optimum to the secondary optimum of the optimal face. Counted in lp_pivots_total as well.")
 	telInfeasible = telemetry.Default().Counter("lp_infeasible_total",
 		"Solves that proved the model infeasible.")
 	telPresolveFixedVars = telemetry.Default().Counter("lp_presolve_fixed_vars_total",

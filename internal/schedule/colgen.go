@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
@@ -89,6 +90,14 @@ type ColGenStats struct {
 	// on a pricing round that appended nothing. False when one stopped on
 	// MaxRounds: ZStar is then only the restricted master's optimum.
 	Proven bool
+
+	// LexPivots is the number of simplex pivots the lexicographic phase
+	// that ended the whole-instance stage-2 master took (0 when there was
+	// none, and unless the instance was built with ColumnGen). MasterPlan
+	// reports that the instance now carries that master's stage-2 plan, so
+	// a MaxThroughput over it solves no stage-2 LP.
+	LexPivots  int
+	MasterPlan bool
 }
 
 // supportTol is the flow above which a path counts as used by a master's
@@ -113,6 +122,36 @@ const supportTol = 1e-9
 // from, so dropping unused columns changes how much the next run re-prices,
 // never an optimum.
 func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
+	inst.forgetDiscovery()
+	if inst.NumJobs() == 0 {
+		telColGenCarried.Set(0)
+		return &ColGenStats{}, nil
+	}
+	sp := cfg.Solver.Tracer.Start("schedule.colgen")
+	cfg.Solver.Tracer = sp.Tracer()
+	stats, err := generatePaths(inst, cfg)
+	endSpan(sp, err, func() []telemetry.Attr {
+		plan := PlanCold
+		if stats.MasterPlan {
+			plan = PlanMaster
+		}
+		return []telemetry.Attr{
+			telemetry.KV("jobs", inst.NumJobs()),
+			telemetry.KV("carried", stats.SeedPaths),
+			telemetry.KV("added", stats.AddedPaths),
+			telemetry.KV("evicted", stats.Evicted),
+			telemetry.KV("rounds", stats.Rounds),
+			telemetry.KV("solves", stats.Solves),
+			telemetry.KV("zstar", stats.ZStar),
+			telemetry.KV("proven", stats.Proven),
+			telemetry.KV("plan", plan),
+			telemetry.KV("lex_pivots", stats.LexPivots),
+		}
+	})
+	return stats, err
+}
+
+func generatePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 50
 	}
@@ -123,11 +162,6 @@ func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 		cfg.Alpha = 0.1
 	}
 	stats := &ColGenStats{}
-	inst.provenZ = nil
-	if inst.NumJobs() == 0 {
-		telColGenCarried.Set(0)
-		return stats, nil
-	}
 	d := &cgDiscovery{
 		cfg: cfg, avoid: inst.colgenAvoid(),
 		carried: make([]int, inst.NumJobs()),
@@ -244,9 +278,9 @@ func (d *cgDiscovery) discoverRest(inst *Instance, jobIdx []int, zstar float64, 
 	return nil
 }
 
-// finish publishes what the next build starts from, leaves a proven Z* on
-// the instance, fills the run counters, and flushes the discovery
-// telemetry.
+// finish publishes what the next build starts from, leaves a proven Z* and
+// the whole-instance master's stage-2 plan on the instance, fills the run
+// counters, and flushes the discovery telemetry.
 func (d *cgDiscovery) finish(inst *Instance, stats *ColGenStats, zstar float64, proven bool) *ColGenStats {
 	// Evict only on the word of a run that priced every master the epoch
 	// solve prices, each to the end: an admission probe (SkipStage2) knows
@@ -262,25 +296,20 @@ func (d *cgDiscovery) finish(inst *Instance, stats *ColGenStats, zstar float64, 
 	if proven {
 		inst.provenZ = &zstar
 	}
+	// The plan is the canonical optimum over the path sets its master had;
+	// a master priced afterwards (SUB-RET) may have grown them.
+	inst.masterPlan = d.plan
+	inst.masterPlan = inst.planFor(zstar, d.cfg.Alpha, d.cfg.Weight)
+	stats.MasterPlan = inst.masterPlan != nil
 	stats.Rounds = int(d.rounds)
 	stats.AddedPaths = int(d.added)
 	stats.Solves = int(d.solves)
+	stats.LexPivots = int(d.lexPivots)
 	telColGenRounds.Add(d.rounds)
 	telColGenPaths.Add(d.added)
 	telColGenSolves.Add(d.solves)
 	telColGenCarried.Set(float64(stats.SeedPaths))
 	telColGenEvicted.Add(int64(stats.Evicted))
-	if tr := d.cfg.Solver.Tracer; tr != nil {
-		tr.Event("schedule.colgen",
-			telemetry.KV("jobs", inst.NumJobs()),
-			telemetry.KV("carried", stats.SeedPaths),
-			telemetry.KV("added", stats.AddedPaths),
-			telemetry.KV("evicted", stats.Evicted),
-			telemetry.KV("rounds", stats.Rounds),
-			telemetry.KV("solves", stats.Solves),
-			telemetry.KV("zstar", zstar),
-			telemetry.KV("proven", proven))
-	}
 	return stats
 }
 
@@ -393,11 +422,17 @@ func (in *Instance) publishColGenPaths(carried []int, used [][]bool, evict bool)
 // cgDiscovery is the shared state of one GeneratePaths run. The counters
 // are updated atomically — per-component discovery runs on a worker pool.
 type cgDiscovery struct {
-	cfg    ColGenConfig
-	avoid  map[netgraph.EdgeID]bool
-	rounds int64
-	added  int64
-	solves int64
+	cfg       ColGenConfig
+	avoid     map[netgraph.EdgeID]bool
+	rounds    int64
+	added     int64
+	solves    int64
+	lexPivots int64
+
+	// plan is the stage-2 plan of the last whole-instance master, nil when
+	// that master did not end with the lexicographic phase. Whole-instance
+	// masters run one at a time.
+	plan *masterPlan
 
 	// carried[k] is the number of paths job k (parent index) was built
 	// with; used[k][p] marks path p of job k as carrying flow in the final
@@ -414,14 +449,21 @@ type cgDiscovery struct {
 // map. Row k of the model is job k's coupling/demand row in all three
 // programs. gamma is non-nil exactly for the SUB-RET master, where the
 // x columns carry the Quick-Finish objective. jobIdx maps the master's
-// job indices to the parent instance's (nil: they are the parent's).
+// job indices to the parent instance's (nil: they are the parent's). lex
+// asks run to end a master that priced to the end with the lexicographic
+// stage-2 phase; when that ran to its optimum lexSol is the solution and
+// lexTime what the solve took.
 type cgMaster struct {
+	stage   string // "stage1", "stage2" or "subret"
 	inst    *Instance
 	jobIdx  []int
 	m       *lp.Model
 	xv      flowVars
 	capRows map[capKey]lp.RowID
 	gamma   func(j int) float64
+	lex     bool
+	lexSol  *lp.Solution
+	lexTime time.Duration
 }
 
 // discoverStage1 prices the stage-1 master and returns Z* and whether the
@@ -441,7 +483,7 @@ func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, boo
 		m.AddTerm(r, z, -jb.Size)
 	}
 	capRows := addCapacityRows(m, inst, xv)
-	sol, priced, err := d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
+	sol, priced, err := d.run(&cgMaster{stage: "stage1", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
 	if err != nil {
 		return 0, false, err
 	}
@@ -455,14 +497,35 @@ func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, boo
 // configured fairness slack. A non-optimal master (the floor can be
 // infeasible for a component under a globally derived Z* only through
 // numerical trouble) stops discovery for it without failing the run —
-// the real solve's α ladder owns that outcome.
+// the real solve's α ladder owns that outcome. The whole-instance master
+// of a ColumnGen instance, once priced to the end, finishes with the
+// lexicographic phase and its plan is kept for the solve that follows —
+// unless that solve is SolveRET, which reads no stage-2 plan.
 func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64) error {
 	m, _, xv, capRows, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight)
 	if err != nil {
 		return err
 	}
-	_, _, err = d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
-	return err
+	ms := &cgMaster{
+		stage: "stage2", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows,
+		lex: inst.lexStage2 && jobIdx == nil && d.cfg.RET == nil,
+	}
+	if _, _, err := d.run(ms); err != nil || jobIdx != nil {
+		return err
+	}
+	d.plan = nil
+	if ms.lexSol != nil {
+		weights, err := stage2Weights(inst, d.cfg.Weight)
+		if err != nil {
+			return err
+		}
+		d.plan = &masterPlan{
+			zstar: zstar, alpha: d.cfg.Alpha, weights: weights,
+			frac:  extractAssignment(inst, ms.xv, ms.lexSol),
+			iters: ms.lexSol.LexIters, dur: ms.lexTime,
+		}
+	}
+	return nil
 }
 
 // discoverSubRET prices the SUB-RET master at the BMax-extended windows.
@@ -474,7 +537,7 @@ func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg 
 	if err != nil {
 		return err
 	}
-	_, _, err = d.run(&cgMaster{inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma})
+	_, _, err = d.run(&cgMaster{stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma})
 	return err
 }
 
@@ -484,36 +547,74 @@ func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg 
 // only has to price the new columns in. A non-Optimal status ends the
 // loop — there is no dual solution to price against. priced reports the
 // first kind of end: the returned optimum is optimal over every path, not
-// just the master's. An Optimal end of either kind marks its support.
+// just the master's. An Optimal end of either kind marks its support; with
+// ms.lex a priced one then moves on to the canonical optimum (ms.lexSol).
+// One schedule.colgen_master span encloses the master's solves.
 func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err error) {
+	sp := d.cfg.Solver.Tracer.Start("schedule.colgen_master")
 	opts := d.cfg.Solver
+	opts.Tracer = sp.Tracer()
 	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
 	opts.WarmStart = nil
 	sol, err = ms.m.SolveWith(opts)
-	atomic.AddInt64(&d.solves, 1)
+	rounds, solves, lexPivots := 0, 1, 0
 	for r := 0; r < d.cfg.MaxRounds && err == nil && sol.Status == lp.Optimal; r++ {
 		nv, nr, perr := d.price(ms, sol)
 		if perr != nil {
-			return sol, false, perr
+			err = perr
+			break
 		}
 		if nv == 0 {
 			priced = true
 			break
 		}
-		atomic.AddInt64(&d.rounds, 1)
+		rounds++
 		wopts := opts
 		if sol.Basis != nil {
 			wopts.WarmStart = sol.Basis.Extend(nv, nr)
 		}
 		sol, err = ms.m.SolveWith(wopts)
-		atomic.AddInt64(&d.solves, 1)
+		solves++
 	}
 	if !priced {
 		d.cutShort.Store(true)
 	}
 	if err == nil && sol.Status == lp.Optimal {
+		// The vertex pricing ended on, not the canonical one below: carrying
+		// the lexicographic plan's support instead, or both, measured slower
+		// (DESIGN §16).
 		d.markSupport(ms, sol)
+	}
+	if priced && ms.lex {
+		// One more warm solve from the optimum in hand: no primary pivot is
+		// left to make, so all it runs is the lexicographic phase.
+		start := time.Now()
+		wopts := opts
+		wopts.WarmStart = sol.Basis
+		wopts.Secondary = stage2Secondary(ms.inst, ms.m, ms.xv)
+		lexSol, lerr := ms.m.SolveWith(wopts)
+		solves++
+		if err = lerr; err == nil && lexSol.Status == lp.Optimal {
+			ms.lexSol, ms.lexTime, lexPivots = lexSol, time.Since(start), lexSol.LexIters
+		}
+	}
+	atomic.AddInt64(&d.rounds, int64(rounds))
+	atomic.AddInt64(&d.solves, int64(solves))
+	atomic.AddInt64(&d.lexPivots, int64(lexPivots))
+	if sp.ID() != 0 { // tracing
+		attrs := []telemetry.Attr{
+			telemetry.KV("stage", ms.stage),
+			telemetry.KV("jobs", ms.inst.NumJobs()),
+			telemetry.KV("rounds", rounds),
+			telemetry.KV("solves", solves),
+			telemetry.KV("priced", priced),
+			telemetry.KV("lex_pivots", lexPivots),
+		}
+		if err != nil {
+			attrs = append(attrs, telemetry.KV("error", err.Error()))
+		}
+		sp.End(attrs...)
 	}
 	return sol, priced, err
 }
@@ -641,45 +742,57 @@ func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRow
 		}
 	}
 	for _, pr := range props {
-		k := pr.k
-		pidx := len(ms.xv[k])
-		inst.JobPaths[k] = append(inst.JobPaths[k], pr.p)
-		row := make([]lp.VarID, ns)
-		for j := range row {
-			row[j] = -1
+		nv, nr, err := ms.appendPath(pr.k, pr.p)
+		if err != nil {
+			return 0, 0, err
 		}
-		for j, v0 := range ms.xv[k][0] {
-			if v0 < 0 {
-				continue
-			}
-			rows := make([]lp.RowID, 1, 1+len(pr.p.Edges))
-			coefs := make([]float64, 1, 1+len(pr.p.Edges))
-			rows[0] = lp.RowID(k)
-			coefs[0] = inst.Grid.Len(j)
-			for _, e := range pr.p.Edges {
-				ck := capKey{e, j}
-				r, ok := ms.capRows[ck]
-				if !ok {
-					r = ms.m.AddRow(fmt.Sprintf("cap_e%d_t%d", e, j), lp.LE, float64(inst.Capacity(e, j)))
-					ms.capRows[ck] = r
-					addedRows++
-				}
-				rows = append(rows, r)
-				coefs = append(coefs, 1)
-			}
-			obj := 0.0
-			if ms.gamma != nil {
-				obj = ms.gamma(j)
-			}
-			v, cerr := ms.m.AddColumn(fmt.Sprintf("x_%d_%d_%d", k, pidx, j), 0, lp.Inf, obj, rows, coefs)
-			if cerr != nil {
-				return 0, 0, cerr
-			}
-			row[j] = v
-			addedVars++
-		}
-		ms.xv[k] = append(ms.xv[k], row)
+		addedVars, addedRows = addedVars+nv, addedRows+nr
 		atomic.AddInt64(&d.added, 1)
 	}
+	return addedVars, addedRows, nil
+}
+
+// appendPath gives job k one more path: a column on each slice the job's
+// other paths have one, plus the capacity rows the path is first to load.
+// Returns the appended column and row counts.
+func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int, err error) {
+	inst := ms.inst
+	pidx := len(ms.xv[k])
+	inst.JobPaths[k] = append(inst.JobPaths[k], path)
+	row := make([]lp.VarID, inst.Grid.Num())
+	for j := range row {
+		row[j] = -1
+	}
+	for j, v0 := range ms.xv[k][0] {
+		if v0 < 0 {
+			continue
+		}
+		rows := make([]lp.RowID, 1, 1+len(path.Edges))
+		coefs := make([]float64, 1, 1+len(path.Edges))
+		rows[0] = lp.RowID(k)
+		coefs[0] = inst.Grid.Len(j)
+		for _, e := range path.Edges {
+			ck := capKey{e, j}
+			r, ok := ms.capRows[ck]
+			if !ok {
+				r = ms.m.AddRow(fmt.Sprintf("cap_e%d_t%d", e, j), lp.LE, float64(inst.Capacity(e, j)))
+				ms.capRows[ck] = r
+				addedRows++
+			}
+			rows = append(rows, r)
+			coefs = append(coefs, 1)
+		}
+		obj := 0.0
+		if ms.gamma != nil {
+			obj = ms.gamma(j)
+		}
+		v, cerr := ms.m.AddColumn(fmt.Sprintf("x_%d_%d_%d", k, pidx, j), 0, lp.Inf, obj, rows, coefs)
+		if cerr != nil {
+			return 0, 0, cerr
+		}
+		row[j] = v
+		addedVars++
+	}
+	ms.xv[k] = append(ms.xv[k], row)
 	return addedVars, addedRows, nil
 }

@@ -72,10 +72,13 @@ type PlanCache struct {
 //     that transferred bytes or slid its window fails this),
 //   - identical candidate path sets,
 //   - every job's slice window shifted by one common non-negative offset,
-//     with matching slice durations across the window.
+//     with matching slice durations across the window — and by none at all
+//     when the plans end with the lexicographic phase (Instance.lexStage2),
+//     whose Quick-Finish weights γ(j) = j + 1 count slices from the grid's
+//     origin: the shifted LP is the same, its canonical plan is not.
 func matchPlan(cp *ComponentPlan, c *Component) (int, bool) {
 	old, cur := cp.Inst, c.Inst
-	if old.G != cur.G {
+	if old.G != cur.G || old.lexStage2 != cur.lexStage2 {
 		return 0, false
 	}
 	if len(old.capOverride) != 0 || len(cur.capOverride) != 0 {
@@ -92,7 +95,7 @@ func matchPlan(cp *ComponentPlan, c *Component) (int, bool) {
 		wo, wn := old.windows[k], cur.windows[k]
 		if k == 0 {
 			off = wo.first - wn.first
-			if off < 0 {
+			if off < 0 || (off != 0 && cur.lexStage2) {
 				return 0, false
 			}
 		}
@@ -158,7 +161,7 @@ func reindexFrac(old *Assignment, newInst *Instance, off int) *Assignment {
 // The returned cache replaces the caller's previous one wholesale; pass
 // it to the next call. A nil cache (or Monolithic config, which returns a
 // nil cache and delegates to MaxThroughput) simply solves everything.
-func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Result, *PlanCache, error) {
+func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res *Result, next *PlanCache, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Monolithic {
 		res, err := MaxThroughput(inst, cfg)
@@ -195,7 +198,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Re
 	// decomposed path.
 	wall := time.Now()
 	s1s := make([]*Stage1Result, len(comps))
-	err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
+	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
 		if matches[i] != nil {
 			s1s[i] = &Stage1Result{ZStar: matches[i].ZStarC}
 			return nil
@@ -237,6 +240,9 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Re
 		cached bool
 		reused bool
 	}
+	sp := cfg.Solver.Tracer.Start("schedule.stage2")
+	cfg.Solver.Tracer = sp.Tracer()
+	defer func() { endStage2(sp, res, err) }()
 	stage2Wall := time.Now()
 	lads := make([]ladder, len(comps))
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
@@ -307,44 +313,24 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Re
 	telIncrReused.Add(int64(reused))
 	telIncrDirty.Add(int64(len(comps) - reused))
 
-	mergedFrac := mergeAssignments(inst, comps, fracs)
-	truncStart := time.Now()
-	lpd := mergedFrac.Truncate()
-	truncTime := time.Since(truncStart)
-	adjStart := time.Now()
-	lpdar := AdjustRates(lpd, cfg.Adjust)
-	adjTime := time.Since(adjStart)
-
-	res := &Result{
-		ZStar:        zstar,
-		Alpha:        alpha,
-		LP:           mergedFrac,
-		LPD:          lpd,
-		LPDAR:        lpdar,
-		Stage1Iters:  merged.Iters,
-		Stage2Iters:  iters,
-		Stage1Time:   merged.Time,
-		Stage2Time:   stage2Time,
-		TruncateTime: truncTime,
-		AdjustTime:   adjTime,
-		Components:   len(comps),
-		Reused:       reused,
-	}
+	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
+	res.ZStar = zstar
+	res.Alpha, res.Plan = alpha, planSource(inst)
+	res.Stage1Iters = merged.Iters
+	res.Stage2Iters = iters
+	res.Stage1Time = merged.Time
+	res.Stage2Time = stage2Time
+	res.Components = len(comps)
+	res.Reused = reused
 	observeDecomposition(comps, stage2Time.Seconds(), stage2Serial.Seconds())
 	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
 	if cfg.Solver.Tracer != nil {
-		cfg.Solver.Tracer.Event("schedule.stage2",
-			telemetry.KV("alpha", alpha),
-			telemetry.KV("iters", iters),
-			telemetry.KV("components", len(comps)),
-			telemetry.KV("lp_throughput", res.LP.WeightedThroughput()),
-			telemetry.KV("lpdar_throughput", res.LPDAR.WeightedThroughput()))
 		cfg.Solver.Tracer.Event("schedule.incremental",
 			telemetry.KV("components", len(comps)),
 			telemetry.KV("reused", reused))
 	}
 
-	next := &PlanCache{ZStar: zstar, Plans: make(map[string]*ComponentPlan, len(comps))}
+	next = &PlanCache{ZStar: zstar, Plans: make(map[string]*ComponentPlan, len(comps))}
 	for i, c := range comps {
 		next.Plans[c.Key] = &ComponentPlan{
 			Key:         c.Key,

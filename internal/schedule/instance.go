@@ -55,6 +55,25 @@ type Instance struct {
 	// them and for any superset; SetCapacity drops it. Sub-instances from
 	// Decompose do not inherit it.
 	provenZ *float64
+
+	// masterPlan, when non-nil, is the stage-2 plan GeneratePaths took from
+	// its priced whole-instance master (see masterPlan). Same lifetime as
+	// provenZ.
+	masterPlan *masterPlan
+
+	// lexStage2 makes every stage-2 solve whose plan is kept end with the
+	// lexicographic Quick-Finish phase (stage2Secondary), so the plan is a
+	// function of the stage-2 LP over the instance's path sets and not of
+	// the solve that produced it: the priced master, a cold solve, warm or
+	// not, whole or per component. Set by ColumnGen builds and inherited by
+	// Decompose sub-instances.
+	lexStage2 bool
+}
+
+// forgetDiscovery drops what GeneratePaths left on the instance for the
+// solves that follow.
+func (in *Instance) forgetDiscovery() {
+	in.provenZ, in.masterPlan = nil, nil
 }
 
 // colgenInfo is the column-generation build context of an instance.
@@ -88,7 +107,7 @@ func (in *Instance) SetCapacity(e netgraph.EdgeID, j, c int) error {
 		in.capOverride = make(map[capKey]int)
 	}
 	in.capOverride[capKey{e, j}] = c
-	in.provenZ = nil
+	in.forgetDiscovery()
 	return nil
 }
 
@@ -175,6 +194,7 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 		if opts.SeedPaths <= 0 {
 			opts.SeedPaths = 2
 		}
+		inst.lexStage2 = true
 		inst.colgen = &colgenInfo{
 			cache:    opts.PathCache,
 			avoid:    avoid,

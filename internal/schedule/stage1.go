@@ -26,6 +26,21 @@ func (r *Stage1Result) Overloaded() bool { return r.ZStar <= 1 }
 // carries more than its wavelength count on any slice. Bandwidth is
 // treated as infinitely divisible (no integrality).
 func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
+	sp := opts.Tracer.Start("schedule.stage1")
+	opts.Tracer = sp.Tracer()
+	res, err := solveStage1(inst, opts)
+	endSpan(sp, err, func() []telemetry.Attr {
+		return []telemetry.Attr{
+			telemetry.KV("jobs", inst.NumJobs()),
+			telemetry.KV("zstar", res.ZStar),
+			telemetry.KV("iters", res.Iters),
+			telemetry.KV("overloaded", res.Overloaded()),
+		}
+	})
+	return res, err
+}
+
+func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	start := time.Now()
 	m := lp.NewModel("stage1-mcf", lp.Maximize)
 	z := m.AddVar("Z", 0, lp.Inf, 1)
@@ -63,13 +78,6 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	telStage1Solves.Inc()
 	telStage1Seconds.Observe(res.Time.Seconds())
 	telStage1ZStar.Set(res.ZStar)
-	if opts.Tracer != nil {
-		opts.Tracer.Event("schedule.stage1",
-			telemetry.KV("jobs", inst.NumJobs()),
-			telemetry.KV("zstar", res.ZStar),
-			telemetry.KV("iters", res.Iters),
-			telemetry.KV("overloaded", res.Overloaded()))
-	}
 	return res, nil
 }
 

@@ -82,6 +82,27 @@ type Result struct {
 	// solve substituted for a fresh LP (always 0 outside
 	// MaxThroughputIncremental).
 	Reused int
+
+	// Plan names where the fractional plan of a ColumnGen instance came
+	// from: PlanMaster when GeneratePaths' priced stage-2 master had left it
+	// on the instance (Stage2Iters and Stage2Time are then its lexicographic
+	// phase), PlanCold when a stage-2 solve of this call produced it. Both
+	// are the same plan (Instance.lexStage2). Empty for other instances.
+	Plan string
+}
+
+// Result.Plan values.
+const (
+	PlanMaster = "master"
+	PlanCold   = "cold"
+)
+
+// planSource is Result.Plan for a plan this call solved for.
+func planSource(inst *Instance) string {
+	if inst.lexStage2 {
+		return PlanCold
+	}
+	return ""
 }
 
 // LPTime is the total optimization time shared by all three variants.
@@ -166,38 +187,51 @@ func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, 
 	return maxThroughputWithZMono(inst, s1, cfg)
 }
 
-// maxThroughputWithZMono is the single-model stage-2 path: the α ladder
-// over the whole instance.
+// maxThroughputWithZMono is the single-model stage-2 path: the plan the
+// priced master left on the instance when it answers this very LP, the α
+// ladder over the whole instance otherwise.
 func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
+	res, err := stage2Mono(inst, s1.ZStar, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.ZStar = s1.ZStar
+	res.Stage1Iters = s1.Iters
+	res.Stage1Time = s1.Time
+	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
+	return res, nil
+}
+
+// stage2Mono returns the integerized single-model stage-2 result: plans,
+// α, plan source and stage-2 cost.
+func stage2Mono(inst *Instance, zstar float64, cfg Config) (res *Result, err error) {
+	if mp := inst.planFor(zstar, cfg.Alpha, cfg.Weight); mp != nil {
+		telStage2MasterPlans.Inc()
+		res = integerize(mp.frac, cfg)
+		res.Alpha, res.Plan, res.Components = cfg.Alpha, PlanMaster, 1
+		res.Stage2Iters, res.Stage2Time = mp.iters, mp.dur
+		return res, nil
+	}
+	sp := cfg.Solver.Tracer.Start("schedule.stage2")
+	cfg.Solver.Tracer = sp.Tracer()
+	defer func() { endStage2(sp, res, err) }()
 	alpha := cfg.Alpha
 	warmProbed := false
 	for {
-		res, status, basis, err := solveStage2(inst, s1.ZStar, alpha, cfg)
+		r, status, basis, err := solveStage2(inst, zstar, alpha, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if status == lp.Optimal {
-			res.ZStar = s1.ZStar
-			res.Alpha = alpha
-			res.Stage1Iters = s1.Iters
-			res.Stage1Time = s1.Time
-			res.Components = 1
-			telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-			if cfg.Solver.Tracer != nil {
-				cfg.Solver.Tracer.Event("schedule.stage2",
-					telemetry.KV("alpha", alpha),
-					telemetry.KV("iters", res.Stage2Iters),
-					telemetry.KV("lp_throughput", res.LP.WeightedThroughput()),
-					telemetry.KV("lpdar_throughput", res.LPDAR.WeightedThroughput()))
-			}
-			return res, nil
+			r.Alpha, r.Plan, r.Components = alpha, planSource(inst), 1
+			return r, nil
 		}
 		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
 			if cfg.WarmStart && !warmProbed {
 				// Fast-forward the ladder with warm status-only probes,
 				// then re-solve cold at the α they land on.
 				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, s1.ZStar, alpha, basis, cfg); jump > alpha {
+				if jump := warmFeasibleAlpha(inst, zstar, alpha, basis, cfg); jump > alpha {
 					alpha = jump
 					continue
 				}
@@ -213,6 +247,20 @@ func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Resu
 		}
 		return nil, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, alpha)
 	}
+}
+
+// endStage2 closes a schedule.stage2 span with the outcome of the work it
+// enclosed.
+func endStage2(sp telemetry.Span, res *Result, err error) {
+	endSpan(sp, err, func() []telemetry.Attr {
+		return []telemetry.Attr{
+			telemetry.KV("alpha", res.Alpha),
+			telemetry.KV("iters", res.Stage2Iters),
+			telemetry.KV("components", res.Components),
+			telemetry.KV("lp_throughput", res.LP.WeightedThroughput()),
+			telemetry.KV("lpdar_throughput", res.LPDAR.WeightedThroughput()),
+		}
+	})
 }
 
 // warmFeasibleAlpha walks the Remark-1 α ladder with warm-started
@@ -276,18 +324,9 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 // loaded (edge, slice) — the layout the column-generation pricer relies
 // on.
 func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
-	if inst.TotalDemand() <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("schedule: stage 2: no demand")
-	}
-	if weight == nil {
-		weight = WeightBySize
-	}
-	wsum := 0.0
-	for _, jb := range inst.Jobs {
-		wsum += weight(jb)
-	}
-	if wsum <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("schedule: stage 2: non-positive total weight")
+	weights, err := stage2Weights(inst, weight)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	m := lp.NewModel("stage2", lp.Maximize)
 	// Z_i variables with the fairness floor (9) as a lower bound. The
@@ -298,7 +337,7 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (
 	}
 	zvars := make([]lp.VarID, inst.NumJobs())
 	for k, jb := range inst.Jobs {
-		zvars[k] = m.AddVar(fmt.Sprintf("Z_%d", jb.ID), floor, lp.Inf, weight(jb)/wsum)
+		zvars[k] = m.AddVar(fmt.Sprintf("Z_%d", jb.ID), floor, lp.Inf, weights[k])
 	}
 	xvars, err := addFlowVars(m, inst, nil, 0)
 	if err != nil {
@@ -316,6 +355,29 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (
 	return m, zvars, xvars, capRows, nil
 }
 
+// stage2Weights returns each job's coefficient in objective (7): w_i/Σw.
+func stage2Weights(inst *Instance, weight WeightFunc) ([]float64, error) {
+	if inst.TotalDemand() <= 0 {
+		return nil, fmt.Errorf("schedule: stage 2: no demand")
+	}
+	if weight == nil {
+		weight = WeightBySize
+	}
+	weights := make([]float64, inst.NumJobs())
+	wsum := 0.0
+	for k, jb := range inst.Jobs {
+		weights[k] = weight(jb)
+		wsum += weights[k]
+	}
+	if wsum <= 0 {
+		return nil, fmt.Errorf("schedule: stage 2: non-positive total weight")
+	}
+	for k := range weights {
+		weights[k] /= wsum
+	}
+	return weights, nil
+}
+
 // solveStage2 builds and solves the stage-2 LP (eqs. 7–10 without
 // integrality), then integerizes. The returned basis (captured only in
 // WarmStart mode) seeds the α-ladder probes after an infeasible outcome.
@@ -329,23 +391,24 @@ func solveStage2(inst *Instance, zstar, alpha float64, cfg Config) (*Result, lp.
 		return nil, status, basis, nil
 	}
 	stage2Time := time.Since(start)
+	res := integerize(frac, cfg)
+	res.Stage2Iters, res.Stage2Time = iters, stage2Time
+	return res, lp.Optimal, basis, nil
+}
 
+// integerize turns a fractional stage-2 plan into the three variants the
+// paper compares: the plan itself, its truncation (LPD) and the truncation
+// after the greedy adjustment pass (LPDAR).
+func integerize(frac *Assignment, cfg Config) *Result {
+	sp := cfg.Solver.Tracer.Start("schedule.integerize")
 	truncStart := time.Now()
 	lpd := frac.Truncate()
 	truncTime := time.Since(truncStart)
 	adjStart := time.Now()
 	lpdar := AdjustRates(lpd, cfg.Adjust)
 	adjTime := time.Since(adjStart)
-
-	return &Result{
-		LP:           frac,
-		LPD:          lpd,
-		LPDAR:        lpdar,
-		Stage2Iters:  iters,
-		Stage2Time:   stage2Time,
-		TruncateTime: truncTime,
-		AdjustTime:   adjTime,
-	}, lp.Optimal, basis, nil
+	sp.End()
+	return &Result{LP: frac, LPD: lpd, LPDAR: lpdar, TruncateTime: truncTime, AdjustTime: adjTime}
 }
 
 // solveStage2Frac builds and solves the fractional stage-2 LP, returning
@@ -359,6 +422,9 @@ func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignm
 	opts := cfg.Solver
 	if cfg.WarmStart {
 		opts.CaptureBasis = true // snapshot-only: the solve itself is unchanged
+	}
+	if inst.lexStage2 {
+		opts.Secondary = stage2Secondary(inst, m, xvars)
 	}
 	sol, err := m.SolveWith(opts)
 	if err != nil {
@@ -376,16 +442,19 @@ func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignm
 // since block feasibility is monotone in α and the ladder steps are the
 // same float sequence), re-solves the components that were feasible at a
 // smaller α, and integerizes the merged fractional solution globally.
-func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg Config) (*Result, error) {
+func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg Config) (res *Result, err error) {
 	type ladder struct {
 		alpha float64
 		frac  *Assignment
 		iters int
 		dur   time.Duration
 	}
+	sp := cfg.Solver.Tracer.Start("schedule.stage2")
+	cfg.Solver.Tracer = sp.Tracer()
+	defer func() { endStage2(sp, res, err) }()
 	wall := time.Now()
 	lads := make([]ladder, len(comps))
-	err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
+	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
 		a, frac, iters, dur, err := stage2Ladder(comps[i].Inst, s1.ZStar, cfg)
 		lads[i] = ladder{alpha: a, frac: frac, iters: iters, dur: dur}
 		return err
@@ -433,38 +502,16 @@ func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg 
 		iters += l.iters
 		serial += l.dur
 	}
-	merged := mergeAssignments(inst, comps, fracs)
-	truncStart := time.Now()
-	lpd := merged.Truncate()
-	truncTime := time.Since(truncStart)
-	adjStart := time.Now()
-	lpdar := AdjustRates(lpd, cfg.Adjust)
-	adjTime := time.Since(adjStart)
-
-	res := &Result{
-		ZStar:        s1.ZStar,
-		Alpha:        alpha,
-		LP:           merged,
-		LPD:          lpd,
-		LPDAR:        lpdar,
-		Stage1Iters:  s1.Iters,
-		Stage2Iters:  iters,
-		Stage1Time:   s1.Time,
-		Stage2Time:   stage2Time,
-		TruncateTime: truncTime,
-		AdjustTime:   adjTime,
-		Components:   len(comps),
-	}
+	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
+	res.ZStar = s1.ZStar
+	res.Alpha, res.Plan = alpha, planSource(inst)
+	res.Stage1Iters = s1.Iters
+	res.Stage2Iters = iters
+	res.Stage1Time = s1.Time
+	res.Stage2Time = stage2Time
+	res.Components = len(comps)
 	observeDecomposition(comps, stage2Time.Seconds(), serial.Seconds())
 	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-	if cfg.Solver.Tracer != nil {
-		cfg.Solver.Tracer.Event("schedule.stage2",
-			telemetry.KV("alpha", alpha),
-			telemetry.KV("iters", iters),
-			telemetry.KV("components", len(comps)),
-			telemetry.KV("lp_throughput", res.LP.WeightedThroughput()),
-			telemetry.KV("lpdar_throughput", res.LPDAR.WeightedThroughput()))
-	}
 	return res, nil
 }
 

@@ -15,6 +15,8 @@ var (
 		"Stage-1 solves replaced by the Z* the column-generation pricing proof left on the instance.")
 	telStage2Seconds = telemetry.Default().Histogram("schedule_stage2_seconds",
 		"Wall time of stage-2 solve + integerization in seconds.", nil)
+	telStage2MasterPlans = telemetry.Default().Counter("schedule_stage2_master_plans_total",
+		"Stage-2 plans taken from the priced column-generation master instead of a stage-2 solve over the grown pool.")
 	telStage2AlphaRetries = telemetry.Default().Counter("schedule_stage2_alpha_retries_total",
 		"Stage-2 retries forced by an infeasible fairness floor (Remark 1).")
 
@@ -61,3 +63,16 @@ var (
 	telSerialSolveSeconds = telemetry.Default().Histogram("schedule_serial_solve_seconds",
 		"Summed per-component solve time of the same phase — the serial cost the parallel run avoided.", nil)
 )
+
+// endSpan closes a span around work that may have failed: with the error, or
+// with the attributes ok builds — which it is asked for only when tracing
+// and only on success.
+func endSpan(sp telemetry.Span, err error, ok func() []telemetry.Attr) {
+	switch {
+	case sp.ID() == 0: // not tracing
+	case err != nil:
+		sp.End(telemetry.KV("error", err.Error()))
+	default:
+		sp.End(ok()...)
+	}
+}

@@ -132,3 +132,114 @@ func TestRETProbeCallbackConcurrent(t *testing.T) {
 		t.Errorf("RETResult.Probes has %d steps, OnProbe saw %d", len(res.Probes), len(probes))
 	}
 }
+
+// TestMaxThroughputSpansEncloseTheirWork: stage 1, stage 2, column
+// generation and integerization are spans around what they do, so a trace
+// says where a MaxThroughput epoch's time went: every lp.solve parents to
+// the phase that ran it (for a master through its schedule.colgen_master
+// child), integerization sits under stage 2 when stage 2 was solved and
+// beside schedule.colgen when the plan came from the master — in which case
+// there is no schedule.stage2 span at all.
+func TestMaxThroughputSpansEncloseTheirWork(t *testing.T) {
+	g, jobs := goldenGraphJobs(t)
+	run := func(colgen bool) []traceRec {
+		var buf bytes.Buffer
+		opts := partialDantzigOpts()
+		opts.Tracer = telemetry.NewTracer(&buf)
+		inst, err := NewInstanceOpts(g, mustGrid(t, 6), jobs[:8], InstanceOptions{K: 3, ColumnGen: colgen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if colgen {
+			if _, err := GeneratePaths(inst, ColGenConfig{Solver: opts}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := MaxThroughput(inst, Config{Solver: opts, Monolithic: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := opts.Tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return parseTrace(t, &buf)
+	}
+	index := func(recs []traceRec) (byName map[string][]traceRec, byID map[int64]traceRec) {
+		byName, byID = make(map[string][]traceRec), make(map[int64]traceRec)
+		for _, r := range recs {
+			if r.Kind != "span" {
+				t.Errorf("%s is an %s, want a span", r.Name, r.Kind)
+			}
+			byName[r.Name] = append(byName[r.Name], r)
+			byID[r.ID] = r
+		}
+		return byName, byID
+	}
+
+	byName, byID := index(run(false))
+	for _, name := range []string{"schedule.stage1", "schedule.stage2", "schedule.integerize"} {
+		if len(byName[name]) != 1 {
+			t.Fatalf("enumeration: %d %s spans, want 1", len(byName[name]), name)
+		}
+	}
+	if p := byName["schedule.integerize"][0].Parent; p != byName["schedule.stage2"][0].ID {
+		t.Errorf("enumeration: schedule.integerize parents to %d, want the schedule.stage2 span", p)
+	}
+	if len(byName["lp.solve"]) != 2 {
+		t.Fatalf("enumeration: %d lp.solve spans, want 2", len(byName["lp.solve"]))
+	}
+	for i, want := range []string{"schedule.stage1", "schedule.stage2"} {
+		if got := byID[byName["lp.solve"][i].Parent].Name; got != want {
+			t.Errorf("enumeration: lp.solve %d parents to %q, want %q", i, got, want)
+		}
+	}
+
+	byName, byID = index(run(true))
+	if n := len(byName["schedule.stage1"]) + len(byName["schedule.stage2"]); n != 0 {
+		t.Errorf("colgen: %d stage-1/stage-2 spans, want none: Z* and the plan both come from the masters", n)
+	}
+	if len(byName["schedule.colgen"]) != 1 || len(byName["schedule.integerize"]) != 1 {
+		t.Fatalf("colgen: %d schedule.colgen and %d schedule.integerize spans, want 1 and 1",
+			len(byName["schedule.colgen"]), len(byName["schedule.integerize"]))
+	}
+	cg := byName["schedule.colgen"][0]
+	var cgAttrs struct {
+		Plan      string
+		LexPivots int `json:"lex_pivots"`
+		Solves    int
+	}
+	if err := json.Unmarshal(cg.Attrs, &cgAttrs); err != nil {
+		t.Fatal(err)
+	}
+	if cgAttrs.Plan != PlanMaster || cgAttrs.LexPivots == 0 {
+		t.Errorf("colgen: schedule.colgen attrs %s, want plan=master and lex_pivots > 0", cg.Attrs)
+	}
+	if p := byName["schedule.integerize"][0].Parent; p != cg.Parent {
+		t.Errorf("colgen: schedule.integerize parents to %d, want schedule.colgen's parent %d", p, cg.Parent)
+	}
+	stages, solves := map[string]int{}, 0
+	for _, ms := range byName["schedule.colgen_master"] {
+		var a struct {
+			Stage  string
+			Solves int
+			Priced bool
+		}
+		if err := json.Unmarshal(ms.Attrs, &a); err != nil {
+			t.Fatal(err)
+		}
+		if ms.Parent != cg.ID || !a.Priced {
+			t.Errorf("colgen: master span %s under %d, want priced and under schedule.colgen %d", ms.Attrs, ms.Parent, cg.ID)
+		}
+		stages[a.Stage]++
+		solves += a.Solves
+	}
+	if len(stages) != 2 || stages["stage1"] == 0 || stages["stage1"] != stages["stage2"] ||
+		solves != cgAttrs.Solves || solves != len(byName["lp.solve"]) {
+		t.Errorf("colgen: masters %v with %d solves; schedule.colgen counts %d, the trace has %d lp.solve spans",
+			stages, solves, cgAttrs.Solves, len(byName["lp.solve"]))
+	}
+	for _, s := range byName["lp.solve"] {
+		if byID[s.Parent].Name != "schedule.colgen_master" {
+			t.Errorf("colgen: lp.solve parents to %q, want a schedule.colgen_master span", byID[s.Parent].Name)
+		}
+	}
+}
