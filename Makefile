@@ -38,12 +38,15 @@ race-serve:
 cluster-test:
 	WAVESCHED_CLUSTER_E2E=1 $(GO) test ./cmd/wavesched -run TestClusterProcessE2E -count=1 -v
 
-# A short fuzz budget on the property the schedule's determinism rests on
-# (DESIGN §10): a lexicographic solve returns one point whatever the pricing
-# rule, refactorization period, starting basis and build order. A failing
-# input is written under internal/lp/testdata/fuzz; minimise and commit it.
+# A short fuzz budget, split over the two properties the schedule's
+# determinism rests on (DESIGN §10): a lexicographic solve returns one point
+# whatever the pricing rule, refactorization period, crash basis, starting
+# basis and build order; and a closed model built without its dominated
+# capacity rows is the LP the all-rows builder poses. A failing input is
+# written under the package's testdata/fuzz; minimise and commit it.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 15s ./internal/lp
+	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
+	$(GO) test -run '^$$' -fuzz FuzzDominatedRows -fuzztime 7s ./internal/schedule
 
 # Full benchmark harness at quick scale (minutes).
 bench:

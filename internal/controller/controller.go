@@ -135,16 +135,15 @@ type Config struct {
 	// decompose into independent components — the A/B switch against the
 	// decomposed parallel path (the default).
 	Monolithic bool
-	// Incremental re-plans each epoch from the previous epoch's
-	// per-component plan cache (PolicyMaxThroughput/PolicyReject only):
-	// decomposition components that are structurally unchanged since the
-	// last solve — same jobs, same residual demand, windows shifted by
-	// the epoch step — skip both LP stages and reuse their cached
-	// solution, so steady-state epoch cost scales with the churned
-	// components (arrivals, completions, actively-transferring jobs)
-	// rather than the whole fleet. The committed schedules are
-	// byte-identical to the full re-solve under a deterministic pricing
-	// rule; see schedule.MaxThroughputIncremental.
+	// Incremental re-plans each epoch through
+	// schedule.MaxThroughputIncremental and its per-component plan cache
+	// (PolicyMaxThroughput/PolicyReject only). A cached plan is reused only
+	// for the same jobs on the same slices of the grid, and the epoch step
+	// moves the grid: since every plan is the canonical one, whose
+	// Quick-Finish weights count slices from the grid's origin, no plan
+	// survives an epoch and the committed schedules are those of the full
+	// re-solve. The option is inert under a moving horizon and stays until
+	// the daemon-epoch benchmark stops naming it (ROADMAP 2(e)).
 	Incremental bool
 	// ColumnGen prices path columns on demand instead of enumerating K
 	// paths per job upfront: each epoch's instance starts from SeedPaths
@@ -1211,7 +1210,7 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 		c.lastSolve = &solveInfo{components: res.Components}
 		detail := fmt.Sprintf("policy=max_throughput z*=%g alpha=%g components=%d",
 			res.ZStar, res.Alpha, res.Components)
-		if res.Plan != "" {
+		if c.cfg.ColumnGen { // elsewhere every plan is a cold solve's
 			detail += " plan=" + res.Plan
 		}
 		for _, aj := range fresh {

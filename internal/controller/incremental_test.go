@@ -9,7 +9,6 @@ import (
 	"wavesched/internal/job"
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
-	"wavesched/internal/telemetry"
 )
 
 // incrClusters builds nClusters disjoint 4-node rings and a per-cluster
@@ -44,11 +43,10 @@ func incrClusters(t *testing.T, nClusters int) (*netgraph.Graph, []job.Job, [][]
 	return g, jobs, nodes
 }
 
-// dantzigSolver is the deterministic-pricing configuration under which
-// incremental reuse is provably byte-identical (same knobs as the
-// schedule package's decomposition identity tests).
-func dantzigSolver() lp.Options {
-	return lp.Options{MaxIter: 200000, Pricing: lp.Dantzig, RefactorEvery: 1}
+// shippedSolver is the solver configuration `serve` runs with (same knobs
+// as the schedule package's partialDantzigOpts).
+func shippedSolver() lp.Options {
+	return lp.Options{MaxIter: 200000, Pricing: lp.PartialDantzig}
 }
 
 // runChurnScenario drives one controller through a churn sequence —
@@ -59,7 +57,7 @@ func runChurnScenario(t *testing.T, incremental bool) []Record {
 	g, jobs, nodes := incrClusters(t, 4)
 	c, err := New(g, Config{
 		Tau: 1, SliceLen: 1, K: 2, Policy: PolicyMaxThroughput,
-		Solver: dantzigSolver(), Incremental: incremental,
+		Solver: shippedSolver(), Incremental: incremental,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -108,11 +106,12 @@ func runChurnScenario(t *testing.T, incremental bool) []Record {
 // TestIncrementalChurnRecordsByteIdentical is the incremental
 // re-planning equivalence property: a churn sequence (arrivals +
 // completions, plus a fault for good measure) replanned incrementally
-// must yield byte-identical Records() to the full re-solve under
-// Dantzig pricing with per-pivot refactorization — reuse may only ever
-// substitute solutions the full solver would reproduce.
+// must yield byte-identical Records() to the full re-solve under the
+// shipped solver options. Under the controller's moving horizon no plan
+// survives an epoch (schedule.matchPlan), so this holds the incremental
+// path's bookkeeping to the full one's; reuse proper is the schedule
+// package's TestIncrementalReuseByteIdentical.
 func TestIncrementalChurnRecordsByteIdentical(t *testing.T) {
-	reusedBefore, _ := telemetry.Default().CounterValue("schedule_incremental_reused_components_total", nil)
 	full := runChurnScenario(t, false)
 	inc := runChurnScenario(t, true)
 	if len(full) == 0 {
@@ -120,10 +119,6 @@ func TestIncrementalChurnRecordsByteIdentical(t *testing.T) {
 	}
 	if fb, ib := recordsBytes(full), recordsBytes(inc); fb != ib {
 		t.Fatalf("incremental records differ from full re-solve:\nfull:\n%s\nincremental:\n%s", fb, ib)
-	}
-	reusedAfter, _ := telemetry.Default().CounterValue("schedule_incremental_reused_components_total", nil)
-	if reusedAfter <= reusedBefore {
-		t.Fatal("incremental run never reused a component plan; the equivalence property was not exercised")
 	}
 }
 
@@ -150,7 +145,7 @@ func TestPriorityRankOrdersAdmission(t *testing.T) {
 		}
 		c, err := New(g, Config{
 			Tau: 1, SliceLen: 1, K: 1, Policy: PolicyReject,
-			Solver: dantzigSolver(), PriorityRank: rank,
+			Solver: shippedSolver(), PriorityRank: rank,
 			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 		})
 		if err != nil {

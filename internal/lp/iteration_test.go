@@ -246,6 +246,8 @@ type lockstep struct {
 	clamped     int // swaps that took a negative artificial out from under onlySwaps
 	swapRun     int // isolated swaps in a row, so far and at most
 	maxSwapRun  int
+
+	crashSlack, crashWrongSign int // cold start: rows put on their slack; inequality rows that could not be
 }
 
 func newLockstep(t *testing.T, name string, s *simplex) *lockstep {
@@ -642,6 +644,7 @@ func (ls *lockstep) cold() Status {
 	ls.t.Helper()
 	s := ls.s
 	s.crashBasis()
+	ls.checkCrash()
 	if err := ls.refactorize(); err != nil {
 		ls.fatalf("initial factorization: %v", err)
 	}
@@ -655,6 +658,64 @@ func (ls *lockstep) cold() Status {
 	s.blandMode = false
 	s.degenRun = 0
 	return ls.primal()
+}
+
+// checkCrash holds the cold start to its definition, row by row, against a
+// residual computed here from the matrix: an inequality row whose slack can
+// take up the residual at a nonnegative value starts on that slack, and its
+// artificial is out of the problem — nonbasic at zero and pinned there, as
+// after phase 1; every other row, and every row under
+// Options.ArtificialCrash, starts on its artificial, signed to be
+// nonnegative and free to leave. Either way the basic value is |residual|.
+func (ls *lockstep) checkCrash() {
+	ls.t.Helper()
+	s := ls.s
+	res := append([]float64(nil), s.b...)
+	for j := 0; j < s.nStruct; j++ {
+		if s.state[j] == stBasic {
+			ls.fatalf("crash basis: structural column %d is basic", j)
+		}
+		rows, vals := s.a.col(j)
+		for k, r := range rows {
+			res[r] -= vals[k] * s.nonbasicValue(j)
+		}
+	}
+	slackOf := make([]int, s.m)
+	for i := range slackOf {
+		slackOf[i] = -1
+	}
+	for sl := s.nStruct; sl < s.n; sl++ {
+		rows, _ := s.a.col(sl)
+		slackOf[rows[0]] = sl
+	}
+	for i := 0; i < s.m; i++ {
+		sl, art := slackOf[i], s.n+i
+		onSlack := false
+		if sl >= 0 && !s.opt.ArtificialCrash {
+			_, vals := s.a.col(sl)
+			onSlack = vals[0]*res[i] >= 0
+			if !onSlack {
+				ls.crashWrongSign++
+			}
+		}
+		if math.Abs(s.xB[i]-math.Abs(res[i])) > 1e-12 || s.c[art] != 1 {
+			ls.fatalf("crash basis: row %d starts at %v with phase-1 cost %v, residual %v", i, s.xB[i], s.c[art], res[i])
+		}
+		if onSlack {
+			ls.crashSlack++
+			if s.basis[i] != sl || s.pos[sl] != i || s.state[sl] != stBasic ||
+				s.pos[art] != -1 || s.state[art] != stAtLower || s.l[art] != 0 || s.u[art] != 0 {
+				ls.fatalf("crash basis: row %d (residual %v) should start on slack %d with its artificial pinned at zero: basis %d, artificial state %d in [%v, %v]",
+					i, res[i], sl, s.basis[i], s.state[art], s.l[art], s.u[art])
+			}
+			continue
+		}
+		if s.basis[i] != art || s.pos[art] != i || s.state[art] != stBasic || s.art[i]*res[i] < 0 ||
+			s.l[art] != 0 || !math.IsInf(s.u[art], 1) || (sl >= 0 && (s.state[sl] == stBasic || s.pos[sl] != -1)) {
+			ls.fatalf("crash basis: row %d (residual %v, slack %d) should start on its artificial, signed %v in [%v, %v]: basis %d",
+				i, res[i], sl, s.art[i], s.l[art], s.u[art], s.basis[i])
+		}
+	}
 }
 
 // afterDual is the tail warmSolve and Incremental.solve share: a certifying
@@ -943,7 +1004,78 @@ func toggleBounds(rng *rand.Rand, m *Model) {
 // leaves luCurrent set, and onlySwaps kept through an identical-column swap
 // that is not isolated (recomputeXB then skipped). Dropping the Float64bits
 // test beside the last one fails it too, on slackRunLP's −ε artificials.
+//
+// The isolated swaps, the factor reuse and the −ε artificials are what the
+// all-artificial start makes of idle inequality rows, so the cold flows here
+// run under Options.ArtificialCrash; TestIterationBitIdenticalFromSlackStart
+// holds the same flows from the default start.
 func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
+	run := runIterationKinds(t, true)
+	total := run.total
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"bound flips", total.flips}, {"pivots under the Bland fallback", total.blandPivots},
+		{"dual pivots", total.dualPivots}, {"elided BTRANs", total.elided},
+		{"isolated swaps", total.swaps}, {"sparse FTRANs", total.sparse},
+		{"valid block summaries", total.validBlocks}, {"refactorizations that kept the factors", total.reusedLU},
+		{"refactorizations that kept the duals", total.keptDuals}, {"swaps of a negative artificial", total.clamped},
+		{"warm runs", run.warmRuns}, {"re-entries", run.reentries},
+		{"infeasible outcomes", run.statuses[Infeasible]}, {"optimal outcomes", run.statuses[Optimal]},
+	} {
+		if c.n < 20 {
+			t.Errorf("only %d %s: the generators no longer exercise the kernels", c.n, c.what)
+		}
+	}
+	if total.maxSwapRun < 64 {
+		t.Errorf("no run of isolated swaps spans three refactorization periods of 64 (the longest period one did: %d)", total.maxSwapRun)
+	}
+}
+
+// TestIterationBitIdenticalFromSlackStart drives the same LPs through the
+// same three flows from the default crash basis, where the inequality rows
+// that can start on their own slack: the start itself is held to its
+// definition (checkCrash), every pivot against the dense kernels as above,
+// and the cold flow against SolveWith. The idle rows make no pivot at all
+// from this start, so the swap counts are not required; what must still be
+// exercised is everything else, and both kinds of inequality row.
+//
+// Two mutations of crashBasis were checked to fail it: starting an
+// inequality row on its slack whatever the sign of its residual, and leaving
+// a slack-started row's artificial loose in [0, ∞) instead of pinned.
+func TestIterationBitIdenticalFromSlackStart(t *testing.T) {
+	run := runIterationKinds(t, false)
+	total := run.total
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"bound flips", total.flips}, {"pivots under the Bland fallback", total.blandPivots},
+		{"dual pivots", total.dualPivots}, {"elided BTRANs", total.elided}, {"sparse FTRANs", total.sparse},
+		{"valid block summaries", total.validBlocks},
+		{"rows started on their slack", total.crashSlack},
+		{"inequality rows started on their artificial", total.crashWrongSign},
+		{"warm runs", run.warmRuns}, {"re-entries", run.reentries},
+		{"infeasible outcomes", run.statuses[Infeasible]}, {"optimal outcomes", run.statuses[Optimal]},
+	} {
+		if c.n < 20 {
+			t.Errorf("only %d %s: the generators no longer exercise the kernels", c.n, c.what)
+		}
+	}
+}
+
+// iterationRun is what runIterationKinds went through.
+type iterationRun struct {
+	total                    lockstep
+	lps, warmRuns, reentries int
+	statuses                 map[Status]int
+}
+
+// runIterationKinds drives every generator's LPs through the lock-step
+// harness, cold solves starting as Options.ArtificialCrash says, and returns
+// what the runs exercised.
+func runIterationKinds(t *testing.T, artificialCrash bool) iterationRun {
 	kinds := []struct {
 		name string
 		gen  func(rng *rand.Rand, trial int) *Model
@@ -973,6 +1105,8 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 		total.reusedLU += ls.reusedLU
 		total.keptDuals += ls.keptDuals
 		total.clamped += ls.clamped
+		total.crashSlack += ls.crashSlack
+		total.crashWrongSign += ls.crashWrongSign
 		if ls.maxSwapRun >= 3*ls.s.opt.RefactorEvery && ls.s.opt.RefactorEvery > total.maxSwapRun {
 			total.maxSwapRun = ls.s.opt.RefactorEvery // the longest period a run of swaps spanned three times
 		}
@@ -983,6 +1117,7 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 			for trial := 0; trial < kind.n; trial++ {
 				model := kind.gen(rng, trial)
 				opt := iterationOptions(trial)
+				opt.ArtificialCrash = artificialCrash
 				name := fmt.Sprintf("%s/%d (%v, refactor %d)", kind.name, trial, opt.Pricing, opt.RefactorEvery)
 				lps++
 
@@ -1043,23 +1178,5 @@ func TestIterationBitIdenticalToDenseKernels(t *testing.T) {
 	if lps < 300 {
 		t.Errorf("only %d LPs", lps)
 	}
-	for _, c := range []struct {
-		what string
-		n    int
-	}{
-		{"bound flips", total.flips}, {"pivots under the Bland fallback", total.blandPivots},
-		{"dual pivots", total.dualPivots}, {"elided BTRANs", total.elided},
-		{"isolated swaps", total.swaps}, {"sparse FTRANs", total.sparse},
-		{"valid block summaries", total.validBlocks}, {"refactorizations that kept the factors", total.reusedLU},
-		{"refactorizations that kept the duals", total.keptDuals}, {"swaps of a negative artificial", total.clamped},
-		{"warm runs", warmRuns}, {"re-entries", reentries},
-		{"infeasible outcomes", statuses[Infeasible]}, {"optimal outcomes", statuses[Optimal]},
-	} {
-		if c.n < 20 {
-			t.Errorf("only %d %s: the generators no longer exercise the kernels", c.n, c.what)
-		}
-	}
-	if total.maxSwapRun < 64 {
-		t.Errorf("no run of isolated swaps spans three refactorization periods of 64 (the longest period one did: %d)", total.maxSwapRun)
-	}
+	return iterationRun{total: total, lps: lps, warmRuns: warmRuns, reentries: reentries, statuses: statuses}
 }

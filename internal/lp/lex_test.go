@@ -238,9 +238,10 @@ func lexSolve(t *testing.T, g *lexGen, order []int, rot int, opts Options, start
 // checkLexInvariance is the property: the lexicographic solve returns the
 // same point — within 1e-7, and to the same integers after the schedule
 // layer's truncation — from every pricing rule, refactorization period and
-// start the cases select and in any build order; its primary objective is
-// the plain solve's within 1e-9 and its duals are the plain solve's, bit
-// for bit. It returns false when the LP has no optimum.
+// start the cases select, from either crash basis and in any build order;
+// its primary objective is the plain solve's within 1e-9 and its duals are
+// the plain solve's, bit for bit. It returns false when the LP has no
+// optimum.
 func checkLexInvariance(t *testing.T, sh lexShape, cases int) bool {
 	t.Helper()
 	g := newLexGen(sh)
@@ -257,7 +258,8 @@ func checkLexInvariance(t *testing.T, sh lexShape, cases int) bool {
 		}
 	}
 	rng := rand.New(rand.NewSource(sh.seed ^ 0x5eed))
-	all := len(lexPricings) * len(lexRefactors) * int(numLexStarts) * 2
+	perOrder := len(lexPricings) * len(lexRefactors) * int(numLexStarts)
+	all := perOrder * 2 * 2
 	for c := 0; c < all; c++ {
 		if cases < all && rng.Intn(all) >= cases {
 			continue
@@ -266,11 +268,12 @@ func checkLexInvariance(t *testing.T, sh lexShape, cases int) bool {
 		refactor := lexRefactors[c/len(lexPricings)%len(lexRefactors)]
 		start := lexStart(c / (len(lexPricings) * len(lexRefactors)) % int(numLexStarts))
 		order, rot := identity, 0
-		if c >= all/2 {
+		if c/perOrder%2 == 1 {
 			order, rot = rng.Perm(len(g.jobs)), 1+rng.Intn(3)
 		}
-		name := fmt.Sprintf("seed %d %v/%d start %d order %v", sh.seed, pricing, refactor, start, order)
-		lp, plain, lex, ok := lexSolve(t, g, order, rot, Options{Pricing: pricing, RefactorEvery: refactor}, start)
+		opts := Options{Pricing: pricing, RefactorEvery: refactor, ArtificialCrash: c >= all/2}
+		name := fmt.Sprintf("seed %d %v/%d start %d artificial crash %v order %v", sh.seed, pricing, refactor, start, opts.ArtificialCrash, order)
+		lp, plain, lex, ok := lexSolve(t, g, order, rot, opts, start)
 		if !ok {
 			t.Fatalf("%s: plain solve ended %v, the reference is optimal", name, plain.Status)
 		}
@@ -308,9 +311,9 @@ func lexSeedShape(seed int64) lexShape {
 
 // TestLexInvariance runs the whole matrix — 4 pricing rules × 3
 // refactorization periods × {cold, stale basis, Extend chain} × {build
-// order, shuffled} — on seeded stage-2-shaped LPs. The same property over
-// the schedule layer's own models is
-// internal/schedule.TestStage2LexInvariance.
+// order, shuffled} × {slack start, Options.ArtificialCrash} — on seeded
+// stage-2-shaped LPs. The same property over the schedule layer's own models
+// is internal/schedule.TestStage2LexInvariance.
 func TestLexInvariance(t *testing.T) {
 	solved := 0
 	for seed := int64(1); seed <= 60; seed++ {

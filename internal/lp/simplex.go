@@ -163,6 +163,15 @@ type Options struct {
 	// not end Optimal is the solve's status (Unbounded: the secondary
 	// objective is unbounded over the optimal face). Incremental ignores it.
 	Secondary []float64
+	// ArtificialCrash starts a cold solve with every row on its artificial,
+	// where the default puts each inequality row that can on its own slack
+	// (see crashBasis). It is set by schedule.RETConfig alone: which optimal
+	// SUB-RET vertex a solve ends on still depends on the pivot path, and the
+	// all-artificial start is the path its results were tuned on (DESIGN §10).
+	// It goes, with the isolated-swap machinery only that start exercises
+	// (onlySwaps, the BTRAN elision on swaps, rowCover), when SUB-RET gets a
+	// canonical optimum.
+	ArtificialCrash bool
 }
 
 func (o Options) withDefaults(m, n int) Options {

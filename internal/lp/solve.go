@@ -109,6 +109,13 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 			if sol.Warm != "" {
 				attrs = append(attrs, telemetry.KV("warm", sol.Warm))
 			}
+			if sol.Warm != "hit" { // the cold path ran
+				crash := telemetry.KV("crash", "slack")
+				if opt.ArtificialCrash {
+					crash = telemetry.KV("crash", "artificial")
+				}
+				attrs = append(attrs, crash)
+			}
 			if sol.Status == Optimal {
 				attrs = append(attrs, telemetry.KV("objective", sol.Objective))
 			}
@@ -441,8 +448,7 @@ func (m *Model) assemble(opt Options) *simplex {
 	return s
 }
 
-// coldSolve runs the classic two-phase primal simplex from the artificial
-// crash basis.
+// coldSolve runs the classic two-phase primal simplex from the crash basis.
 func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) {
 	opt = s.opt // assemble already applied the defaults
 	capture := opt.CaptureBasis || opt.WarmStart != nil
@@ -527,8 +533,13 @@ func (m *Model) checkSecondary(secondary []float64) error {
 }
 
 // crashBasis installs the cold start: every structural and slack column
-// nonbasic at a bound, the artificials basic with the signs that make their
-// values nonnegative, and the phase-1 costs (1 on each artificial).
+// nonbasic at a bound, one basic column per row, and the phase-1 costs (1 on
+// each artificial). A row whose own slack takes up the residual at a
+// nonnegative value — LE with residual ≥ 0, GE with residual ≤ 0 — starts on
+// that slack, its artificial nonbasic and pinned to [0, 0] as enterPhase2
+// would leave it. An EQ row, or a residual of the wrong sign, starts on the
+// artificial, signed so that its value is nonnegative; so does every row
+// under Options.ArtificialCrash.
 func (s *simplex) crashBasis() {
 	n, l, u := s.n, s.l, s.u
 	// Start all structural and slack columns at their lower bound; pick the
@@ -561,6 +572,24 @@ func (s *simplex) crashBasis() {
 		s.xB[i] = math.Abs(res[i])
 		l[col], u[col] = 0, Inf
 		s.c[col] = 1 // phase-1 cost
+	}
+	if !s.opt.ArtificialCrash {
+		// A slack column is ±e_i, so slack·(±1) = res[i] has a nonnegative
+		// solution exactly when the two signs agree.
+		for sl := s.nStruct; sl < n; sl++ {
+			rows, vals := s.a.col(sl)
+			i := rows[0]
+			if vals[0]*res[i] < 0 {
+				continue
+			}
+			col := n + i
+			s.basis[i] = sl
+			s.pos[sl] = i
+			s.state[sl] = stBasic
+			s.pos[col] = -1
+			s.state[col] = stAtLower
+			l[col], u[col] = 0, 0
+		}
 	}
 	s.phase1 = true
 	s.luCurrent = false

@@ -27,20 +27,11 @@ type Bottleneck struct {
 // here raises the whole network's concurrent throughput by this much" —
 // planning information the optimization framework yields for free.
 func BottleneckAnalysis(inst *Instance, opts lp.Options) ([]Bottleneck, *Stage1Result, error) {
-	m := lp.NewModel("stage1-mcf-sens", lp.Maximize)
-	z := m.AddVar("Z", 0, lp.Inf, 1)
-	xvars, err := addFlowVars(m, inst, nil, 0)
+	// Every capacity row: the report is a shadow price per (link, slice).
+	m, z, xvars, capRows, err := buildStage1Model("stage1-mcf-sens", inst, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
-		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
-			m.AddTerm(r, v, inst.Grid.Len(j))
-		})
-		m.AddTerm(r, z, -jb.Size)
-	}
-	capRows := addCapacityRows(m, inst, xvars)
 
 	sol, sens, err := m.SolveWithSensitivity(opts)
 	if err != nil {

@@ -122,7 +122,7 @@ const supportTol = 1e-9
 // from, so dropping unused columns changes how much the next run re-prices,
 // never an optimum.
 func GeneratePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
-	inst.forgetDiscovery()
+	inst.forgetDerived()
 	if inst.NumJobs() == 0 {
 		telColGenCarried.Set(0)
 		return &ColGenStats{}, nil
@@ -183,6 +183,7 @@ func generatePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	var extLast []int
 	if cfg.RET != nil {
 		retCfg = cfg.RET.withDefaults()
+		retCfg.Solver.Tracer = cfg.Solver.Tracer // under this run's span
 		extLast = retExtendedLast(inst, retCfg.BMax, retCfg)
 	}
 	comps := Decompose(inst, extLast)
@@ -461,6 +462,7 @@ type cgMaster struct {
 	xv      flowVars
 	capRows map[capKey]lp.RowID
 	gamma   func(j int) float64
+	solver  lp.Options
 	lex     bool
 	lexSol  *lp.Solution
 	lexTime time.Duration
@@ -469,21 +471,13 @@ type cgMaster struct {
 // discoverStage1 prices the stage-1 master and returns Z* and whether the
 // last pricing round proved it optimal over the full path space.
 func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, bool, error) {
-	m := lp.NewModel("colgen-stage1", lp.Maximize)
-	z := m.AddVar("Z", 0, lp.Inf, 1)
-	xv, err := addFlowVars(m, inst, nil, 0)
+	m, z, xv, capRows, err := buildStage1Model("colgen-stage1", inst, false)
 	if err != nil {
 		return 0, false, err
 	}
-	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
-		forEachVar(inst, xv, k, func(p, j int, v lp.VarID) {
-			m.AddTerm(r, v, inst.Grid.Len(j))
-		})
-		m.AddTerm(r, z, -jb.Size)
-	}
-	capRows := addCapacityRows(m, inst, xv)
-	sol, priced, err := d.run(&cgMaster{stage: "stage1", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows})
+	sol, priced, err := d.run(&cgMaster{
+		stage: "stage1", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, solver: d.cfg.Solver,
+	})
 	if err != nil {
 		return 0, false, err
 	}
@@ -497,18 +491,18 @@ func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, boo
 // configured fairness slack. A non-optimal master (the floor can be
 // infeasible for a component under a globally derived Z* only through
 // numerical trouble) stops discovery for it without failing the run —
-// the real solve's α ladder owns that outcome. The whole-instance master
-// of a ColumnGen instance, once priced to the end, finishes with the
-// lexicographic phase and its plan is kept for the solve that follows —
-// unless that solve is SolveRET, which reads no stage-2 plan.
+// the real solve's α ladder owns that outcome. The whole-instance master,
+// once priced to the end, finishes with the lexicographic phase and its plan
+// is kept for the solve that follows — unless that solve is SolveRET, which
+// reads no stage-2 plan.
 func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64) error {
-	m, _, xv, capRows, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight)
+	m, _, xv, capRows, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight, false)
 	if err != nil {
 		return err
 	}
 	ms := &cgMaster{
-		stage: "stage2", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows,
-		lex: inst.lexStage2 && jobIdx == nil && d.cfg.RET == nil,
+		stage: "stage2", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, solver: d.cfg.Solver,
+		lex: jobIdx == nil && d.cfg.RET == nil,
 	}
 	if _, _, err := d.run(ms); err != nil || jobIdx != nil {
 		return err
@@ -531,13 +525,17 @@ func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64
 // discoverSubRET prices the SUB-RET master at the BMax-extended windows.
 // An infeasible master (the network cannot finish every job even at the
 // ceiling) stops discovery without failing the run — SolveRET reports
-// that case itself.
+// that case itself. The master solves under the RET configuration's own
+// solver options, as the search that follows will: which paths it prices in
+// depends on the vertices its solves end on (see lp.Options.ArtificialCrash).
 func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg RETConfig) error {
 	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast, cfg)
 	if err != nil {
 		return err
 	}
-	_, _, err = d.run(&cgMaster{stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma})
+	_, _, err = d.run(&cgMaster{
+		stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma, solver: cfg.Solver,
+	})
 	return err
 }
 
@@ -551,8 +549,8 @@ func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg 
 // ms.lex a priced one then moves on to the canonical optimum (ms.lexSol).
 // One schedule.colgen_master span encloses the master's solves.
 func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err error) {
-	sp := d.cfg.Solver.Tracer.Start("schedule.colgen_master")
-	opts := d.cfg.Solver
+	sp := ms.solver.Tracer.Start("schedule.colgen_master")
+	opts := ms.solver
 	opts.Tracer = sp.Tracer()
 	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
@@ -653,6 +651,11 @@ func (d *cgDiscovery) markSupport(ms *cgMaster, sol *lp.Solution) {
 func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRows int, err error) {
 	inst := ms.inst
 	ns := inst.Grid.Num()
+	if ms.capRows == nil {
+		// A closed build: dominated cells have no row to read a dual from,
+		// and an appended path may load one without its dominator.
+		return 0, 0, fmt.Errorf("schedule: colgen: the %s master was built without its dominated capacity rows", ms.stage)
+	}
 	// w[j][e] = max(0, −y_{e,j}); slices with no loaded capacity row stay
 	// nil (all-zero weights). Map iteration order is irrelevant: writes go
 	// to distinct (slice, edge) cells.

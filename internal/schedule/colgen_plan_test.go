@@ -95,10 +95,10 @@ func TestMasterPlanLifetime(t *testing.T) {
 		t.Errorf("a Z* the network cannot carry: plan %q at alpha %v, want the Remark-1 ladder's cold solve", inflated.Plan, inflated.Alpha)
 	}
 
-	// Sub-instances inherit the phase, not the plan.
+	// Sub-instances do not inherit the plan.
 	for _, c := range Decompose(inst, nil) {
-		if c.Inst.masterPlan != nil || c.Inst.provenZ != nil || !c.Inst.lexStage2 {
-			t.Fatalf("component %s: plan %v, Z* %v, lexStage2 %v", c.Key, c.Inst.masterPlan, c.Inst.provenZ, c.Inst.lexStage2)
+		if c.Inst.masterPlan != nil || c.Inst.provenZ != nil {
+			t.Fatalf("component %s: plan %v, Z* %v", c.Key, c.Inst.masterPlan, c.Inst.provenZ)
 		}
 	}
 

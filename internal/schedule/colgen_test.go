@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/paths"
+	"wavesched/internal/telemetry"
 	"wavesched/internal/workload"
 )
 
@@ -57,12 +60,11 @@ func thetaGraphJob(t testing.TB) (*netgraph.Graph, []job.Job) {
 // TestColGenByteIdenticalOnRing: when the seed set equals the full
 // enumeration (a ring has exactly two simple paths per pair), the colgen
 // instance and the enumerated one pose the same LPs. Under the shipped solver
-// options they agree on Z*, α and the stage-2 optimum to 1e-9, and the colgen
-// plan — read from the priced master — is the enumerated LP's canonical
-// vertex: equal within 1e-7 to that LP solved with the same secondary
-// objective, and byte-identical once integerized. (Enumeration's own plan is
-// whichever optimal vertex its pivots end on; before the lexicographic phase
-// this test could only pin the two to one pivot sequence.)
+// options they agree on Z*, α and the stage-2 optimum to 1e-9, and on the
+// plan: colgen reads it from the priced master — every capacity row, warm
+// through pricing — and enumeration from a cold solve of the closed model,
+// and both end with the lexicographic phase, so they are the LP's one
+// canonical vertex: equal within 1e-7 and byte-identical once integerized.
 func TestColGenByteIdenticalOnRing(t *testing.T) {
 	g, jobs := ringGraphJobs(t, 6)
 	grid := mustGrid(t, 4)
@@ -102,7 +104,7 @@ func TestColGenByteIdenticalOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Plan != PlanMaster || re.Plan != "" {
+	if rc.Plan != PlanMaster || re.Plan != PlanCold {
 		t.Fatalf("plan sources: colgen %q, enumeration %q", rc.Plan, re.Plan)
 	}
 	if math.Abs(re.ZStar-rc.ZStar) > 1e-9 || re.Alpha != rc.Alpha {
@@ -111,23 +113,12 @@ func TestColGenByteIdenticalOnRing(t *testing.T) {
 	if eo, co := re.LP.WeightedThroughput(), rc.LP.WeightedThroughput(); math.Abs(eo-co) > 1e-9 {
 		t.Fatalf("stage-2 optimum differs: enum %v colgen %v", eo, co)
 	}
-	m, _, xv, _, err := buildStage2Model(enum, re.ZStar, re.Alpha, nil)
-	if err != nil {
-		t.Fatal(err)
+	assertAssignmentsClose(t, 0, "LP", re.LP, rc.LP, 1e-7)
+	if assignmentBytes(re.LPD) != assignmentBytes(rc.LPD) {
+		t.Error("LPD schedule differs between enumeration and colgen")
 	}
-	opts.Secondary = stage2Secondary(enum, m, xv)
-	sol, err := m.SolveWith(opts)
-	if err != nil || sol.Status != lp.Optimal {
-		t.Fatalf("enumerated stage 2 with the secondary objective: %v, %v", sol, err)
-	}
-	canon := extractAssignment(enum, xv, sol)
-	assertAssignmentsClose(t, 0, "LP", canon, rc.LP, 1e-7)
-	lpd := canon.Truncate()
-	if assignmentBytes(lpd) != assignmentBytes(rc.LPD) {
-		t.Error("LPD schedule differs between enumeration's canonical vertex and colgen")
-	}
-	if assignmentBytes(AdjustRates(lpd, AdjustOptions{})) != assignmentBytes(rc.LPDAR) {
-		t.Error("LPDAR schedule differs between enumeration's canonical vertex and colgen")
+	if assignmentBytes(re.LPDAR) != assignmentBytes(rc.LPDAR) {
+		t.Error("LPDAR schedule differs between enumeration and colgen")
 	}
 }
 
@@ -231,9 +222,9 @@ func TestColGenRandomParity(t *testing.T) {
 // multi-component instance, the repo's standing identity invariants must
 // keep holding with appended columns in the path sets — warm vs cold and
 // serial vs parallel decomposed solves return bit-identical schedules
-// under Dantzig + per-pivot refactorization, and monolithic vs
-// decomposed agree to LP tolerance (their stage-1 models are
-// structurally different, so Z* matches to tolerance, not bits).
+// under the shipped solver options, and monolithic vs decomposed agree to
+// LP tolerance (their stage-1 models are structurally different, so Z*
+// matches to tolerance, not bits).
 func TestColGenWarmColdMonoDecomposedIdentity(t *testing.T) {
 	g, jobs := clusteredGraphJobs(t, 2, 6, 4, 7)
 	grid := mustGrid(t, 8)
@@ -241,25 +232,25 @@ func TestColGenWarmColdMonoDecomposedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GeneratePaths(cg, ColGenConfig{Solver: dantzigOpts()}); err != nil {
+	if _, err := GeneratePaths(cg, ColGenConfig{Solver: partialDantzigOpts()}); err != nil {
 		t.Fatal(err)
 	}
-	coldMono, err := MaxThroughput(cg, Config{Solver: dantzigOpts(), Monolithic: true})
+	coldMono, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Monolithic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmMono, err := MaxThroughput(cg, Config{Solver: dantzigOpts(), Monolithic: true, WarmStart: true})
+	warmMono, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Monolithic: true, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coldMono.ZStar != warmMono.ZStar || assignmentBytes(coldMono.LPDAR) != assignmentBytes(warmMono.LPDAR) {
 		t.Error("warm monolithic solve diverged from cold on the colgen-grown instance")
 	}
-	serial, err := MaxThroughput(cg, Config{Solver: dantzigOpts(), Parallelism: 1})
+	serial, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MaxThroughput(cg, Config{Solver: dantzigOpts(), Parallelism: 4})
+	par, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +267,10 @@ func TestColGenWarmColdMonoDecomposedIdentity(t *testing.T) {
 }
 
 // TestColGenWithRETPricing: GeneratePaths with a RET config prices the
-// SUB-RET master too, and the subsequent SolveRET stays warm/cold
-// byte-identical on the grown instance.
+// SUB-RET master too — under that config's solver options, so from the
+// all-artificial start the search's own solves keep, while the stage-1 and
+// stage-2 masters start on the slacks — and the subsequent SolveRET stays
+// warm/cold byte-identical on the grown instance.
 func TestColGenWithRETPricing(t *testing.T) {
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
 		Nodes: 12, LinkPairs: 24, Wavelengths: 2, Seed: 3,
@@ -296,8 +289,41 @@ func TestColGenWithRETPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 	retCfg := RETConfig{BMax: 3, Solver: dantzigOpts()}
-	if _, err := GeneratePaths(inst, ColGenConfig{Solver: dantzigOpts(), RET: &retCfg}); err != nil {
+	var buf bytes.Buffer
+	cgOpts := dantzigOpts()
+	cgOpts.Tracer = telemetry.NewTracer(&buf)
+	if _, err := GeneratePaths(inst, ColGenConfig{Solver: cgOpts, RET: &retCfg}); err != nil {
 		t.Fatal(err)
+	}
+	if err := cgOpts.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stageOf, crashes := map[int64]string{}, map[string]map[string]int{}
+	recs := parseTrace(t, &buf)
+	for _, r := range recs {
+		if r.Name == "schedule.colgen_master" {
+			var a struct{ Stage string }
+			if err := json.Unmarshal(r.Attrs, &a); err != nil {
+				t.Fatal(err)
+			}
+			stageOf[r.ID], crashes[a.Stage] = a.Stage, map[string]int{}
+		}
+	}
+	for _, r := range recs {
+		if r.Name == "lp.solve" {
+			var a struct{ Crash string }
+			if err := json.Unmarshal(r.Attrs, &a); err != nil {
+				t.Fatal(err)
+			}
+			if a.Crash != "" {
+				crashes[stageOf[r.Parent]][a.Crash]++
+			}
+		}
+	}
+	for stage, want := range map[string]string{"stage1": "slack", "stage2": "slack", "subret": "artificial"} {
+		if got := crashes[stage]; len(got) != 1 || got[want] == 0 {
+			t.Errorf("cold solves of the %s masters started as %v, want %s only", stage, got, want)
+		}
 	}
 	cold, err := SolveRET(inst, RETConfig{BMax: 3, Solver: dantzigOpts()})
 	if err != nil {

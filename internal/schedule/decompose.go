@@ -204,7 +204,6 @@ func buildComponent(inst *Instance, jobIdx []int) *Component {
 		G:           inst.G,
 		Grid:        inst.Grid,
 		capOverride: inst.capOverride,
-		lexStage2:   inst.lexStage2,
 	}
 	edgeSet := make(map[netgraph.EdgeID]bool)
 	h := fnv.New64a()

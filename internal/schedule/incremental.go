@@ -52,111 +52,85 @@ type PlanCache struct {
 	Plans map[string]*ComponentPlan
 }
 
-// matchPlan reports whether a cached component plan is structurally
-// identical to a candidate component up to a uniform forward shift of the
-// slice grid, and returns that shift (old slice index = new + off).
-//
-// The flow variables of the stage-1/stage-2 models exist only inside each
-// job's slice window and capacity rows only where such variables load
-// them, so two sub-instances that agree job-for-job in absolute time
-// produce structurally identical LPs regardless of grid origin; under a
-// deterministic pricing rule the simplex then reproduces the cached
-// solution exactly. The checks below establish exactly that agreement:
+// matchPlan reports whether a cached component plan is the plan of a
+// candidate component: the two sub-instances pose the same stage-2 LP on
+// the same slices of the grid. The checks below establish exactly that:
 //
 //   - same graph object (the controller swaps the graph pointer on any
 //     topology event, so pointer equality certifies identical capacities
 //     and path feasibility),
-//   - no per-slice capacity overrides on either side (overrides are keyed
-//     by absolute slice index and would not survive the shift),
+//   - no per-slice capacity overrides on either side,
 //   - identical jobs (struct equality: size, window, endpoints — a job
 //     that transferred bytes or slid its window fails this),
 //   - identical candidate path sets,
-//   - every job's slice window shifted by one common non-negative offset,
-//     with matching slice durations across the window — and by none at all
-//     when the plans end with the lexicographic phase (Instance.lexStage2),
-//     whose Quick-Finish weights γ(j) = j + 1 count slices from the grid's
-//     origin: the shifted LP is the same, its canonical plan is not.
-func matchPlan(cp *ComponentPlan, c *Component) (int, bool) {
+//   - every job's slice window the same, with matching slice durations
+//     across it.
+//
+// A uniformly shifted grid poses the same LP too, but not the same plan:
+// the Quick-Finish weights γ(j) = j + 1 of the lexicographic phase that ends
+// every stage-2 solve count slices from the grid's origin. A moving horizon
+// therefore re-solves every component every epoch; what reuse is left is
+// between solves on one grid.
+func matchPlan(cp *ComponentPlan, c *Component) bool {
 	old, cur := cp.Inst, c.Inst
-	if old.G != cur.G || old.lexStage2 != cur.lexStage2 {
-		return 0, false
+	if old.G != cur.G {
+		return false
 	}
 	if len(old.capOverride) != 0 || len(cur.capOverride) != 0 {
-		return 0, false
+		return false
 	}
 	if len(old.Jobs) != len(cur.Jobs) {
-		return 0, false
+		return false
 	}
-	off := 0
 	for k := range cur.Jobs {
-		if old.Jobs[k] != cur.Jobs[k] {
-			return 0, false
-		}
-		wo, wn := old.windows[k], cur.windows[k]
-		if k == 0 {
-			off = wo.first - wn.first
-			if off < 0 || (off != 0 && cur.lexStage2) {
-				return 0, false
-			}
-		}
-		if wo.first-wn.first != off || wo.last-wn.last != off {
-			return 0, false
+		if old.Jobs[k] != cur.Jobs[k] || old.windows[k] != cur.windows[k] {
+			return false
 		}
 		if len(old.JobPaths[k]) != len(cur.JobPaths[k]) {
-			return 0, false
+			return false
 		}
 		for p := range cur.JobPaths[k] {
 			po, pn := old.JobPaths[k][p].Edges, cur.JobPaths[k][p].Edges
 			if len(po) != len(pn) {
-				return 0, false
+				return false
 			}
 			for e := range pn {
 				if po[e] != pn[e] {
-					return 0, false
+					return false
 				}
 			}
 		}
-		for j := wn.first; j <= wn.last; j++ {
-			if j < 0 || j >= cur.Grid.Num() || j+off >= old.Grid.Num() {
-				return 0, false
-			}
-			if old.Grid.Len(j+off) != cur.Grid.Len(j) {
-				return 0, false
+		for j := cur.windows[k].first; j <= cur.windows[k].last; j++ {
+			if j >= old.Grid.Num() || old.Grid.Len(j) != cur.Grid.Len(j) {
+				return false
 			}
 		}
 	}
-	return off, true
+	return true
 }
 
-// reindexFrac maps a cached fractional assignment onto the new grid:
-// old slice j+off becomes new slice j. Slices of the new grid with no
-// old counterpart stay zero — matchPlan guaranteed they are outside
-// every job window, where the LP pins the variables to zero anyway.
-func reindexFrac(old *Assignment, newInst *Instance, off int) *Assignment {
+// regridFrac copies a cached fractional assignment into the shape of the
+// new instance's grid. The two grids agree on every slice inside a job
+// window (matchPlan); slices the old grid did not have stay zero, as the LP
+// pins them.
+func regridFrac(old *Assignment, newInst *Instance) *Assignment {
 	out := NewAssignment(newInst)
 	for k := range out.X {
 		for p := range out.X[k] {
-			src := old.X[k][p]
-			dst := out.X[k][p]
-			for j := range dst {
-				if j+off < len(src) {
-					dst[j] = src[j+off]
-				}
-			}
+			copy(out.X[k][p], old.X[k][p])
 		}
 	}
 	return out
 }
 
 // MaxThroughputIncremental is MaxThroughput with component-level reuse:
-// components of the instance that are structurally unchanged since the
-// caching solve (per matchPlan) skip stage 1 entirely and, while the
-// global Z* is unchanged, reuse their cached stage-2 fractional optimum
-// instead of re-solving, so the epoch cost scales with the churned
-// components rather than the fleet. The returned result is byte-identical
-// to MaxThroughput's under a deterministic pricing rule (the property the
-// decomposition tests pin with Dantzig + RefactorEvery 1): reuse only
-// substitutes a solution the solver is guaranteed to reproduce.
+// components of the instance that are unchanged since the caching solve
+// (per matchPlan) skip stage 1 entirely and, while the global Z* is
+// unchanged, reuse their cached stage-2 fractional optimum instead of
+// re-solving. The returned result is byte-identical to MaxThroughput's:
+// reuse only substitutes the solution the same solve of the same LP
+// returned last time. A grid that moved since the caching solve matches
+// nothing (matchPlan), so under a moving horizon every component re-solves.
 //
 // The returned cache replaces the caller's previous one wholesale; pass
 // it to the next call. A nil cache (or Monolithic config, which returns a
@@ -181,15 +155,12 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res
 	}
 
 	matches := make([]*ComponentPlan, len(comps))
-	offs := make([]int, len(comps))
 	for i, c := range comps {
 		if cache == nil {
 			break
 		}
-		if cp := cache.Plans[c.Key]; cp != nil {
-			if off, ok := matchPlan(cp, c); ok {
-				matches[i], offs[i] = cp, off
-			}
+		if cp := cache.Plans[c.Key]; cp != nil && matchPlan(cp, c) {
+			matches[i] = cp
 		}
 	}
 
@@ -242,7 +213,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res
 	}
 	sp := cfg.Solver.Tracer.Start("schedule.stage2")
 	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err) }()
+	defer func() { endStage2(sp, res, err, inst, comps) }()
 	stage2Wall := time.Now()
 	lads := make([]ladder, len(comps))
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
@@ -273,7 +244,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res
 		if lads[i].cached {
 			cp := matches[i]
 			if cp.SolvedAlpha == alpha {
-				lads[i].frac = reindexFrac(cp.Frac, comps[i].Inst, offs[i])
+				lads[i].frac = regridFrac(cp.Frac, comps[i].Inst)
 				lads[i].reused = true
 				return nil
 			}
@@ -315,7 +286,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res
 
 	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
 	res.ZStar = zstar
-	res.Alpha, res.Plan = alpha, planSource(inst)
+	res.Alpha, res.Plan = alpha, PlanCold
 	res.Stage1Iters = merged.Iters
 	res.Stage2Iters = iters
 	res.Stage1Time = merged.Time

@@ -72,7 +72,7 @@ func instanceAt(t testing.TB, g *netgraph.Graph, jobs []job.Job, origin float64,
 // hand back a cache covering every component.
 func TestIncrementalNoCacheMatchesFull(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 3, 0, 7)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts()}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts()}
 	full, err := MaxThroughput(instanceAt(t, g, jobs, 0, 8), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestIncrementalNoCacheMatchesFull(t *testing.T) {
 // untouched component was actually reused rather than re-solved.
 func TestIncrementalReuseByteIdentical(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 3, 0, 9)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts()}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts()}
 
 	_, cache, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, nil)
 	if err != nil {
@@ -154,14 +154,16 @@ func TestIncrementalReuseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestIncrementalGridShiftReuse: advancing the grid origin (the
-// controller's epoch step) must not defeat reuse for components whose
-// jobs are still wholly in the future — their windows shift by a uniform
-// slice offset and the cached plan reindexes onto the new grid.
-func TestIncrementalGridShiftReuse(t *testing.T) {
+// TestIncrementalGridShiftResolves: advancing the grid origin (the
+// controller's epoch step) leaves nothing to reuse, even for components
+// whose jobs are still wholly in the future. Their LPs are the cached ones
+// shifted by a slice, but the plan is the canonical one, and its
+// Quick-Finish weights count slices from the grid's origin: every component
+// re-solves, and the result is byte-equal to the full solve.
+func TestIncrementalGridShiftResolves(t *testing.T) {
 	// All jobs start at t >= 2, so an origin-1 rebuild clips nothing.
 	g, jobs := bottleneckedClusters(t, 3, 2, 5)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts()}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts()}
 
 	_, cache, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, nil)
 	if err != nil {
@@ -181,12 +183,12 @@ func TestIncrementalGridShiftReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, _, err := MaxThroughputIncremental(instanceAt(t, g, churned, 1, 7), cfg, cache)
+	inc, next, err := MaxThroughputIncremental(instanceAt(t, g, churned, 1, 7), cfg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Reused == 0 {
-		t.Fatal("grid shift defeated all reuse; expected untouched clusters to match across the origin shift")
+	if inc.Components < 3 || inc.Reused != 0 {
+		t.Fatalf("reused %d of %d component plans across a grid shift, want none of at least 3", inc.Reused, inc.Components)
 	}
 	if inc.ZStar != full.ZStar || inc.Alpha != full.Alpha {
 		t.Fatalf("Z*/alpha differ: inc (%v, %v) full (%v, %v)", inc.ZStar, inc.Alpha, full.ZStar, full.Alpha)
@@ -199,6 +201,18 @@ func TestIncrementalGridShiftReuse(t *testing.T) {
 			t.Fatalf("%s differs across grid shift:\ninc:\n%s\nfull:\n%s", pair.name, ib, fb)
 		}
 	}
+	// The refreshed cache is on the new grid: the same instance again reuses
+	// every component.
+	again, _, err := MaxThroughputIncremental(instanceAt(t, g, churned, 1, 7), cfg, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Reused != again.Components {
+		t.Fatalf("reused %d of %d component plans on an unchanged grid", again.Reused, again.Components)
+	}
+	if ab, fb := assignmentBytes(again.LPDAR), assignmentBytes(full.LPDAR); ab != fb {
+		t.Fatalf("LPDAR differs on reuse:\nreused:\n%s\nfull:\n%s", ab, fb)
+	}
 }
 
 // TestIncrementalZStarChangeInvalidatesStage2: when churn moves the
@@ -206,7 +220,7 @@ func TestIncrementalGridShiftReuse(t *testing.T) {
 // and the incremental path must still agree with the full solve.
 func TestIncrementalZStarChangeInvalidatesStage2(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 2, 0, 3)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts()}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts()}
 	_, cache, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +254,7 @@ func TestIncrementalZStarChangeInvalidatesStage2(t *testing.T) {
 // grid advance, incremental vs full byte-identity at every step.
 func TestIncrementalChurnSequence(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 3, 0, 21)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts()}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts()}
 	var cache *PlanCache
 	live := append([]job.Job(nil), jobs...)
 	nextID := 200
@@ -287,7 +301,7 @@ func TestIncrementalChurnSequence(t *testing.T) {
 // the plain path and return no cache.
 func TestIncrementalMonolithicDelegates(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 2, 0, 1)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: dantzigOpts(), Monolithic: true}
+	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts(), Monolithic: true}
 	res, cache, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, nil)
 	if err != nil {
 		t.Fatal(err)

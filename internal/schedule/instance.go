@@ -61,19 +61,18 @@ type Instance struct {
 	// provenZ.
 	masterPlan *masterPlan
 
-	// lexStage2 makes every stage-2 solve whose plan is kept end with the
-	// lexicographic Quick-Finish phase (stage2Secondary), so the plan is a
-	// function of the stage-2 LP over the instance's path sets and not of
-	// the solve that produced it: the priced master, a cold solve, warm or
-	// not, whole or per component. Set by ColumnGen builds and inherited by
-	// Decompose sub-instances.
-	lexStage2 bool
+	// cells, when non-nil, is the capacity-row layout of the instance's
+	// closed models (see closedCells): which loaded (edge, slice) cells get a
+	// row and which are dominated. A function of the path sets, the windows
+	// and the capacities; same lifetime as provenZ.
+	cells *capCells
 }
 
-// forgetDiscovery drops what GeneratePaths left on the instance for the
-// solves that follow.
-func (in *Instance) forgetDiscovery() {
-	in.provenZ, in.masterPlan = nil, nil
+// forgetDerived drops what was derived from the instance's path sets and
+// capacities — GeneratePaths' proof and plan, the capacity-row layout — when
+// either is about to change.
+func (in *Instance) forgetDerived() {
+	in.provenZ, in.masterPlan, in.cells = nil, nil, nil
 }
 
 // colgenInfo is the column-generation build context of an instance.
@@ -107,7 +106,7 @@ func (in *Instance) SetCapacity(e netgraph.EdgeID, j, c int) error {
 		in.capOverride = make(map[capKey]int)
 	}
 	in.capOverride[capKey{e, j}] = c
-	in.forgetDiscovery()
+	in.forgetDerived()
 	return nil
 }
 
@@ -123,6 +122,9 @@ func (in *Instance) Capacity(e netgraph.EdgeID, j int) int {
 type window struct {
 	first, last int
 }
+
+// holds reports whether slice j lies in the window.
+func (w window) holds(j int) bool { return w.first <= j && j <= w.last }
 
 // InstanceOptions tunes path-set construction.
 type InstanceOptions struct {
@@ -194,7 +196,6 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 		if opts.SeedPaths <= 0 {
 			opts.SeedPaths = 2
 		}
-		inst.lexStage2 = true
 		inst.colgen = &colgenInfo{
 			cache:    opts.PathCache,
 			avoid:    avoid,

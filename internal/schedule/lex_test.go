@@ -85,7 +85,7 @@ func lexCases(t *testing.T, n int) []lexCase {
 func permuted(inst *Instance, perm []int) *Instance {
 	out := *inst
 	out.Jobs, out.JobPaths, out.windows = nil, nil, nil
-	out.forgetDiscovery()
+	out.forgetDerived()
 	for _, k := range perm {
 		out.Jobs = append(out.Jobs, inst.Jobs[k])
 		out.JobPaths = append(out.JobPaths, append([]paths.Path(nil), inst.JobPaths[k]...))
@@ -105,11 +105,12 @@ const (
 )
 
 // lexSolve builds the case's stage-2 LP over inst (the case's instance or a
-// permutation of it) and solves it twice from the same start under the same
-// options, without the secondary objective and with it. The returned
-// assignments (the plain solve's, the lexicographic solve's) are shaped for
-// inst.
-func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start lexStart) (plain, lex *lp.Solution, plainFrac, frac *Assignment) {
+// permutation of it) — closed, without its dominated capacity rows, or with
+// every row, which the lexChain start needs — and solves it twice from the
+// same start under the same options, without the secondary objective and
+// with it. The returned assignments (the plain solve's, the lexicographic
+// solve's) are shaped for inst.
+func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start lexStart, closed bool) (plain, lex *lp.Solution, plainFrac, frac *Assignment) {
 	t.Helper()
 	solve := func(m *lp.Model, o lp.Options) *lp.Solution {
 		t.Helper()
@@ -127,7 +128,7 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 			build.JobPaths[k] = build.JobPaths[k][:1:1]
 		}
 	}
-	m, zvars, xv, capRows, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight)
+	m, zvars, xv, capRows, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight, closed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,59 +187,73 @@ func identityPerm(n int) []int {
 // objective of stage2Secondary the stage-2 LP has one answer. Over seeded
 // stage-2 LPs from buildStage2Model it solves each under every pricing rule
 // × RefactorEvery ∈ {1, 7, 64} × {cold, warm from a stale basis, warm through
-// a Basis.Extend chain} × {job order as built, shuffled}, default tolerances,
-// and requires the plan of the shipped configuration's cold solve: every
-// x_i(p, j) within 1e-7, Truncate() equal cell for cell, the primary
-// objective within 1e-9 of the same solve without the secondary objective
-// and the duals that solve reports, bit for bit. Under the race detector
-// each case takes every sixth cell of the matrix, a different sixth per case.
+// a Basis.Extend chain} × {job order as built, shuffled} × {slack start,
+// lp.Options.ArtificialCrash} × {dominated capacity rows dropped, every row}
+// — the chain, which appends columns, with every row only, as production
+// builds its masters — default tolerances, and requires the plan of the
+// shipped configuration's cold solve: every x_i(p, j) within 1e-7,
+// Truncate() equal cell for cell, the primary objective within 1e-9 of the
+// same solve without the secondary objective and the duals that solve
+// reports, bit for bit. Under the race detector each case takes every
+// eleventh cell of the matrix (a stride coprime to every axis), a different
+// eleventh per case.
 func TestStage2LexInvariance(t *testing.T) {
 	cases := lexCases(t, 54)
-	overloaded, plainDiffer, solved, cell := 0, 0, 0, 0
+	overloaded, plainDiffer, solved, cell, rowsDropped := 0, 0, 0, 0, 0
 	for _, c := range cases {
 		if c.zstar <= 1 {
 			overloaded++
 		}
-		_, _, wantPlain, want := lexSolve(t, c, c.inst, partialDantzigOpts(), lexCold)
+		rowsDropped += c.inst.closedCells().dropped
+		_, _, wantPlain, want := lexSolve(t, c, c.inst, partialDantzigOpts(), lexCold, true)
 		wantLPD := want.Truncate()
 		rng := rand.New(rand.NewSource(c.seed))
+		check := func(opts lp.Options, start lexStart, perm []int, closed bool) {
+			if cell++; raceEnabled && (cell+int(c.seed))%11 != 0 {
+				return
+			}
+			solved++
+			name := fmt.Sprintf("seed %d %v/%d start %d artificial crash %v closed %v order %v",
+				c.seed, opts.Pricing, opts.RefactorEvery, start, opts.ArtificialCrash, closed, perm)
+			plain, lex, gotPlain, got := lexSolve(t, c, permuted(c.inst, perm), opts, start, closed)
+			if d := math.Abs(lex.Objective - plain.Objective); d > 1e-9 {
+				t.Errorf("%s: primary objective %.12g, plain solve %.12g", name, lex.Objective, plain.Objective)
+			}
+			for r := range plain.Duals {
+				if math.Float64bits(lex.Duals[r]) != math.Float64bits(plain.Duals[r]) {
+					t.Errorf("%s: dual of row %d is %v, plain solve %v", name, r, lex.Duals[r], plain.Duals[r])
+					break
+				}
+			}
+			gotLPD := got.Truncate()
+			differs := false
+			for i, k := range perm {
+				for p := range want.X[k] {
+					for j, w := range want.X[k][p] {
+						if g := got.X[i][p][j]; math.Abs(g-w) > 1e-7 || gotLPD.X[i][p][j] != wantLPD.X[k][p][j] {
+							t.Fatalf("%s: x[job %d][%d][%d] = %.10g, reference %.10g", name, c.inst.Jobs[k].ID, p, j, g, w)
+						}
+						differs = differs || math.Abs(gotPlain.X[i][p][j]-wantPlain.X[k][p][j]) > 1e-7
+					}
+				}
+			}
+			if differs {
+				plainDiffer++
+			}
+		}
 		for _, pricing := range []lp.Pricing{lp.Dantzig, lp.PartialDantzig, lp.Devex, lp.Bland} {
 			for _, refactor := range []int{1, 7, 64} {
 				for start := lexCold; start < numLexStarts; start++ {
 					for _, perm := range [][]int{identityPerm(c.inst.NumJobs()), rng.Perm(c.inst.NumJobs())} {
-						if cell++; raceEnabled && (cell+int(c.seed))%6 != 0 {
-							continue
-						}
-						solved++
-						name := fmt.Sprintf("seed %d %v/%d start %d order %v", c.seed, pricing, refactor, start, perm)
-						opts := lp.Options{MaxIter: 200000, Pricing: pricing, RefactorEvery: refactor}
-						plain, lex, gotPlain, got := lexSolve(t, c, permuted(c.inst, perm), opts, start)
-						if d := math.Abs(lex.Objective - plain.Objective); d > 1e-9 {
-							t.Errorf("%s: primary objective %.12g, plain solve %.12g", name, lex.Objective, plain.Objective)
-						}
-						for r := range plain.Duals {
-							if math.Float64bits(lex.Duals[r]) != math.Float64bits(plain.Duals[r]) {
-								t.Errorf("%s: dual of row %d is %v, plain solve %v", name, r, lex.Duals[r], plain.Duals[r])
-								break
+						for _, artificial := range []bool{false, true} {
+							opts := lp.Options{MaxIter: 200000, Pricing: pricing, RefactorEvery: refactor, ArtificialCrash: artificial}
+							check(opts, start, perm, false)
+							if start != lexChain {
+								check(opts, start, perm, true)
 							}
-						}
-						gotLPD := got.Truncate()
-						differs := false
-						for i, k := range perm {
-							for p := range want.X[k] {
-								for j, w := range want.X[k][p] {
-									if g := got.X[i][p][j]; math.Abs(g-w) > 1e-7 || gotLPD.X[i][p][j] != wantLPD.X[k][p][j] {
-										t.Fatalf("%s: x[job %d][%d][%d] = %.10g, reference %.10g", name, c.inst.Jobs[k].ID, p, j, g, w)
-									}
-									differs = differs || math.Abs(gotPlain.X[i][p][j]-wantPlain.X[k][p][j]) > 1e-7
-								}
+							if t.Failed() {
+								return
 							}
-						}
-						if differs {
-							plainDiffer++
-						}
-						if t.Failed() {
-							return
 						}
 					}
 				}
@@ -248,10 +263,14 @@ func TestStage2LexInvariance(t *testing.T) {
 	if overloaded < 10 || len(cases)-overloaded < 10 {
 		t.Errorf("%d of %d cases overloaded: the set must have both kinds", overloaded, len(cases))
 	}
+	if rowsDropped < 20*len(cases) {
+		t.Errorf("%d dominated capacity rows over %d cases: the closed arm exercises nothing", rowsDropped, len(cases))
+	}
 	// Without the secondary objective the same solves land all over the
 	// optimal face; if they did not, the property above would hold trivially.
 	if plainDiffer < solved/2 {
 		t.Errorf("only %d of %d plain solves left the reference's plain vertex: the optimal faces are too small to exercise anything", plainDiffer, solved)
 	}
-	t.Logf("%d cases (%d overloaded), %d of %d plain solves on another vertex than the reference's", len(cases), overloaded, plainDiffer, solved)
+	t.Logf("%d cases (%d overloaded, %d dominated capacity rows), %d of %d plain solves on another vertex than the reference's",
+		len(cases), overloaded, rowsDropped, plainDiffer, solved)
 }

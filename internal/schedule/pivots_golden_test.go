@@ -86,10 +86,15 @@ func goldenGraphJobs(t *testing.T) (*netgraph.Graph, []job.Job) {
 // basis kernels (LU, FTRAN/BTRAN, eta updates) promise to keep every
 // floating-point operation and its order, so every LP must take the same
 // pivots; a kernel change that silently alters the trajectory moves these
-// counts and fails here rather than at the benchmark gate. The counts of
-// the first two arms were captured at the commit before the sparse LU
-// kernels went in, those of the partial_dantzig and ret_bmax_horizon arms
-// on the kernels of the commit before the O(changes) iteration kernels.
+// counts and fails here rather than at the benchmark gate. The SolveRET
+// counts of the first two arms were captured at the commit before the sparse
+// LU kernels went in, those of the partial_dantzig and ret_bmax_horizon arms
+// on the kernels of the commit before the O(changes) iteration kernels, and
+// none has moved since: SUB-RET keeps every capacity row and the
+// all-artificial start (RETConfig.withDefaults). The MaxThroughput counts
+// were re-captured once, when its closed models dropped their dominated
+// capacity rows, cold solves began on the slacks and stage 2 took the
+// lexicographic phase (1400 → 458, 1276 → 417 and 1056 → 425 pivots).
 func TestPivotSequenceGolden(t *testing.T) {
 	g, jobs := goldenGraphJobs(t)
 	for _, tc := range []struct {
@@ -99,19 +104,19 @@ func TestPivotSequenceGolden(t *testing.T) {
 	}{
 		{
 			name: "default", opts: solverOpts(),
-			wantMT: pivotCounts{stage1: 777, stage2: 623, pivots: 1400, phase1: 1306},
+			wantMT: pivotCounts{stage1: 179, stage2: 279, pivots: 458, phase1: 163},
 			wantR:  pivotCounts{retIters: 1782, retProbes: 12, pivots: 213, phase1: 1615},
 		},
 		{
 			name: "dantzig_refactor1", opts: dantzigOpts(),
-			wantMT: pivotCounts{stage1: 694, stage2: 582, pivots: 1276, phase1: 1201},
+			wantMT: pivotCounts{stage1: 126, stage2: 291, pivots: 417, phase1: 156},
 			wantR:  pivotCounts{retIters: 2340, retProbes: 12, pivots: 213, phase1: 1912},
 		},
 		{
 			// The rule `serve` and the benchmark set explicitly; Auto only
 			// resolves to it from 2048 rows+columns up.
 			name: "partial_dantzig", opts: partialDantzigOpts(),
-			wantMT: pivotCounts{stage1: 533, stage2: 523, pivots: 1056, phase1: 723},
+			wantMT: pivotCounts{stage1: 162, stage2: 263, pivots: 425, phase1: 108},
 			wantR:  pivotCounts{retIters: 1799, retProbes: 12, pivots: 230, phase1: 1632},
 		},
 	} {

@@ -159,6 +159,10 @@ func (c RETConfig) withDefaults() RETConfig {
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 200
 	}
+	// SUB-RET has no canonical optimum yet: the vertex a solve ends on, and
+	// with it utilization and the δ-loop, follows the pivot path, so its
+	// solves keep the start they were tuned on (DESIGN §10).
+	c.Solver.ArtificialCrash = true
 	return c
 }
 
@@ -820,7 +824,9 @@ func buildSubRETModel(name string, inst *Instance, extLast []int, cfg RETConfig)
 			m.AddTerm(r, v, inst.Grid.Len(j))
 		})
 	}
-	capRows := addCapacityRows(m, inst, xvars)
+	// Every capacity row, whether or not the model will grow: a dropped row
+	// changes the pivot path, and SUB-RET's vertex follows it (DESIGN §10).
+	capRows := addCapacityRows(m, inst, xvars, false)
 	return m, xvars, capRows, nil
 }
 

@@ -30,11 +30,14 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	opts.Tracer = sp.Tracer()
 	res, err := solveStage1(inst, opts)
 	endSpan(sp, err, func() []telemetry.Attr {
+		rows, dropped := capRowCounts(inst, nil)
 		return []telemetry.Attr{
 			telemetry.KV("jobs", inst.NumJobs()),
 			telemetry.KV("zstar", res.ZStar),
 			telemetry.KV("iters", res.Iters),
 			telemetry.KV("overloaded", res.Overloaded()),
+			telemetry.KV("cap_rows", rows),
+			telemetry.KV("cap_rows_dropped", dropped),
 		}
 	})
 	return res, err
@@ -42,24 +45,10 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 
 func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	start := time.Now()
-	m := lp.NewModel("stage1-mcf", lp.Maximize)
-	z := m.AddVar("Z", 0, lp.Inf, 1)
-
-	xvars, err := addFlowVars(m, inst, nil, 0)
+	m, z, xvars, _, err := buildStage1Model("stage1-mcf", inst, true)
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-job coupling (2): Σ_j Σ_p x·LEN(j) − D_i·Z = 0.
-	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
-		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
-			m.AddTerm(r, v, inst.Grid.Len(j))
-		})
-		m.AddTerm(r, z, -jb.Size)
-	}
-
-	addCapacityRows(m, inst, xvars)
 
 	sol, err := m.SolveWith(opts)
 	if err != nil {
@@ -79,6 +68,30 @@ func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	telStage1Seconds.Observe(res.Time.Seconds())
 	telStage1ZStar.Set(res.ZStar)
 	return res, nil
+}
+
+// buildStage1Model assembles the stage-1 MCF program (eqs. 1–5) and returns
+// the model together with the Z and x variables. The coupling rows are the
+// first rows of the model (row k is job k's), and the returned map records
+// the capacity row of each loaded (edge, slice). closed says that no column
+// will be appended to the model: it is then built without the dominated
+// capacity rows and the map is nil (addCapacityRows).
+func buildStage1Model(name string, inst *Instance, closed bool) (*lp.Model, lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+	m := lp.NewModel(name, lp.Maximize)
+	z := m.AddVar("Z", 0, lp.Inf, 1)
+	xvars, err := addFlowVars(m, inst, nil, 0)
+	if err != nil {
+		return nil, 0, nil, nil, err
+	}
+	// Per-job coupling (2): Σ_j Σ_p x·LEN(j) − D_i·Z = 0.
+	for k, jb := range inst.Jobs {
+		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
+		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
+			m.AddTerm(r, v, inst.Grid.Len(j))
+		})
+		m.AddTerm(r, z, -jb.Size)
+	}
+	return m, z, xvars, addCapacityRows(m, inst, xvars, closed), nil
 }
 
 // Stage1ZStar returns the stage-1 result the pipeline continues from. When
@@ -149,8 +162,14 @@ func forEachVar(inst *Instance, xv flowVars, k int, fn func(p, j int, v lp.VarID
 // of assignments of paths crossing the edge is at most the edge's
 // wavelength count. Rows are only emitted for (edge, slice) pairs that
 // some variable can load; the returned map records which row constrains
-// which (edge, slice).
-func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars) map[capKey]lp.RowID {
+// which (edge, slice). Every loaded pair gets its row, which a model that
+// grows by columns needs; closed says that this one never will, and it is
+// given the rows of addClosedCapacityRows instead, and no map.
+func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, closed bool) map[capKey]lp.RowID {
+	if closed {
+		addClosedCapacityRows(m, inst, xv)
+		return nil
+	}
 	ns := inst.Grid.Num()
 	rows := make(map[capKey]lp.RowID)
 	for k := range inst.Jobs {

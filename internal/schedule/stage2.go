@@ -83,11 +83,11 @@ type Result struct {
 	// MaxThroughputIncremental).
 	Reused int
 
-	// Plan names where the fractional plan of a ColumnGen instance came
-	// from: PlanMaster when GeneratePaths' priced stage-2 master had left it
-	// on the instance (Stage2Iters and Stage2Time are then its lexicographic
-	// phase), PlanCold when a stage-2 solve of this call produced it. Both
-	// are the same plan (Instance.lexStage2). Empty for other instances.
+	// Plan names where the fractional plan came from: PlanMaster when
+	// GeneratePaths' priced stage-2 master had left it on the instance
+	// (Stage2Iters and Stage2Time are then its lexicographic phase), PlanCold
+	// when a stage-2 solve of this call produced it. Both are the same plan:
+	// every stage-2 solve ends with the lexicographic phase (stage2Secondary).
 	Plan string
 }
 
@@ -96,14 +96,6 @@ const (
 	PlanMaster = "master"
 	PlanCold   = "cold"
 )
-
-// planSource is Result.Plan for a plan this call solved for.
-func planSource(inst *Instance) string {
-	if inst.lexStage2 {
-		return PlanCold
-	}
-	return ""
-}
 
 // LPTime is the total optimization time shared by all three variants.
 func (r *Result) LPTime() time.Duration { return r.Stage1Time + r.Stage2Time }
@@ -214,7 +206,7 @@ func stage2Mono(inst *Instance, zstar float64, cfg Config) (res *Result, err err
 	}
 	sp := cfg.Solver.Tracer.Start("schedule.stage2")
 	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err) }()
+	defer func() { endStage2(sp, res, err, inst, nil) }()
 	alpha := cfg.Alpha
 	warmProbed := false
 	for {
@@ -223,7 +215,7 @@ func stage2Mono(inst *Instance, zstar float64, cfg Config) (res *Result, err err
 			return nil, err
 		}
 		if status == lp.Optimal {
-			r.Alpha, r.Plan, r.Components = alpha, planSource(inst), 1
+			r.Alpha, r.Plan, r.Components = alpha, PlanCold, 1
 			return r, nil
 		}
 		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
@@ -250,15 +242,19 @@ func stage2Mono(inst *Instance, zstar float64, cfg Config) (res *Result, err err
 }
 
 // endStage2 closes a schedule.stage2 span with the outcome of the work it
-// enclosed.
-func endStage2(sp telemetry.Span, res *Result, err error) {
+// enclosed: stage-2 solves over the whole instance (comps nil) or over each
+// of its components.
+func endStage2(sp telemetry.Span, res *Result, err error, inst *Instance, comps []*Component) {
 	endSpan(sp, err, func() []telemetry.Attr {
+		rows, dropped := capRowCounts(inst, comps)
 		return []telemetry.Attr{
 			telemetry.KV("alpha", res.Alpha),
 			telemetry.KV("iters", res.Stage2Iters),
 			telemetry.KV("components", res.Components),
 			telemetry.KV("lp_throughput", res.LP.WeightedThroughput()),
 			telemetry.KV("lpdar_throughput", res.LPDAR.WeightedThroughput()),
+			telemetry.KV("cap_rows", rows),
+			telemetry.KV("cap_rows_dropped", dropped),
 		}
 	})
 }
@@ -272,7 +268,7 @@ func endStage2(sp telemetry.Span, res *Result, err error) {
 // could run. The α accumulation mirrors the cold ladder exactly so the
 // reported Result.Alpha is bit-identical.
 func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cfg Config) float64 {
-	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight)
+	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, true)
 	if err != nil {
 		return alpha
 	}
@@ -322,8 +318,10 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 // variable maps. The coupling rows are the first rows of the model (row k
 // is job k's), and the returned map records the capacity row of each
 // loaded (edge, slice) — the layout the column-generation pricer relies
-// on.
-func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+// on. closed says that no column will be appended to the model: it is then
+// built without the dominated capacity rows and the map is nil
+// (addCapacityRows).
+func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, closed bool) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
 	weights, err := stage2Weights(inst, weight)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -351,8 +349,7 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (
 		})
 		m.AddTerm(r, zvars[k], -jb.Size)
 	}
-	capRows := addCapacityRows(m, inst, xvars)
-	return m, zvars, xvars, capRows, nil
+	return m, zvars, xvars, addCapacityRows(m, inst, xvars, closed), nil
 }
 
 // stage2Weights returns each job's coefficient in objective (7): w_i/Σw.
@@ -413,9 +410,12 @@ func integerize(frac *Assignment, cfg Config) *Result {
 
 // solveStage2Frac builds and solves the fractional stage-2 LP, returning
 // the extracted assignment on an Optimal outcome and the status/basis
-// otherwise.
+// otherwise. The solve ends with the lexicographic Quick-Finish phase
+// (stage2Secondary), so the plan is a function of the LP and not of the
+// solve that produced it: cold or up the α ladder, whole or per component,
+// this one or the priced master of a ColumnGen instance.
 func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, *lp.Basis, int, error) {
-	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight)
+	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, true)
 	if err != nil {
 		return nil, lp.Infeasible, nil, 0, err
 	}
@@ -423,9 +423,7 @@ func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignm
 	if cfg.WarmStart {
 		opts.CaptureBasis = true // snapshot-only: the solve itself is unchanged
 	}
-	if inst.lexStage2 {
-		opts.Secondary = stage2Secondary(inst, m, xvars)
-	}
+	opts.Secondary = stage2Secondary(inst, m, xvars)
 	sol, err := m.SolveWith(opts)
 	if err != nil {
 		return nil, lp.Numerical, nil, 0, fmt.Errorf("schedule: stage 2: %w", err)
@@ -451,7 +449,7 @@ func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg 
 	}
 	sp := cfg.Solver.Tracer.Start("schedule.stage2")
 	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err) }()
+	defer func() { endStage2(sp, res, err, inst, comps) }()
 	wall := time.Now()
 	lads := make([]ladder, len(comps))
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
@@ -504,7 +502,7 @@ func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg 
 	}
 	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
 	res.ZStar = s1.ZStar
-	res.Alpha, res.Plan = alpha, planSource(inst)
+	res.Alpha, res.Plan = alpha, PlanCold
 	res.Stage1Iters = s1.Iters
 	res.Stage2Iters = iters
 	res.Stage1Time = s1.Time

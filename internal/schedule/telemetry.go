@@ -19,6 +19,8 @@ var (
 		"Stage-2 plans taken from the priced column-generation master instead of a stage-2 solve over the grown pool.")
 	telStage2AlphaRetries = telemetry.Default().Counter("schedule_stage2_alpha_retries_total",
 		"Stage-2 retries forced by an infeasible fairness floor (Remark 1).")
+	telCapRowsDropped = telemetry.Default().Counter("schedule_capacity_rows_dropped_total",
+		"Dominated (edge, slice) capacity rows left out of closed stage-1 and stage-2 models, summed over the models built.")
 
 	telAdjustPasses = telemetry.Default().Counter("lpdar_passes_total",
 		"LPDAR greedy bandwidth-adjustment passes (Algorithm 1 runs).")

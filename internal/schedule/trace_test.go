@@ -92,6 +92,16 @@ func TestRETTracePropagation(t *testing.T) {
 		if r.Kind == "span" && r.Name == "lp.solve" && compIDs[r.Parent] {
 			lpUnderComp++
 		}
+		if r.Kind == "span" && r.Name == "lp.solve" {
+			// SUB-RET keeps the all-artificial start (RETConfig.withDefaults).
+			var a struct{ Warm, Crash string }
+			if err := json.Unmarshal(r.Attrs, &a); err != nil {
+				t.Fatal(err)
+			}
+			if a.Warm != "hit" && a.Crash != "artificial" {
+				t.Errorf("cold SUB-RET solve with attrs %s, want crash=artificial", r.Attrs)
+			}
+		}
 	}
 	if lpUnderComp == 0 {
 		t.Error("no lp.solve span nested under a component span")
@@ -191,6 +201,27 @@ func TestMaxThroughputSpansEncloseTheirWork(t *testing.T) {
 		if got := byID[byName["lp.solve"][i].Parent].Name; got != want {
 			t.Errorf("enumeration: lp.solve %d parents to %q, want %q", i, got, want)
 		}
+		// Both stages solve the closed model, cold from the slack start: the
+		// phase span says how many capacity rows that model has and how many
+		// dominated cells it leaves out, the solve says how it started.
+		var stage struct {
+			CapRows        int `json:"cap_rows"`
+			CapRowsDropped int `json:"cap_rows_dropped"`
+		}
+		var solve struct {
+			Rows  int
+			Crash string
+		}
+		if err := json.Unmarshal(byName[want][0].Attrs, &stage); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(byName["lp.solve"][i].Attrs, &solve); err != nil {
+			t.Fatal(err)
+		}
+		if stage.CapRowsDropped <= stage.CapRows || solve.Rows != 8+stage.CapRows || solve.Crash != "slack" {
+			t.Errorf("enumeration: %s attrs %s over lp.solve attrs %s, want most capacity cells dropped, 8 job rows + cap_rows, crash=slack",
+				want, byName[want][0].Attrs, byName["lp.solve"][i].Attrs)
+		}
 	}
 
 	byName, byID = index(run(true))
@@ -237,9 +268,25 @@ func TestMaxThroughputSpansEncloseTheirWork(t *testing.T) {
 		t.Errorf("colgen: masters %v with %d solves; schedule.colgen counts %d, the trace has %d lp.solve spans",
 			stages, solves, cgAttrs.Solves, len(byName["lp.solve"]))
 	}
+	cold := 0
 	for _, s := range byName["lp.solve"] {
 		if byID[s.Parent].Name != "schedule.colgen_master" {
 			t.Errorf("colgen: lp.solve parents to %q, want a schedule.colgen_master span", byID[s.Parent].Name)
 		}
+		var a struct{ Warm, Crash string }
+		if err := json.Unmarshal(s.Attrs, &a); err != nil {
+			t.Fatal(err)
+		}
+		// A master's first solve is cold, from the slacks; a warm hit names
+		// no crash basis.
+		if (a.Warm == "hit") != (a.Crash == "") || (a.Crash != "" && a.Crash != "slack") {
+			t.Errorf("colgen: lp.solve attrs %s", s.Attrs)
+		}
+		if a.Crash != "" {
+			cold++
+		}
+	}
+	if cold != len(byName["schedule.colgen_master"]) {
+		t.Errorf("colgen: %d cold solves for %d masters", cold, len(byName["schedule.colgen_master"]))
 	}
 }
