@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race race-serve cluster-test fuzz-smoke bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
+.PHONY: check fmt-check vet build loc test race race-serve cluster-test fuzz-smoke bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard clean
 
 check: fmt-check vet build race-serve race cluster-test fuzz-smoke bench-epoch-smoke
 
@@ -17,6 +17,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The size of the tree, for ROADMAP's "non-test line count going down": Go
+# lines outside bench/ that are not tests, the same inside internal/schedule,
+# test lines, and flag registrations under cmd/. Printed, never gated.
+loc:
+	@printf 'non-test go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'non-test go lines in internal/schedule: '; find internal/schedule -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'test go lines: '; find . -name '*_test.go' | xargs cat | wc -l
+	@printf 'flag registrations under cmd/: '; find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '\<(flag|fs)\.(Bool|Int|Int64|Uint|Float64|String|Duration|Func)(Var)?\('
 
 test:
 	$(GO) test ./...

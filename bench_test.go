@@ -161,7 +161,7 @@ func retBenchInstance(b *testing.B) *schedule.Instance {
 // BenchmarkRETWarmVsCold measures the tentpole speedup: the RET binary
 // search re-solved cold every round versus warm-started probes chaining a
 // basis across rounds (and, like the controller's epoch loop, across
-// iterations via ProbeBasis). Schedules are byte-identical either way —
+// iterations via ProbeBases). Schedules are byte-identical either way —
 // see TestSolveRETWarmByteIdentical.
 func BenchmarkRETWarmVsCold(b *testing.B) {
 	inst := retBenchInstance(b)
@@ -185,7 +185,7 @@ func BenchmarkRETWarmVsCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			wcfg.WarmBasis = res.ProbeBasis // carry across epochs, like the controller
+			wcfg.WarmComponents = res.ProbeBases // carry across epochs, like the controller
 		}
 	})
 }

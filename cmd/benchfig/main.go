@@ -17,8 +17,7 @@
 //
 // Scale flags (-nodes, -pairs, -jobs, -slices, -k, -seeds) override the
 // defaults, which match the paper (100 nodes, 200 link pairs, 20 Gb/s
-// links, sizes U[1,100] GB). -monolithic disables structural instance
-// decomposition, forcing the single coupled model per solve.
+// links, sizes U[1,100] GB).
 //
 // -json writes a machine-readable report: per figure, the wall time of
 // the sweep (ns/op) and its headline metrics, so successive runs track
@@ -73,7 +72,6 @@ func main() {
 		waves      = flag.String("waves", "", "comma-separated wavelength sweep for figs 1-2")
 		counts     = flag.String("counts", "", "comma-separated job-count sweep for figs 3-4")
 		jsonOut    = flag.String("json", "", "write headline metrics and ns/op per figure to this file (e.g. BENCH_05.json)")
-		mono       = flag.Bool("monolithic", false, "disable instance decomposition; solve every instance as one coupled model")
 		baseline   = flag.String("baseline", "", "committed benchmark JSON to compare against (e.g. BENCH_04.json)")
 		maxRegress = flag.Float64("max-regress", 20, "fail when ns_per_op or lp_ms regress by more than this percent vs -baseline")
 		tracePath  = flag.String("trace", "", "write solver/scheduler trace spans (JSONL) to this file")
@@ -112,7 +110,6 @@ func main() {
 	if *k > 0 {
 		sc.K = *k
 	}
-	sc.Monolithic = *mono
 	if *seeds != "" {
 		sc.Seeds = nil
 		for _, s := range strings.Split(*seeds, ",") {

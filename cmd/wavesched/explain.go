@@ -17,23 +17,22 @@ import (
 
 // explainOptions collects the `wavesched explain` flags.
 type explainOptions struct {
-	NetPath    string
-	JobsPath   string
-	Gen        int
-	GenSeed    int64
-	JobID      int
-	Slices     int
-	SliceLen   float64
-	Tau        float64
-	K          int
-	Alpha      float64
-	BMax       float64
-	Policy     string
-	MaxTime    float64
-	Warm       bool
-	Monolithic bool
-	JSON       bool
-	TracePath  string
+	NetPath   string
+	JobsPath  string
+	Gen       int
+	GenSeed   int64
+	JobID     int
+	Slices    int
+	SliceLen  float64
+	Tau       float64
+	K         int
+	Alpha     float64
+	BMax      float64
+	Policy    string
+	MaxTime   float64
+	Warm      bool
+	JSON      bool
+	TracePath string
 }
 
 // parseExplainFlags parses the explain subcommand's argument list.
@@ -54,7 +53,6 @@ func parseExplainFlags(args []string) (explainOptions, error) {
 	fs.StringVar(&o.Policy, "policy", "maxthroughput", "controller policy: maxthroughput, ret, or reject")
 	fs.Float64Var(&o.MaxTime, "max-time", 0, "stop the replay at this virtual time (0 = run until drained)")
 	fs.BoolVar(&o.Warm, "warm", false, "warm-start LP solves across epochs")
-	fs.BoolVar(&o.Monolithic, "monolithic", false, "disable instance decomposition")
 	fs.BoolVar(&o.JSON, "json", false, "emit the explanation in the /v1/jobs/{id}/explain wire format")
 	fs.StringVar(&o.TracePath, "trace", "", "also write the replay's trace spans (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -82,7 +80,7 @@ func runExplain(w io.Writer, o explainOptions) error {
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha, BMax: o.BMax,
 		Policy: policy, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: o.Warm, Monolithic: o.Monolithic,
+		WarmStart: o.Warm,
 	})
 	if err != nil {
 		return err

@@ -42,7 +42,6 @@ type serveOptions struct {
 	K             int
 	Alpha         float64
 	BMax          float64
-	Monolithic    bool
 	WALDir        string
 	SnapshotEvery int
 	LogLevel      string
@@ -82,7 +81,6 @@ func parseServeFlags(args []string) (serveOptions, error) {
 	fs.IntVar(&o.K, "k", 4, "allowed paths per job")
 	fs.Float64Var(&o.Alpha, "alpha", 0.1, "stage-2 fairness slack")
 	fs.Float64Var(&o.BMax, "bmax", 5, "RET extension ceiling")
-	fs.BoolVar(&o.Monolithic, "monolithic", false, "disable instance decomposition; solve every instance as one coupled model")
 	fs.StringVar(&o.WALDir, "wal", "", "directory for the durable WAL/snapshot log (empty = in-memory)")
 	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 1024, "compact the WAL into the snapshot after this many entries (0 = never)")
 	fs.StringVar(&o.LogLevel, "log-level", "info", "log level: debug, info, warn, or error")
@@ -281,7 +279,7 @@ func serverConfig(o serveOptions) (server.Config, error) {
 		Controller: controller.Config{
 			Tau: o.Tau.Seconds(), SliceLen: o.SliceLen, K: o.K,
 			Alpha: o.Alpha, BMax: o.BMax, Policy: policy,
-			Solver: lpOptions(), Tracer: tracer, Monolithic: o.Monolithic,
+			Solver: lpOptions(), Tracer: tracer,
 			Incremental: o.Incremental,
 		},
 		Period:        o.Tau,

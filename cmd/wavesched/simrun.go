@@ -25,10 +25,6 @@ type simOptions struct {
 	JSON     bool // emit the run result as JSON instead of text
 	Warm     bool // warm-start LP solves across epochs
 
-	// Monolithic disables structural instance decomposition (the default
-	// solve path splits independent job clusters into per-component LPs).
-	Monolithic bool
-
 	// ColumnGen prices path columns on demand instead of enumerating K
 	// paths per job upfront.
 	ColumnGen bool
@@ -98,7 +94,7 @@ func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error 
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha,
 		Policy: policy, BMax: o.BMax, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: o.Warm, Monolithic: o.Monolithic, ColumnGen: o.ColumnGen,
+		WarmStart: o.Warm, ColumnGen: o.ColumnGen,
 	})
 	if err != nil {
 		return err

@@ -1237,9 +1237,12 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 			retCfg.WarmStart = true
 			retCfg.Certificates = true
 			// Hand the previous epoch's probe bases AND certificates over
-			// per component; components whose job mix changed miss the
-			// map, a mismatched basis is merely a wasted lp fallback, and
-			// a stale certificate self-declines — never a wrong answer.
+			// per component — a fully coupled epoch is one component keyed
+			// by all its jobs. Components whose job mix changed miss the
+			// map, an entry captured over other path sets is declined by
+			// its PathsKey, a mismatched basis is merely a wasted lp
+			// fallback, and a stale certificate self-declines — never a
+			// wrong answer.
 			if len(c.warmRET) > 0 {
 				retCfg.WarmComponents = c.warmRET
 			}
@@ -1303,11 +1306,11 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 	}
 }
 
-// dropWarmBasesUsing evicts warm-basis entries for components whose path
+// dropWarmRETUsing evicts warm-basis entries for components whose path
 // sets touch edge e; components that never routed over e keep their bases
 // (their k-shortest path sets over the residual topology are unchanged, so
 // their next-epoch fingerprints still match).
-func (c *Controller) dropWarmBasesUsing(e netgraph.EdgeID) {
+func (c *Controller) dropWarmRETUsing(e netgraph.EdgeID) {
 	for key, cb := range c.warmRET {
 		for _, ce := range cb.Edges {
 			if ce == e {
@@ -1358,7 +1361,7 @@ func (c *Controller) LinkDown(e netgraph.EdgeID, t float64) error {
 	}
 	c.down[e] = true
 	c.resid = nil
-	c.dropWarmBasesUsing(e) // only components routed over e lose their basis
+	c.dropWarmRETUsing(e) // only components routed over e lose their basis
 	// The incremental plan cache is pinned to the healthy graph object;
 	// the residual-graph swap defeats every structural match, so drop it.
 	c.planCache = nil

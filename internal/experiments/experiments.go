@@ -43,11 +43,6 @@ type Scale struct {
 	// byte-identical schedules, so the figures are unaffected.
 	Warm bool
 
-	// Monolithic disables structural instance decomposition, forcing every
-	// solve through the single coupled model (the A/B baseline for the
-	// decomposition speedup).
-	Monolithic bool
-
 	// Parallelism bounds the per-component solver pool; 0 means one worker
 	// per CPU.
 	Parallelism int
@@ -164,7 +159,7 @@ func throughputSweep(sc Scale, waves []int, build func(w int, seed int64) (*netg
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
 				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
-				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
+				Parallelism: sc.Parallelism,
 			})
 			if err != nil {
 				return sample{}, fmt.Errorf("experiments: W=%d seed=%d: %w", w, seed, err)
@@ -243,7 +238,7 @@ func Fig3(sc Scale, jobCounts []int) ([]TimeRow, error) {
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
 				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
-				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
+				Parallelism: sc.Parallelism,
 			})
 			if err != nil {
 				return sample{}, fmt.Errorf("experiments: fig3 n=%d seed=%d: %w", n, seed, err)
@@ -343,9 +338,8 @@ func Fig4(sc Scale, jobCounts []int, cfg RETConfig) ([]RETRow, error) {
 			solver := sc.Solver
 			solver.Pricing = lp.Auto
 			res, err := schedule.SolveRET(inst, schedule.RETConfig{
-				BMax: cfg.BMax, Solver: solver, WarmStart: sc.Warm,
-				Certificates: sc.Warm, Speculate: true,
-				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
+				BMax: cfg.BMax, Solver: solver, WarmStart: sc.Warm, Certificates: sc.Warm,
+				Parallelism: sc.Parallelism,
 			})
 			if err != nil {
 				return RETRow{}, fmt.Errorf("experiments: fig4 n=%d seed=%d: %w", n, seed, err)

@@ -195,3 +195,44 @@ func TestColGenDecomposedSolvesForItsPlan(t *testing.T) {
 		})
 	}
 }
+
+// TestOneBlockPartitionIsTheInstance: a solve always runs over a partition,
+// and when that is one block — the instance is fully coupled, or Monolithic
+// asks for it — the block is the instance itself, not a copy. That is what
+// lets a ColumnGen instance solved through the partition still find what
+// GeneratePaths left on it: Z* from the proof, the plan from the master.
+func TestOneBlockPartitionIsTheInstance(t *testing.T) {
+	coupled, _ := planInstance(t, ColGenConfig{})
+	clustered := clusteredInstance(t, 3, 5, 3, 50)
+	for _, tc := range []struct {
+		name       string
+		inst       *Instance
+		monolithic bool
+	}{{"coupled", coupled, false}, {"forced", clustered, true}} {
+		comps := partition(tc.inst, nil, tc.monolithic)
+		if len(comps) != 1 || comps[0].Inst != tc.inst || len(comps[0].JobIdx) != tc.inst.NumJobs() {
+			t.Fatalf("%s: %d components, the first over %d of %d jobs, on the parent: %v",
+				tc.name, len(comps), len(comps[0].JobIdx), tc.inst.NumJobs(), comps[0].Inst == tc.inst)
+		}
+		for k, idx := range comps[0].JobIdx {
+			if idx != k {
+				t.Fatalf("%s: JobIdx[%d] = %d", tc.name, k, idx)
+			}
+		}
+	}
+	for _, c := range partition(clustered, nil, false) {
+		if c.Inst == clustered {
+			t.Fatal("a block of a multi-block partition is the parent instance")
+		}
+	}
+
+	solves := readCounter(t, "schedule_stage1_solves_total")
+	res, err := MaxThroughput(coupled, Config{AlphaGrowth: 0.1, Solver: partialDantzigOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := readCounter(t, "schedule_stage1_solves_total") - solves; n != 0 || res.Plan != PlanMaster || res.Components != 1 {
+		t.Fatalf("colgen instance through the partition: %d stage-1 solves, plan %q, %d components; want 0, master, 1",
+			n, res.Plan, res.Components)
+	}
+}

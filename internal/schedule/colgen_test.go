@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wavesched/internal/job"
-	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/paths"
 	"wavesched/internal/telemetry"
@@ -459,24 +458,5 @@ func TestColGenCloneProtectsSharedSeeds(t *testing.T) {
 				t.Fatalf("job %d holds a corrupted path", k)
 			}
 		}
-	}
-}
-
-// TestResolveCarryDeclinesPathsKeyMismatch: carried warm state keyed by a
-// different path-set fingerprint must be declined outright — its basis
-// and certificates describe a model over different columns.
-func TestResolveCarryDeclinesPathsKeyMismatch(t *testing.T) {
-	cb := &ComponentBasis{Basis: &lp.Basis{}, PathsKey: "abc"}
-	cfg := RETConfig{WarmComponents: map[string]*ComponentBasis{"k1": cb}}
-	if got := resolveCarry(cfg, "k1", "abc", false); got != cb {
-		t.Fatal("matching PathsKey must return the carried entry")
-	}
-	if got := resolveCarry(cfg, "k1", "xyz", false); got != nil {
-		t.Fatal("mismatched PathsKey must decline the carry")
-	}
-	legacy := &ComponentBasis{Basis: &lp.Basis{}}
-	cfg = RETConfig{WarmComponents: map[string]*ComponentBasis{"k1": legacy}}
-	if got := resolveCarry(cfg, "k1", "anything", false); got != legacy {
-		t.Fatal("empty PathsKey (legacy entry) must be accepted")
 	}
 }

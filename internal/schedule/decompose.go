@@ -52,11 +52,10 @@ type ComponentBasis struct {
 	Basis *lp.Basis
 	Edges []netgraph.EdgeID
 	// PathsKey is the Component.PathsKey the state was captured under.
-	// resolveCarry declines entries whose fingerprint mismatches the
-	// current component's: a basis or certificate over a different column
-	// set (column generation discovered new paths, or the path cache
-	// served a different set) is shaped for a different model. Empty
-	// accepts unconditionally, for state captured by older callers.
+	// SolveRET uses an entry only for a component with this very
+	// fingerprint: a basis or certificate over a different column set
+	// (column generation discovered new paths, or the path cache served a
+	// different set) is shaped for a different model.
 	PathsKey string
 	// Feas and Infeas carry the component's last feasibility witness and
 	// Farkas ray across epochs, so the next solve's bisection can be
@@ -196,6 +195,33 @@ func Decompose(inst *Instance, extLast []int) []*Component {
 	return comps
 }
 
+// partition returns the blocks a solve runs over, never fewer than one:
+// Decompose's components, or — when that is a single block, or monolithic
+// asks for one model over all jobs — one component that is the instance
+// itself. Its Inst is the parent pointer, not a copy: what GeneratePaths left
+// on the instance (the Z* proof, the master's plan) and its closed-model
+// layout are found where they were left, and the solve over it is the solve
+// of the instance. Key, edge set and path fingerprint are a component's like
+// any other, so carried state and telemetry need no second vocabulary.
+func partition(inst *Instance, extLast []int, monolithic bool) []*Component {
+	var comps []*Component
+	if !monolithic {
+		comps = Decompose(inst, extLast)
+	}
+	if len(comps) == 0 {
+		all := make([]int, inst.NumJobs())
+		for k := range all {
+			all[k] = k
+		}
+		comps = []*Component{buildComponent(inst, all)}
+	}
+	if len(comps) == 1 {
+		comps[0].Inst = inst
+	}
+	observeComponents(comps)
+	return comps
+}
+
 // buildComponent assembles the sub-instance over the given parent job
 // indices (ascending). The graph, grid, and capacity-override map are
 // shared with the parent, which is safe while solving only reads them.
@@ -252,6 +278,9 @@ func (c *Component) subSlice(parent []int) []int {
 // order is immaterial; iterating components in their deterministic order
 // keeps the merge reproducible regardless of which goroutine solved what.
 func mergeAssignments(inst *Instance, comps []*Component, parts []*Assignment) *Assignment {
+	if len(comps) == 1 && comps[0].Inst == inst {
+		return parts[0] // the partition is the instance: already parent-shaped
+	}
 	merged := NewAssignment(inst)
 	for ci, comp := range comps {
 		part := parts[ci]
@@ -313,19 +342,9 @@ func runComponents(n, parallelism int, fn func(i int) error) error {
 	return nil
 }
 
-// observeDecomposition records the decomposition telemetry: component
-// count, size histogram, and the parallel wall-clock vs summed serial
-// solve time.
-func observeDecomposition(comps []*Component, wallSeconds, serialSeconds float64) {
-	observeComponents(comps)
-	telParallelWallSeconds.Observe(wallSeconds)
-	telSerialSolveSeconds.Observe(serialSeconds)
-}
-
-// observeComponents records the component count and size histogram.
-// Single-component instances count too, so schedule_components_total
-// tracks every decomposition-enabled solve, not only the ones that split;
-// a no-op for forced-monolithic solves (nil comps).
+// observeComponents records the component count and size histogram of one
+// partition. Every solve counts, whatever made its partition: a fully coupled
+// instance and a forced-monolithic solve are each one component of all jobs.
 func observeComponents(comps []*Component) {
 	telComponents.Add(int64(len(comps)))
 	for _, c := range comps {

@@ -421,12 +421,8 @@ func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Chain the bases into a second solve, as the controller does.
-	seed := make(map[string]*lp.Basis, len(warm.ProbeBases))
-	for key, cb := range warm.ProbeBases {
-		seed[key] = cb.Basis
-	}
-	chained, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmBases: seed})
+	// Chain the carry into a second solve, as the controller does.
+	chained, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmComponents: warm.ProbeBases})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,24 +433,30 @@ func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 
 // TestMonolithicRETExportsFullKeyBasis: a single-component solve fills
 // ProbeBases under the full-instance key, so controller warm maps work
-// uniformly across both paths.
+// uniformly whatever the partition — and fed back through WarmComponents the
+// entry is taken up without moving the outcome.
 func TestMonolithicRETExportsFullKeyBasis(t *testing.T) {
 	inst := retWarmInstance(t)
-	res, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, Monolithic: true})
+	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Monolithic: true}
+	res, err := SolveRET(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Components != 1 {
-		t.Fatalf("got %d components", res.Components)
+	if res.Components != 1 || len(res.ProbeBases) != 1 {
+		t.Fatalf("monolithic warm solve: %d components, %d ProbeBases entries", res.Components, len(res.ProbeBases))
 	}
-	if res.ProbeBasis == nil || len(res.ProbeBases) != 1 {
-		t.Fatalf("monolithic warm solve exported ProbeBasis=%v, %d ProbeBases entries", res.ProbeBasis != nil, len(res.ProbeBases))
-	}
-	fc := fullInstanceComponent(inst)
-	key, edges := fc.Key, fc.Edges
-	cb := res.ProbeBases[key]
-	if cb == nil || cb.Basis != res.ProbeBasis || len(cb.Edges) != len(edges) {
+	fc := partition(inst, nil, true)[0]
+	cb := res.ProbeBases[fc.Key]
+	if cb == nil || cb.Basis == nil || len(cb.Edges) != len(fc.Edges) || cb.PathsKey != fc.PathsKey {
 		t.Fatalf("ProbeBases entry under full key is wrong: %+v", cb)
+	}
+	cfg.WarmComponents = res.ProbeBases
+	again, err := SolveRET(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.BHat != res.BHat || again.B != res.B || assignmentBytes(again.LPDAR) != assignmentBytes(res.LPDAR) {
+		t.Fatal("monolithic solve seeded with its own ProbeBases diverged")
 	}
 }
 

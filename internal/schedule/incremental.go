@@ -1,12 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"time"
-
-	"wavesched/internal/lp"
-	"wavesched/internal/telemetry"
-)
+import "wavesched/internal/telemetry"
 
 // Incremental re-planning telemetry.
 var (
@@ -133,184 +127,12 @@ func regridFrac(old *Assignment, newInst *Instance) *Assignment {
 // nothing (matchPlan), so under a moving horizon every component re-solves.
 //
 // The returned cache replaces the caller's previous one wholesale; pass
-// it to the next call. A nil cache (or Monolithic config, which returns a
-// nil cache and delegates to MaxThroughput) simply solves everything.
-func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (res *Result, next *PlanCache, err error) {
-	cfg = cfg.withDefaults()
-	if cfg.Monolithic {
-		res, err := MaxThroughput(inst, cfg)
-		return res, nil, err
+// it to the next call. A nil cache simply solves everything. The cache
+// covers the partition the solve ran over, so an instance that is one block
+// (or Config.Monolithic) is cached as one plan.
+func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Result, *PlanCache, error) {
+	if cache == nil {
+		cache = &PlanCache{}
 	}
-	comps := Decompose(inst, nil)
-	if len(comps) <= 1 {
-		// Mirror MaxThroughput's single-block path exactly; a lone
-		// component has nothing to reuse against (any churn touches it).
-		observeComponents(comps)
-		s1, err := Stage1ZStar(inst, cfg.Solver)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := maxThroughputWithZMono(inst, s1, cfg)
-		return res, nil, err
-	}
-
-	matches := make([]*ComponentPlan, len(comps))
-	for i, c := range comps {
-		if cache == nil {
-			break
-		}
-		if cp := cache.Plans[c.Key]; cp != nil && matchPlan(cp, c) {
-			matches[i] = cp
-		}
-	}
-
-	// Stage 1: solve only the dirty components; clean ones contribute
-	// their cached optimum. Z* = min over components, as in the full
-	// decomposed path.
-	wall := time.Now()
-	s1s := make([]*Stage1Result, len(comps))
-	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		if matches[i] != nil {
-			s1s[i] = &Stage1Result{ZStar: matches[i].ZStarC}
-			return nil
-		}
-		r, err := SolveStage1(comps[i].Inst, cfg.Solver)
-		s1s[i] = r
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	merged := &Stage1Result{ZStar: s1s[0].ZStar, Time: time.Since(wall)}
-	var stage1Serial time.Duration
-	for _, r := range s1s {
-		if r.ZStar < merged.ZStar {
-			merged.ZStar = r.ZStar
-		}
-		merged.Iters += r.Iters
-		stage1Serial += r.Time
-	}
-	telStage1ZStar.Set(merged.ZStar)
-	telParallelWallSeconds.Observe(merged.Time.Seconds())
-	telSerialSolveSeconds.Observe(stage1Serial.Seconds())
-
-	// Cached stage-2 state is keyed to the global Z* bit for bit: the
-	// floor (1−α)·Z* enters every LP, so a changed Z* dirties stage 2
-	// everywhere (stage-1 reuse above still stands).
-	zstar := merged.ZStar
-	zSame := cache != nil && cache.ZStar == zstar
-
-	// Stage 2, mirroring stage2Decomposed with reuse spliced in: clean
-	// components under an unchanged Z* already know their ladder α; the
-	// others walk the real ladder.
-	type ladder struct {
-		alpha  float64
-		frac   *Assignment
-		iters  int
-		dur    time.Duration
-		cached bool
-		reused bool
-	}
-	sp := cfg.Solver.Tracer.Start("schedule.stage2")
-	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err, inst, comps) }()
-	stage2Wall := time.Now()
-	lads := make([]ladder, len(comps))
-	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		if matches[i] != nil && zSame {
-			lads[i] = ladder{alpha: matches[i].LadderAlpha, cached: true}
-			return nil
-		}
-		a, frac, iters, dur, err := stage2Ladder(comps[i].Inst, zstar, cfg)
-		lads[i] = ladder{alpha: a, frac: frac, iters: iters, dur: dur}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	alpha := lads[0].alpha
-	for _, l := range lads[1:] {
-		if l.alpha > alpha {
-			alpha = l.alpha
-		}
-	}
-	// Final fractional solutions at the global α. A clean component whose
-	// cached extraction used this exact α reuses it (reindexed to the new
-	// grid); everything else is (re-)solved at α, exactly as the full
-	// decomposed path re-solves components that settled below the global
-	// α — a ladder's final accepted solve and a direct solve at its α are
-	// the same LP call, so the substitution is invisible.
-	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		if lads[i].cached {
-			cp := matches[i]
-			if cp.SolvedAlpha == alpha {
-				lads[i].frac = regridFrac(cp.Frac, comps[i].Inst)
-				lads[i].reused = true
-				return nil
-			}
-		} else if lads[i].alpha == alpha {
-			return nil
-		}
-		start := time.Now()
-		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
-		if err != nil {
-			return err
-		}
-		if status != lp.Optimal {
-			return fmt.Errorf("schedule: stage 2: component re-solve at alpha=%g returned %v", alpha, status)
-		}
-		lads[i].frac = frac
-		lads[i].iters += iters
-		lads[i].dur += time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stage2Time := time.Since(stage2Wall)
-
-	fracs := make([]*Assignment, len(comps))
-	iters := 0
-	reused := 0
-	var stage2Serial time.Duration
-	for i, l := range lads {
-		fracs[i] = l.frac
-		iters += l.iters
-		stage2Serial += l.dur
-		if l.reused {
-			reused++
-		}
-	}
-	telIncrReused.Add(int64(reused))
-	telIncrDirty.Add(int64(len(comps) - reused))
-
-	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
-	res.ZStar = zstar
-	res.Alpha, res.Plan = alpha, PlanCold
-	res.Stage1Iters = merged.Iters
-	res.Stage2Iters = iters
-	res.Stage1Time = merged.Time
-	res.Stage2Time = stage2Time
-	res.Components = len(comps)
-	res.Reused = reused
-	observeDecomposition(comps, stage2Time.Seconds(), stage2Serial.Seconds())
-	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-	if cfg.Solver.Tracer != nil {
-		cfg.Solver.Tracer.Event("schedule.incremental",
-			telemetry.KV("components", len(comps)),
-			telemetry.KV("reused", reused))
-	}
-
-	next = &PlanCache{ZStar: zstar, Plans: make(map[string]*ComponentPlan, len(comps))}
-	for i, c := range comps {
-		next.Plans[c.Key] = &ComponentPlan{
-			Key:         c.Key,
-			Inst:        c.Inst,
-			ZStarC:      s1s[i].ZStar,
-			LadderAlpha: lads[i].alpha,
-			SolvedAlpha: alpha,
-			Frac:        lads[i].frac,
-		}
-	}
-	return res, next, nil
+	return maxThroughput(inst, nil, cfg, cache)
 }

@@ -297,19 +297,30 @@ func TestIncrementalChurnSequence(t *testing.T) {
 	}
 }
 
-// TestIncrementalMonolithicDelegates: Monolithic config must fall back to
-// the plain path and return no cache.
-func TestIncrementalMonolithicDelegates(t *testing.T) {
+// TestIncrementalMonolithicIsOneBlock: Monolithic chooses the partition, not
+// another path — the cache that comes back holds the one block that is the
+// instance, and the same instance again reuses it for the same bytes.
+func TestIncrementalMonolithicIsOneBlock(t *testing.T) {
 	g, jobs := bottleneckedClusters(t, 2, 0, 1)
 	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: partialDantzigOpts(), Monolithic: true}
-	res, cache, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, nil)
+	inst := instanceAt(t, g, jobs, 0, 8)
+	res, cache, err := MaxThroughputIncremental(inst, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache != nil {
-		t.Fatal("monolithic incremental solve returned a cache")
+	if res.Components != 1 || res.Reused != 0 || cache == nil || len(cache.Plans) != 1 {
+		t.Fatalf("monolithic solve: %d components, %d reused, cache %+v", res.Components, res.Reused, cache)
 	}
-	if res.Components != 1 {
-		t.Fatalf("monolithic solve reports %d components", res.Components)
+	for _, cp := range cache.Plans {
+		if cp.Inst != inst {
+			t.Fatal("the cached block is a copy of the instance")
+		}
+	}
+	again, _, err := MaxThroughputIncremental(instanceAt(t, g, jobs, 0, 8), cfg, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Reused != 1 || assignmentBytes(again.LPDAR) != assignmentBytes(res.LPDAR) {
+		t.Fatalf("re-solve reused %d of 1 block; same bytes: %v", again.Reused, assignmentBytes(again.LPDAR) == assignmentBytes(res.LPDAR))
 	}
 }

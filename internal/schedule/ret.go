@@ -2,10 +2,8 @@ package schedule
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"wavesched/internal/job"
@@ -67,31 +65,18 @@ type RETConfig struct {
 	// exact, so b̂ and the returned schedule are byte-identical to a
 	// full-solve run.
 	Certificates bool
-	// Speculate solves the two possible next bisection midpoints on spare
-	// worker-pool slots (Parallelism minus concurrent component searches)
-	// while the current midpoint resolves, and consumes a finished
-	// speculative verdict instead of solving. Verdicts come from ordinary
-	// cold solves, so the b̂ trajectory is unchanged; with no spare
-	// workers this is a no-op.
-	Speculate bool
-	// WarmBasis optionally seeds the first probe — typically
-	// RETResult.ProbeBasis from a previous solve of the same instance
-	// shape (e.g. the controller's previous epoch). A mismatched basis is
-	// harmless: the lp layer falls back to a cold solve.
-	WarmBasis *lp.Basis
-	// WarmBases optionally seeds per-component probes, keyed by
-	// Component.Key — typically RETResult.ProbeBases from a previous
-	// solve. A monolithic solve consults the full-instance key, so the
-	// map works uniformly for both paths.
-	WarmBases map[string]*lp.Basis
-	// WarmComponents supersedes WarmBases with full per-component carry:
-	// basis plus feasibility/Farkas certificates, keyed by Component.Key —
-	// feed RETResult.ProbeBases back in. Stale entries self-decline
-	// (shape or RHS drift), so the map is always safe to pass.
+	// WarmComponents is the cross-solve carry, per component: basis plus
+	// feasibility/Farkas certificates, keyed by Component.Key — feed
+	// RETResult.ProbeBases of a previous solve (e.g. the controller's
+	// previous epoch) back in. An entry is used only for a component with
+	// the same PathsKey; beyond that, stale entries self-decline (a
+	// mismatched basis falls back to a cold solve, a certificate re-verifies
+	// against the current bounds), so the map is always safe to pass.
 	WarmComponents map[string]*ComponentBasis
-	// Monolithic forces one SUB-RET model over all jobs even when the
-	// instance decomposes into independent components at BMax windows —
-	// the A/B switch against the decomposed parallel path (the default).
+	// Monolithic makes the partition the instance itself — one SUB-RET model
+	// over all jobs — even when it decomposes into independent components
+	// at BMax windows: the reference the decomposed solve (the default) is
+	// compared against.
 	Monolithic bool
 	// Parallelism bounds the worker pool for per-component binary
 	// searches and δ-round solves; ≤ 0 selects NumCPU.
@@ -110,11 +95,10 @@ type ProbeStage string
 
 // Probe stages.
 const (
-	StageB0          ProbeStage = "b0"          // the b = 0 probe (cold solve, prunable by a carried certificate)
-	StageBMax        ProbeStage = "bmax"        // the b = BMax ceiling probe (the extraction chain's seed solve)
-	StageBisect      ProbeStage = "bisect"      // a bisection midpoint, answered by a solve
-	StagePruned      ProbeStage = "pruned"      // answered by a certificate or the window memo — no solve
-	StageSpeculative ProbeStage = "speculative" // answered by a consumed speculative solve
+	StageB0     ProbeStage = "b0"     // the b = 0 probe (cold solve, prunable by a carried certificate)
+	StageBMax   ProbeStage = "bmax"   // the b = BMax ceiling probe (the extraction chain's seed solve)
+	StageBisect ProbeStage = "bisect" // a bisection midpoint, answered by a solve
+	StagePruned ProbeStage = "pruned" // answered by a certificate or the window memo — no solve
 )
 
 // Probe certificate kinds, recorded in ProbeStep.Cert for pruned probes.
@@ -128,7 +112,7 @@ const (
 // on RETResult.Probes and delivered to RETConfig.OnProbe. The JSON tags
 // are the flight-recorder dump format.
 type ProbeStep struct {
-	Component string     `json:"component,omitempty"` // Component.Key; empty for monolithic
+	Component string     `json:"component,omitempty"` // Component.Key of the block probed (all job IDs when the instance is one block)
 	B         float64    `json:"b"`
 	Stage     ProbeStage `json:"stage"`
 	Feasible  bool       `json:"feasible"`
@@ -181,35 +165,27 @@ type RETResult struct {
 	SolveTime  time.Duration
 
 	// ProbesSolved and ProbesPruned split the search trajectory by how
-	// each probe was answered: a simplex solve (stages b0/bmax/bisect/
-	// speculative) versus a certificate or window-memo check (stage
-	// pruned). Their sum is the probe count.
+	// each probe was answered: a simplex solve (stages b0/bmax/bisect)
+	// versus a certificate or window-memo check (stage pruned). Their sum
+	// is the probe count.
 	ProbesSolved int
 	ProbesPruned int
 
-	// ProbeBasis is the final warm-start basis of the probe model, set
-	// when RETConfig.WarmStart or Certificates was on and the solve was
-	// monolithic (or single-component). Feed it to RETConfig.WarmBasis of
-	// the next solve over the same instance shape.
-	ProbeBasis *lp.Basis
 	// ProbeBases holds the final probe basis and certificates of every
-	// component (the full instance, for a monolithic solve), keyed by
-	// Component.Key and tagged with the component's edge set so a caller
-	// can invalidate entries per topology event. Set when
-	// RETConfig.WarmStart or Certificates was on; feed it back via
-	// RETConfig.WarmComponents.
+	// component, keyed by Component.Key and tagged with the component's
+	// edge set so a caller can invalidate entries per topology event. Set
+	// when RETConfig.WarmStart or Certificates was on — also beside the
+	// error of a failed search; feed it back via RETConfig.WarmComponents.
 	ProbeBases map[string]*ComponentBasis
-	// Components is the number of independent blocks the instance was
-	// decomposed into (1 for a monolithic solve or a fully coupled
-	// instance).
+	// Components is the number of independent blocks the solve ran over
+	// (1 for a fully coupled instance or under RETConfig.Monolithic).
 	Components int
 	// Probes is the full binary-search trajectory, in per-component probe
 	// order (component sections are contiguous; their relative order is
 	// the component order, even though the searches ran in parallel).
 	Probes []ProbeStep
 	// JobComponents maps each instance job index to the fingerprint
-	// (Component.Key) of the component it was solved in — the whole
-	// instance's fingerprint for a monolithic solve. Decision audit
+	// (Component.Key) of the component it was solved in. Decision audit
 	// records use it to explain which block fixed a job's schedule.
 	JobComponents []string
 	// BHats records each component's own b̂ by fingerprint, so a job's
@@ -221,75 +197,221 @@ type RETResult struct {
 // SolveRET runs the paper's Algorithm 2 on the instance: binary search on
 // [0, BMax] for the smallest b̂ making the fractional SUB-RET feasible,
 // integerize via LPDAR, and extend b by δ until the integer solution
-// completes every job. When the instance decomposes into independent
-// components at BMax-extended windows (and RETConfig.Monolithic is off),
-// the binary searches run per component on a worker pool and
-// b̂ = max over components of b̂_c — every bisection halves the same
-// [0, BMax] interval, so the per-component b̂ values lie on one dyadic
-// grid and the max equals the monolithic search's answer.
+// completes every job. The instance is partitioned at BMax-extended windows
+// (one block under RETConfig.Monolithic); the binary searches run per
+// component on a worker pool and b̂ = max over components of b̂_c — every
+// bisection halves the same [0, BMax] interval, so the per-component b̂
+// values lie on one dyadic grid and the max equals the answer of a search
+// over one model of all jobs. The δ-rounds solve SUB-RET per component and
+// merge before one global LPDAR pass: truncation and adjustment see the
+// whole network. Should a δ-round push b past BMax — beyond the windows the
+// partition was computed at, where components may re-couple — the round
+// falls back to the full-instance model.
 //
 // The instance's grid must extend far enough to cover (1+BMax)-extended
 // end times; BuildRETInstance constructs such instances.
-func SolveRET(inst *Instance, cfg RETConfig) (*RETResult, error) {
+func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	cfg = cfg.withDefaults()
-	comps := decomposeFor(inst, cfg.Monolithic, retExtendedLast(inst, cfg.BMax, cfg))
-	if len(comps) > 1 {
-		return solveRETDecomposed(inst, comps, cfg)
-	}
-	observeComponents(comps)
-	return solveRETMono(inst, cfg)
-}
-
-// fullInstanceComponent wraps the whole instance as one component, so a
-// monolithic solve participates in the same per-component warm-basis maps
-// (fingerprint, edge set, path-set key) as decomposed ones.
-func fullInstanceComponent(inst *Instance) *Component {
-	idx := make([]int, inst.NumJobs())
-	for k := range idx {
-		idx[k] = k
-	}
-	return buildComponent(inst, idx)
-}
-
-// resolveCarry picks the cross-epoch warm state for a component key:
-// WarmComponents (basis + certificates) wins over the legacy WarmBases,
-// which wins over the global WarmBasis (consulted only when useGlobal —
-// the monolithic path). A WarmComponents entry recorded under a different
-// path-set fingerprint is declined outright — its basis and certificates
-// describe a model over different columns (column generation discovered
-// different paths), so reusing it would be unsound.
-func resolveCarry(cfg RETConfig, key, pathsKey string, useGlobal bool) *ComponentBasis {
-	if cb := cfg.WarmComponents[key]; cb != nil {
-		if cb.PathsKey == "" || cb.PathsKey == pathsKey {
-			return cb
-		}
-		return nil
-	}
-	if b := cfg.WarmBases[key]; b != nil {
-		return &ComponentBasis{Basis: b}
-	}
-	if useGlobal && cfg.WarmBasis != nil {
-		return &ComponentBasis{Basis: cfg.WarmBasis}
-	}
-	return nil
-}
-
-// retSearchEnv bundles the solving machinery one component's binary
-// search runs against.
-type retSearchEnv struct {
-	chain  *retChain   // extraction chain; its seed solve answers the ceiling probe
-	prober *retProber  // probe chain + certificates; nil on the cold path
-	spec   *speculator // shared speculative solver; nil without spare workers
-}
-
-// retSearch runs the feasibility binary search for b̂ on one instance
-// (the whole instance, or one component's sub-instance). comp labels the
-// probe trajectory with the component fingerprint (empty for monolithic).
-// The returned steps are valid even when the search errors out, so
-// post-mortems see the probe that failed.
-func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bhat float64, itersTotal int, steps []ProbeStep, err error) {
+	comps := partition(inst, retExtendedLast(inst, cfg.BMax, cfg), cfg.Monolithic)
+	res = &RETResult{Components: len(comps)}
+	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
+	// Per-component work is causally inside the RET span; each search
+	// worker additionally gets its own component span below, so trace IDs
+	// propagate across the worker pool.
+	cfg.Solver.Tracer = retSpan.Tracer()
 	tracer := cfg.Solver.Tracer
-	P := env.prober
+	defer func() {
+		endSpan(retSpan, err, func() []telemetry.Attr {
+			return []telemetry.Attr{
+				telemetry.KV("jobs", inst.NumJobs()),
+				telemetry.KV("components", len(comps)),
+				telemetry.KV("bhat", res.BHat),
+				telemetry.KV("b", res.B),
+				telemetry.KV("delta_rounds", res.Rounds),
+				telemetry.KV("lp_iters", res.LPIters),
+				telemetry.KV("probes_solved", res.ProbesSolved),
+				telemetry.KV("certificate_hits", res.ProbesPruned),
+			}
+		})
+	}()
+
+	states := make([]retComponent, len(comps))
+	searchStart := time.Now()
+	err = runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
+		start := time.Now()
+		st, c := &states[i], comps[i]
+		ccfg := cfg // per-component copy: the tracer scope differs
+		compSpan := tracer.Start("schedule.ret_component")
+		ccfg.Solver.Tracer = compSpan.Tracer()
+		defer func() {
+			st.dur = time.Since(start)
+			attrs := []telemetry.Attr{
+				telemetry.KV("component", c.Key),
+				telemetry.KV("jobs", c.Inst.NumJobs()),
+				telemetry.KV("bhat", st.bhat),
+				telemetry.KV("iters", st.iters),
+			}
+			if err != nil {
+				attrs = append(attrs, telemetry.KV("error", err.Error()))
+				err = fmt.Errorf("component {%s}: %w", c.Key, err)
+			}
+			compSpan.End(attrs...)
+		}()
+		// The extraction chain runs in every configuration — its solve
+		// sequence (cold seed at b = BMax, then incremental re-solves at b̂
+		// and each δ-round) depends only on the component and the bit-exact
+		// b̂, so warm, certificate-pruned, and cold runs extract
+		// byte-identical schedules by construction.
+		if st.chain, err = newRETChain(c.Inst, "sub-ret", ccfg); err != nil {
+			return err
+		}
+		if cfg.WarmStart || cfg.Certificates {
+			// Carried state is used only under the path-set fingerprint it
+			// was captured with: over other columns its basis and
+			// certificates describe another model.
+			carry := cfg.WarmComponents[c.Key]
+			if carry != nil && carry.PathsKey != c.PathsKey {
+				carry = nil
+			}
+			st.prober = newRETProber(st.chain, ccfg, carry)
+		}
+		st.bhat, st.iters, st.probes, err = retSearch(c.Inst, ccfg, st.chain, st.prober, c.Key)
+		return err
+	})
+	for i := range states {
+		res.Probes = append(res.Probes, states[i].probes...)
+		tallyProbes(res, states[i].probes)
+	}
+	if err != nil {
+		// Even a failed search leaves reusable state: the Farkas ray of a
+		// component infeasible at BMax lets the next epoch refute the same
+		// component's ceiling by certificate instead of a cold solve. Export
+		// it alongside the error; callers that carry warm state keep it,
+		// others discard res.
+		res.ProbeBases = probeBases(comps, states)
+		return res, err
+	}
+	res.BHats = make(map[string]float64, len(comps))
+	res.JobComponents = make([]string, inst.NumJobs())
+	for i := range states {
+		if states[i].bhat > res.BHat {
+			res.BHat = states[i].bhat
+		}
+		res.LPIters += states[i].iters
+		res.BHats[comps[i].Key] = states[i].bhat
+		for _, k := range comps[i].JobIdx {
+			res.JobComponents[k] = comps[i].Key
+		}
+	}
+	res.SearchTime = time.Since(searchStart)
+
+	// Step 2–5 at the global b: per-component incremental extraction
+	// solves, merge, integerize, extend by δ while unfinished.
+	solveStart := time.Now()
+	b := res.BHat
+	for round := 0; ; round++ {
+		if round >= cfg.MaxRounds {
+			return nil, fmt.Errorf("schedule: RET did not complete all jobs within %d δ-extensions (b=%g)", cfg.MaxRounds, b)
+		}
+		var frac *Assignment
+		feasible := true
+		if b <= cfg.BMax {
+			fracs := make([]*Assignment, len(comps))
+			feas := make([]bool, len(comps))
+			err := runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
+				start := time.Now()
+				feas[i], fracs[i], states[i].iters, err = states[i].chain.extractAt(comps[i].Inst, b)
+				states[i].dur += time.Since(start)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			for i := range states {
+				res.LPIters += states[i].iters
+				feasible = feasible && feas[i]
+			}
+			if feasible {
+				frac = mergeAssignments(inst, comps, fracs)
+				frac.SetExtendedWindows(retExtendedLast(inst, b, cfg))
+			}
+		} else {
+			// Past the chains' column sets (windows beyond BMax): a cold
+			// per-b model of the whole instance.
+			var iters int
+			feasible, frac, iters, err = solveSubRET(inst, b, cfg, true)
+			res.LPIters += iters
+			if err != nil {
+				return nil, err
+			}
+		}
+		if feasible {
+			lpd := frac.Truncate()
+			lpdar := AdjustRates(lpd, *cfg.Adjust)
+			if lpdar.AllDemandsMet() {
+				res.B, res.Rounds = b, round
+				res.LP, res.LPD, res.LPDAR = frac, lpd, lpdar
+				res.SolveTime = time.Since(solveStart)
+				res.ProbeBases = probeBases(comps, states)
+				var serial time.Duration
+				for i := range states {
+					serial += states[i].dur // search + every δ-round solve
+				}
+				telParallelWallSeconds.Observe(time.Since(searchStart).Seconds())
+				telSerialSolveSeconds.Observe(serial.Seconds())
+				telRETDeltaRounds.Add(int64(round))
+				telRETFinalB.Set(b)
+				return res, nil
+			}
+			if tracer != nil {
+				tracer.Event("ret.delta_round",
+					telemetry.KV("round", round),
+					telemetry.KV("b", b),
+					telemetry.KV("next_b", b+cfg.Delta))
+			}
+		}
+		// Infeasible can happen just above b̂ due to the ε-precision search;
+		// either way, δ-extend.
+		b += cfg.Delta
+	}
+}
+
+// retComponent is one component's state through a RET solve.
+type retComponent struct {
+	chain  *retChain  // extraction chain; survives from the search into the δ-rounds
+	prober *retProber // probe chain + certificates; nil on the cold path
+	bhat   float64
+	iters  int // of the search, then of the latest δ-round solve
+	dur    time.Duration
+	probes []ProbeStep
+}
+
+// probeBases exports every component's carry for the next solve: final probe
+// basis and certificates, keyed by Component.Key and tagged with the
+// component's edge set and path-set fingerprint. Nil on the cold path.
+func probeBases(comps []*Component, states []retComponent) map[string]*ComponentBasis {
+	var out map[string]*ComponentBasis
+	for i, c := range comps {
+		P := states[i].prober
+		if P == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]*ComponentBasis, len(comps))
+		}
+		out[c.Key] = &ComponentBasis{Basis: P.exportBasis(), Edges: c.Edges, PathsKey: c.PathsKey, Feas: P.feas, Infeas: P.infeas}
+	}
+	return out
+}
+
+// retSearch runs the feasibility binary search for b̂ on one component's
+// instance, against its extraction chain E (whose seed solve answers the
+// ceiling probe) and its prober P (probe chain + certificates; nil on the
+// cold path). comp labels the probe trajectory with the component
+// fingerprint. The returned steps are valid even when the search errors out,
+// so post-mortems see the probe that failed.
+func retSearch(inst *Instance, cfg RETConfig, E *retChain, P *retProber, comp string) (bhat float64, itersTotal int, steps []ProbeStep, err error) {
+	tracer := cfg.Solver.Tracer
 
 	// probe answers one feasibility question of the binary search, through
 	// the cheapest sound mechanism available:
@@ -301,8 +423,7 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 	//     typically satisfies every narrower window down to b̂ and prunes
 	//     the feasible half of the bisection outright;
 	//  2. the window memo and stored certificates (stage "pruned");
-	//  3. a finished speculative solve (stage "speculative");
-	//  4. the incremental probe chain, falling back to a cold per-b solve
+	//  3. the incremental probe chain, falling back to a cold per-b solve
 	//     when the chain cannot give an authoritative verdict. The b = 0
 	//     probe skips the chain — re-entering the ceiling basis with every
 	//     extension column pinned is slower than a cold solve.
@@ -327,7 +448,7 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 				resolved = true
 			} else {
 				var ok bool
-				feasible, _, iters, ok, err = env.chain.solveAt(inst, cfg.BMax)
+				feasible, _, iters, ok, err = E.solveAt(inst, cfg.BMax)
 				if err == nil && !ok {
 					var it2 int
 					feasible, _, it2, err = solveSubRET(inst, cfg.BMax, cfg, false)
@@ -335,10 +456,10 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 				}
 				resolved = true
 				if P != nil && err == nil {
-					P.seedFrom(env.chain)
+					P.seedFrom(E)
 					if cfg.Certificates {
 						P.note(inst, cfg.BMax, feasible)
-						P.adopt(env.chain.inc.Certificate())
+						P.adopt(E.inc.Certificate())
 					}
 				}
 			}
@@ -347,16 +468,6 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 			if f, via, ok := P.check(inst, b); ok {
 				feasible, cert, stage = f, via, StagePruned
 				resolved = true
-			}
-		}
-		if !resolved && env.spec != nil {
-			if sr := env.spec.take(comp, b); sr != nil {
-				feasible, iters = sr.feasible, sr.iters
-				stage = StageSpeculative
-				resolved = true
-				if cfg.Certificates && P != nil {
-					P.note(inst, b, feasible)
-				}
 			}
 		}
 		if !resolved {
@@ -429,16 +540,6 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 	lo, hi := 0.0, cfg.BMax
 	for hi-lo > cfg.Eps {
 		mid := (lo + hi) / 2
-		if env.spec != nil {
-			// Speculate both possible next midpoints while mid resolves;
-			// only intervals the loop would actually visit are worth it.
-			if mid-lo > cfg.Eps {
-				env.spec.launch(inst, (lo+mid)/2, cfg, comp)
-			}
-			if hi-mid > cfg.Eps {
-				env.spec.launch(inst, (mid+hi)/2, cfg, comp)
-			}
-		}
 		feasible, iters, err := probe(mid, StageBisect)
 		itersTotal += iters
 		if err != nil {
@@ -464,339 +565,6 @@ func tallyProbes(res *RETResult, steps []ProbeStep) {
 		} else {
 			res.ProbesSolved++
 		}
-	}
-}
-
-// solveRETMono is the single-model Algorithm 2 path.
-func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
-	res := &RETResult{Components: 1}
-	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
-	// Everything below — search events, probe solves, δ-round solves —
-	// is causally inside the RET span.
-	cfg.Solver.Tracer = retSpan.Tracer()
-	tracer := cfg.Solver.Tracer
-
-	fc := fullInstanceComponent(inst)
-	fullKey, fullEdges := fc.Key, fc.Edges
-
-	// The extraction chain runs in every configuration — its solve
-	// sequence (cold seed at b = BMax, then incremental re-solves at b̂
-	// and each δ-round) depends only on the instance and the bit-exact b̂,
-	// so warm, certificate-pruned, and cold runs extract byte-identical
-	// schedules by construction.
-	E, err := newRETChain(inst, "sub-ret", cfg)
-	if err != nil {
-		retSpan.End(telemetry.KV("error", err.Error()))
-		return nil, err
-	}
-	var P *retProber
-	if cfg.WarmStart || cfg.Certificates {
-		P = newRETProber(E, cfg, resolveCarry(cfg, fullKey, fc.PathsKey, true))
-	}
-	spec := newSpeculator(cfg, 1)
-
-	searchStart := time.Now()
-	bhat, iters, steps, err := retSearch(inst, cfg, retSearchEnv{chain: E, prober: P, spec: spec}, "")
-	res.LPIters += iters
-	res.Probes = steps
-	tallyProbes(res, steps)
-	if err != nil {
-		// Even a failed search leaves reusable state: the Farkas ray of an
-		// infeasible-at-BMax epoch lets the next epoch refute its ceiling
-		// by certificate instead of a cold solve. Export it alongside the
-		// error; callers that carry warm state keep it, others discard res.
-		if P != nil {
-			res.ProbeBases = map[string]*ComponentBasis{
-				fullKey: {Basis: P.exportBasis(), Edges: fullEdges, PathsKey: fc.PathsKey, Feas: P.feas, Infeas: P.infeas},
-			}
-		}
-		retSpan.End(telemetry.KV("error", err.Error()))
-		return res, err
-	}
-	res.BHat = bhat
-	res.SearchTime = time.Since(searchStart)
-	res.BHats = map[string]float64{fullKey: bhat}
-	res.JobComponents = make([]string, inst.NumJobs())
-	for k := range res.JobComponents {
-		res.JobComponents[k] = fullKey
-	}
-
-	// Step 2–5: solve at b, integerize, extend by δ while unfinished.
-	solveStart := time.Now()
-	b := bhat
-	for round := 0; ; round++ {
-		if round >= cfg.MaxRounds {
-			err := fmt.Errorf("schedule: RET did not complete all jobs within %d δ-extensions (b=%g)", cfg.MaxRounds, b)
-			retSpan.End(telemetry.KV("error", err.Error()))
-			return nil, err
-		}
-		var (
-			feasible bool
-			frac     *Assignment
-			iters    int
-			err      error
-		)
-		if b <= cfg.BMax {
-			feasible, frac, iters, err = E.extractAt(inst, b)
-		} else {
-			// Past the chain's column set (windows beyond BMax): cold
-			// per-b model, as before.
-			feasible, frac, iters, err = solveSubRET(inst, b, cfg, true)
-		}
-		res.LPIters += iters
-		if err != nil {
-			retSpan.End(telemetry.KV("error", err.Error()))
-			return nil, err
-		}
-		if !feasible {
-			// Can happen just above b̂ due to the ε-precision search; δ-extend.
-			b += cfg.Delta
-			continue
-		}
-		lpd := frac.Truncate()
-		lpdar := AdjustRates(lpd, *cfg.Adjust)
-		if lpdar.AllDemandsMet() {
-			res.B = b
-			res.LP = frac
-			res.LPD = lpd
-			res.LPDAR = lpdar
-			res.Rounds = round
-			res.SolveTime = time.Since(solveStart)
-			if P != nil {
-				basis := P.exportBasis()
-				res.ProbeBasis = basis
-				res.ProbeBases = map[string]*ComponentBasis{
-					fullKey: {Basis: basis, Edges: fullEdges, PathsKey: fc.PathsKey, Feas: P.feas, Infeas: P.infeas},
-				}
-			}
-			telRETDeltaRounds.Add(int64(round))
-			telRETFinalB.Set(b)
-			retSpan.End(
-				telemetry.KV("jobs", inst.NumJobs()),
-				telemetry.KV("bhat", res.BHat),
-				telemetry.KV("b", res.B),
-				telemetry.KV("delta_rounds", round),
-				telemetry.KV("lp_iters", res.LPIters),
-				telemetry.KV("probes_solved", res.ProbesSolved),
-				telemetry.KV("certificate_hits", res.ProbesPruned))
-			return res, nil
-		}
-		if tracer != nil {
-			tracer.Event("ret.delta_round",
-				telemetry.KV("round", round),
-				telemetry.KV("b", b),
-				telemetry.KV("next_b", b+cfg.Delta))
-		}
-		b += cfg.Delta
-	}
-}
-
-// solveRETDecomposed runs Algorithm 2 per component: parallel binary
-// searches, b̂ = max over components, then δ-rounds with per-component
-// SUB-RET solves merged before one global LPDAR pass (truncation and
-// adjustment see the whole network, exactly as the monolithic path does).
-// Should a δ-round push b past BMax — beyond the windows the decomposition
-// was computed at, where components may re-couple — the round falls back
-// to the full-instance model.
-func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RETResult, error) {
-	res := &RETResult{Components: len(comps)}
-	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
-	// Per-component work is causally inside the RET span; each search
-	// worker additionally gets its own component span below, so trace IDs
-	// propagate across the worker pool.
-	cfg.Solver.Tracer = retSpan.Tracer()
-	tracer := cfg.Solver.Tracer
-	wall := time.Now()
-
-	type compState struct {
-		cfg    RETConfig // per-component copy: warm state and tracer scope differ
-		chain  *retChain // extraction chain; survives into the δ-rounds
-		prober *retProber
-		bhat   float64
-		iters  int
-		dur    time.Duration
-		probes []ProbeStep
-	}
-	states := make([]compState, len(comps))
-	spec := newSpeculator(cfg, len(comps))
-
-	searchStart := time.Now()
-	err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		start := time.Now()
-		st := &states[i]
-		st.cfg = cfg
-		compSpan := tracer.Start("schedule.ret_component")
-		st.cfg.Solver.Tracer = compSpan.Tracer()
-		E, err := newRETChain(comps[i].Inst, "sub-ret", st.cfg)
-		if err != nil {
-			compSpan.End(telemetry.KV("error", err.Error()))
-			return fmt.Errorf("component {%s}: %w", comps[i].Key, err)
-		}
-		st.chain = E
-		if cfg.WarmStart || cfg.Certificates {
-			st.prober = newRETProber(E, st.cfg, resolveCarry(cfg, comps[i].Key, comps[i].PathsKey, false))
-		}
-		bhat, iters, steps, err := retSearch(comps[i].Inst, st.cfg, retSearchEnv{chain: E, prober: st.prober, spec: spec}, comps[i].Key)
-		st.bhat, st.iters, st.probes = bhat, iters, steps
-		st.dur = time.Since(start)
-		attrs := []telemetry.Attr{
-			telemetry.KV("component", comps[i].Key),
-			telemetry.KV("jobs", comps[i].Inst.NumJobs()),
-			telemetry.KV("bhat", bhat),
-			telemetry.KV("iters", iters),
-		}
-		if err != nil {
-			attrs = append(attrs, telemetry.KV("error", err.Error()))
-		}
-		compSpan.End(attrs...)
-		if err != nil {
-			return fmt.Errorf("component {%s}: %w", comps[i].Key, err)
-		}
-		return nil
-	})
-	for i := range states {
-		res.Probes = append(res.Probes, states[i].probes...)
-		tallyProbes(res, states[i].probes)
-	}
-	if err != nil {
-		// Export whatever per-component carry state the searches produced
-		// before failing (see the monolithic path): a Farkas ray from an
-		// overloaded component prunes the same component's ceiling probe
-		// next epoch.
-		if cfg.WarmStart || cfg.Certificates {
-			res.ProbeBases = make(map[string]*ComponentBasis, len(comps))
-			for i, c := range comps {
-				if states[i].prober == nil {
-					continue
-				}
-				res.ProbeBases[c.Key] = &ComponentBasis{
-					Basis:    states[i].prober.exportBasis(),
-					Edges:    c.Edges,
-					PathsKey: c.PathsKey,
-					Feas:     states[i].prober.feas,
-					Infeas:   states[i].prober.infeas,
-				}
-			}
-		}
-		retSpan.End(telemetry.KV("error", err.Error()))
-		return res, err
-	}
-	var serial time.Duration
-	res.BHats = make(map[string]float64, len(comps))
-	res.JobComponents = make([]string, inst.NumJobs())
-	for i := range states {
-		if states[i].bhat > res.BHat {
-			res.BHat = states[i].bhat
-		}
-		res.LPIters += states[i].iters
-		serial += states[i].dur
-		res.BHats[comps[i].Key] = states[i].bhat
-		for _, k := range comps[i].JobIdx {
-			res.JobComponents[k] = comps[i].Key
-		}
-	}
-	res.SearchTime = time.Since(searchStart)
-
-	// Step 2–5 at the global b: per-component incremental extraction
-	// solves, merge, then global integerization.
-	solveStart := time.Now()
-	b := res.BHat
-	for round := 0; ; round++ {
-		if round >= cfg.MaxRounds {
-			err := fmt.Errorf("schedule: RET did not complete all jobs within %d δ-extensions (b=%g)", cfg.MaxRounds, b)
-			retSpan.End(telemetry.KV("error", err.Error()))
-			return nil, err
-		}
-		var frac *Assignment
-		allFeasible := true
-		if b <= cfg.BMax {
-			fracs := make([]*Assignment, len(comps))
-			feas := make([]bool, len(comps))
-			err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-				start := time.Now()
-				f, a, iters, err := states[i].chain.extractAt(comps[i].Inst, b)
-				feas[i], fracs[i] = f, a
-				states[i].iters = iters
-				states[i].dur += time.Since(start)
-				return err
-			})
-			if err != nil {
-				retSpan.End(telemetry.KV("error", err.Error()))
-				return nil, err
-			}
-			for i := range states {
-				res.LPIters += states[i].iters
-				if !feas[i] {
-					allFeasible = false
-				}
-			}
-			if allFeasible {
-				frac = mergeAssignments(inst, comps, fracs)
-				frac.SetExtendedWindows(retExtendedLast(inst, b, cfg))
-			}
-		} else {
-			feasible, a, iters, err := solveSubRET(inst, b, cfg, true)
-			res.LPIters += iters
-			if err != nil {
-				retSpan.End(telemetry.KV("error", err.Error()))
-				return nil, err
-			}
-			allFeasible, frac = feasible, a
-		}
-		if !allFeasible {
-			// Can happen just above b̂ due to the ε-precision search; δ-extend.
-			b += cfg.Delta
-			continue
-		}
-		lpd := frac.Truncate()
-		lpdar := AdjustRates(lpd, *cfg.Adjust)
-		if lpdar.AllDemandsMet() {
-			res.B = b
-			res.LP = frac
-			res.LPD = lpd
-			res.LPDAR = lpdar
-			res.Rounds = round
-			res.SolveTime = time.Since(solveStart)
-			if cfg.WarmStart || cfg.Certificates {
-				res.ProbeBases = make(map[string]*ComponentBasis, len(comps))
-				for i, c := range comps {
-					if states[i].prober == nil {
-						continue
-					}
-					res.ProbeBases[c.Key] = &ComponentBasis{
-						Basis:    states[i].prober.exportBasis(),
-						Edges:    c.Edges,
-						PathsKey: c.PathsKey,
-						Feas:     states[i].prober.feas,
-						Infeas:   states[i].prober.infeas,
-					}
-				}
-			}
-			serial = 0
-			for i := range states {
-				serial += states[i].dur // search + every δ-round solve
-			}
-			observeDecomposition(comps, time.Since(wall).Seconds(), serial.Seconds())
-			telRETDeltaRounds.Add(int64(round))
-			telRETFinalB.Set(b)
-			retSpan.End(
-				telemetry.KV("jobs", inst.NumJobs()),
-				telemetry.KV("components", len(comps)),
-				telemetry.KV("bhat", res.BHat),
-				telemetry.KV("b", res.B),
-				telemetry.KV("delta_rounds", round),
-				telemetry.KV("lp_iters", res.LPIters),
-				telemetry.KV("probes_solved", res.ProbesSolved),
-				telemetry.KV("certificate_hits", res.ProbesPruned))
-			return res, nil
-		}
-		if tracer != nil {
-			tracer.Event("ret.delta_round",
-				telemetry.KV("round", round),
-				telemetry.KV("b", b),
-				telemetry.KV("next_b", b+cfg.Delta))
-		}
-		b += cfg.Delta
 	}
 }
 
@@ -1169,97 +937,6 @@ func (p *retProber) exportBasis() *lp.Basis {
 		}
 	}
 	return p.seed
-}
-
-// speculator runs bounded speculative cold probes on spare worker-pool
-// slots. Launches never block (no token → drop) and takes never wait
-// (still running → caller solves normally), so speculation can only
-// overlap work, never serialize it.
-type speculator struct {
-	sem     chan struct{}
-	cfg     RETConfig
-	mu      sync.Mutex
-	pending map[string]*specResult
-}
-
-type specResult struct {
-	done     chan struct{}
-	feasible bool
-	iters    int
-	err      error
-}
-
-// newSpeculator sizes the speculative pool: Parallelism (or NumCPU) minus
-// the concurrent component searches. nil — speculation off — when
-// nothing is spare.
-func newSpeculator(cfg RETConfig, comps int) *speculator {
-	if !cfg.Speculate {
-		return nil
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	spare := workers - comps
-	if spare <= 0 {
-		return nil
-	}
-	scfg := cfg
-	scfg.Solver.Tracer = nil // wasted speculation must not pollute traces
-	scfg.OnProbe = nil
-	return &speculator{sem: make(chan struct{}, spare), cfg: scfg, pending: make(map[string]*specResult)}
-}
-
-func specKey(comp string, b float64) string {
-	return comp + "|" + strconv.FormatFloat(b, 'x', -1, 64)
-}
-
-// launch starts a speculative cold probe at b if a pool slot is free and
-// none is already pending for the same (component, b).
-func (sp *speculator) launch(inst *Instance, b float64, cfg RETConfig, comp string) {
-	key := specKey(comp, b)
-	sp.mu.Lock()
-	if _, dup := sp.pending[key]; dup {
-		sp.mu.Unlock()
-		return
-	}
-	select {
-	case sp.sem <- struct{}{}:
-	default:
-		sp.mu.Unlock()
-		return // no spare slot: skip, never block
-	}
-	sr := &specResult{done: make(chan struct{})}
-	sp.pending[key] = sr
-	sp.mu.Unlock()
-	go func() {
-		feasible, _, iters, err := solveSubRET(inst, b, sp.cfg, false)
-		sr.feasible, sr.iters, sr.err = feasible, iters, err
-		close(sr.done)
-		<-sp.sem
-	}()
-}
-
-// take returns the finished speculative verdict for (comp, b), or nil if
-// none exists, it is still running, or it errored — the caller then
-// probes normally. Consumed and superseded entries are removed.
-func (sp *speculator) take(comp string, b float64) *specResult {
-	key := specKey(comp, b)
-	sp.mu.Lock()
-	sr := sp.pending[key]
-	if sr != nil {
-		select {
-		case <-sr.done:
-			delete(sp.pending, key)
-		default:
-			sr = nil // still running: don't wait for it
-		}
-	}
-	sp.mu.Unlock()
-	if sr != nil && sr.err != nil {
-		return nil
-	}
-	return sr
 }
 
 // BuildRETInstance constructs an instance whose uniform grid (slices of

@@ -3,13 +3,12 @@ package schedule
 import "testing"
 
 // TestRETFastPathByteIdentical is the invariant the whole probe-pruning
-// machinery rests on: turning on every accelerator at once — carried
-// certificates, speculative bisection with a wide worker pool, chained
-// warm re-entry — must leave the search outcome and the emitted schedule
-// bit-for-bit identical to the plain full-solve path. Dantzig pricing
-// with RefactorEvery 1 pins the reference pivot path exactly (the PR 5
-// mono-vs-decomposed harness), and both monolithic and decomposed
-// dispatch are swept.
+// machinery rests on: turning on every accelerator at once — certificate
+// pruning, chained warm re-entry, a wide worker pool — must leave the
+// search outcome and the emitted schedule bit-for-bit identical to the
+// plain full-solve path. Dantzig pricing with RefactorEvery 1 pins the
+// reference pivot path exactly (the PR 5 mono-vs-decomposed harness), and
+// both the one-block and the decomposed partition are swept.
 func TestRETFastPathByteIdentical(t *testing.T) {
 	last := int64(48)
 	if testing.Short() {
@@ -25,7 +24,7 @@ func TestRETFastPathByteIdentical(t *testing.T) {
 			}
 			fast, err := SolveRET(inst, RETConfig{
 				Solver: dantzigOpts(), Monolithic: mono,
-				WarmStart: true, Certificates: true, Speculate: true, Parallelism: 8,
+				WarmStart: true, Certificates: true, Parallelism: 8,
 			})
 			if err != nil {
 				t.Fatal(err)

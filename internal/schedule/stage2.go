@@ -35,10 +35,10 @@ type Config struct {
 	// the extraction solve at the final α is built and solved exactly as
 	// the cold path would, so the returned schedule is byte-identical.
 	WarmStart bool
-	// Monolithic forces one LP over all jobs even when the instance
-	// decomposes into independent components (see Decompose) — the A/B
-	// switch for comparing against the decomposed parallel path, which
-	// is the default.
+	// Monolithic makes the partition the solve runs over the instance
+	// itself, one LP over all jobs, even when it decomposes into independent
+	// components (see Decompose) — the reference the decomposed solve, which
+	// is the default, is compared against.
 	Monolithic bool
 	// Parallelism bounds the worker pool for per-component solves; ≤ 0
 	// selects NumCPU. The merge order is fixed by component order, so
@@ -73,9 +73,8 @@ type Result struct {
 	TruncateTime time.Duration // LPD truncation
 	AdjustTime   time.Duration // LPDAR greedy pass (after truncation)
 
-	// Components is the number of independent blocks the instance was
-	// decomposed into (1 for a monolithic solve or a fully coupled
-	// instance).
+	// Components is the number of independent blocks the solve ran over
+	// (1 for a fully coupled instance or under Config.Monolithic).
 	Components int
 
 	// Reused is the number of components whose cached plan an incremental
@@ -108,47 +107,210 @@ func (r *Result) LPDARTime() time.Duration { return r.LPDTime() + r.AdjustTime }
 
 // MaxThroughput runs the paper's Section II-B algorithm end to end:
 // stage 1 (MCF) for Z*, stage 2 LP with the fairness floor, then LPD and
-// LPDAR integerization. When the instance decomposes into independent
-// components (and Config.Monolithic is off), both stages are solved per
-// component on a worker pool: Z* is the minimum of the component optima
-// and the stage-2 floor (1−α)·Z* makes stage 2 separable given that
-// global Z*, so the merged schedule matches the monolithic solve.
+// LPDAR integerization. Both stages are solved per block of the instance's
+// partition on a worker pool: Z* is the minimum of the block optima and the
+// stage-2 floor (1−α)·Z* makes stage 2 separable given that global Z*, so
+// the merged schedule is the one a single model over all jobs returns —
+// which is what the solve is when the instance is one block, or
+// Config.Monolithic says to treat it as one.
 func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
+	res, _, err := maxThroughput(inst, nil, cfg, nil)
+	return res, err
+}
+
+// MaxThroughputWithZ runs stage 2 for an already-computed stage-1 result.
+// Only s1.ZStar, Iters, and Time are consulted, so a stage-1 result from
+// a different (e.g. healthier) topology is acceptable — the controller's
+// degraded-mode situation.
+func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
+	res, _, err := maxThroughput(inst, s1, cfg, nil)
+	return res, err
+}
+
+// maxThroughput is the Section II-B pipeline over the instance's partition,
+// the one body behind MaxThroughput, MaxThroughputWithZ and
+// MaxThroughputIncremental: stage 1 per component and Z* = min (skipped when
+// s1 is given); the Remark-1 α ladder per component and α = max — the first α
+// at which every block is feasible, exactly where a single model's ladder
+// stops, since block feasibility is monotone in α and every ladder steps
+// through the same float sequence; a re-solve at α of the components that
+// settled below it; the merge; LPD and LPDAR over the whole network.
+//
+// A non-nil cache adds component-level reuse (see MaxThroughputIncremental)
+// and makes the solve return the cache that replaces it. No entry passes both
+// s1 and a cache: a cached plan records its component's own stage-1 optimum,
+// which a given s1 does not hold.
+func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCache) (res *Result, next *PlanCache, err error) {
 	cfg = cfg.withDefaults()
-	comps := decomposeFor(inst, cfg.Monolithic, nil)
-	if len(comps) > 1 {
-		return maxThroughputDecomposed(inst, comps, cfg)
-	}
-	observeComponents(comps)
-	s1, err := Stage1ZStar(inst, cfg.Solver)
-	if err != nil {
-		return nil, err
-	}
-	return maxThroughputWithZMono(inst, s1, cfg)
-}
+	comps := partition(inst, nil, cfg.Monolithic)
 
-// decomposeFor returns the instance's components unless monolithic
-// solving is forced.
-func decomposeFor(inst *Instance, monolithic bool, extLast []int) []*Component {
-	if monolithic {
-		return nil
+	// known[i] is the cached plan of a component that is unchanged since the
+	// caching solve.
+	known := make([]*ComponentPlan, len(comps))
+	if cache != nil {
+		for i, c := range comps {
+			if cp := cache.Plans[c.Key]; cp != nil && matchPlan(cp, c) {
+				known[i] = cp
+			}
+		}
 	}
-	return Decompose(inst, extLast)
-}
 
-// maxThroughputDecomposed runs stage 1 per component in parallel, merges
-// Z* = min over components (the monolithic optimum: the common scale is
-// limited by the tightest block), and continues with decomposed stage 2.
-func maxThroughputDecomposed(inst *Instance, comps []*Component, cfg Config) (*Result, error) {
+	var s1s []*Stage1Result
+	if s1 == nil {
+		if s1, s1s, err = stage1Min(comps, known, cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Cached stage-2 state is keyed to the global Z* bit for bit: the floor
+	// (1−α)·Z* enters every LP, so a changed Z* dirties stage 2 everywhere
+	// (stage-1 reuse still stands).
+	zstar := s1.ZStar
+	zSame := cache != nil && cache.ZStar == zstar
+
+	// The plan the priced master left on the instance, when it answers this
+	// very LP. Only a partition that is the instance itself can have one
+	// (sub-instances inherit none); nothing is then solved and no stage-2
+	// span opened.
+	mp := comps[0].Inst.planFor(zstar, cfg.Alpha, cfg.Weight)
+	var sp telemetry.Span
+	if mp == nil {
+		sp = cfg.Solver.Tracer.Start("schedule.stage2")
+		cfg.Solver.Tracer = sp.Tracer()
+	}
+	defer func() { endStage2(sp, res, err, inst, comps) }()
+
+	// Clean components under an unchanged Z* already know their ladder α; the
+	// others walk the ladder.
 	wall := time.Now()
-	s1s := make([]*Stage1Result, len(comps))
-	err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		r, err := SolveStage1(comps[i].Inst, cfg.Solver)
-		s1s[i] = r
+	lads := make([]rung, len(comps))
+	err = runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
+		switch {
+		case mp != nil:
+			telStage2MasterPlans.Inc()
+			lads[i] = rung{alpha: cfg.Alpha, frac: mp.frac, iters: mp.iters, dur: mp.dur}
+		case known[i] != nil && zSame:
+			lads[i] = rung{alpha: known[i].LadderAlpha, cached: true}
+		default:
+			lads[i], err = stage2Ladder(comps[i].Inst, zstar, cfg)
+		}
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	alpha := lads[0].alpha
+	for _, l := range lads[1:] {
+		if l.alpha > alpha {
+			alpha = l.alpha
+		}
+	}
+	// Final fractional solutions at the global α. A component that settled
+	// below it is re-solved there: a single model would have applied the
+	// floor (1−α)·Z* to every job, and a larger α only loosens the floor, so
+	// the re-solve stays feasible. A clean component whose cached extraction
+	// used this exact α reuses it; one cached at another α is solved like a
+	// component that settled below — a ladder's final accepted solve and a
+	// direct solve at its α are the same LP call, so the substitution is
+	// invisible.
+	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
+		l := &lads[i]
+		switch {
+		case l.cached && known[i].SolvedAlpha == alpha:
+			l.frac, l.reused = regridFrac(known[i].Frac, comps[i].Inst), true
+			return nil
+		case !l.cached && l.alpha == alpha:
+			return nil
+		}
+		start := time.Now()
+		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
+		if err != nil {
+			return err
+		}
+		if status != lp.Optimal {
+			return fmt.Errorf("schedule: stage 2: component re-solve at alpha=%g returned %v", alpha, status)
+		}
+		l.frac = frac
+		l.iters += iters
+		l.dur += time.Since(start)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	stage2Time := time.Since(wall)
+	if mp != nil {
+		stage2Time = mp.dur // what the plan cost is the master's solve
+	}
+
+	fracs := make([]*Assignment, len(comps))
+	iters, reused := 0, 0
+	var serial time.Duration
+	for i, l := range lads {
+		fracs[i] = l.frac
+		iters += l.iters
+		serial += l.dur
+		if l.reused {
+			reused++
+		}
+	}
+	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
+	res.ZStar = zstar
+	res.Alpha, res.Plan = alpha, PlanCold
+	if mp != nil {
+		res.Plan = PlanMaster
+	}
+	res.Stage1Iters = s1.Iters
+	res.Stage2Iters = iters
+	res.Stage1Time = s1.Time
+	res.Stage2Time = stage2Time
+	res.Components = len(comps)
+	res.Reused = reused
+	telParallelWallSeconds.Observe(stage2Time.Seconds())
+	telSerialSolveSeconds.Observe(serial.Seconds())
+	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
+	if cache == nil {
+		return res, nil, nil
+	}
+
+	telIncrReused.Add(int64(reused))
+	telIncrDirty.Add(int64(len(comps) - reused))
+	if cfg.Solver.Tracer != nil {
+		cfg.Solver.Tracer.Event("schedule.incremental",
+			telemetry.KV("components", len(comps)),
+			telemetry.KV("reused", reused))
+	}
+	next = &PlanCache{ZStar: zstar, Plans: make(map[string]*ComponentPlan, len(comps))}
+	for i, c := range comps {
+		next.Plans[c.Key] = &ComponentPlan{
+			Key:         c.Key,
+			Inst:        c.Inst,
+			ZStarC:      s1s[i].ZStar,
+			LadderAlpha: lads[i].alpha,
+			SolvedAlpha: alpha,
+			Frac:        lads[i].frac,
+		}
+	}
+	return res, next, nil
+}
+
+// stage1Min solves stage 1 per component on the worker pool and merges:
+// Z* = min over components (the optimum of a single model: the common scale
+// is limited by the tightest block). A component with a cached plan
+// contributes its cached optimum instead of a solve; the per-component
+// results come back beside the merged one.
+func stage1Min(comps []*Component, known []*ComponentPlan, cfg Config) (*Stage1Result, []*Stage1Result, error) {
+	wall := time.Now()
+	s1s := make([]*Stage1Result, len(comps))
+	err := runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
+		if known[i] != nil {
+			s1s[i] = &Stage1Result{ZStar: known[i].ZStarC}
+			return nil
+		}
+		s1s[i], err = Stage1ZStar(comps[i].Inst, cfg.Solver)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	merged := &Stage1Result{ZStar: s1s[0].ZStar, Time: time.Since(wall)}
 	var serial time.Duration
@@ -162,88 +324,12 @@ func maxThroughputDecomposed(inst *Instance, comps []*Component, cfg Config) (*R
 	telStage1ZStar.Set(merged.ZStar)
 	telParallelWallSeconds.Observe(merged.Time.Seconds())
 	telSerialSolveSeconds.Observe(serial.Seconds())
-	return stage2Decomposed(inst, comps, merged, cfg)
-}
-
-// MaxThroughputWithZ runs stage 2 for an already-computed stage-1 result.
-// Only s1.ZStar, Iters, and Time are consulted, so a stage-1 result from
-// a different (e.g. healthier) topology is acceptable — the controller's
-// degraded-mode situation.
-func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	comps := decomposeFor(inst, cfg.Monolithic, nil)
-	if len(comps) > 1 {
-		return stage2Decomposed(inst, comps, s1, cfg)
-	}
-	observeComponents(comps)
-	return maxThroughputWithZMono(inst, s1, cfg)
-}
-
-// maxThroughputWithZMono is the single-model stage-2 path: the plan the
-// priced master left on the instance when it answers this very LP, the α
-// ladder over the whole instance otherwise.
-func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
-	res, err := stage2Mono(inst, s1.ZStar, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.ZStar = s1.ZStar
-	res.Stage1Iters = s1.Iters
-	res.Stage1Time = s1.Time
-	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-	return res, nil
-}
-
-// stage2Mono returns the integerized single-model stage-2 result: plans,
-// α, plan source and stage-2 cost.
-func stage2Mono(inst *Instance, zstar float64, cfg Config) (res *Result, err error) {
-	if mp := inst.planFor(zstar, cfg.Alpha, cfg.Weight); mp != nil {
-		telStage2MasterPlans.Inc()
-		res = integerize(mp.frac, cfg)
-		res.Alpha, res.Plan, res.Components = cfg.Alpha, PlanMaster, 1
-		res.Stage2Iters, res.Stage2Time = mp.iters, mp.dur
-		return res, nil
-	}
-	sp := cfg.Solver.Tracer.Start("schedule.stage2")
-	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err, inst, nil) }()
-	alpha := cfg.Alpha
-	warmProbed := false
-	for {
-		r, status, basis, err := solveStage2(inst, zstar, alpha, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if status == lp.Optimal {
-			r.Alpha, r.Plan, r.Components = alpha, PlanCold, 1
-			return r, nil
-		}
-		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
-			if cfg.WarmStart && !warmProbed {
-				// Fast-forward the ladder with warm status-only probes,
-				// then re-solve cold at the α they land on.
-				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, zstar, alpha, basis, cfg); jump > alpha {
-					alpha = jump
-					continue
-				}
-			}
-			telStage2AlphaRetries.Inc()
-			if cfg.Solver.Tracer != nil {
-				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
-					telemetry.KV("alpha", alpha),
-					telemetry.KV("next_alpha", alpha+cfg.AlphaGrowth))
-			}
-			alpha += cfg.AlphaGrowth // Remark 1: increase α and retry
-			continue
-		}
-		return nil, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, alpha)
-	}
+	return merged, s1s, nil
 }
 
 // endStage2 closes a schedule.stage2 span with the outcome of the work it
-// enclosed: stage-2 solves over the whole instance (comps nil) or over each
-// of its components.
+// enclosed: stage-2 solves over each component of the partition. A no-op on
+// the zero Span of a solve that read its plan off the master.
 func endStage2(sp telemetry.Span, res *Result, err error, inst *Instance, comps []*Component) {
 	endSpan(sp, err, func() []telemetry.Attr {
 		rows, dropped := capRowCounts(inst, comps)
@@ -375,24 +461,6 @@ func stage2Weights(inst *Instance, weight WeightFunc) ([]float64, error) {
 	return weights, nil
 }
 
-// solveStage2 builds and solves the stage-2 LP (eqs. 7–10 without
-// integrality), then integerizes. The returned basis (captured only in
-// WarmStart mode) seeds the α-ladder probes after an infeasible outcome.
-func solveStage2(inst *Instance, zstar, alpha float64, cfg Config) (*Result, lp.Status, *lp.Basis, error) {
-	start := time.Now()
-	frac, status, basis, iters, err := solveStage2Frac(inst, zstar, alpha, cfg)
-	if err != nil {
-		return nil, status, nil, err
-	}
-	if status != lp.Optimal {
-		return nil, status, basis, nil
-	}
-	stage2Time := time.Since(start)
-	res := integerize(frac, cfg)
-	res.Stage2Iters, res.Stage2Time = iters, stage2Time
-	return res, lp.Optimal, basis, nil
-}
-
 // integerize turns a fractional stage-2 plan into the three variants the
 // paper compares: the plan itself, its truncation (LPD) and the truncation
 // after the greedy adjustment pass (LPDAR).
@@ -434,121 +502,56 @@ func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignm
 	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Basis, sol.Iters, nil
 }
 
-// stage2Decomposed runs the Remark-1 α ladder per component, lifts the
-// fairness slack to the maximum over components (the first α at which
-// every block is feasible — exactly where the monolithic ladder stops,
-// since block feasibility is monotone in α and the ladder steps are the
-// same float sequence), re-solves the components that were feasible at a
-// smaller α, and integerizes the merged fractional solution globally.
-func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg Config) (res *Result, err error) {
-	type ladder struct {
-		alpha float64
-		frac  *Assignment
-		iters int
-		dur   time.Duration
-	}
-	sp := cfg.Solver.Tracer.Start("schedule.stage2")
-	cfg.Solver.Tracer = sp.Tracer()
-	defer func() { endStage2(sp, res, err, inst, comps) }()
-	wall := time.Now()
-	lads := make([]ladder, len(comps))
-	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		a, frac, iters, dur, err := stage2Ladder(comps[i].Inst, s1.ZStar, cfg)
-		lads[i] = ladder{alpha: a, frac: frac, iters: iters, dur: dur}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	alpha := lads[0].alpha
-	for _, l := range lads[1:] {
-		if l.alpha > alpha {
-			alpha = l.alpha
-		}
-	}
-	// Components that settled below the global α must be re-solved there:
-	// the monolithic LP would have applied the higher floor (1−α)·Z* to
-	// every job. A larger α only loosens the floor, so these re-solves
-	// stay feasible.
-	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
-		if lads[i].alpha == alpha {
-			return nil
-		}
-		start := time.Now()
-		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, s1.ZStar, alpha, cfg)
-		if err != nil {
-			return err
-		}
-		if status != lp.Optimal {
-			return fmt.Errorf("schedule: stage 2: component re-solve at alpha=%g returned %v", alpha, status)
-		}
-		lads[i].frac = frac
-		lads[i].iters += iters
-		lads[i].dur += time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stage2Time := time.Since(wall)
-
-	fracs := make([]*Assignment, len(comps))
-	iters := 0
-	var serial time.Duration
-	for i, l := range lads {
-		fracs[i] = l.frac
-		iters += l.iters
-		serial += l.dur
-	}
-	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
-	res.ZStar = s1.ZStar
-	res.Alpha, res.Plan = alpha, PlanCold
-	res.Stage1Iters = s1.Iters
-	res.Stage2Iters = iters
-	res.Stage1Time = s1.Time
-	res.Stage2Time = stage2Time
-	res.Components = len(comps)
-	observeDecomposition(comps, stage2Time.Seconds(), serial.Seconds())
-	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-	return res, nil
+// rung is where one component stands on the Remark-1 α ladder: the first
+// feasible α, its fractional optimum there (until the re-solve at the global
+// α replaces it), and what reaching it cost. cached marks a component whose α
+// came from the PlanCache without a solve, reused one whose plan did too.
+type rung struct {
+	alpha          float64
+	frac           *Assignment
+	iters          int
+	dur            time.Duration
+	cached, reused bool
 }
 
 // stage2Ladder walks one component up the Remark-1 α ladder and returns
-// the first feasible α with its fractional optimum. The α accumulation
-// mirrors maxThroughputWithZMono exactly, so every component's ladder
-// visits the same float sequence and the max over components is the
-// monolithic stopping point bit for bit.
-func stage2Ladder(inst *Instance, zstar float64, cfg Config) (float64, *Assignment, int, time.Duration, error) {
+// the first feasible α with its fractional optimum. Every component's
+// ladder accumulates α the same way, so all visit one float sequence and
+// the max over components is a single model's stopping point bit for bit.
+func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
 	start := time.Now()
-	alpha := cfg.Alpha
+	r := rung{alpha: cfg.Alpha}
 	warmProbed := false
-	iters := 0
 	for {
-		frac, status, basis, it, err := solveStage2Frac(inst, zstar, alpha, cfg)
-		iters += it
+		frac, status, basis, it, err := solveStage2Frac(inst, zstar, r.alpha, cfg)
+		r.iters += it
+		r.dur = time.Since(start)
 		if err != nil {
-			return alpha, nil, iters, time.Since(start), err
+			return r, err
 		}
 		if status == lp.Optimal {
-			return alpha, frac, iters, time.Since(start), nil
+			r.frac = frac
+			return r, nil
 		}
-		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
+		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
 			if cfg.WarmStart && !warmProbed {
+				// Fast-forward the ladder with warm status-only probes,
+				// then re-solve cold at the α they land on.
 				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, zstar, alpha, basis, cfg); jump > alpha {
-					alpha = jump
+				if jump := warmFeasibleAlpha(inst, zstar, r.alpha, basis, cfg); jump > r.alpha {
+					r.alpha = jump
 					continue
 				}
 			}
 			telStage2AlphaRetries.Inc()
 			if cfg.Solver.Tracer != nil {
 				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
-					telemetry.KV("alpha", alpha),
-					telemetry.KV("next_alpha", alpha+cfg.AlphaGrowth))
+					telemetry.KV("alpha", r.alpha),
+					telemetry.KV("next_alpha", r.alpha+cfg.AlphaGrowth))
 			}
-			alpha += cfg.AlphaGrowth // Remark 1: increase α and retry
+			r.alpha += cfg.AlphaGrowth // Remark 1: increase α and retry
 			continue
 		}
-		return alpha, nil, iters, time.Since(start), fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, alpha)
+		return r, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, r.alpha)
 	}
 }

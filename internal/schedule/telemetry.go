@@ -56,9 +56,9 @@ var (
 		"Carried paths no master optimum used, dropped from the PathCache by a column-generation publish.")
 
 	telComponents = telemetry.Default().Counter("schedule_components_total",
-		"Connected components across decomposition-enabled solves (1 per solve for fully coupled instances).")
+		"Components of the partitions solves ran over (1 per solve for a fully coupled or forced-monolithic instance).")
 	telComponentSize = telemetry.Default().Histogram("schedule_component_size_jobs",
-		"Jobs per connected component in decomposition-enabled solves.",
+		"Jobs per component of the partitions solves ran over.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	telParallelWallSeconds = telemetry.Default().Histogram("schedule_parallel_wall_seconds",
 		"Wall time of one decomposed parallel solve phase in seconds.", nil)

@@ -3,6 +3,7 @@ package schedule
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -288,5 +289,28 @@ func TestMaxThroughputSpansEncloseTheirWork(t *testing.T) {
 	}
 	if cold != len(byName["schedule.colgen_master"]) {
 		t.Errorf("colgen: %d cold solves for %d masters", cold, len(byName["schedule.colgen_master"]))
+	}
+}
+
+// TestRETProbeTrajectoryDeterministic: no probe verdict depends on goroutine
+// timing — each component's search is a function of the component — so the
+// recorded trajectory is the same at any parallelism, up to wall time.
+func TestRETProbeTrajectoryDeterministic(t *testing.T) {
+	inst := clusteredRETInstance(t, 3, 40)
+	run := func(parallelism int) []ProbeStep {
+		res, err := SolveRET(inst, RETConfig{
+			Solver: dantzigOpts(), WarmStart: true, Certificates: true, Parallelism: parallelism,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Probes {
+			res.Probes[i].DurUS = 0
+		}
+		return res.Probes
+	}
+	serial, wide := run(1), run(8)
+	if len(serial) == 0 || !reflect.DeepEqual(serial, wide) {
+		t.Fatalf("trajectory differs between Parallelism 1 and 8:\n1: %+v\n8: %+v", serial, wide)
 	}
 }

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"wavesched/internal/job"
@@ -101,8 +102,8 @@ func TestSolveRETWarmByteIdentical(t *testing.T) {
 			t.Errorf("%s assignment differs between warm and cold runs", pair.name)
 		}
 	}
-	if warm.ProbeBasis == nil {
-		t.Error("warm run did not hand back a probe basis")
+	if len(warm.ProbeBases) != 1 {
+		t.Errorf("warm run of a one-block instance handed back %d probe bases", len(warm.ProbeBases))
 	}
 	if warm.LPIters >= cold.LPIters {
 		t.Logf("warm pivots %d not below cold %d (speedup comes from skipped phase 1; not fatal)",
@@ -110,12 +111,59 @@ func TestSolveRETWarmByteIdentical(t *testing.T) {
 	}
 
 	// A second warm run seeded with the previous probe basis must agree too.
-	warm2, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmBasis: warm.ProbeBasis})
+	warm2, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmComponents: warm.ProbeBases})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm2.BHat != cold.BHat || assignmentBytes(warm2.LPDAR) != assignmentBytes(cold.LPDAR) {
 		t.Error("basis-seeded warm run diverged from cold")
+	}
+}
+
+// TestCarryDeclinesForeignPathsKey: carried warm state is taken up only
+// under the path-set fingerprint it was captured with. An entry with an
+// empty or a foreign PathsKey — a basis and certificates over other columns —
+// is declined outright: the search starts cold, probe for probe the search of
+// a solve that was handed nothing, and ends on the same b̂ and bytes.
+func TestCarryDeclinesForeignPathsKey(t *testing.T) {
+	inst := retWarmInstance(t)
+	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Certificates: true}
+	first, err := SolveRET(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trajectory := func(res *RETResult) []ProbeStep {
+		steps := append([]ProbeStep(nil), res.Probes...)
+		for i := range steps {
+			steps[i].DurUS = 0
+		}
+		return steps
+	}
+	with := func(pathsKey func(string) string) *RETResult {
+		t.Helper()
+		cfg := cfg
+		cfg.WarmComponents = make(map[string]*ComponentBasis)
+		for key, cb := range first.ProbeBases {
+			c := *cb
+			c.PathsKey = pathsKey(cb.PathsKey)
+			cfg.WarmComponents[key] = &c
+		}
+		res, err := SolveRET(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BHat != first.BHat || res.B != first.B || assignmentBytes(res.LPDAR) != assignmentBytes(first.LPDAR) {
+			t.Fatal("carried state moved the outcome")
+		}
+		return res
+	}
+	if kept := with(func(k string) string { return k }); reflect.DeepEqual(trajectory(kept), trajectory(first)) {
+		t.Fatal("a matching entry left the search as cold as none: the carry is never taken up, so declining it proves nothing")
+	}
+	for name, key := range map[string]string{"empty": "", "foreign": "not-these-paths"} {
+		if got := with(func(string) string { return key }); !reflect.DeepEqual(trajectory(got), trajectory(first)) {
+			t.Errorf("%s PathsKey: the entry was used:\n got %+v\nwant %+v", name, trajectory(got), trajectory(first))
+		}
 	}
 }
 
