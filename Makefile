@@ -121,9 +121,9 @@ bench-scale:
 	$(GO) run ./cmd/benchfig -quick -fig scale -json /tmp/benchscale.json -baseline BENCH_10.json -max-regress 10
 
 # Admission-subsystem sustained-load smoke: 5000 durable submissions
-# through the batched intake path vs the per-request mutex path, plus the
-# incremental re-plan timing. Fails if batched intake throughput drops
-# more than 10% against the committed BENCH_08.json baseline.
+# through the batched intake path, plus the incremental re-plan timing.
+# Fails if batched intake throughput drops more than 10% against the
+# committed BENCH_08.json baseline.
 bench-admission:
 	$(GO) run ./cmd/benchfig -quick -fig admission -json /tmp/benchadmission.json -baseline BENCH_08.json -max-regress 10
 

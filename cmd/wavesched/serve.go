@@ -50,10 +50,7 @@ type serveOptions struct {
 	FlightDir     string
 	Incremental   bool
 
-	// Admission subsystem (batched intake, tenant quotas, priority
-	// classes). Enabled by default; -admission=false restores the
-	// original inline per-request submit path.
-	AdmissionOn   bool
+	// Admission policy (tenant quotas, priority classes).
 	QuotasRaw     []string
 	PriorityRaw   string
 	RequireTenant bool
@@ -88,7 +85,6 @@ func parseServeFlags(args []string) (serveOptions, error) {
 	fs.IntVar(&o.FlightFrames, "flight-frames", 64, "epochs of full solve detail retained by the flight recorder (0 = off)")
 	fs.StringVar(&o.FlightDir, "flight-dir", "", "directory for flight-recorder anomaly dumps (default: the WAL directory)")
 	fs.BoolVar(&o.Incremental, "incremental", false, "re-plan through the per-component plan cache (byte-identical to the full re-solve; a plan is reused only on an unchanged grid, so under the daemon's moving horizon every component re-solves)")
-	fs.BoolVar(&o.AdmissionOn, "admission", true, "route submissions through the batched admission subsystem (intake queue, tenant quotas, priority classes)")
 	fs.Func("quota", "tenant policy as [tenant:]k=v pairs (rate, burst, max_jobs, max_demand); no tenant prefix sets the default policy; repeatable, e.g. -quota cms:rate=50,max_jobs=200 -quota rate=10", func(v string) error {
 		o.QuotasRaw = append(o.QuotasRaw, v)
 		return nil
@@ -110,15 +106,11 @@ func parseServeFlags(args []string) (serveOptions, error) {
 	if o.Tau <= 0 {
 		return o, fmt.Errorf("serve: -tau must be positive")
 	}
-	if o.AdmissionOn {
-		acfg, err := buildAdmissionConfig(o)
-		if err != nil {
-			return o, err
-		}
-		o.Admission = acfg
-	} else if len(o.QuotasRaw) > 0 || o.PriorityRaw != "" || o.RequireTenant {
-		return o, fmt.Errorf("serve: -quota/-priority/-require-tenant need the admission subsystem (-admission=true)")
+	acfg, err := buildAdmissionConfig(o)
+	if err != nil {
+		return o, err
 	}
+	o.Admission = acfg
 	if o.NodeID != "" {
 		if o.ClusterDir == "" {
 			return o, fmt.Errorf("serve: cluster mode requires -cluster-dir (shared lease directory)")

@@ -145,8 +145,6 @@ func (p TenantPolicy) burst() float64 {
 
 // Config tunes the admission subsystem.
 type Config struct {
-	// Shards sets the intake queue's shard count; ≤ 0 selects 8.
-	Shards int
 	// Tenants maps tenant names to their policies. Tenants absent from
 	// the map fall back to Default (unless RequireTenant is set).
 	Tenants map[string]TenantPolicy

@@ -1,7 +1,7 @@
 // Sustained-load benchmark for the admission subsystem: intake
-// throughput of the batched submit path vs the original per-request
-// mutex path, and the cost of incremental re-planning vs a full
-// re-solve when churn touches one component of many.
+// throughput of the batched submit path, and the cost of incremental
+// re-planning vs a full re-solve when churn touches one component of
+// many.
 package experiments
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wavesched/internal/admission"
 	"wavesched/internal/controller"
 	"wavesched/internal/job"
 	"wavesched/internal/metrics"
@@ -31,10 +30,9 @@ type AdmissionResult struct {
 	Jobs    int // submissions per throughput run
 	Writers int // concurrent submitter goroutines
 
-	// Intake throughput, both paths durable (WAL fsync before ack).
-	InlinePerSec  float64 // original per-request mutex + per-submit fsync
-	BatchedPerSec float64 // admission subsystem: lock-free intake, batch fsync
-	Speedup       float64 // BatchedPerSec / InlinePerSec
+	// Durable intake throughput (WAL fsync before ack): lock-free intake,
+	// one fsync per batch.
+	BatchedPerSec float64
 
 	// Incremental re-planning: one dirty component out of Components.
 	FullMs     float64 // full decomposed re-solve, serial
@@ -55,37 +53,21 @@ func AdmissionLoad(sc Scale, jobs, writers int) (AdmissionResult, error) {
 	}
 	res := AdmissionResult{Jobs: jobs, Writers: writers}
 
-	// Best of several runs per path, each against a fresh server and WAL,
-	// after one discarded warm-up: a single run lasts well under a second
-	// and covers only a handful of fsyncs, so one slow flush or scheduler
-	// hiccup shifts the raw number by double-digit percents. The best-of
+	// Best of several runs, each against a fresh server and WAL, after one
+	// discarded warm-up: a single run lasts well under a second and covers
+	// only a handful of fsyncs, so one slow flush or scheduler hiccup
+	// shifts the raw number by double-digit percents. The best-of
 	// estimator converges on the hardware's actual capability.
-	best := func(batched bool, reps int) (float64, error) {
-		var top float64
-		for r := 0; r <= reps; r++ {
-			runtime.GC()
-			v, err := submitThroughput(batched, jobs, writers)
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				continue // warm-up
-			}
-			if v > top {
-				top = v
-			}
+	const reps = 5
+	for r := 0; r <= reps; r++ {
+		runtime.GC()
+		v, err := submitThroughput(jobs, writers)
+		if err != nil {
+			return res, fmt.Errorf("batched intake: %w", err)
 		}
-		return top, nil
-	}
-	var err error
-	if res.InlinePerSec, err = best(false, 2); err != nil {
-		return res, fmt.Errorf("inline path: %w", err)
-	}
-	if res.BatchedPerSec, err = best(true, 5); err != nil {
-		return res, fmt.Errorf("batched path: %w", err)
-	}
-	if res.InlinePerSec > 0 {
-		res.Speedup = res.BatchedPerSec / res.InlinePerSec
+		if r > 0 && v > res.BatchedPerSec { // r == 0 is the warm-up
+			res.BatchedPerSec = v
+		}
 	}
 
 	if err := incrementalReplan(sc, &res); err != nil {
@@ -98,7 +80,7 @@ func AdmissionLoad(sc Scale, jobs, writers int) (AdmissionResult, error) {
 // durable (WAL-backed) server. Every job's window lies far in the
 // future, so the cost measured is pure intake: admission gates, WAL
 // fsync, controller buffering — no solves.
-func submitThroughput(batched bool, jobs, writers int) (float64, error) {
+func submitThroughput(jobs, writers int) (float64, error) {
 	dir, err := os.MkdirTemp("", "wavesched-admission-bench-")
 	if err != nil {
 		return 0, err
@@ -106,24 +88,18 @@ func submitThroughput(batched bool, jobs, writers int) (float64, error) {
 	defer os.RemoveAll(dir)
 
 	g := netgraph.Line(2, 2, 10)
-	cfg := server.Config{
+	s, err := server.New(g, server.Config{
 		Controller: controller.Config{Tau: 1, SliceLen: 1, K: 1, Policy: controller.PolicyMaxThroughput},
 		WALDir:     dir,
-	}
-	if batched {
-		cfg.Admission = &admission.Config{}
-	}
-	s, err := server.New(g, cfg)
+	})
 	if err != nil {
 		return 0, err
 	}
 	defer s.Close()
 	h := s.Handler()
 
-	// Every writer pushes its share of the load; the batched side uses
-	// the subsystem's bulk surface (POST /v1/jobs/batch in chunks), the
-	// inline side the original one-job-per-request endpoint — each path
-	// driven the way a loaded client would drive it.
+	// Every writer pushes its share of the load through the bulk surface
+	// (POST /v1/jobs/batch in chunks), the way a loaded client drives it.
 	const one = `{"src": 0, "dst": 1, "size": 1, "start": 1000000, "end": 1000010}`
 	const chunk = 128
 	batchBody := func(n int) string {
@@ -142,17 +118,6 @@ func submitThroughput(batched bool, jobs, writers int) (float64, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !batched {
-				for i := 0; i < perWriter; i++ {
-					req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(one))
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, req)
-					if rec.Code != http.StatusAccepted {
-						failures.Add(1)
-					}
-				}
-				return
-			}
 			for left := perWriter; left > 0; left -= chunk {
 				n := min(chunk, left)
 				req := httptest.NewRequest(http.MethodPost, "/v1/jobs/batch", strings.NewReader(batchBody(n)))
@@ -282,9 +247,7 @@ func AdmissionTable(title string, r AdmissionResult) *metrics.Table {
 	t := metrics.NewTable(title,
 		"metric", "value")
 	t.AddRow("submissions", fmt.Sprintf("%d x %d writers", r.Jobs, r.Writers))
-	t.AddRow("inline jobs/s", fmt.Sprintf("%.0f", r.InlinePerSec))
 	t.AddRow("batched jobs/s", fmt.Sprintf("%.0f", r.BatchedPerSec))
-	t.AddRow("speedup", fmt.Sprintf("%.1fx", r.Speedup))
 	t.AddRow("full re-solve ms", fmt.Sprintf("%.2f", r.FullMs))
 	t.AddRow("incremental ms", fmt.Sprintf("%.2f", r.IncrMs))
 	t.AddRow("incremental/full", fmt.Sprintf("%.2f", r.IncrRatio))

@@ -11,6 +11,16 @@ import (
 	"wavesched/internal/store"
 )
 
+// Server-side failures a drain resolves submissions with; rejectionFor
+// maps them to 5xx so a client never reads them as a bad job.
+var (
+	// errWALAppend: the batch entry could not be made durable (a failed
+	// or fenced append), so nothing in it was applied.
+	errWALAppend = errors.New("wal append")
+	// errShuttingDown: the server closed before the submission was drained.
+	errShuttingDown = errors.New("server is shutting down")
+)
+
 // pump is the intake queue's single consumer between epoch ticks: it
 // wakes when submissions arrive and drains the backlog as one batch
 // under the server's write lock. Batching is the group-commit kind —
@@ -57,16 +67,13 @@ func (s *Server) nextFreeID(cursor *job.ID, inBatch map[job.ID]bool) job.ID {
 // submissions, so replay — which cannot re-run wall-clock rate limits or
 // see the rejected requests — reproduces the controller's input exactly.
 func (s *Server) drainIntakeLocked() {
-	if s.intake == nil {
-		return
-	}
 	subs := s.intake.Drain()
 	if len(subs) == 0 {
 		return
 	}
 	if s.closed {
 		for _, sub := range subs {
-			sub.Resolve(admission.Decision{ID: sub.Job.ID, Err: fmt.Errorf("server is shutting down")})
+			sub.Resolve(admission.Decision{ID: sub.Job.ID, Err: errShuttingDown})
 		}
 		return
 	}
@@ -146,7 +153,7 @@ func (s *Server) drainIntakeLocked() {
 		if !errors.Is(err, ErrNoQuorum) {
 			for _, c := range accepted {
 				s.policy.Release(c.j.ID)
-				c.sub.Resolve(admission.Decision{ID: c.j.ID, Err: fmt.Errorf("wal append: %w", err)})
+				c.sub.Resolve(admission.Decision{ID: c.j.ID, Err: fmt.Errorf("%w: %w", errWALAppend, err)})
 			}
 			return
 		}
@@ -174,9 +181,6 @@ func (s *Server) drainIntakeLocked() {
 // finalized since the last call (completion, deadline expiry, rejection,
 // disruption). Caller holds s.mu.
 func (s *Server) releaseFinishedLocked() {
-	if s.policy == nil {
-		return
-	}
 	for _, r := range s.ctrl.RecordsFrom(s.recCursor) {
 		s.policy.Release(r.Job.ID)
 	}

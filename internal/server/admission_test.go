@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"wavesched/internal/controller"
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/store"
 )
 
 // admissionServer builds a server with the admission subsystem enabled.
@@ -203,15 +205,55 @@ func TestBatchEndpointShedsScavengersFirst(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointDisabled: without the admission subsystem the batch
-// endpoint refuses explicitly rather than silently serializing.
-func TestBatchEndpointDisabled(t *testing.T) {
-	g := netgraph.Line(2, 2, 10)
-	s := newTestServer(t, g, Config{})
-	rec := do(t, s.Handler(), http.MethodPost, "/v1/jobs/batch",
-		batchSubmitRequest{Jobs: []submitRequest{{Src: 0, Dst: 1, Size: 1, Start: 0, End: 8}}}, nil)
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("batch with admission disabled: code %d, want 501", rec.Code)
+// TestBatchEndpointZeroConfig: a server built with no admission config
+// still admits through the intake queue — the batch endpoint accepts,
+// and the status endpoint reports the subsystem with no tenant usage.
+func TestBatchEndpointZeroConfig(t *testing.T) {
+	h := newTestServer(t, netgraph.Line(2, 2, 10), Config{}).Handler()
+	var st admissionResponse
+	if rec := do(t, h, http.MethodGet, "/v1/admission", nil, &st); rec.Code != http.StatusOK ||
+		!st.Enabled || st.Tenants == nil || len(st.Tenants) != 0 {
+		t.Fatalf("admission status: code %d body %s", rec.Code, rec.Body.String())
+	}
+	var resp batchSubmitResponse
+	rec := do(t, h, http.MethodPost, "/v1/jobs/batch",
+		batchSubmitRequest{Jobs: []submitRequest{{Src: 0, Dst: 1, Size: 1, Start: 0, End: 8}}}, &resp)
+	if rec.Code != http.StatusOK || resp.Accepted != 1 || resp.Results[0].State != "pending" {
+		t.Fatalf("batch with zero config: code %d resp %+v, want 200 with 1 accepted", rec.Code, resp)
+	}
+}
+
+// failingWAL refuses every append, as a full disk or a fenced cluster log
+// would. Seq is never called here; the nil embedded WAL would panic if it
+// were.
+type failingWAL struct{ WAL }
+
+func (failingWAL) Append(store.Entry) (store.Entry, error) {
+	return store.Entry{}, errors.New("disk full")
+}
+func (failingWAL) Close() error { return nil }
+
+// TestWALFailureIsServerError: a submission the drain cannot make durable
+// is the server's failure, not the client's — 500 on POST /v1/jobs,
+// wal_append in a batch result — and nothing reaches the controller.
+func TestWALFailureIsServerError(t *testing.T) {
+	_, h := admissionServer(t, admission.Config{}, Config{Log: failingWAL{}})
+	var rej rejectResponse
+	rec := do(t, h, http.MethodPost, "/v1/jobs",
+		submitRequest{Src: 0, Dst: 1, Size: 1, Start: 0, End: 8}, &rej)
+	if rec.Code != http.StatusInternalServerError || rej.Error.Code != "wal_append" {
+		t.Fatalf("submit over a failing WAL: code %d envelope %+v, want 500 wal_append", rec.Code, rej)
+	}
+	var resp batchSubmitResponse
+	do(t, h, http.MethodPost, "/v1/jobs/batch",
+		batchSubmitRequest{Jobs: []submitRequest{{Src: 1, Dst: 0, Size: 1, Start: 0, End: 8}}}, &resp)
+	if len(resp.Results) != 1 || resp.Results[0].Error == nil || resp.Results[0].Error.Code != "wal_append" {
+		t.Fatalf("batch over a failing WAL: %+v, want one wal_append result", resp)
+	}
+	var list jobListResponse
+	do(t, h, http.MethodGet, "/v1/jobs", nil, &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("jobs applied despite the failed append: %+v", list.Jobs)
 	}
 }
 

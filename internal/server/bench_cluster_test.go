@@ -44,8 +44,8 @@ func benchSubmitPath(b *testing.B, cv ClusterView) {
 }
 
 // BenchmarkClusterHooks quantifies what the HA hooks cost a single-node
-// deployment: the write path with no ClusterView (the seed
-// configuration) versus with the hooks active. The off/on ratio is
+// deployment: the queued write path (enqueue, pump drain, apply) with no
+// ClusterView versus with the hooks active. The off/on ratio is
 // gated at ≤2% by `make bench-cluster-guard` (part of bench-smoke) —
 // the hooks are one nil interface check plus an atomic load, and must
 // stay that cheap.

@@ -134,6 +134,8 @@ type rejectEnvelope struct {
 //	quota_exceeded   429  tenant capacity quota would be breached
 //	forbidden_tenant 403  tenant unknown and the server requires one
 //	invalid_job      400  the 6-tuple failed validation
+//	wal_append       500  the submission could not be made durable
+//	shutting_down    503  the server closed before deciding
 type rejectResponse struct {
 	ID    int            `json:"id,omitempty"`
 	State string         `json:"state"`
@@ -166,6 +168,10 @@ func rejectionFor(err error) (status int, code string) {
 		return http.StatusTooManyRequests, "quota_exceeded"
 	case errors.Is(err, admission.ErrUnknownTenant):
 		return http.StatusForbidden, "forbidden_tenant"
+	case errors.Is(err, errWALAppend):
+		return http.StatusInternalServerError, "wal_append"
+	case errors.Is(err, errShuttingDown):
+		return http.StatusServiceUnavailable, "shutting_down"
 	default:
 		return http.StatusBadRequest, "invalid_job"
 	}
@@ -185,84 +191,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode job: "+err.Error())
 		return
 	}
-	if s.intake != nil {
-		s.submitQueued(w, r, req)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-
-	j := job.Job{
-		Src: netgraph.NodeID(req.Src), Dst: netgraph.NodeID(req.Dst),
-		Size: req.Size, Start: req.Start, End: req.End,
-	}
-	if req.ID != nil {
-		j.ID = job.ID(*req.ID)
-	} else {
-		j.ID = job.ID(s.maxID + 1)
-	}
-	if req.Arrival != nil {
-		j.Arrival = *req.Arrival
-	} else {
-		// Stamp with the current virtual time, capped by the requested
-		// start so the 6-tuple invariant A ≤ S holds.
-		j.Arrival = s.virtualNow()
-		if j.Arrival > j.Start {
-			j.Arrival = j.Start
-		}
-	}
-	if s.seen[j.ID] {
-		telSubmitConflicts.Inc()
-		writeReject(w, http.StatusConflict, j.ID, "duplicate_id", "duplicate job id", 0)
-		return
-	}
-	if err := j.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if int(j.Src) >= s.g.NumNodes() || int(j.Dst) >= s.g.NumNodes() || j.Src < 0 || j.Dst < 0 {
-		writeError(w, http.StatusBadRequest, "src/dst outside the network")
-		return
-	}
-
-	// Durability before acknowledgement: the fully-resolved job (assigned
-	// ID, stamped arrival) is fsynced to the WAL — and, in cluster mode,
-	// replicated to the quorum — then applied, so replay reproduces this
-	// submission exactly. On a quorum miss the entry is already in the
-	// local log, so the state machine must still apply it; only the ack
-	// weakens (503: durable on this node, under-replicated).
-	underReplicated := false
-	if err := s.logEvent(store.Entry{Type: store.EntrySubmit, Job: store.NewJobEntry(j)}); err != nil {
-		if !errors.Is(err, ErrNoQuorum) {
-			writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
-			return
-		}
-		underReplicated = true
-	}
-	s.noteID(j.ID)
-	if err := s.ctrl.Submit(j); err != nil {
-		if errors.Is(err, controller.ErrTooLate) {
-			telSubmitConflicts.Inc()
-			writeReject(w, http.StatusConflict, j.ID, "too_late", err.Error(), 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	telSubmitted.Inc()
-	if underReplicated {
-		writeJSON(w, http.StatusServiceUnavailable, submitResponse{
-			ID: int(j.ID), State: "pending",
-			Error: "accepted on this node but replication quorum not reached; durability is degraded",
-		})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: int(j.ID), State: "pending"})
+	s.submitQueued(w, r, req)
 }
 
 // enqueueSubmission runs the pre-WAL admission gates (priority-class
@@ -299,10 +228,10 @@ func (s *Server) enqueueSubmission(req submitRequest) (*admission.Submission, in
 	return s.intake.Enqueue(sub), 0, rejectEnvelope{}
 }
 
-// submitQueued is the admission-subsystem submit path: gate, enqueue,
-// and block until the batch drain decides — the handler goroutine never
-// takes the server's write lock, so thousands of concurrent submitters
-// cost lock-free enqueues plus one drain per coalesced batch.
+// submitQueued is the submit path: gate, enqueue, and block until the
+// batch drain decides — the handler goroutine never takes the server's
+// write lock, so thousands of concurrent submitters cost lock-free
+// enqueues plus one drain per coalesced batch.
 func (s *Server) submitQueued(w http.ResponseWriter, r *http.Request, req submitRequest) {
 	sub, status, env := s.enqueueSubmission(req)
 	if sub == nil {
@@ -320,7 +249,7 @@ func (s *Server) submitQueued(w http.ResponseWriter, r *http.Request, req submit
 	case d := <-sub.Done():
 		s.writeDecision(w, d)
 	case <-s.shutdown:
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.writeDecision(w, admission.Decision{ID: sub.Job.ID, Err: errShuttingDown})
 	case <-r.Context().Done():
 		// Client gone; the drain still decides the submission (it may
 		// already be durable), there is just no one left to tell.
@@ -368,10 +297,6 @@ type batchSubmitResponse struct {
 // the batch under a single WAL fsync.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if s.redirectWrite(w, r) {
-		return
-	}
-	if s.intake == nil {
-		writeError(w, http.StatusNotImplemented, "admission subsystem disabled; submit jobs individually")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -429,8 +354,9 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// admissionResponse is the GET /v1/admission body: subsystem status,
-// live intake depth, and per-tenant quota consumption.
+// admissionResponse is the GET /v1/admission body: live intake depth and
+// per-tenant quota consumption. Enabled is always true; it stays on the
+// wire for clients that read it.
 type admissionResponse struct {
 	Enabled bool                    `json:"enabled"`
 	Depth   int                     `json:"depth"`
@@ -438,15 +364,10 @@ type admissionResponse struct {
 }
 
 func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
-	resp := admissionResponse{Tenants: []admission.TenantUsage{}}
-	if s.intake != nil {
-		resp.Enabled = true
-		resp.Depth = s.intake.Depth()
-		resp.Tenants = append(resp.Tenants, s.policy.Usage()...)
-		sort.Slice(resp.Tenants, func(a, b int) bool {
-			return resp.Tenants[a].Tenant < resp.Tenants[b].Tenant
-		})
-	}
+	resp := admissionResponse{Enabled: true, Depth: s.intake.Depth(), Tenants: s.policy.Usage()}
+	sort.Slice(resp.Tenants, func(a, b int) bool {
+		return resp.Tenants[a].Tenant < resp.Tenants[b].Tenant
+	})
 	writeJSON(w, http.StatusOK, resp)
 }
 

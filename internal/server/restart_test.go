@@ -16,6 +16,7 @@ import (
 	"wavesched/internal/controller"
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/store"
 )
 
 // TestKillAndRestartReplay is the durability acceptance test: a daemon
@@ -97,6 +98,63 @@ func TestKillAndRestartReplay(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestReplayLegacySubmitEntries: a WAL written by an older binary holds
+// one single-job submit entry per admission. Replaying it must rebuild
+// the state a live server reaches from the same jobs over HTTP and the
+// same ticks.
+func TestReplayLegacySubmitEntries(t *testing.T) {
+	first := []job.Job{
+		{ID: 1, Src: 0, Dst: 2, Size: 4, Start: 0, End: 9},
+		{ID: 2, Src: 1, Dst: 3, Size: 3, Start: 0, End: 7},
+	}
+	second := job.Job{ID: 3, Src: 2, Dst: 0, Size: 5, Arrival: 1, Start: 1, End: 10}
+
+	dir := t.TempDir()
+	wal, _, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []store.Entry{
+		{Type: store.EntrySubmit, Job: store.NewJobEntry(first[0])},
+		{Type: store.EntrySubmit, Job: store.NewJobEntry(first[1])},
+		{Type: store.EntryEpoch},
+		{Type: store.EntrySubmit, Job: store.NewJobEntry(second)},
+		{Type: store.EntryEpoch},
+	} {
+		if _, err := wal.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := newTestServer(t, netgraph.Ring(4, 2, 10), Config{WALDir: dir})
+
+	live := newTestServer(t, netgraph.Ring(4, 2, 10), Config{})
+	h := live.Handler()
+	for _, batch := range [][]job.Job{first, {second}} {
+		for _, j := range batch {
+			if rec := do(t, h, http.MethodPost, "/v1/jobs", submitBody(j), nil); rec.Code != http.StatusAccepted {
+				t.Fatalf("submit %d: code %d body %s", j.ID, rec.Code, rec.Body.String())
+			}
+		}
+		if err := live.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	drainServer(t, replayed, 30)
+	drainServer(t, live, 30)
+	recs := replayed.Records()
+	if len(recs) != 3 {
+		t.Fatalf("replayed server has %d records, want 3", len(recs))
+	}
+	got, want := recordsBytes(t, recs), recordsBytes(t, live.Records())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("legacy WAL replay differs from the live run:\n got %s\nwant %s", got, want)
+	}
+}
 
 // TestConcurrentSubmitters exercises the single-writer discipline under
 // the race detector: many goroutines POST jobs over real HTTP while the

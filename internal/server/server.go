@@ -85,12 +85,13 @@ type ClusterView interface {
 type Config struct {
 	Controller controller.Config
 
-	// Admission, when non-nil, enables the production admission
-	// subsystem: submissions flow through a sharded lock-free intake
-	// queue and are drained in batches (one WAL fsync per drain), gated
-	// by per-tenant rate limits and capacity quotas, and carry priority
-	// classes that scale stage-2 weights and order admission preference.
-	// Nil keeps the original inline per-request submit path.
+	// Admission is the admission policy. Every submission flows through
+	// a sharded lock-free intake queue and is drained in batches (one WAL
+	// fsync per drain), gated by per-tenant rate limits and capacity
+	// quotas, and carries a priority class that scales its stage-2 weight
+	// and orders admission preference. Nil means the zero admission.Config:
+	// no tenant limits and the default class weights, so a job that names
+	// no class is standard and weighs its size, as in the paper.
 	Admission *admission.Config
 
 	// Period is the wall-clock duration of one scheduling period τ. The
@@ -152,7 +153,7 @@ type Server struct {
 	epochWall time.Time // wall instant of the most recent tick
 	closed    bool
 
-	// Admission subsystem (nil/zero when Config.Admission is nil).
+	// Admission subsystem.
 	intake    *admission.Queue  // sharded lock-free intake buffer
 	policy    *admission.Policy // tenant quotas, rate limits, class weights
 	recCursor int               // records already quota-released
@@ -182,19 +183,20 @@ func New(g *netgraph.Graph, cfg Config) (*Server, error) {
 		}
 		cfg.Controller.FlightRecorder = telemetry.NewFlightRecorder(cfg.FlightFrames, dir)
 	}
-	var policy *admission.Policy
+	var acfg admission.Config
 	if cfg.Admission != nil {
-		// The policy's class registry must exist before the controller:
-		// its Weight/Rank hooks are closures over the registry, rebuilt
-		// identically on WAL replay, so class-weighted schedules stay
-		// deterministic across restarts.
-		policy = admission.NewPolicy(*cfg.Admission)
-		if cfg.Controller.Weight == nil {
-			cfg.Controller.Weight = policy.Weight
-		}
-		if cfg.Controller.PriorityRank == nil {
-			cfg.Controller.PriorityRank = policy.Rank
-		}
+		acfg = *cfg.Admission
+	}
+	// The policy's class registry must exist before the controller: its
+	// Weight/Rank hooks are closures over the registry, rebuilt identically
+	// on WAL replay, so class-weighted schedules stay deterministic across
+	// restarts.
+	policy := admission.NewPolicy(acfg)
+	if cfg.Controller.Weight == nil {
+		cfg.Controller.Weight = policy.Weight
+	}
+	if cfg.Controller.PriorityRank == nil {
+		cfg.Controller.PriorityRank = policy.Rank
 	}
 	ctrl, err := controller.New(g, cfg.Controller)
 	if err != nil {
@@ -203,10 +205,9 @@ func New(g *netgraph.Graph, cfg Config) (*Server, error) {
 	s := &Server{
 		g: g, cfg: cfg, ctrl: ctrl, logger: logger,
 		seen: make(map[job.ID]bool), epochWall: time.Now(),
-		policy: policy, shutdown: make(chan struct{}),
-	}
-	if cfg.Admission != nil {
-		s.intake = admission.NewQueue(cfg.Admission.Shards)
+		intake: admission.NewQueue(0), policy: policy,
+		pumpStop: make(chan struct{}), pumpDone: make(chan struct{}),
+		shutdown: make(chan struct{}),
 	}
 	if fr := cfg.Controller.FlightRecorder; fr != nil {
 		// Anomaly dumps become durable history: the WAL records when and
@@ -247,11 +248,7 @@ func New(g *netgraph.Graph, cfg Config) (*Server, error) {
 	// Records finalized during replay have already left the system; free
 	// their quota before serving so usage reflects live jobs only.
 	s.releaseFinishedLocked()
-	if s.intake != nil {
-		s.pumpStop = make(chan struct{})
-		s.pumpDone = make(chan struct{})
-		go s.pump()
-	}
+	go s.pump()
 	return s, nil
 }
 
@@ -274,6 +271,8 @@ func (s *Server) replay(entries []store.Entry) error {
 func (s *Server) applyEntry(e store.Entry) error {
 	switch e.Type {
 	case store.EntrySubmit:
+		// Single-job admissions, written only by older binaries; a WAL on
+		// disk may still hold them.
 		if e.Job == nil {
 			return fmt.Errorf("server: replay entry %d: submit without job", e.Seq)
 		}
@@ -327,13 +326,11 @@ func (s *Server) applyJobEntry(je store.JobEntry, seq uint64) error {
 		}
 		return fmt.Errorf("server: replay entry %d: %w", seq, err)
 	}
-	if s.policy != nil {
-		class, err := admission.ParseClass(je.Priority)
-		if err != nil {
-			return fmt.Errorf("server: replay entry %d: %w", seq, err)
-		}
-		s.policy.Register(j.ID, je.Tenant, class, j.Size)
+	class, err := admission.ParseClass(je.Priority)
+	if err != nil {
+		return fmt.Errorf("server: replay entry %d: %w", seq, err)
 	}
+	s.policy.Register(j.ID, je.Tenant, class, j.Size)
 	return nil
 }
 
@@ -369,12 +366,10 @@ func (s *Server) Reset(entries []store.Entry) error {
 	s.seen = make(map[job.ID]bool)
 	s.maxID = 0
 	s.recCursor = 0
-	if s.policy != nil {
-		// Quota accounting rebuilds from the replacement history; replay
-		// re-registers every accepted job (applyJobEntry) and the release
-		// cursor walks the new record list from the start.
-		s.policy.ResetUsage()
-	}
+	// Quota accounting rebuilds from the replacement history; replay
+	// re-registers every accepted job (applyJobEntry) and the release
+	// cursor walks the new record list from the start.
+	s.policy.ResetUsage()
 	if err := s.replay(entries); err != nil {
 		s.ctrl, s.seen, s.maxID = oldCtrl, oldSeen, oldMax
 		return err
@@ -531,15 +526,13 @@ func (s *Server) Close() error {
 		err = s.wal.Close()
 	}
 	s.mu.Unlock()
-	if s.pumpStop != nil {
-		close(s.pumpStop)
-		<-s.pumpDone
-		// The pump is gone; one final drain (now the sole consumer)
-		// rejects any submissions that slipped in during shutdown.
-		s.mu.Lock()
-		s.drainIntakeLocked()
-		s.mu.Unlock()
-	}
+	close(s.pumpStop)
+	<-s.pumpDone
+	// The pump is gone; one final drain (now the sole consumer) rejects
+	// any submissions that slipped in during shutdown.
+	s.mu.Lock()
+	s.drainIntakeLocked()
+	s.mu.Unlock()
 	return err
 }
 

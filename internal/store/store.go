@@ -54,6 +54,8 @@ type EntryType string
 const (
 	// EntrySubmit: one job admission request, with the fully-resolved job
 	// (server-assigned ID and arrival included) so replay is exact.
+	// Replay-only: written by older binaries, which admitted one job per
+	// entry; the server now writes EntryBatchSubmit.
 	EntrySubmit EntryType = "submit"
 	// EntryBatchSubmit: one admission intake drain — every job accepted
 	// in one batch, fully resolved, acknowledged under a single fsync.
