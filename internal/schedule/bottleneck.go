@@ -28,7 +28,7 @@ type Bottleneck struct {
 // planning information the optimization framework yields for free.
 func BottleneckAnalysis(inst *Instance, opts lp.Options) ([]Bottleneck, *Stage1Result, error) {
 	// Every capacity row: the report is a shadow price per (link, slice).
-	m, z, xvars, capRows, err := buildStage1Model("stage1-mcf-sens", inst, false)
+	m, z, xvars, capRows, err := buildStage1Model("stage1-mcf-sens", inst, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"wavesched/internal/job"
 	"wavesched/internal/lp"
 	"wavesched/internal/lp/dense"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/paths"
+	"wavesched/internal/workload"
 )
 
 // domShape sizes one generated instance of the dominance property: one or
@@ -214,11 +218,11 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 		}
 		return sol
 	}
-	mAll, zAll, _, capRows, err := buildStage1Model("stage1-all-rows", inst, false)
+	mAll, zAll, _, capRows, err := buildStage1Model("stage1-all-rows", inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mRed, zRed, _, _, err := buildStage1Model("stage1-closed", inst, true)
+	mRed, zRed, _, _, err := buildStage1Model("stage1-closed", inst, inst.closedCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +257,9 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 	}
 
 	// Stage 2, ending with the lexicographic phase.
-	plan := func(closed bool) *Assignment {
+	plan := func(cells *capCells) *Assignment {
 		t.Helper()
-		m, _, xv, _, err := buildStage2Model(inst, zstar, lexAlpha, nil, closed)
+		m, _, xv, _, err := buildStage2Model(inst, zstar, lexAlpha, nil, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +267,7 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 		o.Secondary = stage2Secondary(inst, m, xv)
 		return extractAssignment(inst, xv, solve(m, o))
 	}
-	want := plan(false)
+	want := plan(nil)
 	same := func(what string, got *Assignment) {
 		t.Helper()
 		wantLPD, gotLPD := want.Truncate(), got.Truncate()
@@ -280,7 +284,7 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 			t.Fatalf("%s: %s: %v", name, what, err)
 		}
 	}
-	same("closed stage-2 model", plan(true))
+	same("closed stage-2 model", plan(inst.closedCells()))
 	res, err := MaxThroughputWithZ(inst, &Stage1Result{ZStar: zstar}, Config{Alpha: lexAlpha, Solver: opts})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -381,4 +385,305 @@ func FuzzDominatedRows(f *testing.F) {
 		sh := domShape{seed: seed, nodes: int(nodes), jobs: int(jobs), k: int(k), load: int(load), over: int(over)}
 		checkDominatedRows(t, sh.clamp(), &domStats{})
 	})
+}
+
+// growStats is what the appends of a growth run exercised.
+type growStats struct {
+	appends, fresh, offDominator, relinked, restored, twins, zeroCap int
+}
+
+// checkDominatedRowsUnderGrowth is the property of a master kept closed as it
+// grows. It builds the stage-1 master of a shape's instance closed, over
+// every job's first path, and appends up to 24 more — the rest of each job's
+// path set and its 8 shortest paths — one at a time in a seeded order; cells
+// of the first six are overridden to capacity 0 first. After every append:
+//
+//   - The layout keeps the invariant, by brute force: a loaded cell has a row
+//     or links to a cell that holds every column loading it at no larger
+//     capacity, and the links from it reach a row within as many steps as
+//     there are cells — no cycle. Nothing else has a row or a link.
+//   - The master's warm re-solve from Basis.Extend has the optimum of the
+//     all-rows model over the same columns, solved cold, within 1e-9.
+//   - Its optimum passes Assignment.VerifyCapacity, which walks every (edge,
+//     slice), with a row or without.
+func checkDominatedRowsUnderGrowth(t testing.TB, sh domShape, st *growStats) {
+	t.Helper()
+	full := domInstance(t, sh)
+	name := fmt.Sprintf("%+v", sh)
+	opts := partialDantzigOpts()
+	opts.CaptureBasis = true
+	rng := rand.New(rand.NewSource(sh.seed + 7))
+	solve := func(m *lp.Model, o lp.Options) *lp.Solution {
+		t.Helper()
+		sol, err := m.SolveWith(o)
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%s: %s: %v, %v", name, m.Name(), sol, err)
+		}
+		return sol
+	}
+
+	// What to append: the rest of each job's set and its 8 shortest paths,
+	// in a seeded order.
+	type add struct {
+		k int
+		p paths.Path
+	}
+	var adds []add
+	for k, jb := range full.Jobs {
+		seen := map[string]bool{full.JobPaths[k][0].Key(): true}
+		for _, p := range slices.Concat(full.JobPaths[k][1:], paths.KShortest(full.G, jb.Src, jb.Dst, 8, paths.UnitCost)) {
+			if !seen[p.Key()] {
+				seen[p.Key()] = true
+				adds = append(adds, add{k, p})
+			}
+		}
+	}
+	rng.Shuffle(len(adds), func(a, b int) { adds[a], adds[b] = adds[b], adds[a] })
+	if len(adds) > 24 {
+		adds = adds[:24]
+	}
+	inst := permuted(full, identityPerm(full.NumJobs()))
+	for k := range inst.JobPaths {
+		inst.JobPaths[k] = inst.JobPaths[k][:1:1]
+	}
+	for i := 0; i < len(adds) && i < 6; i++ {
+		e := adds[i].p.Edges[rng.Intn(len(adds[i].p.Edges))]
+		first, last := inst.Window(adds[i].k)
+		if err := inst.SetCapacity(e, first+rng.Intn(last-first+1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cells := newCapCells(inst)
+	m, z, xv, _, err := buildStage1Model("stage1-grown", inst, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := &cgMaster{inst: inst, m: m, xv: xv, cells: cells}
+	sol := solve(m, opts)
+	nE := inst.G.NumEdges()
+	for _, a := range adds {
+		// Each cell the path loads without its dominator is either linked
+		// to another of its cells or given its row back.
+		first, last := inst.Window(a.k)
+		off, restored := 0, cells.restored
+		for j := first; j <= last; j++ {
+			for _, e := range a.p.Edges {
+				s := cells.row[j*nE+int(e)]
+				switch {
+				case s == 0:
+					st.fresh++
+				case s < 0 && !slices.Contains(a.p.Edges, netgraph.EdgeID(-s-1)):
+					off++
+				}
+				if inst.Capacity(e, j) == 0 {
+					st.zeroCap++
+				}
+			}
+		}
+		nv, nr, err := ms.appendPath(a.k, a.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.appends++
+		st.offDominator += off
+		st.restored += cells.restored - restored
+		st.relinked += off - (cells.restored - restored)
+		checkGrowthInvariant(t, name, ms, st)
+
+		o := opts
+		o.WarmStart = sol.Basis.Extend(nv, nr)
+		sol = solve(m, o)
+		mAll, zAll, _, _, err := buildStage1Model("stage1-all-rows", inst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sol.Value(z), solve(mAll, partialDantzigOpts()).Value(zAll); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: after %d appends the grown master has Z* = %.12g, the all-rows model %.12g", name, st.appends, got, want)
+		}
+		if err := extractAssignment(inst, ms.xv, sol).VerifyCapacity(1e-6); err != nil {
+			t.Fatalf("%s: after %d appends: %v", name, st.appends, err)
+		}
+	}
+}
+
+// checkGrowthInvariant holds a master's layout to the invariant, reading the
+// columns that load each cell off the master's own variable map.
+func checkGrowthInvariant(t testing.TB, name string, ms *cgMaster, st *growStats) {
+	t.Helper()
+	inst, cells := ms.inst, ms.cells
+	nE, ns := inst.G.NumEdges(), inst.Grid.Num()
+	vars := make([]map[lp.VarID]bool, ns*nE)
+	for k := range ms.xv {
+		for p := range ms.xv[k] {
+			for j, v := range ms.xv[k][p] {
+				if v < 0 {
+					continue
+				}
+				for _, e := range inst.JobPaths[k][p].Edges {
+					if vars[j*nE+int(e)] == nil {
+						vars[j*nE+int(e)] = map[lp.VarID]bool{}
+					}
+					vars[j*nE+int(e)][v] = true
+				}
+			}
+		}
+	}
+	rows, dropped := 0, 0
+	for c, s := range cells.row {
+		e, j := netgraph.EdgeID(c%nE), c/nE
+		switch {
+		case (vars[c] == nil) != (s == 0):
+			t.Fatalf("%s: cell (%d, %d) is loaded by %d columns and laid out as %d", name, e, j, len(vars[c]), s)
+		case s > 0:
+			rows++
+			if cells.kept[s-1] != (capKey{e, j}) {
+				t.Fatalf("%s: cell (%d, %d) names row %d, which is cell %+v's", name, e, j, s-1, cells.kept[s-1])
+			}
+		case s < 0:
+			dropped++
+			b := j*nE + int(-s-1)
+			for v := range vars[c] {
+				if !vars[b][v] {
+					t.Fatalf("%s: cell (%d, %d) links to (%d, %d), which column %d loads only the first of", name, e, j, -s-1, j, v)
+				}
+			}
+			if capA, capB := inst.Capacity(e, j), inst.Capacity(netgraph.EdgeID(-s-1), j); capB > capA {
+				t.Fatalf("%s: cell (%d, %d) of capacity %d links to (%d, %d) of capacity %d", name, e, j, capA, -s-1, j, capB)
+			} else if capB == capA && len(vars[b]) == len(vars[c]) {
+				st.twins++
+			}
+			for steps := 0; cells.row[b] < 0; steps++ {
+				if steps == len(cells.row) {
+					t.Fatalf("%s: the links from cell (%d, %d) go round in a cycle", name, e, j)
+				}
+				b = j*nE + int(-cells.row[b]-1)
+			}
+		}
+	}
+	if rows != len(cells.kept) || dropped != cells.dropped {
+		t.Fatalf("%s: %d cells with a row and %d without; the layout counts %d and %d", name, rows, dropped, len(cells.kept), cells.dropped)
+	}
+	if want := inst.NumJobs() + rows; ms.m.NumRows() != want {
+		t.Fatalf("%s: the master has %d rows, want %d job rows + %d capacity rows", name, ms.m.NumRows(), inst.NumJobs(), rows)
+	}
+}
+
+// TestDominatedRowsUnderGrowth runs checkDominatedRowsUnderGrowth over the
+// seeded shapes of TestDominatedRowsProperty, and requires that they
+// exercise every case of the layout rule: cells an append is the first to
+// load, cells it loads without their dominator that are linked elsewhere or
+// get their row back, links between twins, and cells of capacity 0.
+func TestDominatedRowsUnderGrowth(t *testing.T) {
+	var st growStats
+	for seed := int64(1); seed <= 64; seed++ {
+		checkDominatedRowsUnderGrowth(t, domSeedShape(seed), &st)
+	}
+	t.Logf("%+v", st)
+	for _, c := range []struct {
+		what    string
+		n, want int
+	}{
+		{"appends", st.appends, 500}, {"cells first loaded", st.fresh, 1000},
+		{"cells loaded without their dominator", st.offDominator, 500},
+		{"of those linked to another cell", st.relinked, 100}, {"of those given their row back", st.restored, 200},
+		{"links between twins", st.twins, 1000}, {"cells of capacity 0 loaded", st.zeroCap, 100},
+	} {
+		if c.n < c.want {
+			t.Errorf("only %d %s, want %d: the generator no longer exercises the layout rule", c.n, c.what, c.want)
+		}
+	}
+}
+
+// FuzzDominatedRowsUnderGrowth is the growth arm of FuzzDominatedRows: the
+// same shapes, the property of a master kept closed as it grows.
+func FuzzDominatedRowsUnderGrowth(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		sh := domSeedShape(seed)
+		f.Add(sh.seed, uint8(sh.nodes), uint8(sh.jobs), uint8(sh.k), uint8(sh.load), uint8(sh.over))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodes, jobs, k, load, over uint8) {
+		sh := domShape{seed: seed, nodes: int(nodes), jobs: int(jobs), k: int(k), load: int(load), over: int(over)}
+		checkDominatedRowsUnderGrowth(t, sh.clamp(), &growStats{})
+	})
+}
+
+// TestClosedCellsFollowGrownPool: the closed layout an instance caches is the
+// layout of the paths it has now. After GeneratePaths grew the pool,
+// closedCells is newCapCells of the grown pool and a closed cold stage-2
+// solve over it has the all-rows plan; a layout cached before a master
+// appends a path to the instance is not served after.
+func TestClosedCellsFollowGrownPool(t *testing.T) {
+	g, err := netgraph.Waxman(netgraph.WaxmanConfig{Nodes: 12, LinkPairs: 20, Wavelengths: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := workload.Generate(g, workload.Config{Jobs: 8, Seed: 503, GBToDemand: 0.25, MinWindow: 2, MaxWindow: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewInstanceOpts(g, mustGrid(t, 5), jobs, InstanceOptions{ColumnGen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.closedCells() // the seeds' layout
+	st, err := GeneratePaths(inst, ColGenConfig{Solver: solverOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AddedPaths == 0 {
+		t.Fatal("pricing added no path: the pool did not grow")
+	}
+	if !reflect.DeepEqual(inst.closedCells(), newCapCells(inst)) {
+		t.Fatal("after GeneratePaths the instance serves the closed layout of another pool")
+	}
+	plan := func(cells *capCells) *Assignment {
+		t.Helper()
+		m, _, xv, _, err := buildStage2Model(inst, st.ZStar, lexAlpha, nil, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := solverOpts()
+		o.Secondary = stage2Secondary(inst, m, xv)
+		sol, err := m.SolveWith(o)
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%s: %v, %v", m.Name(), sol, err)
+		}
+		return extractAssignment(inst, xv, sol)
+	}
+	want, got := plan(nil), plan(inst.closedCells())
+	for k := range want.X {
+		for p := range want.X[k] {
+			for j, w := range want.X[k][p] {
+				if d := math.Abs(got.X[k][p][j] - w); d > 1e-7 {
+					t.Fatalf("x[job %d][%d][%d] = %.10g closed, %.10g with every row", inst.Jobs[k].ID, p, j, got.X[k][p][j], w)
+				}
+			}
+		}
+	}
+
+	// A master appends to the very instance it prices.
+	var add paths.Path
+	for _, p := range paths.KShortest(g, jobs[0].Src, jobs[0].Dst, 8, paths.UnitCost) {
+		if !slices.ContainsFunc(inst.JobPaths[0], func(q paths.Path) bool { return q.Key() == p.Key() }) {
+			add = p
+			break
+		}
+	}
+	if add.Edges == nil {
+		t.Fatal("job 0 has every one of its 8 shortest paths")
+	}
+	cells := newCapCells(inst)
+	m, _, xv, _, err := buildStage1Model("colgen-stage1", inst, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.closedCells()
+	ms := &cgMaster{inst: inst, m: m, xv: xv, cells: cells}
+	if _, _, err := ms.appendPath(0, add); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(inst.closedCells(), newCapCells(inst)) {
+		t.Fatal("after appendPath the instance serves the closed layout of the pool before it")
+	}
 }

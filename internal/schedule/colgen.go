@@ -38,11 +38,16 @@ import (
 // (paths.PricedShortest) finds the minimizer per (src, dst, slice), and
 // when even the minimizer misses the threshold no path column anywhere
 // prices in — the restricted optimum is optimal over the full
-// exponential path space, not just the enumerated K. Discovered columns
-// are appended to the master (lp.Model.AddColumn) together with any
-// capacity rows they are first to load, and the solved basis re-enters
-// via lp.Basis.Extend, so each round costs a warm re-solve instead of a
-// cold one.
+// exponential path space, not just the enumerated K. The stage-1 and
+// stage-2 masters are built closed, without their dominated capacity rows,
+// and kept closed as they grow (capcells.go): a cell without a row prices
+// at y = 0, which the reduced master's feasible set — the full master's —
+// makes exact. Discovered columns are appended to the master
+// (lp.Model.AddColumn) together with the capacity rows they need: a row for
+// a cell they are first to load, or back for a dominated one they load
+// without its dominator. Those are trailing LE rows, so the solved basis
+// re-enters via lp.Basis.Extend and each round costs a warm re-solve
+// instead of a cold one.
 type ColGenConfig struct {
 	// Solver configures the restricted-master LP solves.
 	Solver lp.Options
@@ -446,37 +451,48 @@ type cgDiscovery struct {
 }
 
 // cgMaster is one restricted master being priced: its model, the
-// (job, path, slice) variable map, and the lazily grown capacity-row
-// map. Row k of the model is job k's coupling/demand row in all three
-// programs. gamma is non-nil exactly for the SUB-RET master, where the
-// x columns carry the Quick-Finish objective. jobIdx maps the master's
-// job indices to the parent instance's (nil: they are the parent's). lex
-// asks run to end a master that priced to the end with the lexicographic
-// stage-2 phase; when that ran to its optimum lexSol is the solution and
-// lexTime what the solve took.
+// (job, path, slice) variable map, and the capacity-row layout it grows.
+// Row k of the model is job k's coupling/demand row in all three programs,
+// and the capacity rows follow, cells.kept[i] at row NumJobs + i. every
+// marks the SUB-RET master, which keeps every capacity row; gamma is
+// non-nil exactly for it, where the x columns carry the Quick-Finish
+// objective. jobIdx maps the master's job indices to the parent instance's
+// (nil: they are the parent's). lex asks run to end a master that priced to
+// the end with the lexicographic stage-2 phase; when that ran to its optimum
+// lexSol is the solution and lexTime what the solve took.
 type cgMaster struct {
 	stage   string // "stage1", "stage2" or "subret"
 	inst    *Instance
 	jobIdx  []int
 	m       *lp.Model
 	xv      flowVars
-	capRows map[capKey]lp.RowID
+	cells   *capCells
+	every   bool
 	gamma   func(j int) float64
 	solver  lp.Options
 	lex     bool
 	lexSol  *lp.Solution
 	lexTime time.Duration
+
+	// onEdge[e] lists the master's paths that cross edge e (pathsOver), and
+	// cross is scratch of relink's; both are built when a cell without a row
+	// first needs them. linked counts the cells appended paths were first to
+	// load that were left without a row.
+	onEdge [][]pathRef
+	cross  []int32
+	linked int
 }
 
 // discoverStage1 prices the stage-1 master and returns Z* and whether the
 // last pricing round proved it optimal over the full path space.
 func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, bool, error) {
-	m, z, xv, capRows, err := buildStage1Model("colgen-stage1", inst, false)
+	cells := newCapCells(inst)
+	m, z, xv, _, err := buildStage1Model("colgen-stage1", inst, cells)
 	if err != nil {
 		return 0, false, err
 	}
 	sol, priced, err := d.run(&cgMaster{
-		stage: "stage1", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, solver: d.cfg.Solver,
+		stage: "stage1", inst: inst, jobIdx: jobIdx, m: m, xv: xv, cells: cells, solver: d.cfg.Solver,
 	})
 	if err != nil {
 		return 0, false, err
@@ -496,12 +512,13 @@ func (d *cgDiscovery) discoverStage1(inst *Instance, jobIdx []int) (float64, boo
 // is kept for the solve that follows — unless that solve is SolveRET, which
 // reads no stage-2 plan.
 func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64) error {
-	m, _, xv, capRows, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight, false)
+	cells := newCapCells(inst)
+	m, _, xv, _, err := buildStage2Model(inst, zstar, d.cfg.Alpha, d.cfg.Weight, cells)
 	if err != nil {
 		return err
 	}
 	ms := &cgMaster{
-		stage: "stage2", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, solver: d.cfg.Solver,
+		stage: "stage2", inst: inst, jobIdx: jobIdx, m: m, xv: xv, cells: cells, solver: d.cfg.Solver,
 		lex: jobIdx == nil && d.cfg.RET == nil,
 	}
 	if _, _, err := d.run(ms); err != nil || jobIdx != nil {
@@ -526,15 +543,17 @@ func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64
 // An infeasible master (the network cannot finish every job even at the
 // ceiling) stops discovery without failing the run — SolveRET reports
 // that case itself. The master solves under the RET configuration's own
-// solver options, as the search that follows will: which paths it prices in
-// depends on the vertices its solves end on (see lp.Options.ArtificialCrash).
+// solver options, as the search that follows will, and keeps every capacity
+// row, as the search's models do: which paths it prices in depends on the
+// vertices its solves end on (see lp.Options.ArtificialCrash).
 func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg RETConfig) error {
 	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast, cfg)
 	if err != nil {
 		return err
 	}
 	_, _, err = d.run(&cgMaster{
-		stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv, capRows: capRows, gamma: cfg.Gamma, solver: cfg.Solver,
+		stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv,
+		cells: everyRowCells(inst, capRows, inst.NumJobs()), every: true, gamma: cfg.Gamma, solver: cfg.Solver,
 	})
 	return err
 }
@@ -547,7 +566,9 @@ func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg 
 // first kind of end: the returned optimum is optimal over every path, not
 // just the master's. An Optimal end of either kind marks its support; with
 // ms.lex a priced one then moves on to the canonical optimum (ms.lexSol).
-// One schedule.colgen_master span encloses the master's solves.
+// One schedule.colgen_master span encloses the master's solves and says how
+// many capacity rows the master ended with, how many loaded cells without
+// one, and how many rows its growth gave back.
 func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err error) {
 	sp := ms.solver.Tracer.Start("schedule.colgen_master")
 	opts := ms.solver
@@ -600,6 +621,8 @@ func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err erro
 	atomic.AddInt64(&d.rounds, int64(rounds))
 	atomic.AddInt64(&d.solves, int64(solves))
 	atomic.AddInt64(&d.lexPivots, int64(lexPivots))
+	// The build counted the cells it left without a row; these are the rest.
+	telCapRowsDropped.Add(int64(ms.linked))
 	if sp.ID() != 0 { // tracing
 		attrs := []telemetry.Attr{
 			telemetry.KV("stage", ms.stage),
@@ -608,6 +631,9 @@ func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err erro
 			telemetry.KV("solves", solves),
 			telemetry.KV("priced", priced),
 			telemetry.KV("lex_pivots", lexPivots),
+			telemetry.KV("cap_rows", len(ms.cells.kept)),
+			telemetry.KV("cap_rows_dropped", ms.cells.dropped),
+			telemetry.KV("cap_rows_restored", ms.cells.restored),
 		}
 		if err != nil {
 			attrs = append(attrs, telemetry.KV("error", err.Error()))
@@ -651,17 +677,11 @@ func (d *cgDiscovery) markSupport(ms *cgMaster, sol *lp.Solution) {
 func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRows int, err error) {
 	inst := ms.inst
 	ns := inst.Grid.Num()
-	if ms.capRows == nil {
-		// A closed build: dominated cells have no row to read a dual from,
-		// and an appended path may load one without its dominator.
-		return 0, 0, fmt.Errorf("schedule: colgen: the %s master was built without its dominated capacity rows", ms.stage)
-	}
 	// w[j][e] = max(0, −y_{e,j}); slices with no loaded capacity row stay
-	// nil (all-zero weights). Map iteration order is irrelevant: writes go
-	// to distinct (slice, edge) cells.
+	// nil (all-zero weights), and so does a cell without a row: its y is 0.
 	prices := make([][]float64, ns)
-	for ck, r := range ms.capRows {
-		if w := -sol.Duals[r]; w > 0 {
+	for i, ck := range ms.cells.kept {
+		if w := -sol.Duals[inst.NumJobs()+i]; w > 0 {
 			if prices[ck.j] == nil {
 				prices[ck.j] = make([]float64, inst.G.NumEdges())
 			}
@@ -756,12 +776,14 @@ func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRow
 }
 
 // appendPath gives job k one more path: a column on each slice the job's
-// other paths have one, plus the capacity rows the path is first to load.
+// other paths have one, plus the capacity rows the path needs (hopRows).
 // Returns the appended column and row counts.
 func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int, err error) {
 	inst := ms.inst
 	pidx := len(ms.xv[k])
 	inst.JobPaths[k] = append(inst.JobPaths[k], path)
+	inst.cells = nil // the closed layout of the smaller pool
+	nRows := ms.m.NumRows()
 	row := make([]lp.VarID, inst.Grid.Num())
 	for j := range row {
 		row[j] = -1
@@ -771,19 +793,12 @@ func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int
 			continue
 		}
 		rows := make([]lp.RowID, 1, 1+len(path.Edges))
-		coefs := make([]float64, 1, 1+len(path.Edges))
 		rows[0] = lp.RowID(k)
+		rows = ms.hopRows(path.Edges, j, rows)
+		coefs := make([]float64, len(rows))
 		coefs[0] = inst.Grid.Len(j)
-		for _, e := range path.Edges {
-			ck := capKey{e, j}
-			r, ok := ms.capRows[ck]
-			if !ok {
-				r = ms.m.AddRow(fmt.Sprintf("cap_e%d_t%d", e, j), lp.LE, float64(inst.Capacity(e, j)))
-				ms.capRows[ck] = r
-				addedRows++
-			}
-			rows = append(rows, r)
-			coefs = append(coefs, 1)
+		for i := 1; i < len(coefs); i++ {
+			coefs[i] = 1
 		}
 		obj := 0.0
 		if ms.gamma != nil {
@@ -797,5 +812,8 @@ func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int
 		addedVars++
 	}
 	ms.xv[k] = append(ms.xv[k], row)
-	return addedVars, addedRows, nil
+	if ms.onEdge != nil {
+		ms.indexPath(k, pidx)
+	}
+	return addedVars, ms.m.NumRows() - nRows, nil
 }

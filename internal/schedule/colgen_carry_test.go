@@ -300,3 +300,77 @@ func TestColGenTelemetryShowsThePool(t *testing.T) {
 		}
 	}
 }
+
+// TestColGenMasterSpansShowTheirRows: every schedule.colgen_master span says
+// how many capacity rows its master ended with — the lp.solve spans under it
+// reach job rows + cap_rows — how many loaded cells it left without one and
+// how many rows its growth gave back; schedule_capacity_rows_dropped_total
+// counts the cells each master was built or grown without a row for, which
+// is its span's dropped plus restored.
+func TestColGenMasterSpansShowTheirRows(t *testing.T) {
+	dropped, restored := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := netgraph.Waxman(netgraph.WaxmanConfig{Nodes: 16, LinkPairs: 26, Wavelengths: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := workload.Generate(g, workload.Config{Jobs: 10, Seed: seed + 700, GBToDemand: 0.4, MinWindow: 3, MaxWindow: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := NewInstanceOpts(g, mustGrid(t, 6), jobs, InstanceOptions{ColumnGen: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		opts := solverOpts()
+		opts.Tracer = telemetry.NewTracer(&buf)
+		before := readCounter(t, "schedule_capacity_rows_dropped_total")
+		if _, err := GeneratePaths(inst, ColGenConfig{Solver: opts}); err != nil {
+			t.Fatal(err)
+		}
+		counted := readCounter(t, "schedule_capacity_rows_dropped_total") - before
+		if err := opts.Tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		recs := parseTrace(t, &buf)
+		rows := map[int64]int{} // the largest lp.solve under each span
+		for _, r := range recs {
+			if r.Name == "lp.solve" {
+				var a struct{ Rows int }
+				if err := json.Unmarshal(r.Attrs, &a); err != nil {
+					t.Fatal(err)
+				}
+				rows[r.Parent] = max(rows[r.Parent], a.Rows)
+			}
+		}
+		spanned := int64(0)
+		for _, r := range recs {
+			if r.Name != "schedule.colgen_master" {
+				continue
+			}
+			var a struct {
+				Jobs            int
+				CapRows         int `json:"cap_rows"`
+				CapRowsDropped  int `json:"cap_rows_dropped"`
+				CapRowsRestored int `json:"cap_rows_restored"`
+			}
+			if err := json.Unmarshal(r.Attrs, &a); err != nil {
+				t.Fatal(err)
+			}
+			if rows[r.ID] != a.Jobs+a.CapRows {
+				t.Errorf("seed %d: master span %s over lp.solve spans of up to %d rows, want jobs + cap_rows", seed, r.Attrs, rows[r.ID])
+			}
+			spanned += int64(a.CapRowsDropped + a.CapRowsRestored)
+			dropped += a.CapRowsDropped
+			restored += a.CapRowsRestored
+		}
+		if spanned != counted {
+			t.Errorf("seed %d: schedule_capacity_rows_dropped_total rose by %d, the master spans drop and restore %d", seed, counted, spanned)
+		}
+	}
+	if dropped == 0 || restored == 0 {
+		t.Errorf("the masters ended with %d cells without a row and gave %d rows back: the trace shows nothing", dropped, restored)
+	}
+	t.Logf("the masters ended with %d cells without a row and gave %d rows back", dropped, restored)
+}

@@ -31,7 +31,7 @@ func ExactStage2(inst *Instance, s1 *Stage1Result, opts ExactOptions) (*ExactRes
 	if opts.Alpha == 0 {
 		opts.Alpha = 0.1
 	}
-	m, _, xvars, _, err := buildStage2Model(inst, s1.ZStar, opts.Alpha, opts.Weight, false)
+	m, _, xvars, _, err := buildStage2Model(inst, s1.ZStar, opts.Alpha, opts.Weight, nil)
 	if err != nil {
 		return nil, err
 	}

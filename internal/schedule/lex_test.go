@@ -106,11 +106,12 @@ const (
 
 // lexSolve builds the case's stage-2 LP over inst (the case's instance or a
 // permutation of it) — closed, without its dominated capacity rows, or with
-// every row, which the lexChain start needs — and solves it twice from the
-// same start under the same options, without the secondary objective and
-// with it. The returned assignments (the plain solve's, the lexicographic
-// solve's) are shaped for inst.
-func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start lexStart, closed bool) (plain, lex *lp.Solution, plainFrac, frac *Assignment) {
+// every row — and solves it twice from the same start under the same
+// options, without the secondary objective and with it. The returned
+// assignments (the plain solve's, the lexicographic solve's) are shaped for
+// inst; restored is how many rows a lexChain start's closed master gave back
+// as it grew.
+func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start lexStart, closed bool) (plain, lex *lp.Solution, plainFrac, frac *Assignment, restored int) {
 	t.Helper()
 	solve := func(m *lp.Model, o lp.Options) *lp.Solution {
 		t.Helper()
@@ -128,7 +129,11 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 			build.JobPaths[k] = build.JobPaths[k][:1:1]
 		}
 	}
-	m, zvars, xv, capRows, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight, closed)
+	var cells *capCells
+	if closed {
+		cells = newCapCells(build)
+	}
+	m, zvars, xv, capRows, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,10 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 			m.SetBounds(zv, floor, lp.Inf)
 		}
 	case lexChain:
-		ms := &cgMaster{inst: build, m: m, xv: xv, capRows: capRows}
+		if !closed {
+			cells = everyRowCells(build, capRows, build.NumJobs())
+		}
+		ms := &cgMaster{inst: build, m: m, xv: xv, cells: cells, every: !closed}
 		link := solve(m, opts)
 		for rank := 1; ; rank++ {
 			nv, nr := 0, 0
@@ -163,7 +171,7 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 			o.WarmStart = link.Basis.Extend(nv, nr)
 			link = solve(m, o)
 		}
-		opts.WarmStart, xv = link.Basis, ms.xv
+		opts.WarmStart, xv, restored = link.Basis, ms.xv, cells.restored
 	}
 	plain = solve(m, opts)
 	opts.Secondary = stage2Secondary(build, m, xv)
@@ -171,7 +179,7 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 	if plain.Status != lp.Optimal || lex.Status != lp.Optimal {
 		t.Fatalf("seed %d: plain solve %v, lexicographic solve %v", c.seed, plain.Status, lex.Status)
 	}
-	return plain, lex, extractAssignment(build, xv, plain), extractAssignment(build, xv, lex)
+	return plain, lex, extractAssignment(build, xv, plain), extractAssignment(build, xv, lex), restored
 }
 
 func identityPerm(n int) []int {
@@ -189,8 +197,9 @@ func identityPerm(n int) []int {
 // × RefactorEvery ∈ {1, 7, 64} × {cold, warm from a stale basis, warm through
 // a Basis.Extend chain} × {job order as built, shuffled} × {slack start,
 // lp.Options.ArtificialCrash} × {dominated capacity rows dropped, every row}
-// — the chain, which appends columns, with every row only, as production
-// builds its masters — default tolerances, and requires the plan of the
+// — the chain appends the columns through a master's appendPath, so its
+// closed arm is the one production runs, rows given back as paths arrive —
+// default tolerances, and requires the plan of the
 // shipped configuration's cold solve: every x_i(p, j) within 1e-7,
 // Truncate() equal cell for cell, the primary objective within 1e-9 of the
 // same solve without the secondary objective and the duals that solve
@@ -199,13 +208,13 @@ func identityPerm(n int) []int {
 // eleventh per case.
 func TestStage2LexInvariance(t *testing.T) {
 	cases := lexCases(t, 54)
-	overloaded, plainDiffer, solved, cell, rowsDropped := 0, 0, 0, 0, 0
+	overloaded, plainDiffer, solved, cell, rowsDropped, rowsRestored := 0, 0, 0, 0, 0, 0
 	for _, c := range cases {
 		if c.zstar <= 1 {
 			overloaded++
 		}
 		rowsDropped += c.inst.closedCells().dropped
-		_, _, wantPlain, want := lexSolve(t, c, c.inst, partialDantzigOpts(), lexCold, true)
+		_, _, wantPlain, want, _ := lexSolve(t, c, c.inst, partialDantzigOpts(), lexCold, true)
 		wantLPD := want.Truncate()
 		rng := rand.New(rand.NewSource(c.seed))
 		check := func(opts lp.Options, start lexStart, perm []int, closed bool) {
@@ -215,7 +224,8 @@ func TestStage2LexInvariance(t *testing.T) {
 			solved++
 			name := fmt.Sprintf("seed %d %v/%d start %d artificial crash %v closed %v order %v",
 				c.seed, opts.Pricing, opts.RefactorEvery, start, opts.ArtificialCrash, closed, perm)
-			plain, lex, gotPlain, got := lexSolve(t, c, permuted(c.inst, perm), opts, start, closed)
+			plain, lex, gotPlain, got, restored := lexSolve(t, c, permuted(c.inst, perm), opts, start, closed)
+			rowsRestored += restored
 			if d := math.Abs(lex.Objective - plain.Objective); d > 1e-9 {
 				t.Errorf("%s: primary objective %.12g, plain solve %.12g", name, lex.Objective, plain.Objective)
 			}
@@ -248,9 +258,7 @@ func TestStage2LexInvariance(t *testing.T) {
 						for _, artificial := range []bool{false, true} {
 							opts := lp.Options{MaxIter: 200000, Pricing: pricing, RefactorEvery: refactor, ArtificialCrash: artificial}
 							check(opts, start, perm, false)
-							if start != lexChain {
-								check(opts, start, perm, true)
-							}
+							check(opts, start, perm, true)
 							if t.Failed() {
 								return
 							}
@@ -266,11 +274,14 @@ func TestStage2LexInvariance(t *testing.T) {
 	if rowsDropped < 20*len(cases) {
 		t.Errorf("%d dominated capacity rows over %d cases: the closed arm exercises nothing", rowsDropped, len(cases))
 	}
+	if rowsRestored == 0 {
+		t.Errorf("no closed chain gave a row back: its masters never grew past their dominance")
+	}
 	// Without the secondary objective the same solves land all over the
 	// optimal face; if they did not, the property above would hold trivially.
 	if plainDiffer < solved/2 {
 		t.Errorf("only %d of %d plain solves left the reference's plain vertex: the optimal faces are too small to exercise anything", plainDiffer, solved)
 	}
-	t.Logf("%d cases (%d overloaded, %d dominated capacity rows), %d of %d plain solves on another vertex than the reference's",
-		len(cases), overloaded, rowsDropped, plainDiffer, solved)
+	t.Logf("%d cases (%d overloaded, %d dominated capacity rows, %d given back by the closed chains), %d of %d plain solves on another vertex than the reference's",
+		len(cases), overloaded, rowsDropped, rowsRestored, plainDiffer, solved)
 }

@@ -594,7 +594,7 @@ func buildSubRETModel(name string, inst *Instance, extLast []int, cfg RETConfig)
 	}
 	// Every capacity row, whether or not the model will grow: a dropped row
 	// changes the pivot path, and SUB-RET's vertex follows it (DESIGN §10).
-	capRows := addCapacityRows(m, inst, xvars, false)
+	capRows := addCapacityRows(m, inst, xvars, nil)
 	return m, xvars, capRows, nil
 }
 

@@ -45,7 +45,7 @@ func SolveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 
 func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 	start := time.Now()
-	m, z, xvars, _, err := buildStage1Model("stage1-mcf", inst, true)
+	m, z, xvars, _, err := buildStage1Model("stage1-mcf", inst, inst.closedCells())
 	if err != nil {
 		return nil, err
 	}
@@ -72,11 +72,10 @@ func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 
 // buildStage1Model assembles the stage-1 MCF program (eqs. 1–5) and returns
 // the model together with the Z and x variables. The coupling rows are the
-// first rows of the model (row k is job k's), and the returned map records
-// the capacity row of each loaded (edge, slice). closed says that no column
-// will be appended to the model: it is then built without the dominated
-// capacity rows and the map is nil (addCapacityRows).
-func buildStage1Model(name string, inst *Instance, closed bool) (*lp.Model, lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+// first rows of the model (row k is job k's); the capacity rows follow, laid
+// out by cells, or every one of them when cells is nil, and then the returned
+// map records the row of each loaded (edge, slice) (addCapacityRows).
+func buildStage1Model(name string, inst *Instance, cells *capCells) (*lp.Model, lp.VarID, flowVars, map[capKey]lp.RowID, error) {
 	m := lp.NewModel(name, lp.Maximize)
 	z := m.AddVar("Z", 0, lp.Inf, 1)
 	xvars, err := addFlowVars(m, inst, nil, 0)
@@ -91,7 +90,7 @@ func buildStage1Model(name string, inst *Instance, closed bool) (*lp.Model, lp.V
 		})
 		m.AddTerm(r, z, -jb.Size)
 	}
-	return m, z, xvars, addCapacityRows(m, inst, xvars, closed), nil
+	return m, z, xvars, addCapacityRows(m, inst, xvars, cells), nil
 }
 
 // Stage1ZStar returns the stage-1 result the pipeline continues from. When
@@ -162,12 +161,12 @@ func forEachVar(inst *Instance, xv flowVars, k int, fn func(p, j int, v lp.VarID
 // of assignments of paths crossing the edge is at most the edge's
 // wavelength count. Rows are only emitted for (edge, slice) pairs that
 // some variable can load; the returned map records which row constrains
-// which (edge, slice). Every loaded pair gets its row, which a model that
-// grows by columns needs; closed says that this one never will, and it is
-// given the rows of addClosedCapacityRows instead, and no map.
-func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, closed bool) map[capKey]lp.RowID {
-	if closed {
-		addClosedCapacityRows(m, inst, xv)
+// which (edge, slice). Every loaded pair gets its row, unless the model is
+// given the layout of a closed one: it then gets the rows of
+// addClosedCapacityRows instead, and no map.
+func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, cells *capCells) map[capKey]lp.RowID {
+	if cells != nil {
+		addClosedCapacityRows(m, inst, xv, cells)
 		return nil
 	}
 	ns := inst.Grid.Num()

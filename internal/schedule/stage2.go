@@ -354,7 +354,7 @@ func endStage2(sp telemetry.Span, res *Result, err error, inst *Instance, comps 
 // could run. The α accumulation mirrors the cold ladder exactly so the
 // reported Result.Alpha is bit-identical.
 func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cfg Config) float64 {
-	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, true)
+	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, inst.closedCells())
 	if err != nil {
 		return alpha
 	}
@@ -402,12 +402,11 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 // buildStage2Model assembles the stage-2 program (eqs. 7–10 without the
 // integrality constraint) and returns the model together with the Z and x
 // variable maps. The coupling rows are the first rows of the model (row k
-// is job k's), and the returned map records the capacity row of each
-// loaded (edge, slice) — the layout the column-generation pricer relies
-// on. closed says that no column will be appended to the model: it is then
-// built without the dominated capacity rows and the map is nil
+// is job k's) — the layout the column-generation pricer relies on; the
+// capacity rows follow, laid out by cells, or every one of them when cells is
+// nil, and then the returned map records the row of each loaded (edge, slice)
 // (addCapacityRows).
-func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, closed bool) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, cells *capCells) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
 	weights, err := stage2Weights(inst, weight)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -435,7 +434,7 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, c
 		})
 		m.AddTerm(r, zvars[k], -jb.Size)
 	}
-	return m, zvars, xvars, addCapacityRows(m, inst, xvars, closed), nil
+	return m, zvars, xvars, addCapacityRows(m, inst, xvars, cells), nil
 }
 
 // stage2Weights returns each job's coefficient in objective (7): w_i/Σw.
@@ -483,7 +482,7 @@ func integerize(frac *Assignment, cfg Config) *Result {
 // solve that produced it: cold or up the α ladder, whole or per component,
 // this one or the priced master of a ColumnGen instance.
 func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, *lp.Basis, int, error) {
-	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, true)
+	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, inst.closedCells())
 	if err != nil {
 		return nil, lp.Infeasible, nil, 0, err
 	}

@@ -20,7 +20,7 @@ var (
 	telStage2AlphaRetries = telemetry.Default().Counter("schedule_stage2_alpha_retries_total",
 		"Stage-2 retries forced by an infeasible fairness floor (Remark 1).")
 	telCapRowsDropped = telemetry.Default().Counter("schedule_capacity_rows_dropped_total",
-		"Dominated (edge, slice) capacity rows left out of closed stage-1 and stage-2 models, summed over the models built.")
+		"Dominated (edge, slice) capacity rows left out of closed stage-1 and stage-2 models and column-generation masters, summed over the models built; a master also counts each cell an appended path is the first to load and links to a row instead.")
 
 	telAdjustPasses = telemetry.Default().Counter("lpdar_passes_total",
 		"LPDAR greedy bandwidth-adjustment passes (Algorithm 1 runs).")
