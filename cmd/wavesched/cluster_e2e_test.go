@@ -181,6 +181,9 @@ func TestClusterProcessE2E(t *testing.T) {
 
 	// Let the epoch loop run the jobs to completion so the state the
 	// failover must reproduce is stable (the loop idles when drained).
+	// "active" counts the jobs left unfinished once the committed period
+	// ends, so it reads 0 a period before the last settlement: wait for
+	// both jobs' records too.
 	waitDrained := func(p *e2eProc) {
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
@@ -189,10 +192,13 @@ func TestClusterProcessE2E(t *testing.T) {
 				var st struct {
 					Pending int `json:"pending"`
 					Active  int `json:"active"`
+					Summary struct {
+						Total int `json:"total"`
+					} `json:"summary"`
 				}
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				if json.Unmarshal(body, &st) == nil && st.Pending == 0 && st.Active == 0 {
+				if json.Unmarshal(body, &st) == nil && st.Pending == 0 && st.Active == 0 && st.Summary.Total == 2 {
 					return
 				}
 			}

@@ -1106,21 +1106,46 @@ func (c *Controller) buildInstance(now float64) (*schedule.Instance, []*activeJo
 // start the next epoch's build. stage1Only skips stage-2 (and SUB-RET)
 // pricing — enough for feasibility probes that only consult Z*; such a
 // run adds to the cache entries and never evicts from them.
-func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Only bool) (*schedule.Instance, error) {
+//
+// Inside an epoch the build is the schedule.build span: path enumeration, or
+// the pricing loop with its schedule.colgen spans.
+func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Only bool) (inst *schedule.Instance, err error) {
+	sp := c.epochTracer.Start("schedule.build")
+	defer func() {
+		if sp.ID() == 0 {
+			return
+		}
+		attrs := []telemetry.Attr{telemetry.KV("jobs", len(jobs))}
+		if inst != nil {
+			n := 0
+			for _, ps := range inst.JobPaths {
+				n += len(ps)
+			}
+			attrs = append(attrs, telemetry.KV("paths", n))
+		}
+		if err != nil {
+			attrs = append(attrs, telemetry.KV("error", err.Error()))
+		}
+		sp.End(attrs...)
+	}()
 	opts := schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache}
 	if c.cfg.ColumnGen {
 		opts.ColumnGen, opts.SeedPaths = true, c.cfg.SeedPaths
 	}
-	inst, err := schedule.NewInstanceOpts(c.graph(), grid, jobs, opts)
+	inst, err = schedule.NewInstanceOpts(c.graph(), grid, jobs, opts)
 	if err != nil || !c.cfg.ColumnGen {
 		return inst, err
 	}
+	solver := c.solverOpts()
+	if tr := sp.Tracer(); tr != nil {
+		solver.Tracer = tr
+	}
 	cg := schedule.ColGenConfig{
-		Solver: c.solverOpts(), Alpha: c.cfg.Alpha, Weight: c.cfg.Weight,
+		Solver: solver, Alpha: c.cfg.Alpha, Weight: c.cfg.Weight,
 		SkipStage2: stage1Only,
 	}
 	if !stage1Only && c.cfg.Policy == PolicyRET {
-		cg.RET = &schedule.RETConfig{BMax: c.cfg.BMax, Solver: c.solverOpts()}
+		cg.RET = &schedule.RETConfig{BMax: c.cfg.BMax, Solver: solver}
 	}
 	if _, err := schedule.GeneratePaths(inst, cg); err != nil {
 		return nil, fmt.Errorf("column generation: %w", err)

@@ -12,6 +12,7 @@ import (
 
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/telemetry"
 )
 
 // Component is one block of an instance decomposition: a maximal set of
@@ -220,6 +221,14 @@ func partition(inst *Instance, extLast []int, monolithic bool) []*Component {
 	}
 	observeComponents(comps)
 	return comps
+}
+
+// endDecompose closes the schedule.decompose span that maxThroughput and
+// SolveRET open around their partition.
+func endDecompose(sp telemetry.Span, inst *Instance, comps []*Component) {
+	if sp.ID() != 0 {
+		sp.End(telemetry.KV("jobs", inst.NumJobs()), telemetry.KV("components", len(comps)))
+	}
 }
 
 // buildComponent assembles the sub-instance over the given parent job

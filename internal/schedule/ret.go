@@ -212,7 +212,9 @@ type RETResult struct {
 // end times; BuildRETInstance constructs such instances.
 func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	cfg = cfg.withDefaults()
+	dsp := cfg.Solver.Tracer.Start("schedule.decompose")
 	comps := partition(inst, retExtendedLast(inst, cfg.BMax, cfg), cfg.Monolithic)
+	endDecompose(dsp, inst, comps)
 	res = &RETResult{Components: len(comps)}
 	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
 	// Per-component work is causally inside the RET span; each search

@@ -142,7 +142,9 @@ func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, 
 // which a given s1 does not hold.
 func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCache) (res *Result, next *PlanCache, err error) {
 	cfg = cfg.withDefaults()
+	dsp := cfg.Solver.Tracer.Start("schedule.decompose")
 	comps := partition(inst, nil, cfg.Monolithic)
+	endDecompose(dsp, inst, comps)
 
 	// known[i] is the cached plan of a component that is unchanged since the
 	// caching solve.

@@ -41,14 +41,8 @@ func TestRejectionEnvelopeWireFormat(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate submit: code %d, want 409", rec.Code)
 	}
-	const golden = `{
-  "id": 1,
-  "state": "rejected",
-  "error": {
-    "code": "duplicate_id",
-    "reason": "duplicate job id"
-  }
-}
+	// Fields, their order and their values are the contract; whitespace never was.
+	const golden = `{"id":1,"state":"rejected","error":{"code":"duplicate_id","reason":"duplicate job id"}}
 `
 	if got := rec.Body.String(); got != golden {
 		t.Fatalf("duplicate-id envelope drifted from the wire format:\ngot:\n%s\nwant:\n%s", got, golden)

@@ -80,12 +80,22 @@ func (s *Server) redirectWrite(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// writeJSON answers with v encoded compactly, newline-terminated, with
+// Content-Length, in one write. The body is encoded in full before the status
+// line goes out, so a value that cannot be encoded (a non-finite float) is
+// answered 500 with an error body instead of a 200 cut off mid-document.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorJSON{Error: "encode: " + err.Error()})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -440,9 +450,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // traceSnapshot builds the trace response under the server lock. Like every
-// read handler below, handleTrace encodes the snapshot only after the lock is
-// released: a client that stops reading its body mid-response must stall its
-// own connection, not Tick and every other request.
+// read handler, handleTrace encodes the snapshot, and writes it to the
+// socket, only after the lock is released: a client that stops reading its
+// body mid-response must stall its own connection, not Tick and every other
+// request.
 func (s *Server) traceSnapshot(trace int64) traceResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -521,7 +532,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // scheduleSnapshot copies the committed assignment's nonzero entries out
-// under the server lock.
+// under the server lock. A NaN or -Inf wave count is copied too, not dropped
+// with the entries at or below zero, so that the encode refuses the body.
 func (s *Server) scheduleSnapshot() scheduleResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -535,7 +547,7 @@ func (s *Server) scheduleSnapshot() scheduleResponse {
 			for p := range plan.X[k] {
 				var slices []scheduleSlice
 				for j, v := range plan.X[k][p] {
-					if v > 0 {
+					if v > 0 || math.IsNaN(v) || math.IsInf(v, -1) {
 						slices = append(slices, scheduleSlice{
 							Start: grid.Start(j), Len: grid.Len(j), Waves: v,
 						})

@@ -36,12 +36,17 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 // (serve sets no WriteTimeout) — and must be stuck there without the lock, so
 // that Tick and other requests go on.
 func TestStalledScheduleReaderDoesNotBlockTick(t *testing.T) {
+	// Every job has a one-wavelength link of its own and demand for all of
+	// its slices, so the schedule lists each of the jobs×slices entries: the
+	// compact body is some 130 KB. (Over one shared link a plan hands whole
+	// slices to one job at a time, and the body would be a few per cent of it.)
 	const jobs, slices = 16, 300
-	s := newTestServer(t, netgraph.Line(2, jobs, 10), Config{})
+	s := newTestServer(t, netgraph.Line(jobs+1, 1, 10), Config{})
 	h := s.Handler()
 	for k := 1; k <= jobs; k++ {
-		do(t, h, http.MethodPost, "/v1/jobs",
-			submitBody(job.Job{ID: job.ID(k), Src: 0, Dst: 1, Size: slices, Start: 0, End: slices}), nil)
+		do(t, h, http.MethodPost, "/v1/jobs", submitBody(job.Job{
+			ID: job.ID(k), Src: netgraph.NodeID(k - 1), Dst: netgraph.NodeID(k), Size: slices, Start: 0, End: slices,
+		}), nil)
 	}
 	if err := s.Tick(); err != nil {
 		t.Fatal(err)
