@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"wavesched/internal/experiments"
-	"wavesched/internal/job"
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/schedule"
@@ -320,41 +319,6 @@ func BenchmarkAblationPathCount(b *testing.B) {
 
 func pathName(k int) string {
 	return map[int]string{1: "k1", 2: "k2", 4: "k4", 8: "k8"}[k]
-}
-
-// BenchmarkAblationGamma compares Quick-Finish cost shapes in SUB-RET.
-func BenchmarkAblationGamma(b *testing.B) {
-	g := netgraph.Ring(8, 2, 10)
-	jobs := []job.Job{
-		{ID: 1, Src: 0, Dst: 4, Size: 10, Start: 0, End: 4},
-		{ID: 2, Src: 2, Dst: 6, Size: 10, Start: 0, End: 4},
-		{ID: 3, Src: 5, Dst: 1, Size: 10, Start: 0, End: 5},
-	}
-	inst, err := schedule.BuildRETInstance(g, jobs, 1, 2, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name  string
-		gamma func(int) float64
-	}{
-		{"constant", func(int) float64 { return 1 }},
-		{"linear", func(j int) float64 { return float64(j + 1) }},
-		{"quadratic", func(j int) float64 { return float64((j + 1) * (j + 1)) }},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			var res *schedule.RETResult
-			for i := 0; i < b.N; i++ {
-				res, err = schedule.SolveRET(inst, schedule.RETConfig{BMax: 5, Gamma: v.gamma})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			avg, _ := res.LPDAR.AverageEndTime()
-			b.ReportMetric(avg, "avg_end_slices")
-			b.ReportMetric(res.B, "extension_b")
-		})
-	}
 }
 
 // BenchmarkAblationIntegerization compares the paper's LPD/LPDAR against

@@ -64,6 +64,9 @@ func parseExplainFlags(args []string) (explainOptions, error) {
 	if o.JobID < 0 {
 		return o, fmt.Errorf("explain: -job is required")
 	}
+	if err := checkSolverFlags(o.K, o.Alpha, o.BMax); err != nil {
+		return o, fmt.Errorf("explain: %w", err)
+	}
 	return o, nil
 }
 

@@ -111,6 +111,9 @@ func main() {
 	if err := setupLogging(*logLevel); err != nil {
 		fatal("%v", err)
 	}
+	if err := checkSolverFlags(*k, *alpha, *bmax); err != nil {
+		fatal("%v", err)
+	}
 	if *metricsAddr != "" {
 		_, addr, err := telhttp.ListenAndServe(*metricsAddr, telemetry.Default())
 		if err != nil {
@@ -284,6 +287,21 @@ func nodeLabel(g *netgraph.Graph, v netgraph.NodeID) string {
 
 func lpOptions() lp.Options {
 	return lp.Options{Pricing: lp.PartialDantzig, Tracer: tracer}
+}
+
+// checkSolverFlags rejects solver flags the layers below would silently
+// replace with their own defaults (a zero -alpha, -bmax or -k) or accept
+// though they mean nothing (a negative one, or -alpha above 1).
+func checkSolverFlags(k int, alpha, bmax float64) error {
+	switch {
+	case k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	case !(alpha > 0 && alpha <= 1):
+		return fmt.Errorf("-alpha must be in (0, 1], got %g", alpha)
+	case !(bmax > 0):
+		return fmt.Errorf("-bmax must be positive, got %g", bmax)
+	}
+	return nil
 }
 
 // setupLogging installs a text slog handler on stderr at the given level.

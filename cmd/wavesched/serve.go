@@ -106,6 +106,9 @@ func parseServeFlags(args []string) (serveOptions, error) {
 	if o.Tau <= 0 {
 		return o, fmt.Errorf("serve: -tau must be positive")
 	}
+	if err := checkSolverFlags(o.K, o.Alpha, o.BMax); err != nil {
+		return o, fmt.Errorf("serve: %w", err)
+	}
 	acfg, err := buildAdmissionConfig(o)
 	if err != nil {
 		return o, err

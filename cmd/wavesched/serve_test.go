@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,25 @@ func TestParseServeFlags(t *testing.T) {
 	if _, err := parseServeFlags([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	for _, bad := range badSolverFlags {
+		_, err := parseServeFlags([]string{"-net", "x.json", bad.flag, bad.value})
+		if err == nil {
+			t.Errorf("serve %s %s accepted", bad.flag, bad.value)
+		} else if !strings.Contains(err.Error(), bad.flag) {
+			t.Errorf("serve %s %s: error %q does not name the flag", bad.flag, bad.value, err)
+		}
+	}
+	if _, err := parseServeFlags([]string{"-net", "x.json", "-k", "1", "-alpha", "1", "-bmax", "0.5"}); err != nil {
+		t.Errorf("in-range edge values rejected: %v", err)
+	}
+}
+
+// badSolverFlags are out-of-range solver flags, each with the flag name its
+// rejection must carry.
+var badSolverFlags = []struct{ flag, value string }{
+	{"-k", "0"}, {"-k", "-2"},
+	{"-alpha", "0"}, {"-alpha", "-0.1"}, {"-alpha", "1.5"}, {"-alpha", "NaN"},
+	{"-bmax", "0"}, {"-bmax", "-1"},
 }
 
 func writeNetFixture(t *testing.T, g *netgraph.Graph) string {

@@ -109,7 +109,7 @@ type Config struct {
 	Tau      float64 // scheduling period; must be a multiple of SliceLen
 	SliceLen float64 // slice duration
 	K        int     // allowed paths per job
-	Alpha    float64 // stage-2 fairness slack (PolicyMaxThroughput)
+	Alpha    float64 // stage-2 fairness slack (PolicyMaxThroughput); zero selects the schedule default
 	Policy   Policy
 	BMax     float64 // RET search ceiling (PolicyRET); default 10
 	Solver   lp.Options
@@ -143,19 +143,16 @@ type Config struct {
 	// Quick-Finish weights count slices from the grid's origin, no plan
 	// survives an epoch and the committed schedules are those of the full
 	// re-solve. The option is inert under a moving horizon and stays until
-	// the daemon-epoch benchmark stops naming it (ROADMAP 2(e)).
+	// the daemon-epoch benchmark stops naming it (ROADMAP 3(c)).
 	Incremental bool
 	// ColumnGen prices path columns on demand instead of enumerating K
-	// paths per job upfront: each epoch's instance starts from SeedPaths
+	// paths per job upfront: each epoch's instance starts from two
 	// edge-disjoint seed paths per (src, dst) pair — plus the paths the
 	// previous epoch's master optima used, carried through the
 	// controller's PathCache — and schedule.GeneratePaths grows the sets
 	// by LP pricing before the policy solve. K is ignored for path
 	// construction while set.
 	ColumnGen bool
-	// SeedPaths is the per-pair seed set size under ColumnGen;
-	// non-positive selects the schedule default (2).
-	SeedPaths int
 	// PriorityRank, when non-nil, orders pending requests ahead of
 	// admission: lower ranks are considered first (ties keep arrival
 	// order), so under PolicyReject the feasible admission prefix prefers
@@ -355,9 +352,6 @@ func New(g *netgraph.Graph, cfg Config) (*Controller, error) {
 	}
 	if cfg.K <= 0 {
 		cfg.K = 4
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
 	}
 	if cfg.BMax == 0 {
 		cfg.BMax = 10
@@ -1128,10 +1122,7 @@ func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Onl
 		}
 		sp.End(attrs...)
 	}()
-	opts := schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache}
-	if c.cfg.ColumnGen {
-		opts.ColumnGen, opts.SeedPaths = true, c.cfg.SeedPaths
-	}
+	opts := schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache, ColumnGen: c.cfg.ColumnGen}
 	inst, err = schedule.NewInstanceOpts(c.graph(), grid, jobs, opts)
 	if err != nil || !c.cfg.ColumnGen {
 		return inst, err

@@ -23,8 +23,6 @@ const (
 // violates its bounds.
 func (s *simplex) dualSimplex() (dualStatus, error) {
 	m := s.m
-	tol := s.opt.Tol
-	pivTol := s.opt.PivotTol
 	rho := s.rho
 	s.infeasRow, s.infeasSigma = -1, 0
 
@@ -39,7 +37,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 
 		// Leaving variable: the basic with the largest bound violation.
 		r := -1
-		worst := tol
+		worst := optTol
 		sigma := 1.0 // +1: must decrease to its upper bound; −1: increase to lower
 		for i := 0; i < m; i++ {
 			bj := s.basis[i]
@@ -97,9 +95,9 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 			ahat := sigma * alpha
 			var ok bool
 			if st == stAtLower {
-				ok = ahat > pivTol
+				ok = ahat > pivotTol
 			} else {
-				ok = ahat < -pivTol
+				ok = ahat < -pivotTol
 			}
 			if !ok {
 				continue
@@ -126,13 +124,13 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		// Primal update: w = B⁻¹ a_q; the entering variable moves by
 		// t = delta / α_rq so the leaving variable lands on its bound.
 		w, nz := s.factor.ftranCol(s.column(q))
-		if math.Abs(w[r]) < pivTol {
+		if math.Abs(w[r]) < pivotTol {
 			// Pivot row/column mismatch due to round-off: refactorize and
 			// retry once; if it persists, stall out to the primal fallback.
 			if err := s.refactorize(); err != nil {
 				return dualStall, err
 			}
-			if math.Abs(alphaQ) < pivTol {
+			if math.Abs(alphaQ) < pivotTol {
 				return dualStall, nil
 			}
 			continue

@@ -94,7 +94,6 @@ func densePrice(s *simplex, y []float64) int {
 	}
 	s.factor.btran(y)
 
-	tol := s.opt.Tol
 	useBland := s.blandMode || s.opt.Pricing == Bland
 
 	// score returns the pricing merit of column j, or 0 when ineligible.
@@ -105,9 +104,9 @@ func densePrice(s *simplex, y []float64) int {
 		}
 		d := s.c[j] - s.colDotY(j, y)
 		if st == stAtLower {
-			d = -d // want d < -tol
+			d = -d // want d < -optTol
 		}
-		if d <= tol {
+		if d <= optTol {
 			return 0
 		}
 		return d
@@ -139,7 +138,7 @@ func densePrice(s *simplex, y []float64) int {
 			window = 256
 		}
 		best := -1
-		bestScore := tol
+		bestScore := optTol
 		scanned := 0
 		remaining := -1 // columns left to scan after the first hit
 		for scanned < n {
@@ -166,7 +165,7 @@ func densePrice(s *simplex, y []float64) int {
 	}
 
 	best := -1
-	bestScore := tol
+	bestScore := optTol
 	for j := 0; j < s.nTotal(); j++ {
 		sc := score(j)
 		if sc <= 0 {
@@ -190,7 +189,6 @@ func denseRatioTest(s *simplex, q int, w []float64, nz []int) (leave int, tBest 
 	if s.state[q] == stAtUpper {
 		dir = -1
 	}
-	pivTol := s.opt.PivotTol
 	tBest = math.Inf(1)
 	if !math.IsInf(s.u[q], 1) {
 		tBest = s.u[q] - s.l[q] // bound flip distance
@@ -200,9 +198,9 @@ func denseRatioTest(s *simplex, q int, w []float64, nz []int) (leave int, tBest 
 		wi := dir * w[i]
 		bj := s.basis[i]
 		var t float64
-		if wi > pivTol {
+		if wi > pivotTol {
 			t = (s.xB[i] - s.l[bj]) / wi
-		} else if wi < -pivTol {
+		} else if wi < -pivotTol {
 			if math.IsInf(s.u[bj], 1) {
 				continue
 			}
@@ -315,7 +313,7 @@ func (ls *lockstep) checkCache() {
 			if st == stAtLower {
 				d = -d
 			}
-			if d > s.opt.Tol && d > want.score {
+			if d > optTol && d > want.score {
 				if want.first < 0 {
 					want.first = int32(j)
 				}

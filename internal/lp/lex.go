@@ -37,7 +37,7 @@ func (s *simplex) optimum(m *Model) (*Solution, error) {
 // the optimal duals in hand: every column whose reduced cost is not zero
 // stays on the bound it rests at. That is the whole optimal face, whichever
 // optimal basis and duals the pivots happened to end on, and it needs no new
-// row: each nonbasic column with |d_j| > Tol has its bounds closed onto its
+// row: each nonbasic column with |d_j| > optTol has its bounds closed onto its
 // resting value — no value moves, so the basis stays primal feasible and the
 // factors stay current — and primal phase 2 continues under the secondary
 // cost. Only columns with zero primary reduced cost can enter, which leaves
@@ -57,7 +57,7 @@ func (s *simplex) lexPhase(secondary []float64) (Status, error) {
 		if s.state[j] == stBasic || s.l[j] == s.u[j] {
 			continue
 		}
-		if d := s.c[j] - s.a.colDot(j, s.yRow); math.Abs(d) > s.opt.Tol {
+		if d := s.c[j] - s.a.colDot(j, s.yRow); math.Abs(d) > optTol {
 			pins = append(pins, pin{j, s.l[j], s.u[j]})
 			v := s.nonbasicValue(j)
 			s.l[j], s.u[j] = v, v

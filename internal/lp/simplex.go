@@ -91,6 +91,14 @@ const autoPricingThreshold = 2048
 // pricing scan, so the rule that takes fewest pivots wins.
 const autoDevexThreshold = 32768
 
+// optTol is the optimality and feasibility tolerance: the reduced cost a
+// column must beat to price in, and the step below which a pivot counts as
+// degenerate.
+const optTol = 1e-7
+
+// pivotTol is the smallest pivot-element magnitude a ratio test accepts.
+const pivotTol = 1e-8
+
 // devexResetLimit bounds the devex reference weights; beyond it the
 // framework restarts from unit weights (the classic overflow guard).
 const devexResetLimit = 1e7
@@ -115,10 +123,8 @@ func (p Pricing) String() string {
 // Options tunes the simplex solver. The zero value selects sensible
 // defaults.
 type Options struct {
-	MaxIter       int     // pivot limit; ≤0 selects 200·(rows+cols)+10000
-	Tol           float64 // optimality/feasibility tolerance; ≤0 selects 1e-7
-	PivotTol      float64 // minimum pivot magnitude; ≤0 selects 1e-8
-	RefactorEvery int     // eta updates between refactorizations; ≤0 selects 64
+	MaxIter       int // pivot limit; ≤0 selects 200·(rows+cols)+10000
+	RefactorEvery int // eta updates between refactorizations; ≤0 selects 64
 	Pricing       Pricing
 	DegenLimit    int // degenerate pivots before the Bland fallback; ≤0 selects 1000
 	// TimeLimit is the wall-clock budget for one solve. When it expires the
@@ -187,12 +193,6 @@ func (o Options) withDefaults(m, n int) Options {
 		default:
 			o.Pricing = Dantzig
 		}
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-7
-	}
-	if o.PivotTol <= 0 {
-		o.PivotTol = 1e-8
 	}
 	if o.RefactorEvery <= 0 {
 		o.RefactorEvery = 64
@@ -298,7 +298,7 @@ const priceBlockSize = 32
 // priceBlock caches what scoring a block of columns one by one returns: the
 // first eligible column, the leftmost one with the highest score, and that
 // score. score(j) is a pure function of state[j], l[j], u[j], c[j], the
-// cached reduced cost and Tol, so a summary stays exact until one of those
+// cached reduced cost and optTol, so a summary stays exact until one of those
 // is written for a column of the block; every such write clears valid
 // (dirtyBlock, dropBlocks). A valid block therefore holds no stale reduced
 // cost, and reading its columns again would re-score none and find the same
@@ -570,7 +570,6 @@ func (s *simplex) price() int {
 	}
 	y := s.yRow
 
-	tol := s.opt.Tol
 	n := s.nTotal()
 	useBland := s.blandMode || s.opt.Pricing == Bland
 
@@ -589,9 +588,9 @@ func (s *simplex) price() int {
 		}
 		d := s.dj[j]
 		if st == stAtLower {
-			d = -d // want d < -tol
+			d = -d // want d < -optTol
 		}
-		if d <= tol {
+		if d <= optTol {
 			return 0
 		}
 		return d
@@ -626,7 +625,7 @@ func (s *simplex) price() int {
 
 	if s.opt.Pricing == Devex && !useBland {
 		// Devex: maximize d²/γ over eligible columns. Eligibility is the
-		// same d > tol test as Dantzig; only the merit differs.
+		// same d > optTol test as Dantzig; only the merit differs.
 		if s.gamma == nil {
 			s.resetDevex()
 		}
@@ -654,7 +653,7 @@ func (s *simplex) price() int {
 		// Scan from the rotating cursor until an eligible column appears,
 		// then finish the current window and take the best seen.
 		best := -1
-		bestScore := tol
+		bestScore := optTol
 		remaining := -1 // columns left to scan after the first hit
 		j := s.cursor % n
 		for scanned := 0; scanned < n; {
@@ -739,7 +738,7 @@ func (s *simplex) price() int {
 
 	// Dantzig reads every column: the leftmost best of the leftmost bests.
 	best := -1
-	bestScore := tol
+	bestScore := optTol
 	for b := range s.blocks {
 		if blk := summarize(b); blk.score > bestScore {
 			bestScore = blk.score
@@ -758,7 +757,6 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	if s.state[q] == stAtUpper {
 		dir = -1
 	}
-	pivTol := s.opt.PivotTol
 
 	// Ratio test. t is how far the entering variable moves from its bound.
 	tBest := math.Inf(1)
@@ -772,10 +770,10 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 		bj := s.basis[i]
 		var t float64
 		var atUpper bool
-		if wi > pivTol {
+		if wi > pivotTol {
 			t = (s.xB[i] - s.l[bj]) / wi
 			atUpper = false
-		} else if wi < -pivTol {
+		} else if wi < -pivotTol {
 			if math.IsInf(s.u[bj], 1) {
 				continue
 			}
@@ -798,7 +796,7 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	if math.IsInf(tBest, 1) {
 		return false, Unbounded, nil
 	}
-	if tBest <= s.opt.Tol {
+	if tBest <= optTol {
 		s.degenRun++
 		if s.degenRun > s.opt.DegenLimit {
 			s.blandMode = true

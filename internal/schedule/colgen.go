@@ -53,9 +53,6 @@ type ColGenConfig struct {
 	Solver lp.Options
 	// MaxRounds bounds pricing rounds per master; non-positive selects 50.
 	MaxRounds int
-	// Tol is the reduced-cost threshold below which a column does not
-	// price in; non-positive selects 1e-7.
-	Tol float64
 	// Alpha is the stage-2 fairness slack to discover under; zero selects
 	// the stage-2 default 0.1.
 	Alpha float64
@@ -109,6 +106,10 @@ type ColGenStats struct {
 // optimum. Positive on purpose: 1e-15 of simplex noise is not support.
 const supportTol = 1e-9
 
+// colgenTol is the reduced-cost threshold below which a column does not
+// price in.
+const colgenTol = 1e-7
+
 // GeneratePaths grows the instance's path sets in place by column
 // generation: per connected component it solves restricted stage-1,
 // stage-2, and (optionally) SUB-RET masters, pricing new paths via
@@ -160,11 +161,8 @@ func generatePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 50
 	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-7
-	}
 	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
+		cfg.Alpha = defaultAlpha
 	}
 	stats := &ColGenStats{}
 	d := &cgDiscovery{
@@ -189,7 +187,7 @@ func generatePaths(inst *Instance, cfg ColGenConfig) (*ColGenStats, error) {
 	if cfg.RET != nil {
 		retCfg = cfg.RET.withDefaults()
 		retCfg.Solver.Tracer = cfg.Solver.Tracer // under this run's span
-		extLast = retExtendedLast(inst, retCfg.BMax, retCfg)
+		extLast = retExtendedLast(inst, retCfg.BMax)
 	}
 	comps := Decompose(inst, extLast)
 	stats.Components = len(comps)
@@ -377,7 +375,7 @@ func (in *Instance) colgenAvoid() map[netgraph.EdgeID]bool {
 // build-time PathCache with what the next build should start from: jobs in
 // instance order, each job's paths in list order, de-duplicated — the
 // paths the job keeps unconditionally plus those used[k][p] marks. With evict
-// a job keeps its first seedK paths (the edge-disjoint seeds, which stay
+// a job keeps its first seedPaths paths (the edge-disjoint seeds, which stay
 // first because they are always kept); without, all carried[k] paths it
 // was built with, so the entry only grows. Returns how many paths of the
 // entries the build started from are gone from the new ones.
@@ -398,7 +396,7 @@ func (in *Instance) publishColGenPaths(carried []int, used [][]bool, evict bool)
 		}
 		keep := carried[k]
 		if evict {
-			keep = cg.seedK
+			keep = seedPaths
 		}
 		for p, path := range in.JobPaths[k] {
 			if p >= keep && !used[k][p] {
@@ -418,7 +416,7 @@ func (in *Instance) publishColGenPaths(carried []int, used [][]bool, evict bool)
 		}
 		cg.cache.put(pathCacheKey{
 			src: key.src, dst: key.dst,
-			k: cg.seedK, colgen: true,
+			k: seedPaths, colgen: true,
 			avoid: cg.avoidStr,
 		}, ps)
 	}
@@ -454,9 +452,9 @@ type cgDiscovery struct {
 // (job, path, slice) variable map, and the capacity-row layout it grows.
 // Row k of the model is job k's coupling/demand row in all three programs,
 // and the capacity rows follow, cells.kept[i] at row NumJobs + i. every
-// marks the SUB-RET master, which keeps every capacity row; gamma is
-// non-nil exactly for it, where the x columns carry the Quick-Finish
-// objective. jobIdx maps the master's job indices to the parent instance's
+// marks a master that keeps every capacity row, as the SUB-RET master does;
+// the SUB-RET master's x columns carry the Quick-Finish objective γ(j).
+// jobIdx maps the master's job indices to the parent instance's
 // (nil: they are the parent's). lex asks run to end a master that priced to
 // the end with the lexicographic stage-2 phase; when that ran to its optimum
 // lexSol is the solution and lexTime what the solve took.
@@ -468,7 +466,6 @@ type cgMaster struct {
 	xv      flowVars
 	cells   *capCells
 	every   bool
-	gamma   func(j int) float64
 	solver  lp.Options
 	lex     bool
 	lexSol  *lp.Solution
@@ -547,13 +544,13 @@ func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64
 // row, as the search's models do: which paths it prices in depends on the
 // vertices its solves end on (see lp.Options.ArtificialCrash).
 func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg RETConfig) error {
-	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast, cfg)
+	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast)
 	if err != nil {
 		return err
 	}
 	_, _, err = d.run(&cgMaster{
 		stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv,
-		cells: everyRowCells(inst, capRows, inst.NumJobs()), every: true, gamma: cfg.Gamma, solver: cfg.Solver,
+		cells: everyRowCells(inst, capRows, inst.NumJobs()), every: true, solver: cfg.Solver,
 	})
 	return err
 }
@@ -721,10 +718,10 @@ func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRow
 				continue // slice outside the job's (extended) window
 			}
 			thr := sigma * inst.Grid.Len(j)
-			if ms.gamma != nil {
-				thr -= ms.gamma(j)
+			if ms.stage == "subret" {
+				thr -= retGamma(j)
 			}
-			if thr <= d.cfg.Tol {
+			if thr <= colgenTol {
 				continue
 			}
 			ok := oracleKey{jb.Src, jb.Dst, j}
@@ -738,7 +735,7 @@ func (d *cgDiscovery) price(ms *cgMaster, sol *lp.Solution) (addedVars, addedRow
 				continue
 			}
 			viol := thr - hit.p.Cost
-			if viol <= d.cfg.Tol {
+			if viol <= colgenTol {
 				continue
 			}
 			pk := hit.p.Key()
@@ -801,8 +798,8 @@ func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int
 			coefs[i] = 1
 		}
 		obj := 0.0
-		if ms.gamma != nil {
-			obj = ms.gamma(j)
+		if ms.stage == "subret" {
+			obj = retGamma(j)
 		}
 		v, cerr := ms.m.AddColumn(fmt.Sprintf("x_%d_%d_%d", k, pidx, j), 0, lp.Inf, obj, rows, coefs)
 		if cerr != nil {

@@ -189,14 +189,14 @@ func TestColGenProbeMergesNeverEvicts(t *testing.T) {
 		}
 		for k, jb := range probe.Jobs {
 			after := make(map[string]bool)
-			for _, p := range colgenEntry(cg.cache, jb.Src, jb.Dst, cg.seedK) {
+			for _, p := range colgenEntry(cg.cache, jb.Src, jb.Dst, seedPaths) {
 				after[p.Key()] = true
 			}
 			for p, path := range before[k] {
 				if !after[path.Key()] {
 					t.Errorf("job %d: probe dropped carried path %s", jb.ID, path.Key())
 				}
-				if p >= cg.seedK && !stats.Support[k][p] {
+				if p >= seedPaths && !stats.Support[k][p] {
 					unmarked++
 				}
 			}
@@ -218,7 +218,7 @@ func TestColGenCutShortIsNotACertificate(t *testing.T) {
 		maxRounds int
 		proven    bool
 	}{{"priced to the end", 0, true}, {"MaxRounds 1", 1, false}} {
-		inst, err := NewInstanceOpts(g, mustGrid(t, 4), jobs, InstanceOptions{ColumnGen: true, SeedPaths: 2})
+		inst, err := NewInstanceOpts(g, mustGrid(t, 4), jobs, InstanceOptions{ColumnGen: true})
 		if err != nil {
 			t.Fatal(err)
 		}

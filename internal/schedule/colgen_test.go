@@ -72,7 +72,7 @@ func TestColGenByteIdenticalOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{ColumnGen: true, SeedPaths: 2})
+	cg, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{ColumnGen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestColGenDiscoversBeyondSeeds(t *testing.T) {
 	if len(enum.JobPaths[0]) != 3 {
 		t.Fatalf("enumeration found %d paths, want 3", len(enum.JobPaths[0]))
 	}
-	cg, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{ColumnGen: true, SeedPaths: 2})
+	cg, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{ColumnGen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestColGenCacheCrossEpoch(t *testing.T) {
 	pc := NewPathCache()
 	build := func() *Instance {
 		inst, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{
-			ColumnGen: true, SeedPaths: 2, PathCache: pc,
+			ColumnGen: true, PathCache: pc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +439,7 @@ func TestColGenCloneProtectsSharedSeeds(t *testing.T) {
 	}
 	pc := NewPathCache()
 	inst, err := NewInstanceOpts(g, mustGrid(t, 4), jobs, InstanceOptions{
-		ColumnGen: true, SeedPaths: 2, PathCache: pc,
+		ColumnGen: true, PathCache: pc,
 	})
 	if err != nil {
 		t.Fatal(err)

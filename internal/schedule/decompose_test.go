@@ -410,7 +410,7 @@ func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 	if len(warm.ProbeBases) == 0 {
 		t.Fatal("warm decomposed RET exported no probe bases")
 	}
-	comps := Decompose(inst, retExtendedLast(inst, 10, RETConfig{}.withDefaults()))
+	comps := Decompose(inst, retExtendedLast(inst, 10))
 	keys := make(map[string]bool, len(comps))
 	for _, c := range comps {
 		keys[c.Key] = true

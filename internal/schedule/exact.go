@@ -29,7 +29,7 @@ type ExactResult struct {
 // optimality gap be measured directly.
 func ExactStage2(inst *Instance, s1 *Stage1Result, opts ExactOptions) (*ExactResult, error) {
 	if opts.Alpha == 0 {
-		opts.Alpha = 0.1
+		opts.Alpha = defaultAlpha
 	}
 	m, _, xvars, _, err := buildStage2Model(inst, s1.ZStar, opts.Alpha, opts.Weight, nil)
 	if err != nil {

@@ -189,10 +189,9 @@ func TestScaleDownToDemand(t *testing.T) {
 	}
 }
 
-func TestRETExtendIntervalsMode(t *testing.T) {
-	// A job starting late: interval extension only stretches its own
-	// window, end-time extension stretches from the origin (larger
-	// absolute deadline for the same b).
+func TestRETExtendsEndTimesFromOrigin(t *testing.T) {
+	// A job starting late: end-time extension stretches its deadline from
+	// the scheduling origin, so a small b buys several slices.
 	g := netgraph.Line(2, 1, 10)
 	jobs := []job.Job{{ID: 1, Src: 0, Dst: 1, Size: 6, Start: 8, End: 11}}
 	inst, err := BuildRETInstance(g, jobs, 1, 1, 4)
@@ -200,56 +199,16 @@ func TestRETExtendIntervalsMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capacity 1/slice from slice 8: need 6 slices, window has 3.
-	// End-times mode: (1+b)·11 ≥ 14 ⇒ b ≥ 3/11 ≈ 0.273.
-	// Interval mode: 8 + (1+b)·3 ≥ 14 ⇒ b ≥ 1.
-	endMode, err := SolveRET(inst, RETConfig{Mode: ExtendEndTimes, Solver: solverOpts()})
+	// (1+b)·11 ≥ 14 ⇒ b ≥ 3/11 ≈ 0.273.
+	res, err := SolveRET(inst, RETConfig{Solver: solverOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	intMode, err := SolveRET(inst, RETConfig{Mode: ExtendIntervals, Solver: solverOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !endMode.LPDAR.AllDemandsMet() || !intMode.LPDAR.AllDemandsMet() {
+	if !res.LPDAR.AllDemandsMet() {
 		t.Fatal("demands unmet")
 	}
-	if math.Abs(endMode.BHat-3.0/11) > 0.02 {
-		t.Errorf("end-times b̂ = %g, want ≈ 0.273", endMode.BHat)
-	}
-	if math.Abs(intMode.BHat-1.0) > 0.02 {
-		t.Errorf("interval b̂ = %g, want ≈ 1.0", intMode.BHat)
-	}
-}
-
-func TestDisjointPathInstance(t *testing.T) {
-	g := netgraph.Ring(6, 2, 10)
-	grid, _ := timeslice.Uniform(0, 1, 4)
-	jobs := []job.Job{{ID: 1, Src: 0, Dst: 3, Size: 8, Start: 0, End: 4}}
-	inst, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{K: 4, DisjointPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A ring offers exactly two edge-disjoint paths between opposite nodes.
-	if got := len(inst.JobPaths[0]); got != 2 {
-		t.Fatalf("disjoint paths = %d, want 2", got)
-	}
-	seen := map[netgraph.EdgeID]bool{}
-	for _, p := range inst.JobPaths[0] {
-		for _, e := range p.Edges {
-			if seen[e] {
-				t.Fatal("paths share an edge")
-			}
-			seen[e] = true
-		}
-	}
-	// Both directions of the ring can be used simultaneously: Z* doubles
-	// the single-path capacity.
-	s1, err := SolveStage1(inst, solverOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s1.ZStar-2) > 1e-6 { // 2 paths × 2 waves × 4 slices / 8
-		t.Errorf("Z* = %g, want 2", s1.ZStar)
+	if math.Abs(res.BHat-3.0/11) > 0.02 {
+		t.Errorf("end-times b̂ = %g, want ≈ 0.273", res.BHat)
 	}
 }
 

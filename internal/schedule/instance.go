@@ -80,9 +80,10 @@ type colgenInfo struct {
 	cache    *PathCache
 	avoid    map[netgraph.EdgeID]bool
 	avoidStr string
-	seedK    int
-	cost     paths.CostFunc
 }
+
+// seedPaths is the per-pair seed set size under ColumnGen.
+const seedPaths = 2
 
 type capKey struct {
 	e netgraph.EdgeID
@@ -126,33 +127,26 @@ type window struct {
 // holds reports whether slice j lies in the window.
 func (w window) holds(j int) bool { return w.first <= j && j <= w.last }
 
-// InstanceOptions tunes path-set construction.
+// InstanceOptions tunes path-set construction. Paths are Yen's k-shortest.
 type InstanceOptions struct {
 	// K is the maximum number of allowed paths per job (paper: 4–8).
 	// Non-positive selects 4.
 	K int
-	// DisjointPaths selects greedy edge-disjoint path sets instead of
-	// Yen's k-shortest — the paths of one job then never contend with
-	// each other on any link.
-	DisjointPaths bool
 	// Cost weighs edges for path computation; nil selects unit (hop
 	// count) cost.
 	Cost paths.CostFunc
 	// PathCache, when non-nil, memoizes path sets across instance builds,
-	// keyed by (src, dst, K, DisjointPaths, avoided-edge set). The cache
-	// must be dedicated to one base topology; see PathCache.
+	// keyed by (src, dst, K, avoided-edge set). The cache must be dedicated
+	// to one base topology; see PathCache.
 	PathCache *PathCache
 	// ColumnGen selects column-generation mode: instead of eagerly
 	// enumerating K paths per job, each job starts from a small seed set
-	// (SeedPaths greedy edge-disjoint shortest paths) and GeneratePaths
-	// grows it on demand by LP pricing. K and DisjointPaths are ignored
-	// for seeding. With a PathCache, what an earlier GeneratePaths run
-	// under the same avoid set published (the seeds plus the paths its
-	// master optima used) is this build's starting set.
+	// (two greedy edge-disjoint shortest paths) and GeneratePaths grows it
+	// on demand by LP pricing. K is ignored for seeding. With a PathCache,
+	// what an earlier GeneratePaths run under the same avoid set published
+	// (the seeds plus the paths its master optima used) is this build's
+	// starting set.
 	ColumnGen bool
-	// SeedPaths is the per-pair seed set size under ColumnGen;
-	// non-positive selects 2.
-	SeedPaths int
 }
 
 // NewInstance validates the jobs and computes k-shortest-path sets for
@@ -193,23 +187,15 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 		avoidStr = avoidKey(avoid)
 	}
 	if opts.ColumnGen {
-		if opts.SeedPaths <= 0 {
-			opts.SeedPaths = 2
-		}
 		inst.colgen = &colgenInfo{
 			cache:    opts.PathCache,
 			avoid:    avoid,
 			avoidStr: avoidStr,
-			seedK:    opts.SeedPaths,
-			cost:     opts.Cost,
 		}
 	}
 	compute := func(src, dst netgraph.NodeID) []paths.Path {
 		if opts.ColumnGen {
-			return paths.EdgeDisjointAvoiding(g, src, dst, opts.SeedPaths, opts.Cost, avoid)
-		}
-		if opts.DisjointPaths {
-			return paths.EdgeDisjointAvoiding(g, src, dst, opts.K, opts.Cost, avoid)
+			return paths.EdgeDisjointAvoiding(g, src, dst, seedPaths, opts.Cost, avoid)
 		}
 		return paths.KShortestAvoiding(g, src, dst, opts.K, opts.Cost, avoid)
 	}
@@ -227,13 +213,9 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 				// Under ColumnGen the entry starts as the seed set and is
 				// overwritten by every GeneratePaths run with the seeds plus
 				// the paths its master optima used.
-				ck := pathCacheKey{
-					src: j.Src, dst: j.Dst,
-					k: opts.K, disjoint: opts.DisjointPaths,
-					avoid: avoidStr,
-				}
+				ck := pathCacheKey{src: j.Src, dst: j.Dst, k: opts.K, avoid: avoidStr}
 				if opts.ColumnGen {
-					ck.k, ck.disjoint, ck.colgen = opts.SeedPaths, false, true
+					ck.k, ck.colgen = seedPaths, true
 				}
 				ps = opts.PathCache.get(ck, func() []paths.Path { return compute(j.Src, j.Dst) })
 			} else {

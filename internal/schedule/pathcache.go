@@ -23,7 +23,6 @@ import (
 type pathCacheKey struct {
 	src, dst netgraph.NodeID
 	k        int
-	disjoint bool
 	colgen   bool
 	avoid    string // sorted failed-edge IDs, "-" separated
 }

@@ -13,41 +13,25 @@ import (
 	"wavesched/internal/timeslice"
 )
 
-// ExtendMode selects how the factor (1+b) stretches each job's deadline.
-type ExtendMode int
-
-// Deadline extension modes.
+// Algorithm 2's fixed parameters.
 const (
-	// ExtendEndTimes scales end times from the scheduling origin:
-	// E_i → (1+b)·E_i. This is the paper's primary formulation (eq. 16).
-	ExtendEndTimes ExtendMode = iota
-	// ExtendIntervals scales each job's own window instead:
-	// E_i → S_i + (1+b)·(E_i − S_i) — the alternative the paper's §II-C
-	// Remark mentions. Jobs with late start times are not penalized by
-	// their distance from the origin.
-	ExtendIntervals
+	retEps       = 0.01 // binary-search precision on b
+	retDelta     = 0.1  // δ: additive extension when LPDAR falls short (the paper's value)
+	retMaxRounds = 200  // bound on the δ-extension loop
 )
 
-// RETConfig tunes the Relaxing-End-Times algorithm (Algorithm 2).
+// retGamma is the paper's Quick-Finish cost γ(j) = j+1 (eq. 14).
+func retGamma(j int) float64 { return float64(j + 1) }
+
+// RETConfig tunes the Relaxing-End-Times algorithm (Algorithm 2). Deadlines
+// stretch by end-time scaling from the scheduling origin, E_i → (1+b)·E_i
+// (eq. 16), and the LPDAR greedy pass is RETAdjust (deficit-first,
+// demand-capped), which guarantees the δ-loop makes progress on dense
+// networks.
 type RETConfig struct {
-	BMax  float64 // search ceiling for the extension factor b; default 10
-	Eps   float64 // binary-search precision on b; default 0.01
-	Delta float64 // δ: additive extension when LPDAR falls short; paper uses 0.1
-	// Mode selects the deadline-extension rule; the default is the
-	// paper's end-time scaling.
-	Mode ExtendMode
-	// Gamma is the Quick-Finish cost γ(j); nil selects the paper's
-	// γ(j) = j+1.
-	Gamma func(j int) float64
+	BMax float64 // search ceiling for the extension factor b; default 10
 	// Solver passes through to the simplex.
 	Solver lp.Options
-	// Adjust tunes the LPDAR greedy pass; nil selects RETAdjust
-	// (deficit-first, demand-capped), which guarantees the δ-loop makes
-	// progress on dense networks. Set &VerbatimAdjust for the paper's
-	// Algorithm 1 exactly.
-	Adjust *AdjustOptions
-	// MaxRounds bounds the δ-extension loop; default 200.
-	MaxRounds int
 	// WarmStart speeds up the binary search on b by chaining one probe
 	// model across the feasibility probes: the model is built at BMax
 	// windows, each candidate b only flips variable bounds (out-of-window
@@ -127,22 +111,6 @@ func (c RETConfig) withDefaults() RETConfig {
 	if c.BMax == 0 {
 		c.BMax = 10
 	}
-	if c.Eps == 0 {
-		c.Eps = 0.01
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.1
-	}
-	if c.Gamma == nil {
-		c.Gamma = func(j int) float64 { return float64(j + 1) }
-	}
-	if c.Adjust == nil {
-		adj := RETAdjust
-		c.Adjust = &adj
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 200
-	}
 	// SUB-RET has no canonical optimum yet: the vertex a solve ends on, and
 	// with it utilization and the δ-loop, follows the pivot path, so its
 	// solves keep the start they were tuned on (DESIGN §10).
@@ -213,7 +181,7 @@ type RETResult struct {
 func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	cfg = cfg.withDefaults()
 	dsp := cfg.Solver.Tracer.Start("schedule.decompose")
-	comps := partition(inst, retExtendedLast(inst, cfg.BMax, cfg), cfg.Monolithic)
+	comps := partition(inst, retExtendedLast(inst, cfg.BMax), cfg.Monolithic)
 	endDecompose(dsp, inst, comps)
 	res = &RETResult{Components: len(comps)}
 	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
@@ -312,8 +280,8 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	solveStart := time.Now()
 	b := res.BHat
 	for round := 0; ; round++ {
-		if round >= cfg.MaxRounds {
-			return nil, fmt.Errorf("schedule: RET did not complete all jobs within %d δ-extensions (b=%g)", cfg.MaxRounds, b)
+		if round >= retMaxRounds {
+			return nil, fmt.Errorf("schedule: RET did not complete all jobs within %d δ-extensions (b=%g)", retMaxRounds, b)
 		}
 		var frac *Assignment
 		feasible := true
@@ -335,7 +303,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 			}
 			if feasible {
 				frac = mergeAssignments(inst, comps, fracs)
-				frac.SetExtendedWindows(retExtendedLast(inst, b, cfg))
+				frac.SetExtendedWindows(retExtendedLast(inst, b))
 			}
 		} else {
 			// Past the chains' column sets (windows beyond BMax): a cold
@@ -349,7 +317,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 		}
 		if feasible {
 			lpd := frac.Truncate()
-			lpdar := AdjustRates(lpd, *cfg.Adjust)
+			lpdar := AdjustRates(lpd, RETAdjust)
 			if lpdar.AllDemandsMet() {
 				res.B, res.Rounds = b, round
 				res.LP, res.LPD, res.LPDAR = frac, lpd, lpdar
@@ -369,12 +337,12 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 				tracer.Event("ret.delta_round",
 					telemetry.KV("round", round),
 					telemetry.KV("b", b),
-					telemetry.KV("next_b", b+cfg.Delta))
+					telemetry.KV("next_b", b+retDelta))
 			}
 		}
 		// Infeasible can happen just above b̂ due to the ε-precision search;
 		// either way, δ-extend.
-		b += cfg.Delta
+		b += retDelta
 	}
 }
 
@@ -540,7 +508,7 @@ func retSearch(inst *Instance, cfg RETConfig, E *retChain, P *retProber, comp st
 		return 0, itersTotal, steps, nil
 	}
 	lo, hi := 0.0, cfg.BMax
-	for hi-lo > cfg.Eps {
+	for hi-lo > retEps {
 		mid := (lo + hi) / 2
 		feasible, iters, err := probe(mid, StageBisect)
 		itersTotal += iters
@@ -575,7 +543,7 @@ func tallyProbes(res *RETResult, steps []ProbeStep) {
 // rows are the first rows of the model (row k is job k's), and the
 // returned map records the capacity row of each loaded (edge, slice) —
 // the layout the column-generation pricer relies on.
-func buildSubRETModel(name string, inst *Instance, extLast []int, cfg RETConfig) (*lp.Model, flowVars, map[capKey]lp.RowID, error) {
+func buildSubRETModel(name string, inst *Instance, extLast []int) (*lp.Model, flowVars, map[capKey]lp.RowID, error) {
 	m := lp.NewModel(name, lp.Minimize)
 	xvars, err := addFlowVars(m, inst, extLast, 0)
 	if err != nil {
@@ -584,7 +552,7 @@ func buildSubRETModel(name string, inst *Instance, extLast []int, cfg RETConfig)
 	// Quick-Finish objective (14): Σ_j γ(j)·Σ x.
 	for k := range inst.Jobs {
 		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
-			m.SetObj(v, cfg.Gamma(j))
+			m.SetObj(v, retGamma(j))
 		})
 	}
 	// Demand satisfaction (15): Σ x·LEN ≥ D_i.
@@ -604,8 +572,8 @@ func buildSubRETModel(name string, inst *Instance, extLast []int, cfg RETConfig)
 // factor b as a standalone per-b model. It reports feasibility; the
 // assignment is extracted only when extract is true.
 func solveSubRET(inst *Instance, b float64, cfg RETConfig, extract bool) (bool, *Assignment, int, error) {
-	extLast := retExtendedLast(inst, b, cfg)
-	m, xvars, _, err := buildSubRETModel("sub-ret", inst, extLast, cfg)
+	extLast := retExtendedLast(inst, b)
+	m, xvars, _, err := buildSubRETModel("sub-ret", inst, extLast)
 	if err != nil {
 		return false, nil, 0, err
 	}
@@ -632,18 +600,12 @@ func solveSubRET(inst *Instance, b float64, cfg RETConfig, extract bool) (bool, 
 // factor b — the (1+b)-scaled deadline mapped onto the grid with the same
 // rounding convention as the original windows, clamped to the grid and
 // never shrinking the original window.
-func retExtendedLast(inst *Instance, b float64, cfg RETConfig) []int {
+func retExtendedLast(inst *Instance, b float64) []int {
 	ns := inst.Grid.Num()
 	extLast := make([]int, inst.NumJobs())
 	for k, jb := range inst.Jobs {
-		var extEnd float64
-		if cfg.Mode == ExtendIntervals {
-			extEnd = jb.Start + (jb.End-jb.Start)*(1+b)
-		} else {
-			extEnd = inst.Grid.ExtendFactor(jb.End, b)
-		}
 		// The last usable slice must end at or before the (extended) end time.
-		_, last, ok := inst.Grid.Window(jb.Start, extEnd)
+		_, last, ok := inst.Grid.Window(jb.Start, inst.Grid.ExtendFactor(jb.End, b))
 		if !ok {
 			last = -1
 		}
@@ -677,8 +639,8 @@ type retChain struct {
 
 // newRETChain builds the chain model at BMax windows.
 func newRETChain(inst *Instance, name string, cfg RETConfig) (*retChain, error) {
-	maxLast := retExtendedLast(inst, cfg.BMax, cfg)
-	m, xv, _, err := buildSubRETModel(name, inst, maxLast, cfg)
+	maxLast := retExtendedLast(inst, cfg.BMax)
+	m, xv, _, err := buildSubRETModel(name, inst, maxLast)
 	if err != nil {
 		return nil, err
 	}
@@ -736,7 +698,7 @@ func (ch *retChain) applyLast(last []int) {
 // solver returned a status the chain cannot interpret (iteration/time
 // limit, numerical) — the caller then needs an authoritative cold solve.
 func (ch *retChain) solveAt(inst *Instance, b float64) (feasible bool, sol *lp.Solution, iters int, ok bool, err error) {
-	ch.applyLast(retExtendedLast(inst, b, ch.cfg))
+	ch.applyLast(retExtendedLast(inst, b))
 	before := ch.inc.Iters()
 	sol, err = ch.inc.Solve()
 	iters = ch.inc.Iters() - before
@@ -778,7 +740,7 @@ func (ch *retChain) extractAt(inst *Instance, b float64) (bool, *Assignment, int
 			}
 		}
 	}
-	a.SetExtendedWindows(retExtendedLast(inst, b, ch.cfg))
+	a.SetExtendedWindows(retExtendedLast(inst, b))
 	return true, a, iters, nil
 }
 
@@ -852,7 +814,7 @@ func (p *retProber) adopt(c *lp.Certificate) {
 
 // note records a solved verdict in the window memo.
 func (p *retProber) note(inst *Instance, b float64, feasible bool) {
-	p.memo[lastKey(retExtendedLast(inst, b, p.cfg))] = feasible
+	p.memo[lastKey(retExtendedLast(inst, b))] = feasible
 }
 
 // ensureChain returns the probe chain, forking it on first use.
@@ -876,7 +838,7 @@ func (p *retProber) checkInfeasible(inst *Instance, b float64) bool {
 		return false
 	}
 	ch := p.ensureChain()
-	ch.applyLast(retExtendedLast(inst, b, p.cfg))
+	ch.applyLast(retExtendedLast(inst, b))
 	f, ok := ch.m.CheckFeasibleWithCertificate(p.infeas)
 	return ok && !f
 }
@@ -886,7 +848,7 @@ func (p *retProber) checkInfeasible(inst *Instance, b float64) bool {
 // applies; answers are exact (certificates self-verify against the
 // current bounds, so a stale one declines rather than lies).
 func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string, ok bool) {
-	last := retExtendedLast(inst, b, p.cfg)
+	last := retExtendedLast(inst, b)
 	key := lastKey(last)
 	if v, hit := p.memo[key]; hit {
 		return v, CertWindow, true

@@ -192,30 +192,6 @@ func TestRETInfeasibleBeyondBMax(t *testing.T) {
 	}
 }
 
-func TestRETGammaVariants(t *testing.T) {
-	// A constant γ removes the early-packing pressure; the run must still
-	// complete all jobs.
-	g := netgraph.Line(2, 2, 10)
-	jobs := []job.Job{{ID: 1, Src: 0, Dst: 1, Size: 6, Start: 0, End: 4}}
-	inst, err := BuildRETInstance(g, jobs, 1, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, gamma := range map[string]func(int) float64{
-		"constant":  func(int) float64 { return 1 },
-		"linear":    func(j int) float64 { return float64(j + 1) },
-		"quadratic": func(j int) float64 { return float64((j + 1) * (j + 1)) },
-	} {
-		res, err := SolveRET(inst, RETConfig{Gamma: gamma, Solver: solverOpts()})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.LPDAR.AllDemandsMet() {
-			t.Errorf("%s: demands unmet", name)
-		}
-	}
-}
-
 func TestAssignmentHelpers(t *testing.T) {
 	g := netgraph.Line(2, 2, 10)
 	jobs := []job.Job{{ID: 7, Src: 0, Dst: 1, Size: 4, Start: 0, End: 4}}

@@ -8,22 +8,27 @@ import (
 	"wavesched/internal/telemetry"
 )
 
-// Config tunes the two-stage maximizing-throughput algorithm.
+// defaultAlpha is the fairness slack the paper uses, selected wherever an
+// α is left zero.
+const defaultAlpha = 0.1
+
+// maxAlpha bounds the AlphaGrowth retries: at α = 1 there is no fairness
+// floor at all.
+const maxAlpha = 1
+
+// Config tunes the two-stage maximizing-throughput algorithm. The LPDAR
+// greedy pass is the paper's verbatim Algorithm 1 (VerbatimAdjust).
 type Config struct {
 	// Alpha is the fairness slack in constraint (9): every job's
-	// throughput must reach (1−Alpha)·Z*. The paper uses 0.1.
+	// throughput must reach (1−Alpha)·Z*. Zero selects the paper's 0.1.
 	Alpha float64
 	// AlphaGrowth: if the stage-2 LP is infeasible at Alpha (possible for
 	// very tight instances), Alpha is increased by this additive step and
-	// the LP retried, per the paper's Remark 1. Zero disables retries.
+	// the LP retried, per the paper's Remark 1, up to α = 1. Zero disables
+	// retries.
 	AlphaGrowth float64
-	// MaxAlpha bounds the retries; default 1 (no fairness floor at all).
-	MaxAlpha float64
 	// Solver passes through to the simplex.
 	Solver lp.Options
-	// Adjust tunes the LPDAR greedy pass; the zero value is the paper's
-	// verbatim Algorithm 1.
-	Adjust AdjustOptions
 	// Weight sets the stage-2 objective weights (nil selects the paper's
 	// default, WeightBySize). See WeightFunc for the alternatives the
 	// paper discusses.
@@ -48,10 +53,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
-		c.Alpha = 0.1
-	}
-	if c.MaxAlpha == 0 {
-		c.MaxAlpha = 1
+		c.Alpha = defaultAlpha
 	}
 	return c
 }
@@ -364,7 +366,7 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
 	a := alpha
-	for cfg.AlphaGrowth > 0 && a+cfg.AlphaGrowth <= cfg.MaxAlpha {
+	for cfg.AlphaGrowth > 0 && a+cfg.AlphaGrowth <= maxAlpha {
 		a += cfg.AlphaGrowth
 		telStage2AlphaRetries.Inc()
 		floor := (1 - a) * zstar
@@ -471,7 +473,7 @@ func integerize(frac *Assignment, cfg Config) *Result {
 	lpd := frac.Truncate()
 	truncTime := time.Since(truncStart)
 	adjStart := time.Now()
-	lpdar := AdjustRates(lpd, cfg.Adjust)
+	lpdar := AdjustRates(lpd, VerbatimAdjust)
 	adjTime := time.Since(adjStart)
 	sp.End()
 	return &Result{LP: frac, LPD: lpd, LPDAR: lpdar, TruncateTime: truncTime, AdjustTime: adjTime}
@@ -534,7 +536,7 @@ func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
 			r.frac = frac
 			return r, nil
 		}
-		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
+		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= maxAlpha {
 			if cfg.WarmStart && !warmProbed {
 				// Fast-forward the ladder with warm status-only probes,
 				// then re-solve cold at the α they land on.
