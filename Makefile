@@ -20,8 +20,9 @@ build:
 
 # The size of the tree, for ROADMAP's "non-test line count going down": Go
 # lines outside bench/ that are not tests, the same inside internal/schedule,
-# test lines, flag registrations under cmd/, and the settable (exported)
-# fields of the solver and controller config structs. Printed, never gated.
+# test lines, flag registrations under cmd/, instrument registrations on the
+# default telemetry registry, and the settable (exported) fields of the
+# solver and controller config structs. Printed, never gated.
 CONFIG_STRUCTS = lp.Options=internal/lp/simplex.go schedule.Config=internal/schedule/stage2.go \
 	schedule.RETConfig=internal/schedule/ret.go schedule.ColGenConfig=internal/schedule/colgen.go \
 	schedule.InstanceOptions=internal/schedule/instance.go controller.Config=internal/controller/controller.go
@@ -30,6 +31,7 @@ loc:
 	@printf 'non-test go lines in internal/schedule: '; find internal/schedule -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'test go lines: '; find . -name '*_test.go' | xargs cat | wc -l
 	@printf 'flag registrations under cmd/: '; find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '\<(flag|fs)\.(Bool|Int|Int64|Uint|Float64|String|Duration|Func)(Var)?\('
+	@printf 'instrument registrations: '; find . -name '*.go' ! -name '*_test.go' | xargs cat | grep -oE 'telemetry\.Default\(\)\.(Counter|Gauge|Histogram)[A-Za-z]*\(' | wc -l
 	@for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; printf 'settable fields in %s: ' $$name; \
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /^\t[A-Z]/ {n++} END {print n + 0}' $${s#*=}; done
 

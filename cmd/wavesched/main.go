@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"strings"
 
@@ -298,8 +299,8 @@ func checkSolverFlags(k int, alpha, bmax float64) error {
 		return fmt.Errorf("-k must be at least 1, got %d", k)
 	case !(alpha > 0 && alpha <= 1):
 		return fmt.Errorf("-alpha must be in (0, 1], got %g", alpha)
-	case !(bmax > 0):
-		return fmt.Errorf("-bmax must be positive, got %g", bmax)
+	case !(bmax > 0) || math.IsInf(bmax, 0):
+		return fmt.Errorf("-bmax must be positive and finite, got %g", bmax)
 	}
 	return nil
 }

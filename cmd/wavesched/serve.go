@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -184,13 +185,13 @@ func parseQuota(raw string) (string, admission.TenantPolicy, error) {
 		var err error
 		switch k {
 		case "rate":
-			tp.RatePerSec, err = strconv.ParseFloat(v, 64)
+			tp.RatePerSec, err = parseFinite(v)
 		case "burst":
-			tp.Burst, err = strconv.ParseFloat(v, 64)
+			tp.Burst, err = parseFinite(v)
 		case "max_jobs":
 			tp.MaxJobs, err = strconv.Atoi(v)
 		case "max_demand":
-			tp.MaxDemand, err = strconv.ParseFloat(v, 64)
+			tp.MaxDemand, err = parseFinite(v)
 		default:
 			return "", tp, fmt.Errorf("serve: unknown -quota key %q (want rate, burst, max_jobs, or max_demand)", k)
 		}
@@ -199,6 +200,16 @@ func parseQuota(raw string) (string, admission.TenantPolicy, error) {
 		}
 	}
 	return tenant, tp, nil
+}
+
+// parseFinite parses a float flag value and refuses NaN and ±Inf, which
+// ParseFloat accepts.
+func parseFinite(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%g is not a finite number", f)
+	}
+	return f, err
 }
 
 // parseClassWeights decodes the -priority value: "class=mult" pairs
@@ -218,9 +229,9 @@ func parseClassWeights(raw string) (map[admission.Class]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: %v", err)
 		}
-		mult, err := strconv.ParseFloat(v, 64)
-		if err != nil || mult <= 0 {
-			return nil, fmt.Errorf("serve: bad -priority multiplier %q (want a positive number)", part)
+		mult, err := parseFinite(v)
+		if err != nil || !(mult > 0) {
+			return nil, fmt.Errorf("serve: bad -priority multiplier %q (want a finite positive number)", part)
 		}
 		out[class] = mult
 	}

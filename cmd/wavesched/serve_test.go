@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"wavesched/internal/admission"
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
 )
@@ -50,6 +51,30 @@ func TestParseServeFlags(t *testing.T) {
 	if _, err := parseServeFlags([]string{"-net", "x.json", "-k", "1", "-alpha", "1", "-bmax", "0.5"}); err != nil {
 		t.Errorf("in-range edge values rejected: %v", err)
 	}
+	for _, v := range []string{"critical=NaN", "critical=+Inf", "standard=Inf", "critical=0", "critical=-1"} {
+		if _, err := parseServeFlags([]string{"-net", "x.json", "-priority", v}); err == nil {
+			t.Errorf("-priority %s accepted", v)
+		}
+	}
+	for _, bad := range []struct{ quota, key string }{
+		{"rate=NaN", "rate"}, {"rate=Inf", "rate"}, {"cms:burst=NaN", "burst"},
+		{"burst=-Inf", "burst"}, {"max_demand=NaN", "max_demand"}, {"cms:max_demand=+Inf", "max_demand"},
+	} {
+		_, err := parseServeFlags([]string{"-net", "x.json", "-quota", bad.quota})
+		if err == nil {
+			t.Errorf("-quota %s accepted", bad.quota)
+		} else if !strings.Contains(err.Error(), bad.key) {
+			t.Errorf("-quota %s: error %q does not name the key", bad.quota, err)
+		}
+	}
+	o, err = parseServeFlags([]string{"-net", "x.json", "-priority", "critical=8,scavenger=0.125",
+		"-quota", "cms:rate=50,burst=5,max_jobs=200,max_demand=1e6"})
+	if err != nil {
+		t.Fatalf("finite -priority/-quota rejected: %v", err)
+	}
+	if o.Admission.ClassWeights[admission.ClassCritical] != 8 || o.Admission.Tenants["cms"].RatePerSec != 50 {
+		t.Errorf("parsed admission config: %+v", o.Admission)
+	}
 }
 
 // badSolverFlags are out-of-range solver flags, each with the flag name its
@@ -57,7 +82,7 @@ func TestParseServeFlags(t *testing.T) {
 var badSolverFlags = []struct{ flag, value string }{
 	{"-k", "0"}, {"-k", "-2"},
 	{"-alpha", "0"}, {"-alpha", "-0.1"}, {"-alpha", "1.5"}, {"-alpha", "NaN"},
-	{"-bmax", "0"}, {"-bmax", "-1"},
+	{"-bmax", "0"}, {"-bmax", "-1"}, {"-bmax", "+Inf"},
 }
 
 func writeNetFixture(t *testing.T, g *netgraph.Graph) string {

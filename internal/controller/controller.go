@@ -168,11 +168,11 @@ type Config struct {
 }
 
 func (c Config) validate() error {
-	if c.SliceLen <= 0 {
-		return fmt.Errorf("controller: SliceLen must be positive, got %g", c.SliceLen)
+	if !(c.SliceLen > 0) || math.IsInf(c.SliceLen, 0) {
+		return fmt.Errorf("controller: SliceLen must be positive and finite, got %g", c.SliceLen)
 	}
-	if c.Tau <= 0 {
-		return fmt.Errorf("controller: Tau must be positive, got %g", c.Tau)
+	if !(c.Tau > 0) || math.IsInf(c.Tau, 0) {
+		return fmt.Errorf("controller: Tau must be positive and finite, got %g", c.Tau)
 	}
 	ratio := c.Tau / c.SliceLen
 	if math.Abs(ratio-math.Round(ratio)) > 1e-9 || ratio < 1 {

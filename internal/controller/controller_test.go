@@ -26,6 +26,10 @@ func TestConfigValidation(t *testing.T) {
 		{Tau: 0.5, SliceLen: 1}, // τ < slice
 		{Tau: 1.5, SliceLen: 1}, // not a multiple
 		{Tau: -1, SliceLen: 1},
+		{Tau: 1, SliceLen: math.NaN()},
+		{Tau: math.NaN(), SliceLen: 1},
+		{Tau: math.Inf(1), SliceLen: 1},
+		{Tau: math.Inf(1), SliceLen: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(g, cfg); err == nil {

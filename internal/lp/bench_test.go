@@ -205,33 +205,6 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkSimplexPresolve(b *testing.B) {
-	model := randomDenseLP(400, 240, 2)
-	// Add structure presolve can exploit: fixed vars and singletons.
-	for j := 0; j < 50; j++ {
-		v := model.AddVar("fixed", 2, 2, 1)
-		r := model.AddRow("s", LE, 100)
-		model.AddTerm(r, v, 1)
-	}
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol, err := model.SolveWith(Options{Presolve: on})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sol.Status != Optimal {
-					b.Fatalf("status %v", sol.Status)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkLUFactorize(b *testing.B) {
 	for _, m := range []int{50, 200, 600} {
 		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {

@@ -193,11 +193,9 @@ type Incremental struct {
 	lastSol    *Solution
 }
 
-// NewIncremental wraps a model for repeated solves. Presolve is disabled
-// (reductions would invalidate the basis mapping), and so is a secondary
-// objective (the dual re-entries end where the primary pivots end).
+// NewIncremental wraps a model for repeated solves. A secondary objective
+// is disabled (the dual re-entries end where the primary pivots end).
 func NewIncremental(m *Model, opt Options) *Incremental {
-	opt.Presolve = false
 	opt.Secondary = nil
 	return &Incremental{model: m, opt: opt, lastStatus: Numerical}
 }

@@ -374,13 +374,4 @@ func TestLexPhaseLeavesThePrimalProblemInPlace(t *testing.T) {
 	if _, err := lp.m.SolveWith(Options{Secondary: bad}); err == nil {
 		t.Error("NaN in Secondary accepted")
 	}
-	pre, err := lp.m.SolveWith(Options{Secondary: lp.sec, Presolve: true})
-	if err != nil || pre.Status != Optimal {
-		t.Fatalf("presolved lexicographic solve: %v, %v", pre, err)
-	}
-	for v := range lex.X {
-		if math.Abs(pre.X[v]-lex.X[v]) > 1e-7 {
-			t.Fatalf("presolved lexicographic solve: x[%d] = %v, want %v", v, pre.X[v], lex.X[v])
-		}
-	}
 }

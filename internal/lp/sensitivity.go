@@ -253,14 +253,12 @@ func (m *Model) checkCertificate(c *Certificate) (feasible, ok bool) {
 
 // SolveWithCertificate solves the model and, for Optimal or Infeasible
 // outcomes, additionally exports a Certificate for later
-// CheckFeasibleWithCertificate probes. Presolve is disabled (the
-// certificate must speak about the caller's own rows and columns). The
-// certificate is nil when the outcome supports none.
+// CheckFeasibleWithCertificate probes. The certificate is nil when the
+// outcome supports none.
 func (m *Model) SolveWithCertificate(opt Options) (*Solution, *Certificate, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	opt.Presolve = false
 	s, sol, err := m.solveCore(opt)
 	if err != nil || sol == nil || s == nil {
 		return sol, nil, err
@@ -323,13 +321,11 @@ type Sensitivity struct {
 }
 
 // SolveWithSensitivity solves the model and, when optimal, computes the
-// ranging information from the final basis. Presolve is disabled (ranges
-// are basis-specific).
+// ranging information from the final basis.
 func (m *Model) SolveWithSensitivity(opt Options) (*Solution, *Sensitivity, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	opt.Presolve = false
 	s, sol, err := m.solveCore(opt)
 	if err != nil {
 		return sol, nil, err

@@ -133,13 +133,8 @@ type Options struct {
 	// deadlineCheckEvery pivots, so very short limits overshoot by at most
 	// that many pivots.
 	TimeLimit time.Duration
-	// Presolve applies safe model reductions (fixed-variable substitution,
-	// singleton-row bound tightening, empty-row elimination) before the
-	// simplex. Duals of presolve-eliminated rows are reported as 0.
-	Presolve bool
-	// Tracer, when non-nil, receives a span per solve plus presolve and
-	// infeasibility diagnostic events. Nil disables tracing at the cost
-	// of a nil check.
+	// Tracer, when non-nil, receives a span per solve plus infeasibility
+	// diagnostic events. Nil disables tracing at the cost of a nil check.
 	Tracer *telemetry.Tracer
 	// WarmStart, when non-nil, seeds the solve from a basis captured by an
 	// earlier solve (Solution.Basis) instead of the two-phase cold start:
@@ -152,9 +147,7 @@ type Options struct {
 	// supplying a stale basis is safe — just slower.
 	WarmStart *Basis
 	// CaptureBasis records the final basis on Solution.Basis for Optimal
-	// and Infeasible outcomes. Implied by WarmStart != nil. Ignored (no
-	// basis captured) when Presolve is active, since the reduced model's
-	// basis does not map back to the caller's variables.
+	// and Infeasible outcomes. Implied by WarmStart != nil.
 	CaptureBasis bool
 	// Secondary, when non-nil, is a second objective: one coefficient per
 	// model variable, in the model's sense. A solve that reaches the optimum

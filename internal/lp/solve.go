@@ -51,8 +51,7 @@ type Solution struct {
 	// (or a warm start) was requested and the solve ended Optimal or
 	// Infeasible. Feed it to Options.WarmStart on a later solve of the same
 	// (or a structurally identical) model after RHS, bound, or objective
-	// changes. Nil when not captured, or when Presolve was active (the
-	// basis of a presolve-reduced model does not map back).
+	// changes. Nil when not captured.
 	Basis *Basis
 }
 
@@ -69,7 +68,7 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 	}
 	start := time.Now()
 	sp := opt.Tracer.Start("lp.solve")
-	sol, err := m.solveValidated(opt)
+	_, sol, err := m.solveCore(opt)
 	telSolveSeconds.ObserveSince(start)
 	if sol != nil {
 		telPivots.Add(int64(sol.Iters))
@@ -122,61 +121,6 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 		}
 		sp.End(attrs...)
 	}
-	return sol, err
-}
-
-// solveValidated runs the presolve-then-simplex pipeline on an
-// already-validated model. It is separate from SolveWith so the presolve
-// recursion does not double-count solve metrics.
-func (m *Model) solveValidated(opt Options) (*Solution, error) {
-	if opt.Presolve {
-		ps, err := presolve(m)
-		if err != nil {
-			return nil, err
-		}
-		telPresolveFixedVars.Add(int64(ps.nFixed))
-		telPresolveDroppedRows.Add(int64(ps.nDropped))
-		if opt.Tracer != nil && (ps.nFixed > 0 || ps.nDropped > 0 || ps.status == Infeasible) {
-			opt.Tracer.Event("lp.presolve",
-				telemetry.KV("model", m.name),
-				telemetry.KV("fixed_vars", ps.nFixed),
-				telemetry.KV("dropped_rows", ps.nDropped),
-				telemetry.KV("infeasible", ps.status == Infeasible))
-		}
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		inner := opt
-		inner.Presolve = false
-		if err := ps.reduced.Validate(); err != nil {
-			return nil, fmt.Errorf("lp: presolve produced invalid model: %w", err)
-		}
-		inner.WarmStart = nil // a reduced-model basis cannot map back
-		if opt.Secondary != nil {
-			// A fixed variable adds a constant to the secondary objective.
-			if err := m.checkSecondary(opt.Secondary); err != nil {
-				return nil, err
-			}
-			inner.Secondary = make([]float64, ps.reduced.NumVars())
-			for j, rj := range ps.varMap {
-				if rj >= 0 {
-					inner.Secondary[rj] = opt.Secondary[j]
-				}
-			}
-		}
-		sol, err := ps.reduced.solveValidated(inner)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status != Optimal {
-			sol.Basis = nil
-			return sol, nil
-		}
-		out := ps.postsolve(m, sol)
-		out.Basis = nil
-		return out, nil
-	}
-	_, sol, err := m.solveCore(opt)
 	return sol, err
 }
 

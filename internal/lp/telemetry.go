@@ -21,10 +21,6 @@ var (
 		"Simplex pivots spent in the second phase of lexicographic solves (Options.Secondary): from the primary optimum to the secondary optimum of the optimal face. Counted in lp_pivots_total as well.")
 	telInfeasible = telemetry.Default().Counter("lp_infeasible_total",
 		"Solves that proved the model infeasible.")
-	telPresolveFixedVars = telemetry.Default().Counter("lp_presolve_fixed_vars_total",
-		"Variables eliminated by presolve bound-fixing.")
-	telPresolveDroppedRows = telemetry.Default().Counter("lp_presolve_dropped_rows_total",
-		"Rows eliminated by presolve (singleton and empty rows).")
 	telTimeouts = telemetry.Default().Counter("lp_solve_timeouts_total",
 		"Solves aborted because the wall-clock Options.TimeLimit expired.")
 	telWarmHits = telemetry.Default().Counter("lp_warmstart_hits_total",

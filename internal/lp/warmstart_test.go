@@ -210,24 +210,6 @@ func TestWarmStartHitCounted(t *testing.T) {
 	}
 }
 
-// TestWarmStartPresolveIgnoresBasis documents that Presolve disables basis
-// capture and warm starting rather than producing a wrong mapping.
-func TestWarmStartPresolveIgnoresBasis(t *testing.T) {
-	m := NewModel("ps", Minimize)
-	x := m.AddVar("x", 1, 1, 5) // fixed: presolve eliminates it
-	y := m.AddVar("y", 0, 10, 1)
-	r := m.AddRow("r", GE, 3)
-	m.AddTerm(r, x, 1)
-	m.AddTerm(r, y, 1)
-	sol, err := m.SolveWith(Options{Presolve: true, CaptureBasis: true})
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("solve: %v %+v", err, sol)
-	}
-	if sol.Basis != nil {
-		t.Fatalf("presolved solve must not capture a basis")
-	}
-}
-
 // FuzzWarmStartEquivalence drives the warm-vs-cold property from fuzzed
 // seeds so the corpus can grow adversarial perturbation sequences.
 func FuzzWarmStartEquivalence(f *testing.F) {

@@ -570,7 +570,6 @@ func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err erro
 	sp := ms.solver.Tracer.Start("schedule.colgen_master")
 	opts := ms.solver
 	opts.Tracer = sp.Tracer()
-	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
 	opts.WarmStart = nil
 	sol, err = ms.m.SolveWith(opts)

@@ -363,7 +363,6 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 		return alpha
 	}
 	opts := cfg.Solver
-	opts.Presolve = false // presolve would disable basis capture
 	opts.CaptureBasis = true
 	a := alpha
 	for cfg.AlphaGrowth > 0 && a+cfg.AlphaGrowth <= maxAlpha {

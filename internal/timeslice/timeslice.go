@@ -22,8 +22,8 @@ func Uniform(origin, sliceLen float64, n int) (*Grid, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("timeslice: negative slice count %d", n)
 	}
-	if sliceLen <= 0 {
-		return nil, fmt.Errorf("timeslice: slice length must be positive, got %g", sliceLen)
+	if !(sliceLen > 0) || math.IsInf(sliceLen, 0) {
+		return nil, fmt.Errorf("timeslice: slice length must be positive and finite, got %g", sliceLen)
 	}
 	b := make([]float64, n+1)
 	for i := range b {

@@ -37,6 +37,12 @@ func TestUniformErrors(t *testing.T) {
 	if _, err := Uniform(0, 1, -1); err == nil {
 		t.Error("negative count accepted")
 	}
+	if _, err := Uniform(0, math.NaN(), 3); err == nil {
+		t.Error("NaN slice length accepted")
+	}
+	if _, err := Uniform(0, math.Inf(1), 3); err == nil {
+		t.Error("infinite slice length accepted")
+	}
 }
 
 func TestFromBoundaries(t *testing.T) {
