@@ -30,7 +30,6 @@ type explainOptions struct {
 	BMax      float64
 	Policy    string
 	MaxTime   float64
-	Warm      bool
 	JSON      bool
 	TracePath string
 }
@@ -52,7 +51,6 @@ func parseExplainFlags(args []string) (explainOptions, error) {
 	fs.Float64Var(&o.BMax, "bmax", 5, "RET extension ceiling")
 	fs.StringVar(&o.Policy, "policy", "maxthroughput", "controller policy: maxthroughput, ret, or reject")
 	fs.Float64Var(&o.MaxTime, "max-time", 0, "stop the replay at this virtual time (0 = run until drained)")
-	fs.BoolVar(&o.Warm, "warm", false, "warm-start LP solves across epochs")
 	fs.BoolVar(&o.JSON, "json", false, "emit the explanation in the /v1/jobs/{id}/explain wire format")
 	fs.StringVar(&o.TracePath, "trace", "", "also write the replay's trace spans (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +81,7 @@ func runExplain(w io.Writer, o explainOptions) error {
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha, BMax: o.BMax,
 		Policy: policy, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: o.Warm,
+		WarmStart: true,
 	})
 	if err != nil {
 		return err

@@ -90,7 +90,6 @@ func main() {
 		k        = flag.Int("k", 4, "allowed paths per job")
 		alpha    = flag.Float64("alpha", 0.1, "stage-2 fairness slack")
 		bmax     = flag.Float64("bmax", 5, "RET extension ceiling")
-		warm     = flag.Bool("warm", false, "warm-start LP solves across repeated-solve loops (same schedules, fewer pivots)")
 		colgen   = flag.Bool("colgen", false, "price path columns on demand (column generation) instead of enumerating -k paths upfront")
 		verbose  = flag.Bool("verbose", false, "dump per-slice assignments")
 		jsonOut  = flag.Bool("json", false, "emit the -algo sim result as JSON instead of text")
@@ -151,9 +150,9 @@ func main() {
 
 	switch *algo {
 	case "maxthroughput":
-		runMaxThroughput(g, jobs, *slices, *sliceLen, *k, *alpha, *warm, *colgen, *verbose)
+		runMaxThroughput(g, jobs, *slices, *sliceLen, *k, *alpha, *colgen, *verbose)
 	case "ret":
-		runRET(g, jobs, *sliceLen, *k, *bmax, *warm, *colgen, *verbose)
+		runRET(g, jobs, *sliceLen, *k, *bmax, *colgen, *verbose)
 	case "admit":
 		runAdmit(g, jobs, *slices, *sliceLen, *k)
 	case "bottleneck":
@@ -161,7 +160,7 @@ func main() {
 	case "sim":
 		err := runSim(os.Stdout, g, jobs, simOptions{
 			Tau: *tau, SliceLen: *sliceLen, K: *k, Alpha: *alpha, BMax: *bmax,
-			Policy: *policy, MaxTime: *maxTime, JSON: *jsonOut, Warm: *warm,
+			Policy: *policy, MaxTime: *maxTime, JSON: *jsonOut,
 			ColumnGen: *colgen,
 			FailTrace: *failTrace, MTBF: *mtbf, MTTR: *mttr, FailSeed: *failSeed,
 		})
@@ -324,7 +323,7 @@ func setupLogging(level string) error {
 	return nil
 }
 
-func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k int, alpha float64, warm, colgen, verbose bool) {
+func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k int, alpha float64, colgen, verbose bool) {
 	grid, err := timeslice.Uniform(0, sliceLen, slices)
 	if err != nil {
 		fatal("%v", err)
@@ -342,7 +341,7 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
 	res, err := schedule.MaxThroughput(inst, schedule.Config{
-		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(), WarmStart: warm,
+		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(), WarmStart: true,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -378,7 +377,7 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 	}
 }
 
-func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax float64, warm, colgen, verbose bool) {
+func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax float64, colgen, verbose bool) {
 	inst, err := schedule.BuildRETInstanceOpts(g, jobs, sliceLen, k, bmax, schedule.InstanceOptions{K: k, ColumnGen: colgen})
 	if err != nil {
 		fatal("%v", err)
@@ -393,7 +392,7 @@ func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax flo
 		fmt.Printf("column generation: %d seed paths, %d priced in over %d rounds (%d solves)\n",
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
-	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions(), WarmStart: warm})
+	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions(), WarmStart: true})
 	if err != nil {
 		fatal("%v", err)
 	}

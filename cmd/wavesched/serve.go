@@ -286,7 +286,7 @@ func serverConfig(o serveOptions) (server.Config, error) {
 			Tau: o.Tau.Seconds(), SliceLen: o.SliceLen, K: o.K,
 			Alpha: o.Alpha, BMax: o.BMax, Policy: policy,
 			Solver: lpOptions(), Tracer: tracer,
-			Incremental: o.Incremental,
+			WarmStart: true, Incremental: o.Incremental,
 		},
 		Period:        o.Tau,
 		WALDir:        o.WALDir,

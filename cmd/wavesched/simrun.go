@@ -23,7 +23,6 @@ type simOptions struct {
 	Policy   string
 	MaxTime  float64
 	JSON     bool // emit the run result as JSON instead of text
-	Warm     bool // warm-start LP solves across epochs
 
 	// ColumnGen prices path columns on demand instead of enumerating K
 	// paths per job upfront.
@@ -94,7 +93,7 @@ func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error 
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha,
 		Policy: policy, BMax: o.BMax, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: o.Warm, ColumnGen: o.ColumnGen,
+		WarmStart: true, ColumnGen: o.ColumnGen,
 	})
 	if err != nil {
 		return err

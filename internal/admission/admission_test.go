@@ -261,3 +261,55 @@ func TestSubmissionResolveWait(t *testing.T) {
 		t.Fatalf("decision = %+v", d)
 	}
 }
+
+// TestQueueDrainsBatchesWhole pushes many multi-job requests while a
+// consumer drains concurrently: every drain must hold each request's
+// submissions all together, consecutive in sequence order, or not at all.
+func TestQueueDrainsBatchesWhole(t *testing.T) {
+	q := NewQueue(4)
+	const writers, batches, size = 8, 50, 5
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				subs := make([]*Submission, size)
+				for i := range subs {
+					subs[i] = &Submission{Job: job.Job{ID: job.ID((w*batches+b)*size + i)}}
+				}
+				q.EnqueueAll(subs)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	total := 0
+	check := func(subs []*Submission) {
+		for i := 0; i < len(subs); {
+			first := subs[i].Job.ID
+			if first%size != 0 {
+				t.Fatalf("drain starts a request mid-way, at job %d", first)
+			}
+			for k := 0; k < size; k++ {
+				if i+k >= len(subs) || subs[i+k].Job.ID != first+job.ID(k) || subs[i+k].seq != subs[i].seq+uint64(k) {
+					t.Fatalf("request of job %d split or interleaved in a drain", first)
+				}
+			}
+			i += size
+		}
+		total += len(subs)
+	}
+	for {
+		select {
+		case <-done:
+			check(q.Drain())
+			if total != writers*batches*size {
+				t.Fatalf("drained %d submissions, want %d", total, writers*batches*size)
+			}
+			return
+		default:
+			check(q.Drain())
+		}
+	}
+}

@@ -64,17 +64,18 @@ func (s *Submission) Resolve(d Decision) {
 	close(s.done)
 }
 
-// node is a Treiber-stack cell.
+// node is a Treiber-stack cell: the submissions of one request, which a
+// drain takes whole.
 type node struct {
-	sub  *Submission
+	subs []*Submission
 	next *node
 }
 
 // Queue is the sharded lock-free intake buffer. Producers (HTTP handler
-// goroutines) push with one atomic fetch-add and one CAS each; the single
-// consumer (the epoch tick, under the server's write lock) swaps every
-// shard head to nil and rebuilds arrival order from the global sequence
-// numbers. There are no locks anywhere on the enqueue path, so thousands
+// goroutines) push each request with one atomic fetch-add and one CAS;
+// the single consumer (the epoch tick, under the server's write lock)
+// swaps every shard head to nil and rebuilds arrival order from the
+// global sequence numbers. There are no locks anywhere on the enqueue path, so thousands
 // of concurrent submitters never contend on more than a CAS retry.
 type Queue struct {
 	shards []atomic.Pointer[node]
@@ -97,13 +98,29 @@ func NewQueue(shards int) *Queue {
 // Enqueue pushes a submission and returns it with its wait channel armed.
 // Safe for any number of concurrent callers.
 func (q *Queue) Enqueue(s *Submission) *Submission {
-	s.seq = q.seq.Add(1)
-	s.done = make(chan Decision, 1)
-	if s.EnqueuedAt.IsZero() {
-		s.EnqueuedAt = time.Now()
+	q.EnqueueAll([]*Submission{s})
+	return s
+}
+
+// EnqueueAll pushes the submissions of one request as a unit, with their
+// wait channels armed: they take contiguous sequence numbers and one CAS,
+// so a drain returns all of them or none. Safe for any number of
+// concurrent callers.
+func (q *Queue) EnqueueAll(subs []*Submission) {
+	if len(subs) == 0 {
+		return
 	}
-	n := &node{sub: s}
-	head := &q.shards[s.seq%uint64(len(q.shards))]
+	last := q.seq.Add(uint64(len(subs)))
+	now := time.Now()
+	for i, s := range subs {
+		s.seq = last - uint64(len(subs)-1-i)
+		s.done = make(chan Decision, 1)
+		if s.EnqueuedAt.IsZero() {
+			s.EnqueuedAt = now
+		}
+	}
+	n := &node{subs: subs}
+	head := &q.shards[last%uint64(len(q.shards))]
 	for {
 		old := head.Load()
 		n.next = old
@@ -111,13 +128,12 @@ func (q *Queue) Enqueue(s *Submission) *Submission {
 			break
 		}
 	}
-	telDepth.Set(float64(q.depth.Add(1)))
+	telDepth.Set(float64(q.depth.Add(int64(len(subs)))))
 	// Nudge the pump; a full buffer means a wake-up is already pending.
 	select {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	return s
 }
 
 // Wake is the pump's signal channel: readable whenever submissions may
@@ -133,7 +149,7 @@ func (q *Queue) Drain() []*Submission {
 	var out []*Submission
 	for i := range q.shards {
 		for n := q.shards[i].Swap(nil); n != nil; n = n.next {
-			out = append(out, n.sub)
+			out = append(out, n.subs...)
 		}
 	}
 	if len(out) == 0 {

@@ -119,12 +119,3 @@ type EpochFrame struct {
 	Panic         bool                 `json:"panic,omitempty"`
 	Anomalies     []string             `json:"anomalies,omitempty"`
 }
-
-// solveInfo captures the successful policy solve of one epoch for audit
-// records and the flight-recorder frame.
-type solveInfo struct {
-	bhat, b       float64
-	components    int
-	jobComponents []string           // aligned with the epoch's fresh slice
-	bhats         map[string]float64 // per-component b̂
-}

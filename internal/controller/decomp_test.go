@@ -10,8 +10,8 @@ import (
 	"wavesched/internal/workload"
 )
 
-// runScenarioMono mirrors runScenario with the decomposition flag under
-// test control.
+// runScenarioMono mirrors runScenario with the planner's one-block oracle
+// under test control.
 func runScenarioMono(t *testing.T, policy Policy, mono bool) []Record {
 	t.Helper()
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
@@ -27,11 +27,17 @@ func runScenarioMono(t *testing.T, policy Policy, mono bool) []Record {
 		t.Fatal(err)
 	}
 	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, K: 3, Policy: policy, BMax: 3, Monolithic: mono,
+		Tau: 1, SliceLen: 1, K: 3, Policy: policy, BMax: 3,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	switch p := c.planner.(type) {
+	case *maxThroughputPlanner:
+		p.oneBlock = mono
+	case *retPlanner:
+		p.oneBlock = mono
 	}
 	for _, j := range jobs {
 		if err := c.Submit(j); err != nil {

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -63,6 +64,37 @@ func TestLinkDownValidation(t *testing.T) {
 	}
 	if got := c.DownLinks(); len(got) != 0 {
 		t.Fatalf("DownLinks = %v, want empty", got)
+	}
+	// An event dated before an applied one is refused, repair or failure,
+	// no-op or not.
+	for _, ev := range []func(netgraph.EdgeID, float64) error{c.LinkDown, c.LinkUp} {
+		if err := ev(0, 2); !errors.Is(err, ErrStaleEvent) {
+			t.Errorf("event at t=2 after one at t=3: err %v, want ErrStaleEvent", err)
+		}
+	}
+
+	// A failure dated before transfers already credited would retire the
+	// job at that instant with bytes it had not yet received.
+	c, err := New(netgraph.Line(2, 1, 10), Config{Tau: 4, SliceLen: 1, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(job.Job{ID: 1, Src: 0, Dst: 1, Size: 6, Start: 0, End: 12}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.LinkDown(0, 1); !errors.Is(err, ErrStaleEvent) {
+		t.Fatalf("failure at t=1 after the epoch at t=4: err %v, want ErrStaleEvent", err)
+	}
+	if len(c.DownLinks()) != 0 || len(c.Disruptions()) != 0 {
+		t.Errorf("refused event applied: down %v, disruptions %v", c.DownLinks(), c.Disruptions())
+	}
+	if err := c.LinkDown(0, 4); err != nil {
+		t.Fatalf("failure at the last epoch instant: %v", err)
 	}
 }
 

@@ -52,49 +52,66 @@ func AdmitPrefix(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, k int,
 	}
 
 	res := &AdmitResult{}
-	feasible := func(n int) (bool, float64, error) {
+	// z is the Z* of the longest prefix found feasible so far, or of the
+	// whole list until one is.
+	var z float64
+	asked := false
+	n, err := LongestFeasiblePrefix(len(ordered), func(n int) (bool, error) {
 		if n == 0 {
-			return true, 0, nil
+			return true, nil
 		}
 		inst, err := NewInstance(g, grid, ordered[:n], k)
 		if err != nil {
-			return false, 0, err
+			return false, err
 		}
 		s1, err := SolveStage1(inst, opts)
 		if err != nil {
-			return false, 0, err
+			return false, err
 		}
 		res.LPSolves++
-		return s1.ZStar >= 1, s1.ZStar, nil
-	}
-
-	// Binary search the longest feasible prefix. Feasibility of prefixes
-	// is monotone non-increasing in n (adding jobs can only lower Z*).
-	lo, hi := 0, len(ordered) // lo always feasible, hi+? search invariant
-	okAll, z, err := feasible(len(ordered))
+		ok := s1.ZStar >= 1
+		if ok || !asked {
+			z = s1.ZStar
+		}
+		asked = true
+		return ok, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if okAll {
-		res.Admitted = ordered
-		res.ZStar = z
-		return res, nil
+	res.Admitted = ordered[:n]
+	if n < len(ordered) {
+		res.Rejected = ordered[n:]
 	}
+	res.ZStar = z
+	return res, nil
+}
+
+// LongestFeasiblePrefix returns the largest n ≤ total for which feasible(n)
+// holds, given a feasibility that holds at 0 and is monotone non-increasing
+// in n (adding jobs can only lower Z*): the binary search of footnote 1.
+// It asks for total first and then bisects, so it asks for 0 only when
+// total is 0.
+func LongestFeasiblePrefix(total int, feasible func(n int) (bool, error)) (int, error) {
+	ok, err := feasible(total)
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		return total, nil
+	}
+	lo, hi := 0, total
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		ok, zm, err := feasible(mid)
+		ok, err := feasible(mid)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if ok {
 			lo = mid
-			z = zm
 		} else {
 			hi = mid
 		}
 	}
-	res.Admitted = ordered[:lo]
-	res.Rejected = ordered[lo:]
-	res.ZStar = z
-	return res, nil
+	return lo, nil
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"testing"
 
 	"wavesched/internal/job"
@@ -106,5 +107,29 @@ func TestAdmitNothingFits(t *testing.T) {
 	}
 	if len(res.Admitted) != 0 || len(res.Rejected) != 1 {
 		t.Errorf("admitted %d rejected %d, want 0/1", len(res.Admitted), len(res.Rejected))
+	}
+}
+
+// TestLongestFeasiblePrefix checks the footnote-1 search against every
+// threshold on short lists, and that an error stops it.
+func TestLongestFeasiblePrefix(t *testing.T) {
+	for total := 0; total <= 9; total++ {
+		for thr := 0; thr <= total; thr++ {
+			asked := 0
+			n, err := LongestFeasiblePrefix(total, func(n int) (bool, error) {
+				asked++
+				return n <= thr, nil
+			})
+			if err != nil || n != thr {
+				t.Errorf("total %d threshold %d: got %d, %v", total, thr, n, err)
+			}
+			if asked > 5 {
+				t.Errorf("total %d threshold %d: %d feasibility checks", total, thr, asked)
+			}
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := LongestFeasiblePrefix(4, func(n int) (bool, error) { return n < 2, boom }); !errors.Is(err, boom) {
+		t.Errorf("error not passed up: %v", err)
 	}
 }

@@ -204,11 +204,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submitQueued(w, r, req)
 }
 
-// enqueueSubmission runs the pre-WAL admission gates (priority-class
-// parse, tenant check, rate limit — all decisions that must never reach
-// the durable log) and enqueues the survivor on the intake queue. On
+// newSubmission runs the pre-WAL admission gates (priority-class parse,
+// tenant check, rate limit — all decisions that must never reach the
+// durable log) and returns the survivor, ready for the intake queue. On
 // refusal it returns the rejection triple instead of a submission.
-func (s *Server) enqueueSubmission(req submitRequest) (*admission.Submission, int, rejectEnvelope) {
+func (s *Server) newSubmission(req submitRequest) (*admission.Submission, int, rejectEnvelope) {
 	class, err := admission.ParseClass(req.Priority)
 	if err != nil {
 		return nil, http.StatusBadRequest, rejectEnvelope{Code: "invalid_priority", Reason: err.Error()}
@@ -235,7 +235,7 @@ func (s *Server) enqueueSubmission(req submitRequest) (*admission.Submission, in
 	} else {
 		sub.AssignID = true
 	}
-	return s.intake.Enqueue(sub), 0, rejectEnvelope{}
+	return sub, 0, rejectEnvelope{}
 }
 
 // submitQueued is the submit path: gate, enqueue, and block until the
@@ -243,7 +243,7 @@ func (s *Server) enqueueSubmission(req submitRequest) (*admission.Submission, in
 // write lock, so thousands of concurrent submitters cost lock-free
 // enqueues plus one drain per coalesced batch.
 func (s *Server) submitQueued(w http.ResponseWriter, r *http.Request, req submitRequest) {
-	sub, status, env := s.enqueueSubmission(req)
+	sub, status, env := s.newSubmission(req)
 	if sub == nil {
 		if env.RetryAfterS > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(env.RetryAfterS))))
@@ -255,6 +255,7 @@ func (s *Server) submitQueued(w http.ResponseWriter, r *http.Request, req submit
 		writeJSON(w, status, rejectResponse{ID: id, State: "rejected", Error: env})
 		return
 	}
+	s.intake.Enqueue(sub)
 	select {
 	case d := <-sub.Done():
 		s.writeDecision(w, d)
@@ -324,9 +325,10 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	subs := make([]*admission.Submission, len(req.Jobs))
+	var survivors []*admission.Submission
 	resp := batchSubmitResponse{Results: make([]batchResult, len(req.Jobs))}
 	for i, jr := range req.Jobs {
-		sub, _, env := s.enqueueSubmission(jr)
+		sub, _, env := s.newSubmission(jr)
 		if sub == nil {
 			id := 0
 			if jr.ID != nil {
@@ -337,7 +339,11 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		subs[i] = sub
+		survivors = append(survivors, sub)
 	}
+	// One request is one unit of intake, so the pump never drains part of
+	// it: priority shedding sees the whole batch at once.
+	s.intake.EnqueueAll(survivors)
 	for i, sub := range subs {
 		if sub == nil {
 			continue
@@ -631,6 +637,11 @@ func (s *Server) applyLinkEvent(id int, kind store.EntryType, at *float64) (link
 	t := s.virtualNow()
 	if at != nil {
 		t = *at
+	}
+	// Refuse before logging, so no WAL holds an event the controller
+	// would refuse on replay.
+	if err := s.ctrl.CheckLinkEvent(netgraph.EdgeID(id), t); err != nil {
+		return linkResponse{}, http.StatusConflict, err.Error()
 	}
 	if err := s.logEvent(store.Entry{Type: kind, Time: t, Edge: id}); err != nil && !errors.Is(err, ErrNoQuorum) {
 		return linkResponse{}, http.StatusInternalServerError, "wal append: " + err.Error()

@@ -156,6 +156,45 @@ func TestReplayLegacySubmitEntries(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsStaleLinkEvents: a WAL written before link events were
+// checked at intake may hold one dated before transfers already credited.
+// Replay skips it, and the state is that of the same log without it.
+func TestReplaySkipsStaleLinkEvents(t *testing.T) {
+	j := job.Job{ID: 1, Src: 0, Dst: 1, Size: 6, Start: 0, End: 12}
+	replay := func(stale bool) []byte {
+		dir := t.TempDir()
+		wal, _, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []store.Entry{
+			{Type: store.EntrySubmit, Job: store.NewJobEntry(j)},
+			{Type: store.EntryEpoch},
+			{Type: store.EntryEpoch},
+		}
+		if stale {
+			entries = append(entries, store.Entry{Type: store.EntryLinkDown, Time: 1, Edge: 0})
+		}
+		for _, e := range entries {
+			if _, err := wal.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, netgraph.Line(2, 1, 10), Config{
+			Controller: controller.Config{Tau: 4, SliceLen: 1, K: 1},
+			WALDir:     dir,
+		})
+		drainServer(t, s, 10)
+		return recordsBytes(t, s.Records())
+	}
+	if got, want := replay(true), replay(false); !bytes.Equal(got, want) {
+		t.Fatalf("replay applied a stale link event:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestConcurrentSubmitters exercises the single-writer discipline under
 // the race detector: many goroutines POST jobs over real HTTP while the
 // wall-clock epoch loop ticks.

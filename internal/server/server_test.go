@@ -285,7 +285,7 @@ func TestJobStatusAndScheduleEndpoints(t *testing.T) {
 
 func TestLinkEndpoints(t *testing.T) {
 	g := netgraph.Ring(4, 2, 10)
-	s := newTestServer(t, g, Config{})
+	s := newTestServer(t, g, Config{WALDir: t.TempDir()})
 	h := s.Handler()
 
 	do(t, h, http.MethodPost, "/v1/jobs",
@@ -315,6 +315,17 @@ func TestLinkEndpoints(t *testing.T) {
 	rec = do(t, h, http.MethodPost, "/v1/links/0/up", linkRequest{Time: &tm2}, &lr)
 	if rec.Code != http.StatusOK || len(lr.Down) != 0 {
 		t.Fatalf("link up: code %d resp %+v", rec.Code, lr)
+	}
+
+	// An event dated before one already applied is refused before the WAL
+	// sees it.
+	seq := s.healthSnapshot().WALSeq
+	tm3 := 1.0
+	if rec := do(t, h, http.MethodPost, "/v1/links/0/down", linkRequest{Time: &tm3}, nil); rec.Code != http.StatusConflict {
+		t.Fatalf("stale link down: code %d body %s, want 409", rec.Code, rec.Body.String())
+	}
+	if got := s.healthSnapshot().WALSeq; got != seq {
+		t.Errorf("stale link down reached the WAL: seq %d -> %d", seq, got)
 	}
 
 	drainServer(t, s, 30)
