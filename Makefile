@@ -33,6 +33,7 @@ loc:
 	@printf 'non-test go lines in internal/controller: '; find internal/controller -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'test go lines: '; find . -name '*_test.go' | xargs cat | wc -l
 	@printf 'flag registrations under cmd/: '; find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '\<(flag|fs)\.(Bool|Int|Int64|Uint|Float64|String|Duration|Func)(Var)?\('
+	@printf 'lp.Pricing rules: '; awk '/^\/\/ Pricing rules\./ {body = 1; next} body && /^\)/ {exit} body && /^\t[A-Z][A-Za-z]*( Pricing = iota)?$$/ {n++} END {print n + 0}' internal/lp/simplex.go
 	@printf 'instrument registrations: '; find . -name '*.go' ! -name '*_test.go' | xargs cat | grep -oE 'telemetry\.Default\(\)\.(Counter|Gauge|Histogram)[A-Za-z]*\(' | wc -l
 	@for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; printf 'settable fields in %s: ' $$name; \
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /^\t[A-Z]/ {n++} END {print n + 0}' $${s#*=}; done

@@ -286,7 +286,7 @@ func nodeLabel(g *netgraph.Graph, v netgraph.NodeID) string {
 }
 
 func lpOptions() lp.Options {
-	return lp.Options{Pricing: lp.PartialDantzig, Tracer: tracer}
+	return lp.Options{Tracer: tracer}
 }
 
 // checkSolverFlags rejects solver flags the layers below would silently

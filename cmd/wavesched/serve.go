@@ -49,7 +49,6 @@ type serveOptions struct {
 	TracePath     string
 	FlightFrames  int
 	FlightDir     string
-	Incremental   bool
 
 	// Admission policy (tenant quotas, priority classes).
 	QuotasRaw     []string
@@ -85,7 +84,6 @@ func parseServeFlags(args []string) (serveOptions, error) {
 	fs.StringVar(&o.TracePath, "trace", "", "write solver/scheduler trace spans (JSONL) to this file")
 	fs.IntVar(&o.FlightFrames, "flight-frames", 64, "epochs of full solve detail retained by the flight recorder (0 = off)")
 	fs.StringVar(&o.FlightDir, "flight-dir", "", "directory for flight-recorder anomaly dumps (default: the WAL directory)")
-	fs.BoolVar(&o.Incremental, "incremental", false, "re-plan through the per-component plan cache (byte-identical to the full re-solve; a plan is reused only on an unchanged grid, so under the daemon's moving horizon every component re-solves)")
 	fs.Func("quota", "tenant policy as [tenant:]k=v pairs (rate, burst, max_jobs, max_demand); no tenant prefix sets the default policy; repeatable, e.g. -quota cms:rate=50,max_jobs=200 -quota rate=10", func(v string) error {
 		o.QuotasRaw = append(o.QuotasRaw, v)
 		return nil
@@ -286,7 +284,7 @@ func serverConfig(o serveOptions) (server.Config, error) {
 			Tau: o.Tau.Seconds(), SliceLen: o.SliceLen, K: o.K,
 			Alpha: o.Alpha, BMax: o.BMax, Policy: policy,
 			Solver: lpOptions(), Tracer: tracer,
-			WarmStart: true, Incremental: o.Incremental,
+			WarmStart: true,
 		},
 		Period:        o.Tau,
 		WALDir:        o.WALDir,

@@ -56,9 +56,8 @@ func PaperScale() Scale {
 	return Scale{
 		Nodes: 100, LinkPairs: 200, Jobs: 40, Slices: 8, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
-		Seeds:  []int64{1, 2, 3},
-		Warm:   true,
-		Solver: lp.Options{Pricing: lp.PartialDantzig},
+		Seeds: []int64{1, 2, 3},
+		Warm:  true,
 	}
 }
 
@@ -67,9 +66,8 @@ func QuickScale() Scale {
 	return Scale{
 		Nodes: 30, LinkPairs: 60, Jobs: 12, Slices: 6, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
-		Seeds:  []int64{1},
-		Warm:   true,
-		Solver: lp.Options{Pricing: lp.PartialDantzig},
+		Seeds: []int64{1},
+		Warm:  true,
 	}
 }
 
@@ -332,13 +330,8 @@ func Fig4(sc Scale, jobCounts []int, cfg RETConfig) ([]RETRow, error) {
 			if err != nil {
 				return RETRow{}, err
 			}
-			// Let Auto pick the pricing rule per model size for the RET
-			// search; fig1–3 (which pin their own rule in Scale.Solver)
-			// are unaffected.
-			solver := sc.Solver
-			solver.Pricing = lp.Auto
 			res, err := schedule.SolveRET(inst, schedule.RETConfig{
-				BMax: cfg.BMax, Solver: solver, WarmStart: sc.Warm, Certificates: sc.Warm,
+				BMax: cfg.BMax, Solver: sc.Solver, WarmStart: sc.Warm, Certificates: sc.Warm,
 				Parallelism: sc.Parallelism,
 			})
 			if err != nil {

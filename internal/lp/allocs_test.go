@@ -139,23 +139,17 @@ func TestRefactorizeAllocations(t *testing.T) {
 	}
 }
 
-// TestAutoPricingSelection checks the size-based default and that an
-// explicit rule always wins.
+// TestAutoPricingSelection checks that the zero value is PartialDantzig at
+// every model size and that an explicit rule is kept.
 func TestAutoPricingSelection(t *testing.T) {
-	small := Options{}.withDefaults(100, 200)
-	if small.Pricing != Dantzig {
-		t.Fatalf("small model: Auto resolved to %v, want Dantzig", small.Pricing)
+	for _, size := range []int{10, 2048, 40000} {
+		if got := (Options{}).withDefaults(size/2, size-size/2).Pricing; got != PartialDantzig {
+			t.Fatalf("zero Options at %d rows+columns: pricing %v, want PartialDantzig", size, got)
+		}
 	}
-	mid := Options{}.withDefaults(autoPricingThreshold, autoPricingThreshold)
-	if mid.Pricing != PartialDantzig {
-		t.Fatalf("mid-size model: Auto resolved to %v, want PartialDantzig", mid.Pricing)
-	}
-	large := Options{}.withDefaults(autoDevexThreshold, autoDevexThreshold)
-	if large.Pricing != Devex {
-		t.Fatalf("large model: Auto resolved to %v, want Devex", large.Pricing)
-	}
-	forced := Options{Pricing: Bland}.withDefaults(autoPricingThreshold, autoPricingThreshold)
-	if forced.Pricing != Bland {
-		t.Fatalf("explicit Pricing overridden to %v", forced.Pricing)
+	for _, rule := range []Pricing{Dantzig, Bland} {
+		if got := (Options{Pricing: rule}).withDefaults(20000, 20000).Pricing; got != rule {
+			t.Fatalf("explicit Pricing %v overridden to %v", rule, got)
+		}
 	}
 }

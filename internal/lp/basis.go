@@ -196,9 +196,6 @@ func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
 	// pass only restored primal feasibility) and absorb objective changes.
 	s.blandMode = false
 	s.degenRun = 0
-	if s.gamma != nil {
-		s.resetDevex()
-	}
 	if q := s.price(); q >= 0 {
 		stp, err := s.runPhase()
 		telPhase2Pivots.Add(int64(s.iters))

@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -198,43 +197,5 @@ func TestCertificateRandomSoundness(t *testing.T) {
 	}
 	if answered == 0 {
 		t.Fatal("no perturbation was ever answered by a certificate — the fuzz exercised nothing")
-	}
-}
-
-// TestDevexDantzigObjectiveAgreement: pricing changes the pivot path, not
-// the optimum. Across random dense problems every pricing rule must agree
-// on status and, when optimal, on the objective to 1e-9.
-func TestDevexDantzigObjectiveAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	optimal := 0
-	for trial := 0; trial < 40; trial++ {
-		c, a, b, ops := randomProblem(rng)
-		base := toModel(c, a, b, ops)
-		ref, err := base.SolveWith(Options{Pricing: Dantzig})
-		if err != nil {
-			t.Fatalf("trial %d dantzig: %v", trial, err)
-		}
-		for _, pr := range []struct {
-			name string
-			p    Pricing
-		}{{"devex", Devex}, {"partial", PartialDantzig}} {
-			got, err := toModel(c, a, b, ops).SolveWith(Options{Pricing: pr.p})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pr.name, err)
-			}
-			if got.Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, dantzig %v", trial, pr.name, got.Status, ref.Status)
-			}
-			if ref.Status == Optimal && math.Abs(got.Objective-ref.Objective) > 1e-9 {
-				t.Fatalf("trial %d: %s objective %.15g, dantzig %.15g (diff %g)",
-					trial, pr.name, got.Objective, ref.Objective, got.Objective-ref.Objective)
-			}
-		}
-		if ref.Status == Optimal {
-			optimal++
-		}
-	}
-	if optimal == 0 {
-		t.Fatal("no trial solved to optimality")
 	}
 }

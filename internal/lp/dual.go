@@ -317,11 +317,6 @@ func (inc *Incremental) solve() (*Solution, error) {
 		inc.valid = false
 		return &Solution{Status: IterLimit, Iters: s.iters}, nil
 	}
-	// Dual pivots do not maintain the devex reference framework; restart
-	// it before any primal cleanup prices against stale weights.
-	if s.gamma != nil {
-		s.resetDevex()
-	}
 	// Safety net: confirm dual feasibility with the primal pricing; clean
 	// up any residual attractive columns (tolerance drift).
 	if q := s.price(); q >= 0 {

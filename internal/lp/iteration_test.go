@@ -112,25 +112,6 @@ func densePrice(s *simplex, y []float64) int {
 		return d
 	}
 
-	if s.opt.Pricing == Devex && !useBland {
-		if s.gamma == nil {
-			s.resetDevex()
-		}
-		best := -1
-		bestMerit := 0.0
-		for j := 0; j < s.nTotal(); j++ {
-			d := score(j)
-			if d <= 0 {
-				continue
-			}
-			if merit := d * d / s.gamma[j]; merit > bestMerit {
-				bestMerit = merit
-				best = j
-			}
-		}
-		return best
-	}
-
 	if s.opt.Pricing == PartialDantzig && !useBland {
 		n := s.nTotal()
 		window := n / 8
@@ -728,10 +709,6 @@ func (ls *lockstep) afterDual(dst dualStatus) Status {
 	case dualStall:
 		return Numerical
 	}
-	s := ls.s
-	if s.gamma != nil {
-		s.resetDevex()
-	}
 	if q := ls.price(); q >= 0 {
 		return ls.primal()
 	}
@@ -931,7 +908,7 @@ func slackRunLP(rng *rand.Rand) *Model {
 func iterationOptions(trial int) Options {
 	opt := Options{
 		MaxIter:       20000,
-		Pricing:       []Pricing{PartialDantzig, Dantzig, Devex, PartialDantzig, Bland}[trial%5],
+		Pricing:       []Pricing{PartialDantzig, Dantzig, Bland}[trial%3],
 		RefactorEvery: []int{64, 64, 7, 1}[trial%4],
 		DegenLimit:    4,
 	}

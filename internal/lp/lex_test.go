@@ -181,7 +181,7 @@ const (
 	numLexStarts
 )
 
-var lexPricings = []Pricing{Dantzig, PartialDantzig, Devex, Bland}
+var lexPricings = []Pricing{Dantzig, PartialDantzig, Bland}
 var lexRefactors = []int{1, 7, 64}
 
 // lexSolve builds the LP in the given order and solves it twice from the
@@ -309,7 +309,7 @@ func lexSeedShape(seed int64) lexShape {
 	return lexShape{seed: seed, jobs: 3 + s%4, paths: 2 + s%3, slices: 2 + s%4, edges: 3 + s%6, load: 2 + 5*(s%7)}.clamp()
 }
 
-// TestLexInvariance runs the whole matrix — 4 pricing rules × 3
+// TestLexInvariance runs the whole matrix — 3 pricing rules × 3
 // refactorization periods × {cold, stale basis, Extend chain} × {build
 // order, shuffled} × {slack start, Options.ArtificialCrash} — on seeded
 // stage-2-shaped LPs. The same property over the schedule layer's own models

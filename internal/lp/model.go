@@ -9,11 +9,9 @@
 // with a sparse column (CSC) constraint matrix, an LU-factorized basis with
 // a left-looking factorization over an ordered sparse reach, product-form
 // (eta) basis updates, periodic refactorization, and a Bland anti-cycling
-// fallback. The default pricing rule (Options.Pricing zero value, Auto)
-// is size-based: Dantzig for small models, PartialDantzig once
-// columns+rows reach autoPricingThreshold, where the full reduced-cost
-// sweep would dominate each pivot. Setting Options.Pricing to an explicit
-// rule always overrides the automatic choice.
+// fallback. The pricing rule is PartialDantzig (the Options.Pricing zero
+// value) at every model size; Dantzig and Bland are kept as oracles that
+// tests and the pricing ablation select by name.
 //
 // The package replaces the commercial CPLEX solver used in the paper
 // "Slotted Wavelength Scheduling for Bulk Transfers in Research Networks"

@@ -52,44 +52,20 @@ type Pricing int
 
 // Pricing rules.
 const (
-	// Auto — the zero value — selects a rule from the model size:
-	// Dantzig below autoPricingThreshold (small models pivot so few times
-	// that clever pricing cannot pay for itself), PartialDantzig from
-	// there up (on mid-size RET models the pricing scan is the per-pivot
-	// bottleneck, so the rotating window's cheap iterations beat devex's
-	// 2–3x pivot reduction), and Devex once columns+rows reach
-	// autoDevexThreshold, where FTRAN/BTRAN dominate each pivot and
-	// cutting the pivot count is what matters. Set an explicit rule to
-	// override.
-	Auto Pricing = iota
+	// PartialDantzig — the zero value — scans a rotating window of columns
+	// and takes the best eligible one, falling back to a full scan when the
+	// window has none. Cheaper per iteration than Dantzig on wide problems
+	// at the cost of somewhat less greedy pivots; the rule every shipped
+	// caller runs.
+	PartialDantzig Pricing = iota
 	// Dantzig picks the eligible column with the most attractive reduced
-	// cost, falling back to Bland's rule after a long degenerate streak.
+	// cost. A test oracle, like Bland.
 	Dantzig
 	// Bland always picks the lowest-index eligible column; slow but
-	// guarantees termination.
+	// guarantees termination. Every rule falls back to it after
+	// Options.DegenLimit degenerate pivots in a row.
 	Bland
-	// PartialDantzig scans a rotating window of columns and takes the best
-	// eligible one, falling back to a full scan when the window has none.
-	// Cheaper per iteration than Dantzig on wide problems at the cost of
-	// somewhat less greedy pivots.
-	PartialDantzig
-	// Devex approximates steepest-edge pricing with reference-framework
-	// weights (Forrest–Goldfarb): the entering column maximizes d²/γ, and
-	// the weights γ are updated from the pivot row each iteration. It
-	// typically cuts pivot counts by 2–4x on the wide, degenerate RET
-	// models at the cost of one extra BTRAN plus one column sweep per
-	// pivot. Weight overflow resets the framework (lp_devex_resets_total).
-	Devex
 )
-
-// autoPricingThreshold is the total size (columns + rows) at which Auto
-// pricing switches from Dantzig to PartialDantzig.
-const autoPricingThreshold = 2048
-
-// autoDevexThreshold is the total size at which Auto switches from
-// PartialDantzig to Devex: each pivot's FTRAN/BTRAN now dwarfs the
-// pricing scan, so the rule that takes fewest pivots wins.
-const autoDevexThreshold = 32768
 
 // optTol is the optimality and feasibility tolerance: the reduced cost a
 // column must beat to price in, and the step below which a pivot counts as
@@ -99,23 +75,15 @@ const optTol = 1e-7
 // pivotTol is the smallest pivot-element magnitude a ratio test accepts.
 const pivotTol = 1e-8
 
-// devexResetLimit bounds the devex reference weights; beyond it the
-// framework restarts from unit weights (the classic overflow guard).
-const devexResetLimit = 1e7
-
 // String names the pricing rule for span attributes and logs.
 func (p Pricing) String() string {
 	switch p {
-	case Auto:
-		return "auto"
 	case Dantzig:
 		return "dantzig"
 	case Bland:
 		return "bland"
 	case PartialDantzig:
 		return "partial_dantzig"
-	case Devex:
-		return "devex"
 	}
 	return fmt.Sprintf("Pricing(%d)", int(p))
 }
@@ -177,16 +145,6 @@ func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200*(m+n) + 10000
 	}
-	if o.Pricing == Auto {
-		switch {
-		case m+n >= autoDevexThreshold:
-			o.Pricing = Devex
-		case m+n >= autoPricingThreshold:
-			o.Pricing = PartialDantzig
-		default:
-			o.Pricing = Dantzig
-		}
-	}
 	if o.RefactorEvery <= 0 {
 		o.RefactorEvery = 64
 	}
@@ -225,13 +183,11 @@ type simplex struct {
 	xB     []float64
 	factor *basisFactor
 
-	iters       int
-	boundFlips  int // pivots resolved as bound flips (no basis change)
-	degenRun    int
-	blandMode   bool
-	cursor      int       // rotating start for partial pricing
-	gamma       []float64 // devex reference weights, length nTotal; nil until first devex price
-	devexResets int       // reference-framework restarts this solve
+	iters      int
+	boundFlips int // pivots resolved as bound flips (no basis change)
+	degenRun   int
+	blandMode  bool
+	cursor     int // rotating start for partial pricing
 
 	// Infeasibility provenance, for Farkas-certificate extraction.
 	phase1      bool      // state still holds phase-1 costs (cold infeasible exit)
@@ -616,28 +572,6 @@ func (s *simplex) price() int {
 		return blk
 	}
 
-	if s.opt.Pricing == Devex && !useBland {
-		// Devex: maximize d²/γ over eligible columns. Eligibility is the
-		// same d > optTol test as Dantzig; only the merit differs.
-		if s.gamma == nil {
-			s.resetDevex()
-		}
-		best := -1
-		bestMerit := 0.0
-		s.nScanned += n
-		for j := 0; j < n; j++ {
-			d := score(j)
-			if d <= 0 {
-				continue
-			}
-			if merit := d * d / s.gamma[j]; merit > bestMerit {
-				bestMerit = merit
-				best = j
-			}
-		}
-		return best
-	}
-
 	if s.opt.Pricing == PartialDantzig && !useBland {
 		window := n / 8
 		if window < 256 {
@@ -823,10 +757,6 @@ func (s *simplex) step(q int) (ok bool, status Status, err error) {
 		return true, Optimal, nil
 	}
 
-	if s.opt.Pricing == Devex && !s.blandMode && s.gamma != nil {
-		s.devexUpdate(q, leave, w)
-	}
-
 	// Basis change.
 	out := s.basis[leave]
 	identical := s.identicalSwap(out, q)
@@ -920,70 +850,6 @@ func (s *simplex) betterLeaving(cand, incumbent int, w []float64) bool {
 		return s.basis[cand] < s.basis[incumbent]
 	}
 	return math.Abs(w[cand]) > math.Abs(w[incumbent])
-}
-
-// resetDevex restarts the devex reference framework: every column weight
-// returns to 1, making the next pivot plain Dantzig until the weights
-// re-accumulate curvature information.
-func (s *simplex) resetDevex() {
-	if s.gamma == nil {
-		s.gamma = make([]float64, s.nTotal())
-	}
-	for j := range s.gamma {
-		s.gamma[j] = 1
-	}
-}
-
-// devexUpdate applies the Forrest–Goldfarb reference-weight update after a
-// basis-changing pivot: entering column q, leaving slot leave, pivot
-// column w = B⁻¹a_q. It needs the pivot row α_r (one BTRAN plus a column
-// sweep) and must run before the basis is mutated.
-func (s *simplex) devexUpdate(q, leave int, w []float64) {
-	alpha := w[leave]
-	if alpha == 0 {
-		return
-	}
-	gq := s.gamma[q]
-	rho := s.rho
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[leave] = 1
-	s.factor.btran(rho)
-
-	inv2 := 1 / (alpha * alpha)
-	maxW := 1.0
-	for j := 0; j < s.nTotal(); j++ {
-		if j == q || s.state[j] == stBasic || s.l[j] == s.u[j] {
-			continue
-		}
-		arj := s.colDotY(j, rho)
-		if arj == 0 {
-			continue
-		}
-		if cand := arj * arj * inv2 * gq; cand > s.gamma[j] {
-			s.gamma[j] = cand
-			if cand > maxW {
-				maxW = cand
-			}
-		}
-	}
-	gOut := gq * inv2
-	if gOut < 1 {
-		gOut = 1
-	}
-	s.gamma[s.basis[leave]] = gOut
-	if gOut > maxW {
-		maxW = gOut
-	}
-	for i := range rho {
-		rho[i] = 0
-	}
-	if maxW > devexResetLimit {
-		s.resetDevex()
-		s.devexResets++
-		telDevexResets.Inc()
-	}
 }
 
 // runPhase iterates until optimality, unboundedness, or the iteration

@@ -30,18 +30,10 @@ type Solution struct {
 	// "" when no warm start was attempted.
 	Warm string
 
-	// Pricing is the entering-variable rule actually used (Auto resolved
-	// against the model size).
-	Pricing Pricing
-
 	// BoundFlips counts the pivots that resolved as bound flips (the
 	// entering variable jumped to its opposite bound without a basis
 	// change) — the cheap pivots the RET probe bound-toggling produces.
 	BoundFlips int
-
-	// DevexResets counts devex reference-framework restarts during the
-	// solve (0 under other pricing rules).
-	DevexResets int
 
 	// PrimalInfeas is the largest constraint violation of the returned
 	// point, a numerical diagnostic (0 is exact).
@@ -92,7 +84,7 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 			attrs = append(attrs,
 				telemetry.KV("status", sol.Status.String()),
 				telemetry.KV("iters", sol.Iters),
-				telemetry.KV("pricing", sol.Pricing.String()))
+				telemetry.KV("pricing", opt.Pricing.String()))
 			if sol.Phase1Iters > 0 {
 				attrs = append(attrs, telemetry.KV("phase1_iters", sol.Phase1Iters))
 			}
@@ -101,9 +93,6 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 			}
 			if sol.BoundFlips > 0 {
 				attrs = append(attrs, telemetry.KV("bound_flips", sol.BoundFlips))
-			}
-			if sol.DevexResets > 0 {
-				attrs = append(attrs, telemetry.KV("devex_resets", sol.DevexResets))
 			}
 			if sol.Warm != "" {
 				attrs = append(attrs, telemetry.KV("warm", sol.Warm))
@@ -157,9 +146,7 @@ func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
 			telWarmHits.Inc()
 			if sol != nil {
 				sol.Warm = "hit"
-				sol.Pricing = s.opt.Pricing
 				sol.BoundFlips = s.boundFlips
-				sol.DevexResets = s.devexResets
 			}
 			return s, sol, err
 		}
@@ -170,9 +157,7 @@ func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
 	s := m.assemble(opt)
 	st, sol, err := m.coldSolve(s, opt)
 	if sol != nil {
-		sol.Pricing = s.opt.Pricing
 		sol.BoundFlips = s.boundFlips
-		sol.DevexResets = s.devexResets
 		if opt.WarmStart != nil {
 			sol.Warm = "fallback"
 		}
@@ -560,9 +545,6 @@ func (s *simplex) enterPhase2() {
 func (s *simplex) costsChanged() {
 	s.dropReducedCosts()
 	s.dualsFresh = false
-	if s.gamma != nil {
-		s.resetDevex() // the reference framework was built under the old costs
-	}
 }
 
 // extract builds the user-facing Solution from the final simplex state.

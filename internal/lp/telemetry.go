@@ -27,8 +27,6 @@ var (
 		"Solves that ran to completion from a supplied warm-start basis.")
 	telWarmFallbacks = telemetry.Default().Counter("lp_warmstart_fallbacks_total",
 		"Warm-start attempts abandoned for the cold path (structural mismatch, singular basis, or numerical trouble).")
-	telDevexResets = telemetry.Default().Counter("lp_devex_resets_total",
-		"Devex reference-framework restarts triggered by weight overflow.")
 	telProbePruned = telemetry.Default().Counter("lp_probe_pruned_total",
 		"Feasibility probes answered by a certificate check instead of a simplex solve.")
 	telRefactorizations = telemetry.Default().Counter("lp_refactorizations_total",

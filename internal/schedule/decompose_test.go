@@ -76,8 +76,8 @@ func clusteredInstance(t testing.TB, nClusters, nodesPer, jobsPer int, seed int6
 
 // dantzigOpts forces the two knobs under which decomposed and monolithic
 // solves are provably bit-identical: Dantzig pricing (block-diagonal
-// pivoting is an interleaving of block-local pivot sequences; Auto could
-// resolve differently for the full model vs its components) and per-pivot
+// pivoting is an interleaving of block-local pivot sequences, where
+// PartialDantzig's window and cursor follow the model's width) and per-pivot
 // refactorization (the eta-update counter is global, so with periodic
 // refactorization the monolithic run rebuilds a block's LU at different
 // pivot counts than the component-local run — same math, different

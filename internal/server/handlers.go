@@ -606,8 +606,13 @@ func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request, kind st
 		writeError(w, http.StatusBadRequest, "bad link id")
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		return
+	}
 	var req linkRequest
-	if body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16)); err == nil && len(body) > 0 {
+	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, "decode body: "+err.Error())
 			return

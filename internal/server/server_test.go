@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wavesched/internal/controller"
@@ -298,6 +299,20 @@ func TestLinkEndpoints(t *testing.T) {
 		t.Errorf("unknown link: code %d, want 404", rec.Code)
 	}
 
+	// A body over the 64 KiB cap is refused before the WAL sees it, not
+	// applied at the server's clock as if none had been sent.
+	seq := s.healthSnapshot().WALSeq
+	big := map[string]any{"t": 0.25, "pad": strings.Repeat("x", 70<<10)}
+	if rec := do(t, h, http.MethodPost, "/v1/links/0/down", big, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized link body: code %d body %s, want 400", rec.Code, rec.Body.String())
+	}
+	if got := s.healthSnapshot().WALSeq; got != seq {
+		t.Errorf("oversized link body reached the WAL: seq %d -> %d", seq, got)
+	}
+	if down := s.ctrl.DownLinks(); len(down) != 0 {
+		t.Errorf("oversized link body downed links %v", down)
+	}
+
 	tm := 0.5
 	var lr linkResponse
 	rec := do(t, h, http.MethodPost, "/v1/links/0/down", linkRequest{Time: &tm}, &lr)
@@ -319,7 +334,7 @@ func TestLinkEndpoints(t *testing.T) {
 
 	// An event dated before one already applied is refused before the WAL
 	// sees it.
-	seq := s.healthSnapshot().WALSeq
+	seq = s.healthSnapshot().WALSeq
 	tm3 := 1.0
 	if rec := do(t, h, http.MethodPost, "/v1/links/0/down", linkRequest{Time: &tm3}, nil); rec.Code != http.StatusConflict {
 		t.Fatalf("stale link down: code %d body %s, want 409", rec.Code, rec.Body.String())
