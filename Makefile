@@ -80,14 +80,16 @@ bench:
 # paths are exercised (and kept compiling) on every PR without paying for
 # a full bench run; likewise one iteration of the lp kernel benchmarks
 # (primal iteration on both sides of its cut-overs and on a slack run,
-# refactorize with and without the factors kept, LU). The
+# refactorize with and without the factors kept, LU) and of the solve
+# allocation guard, whose allocs/op (cold, warm, distinct models) print on
+# every run. The
 # later steps regenerate Fig. 3 (gated ±20% against
 # BENCH_04.json), the Fig. 4 RET sweep (gated ±10% against BENCH_09.json,
 # which also pins fig4 lp_ms at the certificate-pruned level), and the
 # scale-tier proxy (gated ±10% against BENCH_10.json) at quick scale.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSolveTelemetryOff$$|BenchmarkRETWarmVsCold|BenchmarkRETDecomposition' -benchtime 1x .
-	$(GO) test -run xxx -bench 'BenchmarkPrimalIteration|BenchmarkRefactorize$$|BenchmarkLUFactorize' -benchtime 1x ./internal/lp
+	$(GO) test -run xxx -bench 'BenchmarkPrimalIteration|BenchmarkRefactorize$$|BenchmarkLUFactorize|BenchmarkSolveAllocs' -benchtime 1x ./internal/lp
 	$(GO) run ./cmd/benchfig -quick -fig 3 -json /tmp/benchsmoke.json -baseline BENCH_04.json -max-regress 20
 	$(MAKE) bench-admission
 	$(MAKE) bench-ret

@@ -4,14 +4,20 @@ import (
 	"testing"
 )
 
-// BenchmarkSolveAllocs is the allocs/op guard for the warm probe hot path:
-// repeated solves of one model after a bound mutation, warm-started from
-// the previous basis. The per-model buffer cache should keep the simplex
-// working arrays out of the per-solve allocation count — watch allocs/op
-// when touching assemble or the warm path.
+// BenchmarkSolveAllocs is the allocs/op guard for solver memory: "cold"
+// re-solves one model, "warm" re-solves it warm-started from the previous
+// basis after a bound mutation (the RET probe's pattern), and "distinct"
+// solves a new model of the same shape every iteration (an epoch's models:
+// built, solved once, dropped), its build outside the timer and the count.
+// The working arrays come from the package free list in all three, so each
+// allocates what the caller keeps and no more — watch allocs/op when
+// touching assemble, the warm path or the free list.
 func BenchmarkSolveAllocs(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		model := randomDenseLP(200, 120, 1)
+		if _, err := model.Solve(); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -43,63 +49,98 @@ func BenchmarkSolveAllocs(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestRepeatSolveAllocations pins the buffer-cache behavior: re-solving a
-// model allocates strictly less than the first solve of a fresh model,
-// because the simplex working arrays are reused.
-func TestRepeatSolveAllocations(t *testing.T) {
-	fresh := testing.AllocsPerRun(1, func() {
-		model := randomDenseLP(120, 80, 7)
-		if _, err := model.Solve(); err != nil {
-			t.Fatal(err)
+	b.Run("distinct", func(b *testing.B) {
+		if _, err := randomDenseLP(200, 120, 0).Solve(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			model := randomDenseLP(200, 120, int64(i+1))
+			b.StartTimer()
+			if _, err := model.Solve(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-	model := randomDenseLP(120, 80, 7)
-	if _, err := model.Solve(); err != nil {
+}
+
+// solveAllocs returns what one solve of each model in turn allocates, on
+// average; models holds one model per run of testing.AllocsPerRun (its
+// warm-up included), so that each run solves a model never solved before.
+func solveAllocs(t *testing.T, models []*Model, opt Options) float64 {
+	t.Helper()
+	i := 0
+	return testing.AllocsPerRun(len(models)-1, func() {
+		sol, err := models[i].SolveWith(opt)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("model %d: status %v, err %v", i, sol.Status, err)
+		}
+		i++
+	})
+}
+
+// TestRepeatSolveAllocations pins who owns solver memory: the free list,
+// not the model. Once one model has been solved, the first solve of a fresh
+// model no larger allocates only what the caller keeps — the Solution, X and
+// Duals, and with CaptureBasis the Basis and its three arrays — because the
+// working arrays, the assembled matrix, the factors and the solver state are
+// borrowed from the set the earlier solve released.
+func TestRepeatSolveAllocations(t *testing.T) {
+	if _, err := randomDenseLP(120, 80, 7).Solve(); err != nil {
 		t.Fatal(err)
 	}
-	repeat := testing.AllocsPerRun(5, func() {
-		if _, err := model.Solve(); err != nil {
-			t.Fatal(err)
+	fresh := func() []*Model {
+		models := make([]*Model, 6)
+		for i := range models {
+			models[i] = randomDenseLP(100+i, 60+i, int64(8+i))
 		}
-	})
-	if repeat >= fresh {
-		t.Fatalf("repeated solve allocates %v objects, fresh solve %v — buffer cache not engaged", repeat, fresh)
+		return models
+	}
+	if allocs := solveAllocs(t, fresh(), Options{}); allocs > 3 {
+		t.Fatalf("the first solve of a fresh model allocates %v objects, want at most 3 (Solution, X, Duals)", allocs)
+	}
+	if allocs := solveAllocs(t, fresh(), Options{CaptureBasis: true}); allocs > 7 {
+		t.Fatalf("the first solve of a fresh model with CaptureBasis allocates %v objects, want at most 7 (Solution, X, Duals, Basis)", allocs)
 	}
 }
 
-// TestRepeatColdSolveAllocations pins what a cold solve of an already-solved
-// model allocates: the solver state and what the caller keeps (Solution, X,
-// Duals), a handful of objects whatever the model's size — not the
-// assembled matrix, its row index, the crash residual, the pricing cache or
-// any other working array, all of which live on the model's buffer cache.
+// TestRepeatColdSolveAllocations pins the same at the scheduler's shape, for a
+// cold solve of an already-solved model and of a fresh one built alike: the
+// Solution, X and Duals, whatever the model's size — not the assembled
+// matrix, its row index, the crash residual, the pricing cache, the solver
+// state or any other working array.
 func TestRepeatColdSolveAllocations(t *testing.T) {
-	for _, model := range []*Model{
-		slicedPathLP(4, 10, 4, 2, 2, 4, 3),
-		slicedPathLP(8, 20, 10, 3, 2, 4, 3),
+	for _, build := range []func() *Model{
+		func() *Model { return slicedPathLP(4, 10, 4, 2, 2, 4, 3) },
+		func() *Model { return slicedPathLP(8, 20, 10, 3, 2, 4, 3) },
 	} {
 		opt := Options{Pricing: PartialDantzig}
+		model := build()
 		if sol, err := model.SolveWith(opt); err != nil || sol.Status != Optimal {
 			t.Fatalf("first solve: status %v, err %v", sol.Status, err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := model.SolveWith(opt); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 6 {
-			t.Fatalf("%d rows: a repeated cold solve allocates %v objects, want at most 6", model.NumRows(), allocs)
+		same, fresh := make([]*Model, 6), make([]*Model, 6)
+		for i := range same {
+			same[i], fresh[i] = model, build()
+		}
+		if allocs := solveAllocs(t, same, opt); allocs > 3 {
+			t.Fatalf("%d rows: a repeated cold solve allocates %v objects, want at most 3", model.NumRows(), allocs)
+		}
+		if allocs := solveAllocs(t, fresh, opt); allocs > 3 {
+			t.Fatalf("%d rows: the cold solve of a fresh model allocates %v objects, want at most 3", model.NumRows(), allocs)
 		}
 	}
 }
 
 // TestIncrementalFullSolveAllocations pins the same for an Incremental that
 // has to start over (a structure change, a stalled or over-budget re-entry —
-// most RET probes): the state it abandons hands its buffers to the next.
+// most RET probes): it does so on the memory it holds.
 func TestIncrementalFullSolveAllocations(t *testing.T) {
 	model := slicedPathLP(8, 20, 10, 3, 2, 4, 3)
 	inc := NewIncremental(model, Options{Pricing: PartialDantzig})
+	defer inc.Release()
 	if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
 		t.Fatalf("first solve: status %v, err %v", sol.Status, err)
 	}
@@ -109,8 +150,8 @@ func TestIncrementalFullSolveAllocations(t *testing.T) {
 			t.Fatalf("status %v, err %v", sol.Status, err)
 		}
 	})
-	if allocs > 6 {
-		t.Fatalf("a repeated full solve of an Incremental allocates %v objects, want at most 6", allocs)
+	if allocs > 3 {
+		t.Fatalf("a repeated full solve of an Incremental allocates %v objects, want at most 3", allocs)
 	}
 }
 

@@ -94,7 +94,7 @@ func slicedPathLP(jobs, edges, slices, pathsPerJob, minHops, maxHops int, seed i
 func midSolveSimplex(tb testing.TB, jobs, capRows int) *simplex {
 	tb.Helper()
 	model := pathFlowLP(jobs, capRows, 40, 5)
-	s := model.assemble(Options{MaxIter: (jobs + capRows) / 2})
+	s := model.assemble(Options{MaxIter: (jobs + capRows) / 2}, new(solverBufs))
 	if _, sol, err := model.coldSolve(s, s.opt); err != nil || sol.Status != IterLimit {
 		tb.Fatalf("cold solve: status %v, err %v; want it cut short by the pivot limit", sol.Status, err)
 	}

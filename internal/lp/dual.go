@@ -179,12 +179,17 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 // Only bound changes are supported between solves; altering costs or rows
 // triggers a full re-solve (detected via row/variable counts — changing
 // coefficients in place is NOT detected and yields wrong results).
+//
+// The chain's solver state lives on one set of working memory, borrowed from
+// the package free list at the first solve and held across every re-solve
+// and full solve after it. Release gives it back; an Incremental that is
+// dropped without Release leaves it to the garbage collector.
 type Incremental struct {
 	model *Model
 	opt   Options
 
 	s     *simplex
-	bufs  *solverBufs // what s lives on, detached from the model
+	bufs  *solverBufs // what s lives on, held until Release
 	nVars int
 	nRows int
 	valid bool // s holds a chainable basis for the current costs
@@ -371,16 +376,13 @@ func (s *simplex) syncBounds(m *Model) (moved bool) {
 // fullSolve runs the two-phase primal simplex from scratch (or from a
 // SeedBasis warm start) and caches the final state.
 func (inc *Incremental) fullSolve() (*Solution, error) {
-	// The state in hand is abandoned whether or not this solve succeeds, so
-	// the next one is built on its buffers instead of fresh ones.
-	if inc.bufs != nil {
-		inc.model.bufs, inc.bufs, inc.valid = inc.bufs, nil, false
+	// The state in hand is abandoned whether or not this solve succeeds, and
+	// the next one is built on its memory.
+	if inc.bufs == nil {
+		inc.bufs = borrowBufs(inc.model.shape())
 	}
-	s, sol, err := inc.model.solveCore(inc.opt)
-	// The cached simplex aliases the model's reusable scratch buffers;
-	// detach them so a later direct SolveWith on the same model cannot
-	// clobber the basis this wrapper resumes from.
-	inc.bufs, inc.model.bufs = inc.model.bufs, nil
+	inc.valid = false
+	s, sol, err := inc.model.solveCore(inc.opt, inc.bufs)
 	inc.opt.WarmStart = nil // a seed applies to the first solve only
 	if err != nil {
 		return sol, err
@@ -402,4 +404,14 @@ func (inc *Incremental) Iters() int {
 		return 0
 	}
 	return inc.s.iters
+}
+
+// Release returns the chain's working memory to the free list for other
+// solves. The chain's basis goes with it: Basis, Certificate and Iters read
+// as before the first solve, and a later Solve starts over with a full
+// solve on memory borrowed anew. Export what the chain should hand on
+// before calling it.
+func (inc *Incremental) Release() {
+	releaseBufs(inc.bufs)
+	inc.bufs, inc.s, inc.valid = nil, nil, false
 }

@@ -56,9 +56,9 @@ func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error 
 		b.spare = new(luFactors)
 	}
 	if len(b.w) != m {
-		b.w, b.mark = make([]float64, m), make([]bool, m)
-		b.touched, b.heap, b.nz = make([]int, 0, m), make([]int, 0, m), make([]int, 0, m)
-		b.wDense = false
+		b.clearScratch()
+		b.w, b.mark = grow(b.w, m), grow(b.mark, m)
+		b.touched, b.heap, b.nz = grow(b.touched, m)[:0], grow(b.heap, m)[:0], grow(b.nz, m)[:0]
 	}
 	if err := b.spare.factorize(m, col); err != nil {
 		return err
@@ -66,6 +66,21 @@ func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error 
 	b.lu, b.spare = b.spare, b.lu
 	b.dropEtas()
 	return nil
+}
+
+// clearScratch zeroes ftranCol's result and marks and the factors' dense
+// scratch over their whole capacity — what every call expects to find — so
+// that memory another solve used, at another size, reads as new.
+func (b *basisFactor) clearScratch() {
+	clear(b.w[:cap(b.w)])
+	clear(b.mark[:cap(b.mark)])
+	b.touched, b.heap, b.nz, b.wDense = b.touched[:0], b.heap[:0], b.nz[:0], false
+	for _, f := range []*luFactors{b.lu, b.spare} {
+		if f != nil {
+			clear(f.work[:cap(f.work)])
+			clear(f.isTouched[:cap(f.isTouched)])
+		}
+	}
 }
 
 // dropEtas empties the eta file, leaving B₀ and its factors as they are:

@@ -1097,11 +1097,10 @@ func runIterationKinds(t *testing.T, artificialCrash bool) iterationRun {
 				lps++
 
 				// Cold, against the production solve as a whole too.
-				ls := newLockstep(t, name+" cold", model.assemble(opt))
+				ls := newLockstep(t, name+" cold", model.assemble(opt, new(solverBufs)))
 				st := ls.cold()
 				add(ls)
 				statuses[st]++
-				model.bufs = nil // ls.s lives on; solve on fresh buffers
 				sol, err := model.SolveWith(opt)
 				if err != nil || sol.Status != st || sol.Iters != ls.s.iters {
 					t.Fatalf("%s: SolveWith ended %v after %d pivots (err %v), the stepped flow %v after %d",
@@ -1118,7 +1117,7 @@ func runIterationKinds(t *testing.T, artificialCrash bool) iterationRun {
 					ws := s.snapshotBasis()
 					warmed := model.Clone()
 					perturbModel(rng, warmed)
-					wl := newLockstep(t, name+" warm", warmed.assemble(opt))
+					wl := newLockstep(t, name+" warm", warmed.assemble(opt, new(solverBufs)))
 					if wst, ok := wl.warm(ws); ok {
 						warmRuns++
 						statuses[wst]++

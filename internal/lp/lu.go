@@ -67,12 +67,13 @@ const luDropTol = 1e-12
 // be used for solves.
 func (f *luFactors) factorize(m int, col func(j int) (rows []int, vals []float64)) error {
 	if f.m != m {
-		*f = luFactors{
-			m: m, perm: make([]int, m), pinv: make([]int, m),
-			lptr: make([]int, m+1), uptr: make([]int, m+1),
-			udiag: make([]float64, m), work: make([]float64, m),
-			isTouched: make([]bool, m),
-		}
+		// Grow-only: the arrays keep their capacity for the next size. work
+		// and isTouched are zero over all of it between calls.
+		f.m = m
+		f.perm, f.pinv, f.udiag = grow(f.perm, m), grow(f.pinv, m), grow(f.udiag, m)
+		f.lptr, f.uptr = grow(f.lptr, m+1), grow(f.uptr, m+1)
+		f.work, f.isTouched = grow(f.work, m), grow(f.isTouched, m)
+		f.lptr[0], f.uptr[0] = 0, 0
 	}
 	f.lent, f.uent, f.lact, f.uact = f.lent[:0], f.uent[:0], f.lact[:0], f.uact[:0]
 	for i := range f.pinv {

@@ -92,19 +92,15 @@ type row struct {
 
 // Model is a linear program under construction. The zero value is not
 // usable; create models with NewModel. Models are not safe for concurrent
-// mutation, and — because repeated solves reuse per-model scratch buffers —
-// not for concurrent solving either; solve distinct Model values in
-// parallel instead.
+// mutation. A Model holds no solver memory: each solve borrows its working
+// arrays from a package free list and returns them when it finishes, so
+// distinct models — or one model that nothing mutates — may be solved in
+// parallel.
 type Model struct {
 	name  string
 	sense Sense
 	vars  []variable
 	rows  []row
-
-	// bufs caches the simplex working arrays between solves of this model
-	// (the warm-probe hot path re-solves one model hundreds of times).
-	// Dropped whenever the model shape stops matching.
-	bufs *solverBufs
 }
 
 // NewModel returns an empty model with the given name and optimization
@@ -183,7 +179,9 @@ func (m *Model) Clone() *Model {
 // on one model do not reach the other — while the rows' coefficients, which
 // neither of those touch, stay in the storage m already holds. It is Clone
 // for the probe pattern: the same constraint matrix re-solved under other
-// bounds, without rebuilding or copying it.
+// bounds, without rebuilding or copying it. Solver memory is no part of
+// either model — each solve, and each Incremental, borrows its own — so a
+// fork costs its variables and row headers alone.
 //
 // Both models may still grow. Fork leaves every row's term slice, on both
 // sides, without spare capacity, so the first AddTerm (or AddColumn) to reach

@@ -259,7 +259,9 @@ func (m *Model) SolveWithCertificate(opt Options) (*Solution, *Certificate, erro
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	s, sol, err := m.solveCore(opt)
+	bf := borrowBufs(m.shape())
+	defer releaseBufs(bf)
+	s, sol, err := m.solveCore(opt, bf)
 	if err != nil || sol == nil || s == nil {
 		return sol, nil, err
 	}
@@ -326,7 +328,9 @@ func (m *Model) SolveWithSensitivity(opt Options) (*Solution, *Sensitivity, erro
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	s, sol, err := m.solveCore(opt)
+	bf := borrowBufs(m.shape())
+	defer releaseBufs(bf)
+	s, sol, err := m.solveCore(opt, bf)
 	if err != nil {
 		return sol, nil, err
 	}

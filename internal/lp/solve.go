@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"wavesched/internal/telemetry"
@@ -60,7 +62,9 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 	}
 	start := time.Now()
 	sp := opt.Tracer.Start("lp.solve")
-	_, sol, err := m.solveCore(opt)
+	bf := borrowBufs(m.shape())
+	_, sol, err := m.solveCore(opt, bf)
+	releaseBufs(bf)
 	telSolveSeconds.ObserveSince(start)
 	if sol != nil {
 		telPivots.Add(int64(sol.Iters))
@@ -113,13 +117,14 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 	return sol, err
 }
 
-// solveCore runs the simplex and returns the final solver state alongside
-// the solution, so incremental re-solves can keep the basis. The state is
-// nil on paths that never build a simplex. When Options.WarmStart holds a
-// structurally compatible basis, the warm path (dual simplex from the
-// supplied basis, then a primal clean-up) replaces the two-phase cold
-// start; any mismatch or numerical trouble falls back to the cold path.
-func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
+// solveCore runs the simplex on the working memory bf and returns the final
+// solver state alongside the solution, so incremental re-solves can keep the
+// basis. The state lives on bf, and is nil on paths that never build a
+// simplex. When Options.WarmStart holds a structurally compatible basis, the
+// warm path (dual simplex from the supplied basis, then a primal clean-up)
+// replaces the two-phase cold start; any mismatch or numerical trouble falls
+// back to the cold path.
+func (m *Model) solveCore(opt Options, bf *solverBufs) (*simplex, *Solution, error) {
 	if err := m.checkSecondary(opt.Secondary); err != nil {
 		return nil, nil, err
 	}
@@ -141,7 +146,7 @@ func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
 	}
 
 	if opt.WarmStart != nil {
-		s := m.assemble(opt)
+		s := m.assemble(opt, bf)
 		if sol, err, ok := s.warmSolve(m, opt); ok {
 			telWarmHits.Inc()
 			if sol != nil {
@@ -154,7 +159,7 @@ func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
 		// The warm attempt mutated the solver state; rebuild clean below.
 	}
 
-	s := m.assemble(opt)
+	s := m.assemble(opt, bf)
 	st, sol, err := m.coldSolve(s, opt)
 	if sol != nil {
 		sol.BoundFlips = s.boundFlips
@@ -165,14 +170,17 @@ func (m *Model) solveCore(opt Options) (*simplex, *Solution, error) {
 	return st, sol, err
 }
 
-// solverBufs is the set of simplex working arrays cached on a Model
-// between solves, so the warm-probe hot path (hundreds of re-solves of
-// one model) stops allocating them per solve. Every array is either fully
-// overwritten by assemble/coldSolve/warmSolve or explicitly zeroed on
-// reuse (the phase-cost vectors, whose structural entries the cold phase-1
-// start relies on being zero).
+// solverBufs is one set of simplex working memory: the arrays a solve works
+// in, the assembled matrix, its row index and the builder they come out of,
+// and the LU and eta arenas. A solve borrows a set from the free list
+// (borrowBufs) and gives it back when it returns (releaseBufs); an
+// Incremental holds one until Release. Every array is either fully
+// overwritten by assemble/coldSolve/warmSolve or zeroed by reshape (the
+// phase-cost vectors, whose structural entries the cold phase-1 start relies
+// on being zero, the reduced-cost stamps and summaries, and the duals), and
+// borrowBufs clears the factor scratch that is kept zero between calls, so a
+// solve reads nothing its set's last user left behind.
 type solverBufs struct {
-	n, nRows int
 	l, u     []float64
 	c, cMin  []float64
 	b        []float64
@@ -199,97 +207,147 @@ type solverBufs struct {
 	a     cscMatrix
 	byRow rowIndex
 	tb    tripletBuilder
+
+	// sim is the solver state assemble sets up over the arrays above.
+	sim simplex
 }
 
-// grab returns the model's cached buffers resliced to the assembled shape
-// when their capacity suffices, or a freshly allocated set (cached for the
-// next solve) otherwise. Capacity-based reuse (rather than an exact shape
-// match) keeps the cache useful under column generation, where AddColumn/
-// AddRow grow the model a little every pricing round.
-func (m *Model) grabBufs(n, nRows int) *solverBufs {
-	t := n + nRows
-	if bf := m.bufs; bf != nil && t <= cap(bf.l) && nRows <= cap(bf.b) {
-		bf.n, bf.nRows = n, nRows
-		bf.l, bf.u = bf.l[:t], bf.u[:t]
-		bf.c, bf.cMin = bf.c[:t], bf.cMin[:t]
-		bf.pos, bf.state = bf.pos[:t], bf.state[:t]
-		bf.dj, bf.djGen = bf.dj[:t], bf.djGen[:t]
-		bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
-		bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
-		bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
-		bf.yRow, bf.yNext = bf.yRow[:nRows], bf.yNext[:nRows]
-		bf.rowCover, bf.rowDirty = bf.rowCover[:nRows], bf.rowDirty[:nRows]
-		bf.blocks = bf.blocks[:numPriceBlocks(t)]
-		// Zero the two cost vectors: phase 1 needs zero structural costs,
-		// and the minimization-form costs are only written for structural
-		// columns; and the reduced-cost stamps and pricing summaries, so
-		// nothing cached by the last solve is served to this one. All other
-		// arrays are fully overwritten before use.
-		for i := range bf.c {
-			bf.c[i] = 0
-			bf.cMin[i] = 0
-			bf.djGen[i] = 0
-		}
-		clear(bf.blocks)
-		return bf
-	}
-	// When an undersized cache is being replaced the model is growing
-	// (column generation); allocate headroom so the next few appends
-	// reslice instead of reallocating.
-	capT, capM := t, nRows
-	if m.bufs != nil {
-		capT += capT / 8
-		capM += capM / 8
-	}
-	bf := &solverBufs{
-		n: n, nRows: nRows,
-		l:       make([]float64, t, capT),
-		u:       make([]float64, t, capT),
-		c:       make([]float64, t, capT),
-		cMin:    make([]float64, t, capT),
-		b:       make([]float64, nRows, capM),
-		art:     make([]float64, nRows, capM),
-		basis:   make([]int, nRows, capM),
-		pos:     make([]int, t, capT),
-		state:   make([]int8, t, capT),
-		xB:      make([]float64, nRows, capM),
-		scratch: make([]float64, nRows, capM),
-		yRow:    make([]float64, nRows, capM),
-		yNext:   make([]float64, nRows, capM),
-		rho:     make([]float64, nRows, capM),
-		dj:      make([]float64, t, capT),
-		djGen:   make([]uint32, t, capT),
-		blocks:  make([]priceBlock, numPriceBlocks(t), numPriceBlocks(capT)),
+// The free list of solver working memory. The models of one epoch are built,
+// solved and dropped, so memory kept on a model would die with it; kept here,
+// a set serves the next model's solve. The list is a plain slice, not a
+// sync.Pool, because a garbage collection empties a pool, and at the live
+// heap a scheduler runs with one comes every few megabytes of allocation. It
+// holds at most maxFreeBufs sets; what it retains is that many of the
+// largest sets released since the process started.
+var freeBufs struct {
+	sync.Mutex
+	sets []*solverBufs
+}
 
-		rowCover: make([]int32, nRows, capM),
-		rowDirty: make([]bool, nRows, capM),
-		dirtied:  make([]int32, 0, capM),
-		changed:  make([]int, 0, capM),
+// maxFreeBufs bounds the free list at two sets per processor: by default a
+// component worker pool runs one solve per processor at once, and a RET
+// component holds two chains.
+func maxFreeBufs() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// size orders sets for the free list: the column count its arrays hold.
+func (bf *solverBufs) size() int { return cap(bf.l) }
+
+// fits reports whether the set holds an n-column, nRows-row solve without
+// growing its per-column and per-row arrays.
+func (bf *solverBufs) fits(n, nRows int) bool {
+	return n+nRows <= cap(bf.l) && nRows <= cap(bf.b)
+}
+
+// borrowBufs hands out the smallest free set that fits an n-column,
+// nRows-row solve, or a new empty one when none does.
+func borrowBufs(n, nRows int) *solverBufs {
+	freeBufs.Lock()
+	sets, pick := freeBufs.sets, -1
+	for i, bf := range sets {
+		if bf.fits(n, nRows) && (pick < 0 || bf.size() < sets[pick].size()) {
+			pick = i
+		}
 	}
-	m.bufs = bf
+	if pick < 0 {
+		freeBufs.Unlock()
+		return new(solverBufs)
+	}
+	bf := sets[pick]
+	last := len(sets) - 1
+	sets[pick], sets[last] = sets[last], nil
+	freeBufs.sets = sets[:last]
+	freeBufs.Unlock()
+	bf.factor.clearScratch()
 	return bf
+}
+
+// releaseBufs returns a set to the free list. A full list keeps the largest
+// sets: bf replaces the smallest when it is larger, and is dropped
+// otherwise. A nil set is ignored.
+func releaseBufs(bf *solverBufs) {
+	if bf == nil {
+		return
+	}
+	freeBufs.Lock()
+	defer freeBufs.Unlock()
+	sets := freeBufs.sets
+	if len(sets) < maxFreeBufs() {
+		freeBufs.sets = append(sets, bf)
+		return
+	}
+	small := 0
+	for i := range sets {
+		if sets[i].size() < sets[small].size() {
+			small = i
+		}
+	}
+	if sets[small].size() < bf.size() {
+		sets[small] = bf
+	}
+}
+
+// shape returns the column count (structural and slack) and the row count of
+// the model's assembled form.
+func (m *Model) shape() (n, nRows int) {
+	n = len(m.vars)
+	for _, r := range m.rows {
+		if r.op != EQ {
+			n++
+		}
+	}
+	return n, len(m.rows)
+}
+
+// reshape reslices the set's arrays to an n-column, nRows-row solve,
+// reallocating them with an eighth of headroom (a model under column
+// generation grows a little every round) when they are too short, and zeroes
+// the ones a solve reads before writing (see solverBufs).
+func (bf *solverBufs) reshape(n, nRows int) {
+	t := n + nRows
+	if !bf.fits(n, nRows) {
+		capT, capM := t+t/8, nRows+nRows/8
+		bf.l, bf.u = make([]float64, capT), make([]float64, capT)
+		bf.c, bf.cMin = make([]float64, capT), make([]float64, capT)
+		bf.pos, bf.state = make([]int, capT), make([]int8, capT)
+		bf.dj, bf.djGen = make([]float64, capT), make([]uint32, capT)
+		bf.blocks = make([]priceBlock, numPriceBlocks(capT))
+		bf.b, bf.art = make([]float64, capM), make([]float64, capM)
+		bf.basis, bf.xB = make([]int, capM), make([]float64, capM)
+		bf.scratch, bf.rho = make([]float64, capM), make([]float64, capM)
+		bf.yRow, bf.yNext = make([]float64, capM), make([]float64, capM)
+		bf.rowCover, bf.rowDirty = make([]int32, capM), make([]bool, capM)
+		bf.dirtied, bf.changed = make([]int32, 0, capM), make([]int, 0, capM)
+	}
+	bf.l, bf.u = bf.l[:t], bf.u[:t]
+	bf.c, bf.cMin = bf.c[:t], bf.cMin[:t]
+	bf.pos, bf.state = bf.pos[:t], bf.state[:t]
+	bf.dj, bf.djGen = bf.dj[:t], bf.djGen[:t]
+	bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
+	bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
+	bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
+	bf.yRow, bf.yNext = bf.yRow[:nRows], bf.yNext[:nRows]
+	bf.rowCover, bf.rowDirty = bf.rowCover[:nRows], bf.rowDirty[:nRows]
+	bf.blocks = bf.blocks[:numPriceBlocks(t)]
+	clear(bf.c)
+	clear(bf.cMin)
+	clear(bf.djGen)
+	clear(bf.blocks)
+	clear(bf.yRow)
+	clear(bf.yNext)
 }
 
 // numPriceBlocks is the number of pricing summaries t columns take.
 func numPriceBlocks(t int) int { return (t + priceBlockSize - 1) / priceBlockSize }
 
-// assemble builds the simplex working state — CSC matrix over structural
-// and slack columns, bounds, and the minimization-form costs in s.cMin —
-// without choosing a starting basis.
-func (m *Model) assemble(opt Options) *simplex {
+// assemble builds the simplex working state on bf — CSC matrix over
+// structural and slack columns, bounds, and the minimization-form costs in
+// s.cMin — without choosing a starting basis.
+func (m *Model) assemble(opt Options, bf *solverBufs) *simplex {
 	nVars := len(m.vars)
-	nRows := len(m.rows)
-
-	// Count slacks: one per inequality row.
-	nSlack := 0
-	for _, r := range m.rows {
-		if r.op != EQ {
-			nSlack++
-		}
-	}
-	n := nVars + nSlack
+	n, nRows := m.shape()
+	nSlack := n - nVars
 	opt = opt.withDefaults(nRows, n)
-	bf := m.grabBufs(n, nRows)
+	bf.reshape(n, nRows)
 
 	// Assemble the CSC matrix over structural + slack columns.
 	nnz := nSlack
@@ -333,7 +391,8 @@ func (m *Model) assemble(opt Options) *simplex {
 	tb.buildInto(&bf.a)
 	bf.byRow.build(&bf.a)
 
-	s := &simplex{
+	s := &bf.sim
+	*s = simplex{
 		opt:      opt,
 		a:        &bf.a,
 		b:        b,

@@ -92,7 +92,7 @@ func (t *tripletBuilder) build() *cscMatrix {
 // pass that folds each repeated row index into its first occurrence.
 func (t *tripletBuilder) buildInto(a *cscMatrix) {
 	a.nRows = t.nRows
-	colPtr := growInts(a.colPtr, t.nCols+1)
+	colPtr := grow(a.colPtr, t.nCols+1)
 	for j := range colPtr {
 		colPtr[j] = 0
 	}
@@ -102,13 +102,13 @@ func (t *tripletBuilder) buildInto(a *cscMatrix) {
 	for j := 0; j < t.nCols; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	rowIdx := growInts(a.rowIdx, len(t.rows))
+	rowIdx := grow(a.rowIdx, len(t.rows))
 	val := a.val
 	if cap(val) < len(t.rows) {
 		val = make([]float64, len(t.rows), len(t.rows)+len(t.rows)/8)
 	}
 	val = val[:len(t.rows)]
-	next := growInts(t.next, t.nCols)
+	next := grow(t.next, t.nCols)
 	copy(next, colPtr)
 	for k, c := range t.cols {
 		p := next[c]
@@ -120,7 +120,7 @@ func (t *tripletBuilder) buildInto(a *cscMatrix) {
 
 	// Merge repeated row indices within each column in place. stamp[r] is
 	// the 1-based column that last saw row r, seenAt[r] where it was kept.
-	seenAt, stamp := growInts(t.seenAt, t.nRows), growInts(t.stamp, t.nRows)
+	seenAt, stamp := grow(t.seenAt, t.nRows), grow(t.stamp, t.nRows)
 	for r := range stamp {
 		stamp[r] = 0
 	}
@@ -146,12 +146,13 @@ func (t *tripletBuilder) buildInto(a *cscMatrix) {
 	a.colPtr, a.rowIdx, a.val = colPtr, rowIdx[:w], val[:w]
 }
 
-// growInts returns s resliced to length n, or a new slice with an eighth of
-// headroom (a model under column generation grows a little every round) when
-// s is too short. The contents are unspecified.
-func growInts(s []int, n int) []int {
+// grow returns s resliced to length n, or a new slice with an eighth of
+// headroom (a model under column generation grows a little every round, and
+// solver memory passes from model to model) when s is too short. The
+// contents are unspecified.
+func grow[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n, n+n/8)
+		return make([]E, n, n+n/8)
 	}
 	return s[:n]
 }
@@ -166,7 +167,7 @@ type rowIndex struct {
 
 // build fills the index from a, reusing its arrays.
 func (x *rowIndex) build(a *cscMatrix) {
-	ptr := growInts(x.ptr, a.nRows+1)
+	ptr := grow(x.ptr, a.nRows+1)
 	for r := range ptr {
 		ptr[r] = 0
 	}
@@ -176,7 +177,7 @@ func (x *rowIndex) build(a *cscMatrix) {
 	for r := 0; r < a.nRows; r++ {
 		ptr[r+1] += ptr[r]
 	}
-	cols := growInts(x.cols, len(a.rowIdx))
+	cols := grow(x.cols, len(a.rowIdx))
 	// ptr[r] is advanced to the end of row r while filling, then the whole
 	// array shifts back by one row.
 	for j := 0; j < a.nCols(); j++ {

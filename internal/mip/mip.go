@@ -134,6 +134,7 @@ func Solve(model *lp.Model, intVars []lp.VarID, opt Options) (*Result, error) {
 	var inc *lp.Incremental
 	if !opt.ColdStart {
 		inc = lp.NewIncremental(work, opt.LP)
+		defer inc.Release()
 	}
 	solveNode := func() (*lp.Solution, error) {
 		if inc != nil {

@@ -28,7 +28,7 @@ type Bottleneck struct {
 // planning information the optimization framework yields for free.
 func BottleneckAnalysis(inst *Instance, opts lp.Options) ([]Bottleneck, *Stage1Result, error) {
 	// Every capacity row: the report is a shadow price per (link, slice).
-	m, z, xvars, capRows, err := buildStage1Model("stage1-mcf-sens", inst, nil)
+	m, z, xvars, cells, err := buildStage1Model("stage1-mcf-sens", inst, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,7 +47,8 @@ func BottleneckAnalysis(inst *Instance, opts lp.Options) ([]Bottleneck, *Stage1R
 	}
 
 	var out []Bottleneck
-	for kk, row := range capRows {
+	for i, kk := range cells.kept {
+		row := inst.NumJobs() + i
 		// Min-form dual of a ≤ row is ≤ 0 for Maximize models; the shadow
 		// price of capacity on the user objective (Z, maximized) is its
 		// negation.

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"fmt"
 	"slices"
 
 	"wavesched/internal/lp"
@@ -39,7 +38,9 @@ import (
 // included; so does BottleneckAnalysis, which reports a shadow price per
 // cell.
 
-// capCells is the capacity-row layout of a closed model.
+// capCells is the capacity-row layout of a model: a closed one, or one built
+// with every capacity row (addCapacityRows), which drops no cell and has no
+// termRow.
 type capCells struct {
 	// kept lists the cells that get a row, in the order the build loop —
 	// job, path, in-window slice, hop — first meets them; a master appends
@@ -209,7 +210,7 @@ func newCapCells(in *Instance) *capCells {
 func addClosedCapacityRows(m *lp.Model, inst *Instance, xv flowVars, cells *capCells) {
 	base := m.NumRows()
 	for _, c := range cells.kept {
-		m.AddRow(fmt.Sprintf("cap_e%d_t%d", c.e, c.j), lp.LE, float64(inst.Capacity(c.e, c.j)))
+		m.AddRow("", lp.LE, float64(inst.Capacity(c.e, c.j)))
 	}
 	t := 0
 	for k := range xv {
@@ -244,19 +245,6 @@ func capRowCounts(inst *Instance, comps []*Component) (rows, dropped int) {
 		dropped += cells.dropped
 	}
 	return rows, dropped
-}
-
-// everyRowCells is the layout of a model built with every capacity row
-// (addCapacityRows), whose rows of that kind start at base: no loaded cell
-// without a row, and kept in row order.
-func everyRowCells(inst *Instance, rows map[capKey]lp.RowID, base int) *capCells {
-	nE := inst.G.NumEdges()
-	cells := &capCells{kept: make([]capKey, len(rows)), row: make([]int32, inst.Grid.Num()*nE)}
-	for ck, r := range rows {
-		cells.kept[int(r)-base] = ck
-		cells.row[ck.j*nE+int(ck.e)] = int32(int(r) - base + 1)
-	}
-	return cells
 }
 
 // pathRef names path p of job k of a master.
@@ -360,7 +348,7 @@ func (ms *cgMaster) leadsTo(from, to netgraph.EdgeID, j int) bool {
 // and returns it.
 func (ms *cgMaster) addCapRow(e netgraph.EdgeID, j int) lp.RowID {
 	c := ms.cells
-	r := ms.m.AddRow(fmt.Sprintf("cap_e%d_t%d", e, j), lp.LE, float64(ms.inst.Capacity(e, j)))
+	r := ms.m.AddRow("", lp.LE, float64(ms.inst.Capacity(e, j)))
 	c.kept = append(c.kept, capKey{e, j})
 	c.row[j*ms.inst.G.NumEdges()+int(e)] = int32(len(c.kept))
 	return r

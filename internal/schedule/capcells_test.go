@@ -218,7 +218,7 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 		}
 		return sol
 	}
-	mAll, zAll, _, capRows, err := buildStage1Model("stage1-all-rows", inst, nil)
+	mAll, zAll, _, allRows, err := buildStage1Model("stage1-all-rows", inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +226,9 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(capRows) != len(cellList) || mRed.NumRows()+cells.dropped != mAll.NumRows() {
-		t.Fatalf("%s: all-rows model has %d capacity rows for %d cells; closed model %d rows + %d dropped of %d",
-			name, len(capRows), len(cellList), mRed.NumRows(), cells.dropped, mAll.NumRows())
+	if len(allRows.kept) != len(cellList) || allRows.dropped != 0 || mRed.NumRows()+cells.dropped != mAll.NumRows() {
+		t.Fatalf("%s: all-rows model has %d capacity rows (%d dropped) for %d cells; closed model %d rows + %d dropped of %d",
+			name, len(allRows.kept), allRows.dropped, len(cellList), mRed.NumRows(), cells.dropped, mAll.NumRows())
 	}
 	zstar := solve(mAll, opts).Value(zAll)
 	if got := solve(mRed, opts).Value(zRed); math.Abs(got-zstar) > 1e-9 {

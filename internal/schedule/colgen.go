@@ -544,13 +544,13 @@ func (d *cgDiscovery) discoverStage2(inst *Instance, jobIdx []int, zstar float64
 // row, as the search's models do: which paths it prices in depends on the
 // vertices its solves end on (see lp.Options.ArtificialCrash).
 func (d *cgDiscovery) discoverSubRET(inst *Instance, jobIdx, extLast []int, cfg RETConfig) error {
-	m, xv, capRows, err := buildSubRETModel("colgen-subret", inst, extLast)
+	m, xv, cells, err := buildSubRETModel("colgen-subret", inst, extLast)
 	if err != nil {
 		return err
 	}
 	_, _, err = d.run(&cgMaster{
 		stage: "subret", inst: inst, jobIdx: jobIdx, m: m, xv: xv,
-		cells: everyRowCells(inst, capRows, inst.NumJobs()), every: true, solver: cfg.Solver,
+		cells: cells, every: true, solver: cfg.Solver,
 	})
 	return err
 }
@@ -800,7 +800,7 @@ func (ms *cgMaster) appendPath(k int, path paths.Path) (addedVars, addedRows int
 		if ms.stage == "subret" {
 			obj = retGamma(j)
 		}
-		v, cerr := ms.m.AddColumn(fmt.Sprintf("x_%d_%d_%d", k, pidx, j), 0, lp.Inf, obj, rows, coefs)
+		v, cerr := ms.m.AddColumn("", 0, lp.Inf, obj, rows, coefs)
 		if cerr != nil {
 			return 0, 0, cerr
 		}

@@ -133,7 +133,7 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 	if closed {
 		cells = newCapCells(build)
 	}
-	m, zvars, xv, capRows, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight, cells)
+	m, zvars, xv, cells, err := buildStage2Model(build, c.zstar, lexAlpha, c.weight, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +148,6 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 			m.SetBounds(zv, floor, lp.Inf)
 		}
 	case lexChain:
-		if !closed {
-			cells = everyRowCells(build, capRows, build.NumJobs())
-		}
 		ms := &cgMaster{inst: build, m: m, xv: xv, cells: cells, every: !closed}
 		link := solve(m, opts)
 		for rank := 1; ; rank++ {

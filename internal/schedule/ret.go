@@ -206,6 +206,13 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	}()
 
 	states := make([]retComponent, len(comps))
+	// The chains' solver memory goes back to the lp free list on every exit,
+	// after probeBases has exported what the next solve carries.
+	defer func() {
+		for i := range states {
+			states[i].release()
+		}
+	}()
 	searchStart := time.Now()
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
 		start := time.Now()
@@ -354,6 +361,17 @@ type retComponent struct {
 	iters  int // of the search, then of the latest δ-round solve
 	dur    time.Duration
 	probes []ProbeStep
+}
+
+// release returns the solver memory of the component's extraction and probe
+// chains.
+func (st *retComponent) release() {
+	if st.chain != nil {
+		st.chain.inc.Release()
+	}
+	if st.prober != nil && st.prober.chain != nil {
+		st.prober.chain.inc.Release()
+	}
 }
 
 // probeBases exports every component's carry for the next solve: final probe
@@ -541,9 +559,9 @@ func tallyProbes(res *RETResult, steps []ProbeStep) {
 // buildSubRETModel assembles the fractional SUB-RET program (eqs. 14–16
 // with (5) in place of (10)) at the given per-job windows. The demand
 // rows are the first rows of the model (row k is job k's), and the
-// returned map records the capacity row of each loaded (edge, slice) —
-// the layout the column-generation pricer relies on.
-func buildSubRETModel(name string, inst *Instance, extLast []int) (*lp.Model, flowVars, map[capKey]lp.RowID, error) {
+// returned layout gives the capacity row of each loaded (edge, slice) —
+// what the column-generation pricer relies on.
+func buildSubRETModel(name string, inst *Instance, extLast []int) (*lp.Model, flowVars, *capCells, error) {
 	m := lp.NewModel(name, lp.Minimize)
 	xvars, err := addFlowVars(m, inst, extLast, 0)
 	if err != nil {
@@ -557,15 +575,14 @@ func buildSubRETModel(name string, inst *Instance, extLast []int) (*lp.Model, fl
 	}
 	// Demand satisfaction (15): Σ x·LEN ≥ D_i.
 	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("demand%d", jb.ID), lp.GE, jb.Size)
+		r := m.AddRow("", lp.GE, jb.Size)
 		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
 			m.AddTerm(r, v, inst.Grid.Len(j))
 		})
 	}
 	// Every capacity row, whether or not the model will grow: a dropped row
 	// changes the pivot path, and SUB-RET's vertex follows it (DESIGN §10).
-	capRows := addCapacityRows(m, inst, xvars, nil)
-	return m, xvars, capRows, nil
+	return m, xvars, addCapacityRows(m, inst, xvars, nil), nil
 }
 
 // solveSubRET builds and solves the fractional SUB-RET LP under extension

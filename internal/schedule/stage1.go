@@ -71,11 +71,11 @@ func solveStage1(inst *Instance, opts lp.Options) (*Stage1Result, error) {
 }
 
 // buildStage1Model assembles the stage-1 MCF program (eqs. 1–5) and returns
-// the model together with the Z and x variables. The coupling rows are the
-// first rows of the model (row k is job k's); the capacity rows follow, laid
-// out by cells, or every one of them when cells is nil, and then the returned
-// map records the row of each loaded (edge, slice) (addCapacityRows).
-func buildStage1Model(name string, inst *Instance, cells *capCells) (*lp.Model, lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+// the model together with the Z and x variables and its capacity-row layout.
+// The coupling rows are the first rows of the model (row k is job k's); the
+// capacity rows follow, laid out by cells, or every one of them when cells is
+// nil (addCapacityRows).
+func buildStage1Model(name string, inst *Instance, cells *capCells) (*lp.Model, lp.VarID, flowVars, *capCells, error) {
 	m := lp.NewModel(name, lp.Maximize)
 	z := m.AddVar("Z", 0, lp.Inf, 1)
 	xvars, err := addFlowVars(m, inst, nil, 0)
@@ -84,7 +84,7 @@ func buildStage1Model(name string, inst *Instance, cells *capCells) (*lp.Model, 
 	}
 	// Per-job coupling (2): Σ_j Σ_p x·LEN(j) − D_i·Z = 0.
 	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
+		r := m.AddRow("", lp.EQ, 0)
 		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
 			m.AddTerm(r, v, inst.Grid.Len(j))
 		})
@@ -139,7 +139,7 @@ func addFlowVars(m *lp.Model, inst *Instance, extendedLast []int, objCoef float6
 					xv[k][p][j] = -1
 					continue
 				}
-				xv[k][p][j] = m.AddVar(fmt.Sprintf("x_%d_%d_%d", k, p, j), 0, lp.Inf, objCoef)
+				xv[k][p][j] = m.AddVar("", 0, lp.Inf, objCoef)
 			}
 		}
 	}
@@ -159,18 +159,18 @@ func forEachVar(inst *Instance, xv flowVars, k int, fn func(p, j int, v lp.VarID
 
 // addCapacityRows adds constraint (3): for every edge and slice, the sum
 // of assignments of paths crossing the edge is at most the edge's
-// wavelength count. Rows are only emitted for (edge, slice) pairs that
-// some variable can load; the returned map records which row constrains
-// which (edge, slice). Every loaded pair gets its row, unless the model is
-// given the layout of a closed one: it then gets the rows of
-// addClosedCapacityRows instead, and no map.
-func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, cells *capCells) map[capKey]lp.RowID {
+// wavelength count, and returns the layout of those rows. Rows are only
+// emitted for (edge, slice) pairs that some variable can load. Every loaded
+// pair gets its row, in the order the loop below first meets it, unless the
+// model is given the layout of a closed one: it then gets the rows of
+// addClosedCapacityRows instead.
+func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, cells *capCells) *capCells {
 	if cells != nil {
 		addClosedCapacityRows(m, inst, xv, cells)
-		return nil
+		return cells
 	}
-	ns := inst.Grid.Num()
-	rows := make(map[capKey]lp.RowID)
+	ns, nE, base := inst.Grid.Num(), inst.G.NumEdges(), m.NumRows()
+	cells = &capCells{row: make([]int32, ns*nE)}
 	for k := range inst.Jobs {
 		for p, path := range inst.JobPaths[k] {
 			for j := 0; j < ns; j++ {
@@ -178,19 +178,19 @@ func addCapacityRows(m *lp.Model, inst *Instance, xv flowVars, cells *capCells) 
 				if v < 0 {
 					continue
 				}
-				for _, eid := range path.Edges {
-					kk := capKey{eid, j}
-					r, ok := rows[kk]
-					if !ok {
-						r = m.AddRow(fmt.Sprintf("cap_e%d_t%d", eid, j), lp.LE, float64(inst.Capacity(eid, j)))
-						rows[kk] = r
+				for _, e := range path.Edges {
+					r := &cells.row[j*nE+int(e)]
+					if *r == 0 {
+						m.AddRow("", lp.LE, float64(inst.Capacity(e, j)))
+						cells.kept = append(cells.kept, capKey{e, j})
+						*r = int32(len(cells.kept))
 					}
-					m.AddTerm(r, v, 1)
+					m.AddTerm(lp.RowID(base+int(*r)-1), v, 1)
 				}
 			}
 		}
 	}
-	return rows
+	return cells
 }
 
 // extractAssignment reads the x values out of an LP solution.

@@ -409,7 +409,7 @@ func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cf
 // capacity rows follow, laid out by cells, or every one of them when cells is
 // nil, and then the returned map records the row of each loaded (edge, slice)
 // (addCapacityRows).
-func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, cells *capCells) (*lp.Model, []lp.VarID, flowVars, map[capKey]lp.RowID, error) {
+func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, cells *capCells) (*lp.Model, []lp.VarID, flowVars, *capCells, error) {
 	weights, err := stage2Weights(inst, weight)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -422,8 +422,8 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, c
 		floor = 0
 	}
 	zvars := make([]lp.VarID, inst.NumJobs())
-	for k, jb := range inst.Jobs {
-		zvars[k] = m.AddVar(fmt.Sprintf("Z_%d", jb.ID), floor, lp.Inf, weights[k])
+	for k := range inst.Jobs {
+		zvars[k] = m.AddVar("", floor, lp.Inf, weights[k])
 	}
 	xvars, err := addFlowVars(m, inst, nil, 0)
 	if err != nil {
@@ -431,7 +431,7 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc, c
 	}
 	// Coupling (8): Σ x·LEN = Z_i·D_i.
 	for k, jb := range inst.Jobs {
-		r := m.AddRow(fmt.Sprintf("job%d", jb.ID), lp.EQ, 0)
+		r := m.AddRow("", lp.EQ, 0)
 		forEachVar(inst, xvars, k, func(p, j int, v lp.VarID) {
 			m.AddTerm(r, v, inst.Grid.Len(j))
 		})

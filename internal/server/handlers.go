@@ -44,15 +44,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// route registers a handler with request-count and latency metrics.
+// route registers a handler with request-count and latency metrics. The
+// counters move when the handler is entered: a body larger than the
+// server's write buffer reaches the client before the handler returns, and a
+// scrape the client sends next must already count the request. The latency
+// is observed when the handler returns.
 func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	ctr := telemetry.Default().CounterWith("server_http_route_requests_total",
 		"HTTP API requests served, by route.", map[string]string{"route": pattern})
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		h(w, r)
 		ctr.Inc()
 		telRequests.Inc()
+		h(w, r)
 		telRequestSeconds.ObserveSince(t0)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/sim"
+	"wavesched/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, g *netgraph.Graph, cfg Config) *Server {
@@ -347,5 +349,44 @@ func TestLinkEndpoints(t *testing.T) {
 	recs := s.Records()
 	if len(recs) != 1 || !recs[0].Completed {
 		t.Fatalf("records = %+v, want job 1 completed despite the outage", recs)
+	}
+}
+
+// TestRouteCountsBeforeTheBodyArrives pins when route counts a request: at
+// handler entry. A client that has read a whole response — here 64 KiB, far
+// beyond the server's write buffer, while the handler has not yet returned —
+// must find the request in server_http_requests_total and in the per-route
+// counter, as a /metrics scrape sent right after the read does.
+func TestRouteCountsBeforeTheBodyArrives(t *testing.T) {
+	s := newTestServer(t, netgraph.Ring(4, 2, 10), Config{})
+	const pattern = "/test/route-count"
+	const size = 64 << 10
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	s.route(mux, pattern, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(size))
+		w.Write(bytes.Repeat([]byte{'x'}, size))
+		w.(http.Flusher).Flush()
+		<-release
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	routeCtr := telemetry.Default().CounterWith("server_http_route_requests_total", "", map[string]string{"route": pattern})
+	total0, route0 := telRequests.Value(), routeCtr.Value()
+
+	resp, err := http.Get(srv.URL + pattern)
+	if err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	_, err = io.ReadFull(resp.Body, make([]byte, size))
+	total, route := telRequests.Value()-total0, routeCtr.Value()-route0
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 1 || route != 1 {
+		t.Fatalf("after the whole body was read: server_http_requests_total moved by %d, the route's counter by %d; want 1 and 1", total, route)
 	}
 }
