@@ -7,8 +7,8 @@
 //	wavesched -net net.json -jobs jobs.json -algo ret -bmax 5
 //	wavesched -net net.json -gen 20 -gen-seed 7 -algo maxthroughput
 //	wavesched -net net.json -gen 20 -algo sim -tau 2 -mtbf 50 -mttr 4 -max-time 100
+//	wavesched -net net.json -gen 20 -algo sim -policy ret -explain 3
 //	wavesched serve -net net.json -addr :8080 -tau 2s -wal /var/lib/wavesched
-//	wavesched explain -net net.json -gen 20 -policy ret -job 3
 //	wavesched traceconv -in run.jsonl -out run.chrome.json
 //
 // With -gen N a random workload of N jobs is generated instead of -jobs.
@@ -20,17 +20,16 @@
 // event log replayed on restart. See DESIGN.md §9. -algo sim accepts
 // -json to emit the run result in the daemon's wire format.
 //
-// The explain subcommand replays a scenario deterministically and prints
-// one job's decision history (admission verdict, component membership,
-// probe bounds, final outcome); traceconv converts a -trace JSONL file
-// to Chrome trace_event JSON for chrome://tracing or Perfetto. See
-// DESIGN.md §12.
-//
 // -algo sim drives the periodic controller (period -tau, policy -policy)
 // over the workload. Link failures can be injected from a JSON trace
 // (-fail-trace) or drawn from a seeded per-link exponential MTBF/MTTR
 // process (-mtbf/-mttr/-fail-seed, bounded by -max-time); the run ends
-// with a per-job disruption report.
+// with a per-job disruption report. With -explain ID the run prints
+// instead that job's decision history (admission verdict, component
+// membership, probe bounds, disruptions, final outcome); the controller is
+// deterministic, so the history is the one any run of the same flags made.
+// The traceconv subcommand converts a -trace JSONL file to Chrome
+// trace_event JSON for chrome://tracing or Perfetto. See DESIGN.md §12.
 //
 // Observability flags:
 //
@@ -46,6 +45,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"wavesched/internal/job"
@@ -64,66 +64,35 @@ import (
 var tracer *telemetry.Tracer
 
 func main() {
-	// Subcommand dispatch before flag parsing: serve, explain, and
-	// traceconv each carry their own flag set.
+	// Subcommand dispatch before flag parsing: serve and traceconv each
+	// carry their own flag set.
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "serve":
 			serveMain(os.Args[2:])
-			return
-		case "explain":
-			explainMain(os.Args[2:])
 			return
 		case "traceconv":
 			traceconvMain(os.Args[2:])
 			return
 		}
 	}
-	var (
-		netPath  = flag.String("net", "", "network JSON (required)")
-		jobsPath = flag.String("jobs", "", "jobs JSON")
-		gen      = flag.Int("gen", 0, "generate this many random jobs instead of -jobs")
-		genSeed  = flag.Int64("gen-seed", 1, "workload seed for -gen")
-		algo     = flag.String("algo", "maxthroughput", "algorithm: maxthroughput or ret")
-		slices   = flag.Int("slices", 10, "horizon length in slices")
-		sliceLen = flag.Float64("slice-len", 1, "slice duration")
-		k        = flag.Int("k", 4, "allowed paths per job")
-		alpha    = flag.Float64("alpha", 0.1, "stage-2 fairness slack")
-		bmax     = flag.Float64("bmax", 5, "RET extension ceiling")
-		colgen   = flag.Bool("colgen", false, "price path columns on demand (column generation) instead of enumerating -k paths upfront")
-		verbose  = flag.Bool("verbose", false, "dump per-slice assignments")
-		jsonOut  = flag.Bool("json", false, "emit the -algo sim result as JSON instead of text")
-
-		tau       = flag.Float64("tau", 2, "scheduling period for -algo sim (multiple of -slice-len)")
-		policy    = flag.String("policy", "maxthroughput", "controller policy for -algo sim: maxthroughput, ret, or reject")
-		maxTime   = flag.Float64("max-time", 0, "stop the simulation at this virtual time (0 = run until drained)")
-		failTrace = flag.String("fail-trace", "", "JSON link failure/repair trace to inject (-algo sim)")
-		mtbf      = flag.Float64("mtbf", 0, "generate link failures with this mean time between failures (0 = off; -algo sim)")
-		mttr      = flag.Float64("mttr", 1, "mean time to repair for generated failures (-algo sim)")
-		failSeed  = flag.Int64("fail-seed", 1, "seed for the generated failure process (-algo sim)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address, e.g. :9090")
-		tracePath   = flag.String("trace", "", "write solver/scheduler trace events (JSONL) to this file")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, or error")
-	)
-	flag.Parse()
-
-	if err := setupLogging(*logLevel); err != nil {
+	o, err := parseMainFlags(os.Args[1:])
+	if err != nil {
 		fatal("%v", err)
 	}
-	if err := checkSolverFlags(*k, *alpha, *bmax); err != nil {
+	if err := setupLogging(o.LogLevel); err != nil {
 		fatal("%v", err)
 	}
-	if *metricsAddr != "" {
-		_, addr, err := telhttp.ListenAndServe(*metricsAddr, telemetry.Default())
+	if o.MetricsAddr != "" {
+		_, addr, err := telhttp.ListenAndServe(o.MetricsAddr, telemetry.Default())
 		if err != nil {
 			fatal("%v", err)
 		}
 		slog.Info("telemetry endpoint up", "addr", addr.String(),
 			"metrics", "/metrics", "pprof", "/debug/pprof/")
 	}
-	if *tracePath != "" {
-		tr, err := telemetry.OpenTraceFile(*tracePath)
+	if o.TracePath != "" {
+		tr, err := telemetry.OpenTraceFile(o.TracePath)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -133,43 +102,109 @@ func main() {
 			}
 		}()
 		tracer = tr
-		slog.Info("tracing enabled", "file", *tracePath)
+		slog.Info("tracing enabled", "file", o.TracePath)
 	}
 
-	if *netPath == "" {
-		fatal("-net is required")
-	}
-	g := loadGraph(*netPath)
-	jobs := loadJobs(g, *jobsPath, *gen, *genSeed, *slices, *sliceLen)
+	g := loadGraph(o.NetPath)
+	jobs := loadJobs(g, o.JobsPath, o.Gen, o.GenSeed, o.Slices, o.SliceLen)
 
-	if !(*algo == "sim" && *jsonOut) { // keep stdout pure JSON under -json
+	if !(o.Algo == "sim" && (o.JSON || o.Explain != nil)) { // keep stdout to what was asked for
 		fmt.Printf("network %q: %d nodes, %d directed edges, %d wavelengths/link\n",
 			g.Name, g.NumNodes(), g.NumEdges(), g.Edge(0).Wavelengths)
 		fmt.Printf("jobs: %d, total demand %.2f wavelength-slices\n\n", len(jobs), totalSize(jobs))
 	}
 
-	switch *algo {
+	switch o.Algo {
 	case "maxthroughput":
-		runMaxThroughput(g, jobs, *slices, *sliceLen, *k, *alpha, *colgen, *verbose)
+		runMaxThroughput(g, jobs, o.Slices, o.SliceLen, o.K, o.Alpha, o.ColumnGen, o.Verbose)
 	case "ret":
-		runRET(g, jobs, *sliceLen, *k, *bmax, *colgen, *verbose)
+		runRET(g, jobs, o.SliceLen, o.K, o.BMax, o.ColumnGen, o.Verbose)
 	case "admit":
-		runAdmit(g, jobs, *slices, *sliceLen, *k)
+		runAdmit(g, jobs, o.Slices, o.SliceLen, o.K)
 	case "bottleneck":
-		runBottleneck(g, jobs, *slices, *sliceLen, *k)
+		runBottleneck(g, jobs, o.Slices, o.SliceLen, o.K)
 	case "sim":
-		err := runSim(os.Stdout, g, jobs, simOptions{
-			Tau: *tau, SliceLen: *sliceLen, K: *k, Alpha: *alpha, BMax: *bmax,
-			Policy: *policy, MaxTime: *maxTime, JSON: *jsonOut,
-			ColumnGen: *colgen,
-			FailTrace: *failTrace, MTBF: *mtbf, MTTR: *mttr, FailSeed: *failSeed,
-		})
-		if err != nil {
+		if err := runSim(os.Stdout, g, jobs, o.simOptions); err != nil {
 			fatal("%v", err)
 		}
 	default:
-		fatal("unknown -algo %q (want maxthroughput, ret, admit, bottleneck, or sim)", *algo)
+		fatal("unknown -algo %q (want maxthroughput, ret, admit, bottleneck, or sim)", o.Algo)
 	}
+}
+
+// mainOptions collects the top-level command's flags; the -algo sim ones
+// are its simOptions.
+type mainOptions struct {
+	simOptions
+	NetPath  string
+	JobsPath string
+	Gen      int
+	GenSeed  int64
+	Algo     string
+	Slices   int
+	Verbose  bool
+
+	MetricsAddr string
+	TracePath   string
+	LogLevel    string
+}
+
+// parseMainFlags parses the top-level command's argument list.
+func parseMainFlags(args []string) (mainOptions, error) {
+	var o mainOptions
+	fs := flag.NewFlagSet("wavesched", flag.ContinueOnError)
+	fs.StringVar(&o.NetPath, "net", "", "network JSON (required)")
+	fs.StringVar(&o.JobsPath, "jobs", "", "jobs JSON")
+	fs.IntVar(&o.Gen, "gen", 0, "generate this many random jobs instead of -jobs")
+	fs.Int64Var(&o.GenSeed, "gen-seed", 1, "workload seed for -gen")
+	fs.StringVar(&o.Algo, "algo", "maxthroughput", "algorithm: maxthroughput, ret, admit, bottleneck, or sim")
+	fs.IntVar(&o.Slices, "slices", 10, "horizon length in slices")
+	fs.Float64Var(&o.SliceLen, "slice-len", 1, "slice duration")
+	fs.IntVar(&o.K, "k", 4, "allowed paths per job")
+	fs.Float64Var(&o.Alpha, "alpha", 0.1, "stage-2 fairness slack")
+	fs.Float64Var(&o.BMax, "bmax", 5, "RET extension ceiling")
+	fs.BoolVar(&o.ColumnGen, "colgen", false, "price path columns on demand (column generation) instead of enumerating -k paths upfront")
+	fs.BoolVar(&o.Verbose, "verbose", false, "dump per-slice assignments")
+	fs.BoolVar(&o.JSON, "json", false, "emit the -algo sim result (or the -explain history) as JSON instead of text")
+
+	fs.Float64Var(&o.Tau, "tau", 2, "scheduling period for -algo sim (multiple of -slice-len)")
+	fs.StringVar(&o.Policy, "policy", "maxthroughput", "controller policy for -algo sim: maxthroughput, ret, or reject")
+	fs.Float64Var(&o.MaxTime, "max-time", 0, "stop the simulation at this virtual time (0 = run until drained)")
+	fs.StringVar(&o.FailTrace, "fail-trace", "", "JSON link failure/repair trace to inject (-algo sim)")
+	fs.Float64Var(&o.MTBF, "mtbf", 0, "generate link failures with this mean time between failures (0 = off; -algo sim)")
+	fs.Float64Var(&o.MTTR, "mttr", 1, "mean time to repair for generated failures (-algo sim)")
+	fs.Int64Var(&o.FailSeed, "fail-seed", 1, "seed for the generated failure process (-algo sim)")
+	fs.Func("explain", "print this job's decision history instead of the -algo sim report", func(v string) error {
+		id, err := strconv.Atoi(v)
+		jid := job.ID(id)
+		o.Explain = &jid
+		return err
+	})
+
+	fs.StringVar(&o.MetricsAddr, "metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address, e.g. :9090")
+	fs.StringVar(&o.TracePath, "trace", "", "write solver/scheduler trace events (JSONL) to this file")
+	fs.StringVar(&o.LogLevel, "log-level", "info", "log level: debug, info, warn, or error")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.NetPath == "" {
+		return o, fmt.Errorf("-net is required")
+	}
+	if err := checkSolverFlags(o.K, o.Alpha, o.BMax); err != nil {
+		return o, err
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-max-time", o.MaxTime}, {"-mtbf", o.MTBF}, {"-mttr", o.MTTR}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return o, fmt.Errorf("%s must be finite, got %g", f.name, f.v)
+		}
+	}
+	if o.Explain != nil && o.Algo != "sim" {
+		return o, fmt.Errorf("-explain needs -algo sim")
+	}
+	return o, nil
 }
 
 // runAdmit demonstrates the paper's action (i): reject-based admission
@@ -341,7 +376,7 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
 	res, err := schedule.MaxThroughput(inst, schedule.Config{
-		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(), WarmStart: true,
+		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(),
 	})
 	if err != nil {
 		fatal("%v", err)

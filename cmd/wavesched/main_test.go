@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -64,33 +63,26 @@ func runQuickstart(t *testing.T, tracer *telemetry.Tracer) {
 	}
 }
 
-// TestSolverFlagsRejectedOutOfRange: the check the top-level command runs
-// on -k, -alpha and -bmax, and the explain subcommand through it, refuse a
-// value a solver layer would otherwise replace with its default, naming the
-// flag. The serve subcommand's half is in TestParseServeFlags.
+// TestSolverFlagsRejectedOutOfRange: the top-level command refuses a
+// solver flag a solver layer would otherwise replace with its default, and
+// a non-finite -max-time, -mtbf or -mttr, naming the flag. The serve
+// subcommand's half is in TestParseServeFlags.
 func TestSolverFlagsRejectedOutOfRange(t *testing.T) {
-	for _, bad := range badSolverFlags {
-		// The top-level command's flags, as main registers them.
-		fs := flag.NewFlagSet("wavesched", flag.ContinueOnError)
-		k := fs.Int("k", 4, "")
-		alpha := fs.Float64("alpha", 0.1, "")
-		bmax := fs.Float64("bmax", 5, "")
-		if err := fs.Parse([]string{bad.flag, bad.value}); err != nil {
-			t.Fatal(err)
-		}
-		if err := checkSolverFlags(*k, *alpha, *bmax); err == nil || !strings.Contains(err.Error(), bad.flag) {
-			t.Errorf("wavesched %s %s: error %v, want one naming the flag", bad.flag, bad.value, err)
-		}
-		_, err := parseExplainFlags([]string{"-net", "x.json", "-job", "1", bad.flag, bad.value})
-		if err == nil || !strings.Contains(err.Error(), bad.flag) {
-			t.Errorf("explain %s %s: error %v, want one naming the flag", bad.flag, bad.value, err)
+	bad := append([]struct{ flag, value string }{
+		{"-max-time", "NaN"}, {"-max-time", "+Inf"}, {"-mtbf", "NaN"},
+		{"-mtbf", "Inf"}, {"-mttr", "NaN"}, {"-mttr", "-Inf"},
+	}, badSolverFlags...)
+	for _, b := range bad {
+		_, err := parseMainFlags([]string{"-net", "x.json", b.flag, b.value})
+		if err == nil || !strings.Contains(err.Error(), b.flag) {
+			t.Errorf("wavesched %s %s: error %v, want one naming the flag", b.flag, b.value, err)
 		}
 	}
-	if err := checkSolverFlags(1, 1, 0.5); err != nil {
+	if _, err := parseMainFlags([]string{"-net", "x.json", "-k", "1", "-alpha", "1", "-bmax", "0.5"}); err != nil {
 		t.Errorf("in-range edge values rejected: %v", err)
 	}
-	if _, err := parseExplainFlags([]string{"-net", "x.json", "-job", "1"}); err != nil {
-		t.Errorf("explain defaults rejected: %v", err)
+	if _, err := parseMainFlags([]string{"-net", "x.json", "-explain", "1"}); err == nil {
+		t.Error("-explain accepted without -algo sim")
 	}
 }
 

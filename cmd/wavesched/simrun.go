@@ -32,6 +32,10 @@ type simOptions struct {
 	MTBF      float64 // generate failures with this mean up-time (0 = off)
 	MTTR      float64 // mean repair time for generated failures
 	FailSeed  int64   // seed for the generated failure process
+
+	// Explain, when set, names the job whose decision history the run
+	// reports instead of its summary.
+	Explain *job.ID
 }
 
 func parsePolicy(s string) (controller.Policy, error) {
@@ -80,7 +84,7 @@ func loadFailures(g *netgraph.Graph, o simOptions) ([]sim.LinkEvent, error) {
 
 // runSim drives the periodic controller over the workload, optionally
 // injecting link failures, and prints the run summary plus a disruption
-// report.
+// report, or, under Explain, one job's decision history.
 func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error {
 	policy, err := parsePolicy(o.Policy)
 	if err != nil {
@@ -101,6 +105,9 @@ func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error 
 	res, err := sim.RunWithFailures(ctrl, jobs, failures, o.MaxTime)
 	if err != nil {
 		return err
+	}
+	if o.Explain != nil {
+		return writeExplanation(w, ctrl, jobs, *o.Explain, o.JSON)
 	}
 	if o.JSON {
 		return writeSimJSON(w, ctrl, res)
@@ -172,4 +179,58 @@ func writeSimJSON(w io.Writer, ctrl *controller.Controller, res *sim.RunResult) 
 		EpochStats:  controller.EpochStatsJSON(ctrl.EpochStats()),
 		Disruptions: controller.DisruptionsJSON(res.Disruptions),
 	})
+}
+
+// writeExplanation writes the decision history of job id — every admission
+// verdict, component assignment, probe bound, disruption and final outcome
+// the run produced for it — as a table, or under asJSON in the
+// /v1/jobs/{id}/explain wire format.
+func writeExplanation(w io.Writer, ctrl *controller.Controller, jobs []job.Job, id job.ID, asJSON bool) error {
+	exp, ok := ctrl.Explain(id)
+	if !ok {
+		return fmt.Errorf("-explain: job %d never reached the controller (IDs: %s)", id, idRange(jobs))
+	}
+	if asJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(exp.JSON())
+	}
+	fmt.Fprintf(w, "job %d: %d decision events\n\n", id, len(exp.Events))
+	t := metrics.NewTable("decision history", "seq", "epoch", "t", "kind", "component", "bhat", "b", "detail")
+	for _, ev := range exp.Events {
+		comp, bhat, b := "-", "-", "-"
+		if ev.Component != "" {
+			comp = ev.Component
+		}
+		if ev.BHat != 0 {
+			bhat = fmt.Sprintf("%.3f", ev.BHat)
+		}
+		if ev.B != 0 {
+			b = fmt.Sprintf("%.3f", ev.B)
+		}
+		t.AddRow(
+			fmt.Sprintf("%d", ev.Seq),
+			fmt.Sprintf("%d", ev.Epoch),
+			fmt.Sprintf("%.2f", ev.Time),
+			ev.Kind, comp, bhat, b, ev.Detail,
+		)
+	}
+	return t.Render(w)
+}
+
+// idRange summarizes the workload's job IDs for the not-found error.
+func idRange(jobs []job.Job) string {
+	if len(jobs) == 0 {
+		return "none"
+	}
+	lo, hi := jobs[0].ID, jobs[0].ID
+	for _, j := range jobs[1:] {
+		if j.ID < lo {
+			lo = j.ID
+		}
+		if j.ID > hi {
+			hi = j.ID
+		}
+	}
+	return fmt.Sprintf("%d..%d", lo, hi)
 }

@@ -116,14 +116,14 @@ type Config struct {
 	// Logger receives degraded-epoch and recovery diagnostics; nil
 	// selects slog.Default().
 	Logger *slog.Logger
-	// WarmStart carries the LP basis across epochs: RET probe bases and
-	// stage-2 α-ladder bases are retained per decomposition component, so
-	// only components whose job mix or edge set actually changed lose their
-	// basis (LinkDown invalidates just the components using the failed
-	// link; LinkUp clears everything, since restored capacity can re-couple
-	// components). Repeated-solve loops inside one epoch also chain their
-	// bases. The committed schedules are byte-identical either way; only
-	// solve time changes.
+	// WarmStart carries the LP basis across epochs (PolicyRET only): RET
+	// probe bases and certificates are retained per decomposition
+	// component, so only components whose job mix or edge set actually
+	// changed lose their basis (LinkDown invalidates just the components
+	// using the failed link; LinkUp clears everything, since restored
+	// capacity can re-couple components). The search's probes inside one
+	// epoch also chain their bases. The committed schedules are
+	// byte-identical either way; only solve time changes.
 	WarmStart bool
 	// Incremental re-plans each epoch through
 	// schedule.MaxThroughputIncremental and its per-component plan cache

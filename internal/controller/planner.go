@@ -58,8 +58,7 @@ func (p *maxThroughputPlanner) plan(inst *schedule.Instance, fresh []*activeJob,
 	c := p.c
 	scfg := schedule.Config{
 		Alpha: c.cfg.Alpha, AlphaGrowth: 0.1, Solver: c.solverOpts(),
-		Weight: c.cfg.Weight, WarmStart: c.cfg.WarmStart,
-		Monolithic: p.oneBlock,
+		Weight: c.cfg.Weight, Monolithic: p.oneBlock,
 	}
 	var res *schedule.Result
 	var err error

@@ -156,7 +156,7 @@ func throughputSweep(sc Scale, waves []int, build func(w int, seed int64) (*netg
 				return sample{}, err
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
-				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
+				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver,
 				Parallelism: sc.Parallelism,
 			})
 			if err != nil {
@@ -235,7 +235,7 @@ func Fig3(sc Scale, jobCounts []int) ([]TimeRow, error) {
 				return sample{}, err
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
-				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
+				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver,
 				Parallelism: sc.Parallelism,
 			})
 			if err != nil {

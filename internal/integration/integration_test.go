@@ -50,7 +50,7 @@ func TestFullPipelineWaxman(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Workload, through the CSV trace format.
+	// 2. Workload, through the JSON trace format.
 	jobs0, err := workload.Generate(g, workload.Config{
 		Jobs: 10, Seed: 102, GBToDemand: 0.05, MinWindow: 4, MaxWindow: 8,
 	})
@@ -58,10 +58,10 @@ func TestFullPipelineWaxman(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	if err := job.WriteCSV(&trace, jobs0); err != nil {
+	if err := job.WriteJSON(&trace, jobs0); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := job.ReadCSV(&trace)
+	jobs, err := job.ReadJSON(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +118,17 @@ func TestFullPipelineWaxman(t *testing.T) {
 
 func TestFullPipelineRETOnGeant2(t *testing.T) {
 	g := netgraph.Geant2(2)
-	jobs, err := workload.GenerateHotspot(g, workload.HotspotConfig{
-		Config:       workload.Config{Jobs: 8, Seed: 103, GBToDemand: 0.2, MinWindow: 3, MaxWindow: 5},
-		Hotspots:     [][2]netgraph.NodeID{{5, 0}}, // Geneva → London (tier-0 style)
-		HotspotShare: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A tier-0 style skew: seven of the eight transfers leave Geneva for
+	// London, so they contend for the same few links.
+	jobs := []job.Job{
+		{ID: 0, Src: 5, Dst: 0, Size: 19.93, End: 3.54},
+		{ID: 1, Src: 5, Dst: 0, Size: 7.34, End: 3.40},
+		{ID: 2, Src: 5, Dst: 0, Size: 18.91, End: 3.43},
+		{ID: 3, Src: 5, Dst: 0, Size: 14.50, End: 3.97},
+		{ID: 4, Src: 5, Dst: 0, Size: 18.16, End: 4.83},
+		{ID: 5, Src: 5, Dst: 0, Size: 2.20, End: 3.31},
+		{ID: 6, Src: 5, Dst: 0, Size: 15.12, End: 3.27},
+		{ID: 7, Src: 19, Dst: 20, Size: 19.07, End: 4.08},
 	}
 	inst, err := schedule.BuildRETInstance(g, jobs, 1, 4, 8)
 	if err != nil {

@@ -1,39 +1,9 @@
 package job
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
-
-// FuzzReadCSV checks the trace parser never panics and only returns
-// validated jobs.
-func FuzzReadCSV(f *testing.F) {
-	f.Add("id,arrival,src,dst,size,start,end\n1,0,0,1,5,0,2\n")
-	f.Add("id,arrival,src,dst,size,start,end\n")
-	f.Add("x\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, text string) {
-		jobs, err := ReadCSV(strings.NewReader(text))
-		if err != nil {
-			return
-		}
-		if err := ValidateAll(jobs); err != nil {
-			t.Fatalf("accepted invalid jobs: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, jobs); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
-		}
-		back, err := ReadCSV(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if len(back) != len(jobs) {
-			t.Fatalf("round trip changed count %d -> %d", len(jobs), len(back))
-		}
-	})
-}
 
 // FuzzReadJSON checks the JSON job codec against arbitrary input.
 func FuzzReadJSON(f *testing.F) {

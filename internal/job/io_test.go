@@ -44,41 +44,8 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleJobs()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleJobs()
-	for i := range want {
-		if back[i] != want[i] {
-			t.Errorf("job %d: %+v != %+v", i, back[i], want[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                                     // empty
-		"a,b\n1,2\n",                           // wrong column count
-		"id,arrival,src,dst,size,start,stop\n", // wrong header
-		"id,arrival,src,dst,size,start,end\nx,0,0,1,5,0,2\n",   // bad id
-		"id,arrival,src,dst,size,start,end\n1,0,0,1,abc,0,2\n", // bad size
-		"id,arrival,src,dst,size,start,end\n1,0,0,0,5,0,2\n",   // invalid job
-	}
-	for i, text := range cases {
-		if _, err := ReadCSV(strings.NewReader(text)); err == nil {
-			t.Errorf("case %d accepted:\n%s", i, text)
-		}
-	}
-}
-
 // TestDegenerateJobsRejected: a zero-size transfer and an empty window
-// (S_i == E_i) both fail validation on read, in both formats, so no
+// (S_i == E_i) both fail validation on read, so no
 // degenerate 6-tuple can enter the pipeline from a trace file.
 func TestDegenerateJobsRejected(t *testing.T) {
 	jsonCases := map[string]string{
@@ -88,15 +55,6 @@ func TestDegenerateJobsRejected(t *testing.T) {
 	for name, text := range jsonCases {
 		if _, err := ReadJSON(strings.NewReader(text)); err == nil {
 			t.Errorf("ReadJSON accepted %s job", name)
-		}
-	}
-	csvCases := map[string]string{
-		"zero size":    "id,arrival,src,dst,size,start,end\n1,0,0,1,0,0,2\n",
-		"empty window": "id,arrival,src,dst,size,start,end\n1,0,0,1,5,2,2\n",
-	}
-	for name, text := range csvCases {
-		if _, err := ReadCSV(strings.NewReader(text)); err == nil {
-			t.Errorf("ReadCSV accepted %s job", name)
 		}
 	}
 	// The same tuples fail Validate directly, so in-process submitters
@@ -118,17 +76,6 @@ func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 ]`
 	if _, err := ReadJSON(strings.NewReader(text)); err == nil {
 		t.Error("duplicate job IDs accepted by ReadJSON")
-	} else if !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("error %q does not mention the duplicate", err)
-	}
-}
-
-func TestReadCSVRejectsDuplicateIDs(t *testing.T) {
-	trace := "id,arrival,src,dst,size,start,end\n" +
-		"7,0,0,1,5,0,2\n" +
-		"7,1,2,3,4,1,3\n"
-	if _, err := ReadCSV(strings.NewReader(trace)); err == nil {
-		t.Error("duplicate job IDs accepted by ReadCSV")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("error %q does not mention the duplicate", err)
 	}

@@ -12,36 +12,8 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean (0 for no samples).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the smallest sample. For no samples it returns 0, matching
-// Mean and Median (previously it returned +Inf, which leaked into
-// rendered tables).
+// Min returns the smallest sample. For no samples it returns 0 (+Inf would
+// leak into rendered tables).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -55,8 +27,7 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest sample. For no samples it returns 0, matching
-// Mean and Median (previously it returned −Inf).
+// Max returns the largest sample. For no samples it returns 0.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -93,20 +64,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo] + frac*(s[hi]-s[lo])
-}
-
-// Median returns the median (0 for no samples).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Table is a simple column-oriented result table.

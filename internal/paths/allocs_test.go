@@ -89,26 +89,27 @@ func TestPricedShortestFollowsPrices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, ok := PricedShortest(g, 0, 2, UnitCost, nil, nil)
+	s := NewSolver(g.NumNodes())
+	p, ok := s.PricedShortest(g, 0, 2, UnitCost, nil, nil)
 	if !ok || p.Hops() != 1 {
 		t.Fatalf("nil prices: want the 1-hop direct path, got %+v ok=%v", p, ok)
 	}
 
 	prices := make([]float64, g.NumEdges())
 	prices[d] = 5 // direct edge now costs 1+5 vs 2 for the detour
-	p, ok = PricedShortest(g, 0, 2, UnitCost, prices, nil)
+	p, ok = s.PricedShortest(g, 0, 2, UnitCost, prices, nil)
 	if !ok || p.Hops() != 2 {
 		t.Fatalf("priced direct edge: want the 2-hop detour, got %+v ok=%v", p, ok)
 	}
 
 	// Pure-price metric (nil cost) with zero prices still finds a path.
-	p, ok = PricedShortest(g, 0, 2, nil, make([]float64, g.NumEdges()), nil)
+	p, ok = s.PricedShortest(g, 0, 2, nil, make([]float64, g.NumEdges()), nil)
 	if !ok {
 		t.Fatal("zero-price metric: no path")
 	}
 
 	// Avoid set still applies.
-	if _, ok := PricedShortest(g, 0, 2, UnitCost, nil,
+	if _, ok := s.PricedShortest(g, 0, 2, UnitCost, nil,
 		map[netgraph.EdgeID]bool{d: true, a: true}); ok {
 		t.Fatal("avoiding both outgoing edges of 0 must fail")
 	}

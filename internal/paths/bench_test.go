@@ -38,7 +38,7 @@ func BenchmarkYenKShortest(b *testing.B) {
 			g := benchGraph(b, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ps := KShortest(g, 0, 99, k, UnitCost); len(ps) == 0 {
+				if ps := KShortestAvoiding(g, 0, 99, k, UnitCost, nil); len(ps) == 0 {
 					b.Fatal("no paths")
 				}
 			}
@@ -50,7 +50,7 @@ func BenchmarkEdgeDisjoint(b *testing.B) {
 	g := benchGraph(b, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ps := EdgeDisjoint(g, 0, 99, 4, UnitCost); len(ps) == 0 {
+		if ps := EdgeDisjointAvoiding(g, 0, 99, 4, UnitCost, nil); len(ps) == 0 {
 			b.Fatal("no paths")
 		}
 	}

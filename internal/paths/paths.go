@@ -3,10 +3,10 @@
 // loopless paths over a netgraph.Graph.
 //
 // The paper (following Rajah, Ranka, Xia) allows each job an explicit
-// collection of 4–8 paths; KShortest builds exactly those collections.
-// PricedShortest is the column-generation pricing oracle: Dijkstra under
-// per-edge additive prices (the LP capacity duals), which finds the
-// minimum-reduced-cost path candidate for a job.
+// collection of 4–8 paths; KShortestAvoiding builds exactly those
+// collections. Solver.PricedShortest is the column-generation pricing
+// oracle: Dijkstra under per-edge additive prices (the LP capacity duals),
+// which finds the minimum-reduced-cost path candidate for a job.
 //
 // All package-level functions are safe for concurrent use; they draw a
 // pooled Solver whose Dijkstra scratch (dist, predecessor, visited, heap)
@@ -76,14 +76,6 @@ type CostFunc func(netgraph.Edge) float64
 
 // UnitCost weighs every edge 1, so path cost is hop count.
 func UnitCost(netgraph.Edge) float64 { return 1 }
-
-// DistanceCost weighs an edge by the Euclidean distance between its
-// endpoints (plus a small constant so zero-length edges stay positive).
-func DistanceCost(g *netgraph.Graph) CostFunc {
-	return func(e netgraph.Edge) float64 {
-		return g.Dist(e.From, e.To) + 1e-9
-	}
-}
 
 // pqItem is a priority-queue element for Dijkstra.
 type pqItem struct {
@@ -202,16 +194,6 @@ func (s *Solver) Shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost Cost
 // prices. This is the column-generation pricing oracle: with prices set to
 // the negated capacity-row duals of a slice, the returned path minimizes
 // the dual load term of the reduced cost over all simple paths.
-func PricedShortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
-	prices []float64, avoid map[netgraph.EdgeID]bool) (Path, bool) {
-	s := solverPool.Get().(*Solver)
-	p, ok := s.PricedShortest(g, src, dst, cost, prices, avoid)
-	solverPool.Put(s)
-	return p, ok
-}
-
-// PricedShortest is the Solver-scratch form of the package-level
-// PricedShortest.
 func (s *Solver) PricedShortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
 	prices []float64, avoid map[netgraph.EdgeID]bool) (Path, bool) {
 	return s.shortest(g, src, dst, cost, prices, avoid, nil)
@@ -296,15 +278,9 @@ func makePath(g *netgraph.Graph, src netgraph.NodeID, edges []netgraph.EdgeID, c
 	return Path{Edges: edges, Nodes: nodes, Cost: cost}
 }
 
-// KShortest returns up to k loopless paths from src to dst in
-// non-decreasing cost order, using Yen's algorithm.
-func KShortest(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost CostFunc) []Path {
-	return KShortestAvoiding(g, src, dst, k, cost, nil)
-}
-
-// KShortestAvoiding is KShortest restricted to paths that use no edge in
-// avoid (nil means no restriction) — the residual-topology variant used
-// when links are down.
+// KShortestAvoiding returns up to k loopless paths from src to dst in
+// non-decreasing cost order, using Yen's algorithm, over paths that use no
+// edge in avoid (nil means no restriction: links that are down go there).
 func KShortestAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost CostFunc,
 	avoid map[netgraph.EdgeID]bool) []Path {
 	s := solverPool.Get().(*Solver)
@@ -381,18 +357,13 @@ func (s *Solver) KShortestAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, 
 	return result
 }
 
-// EdgeDisjoint returns up to k pairwise edge-disjoint paths from src to
-// dst, greedily: repeatedly take the shortest path and ban its edges. The
+// EdgeDisjointAvoiding returns up to k pairwise edge-disjoint paths from
+// src to dst that use no edge in avoid (nil means no restriction),
+// greedily: repeatedly take the shortest path and ban its edges. The
 // result is not guaranteed to be the maximum disjoint set (that would be a
 // flow problem), but it gives the scheduler path collections that never
 // contend with each other on any link — useful when wavelength continuity
 // matters or for survivability-style provisioning.
-func EdgeDisjoint(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost CostFunc) []Path {
-	return EdgeDisjointAvoiding(g, src, dst, k, cost, nil)
-}
-
-// EdgeDisjointAvoiding is EdgeDisjoint restricted to paths that use no
-// edge in avoid (nil means no restriction).
 func EdgeDisjointAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost CostFunc,
 	avoid map[netgraph.EdgeID]bool) []Path {
 	s := solverPool.Get().(*Solver)

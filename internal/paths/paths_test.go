@@ -72,7 +72,7 @@ func TestShortestBans(t *testing.T) {
 
 func TestKShortestRing(t *testing.T) {
 	g := netgraph.Ring(6, 1, 1)
-	ps := KShortest(g, 0, 3, 5, UnitCost)
+	ps := KShortestAvoiding(g, 0, 3, 5, UnitCost, nil)
 	// A 6-ring has exactly two loopless paths between opposite nodes.
 	if len(ps) != 2 {
 		t.Fatalf("got %d paths, want 2", len(ps))
@@ -92,7 +92,7 @@ func TestKShortestRing(t *testing.T) {
 
 func TestKShortestGrid(t *testing.T) {
 	g := netgraph.Grid(3, 3, 1, 1)
-	ps := KShortest(g, 0, 8, 6, UnitCost)
+	ps := KShortestAvoiding(g, 0, 8, 6, UnitCost, nil)
 	if len(ps) != 6 {
 		t.Fatalf("got %d paths, want 6 shortest grid paths", len(ps))
 	}
@@ -123,13 +123,13 @@ func TestKShortestGrid(t *testing.T) {
 
 func TestKShortestEdgeCases(t *testing.T) {
 	g := netgraph.Line(3, 1, 1)
-	if ps := KShortest(g, 0, 0, 3, UnitCost); ps != nil {
+	if ps := KShortestAvoiding(g, 0, 0, 3, UnitCost, nil); ps != nil {
 		t.Error("src == dst should return nil")
 	}
-	if ps := KShortest(g, 0, 2, 0, UnitCost); ps != nil {
+	if ps := KShortestAvoiding(g, 0, 2, 0, UnitCost, nil); ps != nil {
 		t.Error("k = 0 should return nil")
 	}
-	ps := KShortest(g, 0, 2, 10, UnitCost)
+	ps := KShortestAvoiding(g, 0, 2, 10, UnitCost, nil)
 	if len(ps) != 1 {
 		t.Errorf("line has exactly 1 loopless path, got %d", len(ps))
 	}
@@ -137,38 +137,8 @@ func TestKShortestEdgeCases(t *testing.T) {
 	iso := netgraph.New("iso")
 	a := iso.AddNode("", 0, 0)
 	b := iso.AddNode("", 1, 1)
-	if ps := KShortest(iso, a, b, 3, UnitCost); ps != nil {
+	if ps := KShortestAvoiding(iso, a, b, 3, UnitCost, nil); ps != nil {
 		t.Error("unreachable pair returned paths")
-	}
-}
-
-func TestDistanceCost(t *testing.T) {
-	g := netgraph.New("tri")
-	a := g.AddNode("a", 0, 0)
-	b := g.AddNode("b", 10, 0)
-	c := g.AddNode("c", 1, 1)
-	if err := g.AddPair(a, b, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddPair(a, c, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddPair(c, b, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Unit cost prefers the direct a→b hop; distance cost compares lengths.
-	direct, _ := Shortest(g, a, b, UnitCost, nil, nil)
-	if direct.Hops() != 1 {
-		t.Errorf("unit-cost path hops = %d", direct.Hops())
-	}
-	dc := DistanceCost(g)
-	dist, _ := Shortest(g, a, b, dc, nil, nil)
-	// direct = 10; via c = √2 + √82 ≈ 10.47, so direct still wins.
-	if dist.Hops() != 1 {
-		t.Errorf("distance-cost path hops = %d", dist.Hops())
-	}
-	if math.Abs(dist.Cost-10) > 1e-6 {
-		t.Errorf("distance cost %g, want ≈10", dist.Cost)
 	}
 }
 
@@ -215,7 +185,7 @@ func TestYenAgainstExhaustiveOnWaxman(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			ps := KShortest(g, src, dst, 8, UnitCost)
+			ps := KShortestAvoiding(g, src, dst, 8, UnitCost, nil)
 			if len(ps) == 0 {
 				t.Fatalf("%d->%d: no paths in connected graph", src, dst)
 			}
@@ -255,7 +225,7 @@ func TestYenAgainstExhaustiveOnWaxman(t *testing.T) {
 func TestEdgeDisjoint(t *testing.T) {
 	// A 6-ring has exactly two edge-disjoint paths between opposite nodes.
 	g := netgraph.Ring(6, 1, 1)
-	ps := EdgeDisjoint(g, 0, 3, 5, UnitCost)
+	ps := EdgeDisjointAvoiding(g, 0, 3, 5, UnitCost, nil)
 	if len(ps) != 2 {
 		t.Fatalf("got %d disjoint paths, want 2", len(ps))
 	}
@@ -264,7 +234,7 @@ func TestEdgeDisjoint(t *testing.T) {
 	}
 	// Grid corner-to-corner: at least 2 disjoint paths exist.
 	grid := netgraph.Grid(3, 3, 1, 1)
-	gp := EdgeDisjoint(grid, 0, 8, 4, UnitCost)
+	gp := EdgeDisjointAvoiding(grid, 0, 8, 4, UnitCost, nil)
 	if len(gp) < 2 {
 		t.Errorf("grid: got %d disjoint paths", len(gp))
 	}
@@ -272,17 +242,17 @@ func TestEdgeDisjoint(t *testing.T) {
 		t.Error("grid paths share an edge")
 	}
 	// Degenerate inputs.
-	if EdgeDisjoint(g, 0, 0, 3, UnitCost) != nil {
+	if EdgeDisjointAvoiding(g, 0, 0, 3, UnitCost, nil) != nil {
 		t.Error("src == dst")
 	}
-	if EdgeDisjoint(g, 0, 3, 0, UnitCost) != nil {
+	if EdgeDisjointAvoiding(g, 0, 3, 0, UnitCost, nil) != nil {
 		t.Error("k = 0")
 	}
 }
 
 func TestDisjointDetectsSharing(t *testing.T) {
 	g := netgraph.Ring(6, 1, 1)
-	ps := KShortest(g, 0, 2, 2, UnitCost)
+	ps := KShortestAvoiding(g, 0, 2, 2, UnitCost, nil)
 	if len(ps) < 2 {
 		t.Skip("need 2 paths")
 	}
@@ -310,7 +280,7 @@ func TestKShortestAvoiding(t *testing.T) {
 		t.Fatal("ring has no 0->1 edge")
 	}
 
-	all := KShortest(g, 0, 2, 4, UnitCost)
+	all := KShortestAvoiding(g, 0, 2, 4, UnitCost, nil)
 	if len(all) != 2 {
 		t.Fatalf("unrestricted KShortest found %d paths, want 2", len(all))
 	}

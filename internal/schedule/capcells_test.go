@@ -431,7 +431,7 @@ func checkDominatedRowsUnderGrowth(t testing.TB, sh domShape, st *growStats) {
 	var adds []add
 	for k, jb := range full.Jobs {
 		seen := map[string]bool{full.JobPaths[k][0].Key(): true}
-		for _, p := range slices.Concat(full.JobPaths[k][1:], paths.KShortest(full.G, jb.Src, jb.Dst, 8, paths.UnitCost)) {
+		for _, p := range slices.Concat(full.JobPaths[k][1:], paths.KShortestAvoiding(full.G, jb.Src, jb.Dst, 8, paths.UnitCost, nil)) {
 			if !seen[p.Key()] {
 				seen[p.Key()] = true
 				adds = append(adds, add{k, p})
@@ -664,7 +664,7 @@ func TestClosedCellsFollowGrownPool(t *testing.T) {
 
 	// A master appends to the very instance it prices.
 	var add paths.Path
-	for _, p := range paths.KShortest(g, jobs[0].Src, jobs[0].Dst, 8, paths.UnitCost) {
+	for _, p := range paths.KShortestAvoiding(g, jobs[0].Src, jobs[0].Dst, 8, paths.UnitCost, nil) {
 		if !slices.ContainsFunc(inst.JobPaths[0], func(q paths.Path) bool { return q.Key() == p.Key() }) {
 			add = p
 			break

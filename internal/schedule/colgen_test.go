@@ -219,9 +219,9 @@ func TestColGenRandomParity(t *testing.T) {
 
 // TestColGenWarmColdMonoDecomposedIdentity: on a colgen-grown
 // multi-component instance, the repo's standing identity invariants must
-// keep holding with appended columns in the path sets — warm vs cold and
-// serial vs parallel decomposed solves return bit-identical schedules
-// under the shipped solver options, and monolithic vs decomposed agree to
+// keep holding with appended columns in the path sets — serial vs
+// parallel decomposed solves return bit-identical schedules under the
+// shipped solver options, and monolithic vs decomposed agree to
 // LP tolerance (their stage-1 models are structurally different, so Z*
 // matches to tolerance, not bits).
 func TestColGenWarmColdMonoDecomposedIdentity(t *testing.T) {
@@ -237,13 +237,6 @@ func TestColGenWarmColdMonoDecomposedIdentity(t *testing.T) {
 	coldMono, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Monolithic: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	warmMono, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Monolithic: true, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldMono.ZStar != warmMono.ZStar || assignmentBytes(coldMono.LPDAR) != assignmentBytes(warmMono.LPDAR) {
-		t.Error("warm monolithic solve diverged from cold on the colgen-grown instance")
 	}
 	serial, err := MaxThroughput(cg, Config{Solver: partialDantzigOpts(), Parallelism: 1})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
-	"wavesched/internal/paths"
 	"wavesched/internal/timeslice"
 )
 
@@ -210,25 +209,4 @@ func TestRETExtendsEndTimesFromOrigin(t *testing.T) {
 	if math.Abs(res.BHat-3.0/11) > 0.02 {
 		t.Errorf("end-times b̂ = %g, want ≈ 0.273", res.BHat)
 	}
-}
-
-func TestInstanceOptsDistanceCost(t *testing.T) {
-	// Distance-weighted routing must still produce valid instances.
-	g := netgraph.Grid(3, 3, 2, 10)
-	grid, _ := timeslice.Uniform(0, 1, 3)
-	jobs := []job.Job{{ID: 1, Src: 0, Dst: 8, Size: 2, Start: 0, End: 3}}
-	inst, err := NewInstanceOpts(g, grid, jobs, InstanceOptions{
-		K: 3, Cost: paths.DistanceCost(g),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inst.JobPaths[0]) != 3 {
-		t.Fatalf("paths = %d", len(inst.JobPaths[0]))
-	}
-	res, err := MaxThroughput(inst, Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCommonInvariants(t, res, inst, res.Alpha)
 }

@@ -127,14 +127,12 @@ type window struct {
 // holds reports whether slice j lies in the window.
 func (w window) holds(j int) bool { return w.first <= j && j <= w.last }
 
-// InstanceOptions tunes path-set construction. Paths are Yen's k-shortest.
+// InstanceOptions tunes path-set construction. Paths are Yen's k-shortest
+// by hop count.
 type InstanceOptions struct {
 	// K is the maximum number of allowed paths per job (paper: 4–8).
 	// Non-positive selects 4.
 	K int
-	// Cost weighs edges for path computation; nil selects unit (hop
-	// count) cost.
-	Cost paths.CostFunc
 	// PathCache, when non-nil, memoizes path sets across instance builds,
 	// keyed by (src, dst, K, avoided-edge set). The cache must be dedicated
 	// to one base topology; see PathCache.
@@ -165,9 +163,6 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 	if opts.K <= 0 {
 		opts.K = 4
 	}
-	if opts.Cost == nil {
-		opts.Cost = paths.UnitCost
-	}
 	inst := &Instance{G: g, Grid: grid, Jobs: jobs}
 	// Dead links (zero wavelengths — e.g. failed links in a residual
 	// topology) can never carry flow, so keep them out of path sets
@@ -195,9 +190,9 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 	}
 	compute := func(src, dst netgraph.NodeID) []paths.Path {
 		if opts.ColumnGen {
-			return paths.EdgeDisjointAvoiding(g, src, dst, seedPaths, opts.Cost, avoid)
+			return paths.EdgeDisjointAvoiding(g, src, dst, seedPaths, paths.UnitCost, avoid)
 		}
-		return paths.KShortestAvoiding(g, src, dst, opts.K, opts.Cost, avoid)
+		return paths.KShortestAvoiding(g, src, dst, opts.K, paths.UnitCost, avoid)
 	}
 	cache := make(map[[2]netgraph.NodeID][]paths.Path)
 	for _, j := range jobs {

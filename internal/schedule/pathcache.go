@@ -174,12 +174,3 @@ func (pc *PathCache) Len() int {
 	defer pc.mu.Unlock()
 	return len(pc.entries)
 }
-
-// Invalidate drops every entry — call when the base topology itself
-// changes (not for link failures, which are part of the key).
-func (pc *PathCache) Invalidate() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.entries = make(map[pathCacheKey]*list.Element)
-	pc.order.Init()
-}

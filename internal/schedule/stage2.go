@@ -33,13 +33,6 @@ type Config struct {
 	// default, WeightBySize). See WeightFunc for the alternatives the
 	// paper discusses.
 	Weight WeightFunc
-	// WarmStart accelerates the AlphaGrowth retry ladder: when the LP is
-	// infeasible at Alpha, the retries probe successive α values on one
-	// reusable model (only the fairness-floor bounds change), each solve
-	// warm-started from the previous basis. The probes are status-only —
-	// the extraction solve at the final α is built and solved exactly as
-	// the cold path would, so the returned schedule is byte-identical.
-	WarmStart bool
 	// Monolithic makes the partition the solve runs over the instance
 	// itself, one LP over all jobs, even when it decomposes into independent
 	// components (see Decompose) — the reference the decomposed solve, which
@@ -121,9 +114,10 @@ func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
 }
 
 // MaxThroughputWithZ runs stage 2 for an already-computed stage-1 result.
-// Only s1.ZStar, Iters, and Time are consulted, so a stage-1 result from
-// a different (e.g. healthier) topology is acceptable — the controller's
-// degraded-mode situation.
+// Only s1.ZStar, Iters, and Time are consulted. Over the instance's own Z*
+// the floor at any α is feasible (stage 1's optimum meets it); a larger Z*,
+// such as one solved on a healthier topology, can overcommit the floor,
+// which the Remark-1 α ladder then loosens.
 func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
 	res, _, err := maxThroughput(inst, s1, cfg, nil)
 	return res, err
@@ -226,7 +220,7 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 			return nil
 		}
 		start := time.Now()
-		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
+		frac, status, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
 		if err != nil {
 			return err
 		}
@@ -349,59 +343,6 @@ func endStage2(sp telemetry.Span, res *Result, err error, inst *Instance, comps 
 	})
 }
 
-// warmFeasibleAlpha walks the Remark-1 α ladder with warm-started
-// feasibility probes on one reusable model and returns the α the outer
-// loop should jump to: the first α whose probe was feasible (the cold
-// re-solve there extracts the schedule), or the last probed α when every
-// probe failed or the solver hiccuped (the cold re-solve is then
-// authoritative). It returns the starting alpha unchanged when no probe
-// could run. The α accumulation mirrors the cold ladder exactly so the
-// reported Result.Alpha is bit-identical.
-func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cfg Config) float64 {
-	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, inst.closedCells())
-	if err != nil {
-		return alpha
-	}
-	opts := cfg.Solver
-	opts.CaptureBasis = true
-	a := alpha
-	for cfg.AlphaGrowth > 0 && a+cfg.AlphaGrowth <= maxAlpha {
-		a += cfg.AlphaGrowth
-		telStage2AlphaRetries.Inc()
-		floor := (1 - a) * zstar
-		if floor < 0 {
-			floor = 0
-		}
-		for _, zv := range zvars {
-			m.SetBounds(zv, floor, lp.Inf)
-		}
-		opts.WarmStart = basis
-		sol, err := m.SolveWith(opts)
-		if err != nil {
-			return a
-		}
-		if sol.Basis != nil {
-			basis = sol.Basis
-		}
-		if cfg.Solver.Tracer != nil {
-			cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
-				telemetry.KV("alpha", a-cfg.AlphaGrowth),
-				telemetry.KV("next_alpha", a),
-				telemetry.KV("warm", true),
-				telemetry.KV("status", sol.Status.String()))
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			return a
-		case lp.Infeasible:
-			continue
-		default:
-			return a
-		}
-	}
-	return a
-}
-
 // buildStage2Model assembles the stage-2 program (eqs. 7–10 without the
 // integrality constraint) and returns the model together with the Z and x
 // variable maps. The coupling rows are the first rows of the model (row k
@@ -479,29 +420,26 @@ func integerize(frac *Assignment, cfg Config) *Result {
 }
 
 // solveStage2Frac builds and solves the fractional stage-2 LP, returning
-// the extracted assignment on an Optimal outcome and the status/basis
-// otherwise. The solve ends with the lexicographic Quick-Finish phase
+// the extracted assignment on an Optimal outcome and the status otherwise.
+// The solve ends with the lexicographic Quick-Finish phase
 // (stage2Secondary), so the plan is a function of the LP and not of the
 // solve that produced it: cold or up the α ladder, whole or per component,
 // this one or the priced master of a ColumnGen instance.
-func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, *lp.Basis, int, error) {
+func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, int, error) {
 	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, inst.closedCells())
 	if err != nil {
-		return nil, lp.Infeasible, nil, 0, err
+		return nil, lp.Infeasible, 0, err
 	}
 	opts := cfg.Solver
-	if cfg.WarmStart {
-		opts.CaptureBasis = true // snapshot-only: the solve itself is unchanged
-	}
 	opts.Secondary = stage2Secondary(inst, m, xvars)
 	sol, err := m.SolveWith(opts)
 	if err != nil {
-		return nil, lp.Numerical, nil, 0, fmt.Errorf("schedule: stage 2: %w", err)
+		return nil, lp.Numerical, 0, fmt.Errorf("schedule: stage 2: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return nil, sol.Status, sol.Basis, sol.Iters, nil
+		return nil, sol.Status, sol.Iters, nil
 	}
-	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Basis, sol.Iters, nil
+	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Iters, nil
 }
 
 // rung is where one component stands on the Remark-1 α ladder: the first
@@ -523,9 +461,8 @@ type rung struct {
 func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
 	start := time.Now()
 	r := rung{alpha: cfg.Alpha}
-	warmProbed := false
 	for {
-		frac, status, basis, it, err := solveStage2Frac(inst, zstar, r.alpha, cfg)
+		frac, status, it, err := solveStage2Frac(inst, zstar, r.alpha, cfg)
 		r.iters += it
 		r.dur = time.Since(start)
 		if err != nil {
@@ -536,15 +473,6 @@ func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
 			return r, nil
 		}
 		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= maxAlpha {
-			if cfg.WarmStart && !warmProbed {
-				// Fast-forward the ladder with warm status-only probes,
-				// then re-solve cold at the α they land on.
-				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, zstar, r.alpha, basis, cfg); jump > r.alpha {
-					r.alpha = jump
-					continue
-				}
-			}
 			telStage2AlphaRetries.Inc()
 			if cfg.Solver.Tracer != nil {
 				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",

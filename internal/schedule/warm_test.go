@@ -249,9 +249,8 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 }
 
 // TestStage2WarmAlphaLadder forces the Remark-1 retry ladder — stage 2
-// re-planned against a degraded topology with the healthy topology's Z*,
-// the controller's degraded-mode situation — and checks the warm path
-// lands on the same α and byte-identical schedules as the cold ladder.
+// over a degraded topology with the healthy topology's Z*, so the fairness
+// floor overcommits the network — and checks where the ladder stops.
 func TestStage2WarmAlphaLadder(t *testing.T) {
 	g := netgraph.Line(2, 2, 10)
 	jobs := []job.Job{{ID: 1, Src: 0, Dst: 1, Size: 8, Start: 0, End: 4}}
@@ -270,63 +269,37 @@ func TestStage2WarmAlphaLadder(t *testing.T) {
 
 	// Degrade every edge to one wavelength: deliverable halves, so the
 	// floor (1-α)·Z*·D is infeasible until α reaches ≈ 0.5.
-	degraded := func() *Instance {
-		in, err := NewInstance(g, grid, jobs, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range g.Edges() {
-			for j := 0; j < grid.Num(); j++ {
-				if err := in.SetCapacity(e.ID, j, 1); err != nil {
-					t.Fatal(err)
-				}
+	degraded, err := NewInstance(g, grid, jobs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range g.Edges() {
+		for j := 0; j < grid.Num(); j++ {
+			if err := degraded.SetCapacity(e.ID, j, 1); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return in
 	}
 
 	retries0 := readCounter(t, "schedule_stage2_alpha_retries_total")
-	cfg := Config{Alpha: 0.05, AlphaGrowth: 0.05, Solver: solverOpts()}
-	cold, err := MaxThroughputWithZ(degraded(), s1, cfg)
+	res, err := MaxThroughputWithZ(degraded, s1, Config{Alpha: 0.05, AlphaGrowth: 0.05, Solver: solverOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRetries := readCounter(t, "schedule_stage2_alpha_retries_total") - retries0
-	if coldRetries == 0 {
+	if readCounter(t, "schedule_stage2_alpha_retries_total")-retries0 == 0 {
 		t.Fatal("instance did not force the α ladder; test is vacuous")
 	}
-	wcfg := cfg
-	wcfg.WarmStart = true
-	warm, err := MaxThroughputWithZ(degraded(), s1, wcfg)
-	if err != nil {
-		t.Fatal(err)
+	// The floor (1-α)·Z* first fits the halved net at the tenth rung, and
+	// the ladder accumulates α by repeated addition.
+	want := 0.05
+	for i := 1; i < 10; i++ {
+		want += 0.05
 	}
-	if cold.Alpha != warm.Alpha {
-		t.Fatalf("alpha differs: cold=%v warm=%v", cold.Alpha, warm.Alpha)
+	if res.Alpha != want {
+		t.Errorf("ladder stopped at α = %v, want %v", res.Alpha, want)
 	}
-	if assignmentBytes(cold.LP) != assignmentBytes(warm.LP) ||
-		assignmentBytes(cold.LPDAR) != assignmentBytes(warm.LPDAR) {
-		t.Error("stage-2 schedules differ between warm and cold")
-	}
-}
-
-// TestStage2WarmNoRetrySameResult: on a feasible instance the warm flag
-// must be a no-op (single solve, identical output).
-func TestStage2WarmNoRetrySameResult(t *testing.T) {
-	inst := retWarmInstance(t)
-	cfg := Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts()}
-	cold, err := MaxThroughput(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := cfg
-	wcfg.WarmStart = true
-	warm, err := MaxThroughput(inst, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Alpha != warm.Alpha || assignmentBytes(cold.LPDAR) != assignmentBytes(warm.LPDAR) {
-		t.Error("warm flag changed the no-retry result")
+	if err := res.LPDAR.VerifyCapacity(1e-9); err != nil {
+		t.Error(err)
 	}
 }
 

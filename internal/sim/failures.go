@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -21,10 +22,10 @@ type LinkEvent struct {
 // fails and repairs independently as an alternating renewal process with
 // exponential up-times (mean MTBF) and down-times (mean MTTR).
 type FailureConfig struct {
-	MTBF    float64 // mean time between failures (up-time), > 0
-	MTTR    float64 // mean time to repair (down-time), > 0
+	MTBF    float64 // mean time between failures (up-time), > 0 and finite
+	MTTR    float64 // mean time to repair (down-time), > 0 and finite
 	Seed    int64   // RNG seed; equal seeds give equal traces
-	MaxTime float64 // generate events in [0, MaxTime), > 0
+	MaxTime float64 // generate events in [0, MaxTime), > 0 and finite
 }
 
 // GenerateFailures draws a deterministic failure/repair trace over the
@@ -32,14 +33,15 @@ type FailureConfig struct {
 // down event before MaxTime is paired with its repair when the repair
 // also falls before MaxTime; a trailing failure may be left unrepaired.
 func GenerateFailures(g *netgraph.Graph, cfg FailureConfig) ([]LinkEvent, error) {
-	if cfg.MTBF <= 0 {
-		return nil, fmt.Errorf("sim: MTBF must be positive, got %g", cfg.MTBF)
-	}
-	if cfg.MTTR <= 0 {
-		return nil, fmt.Errorf("sim: MTTR must be positive, got %g", cfg.MTTR)
-	}
-	if cfg.MaxTime <= 0 {
-		return nil, fmt.Errorf("sim: MaxTime must be positive, got %g", cfg.MaxTime)
+	// An infinite MaxTime would never end the per-edge loop, and a NaN
+	// compares false everywhere: refuse both, for every parameter.
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"MTBF", cfg.MTBF}, {"MTTR", cfg.MTTR}, {"MaxTime", cfg.MaxTime}} {
+		if !(p.v > 0) || math.IsInf(p.v, 1) {
+			return nil, fmt.Errorf("sim: %s must be positive and finite, got %g", p.name, p.v)
+		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var evs []LinkEvent

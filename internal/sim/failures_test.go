@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"wavesched/internal/controller"
 	"wavesched/internal/job"
@@ -54,14 +56,38 @@ func TestGenerateFailuresDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical traces")
 	}
+}
 
+// TestGenerateFailuresRefusesBadConfig: every parameter must be positive
+// and finite. Each call runs under a deadline, because an infinite MaxTime
+// that slips through never returns.
+func TestGenerateFailuresRefusesBadConfig(t *testing.T) {
+	g := netgraph.Ring(6, 1, 10)
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, bad := range []FailureConfig{
 		{MTBF: 0, MTTR: 1, MaxTime: 10},
 		{MTBF: 1, MTTR: -1, MaxTime: 10},
 		{MTBF: 1, MTTR: 1, MaxTime: 0},
+		{MTBF: nan, MTTR: 1, MaxTime: 10},
+		{MTBF: inf, MTTR: 1, MaxTime: 10},
+		{MTBF: 1, MTTR: nan, MaxTime: 10},
+		{MTBF: 1, MTTR: inf, MaxTime: 10},
+		{MTBF: 1, MTTR: 1, MaxTime: nan},
+		{MTBF: 1, MTTR: 1, MaxTime: -inf},
+		{MTBF: 5, MTTR: 1, MaxTime: inf},
 	} {
-		if _, err := GenerateFailures(g, bad); err == nil {
-			t.Errorf("config %+v accepted", bad)
+		done := make(chan error, 1)
+		go func() {
+			_, err := GenerateFailures(g, bad)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("config %+v accepted", bad)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("config %+v: GenerateFailures did not return", bad)
 		}
 	}
 }

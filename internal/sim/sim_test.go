@@ -163,82 +163,3 @@ func TestRunMaxTimeCutoff(t *testing.T) {
 		t.Errorf("records %d, want 0 before cutoff", res.Summary.Total)
 	}
 }
-
-func TestPoissonSource(t *testing.T) {
-	g := netgraph.Ring(6, 2, 10)
-	src, err := NewPoissonSource(g, 2, 1, 5, 4, 8, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Limit(50)
-	prev := 0.0
-	n := 0
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		n++
-		if j.Arrival < prev {
-			t.Fatal("arrivals not monotone")
-		}
-		prev = j.Arrival
-		if err := j.Validate(); err != nil {
-			t.Fatalf("invalid job: %v", err)
-		}
-		if j.Size < 1 || j.Size > 5 {
-			t.Fatalf("size %g", j.Size)
-		}
-	}
-	if n != 50 {
-		t.Fatalf("drew %d jobs, want 50", n)
-	}
-}
-
-func TestPoissonSourceValidation(t *testing.T) {
-	g := netgraph.Ring(4, 1, 1)
-	if _, err := NewPoissonSource(g, 0, 1, 2, 1, 2, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewPoissonSource(g, 1, 2, 1, 1, 2, 1); err == nil {
-		t.Error("inverted sizes accepted")
-	}
-	one := netgraph.New("one")
-	one.AddNode("a", 0, 0)
-	if _, err := NewPoissonSource(one, 1, 1, 2, 1, 2, 1); err == nil {
-		t.Error("1-node graph accepted")
-	}
-}
-
-func TestRunSourceLiveLoad(t *testing.T) {
-	g := netgraph.Ring(6, 3, 10)
-	ctrl, err := controller.New(g, controller.Config{Tau: 2, SliceLen: 1, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewPoissonSource(g, 0.5, 0.5, 2, 6, 10, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSource(ctrl, src, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Total == 0 {
-		t.Fatal("no jobs processed from the live source")
-	}
-	if res.Summary.Completed == 0 {
-		t.Error("nothing completed under light load")
-	}
-	if res.EndTime > 40+2+1e-9 {
-		t.Errorf("ran past maxTime: %g", res.EndTime)
-	}
-	// Unusable parameters.
-	if _, err := RunSource(ctrl, src, 10); err == nil {
-		t.Error("used controller accepted")
-	}
-	ctrl2, _ := controller.New(g, controller.Config{Tau: 1, SliceLen: 1})
-	if _, err := RunSource(ctrl2, src, 0); err == nil {
-		t.Error("zero maxTime accepted")
-	}
-}

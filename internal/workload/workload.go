@@ -6,7 +6,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"wavesched/internal/job"
@@ -119,26 +118,4 @@ func GBToDemandFactor(gbpsPerWave, sliceLenSeconds float64) float64 {
 	}
 	// GB → gigabits (×8), divided by what a wavelength moves per time unit.
 	return 8 / (gbpsPerWave * sliceLenSeconds)
-}
-
-// PoissonCount draws a Poisson(λ) variate; exposed for the simulator's
-// batch arrival generation.
-func PoissonCount(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	// Knuth's method is fine for the small λ used per slice.
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1000000 {
-			return k // safety for absurd λ
-		}
-	}
 }

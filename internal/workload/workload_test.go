@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"wavesched/internal/netgraph"
@@ -115,24 +114,5 @@ func TestGBToDemandFactor(t *testing.T) {
 	}
 	if GBToDemandFactor(0, 5) != 1 || GBToDemandFactor(5, 0) != 1 {
 		t.Error("degenerate inputs should return 1")
-	}
-}
-
-func TestPoissonCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if PoissonCount(rng, 0) != 0 {
-		t.Error("λ=0 should give 0")
-	}
-	if PoissonCount(rng, -1) != 0 {
-		t.Error("λ<0 should give 0")
-	}
-	n := 20000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += PoissonCount(rng, 3)
-	}
-	mean := float64(sum) / float64(n)
-	if mean < 2.8 || mean > 3.2 {
-		t.Errorf("Poisson(3) sample mean %g", mean)
 	}
 }
