@@ -75,8 +75,8 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Benchmark smoke: one iteration of the telemetry-off guard, the
-# warm-vs-cold RET comparison, and the decomposition speedup, so those
+# Benchmark smoke: one iteration of the telemetry-off guard and the
+# decomposition speedup, so those
 # paths are exercised (and kept compiling) on every PR without paying for
 # a full bench run; likewise one iteration of the lp kernel benchmarks
 # (primal iteration on both sides of its cut-overs and on a slack run,
@@ -88,7 +88,7 @@ bench:
 # which also pins fig4 lp_ms at the certificate-pruned level), and the
 # scale-tier proxy (gated ±10% against BENCH_10.json) at quick scale.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSolveTelemetryOff$$|BenchmarkRETWarmVsCold|BenchmarkRETDecomposition' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkSolveTelemetryOff$$|BenchmarkRETDecomposition' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkPrimalIteration|BenchmarkRefactorize$$|BenchmarkLUFactorize|BenchmarkSolveAllocs' -benchtime 1x ./internal/lp
 	$(GO) run ./cmd/benchfig -quick -fig 3 -json /tmp/benchsmoke.json -baseline BENCH_04.json -max-regress 20
 	$(MAKE) bench-admission
@@ -173,9 +173,9 @@ endef
 
 # Tracing-overhead guard: the Fig. 4 RET solve with JSONL span tracing
 # enabled must stay within 5% of the tracing-off path (the per-span work
-# is one buffered JSON encode; the probe LP dominates). Since the sparse
-# basis kernels the solve takes ~0.12 s, and one 10-iteration sample moves
-# by more than the 5% under test, hence the paired median.
+# is one buffered JSON encode; the probe LP dominates). The solve takes
+# ~35 ms (2-CPU Xeon), and one 10-iteration sample moves by more than the
+# 5% under test, hence the paired median.
 bench-trace-guard:
 	$(call overhead-guard,bench-trace-guard,.,BenchmarkFig4Tracing,10x,1.05,tracing)
 

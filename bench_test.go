@@ -157,38 +157,6 @@ func retBenchInstance(b *testing.B) *schedule.Instance {
 	return inst
 }
 
-// BenchmarkRETWarmVsCold measures the tentpole speedup: the RET binary
-// search re-solved cold every round versus warm-started probes chaining a
-// basis across rounds (and, like the controller's epoch loop, across
-// iterations via ProbeBases). Schedules are byte-identical either way —
-// see TestSolveRETWarmByteIdentical.
-func BenchmarkRETWarmVsCold(b *testing.B) {
-	inst := retBenchInstance(b)
-	cfg := schedule.RETConfig{BMax: 3, Solver: lp.Options{Pricing: lp.PartialDantzig}}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := schedule.SolveRET(inst, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.BHat == 0 {
-				b.Fatal("instance not overloaded; probe ladder unexercised")
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		wcfg := cfg
-		wcfg.WarmStart = true
-		for i := 0; i < b.N; i++ {
-			res, err := schedule.SolveRET(inst, wcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wcfg.WarmComponents = res.ProbeBases // carry across epochs, like the controller
-		}
-	})
-}
-
 // BenchmarkTableFractionFinished regenerates the §III-B.1 comparison: the
 // fraction of jobs finished by LP, LPD and LPDAR under the same extended
 // end times (paper: LP = LPDAR = 1.0, LPD ≈ 0).

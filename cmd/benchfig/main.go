@@ -54,7 +54,6 @@ type benchReport struct {
 	Nodes   int                  `json:"nodes"`
 	Jobs    int                  `json:"jobs"`
 	Seeds   int                  `json:"seeds"`
-	Warm    bool                 `json:"warm"`
 	Figures map[string]figReport `json:"figures"`
 }
 
@@ -147,7 +146,7 @@ func main() {
 	}
 	report := benchReport{
 		Scale: scaleName, Nodes: sc.Nodes, Jobs: sc.Jobs,
-		Seeds: len(sc.Seeds), Warm: sc.Warm,
+		Seeds:   len(sc.Seeds),
 		Figures: map[string]figReport{},
 	}
 	record := func(name string, elapsed time.Duration, m map[string]float64) {

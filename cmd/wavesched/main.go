@@ -427,7 +427,7 @@ func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax flo
 		fmt.Printf("column generation: %d seed paths, %d priced in over %d rounds (%d solves)\n",
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
-	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions(), WarmStart: true})
+	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions()})
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -284,7 +284,6 @@ func serverConfig(o serveOptions) (server.Config, error) {
 			Tau: o.Tau.Seconds(), SliceLen: o.SliceLen, K: o.K,
 			Alpha: o.Alpha, BMax: o.BMax, Policy: policy,
 			Solver: lpOptions(), Tracer: tracer,
-			WarmStart: true,
 		},
 		Period:        o.Tau,
 		WALDir:        o.WALDir,

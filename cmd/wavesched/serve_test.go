@@ -111,24 +111,6 @@ func TestBuildServerRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestServeCarriesWarmBases pins that the daemon runs the warm carry the
-// daemon-epoch benchmark measures, under every policy.
-func TestServeCarriesWarmBases(t *testing.T) {
-	for _, pol := range []string{"maxthroughput", "ret", "reject"} {
-		o, err := parseServeFlags([]string{"-net", "x.json", "-policy", pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := serverConfig(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cfg.Controller.WarmStart {
-			t.Errorf("-policy %s: serve runs cold", pol)
-		}
-	}
-}
-
 // syncBuffer lets the test poll runServe's startup line while the serve
 // goroutine is still writing.
 type syncBuffer struct {

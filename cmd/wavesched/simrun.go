@@ -97,7 +97,7 @@ func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error 
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha,
 		Policy: policy, BMax: o.BMax, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: true, ColumnGen: o.ColumnGen,
+		ColumnGen: o.ColumnGen,
 	})
 	if err != nil {
 		return err

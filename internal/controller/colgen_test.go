@@ -20,7 +20,7 @@ import (
 // runColGenScenario drives the warm_test fault scenario with column
 // generation on: epoch instances start from seed paths plus whatever
 // earlier epochs priced in, grown by GeneratePaths before each solve.
-func runColGenScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat) {
+func runColGenScenario(t *testing.T, policy Policy) ([]Record, []EpochStat) {
 	t.Helper()
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
 		Nodes: 8, LinkPairs: 16, Wavelengths: 2, Seed: 21,
@@ -35,7 +35,7 @@ func runColGenScenario(t *testing.T, policy Policy, warm bool) ([]Record, []Epoc
 		t.Fatal(err)
 	}
 	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, Policy: policy, BMax: 3, WarmStart: warm,
+		Tau: 1, SliceLen: 1, Policy: policy, BMax: 3,
 		ColumnGen: true,
 		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
@@ -66,10 +66,10 @@ func runColGenScenario(t *testing.T, policy Policy, warm bool) ([]Record, []Epoc
 }
 
 // TestControllerColumnGenWarmByteIdentical runs the fault scenario with
-// column generation under both policies, warm and cold: the records and
-// epoch stats must be bit-identical — pricing is deterministic, so the
-// grown path sets (and therefore the schedules) cannot depend on basis
-// reuse.
+// column generation twice under both policies: the records and epoch stats
+// must be bit-identical — pricing is deterministic, so the grown path sets
+// (and therefore the schedules) are a function of the input, as WAL replay
+// needs.
 func TestControllerColumnGenWarmByteIdentical(t *testing.T) {
 	for _, pol := range []struct {
 		name   string
@@ -80,31 +80,31 @@ func TestControllerColumnGenWarmByteIdentical(t *testing.T) {
 	} {
 		t.Run(pol.name, func(t *testing.T) {
 			solvesBefore := telemetry.Default().Counter("schedule_colgen_solves_total", "").Value()
-			coldRecs, coldStats := runColGenScenario(t, pol.policy, false)
+			firstRecs, firstStats := runColGenScenario(t, pol.policy)
 			if telemetry.Default().Counter("schedule_colgen_solves_total", "").Value() == solvesBefore {
 				t.Fatal("scenario never engaged the column-generation pricing loop")
 			}
-			warmRecs, warmStats := runColGenScenario(t, pol.policy, true)
-			if len(coldRecs) == 0 {
+			againRecs, againStats := runColGenScenario(t, pol.policy)
+			if len(firstRecs) == 0 {
 				t.Fatal("scenario produced no records")
 			}
 			delivered := 0.0
-			for _, r := range coldRecs {
+			for _, r := range firstRecs {
 				delivered += r.Delivered
 			}
 			if delivered == 0 {
 				t.Fatal("nothing delivered under column generation")
 			}
-			if cb, wb := recordsBytes(coldRecs), recordsBytes(warmRecs); cb != wb {
-				t.Errorf("records differ between warm and cold colgen runs:\ncold:\n%s\nwarm:\n%s", cb, wb)
+			if fb, ab := recordsBytes(firstRecs), recordsBytes(againRecs); fb != ab {
+				t.Errorf("records differ between two colgen runs:\nfirst:\n%s\nagain:\n%s", fb, ab)
 			}
-			if len(coldStats) != len(warmStats) {
-				t.Fatalf("epoch count differs: cold=%d warm=%d", len(coldStats), len(warmStats))
+			if len(firstStats) != len(againStats) {
+				t.Fatalf("epoch count differs: first=%d again=%d", len(firstStats), len(againStats))
 			}
-			for i := range coldStats {
-				if coldStats[i].Scheduled != warmStats[i].Scheduled ||
-					coldStats[i].Tier != warmStats[i].Tier {
-					t.Errorf("epoch %d stats differ: cold=%+v warm=%+v", i, coldStats[i], warmStats[i])
+			for i := range firstStats {
+				if firstStats[i].Scheduled != againStats[i].Scheduled ||
+					firstStats[i].Tier != againStats[i].Tier {
+					t.Errorf("epoch %d stats differ: first=%+v again=%+v", i, firstStats[i], againStats[i])
 				}
 			}
 		})

@@ -116,14 +116,12 @@ type Config struct {
 	// Logger receives degraded-epoch and recovery diagnostics; nil
 	// selects slog.Default().
 	Logger *slog.Logger
-	// WarmStart carries the LP basis across epochs (PolicyRET only): RET
-	// probe bases and certificates are retained per decomposition
-	// component, so only components whose job mix or edge set actually
-	// changed lose their basis (LinkDown invalidates just the components
-	// using the failed link; LinkUp clears everything, since restored
-	// capacity can re-couple components). The search's probes inside one
-	// epoch also chain their bases. The committed schedules are
-	// byte-identical either way; only solve time changes.
+	// WarmStart is ignored: no policy carries solver state between
+	// epochs, and PolicyRET's search chains and prunes its probes inside
+	// each epoch whatever the config.
+	//
+	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
+	// reader.
 	WarmStart bool
 	// Incremental re-plans each epoch through
 	// schedule.MaxThroughputIncremental and its per-component plan cache

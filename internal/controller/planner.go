@@ -89,17 +89,11 @@ func (p *maxThroughputPlanner) invalidate(netgraph.EdgeID, bool) {
 
 // retPlanner runs Algorithm 2, the paper's action (iii): every job
 // completes in full, and a successful solve extends the effective
-// deadlines of the snapshot.
+// deadlines of the snapshot. It carries nothing between epochs: each
+// search starts from its own ceiling solve.
 type retPlanner struct {
 	c        *Controller
 	oneBlock bool // as on maxThroughputPlanner
-	// warm chains RET probe bases and certificates across epochs under
-	// Config.WarmStart, one entry per decomposition component keyed by its
-	// job-ID fingerprint and tagged with its edge set. A changed job mix
-	// simply misses the map for the affected components (the lp layer
-	// would reject the structural mismatch anyway), and a link failure
-	// evicts only the components whose paths used the failed edge.
-	warm map[string]*schedule.ComponentBasis
 }
 
 func (p *retPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float64, info *solveInfo) (*schedule.Assignment, error) {
@@ -108,13 +102,6 @@ func (p *retPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float
 	res, err := schedule.SolveRET(inst, schedule.RETConfig{
 		BMax: c.cfg.BMax, Solver: c.solverOpts(),
 		Monolithic: p.oneBlock,
-		// Hand the previous epoch's probe bases AND certificates over per
-		// component — a fully coupled epoch is one component keyed by all
-		// its jobs. An entry captured over other path sets is declined by
-		// its PathsKey, a mismatched basis is merely a wasted lp fallback,
-		// and a stale certificate self-declines — never a wrong answer.
-		WarmStart: c.cfg.WarmStart, Certificates: c.cfg.WarmStart,
-		WarmComponents: p.warm,
 		OnProbe: func(st schedule.ProbeStep) {
 			probeMu.Lock()
 			info.probes = append(info.probes, st)
@@ -122,25 +109,7 @@ func (p *retPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float
 		},
 	})
 	if err != nil {
-		// A failed search (typically infeasible even at BMax) still exports
-		// certificates; merging them in lets the next epoch — often just as
-		// overloaded — refute its ceiling probe without a solve. Merge
-		// rather than replace: components the failed search never reached
-		// keep their carried entries.
-		if c.cfg.WarmStart && res != nil && len(res.ProbeBases) > 0 {
-			if p.warm == nil {
-				p.warm = make(map[string]*schedule.ComponentBasis, len(res.ProbeBases))
-			}
-			for k, v := range res.ProbeBases {
-				p.warm[k] = v
-			}
-		}
 		return nil, fmt.Errorf("controller: epoch at t=%g: %w", now, err)
-	}
-	if c.cfg.WarmStart {
-		// Replace wholesale: entries for components that dissolved this
-		// epoch are pruned automatically.
-		p.warm = res.ProbeBases
 	}
 	info.bhat, info.b, info.components = res.BHat, res.B, res.Components
 	// Renegotiated deadlines: extend every active job's effective end, and
@@ -170,22 +139,4 @@ func (p *retPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float
 	return res.LPDAR, nil
 }
 
-// invalidate evicts, on a failure, the entries of components whose path
-// sets touch e: components that never routed over e keep their bases,
-// since their k-shortest path sets over the residual topology are
-// unchanged. A repair can reroute any job's candidate paths and merge
-// components, so every fingerprint may shift: it clears the carry.
-func (p *retPlanner) invalidate(e netgraph.EdgeID, up bool) {
-	if up {
-		p.warm = nil
-		return
-	}
-	for key, cb := range p.warm {
-		for _, ce := range cb.Edges {
-			if ce == e {
-				delete(p.warm, key)
-				break
-			}
-		}
-	}
-}
+func (p *retPlanner) invalidate(netgraph.EdgeID, bool) {}

@@ -12,8 +12,8 @@ import (
 	"wavesched/internal/workload"
 )
 
-// recordsBytes renders records with exact float formatting so warm and
-// cold runs compare bit-for-bit (the WAL-replay determinism invariant).
+// recordsBytes renders records with exact float formatting so two runs
+// compare bit-for-bit (the WAL-replay determinism invariant).
 func recordsBytes(recs []Record) string {
 	s := ""
 	for _, r := range recs {
@@ -23,10 +23,10 @@ func recordsBytes(recs []Record) string {
 	return s
 }
 
-// runScenario drives one controller through a multi-epoch overloaded
-// scenario with a mid-run link failure and repair, returning the final
-// records and epoch stats.
-func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat) {
+// runScenario drives one PolicyRET controller through a multi-epoch
+// overloaded scenario with a mid-run link failure and repair, returning the
+// final records and epoch stats.
+func runScenario(t *testing.T) ([]Record, []EpochStat) {
 	t.Helper()
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
 		Nodes: 8, LinkPairs: 16, Wavelengths: 2, Seed: 21,
@@ -42,11 +42,11 @@ func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat)
 	}
 	// BMax is sized so the first epoch runs a full bisection search (b̂ ≈
 	// 4.35): that exercises chained re-entry and certificate pruning inside
-	// the search, which the reuse assertion below depends on. Degraded
+	// the search, which TestControllerWarmByteIdenticalRecords depends on. Degraded
 	// (RET-infeasible) epochs are covered by fault_test.go; log noise from
 	// the disruption epochs is discarded.
 	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, K: 3, Policy: policy, BMax: 5, WarmStart: warm,
+		Tau: 1, SliceLen: 1, K: 3, Policy: PolicyRET, BMax: 5,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -75,50 +75,40 @@ func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat)
 	return c.Records(), c.EpochStats()
 }
 
-// TestControllerWarmByteIdenticalRecords runs the same fault scenario warm
-// and cold under both policies: every record and every epoch stat must be
-// bit-identical, or WAL replay (PR 3) would diverge.
+// TestControllerWarmByteIdenticalRecords runs the fault scenario twice
+// under PolicyRET, whose searches chain warm-started probes within each
+// epoch. The epochs' searches must answer some probe by a chained re-entry
+// (an lp warm-start hit) or, with no solve at all, by a certificate; and
+// every record and every epoch stat must be bit-identical across the two
+// runs, or WAL replay would diverge.
 func TestControllerWarmByteIdenticalRecords(t *testing.T) {
-	for _, pol := range []struct {
-		name   string
-		policy Policy
-	}{
-		{"ret", PolicyRET},
-		{"maxthroughput", PolicyMaxThroughput},
-	} {
-		t.Run(pol.name, func(t *testing.T) {
-			coldRecs, coldStats := runScenario(t, pol.policy, false)
-			warmBefore := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
-			prunedBefore := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
-			warmRecs, warmStats := runScenario(t, pol.policy, true)
-			if len(coldRecs) == 0 {
-				t.Fatal("scenario produced no records")
+	t.Run("ret", func(t *testing.T) {
+		hitsBefore := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
+		prunedBefore := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
+		firstRecs, firstStats := runScenario(t)
+		if len(firstRecs) == 0 {
+			t.Fatal("scenario produced no records")
+		}
+		hits := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
+		pruned := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
+		if hits == hitsBefore && pruned == prunedBefore {
+			t.Error("the RET searches engaged neither the lp warm-start path nor certificate pruning")
+		}
+		againRecs, againStats := runScenario(t)
+		if fb, ab := recordsBytes(firstRecs), recordsBytes(againRecs); fb != ab {
+			t.Errorf("records differ between two runs:\nfirst:\n%s\nagain:\n%s", fb, ab)
+		}
+		if len(firstStats) != len(againStats) {
+			t.Fatalf("epoch count differs: first=%d again=%d", len(firstStats), len(againStats))
+		}
+		for i := range firstStats {
+			if firstStats[i].Scheduled != againStats[i].Scheduled ||
+				firstStats[i].Utilization != againStats[i].Utilization ||
+				firstStats[i].Tier != againStats[i].Tier {
+				t.Errorf("epoch %d stats differ: first=%+v again=%+v", i, firstStats[i], againStats[i])
 			}
-			if pol.policy == PolicyRET {
-				// Cross-epoch reuse shows up either as a warm-started solve
-				// or — stronger — as a probe answered by a carried
-				// certificate with no solve at all.
-				hits := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
-				pruned := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
-				if hits == warmBefore && pruned == prunedBefore {
-					t.Error("warm run engaged neither the lp warm-start path nor certificate pruning")
-				}
-			}
-			if cb, wb := recordsBytes(coldRecs), recordsBytes(warmRecs); cb != wb {
-				t.Errorf("records differ between warm and cold runs:\ncold:\n%s\nwarm:\n%s", cb, wb)
-			}
-			if len(coldStats) != len(warmStats) {
-				t.Fatalf("epoch count differs: cold=%d warm=%d", len(coldStats), len(warmStats))
-			}
-			for i := range coldStats {
-				if coldStats[i].Scheduled != warmStats[i].Scheduled ||
-					coldStats[i].Utilization != warmStats[i].Utilization ||
-					coldStats[i].Tier != warmStats[i].Tier {
-					t.Errorf("epoch %d stats differ: cold=%+v warm=%+v", i, coldStats[i], warmStats[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestControllerPathCacheReuse checks that epoch-over-epoch instance

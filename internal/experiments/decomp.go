@@ -135,7 +135,7 @@ func CompareDecomposition(sc Scale, clusterCounts []int, cfg RETConfig) ([]Decom
 				}
 				start := time.Now()
 				res, err := schedule.SolveRET(inst, schedule.RETConfig{
-					BMax: cfg.BMax, Solver: sc.Solver, WarmStart: sc.Warm,
+					BMax: cfg.BMax, Solver: sc.Solver,
 					Monolithic: mono, Parallelism: par,
 				})
 				if err != nil {

@@ -38,11 +38,6 @@ type Scale struct {
 
 	Seeds []int64 // replications; results are averaged
 
-	// Warm enables LP warm-starting inside the repeated-solve loops
-	// (Fig. 4's RET binary search). Warm and cold runs produce
-	// byte-identical schedules, so the figures are unaffected.
-	Warm bool
-
 	// Parallelism bounds the per-component solver pool; 0 means one worker
 	// per CPU.
 	Parallelism int
@@ -57,7 +52,6 @@ func PaperScale() Scale {
 		Nodes: 100, LinkPairs: 200, Jobs: 40, Slices: 8, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
 		Seeds: []int64{1, 2, 3},
-		Warm:  true,
 	}
 }
 
@@ -67,7 +61,6 @@ func QuickScale() Scale {
 		Nodes: 30, LinkPairs: 60, Jobs: 12, Slices: 6, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
 		Seeds: []int64{1},
-		Warm:  true,
 	}
 }
 
@@ -331,8 +324,7 @@ func Fig4(sc Scale, jobCounts []int, cfg RETConfig) ([]RETRow, error) {
 				return RETRow{}, err
 			}
 			res, err := schedule.SolveRET(inst, schedule.RETConfig{
-				BMax: cfg.BMax, Solver: sc.Solver, WarmStart: sc.Warm, Certificates: sc.Warm,
-				Parallelism: sc.Parallelism,
+				BMax: cfg.BMax, Solver: sc.Solver, Parallelism: sc.Parallelism,
 			})
 			if err != nil {
 				return RETRow{}, fmt.Errorf("experiments: fig4 n=%d seed=%d: %w", n, seed, err)

@@ -18,6 +18,18 @@ func demandModel() (*Model, VarID, VarID, RowID) {
 	return m, x1, x2, r
 }
 
+// solveWithCertificate solves m the way SUB-RET's probes take their
+// certificates: through an Incremental, whose last outcome exports one.
+func solveWithCertificate(m *Model) (*Solution, *Certificate, error) {
+	inc := NewIncremental(m, Options{})
+	defer inc.Release()
+	sol, err := inc.Solve()
+	if err != nil {
+		return sol, nil, err
+	}
+	return sol, inc.Certificate(), nil
+}
+
 func TestPointCertificateAcceptReject(t *testing.T) {
 	m, _, _, _ := demandModel()
 	if c := PointCertificate(m, []float64{2, 2}, 0); c == nil || !c.Feasible() {
@@ -41,7 +53,7 @@ func TestPointCertificateAcceptReject(t *testing.T) {
 // once a reopened column could absorb it.
 func TestCertificateBoundFlip(t *testing.T) {
 	m, _, x2, _ := demandModel()
-	sol, feasCert, err := m.SolveWithCertificate(Options{})
+	sol, feasCert, err := solveWithCertificate(m)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v status %v", err, sol.Status)
 	}
@@ -58,7 +70,7 @@ func TestCertificateBoundFlip(t *testing.T) {
 	if _, ok := m.CheckFeasibleWithCertificate(feasCert); ok {
 		t.Fatal("feasible cert answered after its witness was pinned out")
 	}
-	sol2, farkas, err := m.SolveWithCertificate(Options{})
+	sol2, farkas, err := solveWithCertificate(m)
 	if err != nil || sol2.Status != Infeasible {
 		t.Fatalf("pinned solve: %v status %v", err, sol2.Status)
 	}
@@ -81,11 +93,11 @@ func TestCertificateBoundFlip(t *testing.T) {
 	}
 }
 
-// TestCertificateDriftedRHS models cross-epoch carry: demands drain (GE
-// right-hand sides drop) between capture and check.
+// TestCertificateDriftedRHS: right-hand sides drift between capture and
+// check (GE demands drain), and the answer follows the current ones.
 func TestCertificateDriftedRHS(t *testing.T) {
 	m, _, x2, r := demandModel()
-	_, feasCert, err := m.SolveWithCertificate(Options{})
+	_, feasCert, err := solveWithCertificate(m)
 	if err != nil || feasCert == nil {
 		t.Fatalf("solve: %v cert=%v", err, feasCert)
 	}
@@ -105,7 +117,7 @@ func TestCertificateDriftedRHS(t *testing.T) {
 	// it still certifies (gap 1) and at rhs 2 it declines (gap 0).
 	m.SetRHS(r, 4)
 	m.SetBounds(x2, 0, 0)
-	_, farkas, err := m.SolveWithCertificate(Options{})
+	_, farkas, err := solveWithCertificate(m)
 	if err != nil || farkas == nil || farkas.Feasible() {
 		t.Fatalf("pinned solve: %v cert=%+v", err, farkas)
 	}
@@ -157,7 +169,7 @@ func TestCertificateRandomSoundness(t *testing.T) {
 				geRows = append(geRows, row)
 			}
 		}
-		_, cert, err := m.SolveWithCertificate(Options{})
+		_, cert, err := solveWithCertificate(m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -251,29 +251,6 @@ func (m *Model) checkCertificate(c *Certificate) (feasible, ok bool) {
 	return false, false
 }
 
-// SolveWithCertificate solves the model and, for Optimal or Infeasible
-// outcomes, additionally exports a Certificate for later
-// CheckFeasibleWithCertificate probes. The certificate is nil when the
-// outcome supports none.
-func (m *Model) SolveWithCertificate(opt Options) (*Solution, *Certificate, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	bf := borrowBufs(m.shape())
-	defer releaseBufs(bf)
-	s, sol, err := m.solveCore(opt, bf)
-	if err != nil || sol == nil || s == nil {
-		return sol, nil, err
-	}
-	switch sol.Status {
-	case Optimal:
-		return sol, feasCertificate(m, sol), nil
-	case Infeasible:
-		return sol, s.infeasCertificate(m), nil
-	}
-	return sol, nil, nil
-}
-
 // infeasCertificate extracts a Farkas ray from a simplex state that just
 // proved infeasibility, via either exit path:
 //

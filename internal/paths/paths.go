@@ -45,7 +45,7 @@ func (p Path) Clone() Path {
 func (p Path) Hops() int { return len(p.Edges) }
 
 // Key returns a canonical string for de-duplication: the edge IDs as
-// fmt.Sprint renders the slice ("[1 2 3]"), which Component.PathsKey
+// fmt.Sprint renders the slice ("[1 2 3]"), which the stage-2 tie-break
 // hashes, built without fmt's reflection.
 func (p Path) Key() string {
 	b := make([]byte, 0, 2+4*len(p.Edges))

@@ -154,8 +154,8 @@ func TestPathClone(t *testing.T) {
 }
 
 // TestPathKeyMatchesSprint holds the hand-built Key against the fmt
-// rendering it replaced: Component.PathsKey hashes the string, so carried
-// warm state keyed under the old form must keep matching.
+// rendering it replaced: the stage-2 tie-break hashes the string, so the
+// canonical plans chosen under the old form must keep being chosen.
 func TestPathKeyMatchesSprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := [][]netgraph.EdgeID{nil, {}, {0}, {-3, 7}, {1 << 40}}

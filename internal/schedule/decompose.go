@@ -2,15 +2,11 @@ package schedule
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
-	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/telemetry"
 )
@@ -29,42 +25,9 @@ type Component struct {
 	// parent's graph, grid, and capacity overrides (read-only during
 	// solving).
 	Inst *Instance
-	// Key fingerprints the component by its job IDs, for warm-basis maps
-	// that survive across repeated solves of the same job mix.
+	// Key fingerprints the component by its job IDs: the name the plan
+	// cache, probe trajectories and audit records give the block.
 	Key string
-	// Edges lists every edge appearing in the component's candidate
-	// paths, ascending — the capacity pools the component can touch.
-	// A topology event on any other edge cannot affect this component.
-	Edges []netgraph.EdgeID
-	// PathsKey fingerprints the candidate path sets of the component's
-	// jobs (a hash over each job's path keys, in job order). Warm bases
-	// and certificates are only sound for the model they were captured
-	// from, and under column generation two epochs with the same job mix
-	// can carry different path sets — carried state is therefore keyed by
-	// this fingerprint too.
-	PathsKey string
-}
-
-// ComponentBasis pairs a warm-start basis with the edge set of the
-// component it was captured for, so callers (the controller) can
-// invalidate warm state per component: a link failure outside
-// Edges leaves the entry valid.
-type ComponentBasis struct {
-	Basis *lp.Basis
-	Edges []netgraph.EdgeID
-	// PathsKey is the Component.PathsKey the state was captured under.
-	// SolveRET uses an entry only for a component with this very
-	// fingerprint: a basis or certificate over a different column set
-	// (column generation discovered new paths, or the path cache served a
-	// different set) is shaped for a different model.
-	PathsKey string
-	// Feas and Infeas carry the component's last feasibility witness and
-	// Farkas ray across epochs, so the next solve's bisection can be
-	// answered by certificate checks instead of solves. Certificates
-	// self-verify at answer time, so stale entries (job mix, demand, or
-	// capacity drift) decline rather than mislead.
-	Feas   *lp.Certificate
-	Infeas *lp.Certificate
 }
 
 // componentKey renders the job-ID fingerprint of a set of parent job
@@ -202,8 +165,8 @@ func Decompose(inst *Instance, extLast []int) []*Component {
 // itself. Its Inst is the parent pointer, not a copy: what GeneratePaths left
 // on the instance (the Z* proof, the master's plan) and its closed-model
 // layout are found where they were left, and the solve over it is the solve
-// of the instance. Key, edge set and path fingerprint are a component's like
-// any other, so carried state and telemetry need no second vocabulary.
+// of the instance. Its Key is a component's like any other, so the plan cache
+// and telemetry need no second vocabulary.
 func partition(inst *Instance, extLast []int, monolithic bool) []*Component {
 	var comps []*Component
 	if !monolithic {
@@ -240,32 +203,15 @@ func buildComponent(inst *Instance, jobIdx []int) *Component {
 		Grid:        inst.Grid,
 		capOverride: inst.capOverride,
 	}
-	edgeSet := make(map[netgraph.EdgeID]bool)
-	h := fnv.New64a()
 	for _, k := range jobIdx {
 		sub.Jobs = append(sub.Jobs, inst.Jobs[k])
 		sub.JobPaths = append(sub.JobPaths, inst.JobPaths[k])
 		sub.windows = append(sub.windows, inst.windows[k])
-		for _, p := range inst.JobPaths[k] {
-			io.WriteString(h, p.Key())
-			h.Write([]byte{';'})
-			for _, e := range p.Edges {
-				edgeSet[e] = true
-			}
-		}
-		h.Write([]byte{'|'})
 	}
-	edges := make([]netgraph.EdgeID, 0, len(edgeSet))
-	for e := range edgeSet {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a] < edges[b] })
 	return &Component{
-		JobIdx:   jobIdx,
-		Inst:     sub,
-		Key:      componentKey(inst, jobIdx),
-		Edges:    edges,
-		PathsKey: strconv.FormatUint(h.Sum64(), 16),
+		JobIdx: jobIdx,
+		Inst:   sub,
+		Key:    componentKey(inst, jobIdx),
 	}
 }
 

@@ -89,8 +89,7 @@ func dantzigOpts() lp.Options {
 }
 
 // TestDecomposeClusters: disjoint clusters decompose into one component
-// per cluster, ordered by smallest job index, with ascending members and
-// cluster-local edge sets.
+// per cluster, ordered by smallest job index, with ascending members.
 func TestDecomposeClusters(t *testing.T) {
 	const nClusters, jobsPer = 3, 4
 	inst := clusteredInstance(t, nClusters, 5, jobsPer, 11)
@@ -123,11 +122,6 @@ func TestDecomposeClusters(t *testing.T) {
 		}
 		if c.Inst.NumJobs() != len(c.JobIdx) {
 			t.Fatalf("sub-instance has %d jobs, component lists %d", c.Inst.NumJobs(), len(c.JobIdx))
-		}
-		for i := 1; i < len(c.Edges); i++ {
-			if c.Edges[i-1] >= c.Edges[i] {
-				t.Fatalf("Edges not ascending: %v", c.Edges)
-			}
 		}
 	}
 	if len(seen) != inst.NumJobs() {
@@ -388,75 +382,20 @@ func TestDecomposedParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDecomposedRETWarmByteIdentical: warm-started decomposed RET matches
-// the cold decomposed run bit for bit and exports per-component probe
-// bases keyed like the decomposition.
+// TestDecomposedRETWarmByteIdentical: decomposed RET finds the per-probe
+// oracle's b̂ bit for bit, per component, keyed like the decomposition.
 func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 	inst := clusteredRETInstance(t, 3, 52)
-	cold, err := SolveRET(inst, RETConfig{Solver: solverOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.BHat != warm.BHat || cold.B != warm.B || cold.Rounds != warm.Rounds {
-		t.Fatalf("search outcome differs: cold (b̂=%v b=%v) warm (b̂=%v b=%v)", cold.BHat, cold.B, warm.BHat, warm.B)
-	}
-	if assignmentBytes(cold.LPDAR) != assignmentBytes(warm.LPDAR) {
-		t.Fatal("warm decomposed RET schedule differs from cold")
-	}
-	if len(warm.ProbeBases) == 0 {
-		t.Fatal("warm decomposed RET exported no probe bases")
-	}
-	comps := Decompose(inst, retExtendedLast(inst, 10))
-	keys := make(map[string]bool, len(comps))
-	for _, c := range comps {
-		keys[c.Key] = true
-	}
-	for key := range warm.ProbeBases {
-		if !keys[key] {
-			t.Fatalf("probe basis key %q matches no component", key)
+	for _, o := range retIdentityOpts {
+		cfg := RETConfig{Solver: o.opts}
+		res, err := SolveRET(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Chain the carry into a second solve, as the controller does.
-	chained, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmComponents: warm.ProbeBases})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if assignmentBytes(cold.LPDAR) != assignmentBytes(chained.LPDAR) || chained.BHat != cold.BHat {
-		t.Fatal("chained warm decomposed RET differs from cold")
-	}
-}
-
-// TestMonolithicRETExportsFullKeyBasis: a single-component solve fills
-// ProbeBases under the full-instance key, so controller warm maps work
-// uniformly whatever the partition — and fed back through WarmComponents the
-// entry is taken up without moving the outcome.
-func TestMonolithicRETExportsFullKeyBasis(t *testing.T) {
-	inst := retWarmInstance(t)
-	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Monolithic: true}
-	res, err := SolveRET(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Components != 1 || len(res.ProbeBases) != 1 {
-		t.Fatalf("monolithic warm solve: %d components, %d ProbeBases entries", res.Components, len(res.ProbeBases))
-	}
-	fc := partition(inst, nil, true)[0]
-	cb := res.ProbeBases[fc.Key]
-	if cb == nil || cb.Basis == nil || len(cb.Edges) != len(fc.Edges) || cb.PathsKey != fc.PathsKey {
-		t.Fatalf("ProbeBases entry under full key is wrong: %+v", cb)
-	}
-	cfg.WarmComponents = res.ProbeBases
-	again, err := SolveRET(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.BHat != res.BHat || again.B != res.B || assignmentBytes(again.LPDAR) != assignmentBytes(res.LPDAR) {
-		t.Fatal("monolithic solve seeded with its own ProbeBases diverged")
+		if res.Components < 3 {
+			t.Fatalf("%s: decomposed RET found %d components, want >= 3", o.name, res.Components)
+		}
+		checkRETAgainstOracle(t, o.name, inst, cfg, res)
 	}
 }
 

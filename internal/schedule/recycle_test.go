@@ -26,7 +26,7 @@ func TestSolveOrderIsInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret, err := SolveRET(inst, RETConfig{Solver: partialDantzigOpts(), WarmStart: true, Certificates: true})
+		ret, err := SolveRET(inst, RETConfig{Solver: partialDantzigOpts()})
 		if err != nil {
 			t.Fatal(err)
 		}

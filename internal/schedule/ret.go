@@ -27,36 +27,22 @@ func retGamma(j int) float64 { return float64(j + 1) }
 // stretch by end-time scaling from the scheduling origin, E_i → (1+b)·E_i
 // (eq. 16), and the LPDAR greedy pass is RETAdjust (deficit-first,
 // demand-capped), which guarantees the δ-loop makes progress on dense
-// networks.
+// networks. The binary search on b runs one way, whatever the config: see
+// retSearch.
 type RETConfig struct {
 	BMax float64 // search ceiling for the extension factor b; default 10
 	// Solver passes through to the simplex.
 	Solver lp.Options
-	// WarmStart speeds up the binary search on b by chaining one probe
-	// model across the feasibility probes: the model is built at BMax
-	// windows, each candidate b only flips variable bounds (out-of-window
-	// flow pinned to zero), and the lp layer re-solves incrementally from
-	// the previous probe's basis — including after infeasible probes,
-	// whose phase-1 basis chains into the next dual re-solve. Probes are
-	// feasibility-only, so the extraction solves — and the returned
-	// schedule — are byte-identical to a cold run.
+	// WarmStart is ignored: every search chains its probes.
+	//
+	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
+	// reader.
 	WarmStart bool
-	// Certificates enables probe pruning: a feasibility probe is first
-	// answered from the window memo (two b values that quantize to the
-	// same per-job windows pose the same LP), then from a stored witness
-	// point or Farkas ray of an earlier solve, and only solved when no
-	// certificate applies. Certificate verdicts are self-verifying and
-	// exact, so b̂ and the returned schedule are byte-identical to a
-	// full-solve run.
+	// Certificates is ignored: every search prunes its probes.
+	//
+	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
+	// reader.
 	Certificates bool
-	// WarmComponents is the cross-solve carry, per component: basis plus
-	// feasibility/Farkas certificates, keyed by Component.Key — feed
-	// RETResult.ProbeBases of a previous solve (e.g. the controller's
-	// previous epoch) back in. An entry is used only for a component with
-	// the same PathsKey; beyond that, stale entries self-decline (a
-	// mismatched basis falls back to a cold solve, a certificate re-verifies
-	// against the current bounds), so the map is always safe to pass.
-	WarmComponents map[string]*ComponentBasis
 	// Monolithic makes the partition the instance itself — one SUB-RET model
 	// over all jobs — even when it decomposes into independent components
 	// at BMax windows: the reference the decomposed solve (the default) is
@@ -79,7 +65,7 @@ type ProbeStage string
 
 // Probe stages.
 const (
-	StageB0     ProbeStage = "b0"     // the b = 0 probe (cold solve, prunable by a carried certificate)
+	StageB0     ProbeStage = "b0"     // the b = 0 probe, answered by a fresh per-b solve
 	StageBMax   ProbeStage = "bmax"   // the b = BMax ceiling probe (the extraction chain's seed solve)
 	StageBisect ProbeStage = "bisect" // a bisection midpoint, answered by a solve
 	StagePruned ProbeStage = "pruned" // answered by a certificate or the window memo — no solve
@@ -139,12 +125,6 @@ type RETResult struct {
 	ProbesSolved int
 	ProbesPruned int
 
-	// ProbeBases holds the final probe basis and certificates of every
-	// component, keyed by Component.Key and tagged with the component's
-	// edge set so a caller can invalidate entries per topology event. Set
-	// when RETConfig.WarmStart or Certificates was on — also beside the
-	// error of a failed search; feed it back via RETConfig.WarmComponents.
-	ProbeBases map[string]*ComponentBasis
 	// Components is the number of independent blocks the solve ran over
 	// (1 for a fully coupled instance or under RETConfig.Monolithic).
 	Components int
@@ -206,8 +186,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 	}()
 
 	states := make([]retComponent, len(comps))
-	// The chains' solver memory goes back to the lp free list on every exit,
-	// after probeBases has exported what the next solve carries.
+	// The chains' solver memory goes back to the lp free list on every exit.
 	defer func() {
 		for i := range states {
 			states[i].release()
@@ -234,25 +213,15 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 			}
 			compSpan.End(attrs...)
 		}()
-		// The extraction chain runs in every configuration — its solve
-		// sequence (cold seed at b = BMax, then incremental re-solves at b̂
-		// and each δ-round) depends only on the component and the bit-exact
-		// b̂, so warm, certificate-pruned, and cold runs extract
-		// byte-identical schedules by construction.
+		// The extraction chain's solve sequence (seed at b = BMax, then
+		// incremental re-solves at b̂ and each δ-round) depends only on the
+		// component and the bit-exact b̂: however the search reached b̂, the
+		// schedule it extracts is the same.
 		if st.chain, err = newRETChain(c.Inst, "sub-ret", ccfg); err != nil {
 			return err
 		}
-		if cfg.WarmStart || cfg.Certificates {
-			// Carried state is used only under the path-set fingerprint it
-			// was captured with: over other columns its basis and
-			// certificates describe another model.
-			carry := cfg.WarmComponents[c.Key]
-			if carry != nil && carry.PathsKey != c.PathsKey {
-				carry = nil
-			}
-			st.prober = newRETProber(st.chain, ccfg, carry)
-		}
-		st.bhat, st.iters, st.probes, err = retSearch(c.Inst, ccfg, st.chain, st.prober, c.Key)
+		st.prober = newRETProber(st.chain, ccfg)
+		st.bhat, st.iters, st.probes, err = retSearch(c.Inst, ccfg, st.prober, c.Key)
 		return err
 	})
 	for i := range states {
@@ -260,12 +229,6 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 		tallyProbes(res, states[i].probes)
 	}
 	if err != nil {
-		// Even a failed search leaves reusable state: the Farkas ray of a
-		// component infeasible at BMax lets the next epoch refute the same
-		// component's ceiling by certificate instead of a cold solve. Export
-		// it alongside the error; callers that carry warm state keep it,
-		// others discard res.
-		res.ProbeBases = probeBases(comps, states)
 		return res, err
 	}
 	res.BHats = make(map[string]float64, len(comps))
@@ -329,7 +292,6 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 				res.B, res.Rounds = b, round
 				res.LP, res.LPD, res.LPDAR = frac, lpd, lpdar
 				res.SolveTime = time.Since(solveStart)
-				res.ProbeBases = probeBases(comps, states)
 				var serial time.Duration
 				for i := range states {
 					serial += states[i].dur // search + every δ-round solve
@@ -356,7 +318,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 // retComponent is one component's state through a RET solve.
 type retComponent struct {
 	chain  *retChain  // extraction chain; survives from the search into the δ-rounds
-	prober *retProber // probe chain + certificates; nil on the cold path
+	prober *retProber // probe chain + certificates; nil when the chain build failed
 	bhat   float64
 	iters  int // of the search, then of the latest δ-round solve
 	dur    time.Duration
@@ -374,47 +336,27 @@ func (st *retComponent) release() {
 	}
 }
 
-// probeBases exports every component's carry for the next solve: final probe
-// basis and certificates, keyed by Component.Key and tagged with the
-// component's edge set and path-set fingerprint. Nil on the cold path.
-func probeBases(comps []*Component, states []retComponent) map[string]*ComponentBasis {
-	var out map[string]*ComponentBasis
-	for i, c := range comps {
-		P := states[i].prober
-		if P == nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]*ComponentBasis, len(comps))
-		}
-		out[c.Key] = &ComponentBasis{Basis: P.exportBasis(), Edges: c.Edges, PathsKey: c.PathsKey, Feas: P.feas, Infeas: P.infeas}
-	}
-	return out
-}
-
 // retSearch runs the feasibility binary search for b̂ on one component's
-// instance, against its extraction chain E (whose seed solve answers the
-// ceiling probe) and its prober P (probe chain + certificates; nil on the
-// cold path). comp labels the probe trajectory with the component
-// fingerprint. The returned steps are valid even when the search errors out,
-// so post-mortems see the probe that failed.
-func retSearch(inst *Instance, cfg RETConfig, E *retChain, P *retProber, comp string) (bhat float64, itersTotal int, steps []ProbeStep, err error) {
+// instance, through its prober P (whose extraction chain's seed solve
+// answers the ceiling probe). comp labels the probe trajectory with the
+// component fingerprint. The returned steps are valid even when the search
+// errors out, so post-mortems see the probe that failed.
+func retSearch(inst *Instance, cfg RETConfig, P *retProber, comp string) (bhat float64, itersTotal int, steps []ProbeStep, err error) {
 	tracer := cfg.Solver.Tracer
 
 	// probe answers one feasibility question of the binary search, through
 	// the cheapest sound mechanism available:
 	//
-	//  1. the b = BMax probe IS the extraction chain's seed solve (run in
-	//     every configuration, so pruning cannot perturb the chain). Its
-	//     optimum doubles as the feasible-point certificate: the quick-
-	//     finish objective concentrates flow early, so the ceiling optimum
-	//     typically satisfies every narrower window down to b̂ and prunes
-	//     the feasible half of the bisection outright;
+	//  1. the b = BMax probe IS the extraction chain's seed solve, so probing
+	//     cannot perturb the chain. Its optimum doubles as the feasible-point
+	//     certificate: the quick-finish objective concentrates flow early, so
+	//     the ceiling optimum typically satisfies every narrower window down
+	//     to b̂ and prunes the feasible half of the bisection outright;
 	//  2. the window memo and stored certificates (stage "pruned");
-	//  3. the incremental probe chain, falling back to a cold per-b solve
+	//  3. the incremental probe chain, falling back to a fresh per-b solve
 	//     when the chain cannot give an authoritative verdict. The b = 0
 	//     probe skips the chain — re-entering the ceiling basis with every
-	//     extension column pinned is slower than a cold solve.
+	//     extension column pinned is slower than a fresh solve.
 	probe := func(b float64, stage ProbeStage) (bool, int, error) {
 		start := time.Now()
 		var (
@@ -424,49 +366,19 @@ func retSearch(inst *Instance, cfg RETConfig, E *retChain, P *retProber, comp st
 			cert     string
 			err      error
 		)
-		resolved := false
 		if stage == StageBMax {
-			// A carried Farkas ray may refute the ceiling outright. Only the
-			// infeasible direction may bypass the chain solve: an infeasible
-			// ceiling aborts the search before any schedule exists, so the
-			// prune is identity-free, whereas a feasible ceiling must still
-			// come from the chain's own seed solve.
-			if cfg.Certificates && P != nil && P.checkInfeasible(inst, cfg.BMax) {
-				cert, stage = CertFarkas, StagePruned
-				resolved = true
-			} else {
-				var ok bool
-				feasible, _, iters, ok, err = E.solveAt(inst, cfg.BMax)
-				if err == nil && !ok {
-					var it2 int
-					feasible, _, it2, err = solveSubRET(inst, cfg.BMax, cfg, false)
-					iters += it2
-				}
-				resolved = true
-				if P != nil && err == nil {
-					P.seedFrom(E)
-					if cfg.Certificates {
-						P.note(inst, cfg.BMax, feasible)
-						P.adopt(E.inc.Certificate())
-					}
-				}
-			}
-		}
-		if !resolved && cfg.Certificates && P != nil {
-			if f, via, ok := P.check(inst, b); ok {
-				feasible, cert, stage = f, via, StagePruned
-				resolved = true
-			}
-		}
-		if !resolved {
-			if cfg.WarmStart && P != nil && stage != StageB0 {
+			feasible, iters, err = P.ceiling(inst, b)
+		} else if f, via, ok := P.check(inst, b); ok {
+			feasible, cert, stage = f, via, StagePruned
+		} else {
+			if stage != StageB0 {
 				var ok bool
 				feasible, iters, ok, err = P.solve(inst, b)
 				warm = ok && err == nil
 			}
 			if !warm && err == nil {
 				feasible, _, iters, err = solveSubRET(inst, b, cfg, false)
-				if err == nil && cfg.Certificates && P != nil {
+				if err == nil {
 					P.note(inst, b, feasible)
 				}
 			}
@@ -778,13 +690,13 @@ func lastKey(last []int) string {
 // incremental solve on its own probe chain. The chain is separate from
 // the extraction chain — a fork of it: the same rows, read-only, under
 // bounds, a basis and solver buffers of its own — so probe traffic cannot
-// perturb the extraction solve sequence (which is what keeps schedules
-// byte-identical across configurations).
+// perturb the extraction solve sequence (which is what keeps the schedule
+// a function of b̂ alone).
 type retProber struct {
 	ext *retChain // the extraction chain the probe chain is forked from
 	cfg RETConfig
 
-	seed  *lp.Basis // first-solve warm start: cross-epoch carry, else the extraction chain's ceiling basis
+	seed  *lp.Basis // first-solve warm start: the extraction chain's ceiling basis
 	chain *retChain // lazily forked: a fully pruned search never pays for it
 
 	memo   map[string]bool // window fingerprint → feasibility verdict
@@ -792,32 +704,41 @@ type retProber struct {
 	infeas *lp.Certificate // most recent Farkas ray (largest refuted b)
 }
 
-// newRETProber wires the prober to its component's extraction chain, with
-// optional cross-epoch carry.
-func newRETProber(ext *retChain, cfg RETConfig, carry *ComponentBasis) *retProber {
-	p := &retProber{ext: ext, cfg: cfg, memo: make(map[string]bool)}
-	if carry != nil {
-		p.seed = carry.Basis
-		p.feas = carry.Feas
-		p.infeas = carry.Infeas
+// newRETProber wires the prober to its component's extraction chain.
+func newRETProber(ext *retChain, cfg RETConfig) *retProber {
+	return &retProber{ext: ext, cfg: cfg, memo: make(map[string]bool)}
+}
+
+// ceiling answers the b = BMax probe by the extraction chain's seed solve (a
+// fresh per-b solve when the chain gives no authoritative verdict) and keeps
+// what it leaves: the basis seeds the probe chain, the verdict goes in the
+// window memo, the certificate prunes later probes.
+func (p *retProber) ceiling(inst *Instance, b float64) (feasible bool, iters int, err error) {
+	var ok bool
+	feasible, _, iters, ok, err = p.ext.solveAt(inst, b)
+	if err == nil && !ok {
+		var it2 int
+		feasible, _, it2, err = solveSubRET(inst, b, p.cfg, false)
+		iters += it2
 	}
-	return p
+	if err != nil {
+		return false, iters, err
+	}
+	p.seedFrom(p.ext)
+	p.note(inst, b, feasible)
+	p.adopt(p.ext.inc.Certificate())
+	return feasible, iters, nil
 }
 
 // seedFrom adopts the extraction chain's current basis as the probe
-// chain's first-solve warm start, unless a cross-epoch seed already won.
+// chain's first-solve warm start.
 func (p *retProber) seedFrom(E *retChain) {
-	if p.seed == nil {
-		p.seed = E.inc.Basis()
-	}
+	p.seed = E.inc.Basis()
 }
 
-// adopt stores a certificate from the extraction chain's ceiling solve.
-// Both directions replace any cross-epoch carry: the fresh certificate
-// was computed on this epoch's instance, and a ceiling verdict is the
-// strongest the search produces — the ceiling optimum is the point most
-// likely to satisfy every narrower window, and a b = BMax Farkas ray
-// refutes every smaller b (pinning columns only widens its gap).
+// adopt stores a solve's certificate, replacing the stored one of the same
+// direction: the newest feasible witness is for the smallest b proven so
+// far, the newest Farkas ray for the largest b refuted.
 func (p *retProber) adopt(c *lp.Certificate) {
 	if c == nil {
 		return
@@ -845,25 +766,10 @@ func (p *retProber) ensureChain() *retChain {
 	return p.chain
 }
 
-// checkInfeasible tries to REFUTE feasibility at b from the stored
-// Farkas ray alone, for the ceiling probe: a feasible ceiling must still
-// be established by the extraction chain's seed solve, but an infeasible
-// one aborts the whole search, so answering it by certificate skips the
-// most expensive cold solve of a repeatedly-overloaded epoch sequence.
-func (p *retProber) checkInfeasible(inst *Instance, b float64) bool {
-	if p.infeas == nil {
-		return false
-	}
-	ch := p.ensureChain()
-	ch.applyLast(retExtendedLast(inst, b))
-	f, ok := ch.m.CheckFeasibleWithCertificate(p.infeas)
-	return ok && !f
-}
-
 // check tries to answer the probe at b without a solve: window memo, then
 // stored feasible point, then stored Farkas ray. ok is false when nothing
 // applies; answers are exact (certificates self-verify against the
-// current bounds, so a stale one declines rather than lies).
+// current bounds, so one that does not apply declines rather than lies).
 func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string, ok bool) {
 	last := retExtendedLast(inst, b)
 	key := lastKey(last)
@@ -888,36 +794,18 @@ func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string,
 
 // solve answers the probe at b on the incremental probe chain. ok is
 // false when the chain could not give an authoritative verdict — the
-// caller then falls back to a cold per-b solve.
+// caller then falls back to a fresh per-b solve.
 func (p *retProber) solve(inst *Instance, b float64) (feasible bool, iters int, ok bool, err error) {
 	ch := p.ensureChain()
 	feasible, _, iters, ok, err = ch.solveAt(inst, b)
 	if err != nil {
 		return false, iters, false, fmt.Errorf("schedule: SUB-RET probe(b=%g): %w", b, err)
 	}
-	if ok && p.cfg.Certificates {
+	if ok {
 		p.memo[lastKey(ch.curLast)] = feasible
-		if c := ch.inc.Certificate(); c != nil {
-			if c.Feasible() {
-				p.feas = c
-			} else {
-				p.infeas = c
-			}
-		}
+		p.adopt(ch.inc.Certificate())
 	}
 	return feasible, iters, ok, nil
-}
-
-// exportBasis snapshots the probe chain's basis for cross-epoch carry,
-// falling back to the seed (the extraction chain's ceiling basis, or the
-// carried entry) when every probe was pruned and the chain never solved.
-func (p *retProber) exportBasis() *lp.Basis {
-	if p.chain != nil {
-		if b := p.chain.inc.Basis(); b != nil {
-			return b
-		}
-	}
-	return p.seed
 }
 
 // BuildRETInstance constructs an instance whose uniform grid (slices of

@@ -299,7 +299,7 @@ func TestRETProbeTrajectoryDeterministic(t *testing.T) {
 	inst := clusteredRETInstance(t, 3, 40)
 	run := func(parallelism int) []ProbeStep {
 		res, err := SolveRET(inst, RETConfig{
-			Solver: dantzigOpts(), WarmStart: true, Certificates: true, Parallelism: parallelism,
+			Solver: dantzigOpts(), Parallelism: parallelism,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"wavesched/internal/job"
@@ -70,100 +69,20 @@ func retWarmInstance(t testing.TB) *Instance {
 	return inst
 }
 
-// TestSolveRETWarmByteIdentical is the tentpole's determinism gate: a
-// warm-started RET run must return bit-for-bit the same schedules, b
-// values, and round count as the cold run.
+// TestSolveRETWarmByteIdentical: on a one-block instance that needs a
+// real binary search, SolveRET finds the per-probe oracle's b̂ bit for bit.
 func TestSolveRETWarmByteIdentical(t *testing.T) {
 	inst := retWarmInstance(t)
-	cold, err := SolveRET(inst, RETConfig{Solver: solverOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.BHat == 0 {
-		t.Fatal("test instance not overloaded: b̂ = 0 exercises no search")
-	}
-	if cold.BHat != warm.BHat || cold.B != warm.B || cold.Rounds != warm.Rounds {
-		t.Fatalf("search outcome differs: cold (b̂=%v b=%v rounds=%d) warm (b̂=%v b=%v rounds=%d)",
-			cold.BHat, cold.B, cold.Rounds, warm.BHat, warm.B, warm.Rounds)
-	}
-	for _, pair := range []struct {
-		name       string
-		cold, warm *Assignment
-	}{
-		{"LP", cold.LP, warm.LP},
-		{"LPD", cold.LPD, warm.LPD},
-		{"LPDAR", cold.LPDAR, warm.LPDAR},
-	} {
-		if cb, wb := assignmentBytes(pair.cold), assignmentBytes(pair.warm); cb != wb {
-			t.Errorf("%s assignment differs between warm and cold runs", pair.name)
-		}
-	}
-	if len(warm.ProbeBases) != 1 {
-		t.Errorf("warm run of a one-block instance handed back %d probe bases", len(warm.ProbeBases))
-	}
-	if warm.LPIters >= cold.LPIters {
-		t.Logf("warm pivots %d not below cold %d (speedup comes from skipped phase 1; not fatal)",
-			warm.LPIters, cold.LPIters)
-	}
-
-	// A second warm run seeded with the previous probe basis must agree too.
-	warm2, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmComponents: warm.ProbeBases})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm2.BHat != cold.BHat || assignmentBytes(warm2.LPDAR) != assignmentBytes(cold.LPDAR) {
-		t.Error("basis-seeded warm run diverged from cold")
-	}
-}
-
-// TestCarryDeclinesForeignPathsKey: carried warm state is taken up only
-// under the path-set fingerprint it was captured with. An entry with an
-// empty or a foreign PathsKey — a basis and certificates over other columns —
-// is declined outright: the search starts cold, probe for probe the search of
-// a solve that was handed nothing, and ends on the same b̂ and bytes.
-func TestCarryDeclinesForeignPathsKey(t *testing.T) {
-	inst := retWarmInstance(t)
-	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Certificates: true}
-	first, err := SolveRET(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trajectory := func(res *RETResult) []ProbeStep {
-		steps := append([]ProbeStep(nil), res.Probes...)
-		for i := range steps {
-			steps[i].DurUS = 0
-		}
-		return steps
-	}
-	with := func(pathsKey func(string) string) *RETResult {
-		t.Helper()
-		cfg := cfg
-		cfg.WarmComponents = make(map[string]*ComponentBasis)
-		for key, cb := range first.ProbeBases {
-			c := *cb
-			c.PathsKey = pathsKey(cb.PathsKey)
-			cfg.WarmComponents[key] = &c
-		}
+	for _, o := range retIdentityOpts {
+		cfg := RETConfig{Solver: o.opts}
 		res, err := SolveRET(inst, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.BHat != first.BHat || res.B != first.B || assignmentBytes(res.LPDAR) != assignmentBytes(first.LPDAR) {
-			t.Fatal("carried state moved the outcome")
+		if res.BHat == 0 {
+			t.Fatal("test instance not overloaded: b̂ = 0 exercises no search")
 		}
-		return res
-	}
-	if kept := with(func(k string) string { return k }); reflect.DeepEqual(trajectory(kept), trajectory(first)) {
-		t.Fatal("a matching entry left the search as cold as none: the carry is never taken up, so declining it proves nothing")
-	}
-	for name, key := range map[string]string{"empty": "", "foreign": "not-these-paths"} {
-		if got := with(func(string) string { return key }); !reflect.DeepEqual(trajectory(got), trajectory(first)) {
-			t.Errorf("%s PathsKey: the entry was used:\n got %+v\nwant %+v", name, trajectory(got), trajectory(first))
-		}
+		checkRETAgainstOracle(t, o.name, inst, cfg, res)
 	}
 }
 
@@ -175,7 +94,7 @@ func TestCarryDeclinesForeignPathsKey(t *testing.T) {
 // extraction chain has moved starts from the windows that chain has applied.
 func TestRETProbeChainIsAFork(t *testing.T) {
 	inst := retWarmInstance(t)
-	cfg := RETConfig{Solver: solverOpts(), WarmStart: true, Certificates: true}.withDefaults()
+	cfg := RETConfig{Solver: solverOpts()}.withDefaults()
 	E, err := newRETChain(inst, "sub-ret", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +109,7 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 		}
 	}
 
-	P := newRETProber(E, cfg, nil)
+	P := newRETProber(E, cfg)
 	P.seedFrom(E)
 	ch := P.ensureChain()
 	if ch.m == E.m || ch.inc == E.inc || ch.m.Name() != "sub-ret-probe" || ch.m.NumRows() != E.m.NumRows() {
@@ -230,7 +149,7 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 	}
 
 	// E now stands at b = 0.75: a fork taken here flips bounds from there.
-	late := newRETProber(E, cfg, nil).ensureChain()
+	late := newRETProber(E, cfg).ensureChain()
 	for k := range E.curLast {
 		if late.curLast[k] != E.curLast[k] {
 			t.Fatalf("job %d: late fork starts at window %d, the chain it forked stands at %d", k, late.curLast[k], E.curLast[k])
