@@ -21,8 +21,9 @@ build:
 # The size of the tree, for ROADMAP's "non-test line count going down": Go
 # lines outside bench/ that are not tests, the largest such file, the same
 # lines inside internal/schedule and internal/controller, test lines, flag registrations under cmd/, instrument registrations on the
-# default telemetry registry, and the settable (exported) fields of the
-# solver and controller config structs. Printed, never gated.
+# default telemetry registry, the settable (exported) fields of the solver
+# and controller config structs, and how many of those fields are documented
+# `Deprecated: ignored`. Printed, never gated.
 CONFIG_STRUCTS = lp.Options=internal/lp/simplex.go schedule.Config=internal/schedule/stage2.go \
 	schedule.RETConfig=internal/schedule/ret.go schedule.ColGenConfig=internal/schedule/colgen.go \
 	schedule.InstanceOptions=internal/schedule/instance.go controller.Config=internal/controller/controller.go
@@ -37,6 +38,8 @@ loc:
 	@printf 'instrument registrations: '; find . -name '*.go' ! -name '*_test.go' | xargs cat | grep -oE 'telemetry\.Default\(\)\.(Counter|Gauge|Histogram)[A-Za-z]*\(' | wc -l
 	@for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; printf 'settable fields in %s: ' $$name; \
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /^\t[A-Z]/ {n++} END {print n + 0}' $${s#*=}; done
+	@printf 'deprecated (ignored) fields in those structs: '; for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; \
+		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /Deprecated: ignored/ {n++} END {print n + 0}' $${s#*=}; done | awk '{n += $$1} END {print n + 0}'
 
 test:
 	$(GO) test ./...
@@ -137,8 +140,7 @@ bench-scale:
 	$(GO) run ./cmd/benchfig -quick -fig scale -json /tmp/benchscale.json -baseline BENCH_10.json -max-regress 10
 
 # Admission-subsystem sustained-load smoke: 5000 durable submissions
-# through the batched intake path, plus the incremental re-plan timing.
-# Fails if batched intake throughput drops more than 10% against the
+# through the batched intake path. Fails if batched intake throughput drops more than 10% against the
 # committed BENCH_08.json baseline.
 bench-admission:
 	$(GO) run ./cmd/benchfig -quick -fig admission -json /tmp/benchadmission.json -baseline BENCH_08.json -max-regress 10

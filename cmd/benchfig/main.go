@@ -244,26 +244,21 @@ func main() {
 			"RET probe economy — certificate-pruned search (fig. 4 sweep)", rows))
 	}
 	if want("admission") && *fig != "all" {
-		// Explicit selection only: the sustained-load half hammers a real
-		// WAL with thousands of durable submissions, which would dominate
-		// an -fig all run.
-		// The load half always runs at the acceptance scale (5000 queued
-		// jobs, 32 writers) — it takes seconds, and a fixed scale keeps
-		// -quick gate runs comparable with the committed baseline.
+		// Explicit selection only: the sustained load hammers a real WAL
+		// with thousands of durable submissions, which would dominate an
+		// -fig all run. It always runs at the acceptance scale (5000
+		// queued jobs, 32 writers) — it takes seconds, and a fixed scale
+		// keeps -quick gate runs comparable with the committed baseline.
 		start := time.Now()
-		res, err := experiments.AdmissionLoad(sc, 5000, 32)
+		res, err := experiments.AdmissionLoad(5000, 32)
 		if err != nil {
 			fatal("admission: %v", err)
 		}
 		record("admission", time.Since(start), map[string]float64{
-			"jobs_per_sec":      res.BatchedPerSec,
-			"full_ms":           res.FullMs,
-			"incr_ms":           res.IncrMs,
-			"incr_cost_ratio":   res.IncrRatio,
-			"components_reused": float64(res.Reused),
+			"jobs_per_sec": res.BatchedPerSec,
 		})
 		render(experiments.AdmissionTable(
-			"Admission — sustained-load intake throughput and incremental re-planning", res))
+			"Admission — sustained-load intake throughput", res))
 	}
 	if want("scale") && *fig != "all" {
 		// Explicit selection only: at paper scale this sweep builds full

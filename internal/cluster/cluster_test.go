@@ -89,8 +89,7 @@ func newTestCluster(t *testing.T, n, quorum int) *testCluster {
 	t.Cleanup(func() {
 		for _, tn := range c.nodes {
 			if tn.alive {
-				tn.hs.Close()
-				tn.node.Kill()
+				tn.kill()
 			}
 		}
 	})
@@ -159,11 +158,22 @@ func (c *testCluster) restart(id string) {
 }
 
 // kill stops a member abruptly: listener down, log closed, no lease
-// release, no settlement — the in-process analog of kill -9.
+// release, no settlement — the in-process analog of kill -9. The lease is
+// left to expire on its own, exactly as when the process dies.
 func (tn *testNode) kill() {
 	tn.hs.Close()
-	tn.node.Kill()
 	tn.alive = false
+	n := tn.node
+	n.mu.Lock()
+	if n.stopped {
+		n.mu.Unlock()
+		return
+	}
+	n.stopped = true
+	n.applyQ = nil
+	n.applyCond.Broadcast()
+	n.mu.Unlock()
+	n.rlog.Close()
 }
 
 // get fetches a path from the node over real HTTP and returns the body.

@@ -591,19 +591,3 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	return n.srv.Close() // closes the replicated log via the WAL interface
 }
-
-// Kill stops the node abruptly — no settlement, no lease release, the
-// moral equivalent of kill -9 for in-process failure tests. The lease
-// is left to expire on its own, exactly as when the process dies.
-func (n *Node) Kill() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	n.applyQ = nil
-	n.applyCond.Broadcast()
-	n.mu.Unlock()
-	n.rlog.Close()
-}

@@ -11,13 +11,13 @@ import (
 	"wavesched/internal/netgraph"
 )
 
-// incrClusters builds nClusters disjoint 4-node rings and a per-cluster
+// churnClusters builds nClusters disjoint 4-node rings and a per-cluster
 // job list whose start times stagger into the future, so at any epoch
-// some components are actively transferring (always dirty) while others
-// are still entirely ahead of the clock (clean across epochs).
-func incrClusters(t *testing.T, nClusters int) (*netgraph.Graph, []job.Job, [][]netgraph.NodeID) {
+// some components are actively transferring while others are still
+// entirely ahead of the clock.
+func churnClusters(t *testing.T, nClusters int) (*netgraph.Graph, []job.Job, [][]netgraph.NodeID) {
 	t.Helper()
-	g := netgraph.New("incr-clusters")
+	g := netgraph.New("churn-clusters")
 	nodes := make([][]netgraph.NodeID, nClusters)
 	var jobs []job.Job
 	id := 1
@@ -52,12 +52,12 @@ func shippedSolver() lp.Options {
 // runChurnScenario drives one controller through a churn sequence —
 // staggered arrivals, natural completions, a late extra arrival, and a
 // link failure/repair — and returns the final records.
-func runChurnScenario(t *testing.T, incremental bool) []Record {
+func runChurnScenario(t *testing.T) []Record {
 	t.Helper()
-	g, jobs, nodes := incrClusters(t, 4)
+	g, jobs, nodes := churnClusters(t, 4)
 	c, err := New(g, Config{
 		Tau: 1, SliceLen: 1, K: 2, Policy: PolicyMaxThroughput,
-		Solver: shippedSolver(), Incremental: incremental,
+		Solver: shippedSolver(),
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -90,7 +90,7 @@ func runChurnScenario(t *testing.T, incremental bool) []Record {
 				t.Fatal(err)
 			}
 			nextID++
-		case 5: // a link event invalidates the plan cache entirely
+		case 5: // a link event swaps the residual graph
 			if err := c.LinkDown(netgraph.EdgeID(0), c.Now()+0.25); err != nil {
 				t.Fatal(err)
 			}
@@ -103,32 +103,16 @@ func runChurnScenario(t *testing.T, incremental bool) []Record {
 	return c.Records()
 }
 
-// TestIncrementalChurnRecordsByteIdentical is the incremental
-// re-planning equivalence property: a churn sequence (arrivals +
-// completions, plus a fault for good measure) replanned incrementally
-// must yield byte-identical Records() to the full re-solve under the
-// shipped solver options. Under the controller's moving horizon no plan
-// survives an epoch (schedule.matchPlan), so this holds the incremental
-// path's bookkeeping to the full one's; reuse proper is the schedule
-// package's TestIncrementalReuseByteIdentical.
-func TestIncrementalChurnRecordsByteIdentical(t *testing.T) {
-	full := runChurnScenario(t, false)
-	inc := runChurnScenario(t, true)
-	if len(full) == 0 {
+// TestChurnRunToRunDeterministic: two identical runs of the churn
+// scenario produce identical record bytes.
+func TestChurnRunToRunDeterministic(t *testing.T) {
+	a := runChurnScenario(t)
+	b := runChurnScenario(t)
+	if len(a) == 0 {
 		t.Fatal("scenario produced no records")
 	}
-	if fb, ib := recordsBytes(full), recordsBytes(inc); fb != ib {
-		t.Fatalf("incremental records differ from full re-solve:\nfull:\n%s\nincremental:\n%s", fb, ib)
-	}
-}
-
-// TestIncrementalRunToRunDeterministic: two identical incremental runs
-// produce identical bytes (replay determinism with the cache in play).
-func TestIncrementalRunToRunDeterministic(t *testing.T) {
-	a := runChurnScenario(t, true)
-	b := runChurnScenario(t, true)
 	if recordsBytes(a) != recordsBytes(b) {
-		t.Fatal("incremental controller runs are not deterministic")
+		t.Fatal("controller runs are not deterministic")
 	}
 }
 

@@ -128,6 +128,8 @@ func TestControllerColumnGenCrossEpochReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cacheHits := telemetry.Default().Counter("schedule_pathcache_hits_total", "")
+	hits0 := cacheHits.Value()
 	c, err := New(g, Config{
 		Tau: 1, SliceLen: 1, Policy: PolicyMaxThroughput, ColumnGen: true,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -157,8 +159,7 @@ func TestControllerColumnGenCrossEpochReuse(t *testing.T) {
 		t.Errorf("later epochs priced in %d paths, first epoch only %d — cross-epoch reuse not engaging",
 			added, afterFirst)
 	}
-	hits, _ := c.pathCache.Stats()
-	if hits == 0 {
+	if cacheHits.Value() == hits0 {
 		t.Error("no path-cache hits across colgen epochs")
 	}
 }

@@ -123,15 +123,11 @@ type Config struct {
 	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
 	// reader.
 	WarmStart bool
-	// Incremental re-plans each epoch through
-	// schedule.MaxThroughputIncremental and its per-component plan cache
-	// (PolicyMaxThroughput/PolicyReject only). A cached plan is reused only
-	// for the same jobs on the same slices of the grid, and the epoch step
-	// moves the grid: since every plan is the canonical one, whose
-	// Quick-Finish weights count slices from the grid's origin, no plan
-	// survives an epoch and the committed schedules are those of the full
-	// re-solve. The option is inert under a moving horizon and stays until
-	// the daemon-epoch benchmark stops naming it (ROADMAP 3(c)).
+	// Incremental is ignored: every epoch solves its instance in full, as
+	// the paper's controller does at each scheduling instant.
+	//
+	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
+	// reader.
 	Incremental bool
 	// ColumnGen prices path columns on demand instead of enumerating K
 	// paths per job upfront: each epoch's instance starts from two

@@ -207,7 +207,6 @@ func (c *Controller) LinkDown(e netgraph.EdgeID, t float64) error {
 	}
 	c.down[e] = true
 	c.resid = nil
-	c.planner.invalidate(e, false)
 
 	// Drop jobs with no route left.
 	for _, aj := range c.active {
@@ -242,7 +241,6 @@ func (c *Controller) LinkUp(e netgraph.EdgeID, t float64) error {
 	c.settleAcross(t, nil)
 	delete(c.down, e)
 	c.resid = nil
-	c.planner.invalidate(e, true)
 	return nil
 }
 

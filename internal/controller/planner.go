@@ -4,22 +4,18 @@ import (
 	"fmt"
 	"sync"
 
-	"wavesched/internal/netgraph"
 	"wavesched/internal/schedule"
 )
 
-// planner is one overload policy behind the epoch loop: it solves an
-// epoch's instance with whatever it carries between epochs, and drops the
-// carry a link event makes stale. New picks the planner once from
-// Config.Policy; nothing else in the controller asks which policy runs.
+// planner is one overload policy behind the epoch loop: it solves each
+// epoch's instance in full and carries nothing between epochs. New picks
+// the planner once from Config.Policy; nothing else in the controller asks
+// which policy runs.
 type planner interface {
 	// plan solves inst for the snapshot fresh (aligned with inst's jobs)
 	// at now and returns the integer plan. It fills info as it goes, so a
 	// failed or panicking solve still leaves what it streamed there.
 	plan(inst *schedule.Instance, fresh []*activeJob, now float64, info *solveInfo) (*schedule.Assignment, error)
-	// invalidate drops the carry that the failure (up false) or repair
-	// (up true) of link e makes stale.
-	invalidate(e netgraph.EdgeID, up bool)
 }
 
 // solveInfo captures the policy solve of one epoch for audit records and
@@ -46,12 +42,6 @@ type maxThroughputPlanner struct {
 	// independent components: the oracle the decomposed path is tested
 	// against.
 	oneBlock bool
-	// planCache carries per-component stage-1/stage-2 plans between
-	// epochs under Config.Incremental, replaced wholesale by every solve.
-	// Structural matching makes stale entries harmless, but link events
-	// clear it anyway: the residual-graph swap would defeat every match
-	// until the next full solve regardless.
-	planCache *schedule.PlanCache
 }
 
 func (p *maxThroughputPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float64, info *solveInfo) (*schedule.Assignment, error) {
@@ -60,13 +50,7 @@ func (p *maxThroughputPlanner) plan(inst *schedule.Instance, fresh []*activeJob,
 		Alpha: c.cfg.Alpha, AlphaGrowth: 0.1, Solver: c.solverOpts(),
 		Weight: c.cfg.Weight, Monolithic: p.oneBlock,
 	}
-	var res *schedule.Result
-	var err error
-	if c.cfg.Incremental {
-		res, p.planCache, err = schedule.MaxThroughputIncremental(inst, scfg, p.planCache)
-	} else {
-		res, err = schedule.MaxThroughput(inst, scfg)
-	}
+	res, err := schedule.MaxThroughput(inst, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("controller: epoch at t=%g: %w", now, err)
 	}
@@ -82,15 +66,10 @@ func (p *maxThroughputPlanner) plan(inst *schedule.Instance, fresh []*activeJob,
 	return res.LPDAR, nil
 }
 
-func (p *maxThroughputPlanner) invalidate(netgraph.EdgeID, bool) {
-	// The plan cache is pinned to the graph object it was built on.
-	p.planCache = nil
-}
-
 // retPlanner runs Algorithm 2, the paper's action (iii): every job
 // completes in full, and a successful solve extends the effective
-// deadlines of the snapshot. It carries nothing between epochs: each
-// search starts from its own ceiling solve.
+// deadlines of the snapshot. Each search starts from its own ceiling
+// solve.
 type retPlanner struct {
 	c        *Controller
 	oneBlock bool // as on maxThroughputPlanner
@@ -138,5 +117,3 @@ func (p *retPlanner) plan(inst *schedule.Instance, fresh []*activeJob, now float
 	}
 	return res.LPDAR, nil
 }
-
-func (p *retPlanner) invalidate(netgraph.EdgeID, bool) {}

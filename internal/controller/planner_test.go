@@ -56,8 +56,6 @@ func (p *greedyPlanner) plan(inst *schedule.Instance, _ []*activeJob, _ float64,
 	return a, nil
 }
 
-func (p *greedyPlanner) invalidate(netgraph.EdgeID, bool) {}
-
 // scenario runs a seeded Waxman workload through a controller under policy,
 // failing edge 0 mid-period at the third epoch and repairing it at the
 // sixth. Before every epoch after the first, check sees the controller with

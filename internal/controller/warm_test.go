@@ -116,6 +116,9 @@ func TestControllerWarmByteIdenticalRecords(t *testing.T) {
 // of the same link.
 func TestControllerPathCacheReuse(t *testing.T) {
 	g := netgraph.Line(4, 2, 10)
+	hits := telemetry.Default().Counter("schedule_pathcache_hits_total", "")
+	misses := telemetry.Default().Counter("schedule_pathcache_misses_total", "")
+	hits0, misses0 := hits.Value(), misses.Value()
 	c := newCtrl(t, g, PolicyMaxThroughput)
 	for i := 0; i < 3; i++ {
 		if err := c.Submit(job.Job{
@@ -130,9 +133,8 @@ func TestControllerPathCacheReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := c.pathCache.Stats()
-	if hits == 0 {
-		t.Fatalf("no path-cache hits across epochs (misses=%d)", misses)
+	if hits.Value() == hits0 {
+		t.Fatalf("no path-cache hits across epochs (misses=%d)", misses.Value()-misses0)
 	}
 	// Fail and repair the same link twice: the second failure epoch must
 	// not add misses beyond the first.
@@ -162,9 +164,9 @@ func TestControllerPathCacheReuse(t *testing.T) {
 		}
 	}
 	cycle()
-	_, missesAfterFirst := c.pathCache.Stats()
+	missesAfterFirst := misses.Value()
 	cycle()
-	_, missesAfterSecond := c.pathCache.Stats()
+	missesAfterSecond := misses.Value()
 	if missesAfterSecond != missesAfterFirst {
 		t.Errorf("repeated failure of the same link recomputed paths: misses %d -> %d",
 			missesAfterFirst, missesAfterSecond)

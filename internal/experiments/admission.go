@@ -1,7 +1,5 @@
 // Sustained-load benchmark for the admission subsystem: intake
-// throughput of the batched submit path, and the cost of incremental
-// re-planning vs a full re-solve when churn touches one component of
-// many.
+// throughput of the batched submit path.
 package experiments
 
 import (
@@ -17,12 +15,9 @@ import (
 	"time"
 
 	"wavesched/internal/controller"
-	"wavesched/internal/job"
 	"wavesched/internal/metrics"
 	"wavesched/internal/netgraph"
-	"wavesched/internal/schedule"
 	"wavesched/internal/server"
-	"wavesched/internal/timeslice"
 )
 
 // AdmissionResult is the sustained-load benchmark's headline numbers.
@@ -33,18 +28,11 @@ type AdmissionResult struct {
 	// Durable intake throughput (WAL fsync before ack): lock-free intake,
 	// one fsync per batch.
 	BatchedPerSec float64
-
-	// Incremental re-planning: one dirty component out of Components.
-	FullMs     float64 // full decomposed re-solve, serial
-	IncrMs     float64 // incremental re-solve with a warm plan cache, serial
-	IncrRatio  float64 // IncrMs / FullMs
-	Components int
-	Reused     int // component plans reused by the incremental solve
 }
 
-// AdmissionLoad runs both halves of the benchmark. jobs/writers <= 0
-// select the acceptance-scale defaults (5000 jobs, 32 writers).
-func AdmissionLoad(sc Scale, jobs, writers int) (AdmissionResult, error) {
+// AdmissionLoad runs the benchmark. jobs/writers <= 0 select the
+// acceptance-scale defaults (5000 jobs, 32 writers).
+func AdmissionLoad(jobs, writers int) (AdmissionResult, error) {
 	if jobs <= 0 {
 		jobs = 5000
 	}
@@ -68,10 +56,6 @@ func AdmissionLoad(sc Scale, jobs, writers int) (AdmissionResult, error) {
 		if r > 0 && v > res.BatchedPerSec { // r == 0 is the warm-up
 			res.BatchedPerSec = v
 		}
-	}
-
-	if err := incrementalReplan(sc, &res); err != nil {
-		return res, fmt.Errorf("incremental re-plan: %w", err)
 	}
 	return res, nil
 }
@@ -140,117 +124,11 @@ func submitThroughput(jobs, writers int) (float64, error) {
 	return float64(perWriter*writers) / elapsed.Seconds(), nil
 }
 
-// replanClusters builds nClusters disjoint 4-node rings (3 jobs each)
-// plus a low-capacity bottleneck cluster whose single oversized job pins
-// the global Z* — so churn elsewhere leaves the fairness floor, and with
-// it the cached stage-2 plans, valid.
-func replanClusters(nClusters int) (*netgraph.Graph, []job.Job, error) {
-	g := netgraph.New("admission-replan")
-	var jobs []job.Job
-	id := 0
-	for c := 0; c < nClusters; c++ {
-		var nodes []netgraph.NodeID
-		for i := 0; i < 4; i++ {
-			nodes = append(nodes, g.AddNode(fmt.Sprintf("c%d-n%d", c, i), float64(c), float64(i)))
-		}
-		for i := 0; i < 4; i++ {
-			if err := g.AddPair(nodes[i], nodes[(i+1)%4], 2, 10); err != nil {
-				return nil, nil, err
-			}
-		}
-		for i := 0; i < 6; i++ {
-			start := float64((c + i) % 3)
-			jobs = append(jobs, job.Job{
-				ID: job.ID(id), Src: nodes[i%4], Dst: nodes[(i+2)%4],
-				Size:  4 + float64((2*i+c)%5),
-				Start: start, End: start + 4,
-			})
-			id++
-		}
-	}
-	a := g.AddNode("bn-a", -1, 0)
-	b := g.AddNode("bn-b", -1, 1)
-	if err := g.AddPair(a, b, 1, 10); err != nil {
-		return nil, nil, err
-	}
-	jobs = append(jobs, job.Job{ID: job.ID(id), Src: a, Dst: b, Size: 100, Start: 0, End: 4})
-	return g, jobs, nil
-}
-
-// incrementalReplan times a full decomposed re-solve against the
-// incremental path when an arrival churns exactly one of the instance's
-// components. Parallelism is pinned to 1 so the ratio measures work
-// saved, not workers added; each side reports its best of reps runs so
-// a stray GC pause cannot masquerade as solve time.
-func incrementalReplan(sc Scale, res *AdmissionResult) error {
-	const reps = 5
-	g, jobs, err := replanClusters(7) // 7 rings + 1 bottleneck = 8 components
-	if err != nil {
-		return err
-	}
-	grid, err := timeslice.Uniform(0, 1, 8)
-	if err != nil {
-		return err
-	}
-	cfg := schedule.Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, Parallelism: 1}
-
-	inst0, err := schedule.NewInstance(g, grid, jobs, 2)
-	if err != nil {
-		return err
-	}
-	_, cache, err := schedule.MaxThroughputIncremental(inst0, cfg, nil)
-	if err != nil {
-		return err
-	}
-
-	// Churn: one fresh arrival into cluster 0's component.
-	churned := append(append([]job.Job(nil), jobs...), job.Job{
-		ID: job.ID(len(jobs) + 1), Src: jobs[0].Src, Dst: jobs[0].Dst,
-		Size: 2, Start: 1, End: 4,
-	})
-	inst1, err := schedule.NewInstance(g, grid, churned, 2)
-	if err != nil {
-		return err
-	}
-
-	runtime.GC()
-	var fullNs, incrNs int64
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		if _, err := schedule.MaxThroughput(inst1, cfg); err != nil {
-			return err
-		}
-		if d := time.Since(t0).Nanoseconds(); fullNs == 0 || d < fullNs {
-			fullNs = d
-		}
-
-		t0 = time.Now()
-		incRes, _, err := schedule.MaxThroughputIncremental(inst1, cfg, cache)
-		if err != nil {
-			return err
-		}
-		if d := time.Since(t0).Nanoseconds(); incrNs == 0 || d < incrNs {
-			incrNs = d
-		}
-		res.Components, res.Reused = incRes.Components, incRes.Reused
-	}
-	res.FullMs = float64(fullNs) / 1e6
-	res.IncrMs = float64(incrNs) / 1e6
-	if res.FullMs > 0 {
-		res.IncrRatio = res.IncrMs / res.FullMs
-	}
-	return nil
-}
-
 // AdmissionTable renders the benchmark for the terminal.
 func AdmissionTable(title string, r AdmissionResult) *metrics.Table {
 	t := metrics.NewTable(title,
 		"metric", "value")
 	t.AddRow("submissions", fmt.Sprintf("%d x %d writers", r.Jobs, r.Writers))
 	t.AddRow("batched jobs/s", fmt.Sprintf("%.0f", r.BatchedPerSec))
-	t.AddRow("full re-solve ms", fmt.Sprintf("%.2f", r.FullMs))
-	t.AddRow("incremental ms", fmt.Sprintf("%.2f", r.IncrMs))
-	t.AddRow("incremental/full", fmt.Sprintf("%.2f", r.IncrRatio))
-	t.AddRow("components reused", fmt.Sprintf("%d of %d", r.Reused, r.Components))
 	return t
 }

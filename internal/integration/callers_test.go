@@ -28,18 +28,37 @@ var exportedWithoutCaller = map[string]string{
 	"lp.ReadLP":                    "reader half of the LP text format, kept until that format goes",
 }
 
-// TestEveryExportedFunctionHasACaller: an exported top-level function
-// under internal/ cannot be reached from outside the module, so one that
-// only tests call is code no program runs. The command, example and
-// benchmark programs count as callers; a function without one must be
-// deleted or allowlisted above with its reason.
+// methodsWithoutCaller lists the exported methods under internal/ that no
+// program calls, each with the reason it stays.
+var methodsWithoutCaller = map[string]string{
+	"lp.Model.WriteLP":                  "writer half of the LP text format, kept until that format goes",
+	"schedule.Assignment.VerifyWindows": "reference oracle: tests check the paper's window constraint (4) on every schedule with it",
+}
+
+// interfaceMethods are the method names standard-library interfaces call
+// (fmt.Stringer, error, sort.Interface, heap.Interface, http.Handler,
+// json.Marshaler, ...): a type implements them for the library, not for a
+// caller in the module.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true,
+}
+
+// TestEveryExportedFunctionHasACaller: an exported top-level function or
+// method under internal/ cannot be reached from outside the module, so one
+// that only tests call is code no program runs. The command, example and
+// benchmark programs count as callers; a method counts as called when any
+// of them selects its name. One without a caller must be deleted or
+// allowlisted above with its reason.
 func TestEveryExportedFunctionHasACaller(t *testing.T) {
 	root := filepath.Join("..", "..")
 	module := modulePath(t, root)
 	fset := token.NewFileSet()
-	var decls []funcRef
+	var decls, methods []funcRef
 	pkgNames := map[string]string{} // dir → package name
 	called := map[funcRef]bool{}
+	selected := map[string]bool{} // every .Name a program selects
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -76,15 +95,23 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 			}
 			imports[name] = strings.TrimPrefix(ip, module+"/")
 		}
-		c := refCollector{dir: dir, imports: imports, called: called}
+		c := refCollector{dir: dir, imports: imports, called: called, selected: selected}
 		for _, decl := range f.Decls {
 			var node ast.Node = decl
-			c.self = ""
+			c.self, c.selfMethod = "", ""
 			if fd, ok := decl.(*ast.FuncDecl); ok {
+				// A recursive call is not a caller: self and selfMethod
+				// name the declaration being walked.
+				exported := fd.Name.IsExported() && strings.HasPrefix(dir, "internal/")
 				if fd.Recv == nil {
-					c.self = fd.Name.Name // a recursive call is not a caller
-					if fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
+					c.self = fd.Name.Name
+					if exported {
 						decls = append(decls, funcRef{dir, fd.Name.Name})
+					}
+				} else {
+					c.selfMethod = fd.Name.Name
+					if exported {
+						methods = append(methods, funcRef{dir, recvName(fd.Recv) + "." + fd.Name.Name})
 					}
 				}
 				if fd.Body == nil {
@@ -118,6 +145,46 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 			t.Errorf("allowlisted %s is not an exported function under internal/ any more", key)
 		}
 	}
+
+	seen = map[string]bool{}
+	orphans = nil
+	for _, m := range methods {
+		key := pkgNames[m.dir] + "." + m.name
+		seen[key] = true
+		name := m.name[strings.LastIndex(m.name, ".")+1:]
+		if !selected[name] && !interfaceMethods[name] && methodsWithoutCaller[key] == "" {
+			orphans = append(orphans, m.dir+": "+m.name)
+		}
+	}
+	sort.Strings(orphans)
+	for _, o := range orphans {
+		t.Errorf("method %s has no caller outside tests: delete it, or allowlist it with its reason", o)
+	}
+	for key := range methodsWithoutCaller {
+		if !seen[key] {
+			t.Errorf("allowlisted %s is not an exported method under internal/ any more", key)
+		}
+	}
+}
+
+// recvName is the type name of a method's receiver, without pointer or type
+// parameters.
+func recvName(recv *ast.FieldList) string {
+	x := recv.List[0].Type
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // funcRef names a top-level function by its package's directory, relative
@@ -125,19 +192,25 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 type funcRef struct{ dir, name string }
 
 // refCollector records, for one file, the module-level functions its code
-// can call.
+// can call and the names it selects, which is what can call a method.
 type refCollector struct {
-	dir     string            // the file's package directory
-	self    string            // the function being walked, if top-level
-	imports map[string]string // import name → package directory
-	called  map[funcRef]bool
+	dir        string            // the file's package directory
+	self       string            // the function being walked, if top-level
+	selfMethod string            // the method being walked, if a method
+	imports    map[string]string // import name → package directory
+	called     map[funcRef]bool
+	selected   map[string]bool
 }
 
-// visit records pkg.Name through an import of the module, and a bare Name
-// of the file's own package other than self.
+// visit records pkg.Name through an import of the module, a bare Name of
+// the file's own package other than self, and every other .Name but
+// selfMethod.
 func (c *refCollector) visit(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.SelectorExpr:
+		if n.Sel.Name != c.selfMethod {
+			c.selected[n.Sel.Name] = true
+		}
 		if x, ok := n.X.(*ast.Ident); ok {
 			if dir, ok := c.imports[x.Name]; ok {
 				c.called[funcRef{dir, n.Sel.Name}] = true

@@ -47,22 +47,6 @@ func (j Job) Validate() error {
 // Window returns the requested transfer window length.
 func (j Job) Window() float64 { return j.End - j.Start }
 
-// WithEndExtended returns a copy of the job whose end time is extended by
-// the factor (1+b) measured from the given origin, as in the RET problem.
-func (j Job) WithEndExtended(origin, b float64) Job {
-	out := j
-	out.End = origin + (j.End-origin)*(1+b)
-	return out
-}
-
-// WithSizeScaled returns a copy of the job with size scaled by z, as used
-// when the users agree to reduce demand sizes in an overloaded network.
-func (j Job) WithSizeScaled(z float64) Job {
-	out := j
-	out.Size = j.Size * z
-	return out
-}
-
 func (j Job) String() string {
 	return fmt.Sprintf("job %d: %d->%d size %.2f window [%.2f, %.2f] arrived %.2f",
 		j.ID, j.Src, j.Dst, j.Size, j.Start, j.End, j.Arrival)

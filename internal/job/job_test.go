@@ -1,7 +1,6 @@
 package job
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -38,30 +37,6 @@ func TestWindow(t *testing.T) {
 	j := valid()
 	if j.Window() != 4 {
 		t.Errorf("Window = %g", j.Window())
-	}
-}
-
-func TestWithEndExtended(t *testing.T) {
-	j := valid()
-	e := j.WithEndExtended(0, 0.5)
-	if math.Abs(e.End-7.5) > 1e-12 {
-		t.Errorf("extended end = %g, want 7.5", e.End)
-	}
-	if j.End != 5 {
-		t.Error("original mutated")
-	}
-	// Non-zero origin.
-	e2 := j.WithEndExtended(1, 0.5)
-	if math.Abs(e2.End-7) > 1e-12 {
-		t.Errorf("extended end (origin 1) = %g, want 7", e2.End)
-	}
-}
-
-func TestWithSizeScaled(t *testing.T) {
-	j := valid()
-	s := j.WithSizeScaled(0.5)
-	if s.Size != 5 || j.Size != 10 {
-		t.Errorf("scaled size = %g (orig %g)", s.Size, j.Size)
 	}
 }
 

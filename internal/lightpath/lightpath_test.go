@@ -129,8 +129,8 @@ func TestContinuityBlocking(t *testing.T) {
 		if got := len(inst.JobPaths[k]); got != 2 {
 			t.Fatalf("job %d: %d paths, want 2", k, got)
 		}
-		if inst.JobPaths[k][1].Hops() != 2 {
-			t.Fatalf("job %d: path 1 has %d hops, want 2", k, inst.JobPaths[k][1].Hops())
+		if len(inst.JobPaths[k][1].Edges) != 2 {
+			t.Fatalf("job %d: path 1 has %d hops, want 2", k, len(inst.JobPaths[k][1].Edges))
 		}
 	}
 	a := schedule.NewAssignment(inst)

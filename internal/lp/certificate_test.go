@@ -102,12 +102,12 @@ func TestCertificateDriftedRHS(t *testing.T) {
 		t.Fatalf("solve: %v cert=%v", err, feasCert)
 	}
 	// Draining the demand only relaxes the GE row: the witness stays valid.
-	m.SetRHS(r, 1.5)
+	m.setRHS(r, 1.5)
 	if feas, ok := m.CheckFeasibleWithCertificate(feasCert); !ok || !feas {
 		t.Fatalf("feasible cert after RHS drain: feas=%v ok=%v", feas, ok)
 	}
 	// Tightening past the witness's activity (x1+x2 = 4 < 4.5): decline.
-	m.SetRHS(r, 4.5)
+	m.setRHS(r, 4.5)
 	if _, ok := m.CheckFeasibleWithCertificate(feasCert); ok {
 		t.Fatal("feasible cert answered beyond its witness's activity")
 	}
@@ -115,17 +115,17 @@ func TestCertificateDriftedRHS(t *testing.T) {
 	// Farkas direction: capture at rhs 4 with x2 pinned (gap 2), then
 	// drain. The gap is recomputed against the current RHS, so at rhs 3
 	// it still certifies (gap 1) and at rhs 2 it declines (gap 0).
-	m.SetRHS(r, 4)
+	m.setRHS(r, 4)
 	m.SetBounds(x2, 0, 0)
 	_, farkas, err := solveWithCertificate(m)
 	if err != nil || farkas == nil || farkas.Feasible() {
 		t.Fatalf("pinned solve: %v cert=%+v", err, farkas)
 	}
-	m.SetRHS(r, 3)
+	m.setRHS(r, 3)
 	if feas, ok := m.CheckFeasibleWithCertificate(farkas); !ok || feas {
 		t.Fatalf("farkas cert at drained rhs 3: feas=%v ok=%v", feas, ok)
 	}
-	m.SetRHS(r, 2)
+	m.setRHS(r, 2)
 	if _, ok := m.CheckFeasibleWithCertificate(farkas); ok {
 		t.Fatal("farkas cert answered once the drained demand became satisfiable")
 	}
@@ -164,7 +164,7 @@ func TestCertificateRandomSoundness(t *testing.T) {
 			}
 			// RHS near the attainable maximum so bound flips swing the
 			// verdict both ways.
-			m.SetRHS(row, total*(0.4+0.8*rng.Float64()))
+			m.setRHS(row, total*(0.4+0.8*rng.Float64()))
 			if op == GE {
 				geRows = append(geRows, row)
 			}
@@ -186,7 +186,7 @@ func TestCertificateRandomSoundness(t *testing.T) {
 			case 2:
 				if len(geRows) > 0 { // demand drain
 					r := geRows[rng.Intn(len(geRows))]
-					m.SetRHS(r, m.RHS(r)*rng.Float64())
+					m.setRHS(r, m.RHS(r)*rng.Float64())
 				}
 			}
 			feas, ok := m.CheckFeasibleWithCertificate(cert)

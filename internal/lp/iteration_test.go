@@ -922,12 +922,12 @@ func perturbModel(rng *rand.Rand, m *Model) {
 		switch rng.Intn(3) {
 		case 0:
 			r := RowID(rng.Intn(m.NumRows()))
-			m.SetRHS(r, m.RHS(r)+float64(rng.Intn(5)-2))
+			m.setRHS(r, m.RHS(r)+float64(rng.Intn(5)-2))
 		case 1:
 			boxOne(rng, m)
 		case 2:
 			v := VarID(rng.Intn(m.NumVars()))
-			m.SetObj(v, m.Obj(v)+float64(rng.Intn(5)-2))
+			m.SetObj(v, m.vars[v].obj+float64(rng.Intn(5)-2))
 		}
 	}
 }

@@ -203,11 +203,11 @@ func lexSolve(t *testing.T, g *lexGen, order []int, rot int, opts Options, start
 	case lexStale:
 		lp = g.build(order, rot, nil)
 		for _, r := range lp.caps {
-			lp.m.SetRHS(r, lp.m.RHS(r)/2)
+			lp.m.setRHS(r, lp.m.RHS(r)/2)
 		}
 		stale := must(lp.m.SolveWith(opts))
 		for _, r := range lp.caps {
-			lp.m.SetRHS(r, lp.m.RHS(r)*2)
+			lp.m.setRHS(r, lp.m.RHS(r)*2)
 		}
 		opts.WarmStart = stale.Basis // nil after an infeasible cold exit without one: a cold solve
 	case lexChain:

@@ -139,27 +139,13 @@ func (m *Model) SetBounds(v VarID, lb, ub float64) {
 	m.vars[v].ub = ub
 }
 
-// SetRHS replaces the right-hand side of row r. With SetBounds and SetObj
-// it supports the incremental-mutation pattern: change a handful of
-// numbers on an already-built model and re-solve with a warm-start basis
-// instead of rebuilding the model each loop iteration.
-func (m *Model) SetRHS(r RowID, rhs float64) {
-	m.rows[r].rhs = rhs
-}
-
 // RHS returns the right-hand side of row r.
 func (m *Model) RHS(r RowID) float64 { return m.rows[r].rhs }
-
-// VarName returns the name of v.
-func (m *Model) VarName(v VarID) string { return m.vars[v].name }
 
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v VarID) (lb, ub float64) {
 	return m.vars[v].lb, m.vars[v].ub
 }
-
-// Obj returns the objective coefficient of v.
-func (m *Model) Obj(v VarID) float64 { return m.vars[v].obj }
 
 // Clone returns a deep copy of the model; mutating one does not affect
 // the other.
@@ -175,8 +161,8 @@ func (m *Model) Clone() *Model {
 }
 
 // Fork returns a model named name with m's variables and rows whose bounds,
-// objective and right-hand sides are its own — SetBounds, SetObj and SetRHS
-// on one model do not reach the other — while the rows' coefficients, which
+// objective and right-hand sides are its own — SetBounds and SetObj on one
+// model do not reach the other — while the rows' coefficients, which
 // neither of those touch, stay in the storage m already holds. It is Clone
 // for the probe pattern: the same constraint matrix re-solved under other
 // bounds, without rebuilding or copying it. Solver memory is no part of
@@ -239,52 +225,6 @@ func (m *Model) AddColumn(name string, lb, ub, obj float64, rows []RowID, coefs 
 		m.AddTerm(r, v, coefs[i])
 	}
 	return v, nil
-}
-
-// Column describes one pending column for AddColumns.
-type Column struct {
-	Name   string
-	LB, UB float64
-	Obj    float64
-	Rows   []RowID
-	Coefs  []float64
-}
-
-// AddColumns appends a batch of columns, returning their identifiers in
-// order. On error no column from the batch is added.
-func (m *Model) AddColumns(cols []Column) ([]VarID, error) {
-	for _, c := range cols {
-		if len(c.Rows) != len(c.Coefs) {
-			return nil, fmt.Errorf("lp: AddColumns %q: %d rows but %d coefficients", c.Name, len(c.Rows), len(c.Coefs))
-		}
-		for _, r := range c.Rows {
-			if int(r) < 0 || int(r) >= len(m.rows) {
-				return nil, fmt.Errorf("lp: AddColumns %q: unknown row %d", c.Name, r)
-			}
-		}
-	}
-	ids := make([]VarID, len(cols))
-	for i, c := range cols {
-		v := m.AddVar(c.Name, c.LB, c.UB, c.Obj)
-		for k, r := range c.Rows {
-			m.AddTerm(r, v, c.Coefs[k])
-		}
-		ids[i] = v
-	}
-	return ids, nil
-}
-
-// AddConstraint adds a fully-specified row in one call. vars and coefs must
-// have equal length.
-func (m *Model) AddConstraint(name string, vars []VarID, coefs []float64, op RelOp, rhs float64) (RowID, error) {
-	if len(vars) != len(coefs) {
-		return 0, fmt.Errorf("lp: AddConstraint %q: %d vars but %d coefficients", name, len(vars), len(coefs))
-	}
-	r := m.AddRow(name, op, rhs)
-	for i, v := range vars {
-		m.AddTerm(r, v, coefs[i])
-	}
-	return r, nil
 }
 
 // Validate checks the model for structural errors: non-finite or inverted

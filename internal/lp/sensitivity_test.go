@@ -83,7 +83,7 @@ func TestSensitivityAgainstResolve(t *testing.T) {
 			if math.IsInf(r.Lo, -1) || math.IsInf(r.Hi, 1) || r.Hi-r.Lo < 1e-6 {
 				continue
 			}
-			orig := m.Obj(VarID(j))
+			orig := m.vars[j].obj
 			mid := (r.Lo + r.Hi) / 2
 			m.SetObj(VarID(j), mid)
 			sol2, err := m.Solve()

@@ -72,7 +72,7 @@ func perturb(rng *rand.Rand, m *Model) {
 	}
 	for i := 0; i < m.NumRows(); i++ {
 		if rng.Float64() < 0.3 {
-			m.SetRHS(RowID(i), m.RHS(RowID(i))+float64(rng.Intn(5)-2))
+			m.setRHS(RowID(i), m.RHS(RowID(i))+float64(rng.Intn(5)-2))
 		}
 	}
 }
@@ -190,7 +190,7 @@ func TestWarmStartHitCounted(t *testing.T) {
 	if err != nil || base.Status != Optimal {
 		t.Fatalf("base: %v %+v", err, base)
 	}
-	m.SetRHS(RowID(0), 4)
+	m.setRHS(RowID(0), 4)
 	hits := telWarmHits.Value()
 	warm, err := m.SolveWith(Options{WarmStart: base.Basis})
 	if err != nil || warm.Status != Optimal {

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -88,15 +87,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-}
-
-// AddFloats appends a row of formatted numbers after a leading label.
-func (t *Table) AddFloats(label string, format string, vals ...float64) {
-	cells := []string{label}
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
 }
 
 // Render writes the table as aligned text.

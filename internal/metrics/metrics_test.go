@@ -79,7 +79,7 @@ func TestTableRender(t *testing.T) {
 	tab.AddRow("1", "2")
 	tab.AddRow("333")         // short row padded
 	tab.AddRow("4", "5", "6") // long row truncated
-	tab.AddFloats("f", "%.2f", 1.234)
+	tab.AddRow("f", "1.23")
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestReadBRITE(t *testing.T) {
 	if g.NumEdges() != 8 { // 4 undirected → 8 directed
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Error("ring not connected")
 	}
 	e := g.Edge(0)
@@ -104,7 +104,7 @@ func TestBRITERoundTrip(t *testing.T) {
 	if back.NumEdges() != orig.NumEdges() {
 		t.Fatalf("edges %d vs %d", back.NumEdges(), orig.NumEdges())
 	}
-	if !back.Connected() {
+	if !connected(back) {
 		t.Error("round-tripped graph disconnected")
 	}
 	// Total capacity preserved per link.

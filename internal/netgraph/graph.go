@@ -116,89 +116,8 @@ func (g *Graph) Edges() []Edge {
 // Out returns the IDs of edges leaving v (shared slice; do not modify).
 func (g *Graph) Out(v NodeID) []EdgeID { return g.out[v] }
 
-// SetWavelengths updates the wavelength count of every edge, holding the
-// total per-link capacity fixed by scaling GbpsPerWave accordingly. This is
-// the sweep used by Figures 1 and 2 of the paper: "different numbers of
-// wavelengths on each link while holding the capacity of each link
-// constant".
-func (g *Graph) SetWavelengths(w int) error {
-	if w <= 0 {
-		return fmt.Errorf("netgraph: wavelength count must be positive, got %d", w)
-	}
-	for i := range g.edges {
-		total := g.edges[i].TotalGbps()
-		g.edges[i].Wavelengths = w
-		g.edges[i].GbpsPerWave = total / float64(w)
-	}
-	return nil
-}
-
 // Dist returns the Euclidean distance between two nodes' positions.
 func (g *Graph) Dist(a, b NodeID) float64 {
 	na, nb := g.nodes[a], g.nodes[b]
 	return math.Hypot(na.X-nb.X, na.Y-nb.Y)
-}
-
-// Connected reports whether the graph is strongly connected when every
-// edge is usable (treats the digraph as connected if every node reaches
-// every other via directed edges). Empty graphs count as connected.
-func (g *Graph) Connected() bool {
-	n := len(g.nodes)
-	if n <= 1 {
-		return true
-	}
-	// Strong connectivity via forward BFS from node 0 plus BFS on the
-	// reversed graph.
-	if !g.reaches(0, false) {
-		return false
-	}
-	return g.reaches(0, true)
-}
-
-// reaches reports whether BFS from src covers every node, optionally on
-// the reversed graph.
-func (g *Graph) reaches(src NodeID, reversed bool) bool {
-	n := len(g.nodes)
-	seen := make([]bool, n)
-	queue := []NodeID{src}
-	seen[src] = true
-	count := 1
-	var rev [][]NodeID
-	if reversed {
-		rev = make([][]NodeID, n)
-		for _, e := range g.edges {
-			rev[e.To] = append(rev[e.To], e.From)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if reversed {
-			for _, u := range rev[v] {
-				if !seen[u] {
-					seen[u] = true
-					count++
-					queue = append(queue, u)
-				}
-			}
-		} else {
-			for _, eid := range g.out[v] {
-				u := g.edges[eid].To
-				if !seen[u] {
-					seen[u] = true
-					count++
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return count == n
-}
-
-// AvgOutDegree returns the mean number of outgoing edges per node.
-func (g *Graph) AvgOutDegree() float64 {
-	if len(g.nodes) == 0 {
-		return 0
-	}
-	return float64(len(g.edges)) / float64(len(g.nodes))
 }

@@ -91,14 +91,14 @@ func TestPricedShortestFollowsPrices(t *testing.T) {
 
 	s := NewSolver(g.NumNodes())
 	p, ok := s.PricedShortest(g, 0, 2, UnitCost, nil, nil)
-	if !ok || p.Hops() != 1 {
+	if !ok || len(p.Edges) != 1 {
 		t.Fatalf("nil prices: want the 1-hop direct path, got %+v ok=%v", p, ok)
 	}
 
 	prices := make([]float64, g.NumEdges())
 	prices[d] = 5 // direct edge now costs 1+5 vs 2 for the detour
 	p, ok = s.PricedShortest(g, 0, 2, UnitCost, prices, nil)
-	if !ok || p.Hops() != 2 {
+	if !ok || len(p.Edges) != 2 {
 		t.Fatalf("priced direct edge: want the 2-hop detour, got %+v ok=%v", p, ok)
 	}
 

@@ -41,9 +41,6 @@ func (p Path) Clone() Path {
 	}
 }
 
-// Hops returns the number of edges on the path.
-func (p Path) Hops() int { return len(p.Edges) }
-
 // Key returns a canonical string for de-duplication: the edge IDs as
 // fmt.Sprint renders the slice ("[1 2 3]"), which the stage-2 tie-break
 // hashes, built without fmt's reflection.
@@ -57,18 +54,6 @@ func (p Path) Key() string {
 		b = strconv.AppendInt(b, int64(e), 10)
 	}
 	return string(append(b, ']'))
-}
-
-// Loopless reports whether the path visits no node twice.
-func (p Path) Loopless() bool {
-	seen := make(map[netgraph.NodeID]bool, len(p.Nodes))
-	for _, v := range p.Nodes {
-		if seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
 }
 
 // CostFunc maps an edge to its routing cost. Costs must be positive.

@@ -15,8 +15,8 @@ func TestShortestOnLine(t *testing.T) {
 	if !ok {
 		t.Fatal("no path found")
 	}
-	if p.Hops() != 4 {
-		t.Errorf("hops = %d, want 4", p.Hops())
+	if len(p.Edges) != 4 {
+		t.Errorf("hops = %d, want 4", len(p.Edges))
 	}
 	if p.Cost != 4 {
 		t.Errorf("cost = %g, want 4", p.Cost)
@@ -24,7 +24,7 @@ func TestShortestOnLine(t *testing.T) {
 	if p.Nodes[0] != 0 || p.Nodes[len(p.Nodes)-1] != 4 {
 		t.Errorf("endpoints %v", p.Nodes)
 	}
-	if !p.Loopless() {
+	if !loopless(p) {
 		t.Error("line path has a loop")
 	}
 }
@@ -54,8 +54,8 @@ func TestShortestBans(t *testing.T) {
 	if !ok {
 		t.Fatal("no alternative path")
 	}
-	if p.Hops() != 3 {
-		t.Errorf("hops = %d, want 3 (around the ring)", p.Hops())
+	if len(p.Edges) != 3 {
+		t.Errorf("hops = %d, want 3 (around the ring)", len(p.Edges))
 	}
 	// Banning an intermediate node cuts the detour too.
 	_, ok = Shortest(g, 0, 1, UnitCost,
@@ -77,11 +77,11 @@ func TestKShortestRing(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("got %d paths, want 2", len(ps))
 	}
-	if ps[0].Hops() != 3 || ps[1].Hops() != 3 {
-		t.Errorf("hops = %d, %d, want 3, 3", ps[0].Hops(), ps[1].Hops())
+	if len(ps[0].Edges) != 3 || len(ps[1].Edges) != 3 {
+		t.Errorf("hops = %d, %d, want 3, 3", len(ps[0].Edges), len(ps[1].Edges))
 	}
 	for _, p := range ps {
-		if !p.Loopless() {
+		if !loopless(p) {
 			t.Error("loopy path returned")
 		}
 	}
@@ -103,20 +103,20 @@ func TestKShortestGrid(t *testing.T) {
 			t.Errorf("path %d cost %g < previous %g", i, p.Cost, prev)
 		}
 		prev = p.Cost
-		if !p.Loopless() {
+		if !loopless(p) {
 			t.Errorf("path %d has a loop", i)
 		}
 		if p.Nodes[0] != 0 || p.Nodes[len(p.Nodes)-1] != 8 {
 			t.Errorf("path %d endpoints wrong", i)
 		}
 	}
-	if ps[0].Hops() != 4 {
-		t.Errorf("shortest corner path %d hops, want 4", ps[0].Hops())
+	if len(ps[0].Edges) != 4 {
+		t.Errorf("shortest corner path %d hops, want 4", len(ps[0].Edges))
 	}
 	// All six 4-hop monotone paths exist in a 3×3 grid.
 	for i, p := range ps {
-		if p.Hops() != 4 {
-			t.Errorf("path %d: %d hops, want 4", i, p.Hops())
+		if len(p.Edges) != 4 {
+			t.Errorf("path %d: %d hops, want 4", i, len(p.Edges))
 		}
 	}
 }
@@ -198,7 +198,7 @@ func TestYenAgainstExhaustiveOnWaxman(t *testing.T) {
 				if i > 0 && p.Cost < ps[i-1].Cost-1e-9 {
 					t.Errorf("%d->%d: costs decrease at %d", src, dst, i)
 				}
-				if !p.Loopless() {
+				if !loopless(p) {
 					t.Errorf("%d->%d: path %d loops", src, dst, i)
 				}
 				if seen[p.Key()] {
@@ -312,4 +312,16 @@ func TestKShortestAvoiding(t *testing.T) {
 	if got := KShortestAvoiding(g, 0, 2, 4, UnitCost, avoid); len(got) != 0 {
 		t.Errorf("fully-banned source still yielded %d paths", len(got))
 	}
+}
+
+// loopless reports whether the path visits no node twice.
+func loopless(p Path) bool {
+	seen := make(map[netgraph.NodeID]bool, len(p.Nodes))
+	for _, v := range p.Nodes {
+		if seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
 )
 
@@ -101,20 +100,6 @@ func (a *Assignment) WeightedThroughput() float64 {
 	num, den := 0.0, 0.0
 	for k, j := range a.Inst.Jobs {
 		num += a.Transferred(k) // Z_k·D_k = Transferred(k)
-		den += j.Size
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// CappedWeightedThroughput is WeightedThroughput with each job's credited
-// transfer capped at its demand (useful traffic only).
-func (a *Assignment) CappedWeightedThroughput() float64 {
-	num, den := 0.0, 0.0
-	for k, j := range a.Inst.Jobs {
-		num += math.Min(a.Transferred(k), j.Size)
 		den += j.Size
 	}
 	if den == 0 {
@@ -252,28 +237,4 @@ func (a *Assignment) AllDemandsMet() bool {
 		}
 	}
 	return true
-}
-
-// TotalFlowCost returns the Quick-Finish objective Σ_j γ(j)·Σ_i Σ_p x.
-func (a *Assignment) TotalFlowCost(gamma func(int) float64) float64 {
-	total := 0.0
-	for k := range a.X {
-		for p := range a.X[k] {
-			for j, v := range a.X[k][p] {
-				if v != 0 {
-					total += gamma(j) * v
-				}
-			}
-		}
-	}
-	return total
-}
-
-// ThroughputOf returns Z_i for a job ID (convenience for reporting).
-func (a *Assignment) ThroughputOf(id job.ID) (float64, error) {
-	k := a.Inst.jobIndex(id)
-	if k < 0 {
-		return 0, fmt.Errorf("schedule: unknown job %d", id)
-	}
-	return a.Throughput(k), nil
 }

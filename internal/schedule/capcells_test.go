@@ -24,7 +24,7 @@ type domShape struct {
 	nodes, jobs int // per ring
 	k           int // index into {2, 4, 8}
 	load        int // demand scale; high values overload
-	over        int // bit 0: SetCapacity overrides, bit 1: a MaskLinksDown window, bit 2: a second ring
+	over        int // bit 0: SetCapacity overrides, bit 1: a maskLinksDown window, bit 2: a second ring
 }
 
 // clamp brings fuzzed sizes into the range the generator handles quickly.
@@ -103,7 +103,7 @@ func domInstance(t testing.TB, sh domShape) *Instance {
 	}
 	if sh.over&2 != 0 {
 		path := inst.JobPaths[0][len(inst.JobPaths[0])-1]
-		if err := inst.MaskLinksDown(path.Edges[:1], 1, 2); err != nil {
+		if err := maskLinksDown(inst, path.Edges[:1], 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +351,7 @@ func denseStage1(t testing.TB, inst *Instance) float64 {
 
 // TestDominatedRowsProperty runs checkDominatedRows over seeded instances:
 // K ∈ {2, 4, 8}, lightly loaded and overloaded, with and without capacity
-// overrides (to 0 among them) and a MaskLinksDown window, whole and
+// overrides (to 0 among them) and a maskLinksDown window, whole and
 // decomposing into components.
 func TestDominatedRowsProperty(t *testing.T) {
 	var st domStats

@@ -119,11 +119,11 @@ func TestMasterPlanLifetime(t *testing.T) {
 	if st, err := GeneratePaths(inst, ColGenConfig{Solver: cfg.Solver}); err != nil || !st.MasterPlan {
 		t.Fatalf("second GeneratePaths: %+v, %v", st, err)
 	}
-	if err := inst.MaskLinksDown([]netgraph.EdgeID{e}, 0, 0); err != nil {
+	if err := maskLinksDown(inst, []netgraph.EdgeID{e}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if inst.masterPlan != nil {
-		t.Fatal("MaskLinksDown kept the plan")
+		t.Fatal("masking a link kept the plan")
 	}
 	if probe, st := planInstance(t, ColGenConfig{SkipStage2: true}); st.MasterPlan || probe.masterPlan != nil {
 		t.Fatal("a SkipStage2 run left a stage-2 plan")

@@ -331,6 +331,7 @@ func TestColGenWithRETPricing(t *testing.T) {
 // recently used entries first, and counts evictions.
 func TestPathCacheLRUBound(t *testing.T) {
 	pc := NewPathCacheSize(2)
+	h0, m0, e0 := pathCacheCounts(t)
 	mk := func(i int) pathCacheKey {
 		return pathCacheKey{src: netgraph.NodeID(i), dst: netgraph.NodeID(i + 1), k: 4}
 	}
@@ -348,8 +349,8 @@ func TestPathCacheLRUBound(t *testing.T) {
 	if pc.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", pc.Len())
 	}
-	if ev := pc.Evictions(); ev != 1 {
-		t.Fatalf("Evictions = %d, want 1", ev)
+	if _, _, ev := pathCacheCounts(t); ev-e0 != 1 {
+		t.Fatalf("evictions = %d, want 1", ev-e0)
 	}
 	before := computes
 	fetch(0) // still resident
@@ -360,12 +361,12 @@ func TestPathCacheLRUBound(t *testing.T) {
 	if computes != before+1 {
 		t.Fatal("evicted entry 1 did not recompute")
 	}
-	hits, misses := pc.Stats()
-	if hits != 2 || misses != 4 {
-		t.Fatalf("Stats = (%d, %d), want (2, 4)", hits, misses)
+	hits, misses, ev := pathCacheCounts(t)
+	if hits-h0 != 2 || misses-m0 != 4 {
+		t.Fatalf("hits, misses = (%d, %d), want (2, 4)", hits-h0, misses-m0)
 	}
-	if pc.Evictions() != 2 {
-		t.Fatalf("Evictions = %d, want 2", pc.Evictions())
+	if ev-e0 != 2 {
+		t.Fatalf("evictions = %d, want 2", ev-e0)
 	}
 }
 

@@ -25,8 +25,8 @@ type Component struct {
 	// parent's graph, grid, and capacity overrides (read-only during
 	// solving).
 	Inst *Instance
-	// Key fingerprints the component by its job IDs: the name the plan
-	// cache, probe trajectories and audit records give the block.
+	// Key fingerprints the component by its job IDs: the name probe
+	// trajectories and audit records give the block.
 	Key string
 }
 
@@ -165,8 +165,8 @@ func Decompose(inst *Instance, extLast []int) []*Component {
 // itself. Its Inst is the parent pointer, not a copy: what GeneratePaths left
 // on the instance (the Z* proof, the master's plan) and its closed-model
 // layout are found where they were left, and the solve over it is the solve
-// of the instance. Its Key is a component's like any other, so the plan cache
-// and telemetry need no second vocabulary.
+// of the instance. Its Key is a component's like any other, so probe
+// trajectories and telemetry need no second vocabulary.
 func partition(inst *Instance, extLast []int, monolithic bool) []*Component {
 	var comps []*Component
 	if !monolithic {

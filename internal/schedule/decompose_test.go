@@ -268,6 +268,9 @@ func TestDecomposedMatchesMonolithicMaxThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if mono.Components != 1 {
+			t.Fatalf("seed %d: monolithic solve reports %d components", seed, mono.Components)
+		}
 		if math.Abs(mono.ZStar-dec.ZStar) > 1e-6*(1+math.Abs(mono.ZStar)) {
 			t.Fatalf("seed %d: Z* differs: mono %v dec %v", seed, mono.ZStar, dec.ZStar)
 		}

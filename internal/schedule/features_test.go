@@ -121,73 +121,6 @@ func TestInverseSizeWeightFavorsSmallJobs(t *testing.T) {
 	}
 }
 
-func TestWeightedObjective(t *testing.T) {
-	g := netgraph.Line(2, 2, 10)
-	grid, _ := timeslice.Uniform(0, 1, 2)
-	jobs := []job.Job{
-		{ID: 1, Src: 0, Dst: 1, Size: 2, Start: 0, End: 2},
-		{ID: 2, Src: 0, Dst: 1, Size: 4, Start: 0, End: 2},
-	}
-	inst, err := NewInstance(g, grid, jobs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAssignment(inst)
-	a.X[0][0][0] = 2 // job 1: Z = 1
-	a.X[1][0][1] = 2 // job 2: Z = 0.5
-	if got := a.WeightedObjective(WeightBySize); math.Abs(got-a.WeightedThroughput()) > 1e-12 {
-		t.Errorf("size weighting %g != WeightedThroughput %g", got, a.WeightedThroughput())
-	}
-	// Uniform: (1 + 0.5)/2 = 0.75.
-	if got := a.WeightedObjective(WeightUniform); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("uniform weighting = %g, want 0.75", got)
-	}
-}
-
-func TestScaleDownToDemand(t *testing.T) {
-	g := netgraph.Line(2, 4, 10)
-	grid, _ := timeslice.Uniform(0, 1, 3)
-	jobs := []job.Job{{ID: 1, Src: 0, Dst: 1, Size: 5, Start: 0, End: 3}}
-	inst, err := NewInstance(g, grid, jobs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAssignment(inst)
-	a.X[0][0][0] = 4
-	a.X[0][0][1] = 4
-	a.X[0][0][2] = 4 // delivers 12 for a demand of 5
-	if a.MaxOvershoot() < 1.3 {
-		t.Errorf("overshoot %g", a.MaxOvershoot())
-	}
-	trimmed := a.ScaleDownToDemand()
-	tr := trimmed.Transferred(0)
-	if tr < 5-1e-9 {
-		t.Fatalf("trimmed below demand: %g", tr)
-	}
-	if tr > 5+grid.Len(0)+1e-9 {
-		t.Errorf("trimmed %g still over-delivers beyond one slice", tr)
-	}
-	// Trimming removes late slices first (Quick-Finish friendly).
-	if trimmed.X[0][0][2] != 0 {
-		t.Errorf("latest slice not trimmed first: %v", trimmed.X[0])
-	}
-	if err := trimmed.VerifyIntegral(1e-9); err != nil {
-		t.Error(err)
-	}
-	// The original is untouched.
-	if a.Transferred(0) != 12 {
-		t.Error("input mutated")
-	}
-	// A job at exactly its demand is untouched.
-	b := NewAssignment(inst)
-	b.X[0][0][0] = 4
-	b.X[0][0][1] = 1
-	out := b.ScaleDownToDemand()
-	if out.Transferred(0) != 5 {
-		t.Errorf("exact-demand job modified: %g", out.Transferred(0))
-	}
-}
-
 func TestRETExtendsEndTimesFromOrigin(t *testing.T) {
 	// A job starting late: end-time extension stretches its deadline from
 	// the scheduling origin, so a small b buys several slices.

@@ -227,20 +227,6 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 	return inst, nil
 }
 
-// MaskLinksDown zeroes C_e(j) for every listed edge over the inclusive
-// slice range [firstSlice, lastSlice] — the per-slice capacity mask for a
-// link outage known (or predicted) to span those slices.
-func (in *Instance) MaskLinksDown(down []netgraph.EdgeID, firstSlice, lastSlice int) error {
-	for _, e := range down {
-		for j := firstSlice; j <= lastSlice; j++ {
-			if err := in.SetCapacity(e, j, 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Window returns the inclusive usable slice range of job index k.
 func (in *Instance) Window(k int) (first, last int) {
 	w := in.windows[k]
@@ -257,14 +243,4 @@ func (in *Instance) TotalDemand() float64 {
 		t += j.Size
 	}
 	return t
-}
-
-// jobIndex maps a job ID to its position in Jobs, or -1.
-func (in *Instance) jobIndex(id job.ID) int {
-	for k, j := range in.Jobs {
-		if j.ID == id {
-			return k
-		}
-	}
-	return -1
 }

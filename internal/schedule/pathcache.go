@@ -53,13 +53,10 @@ const DefaultPathCacheSize = 4096
 //
 // Safe for concurrent use.
 type PathCache struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[pathCacheKey]*list.Element
-	order     *list.List // front = most recently used
-	hits      int64
-	misses    int64
-	evictions int64
+	mu       sync.Mutex
+	capacity int
+	entries  map[pathCacheKey]*list.Element
+	order    *list.List // front = most recently used
 }
 
 type pathCacheEntry struct {
@@ -114,13 +111,11 @@ func (pc *PathCache) get(key pathCacheKey, compute func() []paths.Path) []paths.
 	defer pc.mu.Unlock()
 	if el, ok := pc.entries[key]; ok {
 		pc.order.MoveToFront(el)
-		pc.hits++
 		telPathCacheHits.Inc()
 		return el.Value.(*pathCacheEntry).ps
 	}
 	ps := compute()
 	pc.insert(key, ps)
-	pc.misses++
 	telPathCacheMisses.Inc()
 	return ps
 }
@@ -149,23 +144,8 @@ func (pc *PathCache) insert(key pathCacheKey, ps []paths.Path) {
 		}
 		pc.order.Remove(back)
 		delete(pc.entries, back.Value.(*pathCacheEntry).key)
-		pc.evictions++
 		telPathCacheEvictions.Inc()
 	}
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (pc *PathCache) Stats() (hits, misses int64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.hits, pc.misses
-}
-
-// Evictions returns how many entries the LRU bound has evicted.
-func (pc *PathCache) Evictions() int64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.evictions
 }
 
 // Len returns the current entry count.

@@ -92,7 +92,7 @@ func TestMaskLinksDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.MaskLinksDown([]netgraph.EdgeID{0, 2}, 1, 2); err != nil {
+	if err := maskLinksDown(inst, []netgraph.EdgeID{0, 2}, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []netgraph.EdgeID{0, 2} {
@@ -106,10 +106,10 @@ func TestMaskLinksDown(t *testing.T) {
 			}
 		}
 	}
-	if err := inst.MaskLinksDown([]netgraph.EdgeID{99}, 0, 0); err == nil {
+	if err := maskLinksDown(inst, []netgraph.EdgeID{99}, 0, 0); err == nil {
 		t.Error("unknown edge accepted")
 	}
-	if err := inst.MaskLinksDown([]netgraph.EdgeID{0}, 2, 7); err == nil {
+	if err := maskLinksDown(inst, []netgraph.EdgeID{0}, 2, 7); err == nil {
 		t.Error("out-of-grid slice accepted")
 	}
 }

@@ -72,11 +72,6 @@ type Result struct {
 	// (1 for a fully coupled instance or under Config.Monolithic).
 	Components int
 
-	// Reused is the number of components whose cached plan an incremental
-	// solve substituted for a fresh LP (always 0 outside
-	// MaxThroughputIncremental).
-	Reused int
-
 	// Plan names where the fractional plan came from: PlanMaster when
 	// GeneratePaths' priced stage-2 master had left it on the instance
 	// (Stage2Iters and Stage2Time are then its lexicographic phase), PlanCold
@@ -109,8 +104,7 @@ func (r *Result) LPDARTime() time.Duration { return r.LPDTime() + r.AdjustTime }
 // which is what the solve is when the instance is one block, or
 // Config.Monolithic says to treat it as one.
 func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
-	res, _, err := maxThroughput(inst, nil, cfg, nil)
-	return res, err
+	return maxThroughput(inst, nil, cfg)
 }
 
 // MaxThroughputWithZ runs stage 2 for an already-computed stage-1 result.
@@ -119,51 +113,29 @@ func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
 // such as one solved on a healthier topology, can overcommit the floor,
 // which the Remark-1 α ladder then loosens.
 func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
-	res, _, err := maxThroughput(inst, s1, cfg, nil)
-	return res, err
+	return maxThroughput(inst, s1, cfg)
 }
 
 // maxThroughput is the Section II-B pipeline over the instance's partition,
-// the one body behind MaxThroughput, MaxThroughputWithZ and
-// MaxThroughputIncremental: stage 1 per component and Z* = min (skipped when
-// s1 is given); the Remark-1 α ladder per component and α = max — the first α
-// at which every block is feasible, exactly where a single model's ladder
-// stops, since block feasibility is monotone in α and every ladder steps
-// through the same float sequence; a re-solve at α of the components that
-// settled below it; the merge; LPD and LPDAR over the whole network.
-//
-// A non-nil cache adds component-level reuse (see MaxThroughputIncremental)
-// and makes the solve return the cache that replaces it. No entry passes both
-// s1 and a cache: a cached plan records its component's own stage-1 optimum,
-// which a given s1 does not hold.
-func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCache) (res *Result, next *PlanCache, err error) {
+// the one body behind MaxThroughput and MaxThroughputWithZ: stage 1 per
+// component and Z* = min (skipped when s1 is given); the Remark-1 α ladder
+// per component and α = max — the first α at which every block is feasible,
+// exactly where a single model's ladder stops, since block feasibility is
+// monotone in α and every ladder steps through the same float sequence; a
+// re-solve at α of the components that settled below it; the merge; LPD and
+// LPDAR over the whole network.
+func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	dsp := cfg.Solver.Tracer.Start("schedule.decompose")
 	comps := partition(inst, nil, cfg.Monolithic)
 	endDecompose(dsp, inst, comps)
 
-	// known[i] is the cached plan of a component that is unchanged since the
-	// caching solve.
-	known := make([]*ComponentPlan, len(comps))
-	if cache != nil {
-		for i, c := range comps {
-			if cp := cache.Plans[c.Key]; cp != nil && matchPlan(cp, c) {
-				known[i] = cp
-			}
-		}
-	}
-
-	var s1s []*Stage1Result
 	if s1 == nil {
-		if s1, s1s, err = stage1Min(comps, known, cfg); err != nil {
-			return nil, nil, err
+		if s1, err = stage1Min(comps, cfg); err != nil {
+			return nil, err
 		}
 	}
-	// Cached stage-2 state is keyed to the global Z* bit for bit: the floor
-	// (1−α)·Z* enters every LP, so a changed Z* dirties stage 2 everywhere
-	// (stage-1 reuse still stands).
 	zstar := s1.ZStar
-	zSame := cache != nil && cache.ZStar == zstar
 
 	// The plan the priced master left on the instance, when it answers this
 	// very LP. Only a partition that is the instance itself can have one
@@ -177,8 +149,6 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 	}
 	defer func() { endStage2(sp, res, err, inst, comps) }()
 
-	// Clean components under an unchanged Z* already know their ladder α; the
-	// others walk the ladder.
 	wall := time.Now()
 	lads := make([]rung, len(comps))
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
@@ -186,15 +156,13 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 		case mp != nil:
 			telStage2MasterPlans.Inc()
 			lads[i] = rung{alpha: cfg.Alpha, frac: mp.frac, iters: mp.iters, dur: mp.dur}
-		case known[i] != nil && zSame:
-			lads[i] = rung{alpha: known[i].LadderAlpha, cached: true}
 		default:
 			lads[i], err = stage2Ladder(comps[i].Inst, zstar, cfg)
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	alpha := lads[0].alpha
 	for _, l := range lads[1:] {
@@ -205,18 +173,10 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 	// Final fractional solutions at the global α. A component that settled
 	// below it is re-solved there: a single model would have applied the
 	// floor (1−α)·Z* to every job, and a larger α only loosens the floor, so
-	// the re-solve stays feasible. A clean component whose cached extraction
-	// used this exact α reuses it; one cached at another α is solved like a
-	// component that settled below — a ladder's final accepted solve and a
-	// direct solve at its α are the same LP call, so the substitution is
-	// invisible.
+	// the re-solve stays feasible.
 	err = runComponents(len(comps), cfg.Parallelism, func(i int) error {
 		l := &lads[i]
-		switch {
-		case l.cached && known[i].SolvedAlpha == alpha:
-			l.frac, l.reused = regridFrac(known[i].Frac, comps[i].Inst), true
-			return nil
-		case !l.cached && l.alpha == alpha:
+		if l.alpha == alpha {
 			return nil
 		}
 		start := time.Now()
@@ -233,7 +193,7 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stage2Time := time.Since(wall)
 	if mp != nil {
@@ -241,15 +201,12 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 	}
 
 	fracs := make([]*Assignment, len(comps))
-	iters, reused := 0, 0
+	iters := 0
 	var serial time.Duration
 	for i, l := range lads {
 		fracs[i] = l.frac
 		iters += l.iters
 		serial += l.dur
-		if l.reused {
-			reused++
-		}
 	}
 	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
 	res.ZStar = zstar
@@ -262,53 +219,24 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, cache *PlanCach
 	res.Stage1Time = s1.Time
 	res.Stage2Time = stage2Time
 	res.Components = len(comps)
-	res.Reused = reused
 	telParallelWallSeconds.Observe(stage2Time.Seconds())
 	telSerialSolveSeconds.Observe(serial.Seconds())
 	telStage2Seconds.Observe((res.Stage2Time + res.TruncateTime + res.AdjustTime).Seconds())
-	if cache == nil {
-		return res, nil, nil
-	}
-
-	telIncrReused.Add(int64(reused))
-	telIncrDirty.Add(int64(len(comps) - reused))
-	if cfg.Solver.Tracer != nil {
-		cfg.Solver.Tracer.Event("schedule.incremental",
-			telemetry.KV("components", len(comps)),
-			telemetry.KV("reused", reused))
-	}
-	next = &PlanCache{ZStar: zstar, Plans: make(map[string]*ComponentPlan, len(comps))}
-	for i, c := range comps {
-		next.Plans[c.Key] = &ComponentPlan{
-			Key:         c.Key,
-			Inst:        c.Inst,
-			ZStarC:      s1s[i].ZStar,
-			LadderAlpha: lads[i].alpha,
-			SolvedAlpha: alpha,
-			Frac:        lads[i].frac,
-		}
-	}
-	return res, next, nil
+	return res, nil
 }
 
 // stage1Min solves stage 1 per component on the worker pool and merges:
 // Z* = min over components (the optimum of a single model: the common scale
-// is limited by the tightest block). A component with a cached plan
-// contributes its cached optimum instead of a solve; the per-component
-// results come back beside the merged one.
-func stage1Min(comps []*Component, known []*ComponentPlan, cfg Config) (*Stage1Result, []*Stage1Result, error) {
+// is limited by the tightest block).
+func stage1Min(comps []*Component, cfg Config) (*Stage1Result, error) {
 	wall := time.Now()
 	s1s := make([]*Stage1Result, len(comps))
 	err := runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
-		if known[i] != nil {
-			s1s[i] = &Stage1Result{ZStar: known[i].ZStarC}
-			return nil
-		}
 		s1s[i], err = Stage1ZStar(comps[i].Inst, cfg.Solver)
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	merged := &Stage1Result{ZStar: s1s[0].ZStar, Time: time.Since(wall)}
 	var serial time.Duration
@@ -322,7 +250,7 @@ func stage1Min(comps []*Component, known []*ComponentPlan, cfg Config) (*Stage1R
 	telStage1ZStar.Set(merged.ZStar)
 	telParallelWallSeconds.Observe(merged.Time.Seconds())
 	telSerialSolveSeconds.Observe(serial.Seconds())
-	return merged, s1s, nil
+	return merged, nil
 }
 
 // endStage2 closes a schedule.stage2 span with the outcome of the work it
@@ -444,14 +372,12 @@ func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignm
 
 // rung is where one component stands on the Remark-1 α ladder: the first
 // feasible α, its fractional optimum there (until the re-solve at the global
-// α replaces it), and what reaching it cost. cached marks a component whose α
-// came from the PlanCache without a solve, reused one whose plan did too.
+// α replaces it), and what reaching it cost.
 type rung struct {
-	alpha          float64
-	frac           *Assignment
-	iters          int
-	dur            time.Duration
-	cached, reused bool
+	alpha float64
+	frac  *Assignment
+	iters int
+	dur   time.Duration
 }
 
 // stage2Ladder walks one component up the Remark-1 α ladder and returns

@@ -17,6 +17,15 @@ func readCounter(t testing.TB, name string) int64 {
 	return telemetry.Default().Counter(name, "").Value()
 }
 
+// pathCacheCounts reads the path-cache hit, miss and eviction counters off
+// the default telemetry registry; tests compare differences.
+func pathCacheCounts(t testing.TB) (hits, misses, evictions int64) {
+	t.Helper()
+	return readCounter(t, "schedule_pathcache_hits_total"),
+		readCounter(t, "schedule_pathcache_misses_total"),
+		readCounter(t, "schedule_pathcache_evictions_total")
+}
+
 // mustGrid builds a unit-slice grid of n slices.
 func mustGrid(t testing.TB, n int) *timeslice.Grid {
 	t.Helper()
@@ -241,12 +250,17 @@ func TestPathCacheAcrossMaskedFailures(t *testing.T) {
 	grid := mustGrid(t, 4)
 	pc := NewPathCache()
 	opts := InstanceOptions{K: 4, PathCache: pc}
+	h0, m0, _ := pathCacheCounts(t)
+	stats := func() (hits, misses int64) {
+		h, m, _ := pathCacheCounts(t)
+		return h - h0, m - m0
+	}
 
 	base, err := NewInstanceOpts(g, grid, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, misses0 := pc.Stats()
+	_, misses0 := stats()
 	if misses0 == 0 {
 		t.Fatal("first build should miss the cache")
 	}
@@ -256,7 +270,7 @@ func TestPathCacheAcrossMaskedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := pc.Stats()
+	hits1, misses1 := stats()
 	if misses1 != misses0 || hits1 == 0 {
 		t.Fatalf("rebuild on unchanged topology: hits=%d misses=%d (want 0 new misses)", hits1, misses1)
 	}
@@ -275,7 +289,7 @@ func TestPathCacheAcrossMaskedFailures(t *testing.T) {
 	if _, err := NewInstanceOpts(resid, grid, jobs, opts); err != nil {
 		t.Fatal(err)
 	}
-	_, misses2 := pc.Stats()
+	_, misses2 := stats()
 	if misses2 == misses1 {
 		t.Fatal("masked topology reused unmasked path sets")
 	}
@@ -284,7 +298,7 @@ func TestPathCacheAcrossMaskedFailures(t *testing.T) {
 	if _, err := NewInstanceOpts(resid, grid, jobs, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses3 := pc.Stats(); misses3 != misses2 {
+	if _, misses3 := stats(); misses3 != misses2 {
 		t.Fatalf("repeated masking of the same failure missed the cache (misses %d -> %d)", misses2, misses3)
 	}
 

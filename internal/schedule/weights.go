@@ -1,8 +1,6 @@
 package schedule
 
 import (
-	"math"
-
 	"wavesched/internal/job"
 )
 
@@ -36,62 +34,4 @@ func WeightByImportance(levels map[job.ID]float64) WeightFunc {
 		}
 		return 1
 	}
-}
-
-// WeightedObjective evaluates Σ w_i·Z_i / Σ w_i for an assignment under an
-// arbitrary weight function (WeightBySize reproduces WeightedThroughput).
-func (a *Assignment) WeightedObjective(w WeightFunc) float64 {
-	num, den := 0.0, 0.0
-	for k, j := range a.Inst.Jobs {
-		wi := w(j)
-		num += wi * a.Throughput(k)
-		den += wi
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// ScaleDownToDemand implements the paper's Remark 2: when the stage-2
-// solution over-delivers (Z_i > 1), the operator "may assign any number of
-// wavelengths between ⌈x_i(p,j)/Z_i⌉ and x_i(p,j)". This post-processing
-// trims each over-delivering job's integer assignment down — latest slices
-// first, so transfers still finish as early as possible — until it carries
-// no more than its demand (plus the unavoidable last-slice rounding). The
-// input is not modified.
-func (a *Assignment) ScaleDownToDemand() *Assignment {
-	out := a.Clone()
-	grid := out.Inst.Grid
-	for k, jb := range out.Inst.Jobs {
-		excess := out.Transferred(k) - jb.Size
-		if excess <= 0 {
-			continue
-		}
-		// Walk slices from the end, trimming whole wavelengths while the
-		// removal does not cut into the demand.
-		for j := grid.Num() - 1; j >= 0 && excess > 0; j-- {
-			l := grid.Len(j)
-			for p := range out.X[k] {
-				for out.X[k][p][j] >= 1 && excess >= l-1e-9 {
-					out.X[k][p][j]--
-					excess -= l
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MaxOvershoot returns the largest per-job over-delivery factor
-// max_i Z_i − 1 (0 when nothing over-delivers); a diagnostic for when
-// ScaleDownToDemand is worthwhile.
-func (a *Assignment) MaxOvershoot() float64 {
-	worst := 0.0
-	for k := range a.Inst.Jobs {
-		if z := a.Throughput(k) - 1; z > worst {
-			worst = z
-		}
-	}
-	return math.Max(0, worst)
 }

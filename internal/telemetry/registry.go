@@ -282,42 +282,3 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts
-// with linear interpolation inside the located bucket. It returns 0 with
-// no observations; values in the overflow bucket report the largest
-// finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // overflow bucket
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - cum) / n
-			return lo + frac*(hi-lo)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}

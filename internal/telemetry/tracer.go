@@ -92,14 +92,6 @@ func (t *Tracer) WithTrace(id int64) *Tracer {
 	return &Tracer{s: t.s, trace: id}
 }
 
-// TraceID reports the trace scope of this handle (0 for the root).
-func (t *Tracer) TraceID() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.trace
-}
-
 // record is the JSONL wire form.
 type record struct {
 	TS     string         `json:"ts"`

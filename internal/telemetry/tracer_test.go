@@ -67,8 +67,8 @@ func TestTracerHierarchy(t *testing.T) {
 	root := NewTracer(&buf)
 
 	tr := root.WithTrace(7)
-	if tr.TraceID() != 7 {
-		t.Fatalf("TraceID = %d, want 7", tr.TraceID())
+	if tr.trace != 7 {
+		t.Fatalf("trace = %d, want 7", tr.trace)
 	}
 	epoch := tr.Start("controller.epoch")
 	child := epoch.Tracer()
@@ -133,9 +133,6 @@ func TestNilTracerHierarchyIsNoOp(t *testing.T) {
 		t.Error("Span.Tracer on zero span should be nil")
 	}
 	sp.End()
-	if tr.TraceID() != 0 {
-		t.Error("TraceID on nil tracer should be 0")
-	}
 }
 
 // TestTracerConcurrent checks that concurrent spans and events produce

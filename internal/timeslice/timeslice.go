@@ -50,9 +50,6 @@ func FromBoundaries(bounds []float64) (*Grid, error) {
 // Num returns the number of slices.
 func (g *Grid) Num() int { return len(g.bounds) - 1 }
 
-// Origin returns the grid's start time.
-func (g *Grid) Origin() float64 { return g.origin }
-
 // End returns the grid's final boundary.
 func (g *Grid) End() float64 { return g.bounds[len(g.bounds)-1] }
 

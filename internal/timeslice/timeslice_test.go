@@ -14,8 +14,8 @@ func TestUniform(t *testing.T) {
 	if g.Num() != 5 {
 		t.Errorf("Num = %d", g.Num())
 	}
-	if g.Origin() != 10 || g.End() != 20 {
-		t.Errorf("span [%g, %g]", g.Origin(), g.End())
+	if g.Start(0) != 10 || g.End() != 20 {
+		t.Errorf("span [%g, %g]", g.Start(0), g.End())
 	}
 	for j := 0; j < 5; j++ {
 		if g.Len(j) != 2 {
@@ -85,7 +85,7 @@ func TestIndexProperty(t *testing.T) {
 		x := math.Mod(math.Abs(raw), 30)
 		j := g.Index(x)
 		switch {
-		case x < g.Origin():
+		case x < g.Start(0):
 			return j == -1
 		case x >= g.End():
 			return j == g.Num()
