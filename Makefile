@@ -65,14 +65,16 @@ cluster-test:
 # rests on (DESIGN §10): a lexicographic solve returns one point whatever the
 # pricing rule, refactorization period, crash basis, starting basis and build
 # order; a closed model built without its dominated capacity rows is the LP
-# the all-rows builder poses; and a column-generation master kept closed as
+# the all-rows builder poses; a column-generation master kept closed as
 # it grows is, after every appended path, the all-rows master over the same
-# columns. A failing input is written under the package's testdata/fuzz;
-# minimise and commit it.
+# columns; and the stage-1 bound never exceeds a block's Z*, so the blocks
+# stage 1 skips leave Z* bit for bit the minimum over every block. A failing
+# input is written under the package's testdata/fuzz; minimise and commit it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRows$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 4s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzStage1Bound$$' -fuzztime 4s ./internal/schedule
 
 # Full benchmark harness at quick scale (minutes).
 bench:

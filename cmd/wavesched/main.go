@@ -384,6 +384,8 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 	fmt.Printf("Z* = %.4f  (%s)\n", res.ZStar, loadWord(res.ZStar))
 	fmt.Printf("weighted throughput: LP %.4f  LPD %.4f  LPDAR %.4f\n",
 		res.LP.WeightedThroughput(), res.LPD.WeightedThroughput(), res.LPDAR.WeightedThroughput())
+	// Stage 1's iters sum over the blocks it solved: a block whose Z* bound
+	// shows it cannot set the minimum is not solved (schedule.stage1_pruned).
 	fmt.Printf("times: stage1 %v (%d iters)  stage2 %v (%d iters)  integerize %v\n",
 		res.Stage1Time, res.Stage1Iters, res.Stage2Time, res.Stage2Iters,
 		res.TruncateTime+res.AdjustTime)

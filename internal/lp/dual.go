@@ -190,6 +190,7 @@ type Incremental struct {
 
 	s     *simplex
 	bufs  *solverBufs // what s lives on, held until Release
+	base  int         // pivots of the states full solves abandoned since the first solve
 	nVars int
 	nRows int
 	valid bool // s holds a chainable basis for the current costs
@@ -242,9 +243,13 @@ func (inc *Incremental) Certificate() *Certificate {
 }
 
 // Solve optimizes the wrapped model, reusing the previous basis via the
-// dual simplex when only bounds changed since the last call.
+// dual simplex when only bounds changed since the last call. Its pivots,
+// final status and wall time count in the solve counters as a SolveWith's
+// do.
 func (inc *Incremental) Solve() (*Solution, error) {
+	start, before := time.Now(), inc.Iters()
 	sol, err := inc.solve()
+	countSolve(start, sol, inc.Iters()-before)
 	if sol != nil {
 		inc.lastStatus = sol.Status
 		inc.lastSol = sol
@@ -377,17 +382,20 @@ func (s *simplex) syncBounds(m *Model) (moved bool) {
 // SeedBasis warm start) and caches the final state.
 func (inc *Incremental) fullSolve() (*Solution, error) {
 	// The state in hand is abandoned whether or not this solve succeeds, and
-	// the next one is built on its memory.
+	// the next one is built on its memory: its pivots go to the base first.
 	if inc.bufs == nil {
 		inc.bufs = borrowBufs(inc.model.shape())
+	}
+	if inc.s != nil {
+		inc.base += inc.s.iters
 	}
 	inc.valid = false
 	s, sol, err := inc.model.solveCore(inc.opt, inc.bufs)
 	inc.opt.WarmStart = nil // a seed applies to the first solve only
+	inc.s = s
 	if err != nil {
 		return sol, err
 	}
-	inc.s = s
 	inc.nVars = inc.model.NumVars()
 	inc.nRows = inc.model.NumRows()
 	// An Infeasible exit still leaves a chainable basis: relaxing bounds
@@ -398,12 +406,12 @@ func (inc *Incremental) fullSolve() (*Solution, error) {
 }
 
 // Iters returns the cumulative simplex iterations across all solves
-// (0 before the first solve).
+// (0 before the first solve), full solves that replaced the state included.
 func (inc *Incremental) Iters() int {
 	if inc.s == nil {
-		return 0
+		return inc.base
 	}
-	return inc.s.iters
+	return inc.base + inc.s.iters
 }
 
 // Release returns the chain's working memory to the free list for other
@@ -413,5 +421,5 @@ func (inc *Incremental) Iters() int {
 // before calling it.
 func (inc *Incremental) Release() {
 	releaseBufs(inc.bufs)
-	inc.bufs, inc.s, inc.valid = nil, nil, false
+	inc.bufs, inc.s, inc.base, inc.valid = nil, nil, 0, false
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"wavesched/internal/telemetry"
 )
 
 func TestIncrementalBasic(t *testing.T) {
@@ -111,6 +113,59 @@ func TestIncrementalStructureChange(t *testing.T) {
 		t.Fatalf("after growth: %v %g, want 4", sol.Status, sol.Objective)
 	}
 	_ = y
+}
+
+// TestIncrementalItersCumulative: a structure change makes the next Solve a
+// full one on a freshly assembled simplex, and Iters still counts the
+// pivots of every solve since the first; each Solve's pivots and status go
+// to lp_pivots_total and lp_solves_total as a SolveWith's do.
+func TestIncrementalItersCumulative(t *testing.T) {
+	read := func(name string, labels map[string]string) int64 {
+		v, ok := telemetry.Default().CounterValue(name, labels)
+		if !ok {
+			t.Fatalf("counter %s not registered", name)
+		}
+		return v
+	}
+	optimal := map[string]string{"status": Optimal.String()}
+	pivots0, solves0 := read("lp_pivots_total", nil), read("lp_solves_total", optimal)
+
+	m := NewModel("cumulative", Maximize)
+	x := m.AddVar("x", 0, Inf, 3)
+	y := m.AddVar("y", 0, Inf, 5)
+	for _, r := range []struct {
+		rhs    float64
+		cx, cy float64
+	}{{4, 1, 0}, {12, 0, 2}, {18, 3, 2}} {
+		row := m.AddRow("", LE, r.rhs)
+		m.AddTerm(row, x, r.cx)
+		m.AddTerm(row, y, r.cy)
+	}
+	inc := NewIncremental(m, Options{})
+	first, err := inc.Solve()
+	if err != nil || first.Status != Optimal || first.Iters == 0 {
+		t.Fatalf("first solve: %+v, %v", first, err)
+	}
+	row := m.AddRow("", LE, 5) // a new row: the next Solve is a full one
+	m.AddTerm(row, x, 1)
+	m.AddTerm(row, y, 1)
+	second, err := inc.Solve()
+	if err != nil || second.Status != Optimal || second.Iters == 0 {
+		t.Fatalf("second solve: %+v, %v", second, err)
+	}
+	if got, want := inc.Iters(), first.Iters+second.Iters; got != want {
+		t.Errorf("Iters() = %d after solves of %d and %d pivots, want %d", got, first.Iters, second.Iters, want)
+	}
+	if got, want := read("lp_pivots_total", nil)-pivots0, int64(inc.Iters()); got != want {
+		t.Errorf("lp_pivots_total delta = %d, want the %d pivots of both solves", got, want)
+	}
+	if got := read("lp_solves_total", optimal) - solves0; got != 2 {
+		t.Errorf("lp_solves_total{status=optimal} delta = %d, want 2", got)
+	}
+	inc.Release()
+	if got := inc.Iters(); got != 0 {
+		t.Errorf("Iters() = %d after Release, want 0", got)
+	}
 }
 
 // TestIncrementalMatchesFreshSolve drives random bound-change sequences

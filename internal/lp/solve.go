@@ -65,16 +65,11 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 	bf := borrowBufs(m.shape())
 	_, sol, err := m.solveCore(opt, bf)
 	releaseBufs(bf)
-	telSolveSeconds.ObserveSince(start)
+	pivots := 0
 	if sol != nil {
-		telPivots.Add(int64(sol.Iters))
-		if c, ok := telSolvesByStatus[sol.Status]; ok {
-			c.Inc()
-		}
-		if sol.Status == Infeasible {
-			telInfeasible.Inc()
-		}
+		pivots = sol.Iters
 	}
+	countSolve(start, sol, pivots)
 	if opt.Tracer != nil {
 		attrs := []telemetry.Attr{
 			telemetry.KV("model", m.name),

@@ -1,6 +1,10 @@
 package lp
 
-import "wavesched/internal/telemetry"
+import (
+	"time"
+
+	"wavesched/internal/telemetry"
+)
 
 // Package-level instruments on the default telemetry registry. Counter
 // and histogram updates are a handful of atomic operations per *solve*, per
@@ -10,7 +14,7 @@ import "wavesched/internal/telemetry"
 // non-nil.
 var (
 	telSolveSeconds = telemetry.Default().Histogram("lp_solve_seconds",
-		"Wall time of lp.Model.SolveWith in seconds.", nil)
+		"Wall time of lp.Model.SolveWith and lp.Incremental.Solve in seconds.", nil)
 	telPivots = telemetry.Default().Counter("lp_pivots_total",
 		"Simplex pivots across both phases, summed over all solves.")
 	telPhase1Pivots = telemetry.Default().Counter("lp_phase1_pivots_total",
@@ -57,3 +61,20 @@ var (
 		return m
 	}()
 )
+
+// countSolve feeds one solve — a SolveWith or an Incremental.Solve — to the
+// solve counters: its wall time, and, when it returned a solution, its
+// pivots and final status.
+func countSolve(start time.Time, sol *Solution, pivots int) {
+	telSolveSeconds.ObserveSince(start)
+	if sol == nil {
+		return
+	}
+	telPivots.Add(int64(pivots))
+	if c, ok := telSolvesByStatus[sol.Status]; ok {
+		c.Inc()
+	}
+	if sol.Status == Infeasible {
+		telInfeasible.Inc()
+	}
+}

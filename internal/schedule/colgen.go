@@ -65,7 +65,7 @@ type ColGenConfig struct {
 	// BMax-extended windows, so the RET search's models also see the
 	// columns they need.
 	RET *RETConfig
-	// Parallelism bounds the per-component worker pool (≤0: NumCPU).
+	// Parallelism bounds the per-component worker pool (≤0: GOMAXPROCS).
 	Parallelism int
 }
 

@@ -250,16 +250,17 @@ func mergeAssignments(inst *Instance, comps []*Component, parts []*Assignment) *
 
 // runComponents fans fn out over component indices on a bounded worker
 // pool — min(parallelism, n) goroutines, where parallelism ≤ 0 selects
-// NumCPU — and returns the earliest component's error, keeping the
-// outcome independent of goroutine scheduling (the runSeeds pattern from
-// internal/experiments).
+// GOMAXPROCS, one solve per processor the scheduler runs (the premise of
+// lp's free-list bound) — and returns the earliest component's error,
+// keeping the outcome independent of goroutine scheduling (the runSeeds
+// pattern from internal/experiments).
 func runComponents(n, parallelism int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
 	workers := parallelism
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

@@ -353,22 +353,38 @@ func TestDecomposedMatchesMonolithicRET(t *testing.T) {
 
 // TestDecomposedParallelByteIdentical: any parallelism level must produce
 // the same bytes as the serial decomposed run — the merge order is fixed
-// by component order, not by goroutine scheduling. Run with -race.
+// by component order, and the blocks stage 1 skips by the instance, not by
+// goroutine scheduling. Run with -race.
 func TestDecomposedParallelByteIdentical(t *testing.T) {
-	inst := clusteredInstance(t, 4, 5, 3, 50)
-	serial, err := MaxThroughput(inst, Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts(), Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MaxThroughput(inst, Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts(), Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Components != par.Components || serial.Components < 4 {
-		t.Fatalf("components: serial %d parallel %d (want >= 4, equal)", serial.Components, par.Components)
-	}
-	if assignmentBytes(serial.LPDAR) != assignmentBytes(par.LPDAR) || serial.ZStar != par.ZStar {
-		t.Fatal("parallel decomposed MaxThroughput differs from serial")
+	for _, tc := range []struct {
+		name      string
+		inst      *Instance
+		minBlocks int
+		skips     bool // stage 1 skips a block whose bound shows it cannot set Z*
+	}{
+		{"clusters", clusteredInstance(t, 4, 5, 3, 50), 4, false},
+		{"skewed", skewedInstance(t), 2, true},
+	} {
+		solves := readCounter(t, "schedule_stage1_solves_total")
+		serial, err := MaxThroughput(tc.inst, Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts(), Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solves = readCounter(t, "schedule_stage1_solves_total") - solves
+		par, err := MaxThroughput(tc.inst, Config{Alpha: 0.1, AlphaGrowth: 0.1, Solver: solverOpts(), Parallelism: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Components != par.Components || serial.Components < tc.minBlocks {
+			t.Fatalf("%s: components: serial %d parallel %d (want >= %d, equal)", tc.name, serial.Components, par.Components, tc.minBlocks)
+		}
+		if tc.skips && solves >= int64(serial.Components) {
+			t.Fatalf("%s: stage 1 solved %d of %d blocks, want a block skipped", tc.name, solves, serial.Components)
+		}
+		if assignmentBytes(serial.LPDAR) != assignmentBytes(par.LPDAR) || serial.ZStar != par.ZStar ||
+			serial.Stage1Iters != par.Stage1Iters {
+			t.Fatalf("%s: parallel decomposed MaxThroughput differs from serial", tc.name)
+		}
 	}
 
 	rinst := clusteredRETInstance(t, 4, 51)

@@ -95,10 +95,13 @@ func goldenGraphJobs(t *testing.T) (*netgraph.Graph, []job.Job) {
 // none of them since; the RET rows were re-captured once, when the search
 // began pruning its probes by certificate in every solve rather than only
 // under an option (retIters 2340 → 2335, 1799 → 1795, 17138 → 17055; 271 →
-// 270 refactorizations; probes, pivots and phase-1 pivots unchanged). The
-// MaxThroughput counts were re-captured once, when its closed models dropped
-// their dominated capacity rows, cold solves began on the slacks and stage 2
-// took the lexicographic phase (1276 → 417 and 1056 → 425 pivots).
+// 270 refactorizations; probes, pivots and phase-1 pivots unchanged), and
+// their lp_pivots_total deltas once, when lp.Incremental's solves began to
+// count there (213 → 2335, 230 → 1795, 13181 → 17055: the delta now equals
+// retIters; no pivot moved). The MaxThroughput counts were re-captured
+// once, when its closed models dropped their dominated capacity rows, cold
+// solves began on the slacks and stage 2 took the lexicographic phase
+// (1276 → 417 and 1056 → 425 pivots).
 func TestPivotSequenceGolden(t *testing.T) {
 	g, jobs := goldenGraphJobs(t)
 	for _, tc := range []struct {
@@ -109,20 +112,20 @@ func TestPivotSequenceGolden(t *testing.T) {
 		{
 			name: "dantzig_refactor1", opts: dantzigOpts(),
 			wantMT: pivotCounts{stage1: 126, stage2: 291, pivots: 417, phase1: 156},
-			wantR:  pivotCounts{retIters: 2335, retProbes: 12, pivots: 213, phase1: 1912},
+			wantR:  pivotCounts{retIters: 2335, retProbes: 12, pivots: 2335, phase1: 1912},
 		},
 		{
 			// The rule `serve` and the benchmark set explicitly.
 			name: "partial_dantzig", opts: partialDantzigOpts(),
 			wantMT: pivotCounts{stage1: 162, stage2: 263, pivots: 425, phase1: 108},
-			wantR:  pivotCounts{retIters: 1795, retProbes: 12, pivots: 230, phase1: 1632},
+			wantR:  pivotCounts{retIters: 1795, retProbes: 12, pivots: 1795, phase1: 1632},
 		},
 		{
 			// The default options: the zero value is that rule, so the
 			// same pivots.
 			name: "default", opts: solverOpts(),
 			wantMT: pivotCounts{stage1: 162, stage2: 263, pivots: 425, phase1: 108},
-			wantR:  pivotCounts{retIters: 1795, retProbes: 12, pivots: 230, phase1: 1632},
+			wantR:  pivotCounts{retIters: 1795, retProbes: 12, pivots: 1795, phase1: 1632},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,7 +167,8 @@ func TestPivotSequenceGolden(t *testing.T) {
 	// and the default RefactorEvery, so one solve runs through many eta
 	// files and refactorizations — the schedule of which (and with it every
 	// rounding) a kernel change must keep. The probes chain through
-	// lp.Incremental, whose pivots only LPIters sees.
+	// lp.Incremental, whose pivots lp_pivots_total counts like any solve's,
+	// so the counter's delta is LPIters.
 	t.Run("ret_bmax_horizon", func(t *testing.T) {
 		rinst, err := BuildRETInstance(g, jobs[:14], 1, 4, 5)
 		if err != nil {
@@ -180,11 +184,34 @@ func TestPivotSequenceGolden(t *testing.T) {
 				got.retIters, got.retProbes = res.LPIters, len(res.Probes)
 			})
 		})
-		want := pivotCounts{retIters: 17055, retProbes: 11, pivots: 13181, phase1: 11651}
+		want := pivotCounts{retIters: 17055, retProbes: 11, pivots: 17055, phase1: 11651}
 		const wantRefactors = 270
 		if got != want || refactors != wantRefactors {
 			t.Errorf("SolveRET pivot counts = %+v with %d refactorizations, want %+v with %d",
 				got, refactors, want, wantRefactors)
 		}
 	})
+}
+
+// TestRETPivotsCountChainedSolves: the probes of a SolveRET chain through
+// lp.Incremental, and every pivot they take counts in lp_pivots_total, the
+// phase-1 pivots of their full solves among them — so over the search the
+// counter moves at least as far as lp_phase1_pivots_total, and as far as
+// LPIters.
+func TestRETPivotsCountChainedSolves(t *testing.T) {
+	g, jobs := goldenGraphJobs(t)
+	rinst, err := BuildRETInstance(g, jobs[:6], 1, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *RETResult
+	pivots, phase1 := countPivots(t, func() {
+		if res, err = SolveRET(rinst, RETConfig{Solver: solverOpts(), Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if phase1 == 0 || pivots < phase1 || pivots != int64(res.LPIters) {
+		t.Errorf("lp_pivots_total delta %d, lp_phase1_pivots_total delta %d, LPIters %d: want %d ≥ %d and equal to LPIters",
+			pivots, phase1, res.LPIters, pivots, phase1)
+	}
 }

@@ -49,7 +49,7 @@ type RETConfig struct {
 	// compared against.
 	Monolithic bool
 	// Parallelism bounds the worker pool for per-component binary
-	// searches and δ-round solves; ≤ 0 selects NumCPU.
+	// searches and δ-round solves; ≤ 0 selects GOMAXPROCS.
 	Parallelism int
 	// OnProbe, when non-nil, receives every feasibility probe of the
 	// binary search as it happens — including probes whose solve failed,

@@ -12,7 +12,7 @@ import (
 type Stage1Result struct {
 	ZStar float64     // Z*: the maximum concurrent throughput
 	Frac  *Assignment // the fractional stage-1 solution
-	Iters int         // simplex pivots
+	Iters int         // simplex pivots; over a partition, summed over the blocks stage 1 solved
 	Time  time.Duration
 }
 

@@ -2,9 +2,11 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"wavesched/internal/lp"
+	"wavesched/internal/netgraph"
 	"wavesched/internal/telemetry"
 )
 
@@ -39,7 +41,7 @@ type Config struct {
 	// is the default, is compared against.
 	Monolithic bool
 	// Parallelism bounds the worker pool for per-component solves; ≤ 0
-	// selects NumCPU. The merge order is fixed by component order, so
+	// selects GOMAXPROCS. The merge order is fixed by component order, so
 	// any parallelism level produces identical results.
 	Parallelism int
 }
@@ -61,7 +63,7 @@ type Result struct {
 	LPD   *Assignment // truncated integer solution
 	LPDAR *Assignment // truncated + greedily adjusted integer solution
 
-	Stage1Iters  int
+	Stage1Iters  int // summed over the blocks stage 1 solved (see stage1Min)
 	Stage2Iters  int
 	Stage1Time   time.Duration
 	Stage2Time   time.Duration
@@ -225,22 +227,63 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, e
 	return res, nil
 }
 
-// stage1Min solves stage 1 per component on the worker pool and merges:
-// Z* = min over components (the optimum of a single model: the common scale
-// is limited by the tightest block).
+// stage1PruneMargin is the relative gap by which a block's stage-1 lower
+// bound must exceed the first solved block's Z* before stage1Min skips it:
+// far outside the solver's tolerance, so a skipped block could not have
+// reported a smaller Z*_c.
+const stage1PruneMargin = 1e-3
+
+// stage1Min solves stage 1 per component and merges: Z* = min over
+// components (the optimum of a single model: the common scale is limited by
+// the tightest block). Only a block that can set that minimum is solved. A
+// partition of several blocks goes in two rounds: the block of lowest
+// stage1Bound first (ties: lowest index), then, on the worker pool, every
+// other block whose bound is not above (1 + stage1PruneMargin)·Z*_first. A
+// skipped block has Z*_c ≥ bound > Z*_first, so the minimum keeps its bits;
+// the solved set is a function of the instance, not of worker timing.
 func stage1Min(comps []*Component, cfg Config) (*Stage1Result, error) {
 	wall := time.Now()
 	s1s := make([]*Stage1Result, len(comps))
-	err := runComponents(len(comps), cfg.Parallelism, func(i int) (err error) {
+	solve := func(i int) (err error) {
 		s1s[i], err = Stage1ZStar(comps[i].Inst, cfg.Solver)
 		return err
-	})
-	if err != nil {
+	}
+	rest := []int{0}
+	if len(comps) > 1 {
+		bounds := stage1Bounds(comps)
+		first := 0
+		for i, b := range bounds {
+			if b < bounds[first] {
+				first = i
+			}
+		}
+		if err := solve(first); err != nil {
+			return nil, err
+		}
+		zFirst := s1s[first].ZStar
+		rest = nil
+		for i, b := range bounds {
+			switch {
+			case i == first:
+			case b <= (1+stage1PruneMargin)*zFirst:
+				rest = append(rest, i)
+			default:
+				cfg.Solver.Tracer.Event("schedule.stage1_pruned",
+					telemetry.KV("component", comps[i].Key),
+					telemetry.KV("bound", b),
+					telemetry.KV("first_zstar", zFirst))
+			}
+		}
+	}
+	if err := runComponents(len(rest), cfg.Parallelism, func(n int) error { return solve(rest[n]) }); err != nil {
 		return nil, err
 	}
-	merged := &Stage1Result{ZStar: s1s[0].ZStar, Time: time.Since(wall)}
+	merged := &Stage1Result{ZStar: math.Inf(1), Time: time.Since(wall)}
 	var serial time.Duration
 	for _, r := range s1s {
+		if r == nil {
+			continue
+		}
 		if r.ZStar < merged.ZStar {
 			merged.ZStar = r.ZStar
 		}
@@ -251,6 +294,52 @@ func stage1Min(comps []*Component, cfg Config) (*Stage1Result, error) {
 	telParallelWallSeconds.Observe(merged.Time.Seconds())
 	telSerialSolveSeconds.Observe(serial.Seconds())
 	return merged, nil
+}
+
+// stage1Bounds returns, per block, a lower bound on its stage-1 optimum:
+// the Z of one fixed feasible routing, in which every job sends Z·D_k at a
+// constant rate over its window, split evenly over its paths. That routing
+// loads each (edge, slice) with Z times a fixed coefficient, so the largest
+// Z it carries is the least C_e(j) / coefficient over the cells it loads. The
+// blocks share the parent's graph and grid, so one (slice × edge) buffer
+// serves them all.
+func stage1Bounds(comps []*Component) []float64 {
+	nE := comps[0].Inst.G.NumEdges()
+	load := make([]float64, comps[0].Inst.Grid.Num()*nE)
+	var touched []int
+	bounds := make([]float64, len(comps))
+	for c, comp := range comps {
+		in := comp.Inst
+		for k, jb := range in.Jobs {
+			first, last := in.Window(k)
+			span := 0.0
+			for j := first; j <= last; j++ {
+				span += in.Grid.Len(j)
+			}
+			rate := jb.Size / (span * float64(len(in.JobPaths[k])))
+			for _, p := range in.JobPaths[k] {
+				for j := first; j <= last; j++ {
+					for _, e := range p.Edges {
+						i := j*nE + int(e)
+						if load[i] == 0 {
+							touched = append(touched, i)
+						}
+						load[i] += rate
+					}
+				}
+			}
+		}
+		b := math.Inf(1)
+		for _, i := range touched {
+			if z := float64(in.Capacity(netgraph.EdgeID(i%nE), i/nE)) / load[i]; z < b {
+				b = z
+			}
+			load[i] = 0
+		}
+		touched = touched[:0]
+		bounds[c] = b
+	}
+	return bounds
 }
 
 // endStage2 closes a schedule.stage2 span with the outcome of the work it
