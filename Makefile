@@ -68,10 +68,13 @@ cluster-test:
 # the all-rows builder poses; a column-generation master kept closed as
 # it grows is, after every appended path, the all-rows master over the same
 # columns; and the stage-1 bound never exceeds a block's Z*, so the blocks
-# stage 1 skips leave Z* bit for bit the minimum over every block. A failing
-# input is written under the package's testdata/fuzz; minimise and commit it.
+# stage 1 skips leave Z* bit for bit the minimum over every block; and a
+# basis carried onto another model by Remap squares to one that factors and
+# warm-starts to the cold plan. A failing input is written under the
+# package's testdata/fuzz; minimise and commit it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzRemapBasis$$' -fuzztime 4s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRows$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzStage1Bound$$' -fuzztime 4s ./internal/schedule

@@ -116,9 +116,10 @@ type Config struct {
 	// Logger receives degraded-epoch and recovery diagnostics; nil
 	// selects slog.Default().
 	Logger *slog.Logger
-	// WarmStart is ignored: no policy carries solver state between
-	// epochs, and PolicyRET's search chains and prunes its probes inside
-	// each epoch whatever the config.
+	// WarmStart is ignored: PolicyMaxThroughput and PolicyReject start
+	// every stage-2 solve from the previous one's bases
+	// (schedule.Stage2Carry), and PolicyRET's search chains and prunes its
+	// probes inside each epoch, whatever the config.
 	//
 	// Deprecated: ignored. The daemon-epoch benchmark (bench/) is its only
 	// reader.

@@ -8,9 +8,9 @@ import (
 )
 
 // planner is one overload policy behind the epoch loop: it solves each
-// epoch's instance in full and carries nothing between epochs. New picks
-// the planner once from Config.Policy; nothing else in the controller asks
-// which policy runs.
+// epoch's instance in full. What it carries between solves may change where
+// a solve starts, never its plan. New picks the planner once from
+// Config.Policy; nothing else in the controller asks which policy runs.
 type planner interface {
 	// plan solves inst for the snapshot fresh (aligned with inst's jobs)
 	// at now and returns the integer plan. It fills info as it goes, so a
@@ -35,9 +35,14 @@ func stretch(now, end, b float64) float64 { return now + (end-now)*(1+b) }
 
 // maxThroughputPlanner runs the two-stage algorithm with LPDAR, the
 // paper's action (ii). It also plans for PolicyReject, whose admission
-// trim runs before planning.
+// trim runs before planning. Every stage-2 solve, at an epoch or a link
+// replan, starts from the final bases of the last one (carry); the
+// lexicographic phase every stage-2 solve ends with makes the plan the cold
+// solve's, so a controller rebuilt by WAL replay, which starts with an empty
+// carry, plans the same bytes.
 type maxThroughputPlanner struct {
-	c *Controller
+	c     *Controller
+	carry schedule.Stage2Carry
 	// oneBlock solves every instance as one block instead of its
 	// independent components: the oracle the decomposed path is tested
 	// against.
@@ -50,7 +55,7 @@ func (p *maxThroughputPlanner) plan(inst *schedule.Instance, fresh []*activeJob,
 		Alpha: c.cfg.Alpha, AlphaGrowth: 0.1, Solver: c.solverOpts(),
 		Weight: c.cfg.Weight, Monolithic: p.oneBlock,
 	}
-	res, err := schedule.MaxThroughput(inst, scfg)
+	res, err := p.carry.MaxThroughput(inst, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("controller: epoch at t=%g: %w", now, err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/schedule"
 	"wavesched/internal/telemetry"
 	"wavesched/internal/workload"
 )
@@ -23,10 +24,13 @@ func recordsBytes(recs []Record) string {
 	return s
 }
 
-// runScenario drives one PolicyRET controller through a multi-epoch
-// overloaded scenario with a mid-run link failure and repair, returning the
-// final records and epoch stats.
-func runScenario(t *testing.T) ([]Record, []EpochStat) {
+// runScenario drives one controller through a multi-epoch overloaded
+// scenario with a mid-run link failure and repair, returning the final
+// records and epoch stats. With coldCarry, a PolicyMaxThroughput
+// controller's stage-2 carry is emptied before every epoch and link event,
+// so every stage-2 solve starts cold, as in a controller rebuilt by WAL
+// replay at that point.
+func runScenario(t *testing.T, policy Policy, coldCarry bool) ([]Record, []EpochStat) {
 	t.Helper()
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
 		Nodes: 8, LinkPairs: 16, Wavelengths: 2, Seed: 21,
@@ -46,11 +50,16 @@ func runScenario(t *testing.T) ([]Record, []EpochStat) {
 	// (RET-infeasible) epochs are covered by fault_test.go; log noise from
 	// the disruption epochs is discarded.
 	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, K: 3, Policy: PolicyRET, BMax: 5,
+		Tau: 1, SliceLen: 1, K: 3, Policy: policy, BMax: 5,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cold := func() {
+		if p, ok := c.planner.(*maxThroughputPlanner); ok && coldCarry {
+			p.carry = schedule.Stage2Carry{}
+		}
 	}
 	for _, j := range jobs {
 		if err := c.Submit(j); err != nil {
@@ -58,9 +67,11 @@ func runScenario(t *testing.T) ([]Record, []EpochStat) {
 		}
 	}
 	for i := 0; i < 30 && !c.Idle(); i++ {
+		cold()
 		if err := c.RunEpoch(); err != nil {
 			t.Fatal(err)
 		}
+		cold()
 		switch i {
 		case 2:
 			if err := c.LinkDown(netgraph.EdgeID(0), c.Now()+0.25); err != nil {
@@ -75,39 +86,61 @@ func runScenario(t *testing.T) ([]Record, []EpochStat) {
 	return c.Records(), c.EpochStats()
 }
 
-// TestControllerWarmByteIdenticalRecords runs the fault scenario twice
-// under PolicyRET, whose searches chain warm-started probes within each
-// epoch. The epochs' searches must answer some probe by a chained re-entry
-// (an lp warm-start hit) or, with no solve at all, by a certificate; and
-// every record and every epoch stat must be bit-identical across the two
-// runs, or WAL replay would diverge.
+// statsBytes renders epoch stats with exact float formatting.
+func statsBytes(stats []EpochStat) string {
+	s := ""
+	for _, st := range stats {
+		s += fmt.Sprintf("t=%b active=%d adm=%d rej=%d sched=%b cap=%b util=%b deg=%v tier=%q\n",
+			st.Time, st.ActiveJobs, st.Admitted, st.Rejected, st.Scheduled, st.Capacity, st.Utilization, st.Degraded, st.Tier)
+	}
+	return s
+}
+
+// TestControllerWarmByteIdenticalRecords runs the fault scenario twice per
+// policy and requires every record and every epoch stat bit-identical
+// across the two runs, or WAL replay would diverge. Under PolicyRET, whose
+// searches chain warm-started probes within each epoch, the epochs'
+// searches must answer some probe by a chained re-entry (an lp warm-start
+// hit) or, with no solve at all, by a certificate. Under
+// PolicyMaxThroughput, whose stage-2 solves start from the previous
+// solve's bases (schedule.Stage2Carry), the first run must start some
+// stage-2 solve warm, and the second is the replay of its events into a
+// controller whose carry is empty at every solve: the carry may move
+// pivots, never a byte of the output.
 func TestControllerWarmByteIdenticalRecords(t *testing.T) {
-	t.Run("ret", func(t *testing.T) {
-		hitsBefore := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
-		prunedBefore := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
-		firstRecs, firstStats := runScenario(t)
+	compare := func(t *testing.T, firstRecs, againRecs []Record, firstStats, againStats []EpochStat) {
+		t.Helper()
 		if len(firstRecs) == 0 {
 			t.Fatal("scenario produced no records")
 		}
+		if fb, ab := recordsBytes(firstRecs), recordsBytes(againRecs); fb != ab {
+			t.Errorf("records differ between two runs:\nfirst:\n%s\nagain:\n%s", fb, ab)
+		}
+		if fb, ab := statsBytes(firstStats), statsBytes(againStats); fb != ab {
+			t.Errorf("epoch stats differ between two runs:\nfirst:\n%s\nagain:\n%s", fb, ab)
+		}
+	}
+	t.Run("ret", func(t *testing.T) {
+		hitsBefore := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
+		prunedBefore := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
+		firstRecs, firstStats := runScenario(t, PolicyRET, false)
 		hits := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
 		pruned := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
 		if hits == hitsBefore && pruned == prunedBefore {
 			t.Error("the RET searches engaged neither the lp warm-start path nor certificate pruning")
 		}
-		againRecs, againStats := runScenario(t)
-		if fb, ab := recordsBytes(firstRecs), recordsBytes(againRecs); fb != ab {
-			t.Errorf("records differ between two runs:\nfirst:\n%s\nagain:\n%s", fb, ab)
+		againRecs, againStats := runScenario(t, PolicyRET, false)
+		compare(t, firstRecs, againRecs, firstStats, againStats)
+	})
+	t.Run("max_throughput", func(t *testing.T) {
+		hits := telemetry.Default().Counter("lp_warmstart_hits_total", "")
+		before := hits.Value()
+		firstRecs, firstStats := runScenario(t, PolicyMaxThroughput, false)
+		if hits.Value() == before {
+			t.Error("no stage-2 solve started from the carry")
 		}
-		if len(firstStats) != len(againStats) {
-			t.Fatalf("epoch count differs: first=%d again=%d", len(firstStats), len(againStats))
-		}
-		for i := range firstStats {
-			if firstStats[i].Scheduled != againStats[i].Scheduled ||
-				firstStats[i].Utilization != againStats[i].Utilization ||
-				firstStats[i].Tier != againStats[i].Tier {
-				t.Errorf("epoch %d stats differ: first=%+v again=%+v", i, firstStats[i], againStats[i])
-			}
-		}
+		againRecs, againStats := runScenario(t, PolicyMaxThroughput, true)
+		compare(t, firstRecs, againRecs, firstStats, againStats)
 	})
 }
 

@@ -11,19 +11,57 @@ import (
 // ones sit at their lower vs upper bound — plus the artificial-column
 // signs, which together determine the basis matrix exactly.
 //
-// A Basis is only meaningful for the model shape it was captured from:
-// same variable count, same row count, same per-row inequality mix (slack
-// columns). Options.WarmStart verifies all of that and silently falls back
-// to a cold solve on any mismatch, so callers may hand a stale basis to a
-// structurally different model without risking a wrong answer.
+// A captured Basis is only meaningful for the model shape it was captured
+// from: same variable count, same row count, same per-row inequality mix
+// (slack columns). Options.WarmStart verifies all of that and silently falls
+// back to a cold solve on any mismatch, so callers may hand a stale basis to
+// a structurally different model without risking a wrong answer. Remap
+// carries a basis onto another model's shape.
 type Basis struct {
 	nVars int // structural columns
 	nRows int
 	nCols int // structural + slack columns
 
-	basis []int     // slot -> column
-	state []int8    // column -> stAtLower/stAtUpper/stBasic, length nCols+nRows
-	art   []float64 // artificial signs, length nRows
+	// basis lists the basic columns. A captured basis holds one per row, in
+	// slot order; a remapped one holds what it carried and may be short, long
+	// or singular, which the warm start repairs (squareBasis).
+	basis    []int
+	rowSlack []int     // row -> its slack column, or -1 for an EQ row
+	state    []int8    // column -> stAtLower/stAtUpper/stBasic, length nCols+nRows
+	art      []float64 // artificial signs, length nRows
+}
+
+// Carried is one source of Remap: a basis captured on another model, and
+// where each of that model's structural columns (Vars) and rows (Rows) sits
+// on the model the basis is carried onto — its index there, or -1 when it
+// has no counterpart. A row's slack and artificial go where the row goes. A
+// nil map carries every index onto itself.
+type Carried struct {
+	Basis      *Basis
+	Vars, Rows []int
+}
+
+// Remap carries the bases of from onto m, for Options.WarmStart: every
+// column and row keeps the status it had, wherever the maps send it, and a
+// row of m that none of them maps to gets a basic column of its own, its
+// slack or else its artificial. The sources must map onto disjoint columns
+// and rows of m. A column that was basic and has no counterpart leaves its
+// slot empty, so the result need not be square, let alone nonsingular: a
+// warm start from it factors the basic columns in order, skips each that
+// finds no acceptable pivot, and gives every row left without one its
+// slack, or else its artificial. Sources with a nil Basis are skipped; with
+// none, every row of m has its own column: the slack basis.
+func Remap(m *Model, from ...Carried) *Basis {
+	rowSlack := make([]int, len(m.rows))
+	slack := len(m.vars)
+	for i, r := range m.rows {
+		rowSlack[i] = -1
+		if r.op != EQ {
+			rowSlack[i] = slack
+			slack++
+		}
+	}
+	return remap(len(m.vars), rowSlack, from)
 }
 
 // Extend remaps a captured basis onto the shape the model takes after
@@ -42,92 +80,182 @@ func (ws *Basis) Extend(addedVars, addedLERows int) *Basis {
 	if ws == nil || addedVars < 0 || addedLERows < 0 {
 		return nil
 	}
-	nVars := ws.nVars + addedVars
-	nRows := ws.nRows + addedLERows
-	nCols := ws.nCols + addedVars + addedLERows
-	out := &Basis{
-		nVars: nVars,
-		nRows: nRows,
-		nCols: nCols,
-		basis: make([]int, nRows),
-		state: make([]int8, nCols+nRows),
-		art:   make([]float64, nRows),
+	// The slack block starts after the enlarged structural block, and the
+	// appended rows' slacks follow the old ones.
+	rowSlack := make([]int, ws.nRows+addedLERows)
+	for i, sl := range ws.rowSlack {
+		if sl >= 0 {
+			sl += addedVars
+		}
+		rowSlack[i] = sl
 	}
-	// Old column index j maps to: itself (structural), j+addedVars (slack:
-	// the slack block starts after the enlarged structural block), or
-	// nCols+i (artificial i: the artificial block starts after the enlarged
-	// structural+slack block).
-	remap := func(j int) int {
-		switch {
-		case j < ws.nVars:
-			return j
-		case j < ws.nCols:
-			return j + addedVars
-		default:
-			return nCols + (j - ws.nCols)
+	for t := 0; t < addedLERows; t++ {
+		rowSlack[ws.nRows+t] = ws.nCols + addedVars + t
+	}
+	return remap(ws.nVars+addedVars, rowSlack, []Carried{{Basis: ws}})
+}
+
+// remap is Remap onto a model of nVars structural columns whose rows have the
+// slack columns rowSlack lists. The carried basic columns come first, source
+// by source in slot order, then the own columns of the rows nothing maps to,
+// in row order.
+func remap(nVars int, rowSlack []int, from []Carried) *Basis {
+	nRows, nCols := len(rowSlack), nVars
+	for _, sl := range rowSlack {
+		if sl >= 0 {
+			nCols++
 		}
 	}
-	for slot, j := range ws.basis {
-		out.basis[slot] = remap(j)
+	out := &Basis{
+		nVars:    nVars,
+		nRows:    nRows,
+		nCols:    nCols,
+		rowSlack: rowSlack,
+		state:    make([]int8, nCols+nRows),
+		art:      make([]float64, nRows),
 	}
-	for j, st := range ws.state {
-		out.state[remap(j)] = st
+	covered := make([]bool, nRows)
+	for _, src := range from {
+		ws := src.Basis
+		if ws == nil {
+			continue
+		}
+		// to[j] is where old column j goes: structural by Vars, slack and
+		// artificial with their row.
+		to := make([]int, ws.nCols+ws.nRows)
+		for j := range to {
+			to[j] = -1
+		}
+		for j := 0; j < ws.nVars; j++ {
+			to[j] = j
+			if src.Vars != nil {
+				to[j] = src.Vars[j]
+			}
+		}
+		for i := 0; i < ws.nRows; i++ {
+			ni := i
+			if src.Rows != nil {
+				ni = src.Rows[i]
+			}
+			if ni < 0 {
+				continue
+			}
+			covered[ni] = true
+			out.art[ni] = ws.art[i]
+			if sl := ws.rowSlack[i]; sl >= 0 {
+				to[sl] = rowSlack[ni]
+			}
+			to[ws.nCols+i] = nCols + ni
+		}
+		for _, j := range ws.basis {
+			if nj := to[j]; nj >= 0 {
+				out.basis = append(out.basis, nj)
+			}
+		}
+		for j, st := range ws.state {
+			if nj := to[j]; nj >= 0 {
+				out.state[nj] = st
+			}
+		}
 	}
-	copy(out.art, ws.art)
-	// Appended structural columns rest at their lower bound; appended rows
-	// get their own slack basic (slot value = rhs − activity, which the dual
-	// simplex repairs if negative) and a positive-signed artificial.
-	for t := 0; t < addedLERows; t++ {
-		slackCol := ws.nCols + addedVars + t
-		out.basis[ws.nRows+t] = slackCol
-		out.state[slackCol] = stBasic
-		out.art[ws.nRows+t] = 1
+	for i, ok := range covered {
+		if ok {
+			continue
+		}
+		out.art[i] = 1
+		j := rowSlack[i]
+		if j < 0 {
+			j = nCols + i
+		}
+		out.basis = append(out.basis, j)
+		out.state[j] = stBasic
 	}
 	return out
 }
 
 // snapshotBasis copies the live basis out of the solver state.
 func (s *simplex) snapshotBasis() *Basis {
+	ints := make([]int, 2*s.m) // the slots, then the rows' slacks
 	ws := &Basis{
-		nVars: s.nStruct,
-		nRows: s.m,
-		nCols: s.n,
-		basis: make([]int, s.m),
-		state: make([]int8, s.nTotal()),
-		art:   make([]float64, s.m),
+		nVars:    s.nStruct,
+		nRows:    s.m,
+		nCols:    s.n,
+		basis:    ints[:s.m:s.m],
+		rowSlack: ints[s.m:],
+		state:    make([]int8, s.nTotal()),
+		art:      make([]float64, s.m),
 	}
 	copy(ws.basis, s.basis)
 	copy(ws.state, s.state)
 	copy(ws.art, s.art)
+	for i := range ws.rowSlack {
+		ws.rowSlack[i] = -1
+	}
+	for sl := s.nStruct; sl < s.n; sl++ {
+		rows, _ := s.a.col(sl)
+		ws.rowSlack[rows[0]] = sl
+	}
 	return ws
 }
 
 // compatible reports whether the snapshot matches the assembled solver's
-// shape and is internally consistent (no duplicate or out-of-range basic
-// columns).
+// shape — its rows' slacks included — and is internally consistent (no
+// duplicate or out-of-range basic columns). It uses s.pos as scratch and
+// leaves it all −1, as assemble did.
 func (ws *Basis) compatible(s *simplex) bool {
 	if ws == nil || ws.nVars != s.nStruct || ws.nRows != s.m || ws.nCols != s.n {
 		return false
 	}
-	if len(ws.basis) != ws.nRows || len(ws.state) != ws.nCols+ws.nRows || len(ws.art) != ws.nRows {
+	if len(ws.rowSlack) != ws.nRows || len(ws.state) != ws.nCols+ws.nRows || len(ws.art) != ws.nRows {
 		return false
 	}
-	seen := make(map[int]bool, len(ws.basis))
-	for _, j := range ws.basis {
-		if j < 0 || j >= s.nTotal() || seen[j] {
+	for sl := s.nStruct; sl < s.n; sl++ {
+		if rows, _ := s.a.col(sl); ws.rowSlack[rows[0]] != sl {
 			return false
 		}
-		seen[j] = true
 	}
-	return true
+	ok := true
+	for _, j := range ws.basis {
+		if j < 0 || j >= s.nTotal() || s.pos[j] >= 0 {
+			ok = false
+			break
+		}
+		s.pos[j] = 0
+	}
+	for _, j := range ws.basis {
+		if j >= 0 && j < s.nTotal() {
+			s.pos[j] = -1
+		}
+	}
+	return ok
 }
 
-// installBasis makes a compatible snapshot the current basis, under the
-// phase-2 costs.
-func (s *simplex) installBasis(ws *Basis) {
-	copy(s.basis, ws.basis)
+// startFrom makes a compatible snapshot the current basis, under the
+// phase-2 costs, and factorizes it. A snapshot that does not hold one basic
+// column per row, or that is singular under the current data, is squared
+// (squareBasis) to what of it factors.
+func (s *simplex) startFrom(ws *Basis) error {
 	copy(s.state, ws.state)
 	copy(s.art, ws.art)
+	cand := ws.basis
+	if len(cand) == s.m {
+		copy(s.basis, cand)
+		s.placeBasis()
+		if s.refactorize() == nil {
+			return nil
+		}
+		cand = append([]int(nil), s.basis...)
+	}
+	s.squareBasis(cand, ws.rowSlack)
+	s.placeBasis()
+	return s.refactorize()
+}
+
+// placeBasis makes s.basis the current basis, under the phase-2 costs: it
+// sets the positions and states of its columns and repairs stale nonbasic
+// states — a column recorded basic but not in s.basis, or recorded at an
+// upper bound that is now infinite, rests at its lower bound.
+func (s *simplex) placeBasis() {
 	for j := range s.pos {
 		s.pos[j] = -1
 	}
@@ -137,9 +265,6 @@ func (s *simplex) installBasis(ws *Basis) {
 	}
 	s.luCurrent = false
 	s.enterPhase2() // drops the pricing summaries with the reduced costs
-	// Repair stale nonbasic states: a column recorded basic in the snapshot
-	// but displaced above, or recorded at an upper bound that is now
-	// infinite, rests at its lower bound.
 	for j := 0; j < s.nTotal(); j++ {
 		if s.pos[j] >= 0 {
 			continue
@@ -150,12 +275,57 @@ func (s *simplex) installBasis(ws *Basis) {
 	}
 }
 
+// squareBasis fills s.basis with a nonsingular basis grown from the columns
+// cand lists, which must not alias s.basis: it factors them in ascending
+// order of their entry counts (stable), keeps each that finds an acceptable
+// pivot (at most one per row), and then gives every row left without a pivot
+// its own slack from rowSlack, or its artificial when it has none. Such a
+// column is ±e_i for a row i no kept column pivots on, so the whole is
+// nonsingular. The entry-count order is a cheap fill-reducing one — unit and
+// one-entry columns pivot on their own rows before any elimination — and it
+// sets the slot order every later refactorization of the solve follows: it
+// halves the fill of the carried stage-2 bases on steady-enum. The state of
+// a column that is not kept is left as it was, for placeBasis to repair.
+func (s *simplex) squareBasis(cand, rowSlack []int) {
+	if s.factor.spare == nil {
+		s.factor.spare = new(luFactors)
+	}
+	f := s.factor.spare // scratch: refactor builds into it and swaps
+	f.start(s.m)
+	kept := 0
+	for want, longer := 1, true; longer && kept < s.m; want++ {
+		longer = false
+		for _, j := range cand {
+			rows, vals := s.column(j)
+			if len(rows) != want {
+				longer = longer || len(rows) > want
+				continue
+			}
+			if kept < s.m && f.eliminate(kept, rows, vals) {
+				s.basis[kept] = j
+				kept++
+			}
+		}
+	}
+	for i := 0; i < s.m; i++ {
+		if f.pinv[i] >= 0 {
+			continue
+		}
+		j := rowSlack[i]
+		if j < 0 {
+			j = s.n + i
+		}
+		s.basis[kept] = j
+		kept++
+	}
+}
+
 // warmSolve attempts to solve from the basis in opt.WarmStart instead of
-// the two-phase cold start: install the snapshot, re-factorize the LU, run
-// the dual simplex to restore primal feasibility under the (possibly
-// changed) RHS and bounds, then a primal clean-up pass for the (possibly
-// changed) objective. The third return is false when the warm attempt must
-// be abandoned — structural mismatch, singular basis, numerical stall —
+// the two-phase cold start: install and factorize the snapshot (startFrom),
+// run the dual simplex to restore primal feasibility
+// under the (possibly changed) RHS and bounds, then a primal clean-up pass
+// for the (possibly changed) objective. The third return is false when the
+// warm attempt must be abandoned — structural mismatch, numerical stall —
 // in which case the caller rebuilds clean state and solves cold; the other
 // returns are then meaningless.
 //
@@ -165,15 +335,25 @@ func (s *simplex) installBasis(ws *Basis) {
 // primal pricing before extraction.
 func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
 	ws := opt.WarmStart
-	if !ws.compatible(s) {
+	if !ws.compatible(s) || s.startFrom(ws) != nil {
 		return nil, nil, false
 	}
-	s.installBasis(ws)
-
-	if err := s.refactorize(); err != nil {
-		return nil, nil, false // singular basis under the current data
+	sol, err, ok := s.warmPhases(m)
+	if ok {
+		// The dual and primal pivots; optimum counted the lexicographic
+		// ones.
+		lex := 0
+		if sol != nil {
+			lex = sol.LexIters
+		}
+		telPhase2Pivots.Add(int64(s.iters - lex))
 	}
+	return sol, err, ok
+}
 
+// warmPhases runs the warm start's dual simplex and primal clean-up from the
+// installed, factorized basis; its returns are warmSolve's.
+func (s *simplex) warmPhases(m *Model) (*Solution, error, bool) {
 	st, err := s.dualSimplex()
 	if errors.Is(err, ErrTimeLimit) {
 		// Falling back would double the wall-clock budget; surface the
@@ -198,7 +378,6 @@ func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
 	s.degenRun = 0
 	if q := s.price(); q >= 0 {
 		stp, err := s.runPhase()
-		telPhase2Pivots.Add(int64(s.iters))
 		if errors.Is(err, ErrTimeLimit) {
 			return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
 		}

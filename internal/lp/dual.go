@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"time"
+
+	"wavesched/internal/telemetry"
 )
 
 // dualStatus reports the outcome of a dual-simplex run.
@@ -82,11 +84,29 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		}
 		delta := s.xB[r] - bound // signed infeasibility; sign matches sigma
 
-		// Ratio test: candidates keep dual feasibility after the pivot.
+		// Ratio test: candidates keep dual feasibility after the pivot. Only
+		// a column with an entry in a row where ρ is nonzero can have α_j ≠ 0,
+		// and ρ is sparse: those columns are marked first, and the scan, in
+		// column order, computes α for them alone. Every other column's α is
+		// a sum of zeros, which fails the pivot tolerance, so the choice is
+		// that of a scan over every column.
+		mark := s.colMark
+		for i, v := range rho {
+			if v != 0 {
+				for _, j := range s.byRow.row(i) {
+					mark[j] = true
+				}
+				mark[s.n+i] = true
+			}
+		}
 		q := -1
 		var alphaQ float64
 		best := math.Inf(1)
 		for j := 0; j < s.nTotal(); j++ {
+			if !mark[j] {
+				continue
+			}
+			mark[j] = false
 			st := s.state[j]
 			if st == stBasic || s.l[j] == s.u[j] {
 				continue
@@ -194,6 +214,7 @@ type Incremental struct {
 	nVars int
 	nRows int
 	valid bool // s holds a chainable basis for the current costs
+	full  bool // the running Solve started over (fullSolve)
 
 	lastStatus Status
 	lastSol    *Solution
@@ -245,11 +266,22 @@ func (inc *Incremental) Certificate() *Certificate {
 // Solve optimizes the wrapped model, reusing the previous basis via the
 // dual simplex when only bounds changed since the last call. Its pivots,
 // final status and wall time count in the solve counters as a SolveWith's
-// do.
+// do, and it is traced as an lp.solve span like one, its incremental
+// attribute saying whether it re-entered the chain or started over.
 func (inc *Incremental) Solve() (*Solution, error) {
 	start, before := time.Now(), inc.Iters()
+	sp, opt := inc.opt.Tracer.Start("lp.solve"), inc.opt
+	inc.full = false
 	sol, err := inc.solve()
 	countSolve(start, sol, inc.Iters()-before)
+	if opt.Tracer != nil {
+		how := "reentry"
+		if inc.full {
+			how = "full"
+		}
+		endSolveSpan(sp, inc.model, opt, sol, err, inc.full && (sol == nil || sol.Warm != "hit"),
+			telemetry.KV("incremental", how))
+	}
 	if sol != nil {
 		inc.lastStatus = sol.Status
 		inc.lastSol = sol
@@ -270,6 +302,22 @@ func (inc *Incremental) solve() (*Solution, error) {
 	}
 
 	s := inc.s
+	before := s.iters
+	sol, err, ok := inc.reenter(s)
+	// The re-entry's dual and primal pivots, kept or abandoned below; a full
+	// solve counts its own phases.
+	telPhase2Pivots.Add(int64(s.iters - before))
+	if !ok {
+		return inc.fullSolve()
+	}
+	return sol, err
+}
+
+// reenter re-solves from the chained state s with the dual simplex. It
+// reports false when the state must be abandoned for a full solve (a stall,
+// the re-entry budget, a failed clean-up); the other returns are then
+// meaningless.
+func (inc *Incremental) reenter(s *simplex) (*Solution, error, bool) {
 	if inc.opt.TimeLimit > 0 {
 		s.deadline = time.Now().Add(inc.opt.TimeLimit)
 		s.untilTick = 0
@@ -287,7 +335,7 @@ func (inc *Incremental) solve() (*Solution, error) {
 		// A nonbasic resting value moved: rebuild the basic values (and
 		// the factorization, conservatively) from scratch.
 		if err := s.refactorize(); err != nil {
-			return inc.fullSolve()
+			return nil, nil, false
 		}
 	}
 	// Budget the re-entry: from an unlucky (degenerate) basis the dual
@@ -310,22 +358,22 @@ func (inc *Incremental) solve() (*Solution, error) {
 		// Retrying from scratch would double the wall-clock budget, which
 		// defeats the point of a deadline: surface the timeout directly.
 		inc.valid = false
-		return &Solution{Status: TimeLimit, Iters: s.iters}, err
+		return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
 	}
 	if err != nil || st == dualStall {
-		return inc.fullSolve()
+		return nil, nil, false
 	}
 	switch st {
 	case dualInfeasible:
 		// The basis keeps its meaning for chaining: a later bound
 		// relaxation re-enters the dual scan from right here.
-		return &Solution{Status: Infeasible, Iters: s.iters}, nil
+		return &Solution{Status: Infeasible, Iters: s.iters}, nil, true
 	case dualIterLimit:
 		if budgeted {
-			return inc.fullSolve() // re-entry budget exhausted, not the caller's cap
+			return nil, nil, false // re-entry budget exhausted, not the caller's cap
 		}
 		inc.valid = false
-		return &Solution{Status: IterLimit, Iters: s.iters}, nil
+		return &Solution{Status: IterLimit, Iters: s.iters}, nil, true
 	}
 	// Safety net: confirm dual feasibility with the primal pricing; clean
 	// up any residual attractive columns (tolerance drift).
@@ -333,18 +381,18 @@ func (inc *Incremental) solve() (*Solution, error) {
 		stp, err := s.runPhase()
 		if errors.Is(err, ErrTimeLimit) {
 			inc.valid = false
-			return &Solution{Status: TimeLimit, Iters: s.iters}, err
+			return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
 		}
 		if err != nil || stp != Optimal {
-			return inc.fullSolve()
+			return nil, nil, false
 		}
 	}
 	sol, err := s.extract(inc.model, inc.model.Sense() == Maximize)
 	if err != nil {
-		return inc.fullSolve()
+		return nil, nil, false
 	}
 	sol.BoundFlips = s.boundFlips
-	return sol, nil
+	return sol, nil, true
 }
 
 // syncBounds refreshes the structural bounds from the model and reports
@@ -389,7 +437,7 @@ func (inc *Incremental) fullSolve() (*Solution, error) {
 	if inc.s != nil {
 		inc.base += inc.s.iters
 	}
-	inc.valid = false
+	inc.valid, inc.full = false, true
 	s, sol, err := inc.model.solveCore(inc.opt, inc.bufs)
 	inc.opt.WarmStart = nil // a seed applies to the first solve only
 	inc.s = s

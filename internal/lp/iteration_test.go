@@ -723,10 +723,11 @@ func (ls *lockstep) warm(ws *Basis) (st Status, ok bool) {
 	if !ws.compatible(s) {
 		return 0, false
 	}
-	s.installBasis(ws)
-	if err := ls.refactorize(); err != nil {
+	lu := s.factor.lu
+	if err := s.startFrom(ws); err != nil {
 		return 0, false
 	}
+	ls.checkRefactor(lu)
 	dst := ls.dual()
 	s.blandMode = false
 	s.degenRun = 0

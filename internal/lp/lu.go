@@ -53,19 +53,21 @@ const luDropTol = 1e-12
 // left-looking column algorithm with a dense scratch vector and partial
 // pivoting by maximum magnitude.
 //
-// Column j must be eliminated against the earlier pivot positions holding
-// a nonzero, in ascending position order. Only a row the scratch has
-// touched can be nonzero, so each touched row that is already pivoted puts
-// its position on a min-heap, once; and L column k only reaches rows that
-// were pivoted after k, so everything pushed while k is being applied sorts
-// after k and popping the heap yields the ascending order. That is the set
-// and the order a scan over all positions 0..j−1 acts on, hence the same
-// floating-point operations, the same order of first touches (which breaks
-// pivot ties and orders the L entries) and the same factors, bit for bit.
-//
 // On errSingular the receiver holds a partial factorization and must not
 // be used for solves.
 func (f *luFactors) factorize(m int, col func(j int) (rows []int, vals []float64)) error {
+	f.start(m)
+	for j := 0; j < m; j++ {
+		rows, vals := col(j)
+		if !f.eliminate(j, rows, vals) {
+			return errSingular
+		}
+	}
+	return nil
+}
+
+// start empties the factors for an m×m factorization.
+func (f *luFactors) start(m int) {
 	if f.m != m {
 		// Grow-only: the arrays keep their capacity for the next size. work
 		// and isTouched are zero over all of it between calls.
@@ -79,6 +81,24 @@ func (f *luFactors) factorize(m int, col func(j int) (rows []int, vals []float64
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
+}
+
+// eliminate factors the column (rows, vals) into position pos, the next one:
+// it eliminates the column against the earlier positions and pivots on its
+// largest entry among the rows not pivoted yet. When no such entry reaches
+// the singularity threshold it reports false and leaves the factors of
+// positions 0..pos−1 as they were.
+//
+// The column must be eliminated against the earlier pivot positions holding
+// a nonzero, in ascending position order. Only a row the scratch has
+// touched can be nonzero, so each touched row that is already pivoted puts
+// its position on a min-heap, once; and L column k only reaches rows that
+// were pivoted after k, so everything pushed while k is being applied sorts
+// after k and popping the heap yields the ascending order. That is the set
+// and the order a scan over all positions 0..pos−1 acts on, hence the same
+// floating-point operations, the same order of first touches (which breaks
+// pivot ties and orders the L entries) and the same factors, bit for bit.
+func (f *luFactors) eliminate(pos int, rows []int, vals []float64) bool {
 	work, isTouched := f.work, f.isTouched
 	touched, heap := f.touched[:0], f.heap[:0]
 	// touch marks row r written and queues it for elimination if pivoted.
@@ -92,74 +112,72 @@ func (f *luFactors) factorize(m int, col func(j int) (rows []int, vals []float64
 		}
 	}
 
-	for j := 0; j < m; j++ {
-		// Scatter column j into the dense scratch.
-		rows, vals := col(j)
-		for k, r := range rows {
-			touch(r)
-			work[r] += vals[k]
+	// Scatter the column into the dense scratch.
+	for k, r := range rows {
+		touch(r)
+		work[r] += vals[k]
+	}
+	// Left-looking elimination against the touched pivot positions.
+	for len(heap) > 0 {
+		var k int
+		k, heap = heapPop(heap)
+		piv := f.perm[k]
+		v := work[piv]
+		if v == 0 || math.Abs(v) < luDropTol {
+			continue
 		}
-		// Left-looking elimination against the touched pivot positions.
-		for len(heap) > 0 {
-			var k int
-			k, heap = heapPop(heap)
-			piv := f.perm[k]
-			v := work[piv]
-			if v == 0 || math.Abs(v) < luDropTol {
-				continue
-			}
-			f.uent = append(f.uent, luEntry{idx: k, val: v})
-			for _, le := range f.lent[f.lptr[k]:f.lptr[k+1]] {
-				touch(le.idx)
-				work[le.idx] -= v * le.val
-			}
-			work[piv] = 0
+		f.uent = append(f.uent, luEntry{idx: k, val: v})
+		for _, le := range f.lent[f.lptr[k]:f.lptr[k+1]] {
+			touch(le.idx)
+			work[le.idx] -= v * le.val
 		}
-		// Pivot selection: maximum magnitude among unpivoted rows.
-		best, bestRow := 0.0, -1
+		work[piv] = 0
+	}
+	// Pivot selection: maximum magnitude among unpivoted rows.
+	best, bestRow := 0.0, -1
+	for _, r := range touched {
+		if f.pinv[r] >= 0 {
+			continue
+		}
+		if a := math.Abs(work[r]); a > best {
+			best = a
+			bestRow = r
+		}
+	}
+	if bestRow < 0 || best < 1e-11 {
+		// Clean scratch before bailing out.
 		for _, r := range touched {
-			if f.pinv[r] >= 0 {
-				continue
-			}
-			if a := math.Abs(work[r]); a > best {
-				best = a
-				bestRow = r
-			}
-		}
-		if bestRow < 0 || best < 1e-11 {
-			// Clean scratch before bailing out.
-			for _, r := range touched {
-				work[r] = 0
-				isTouched[r] = false
-			}
-			return errSingular
-		}
-		d := work[bestRow]
-		f.perm[j] = bestRow
-		f.pinv[bestRow] = j
-		f.udiag[j] = d
-		for _, r := range touched {
-			// Rows pivoted in earlier steps were zeroed during elimination;
-			// bestRow's pinv was just set, excluding it here as well.
-			if f.pinv[r] < 0 {
-				if v := work[r]; math.Abs(v) > luDropTol {
-					f.lent = append(f.lent, luEntry{idx: r, val: v / d})
-				}
-			}
 			work[r] = 0
 			isTouched[r] = false
 		}
-		touched = touched[:0]
-		f.lptr[j+1], f.uptr[j+1] = len(f.lent), len(f.uent)
-		if f.lptr[j+1] > f.lptr[j] {
-			f.lact = append(f.lact, j)
-		}
-		if f.uptr[j+1] > f.uptr[j] || d != 1 {
-			f.uact = append(f.uact, j)
-		}
+		f.uent = f.uent[:f.uptr[pos]]
+		f.touched, f.heap = touched[:0], heap
+		return false
 	}
-	f.touched, f.heap = touched, heap
-	return nil
+	d := work[bestRow]
+	f.perm[pos] = bestRow
+	f.pinv[bestRow] = pos
+	f.udiag[pos] = d
+	for _, r := range touched {
+		// Rows pivoted in earlier steps were zeroed during elimination;
+		// bestRow's pinv was just set, excluding it here as well.
+		if f.pinv[r] < 0 {
+			if v := work[r]; math.Abs(v) > luDropTol {
+				f.lent = append(f.lent, luEntry{idx: r, val: v / d})
+			}
+		}
+		work[r] = 0
+		isTouched[r] = false
+	}
+	f.lptr[pos+1], f.uptr[pos+1] = len(f.lent), len(f.uent)
+	if f.lptr[pos+1] > f.lptr[pos] {
+		f.lact = append(f.lact, pos)
+	}
+	if f.uptr[pos+1] > f.uptr[pos] || d != 1 {
+		f.uact = append(f.uact, pos)
+	}
+	f.touched, f.heap = touched[:0], heap
+	return true
 }
 
 // heapPush adds x to the binary min-heap h.

@@ -109,10 +109,12 @@ type Options struct {
 	// the basis is re-factorized and the dual simplex restores primal
 	// feasibility, followed by a primal clean-up pass for objective
 	// changes. Intended for repeated solves of one model (or structurally
-	// identical models) after RHS, variable-bound, or objective mutations.
-	// A structural mismatch, singular basis, or numerical trouble falls
-	// back to the cold path (counted in lp_warmstart_fallbacks_total), so
-	// supplying a stale basis is safe — just slower.
+	// identical models) after RHS, variable-bound, or objective mutations,
+	// and for a basis Remap carried from another model. A basis that is not
+	// one column per row, or is singular, is squared (see Remap); a
+	// structural mismatch or numerical trouble falls back to the cold path
+	// (counted in lp_warmstart_fallbacks_total), so supplying a stale basis
+	// is safe — just slower.
 	WarmStart *Basis
 	// CaptureBasis records the final basis on Solution.Basis for Optimal
 	// and Infeasible outcomes. Implied by WarmStart != nil.
@@ -211,6 +213,7 @@ type simplex struct {
 	djGen      []uint32
 	gen        uint32
 	byRow      *rowIndex // row-wise pattern of a
+	colMark    []bool    // dualSimplex's candidate marks, all false between its iterations
 	changed    []int     // refreshDuals: rows whose dual changed, capacity m
 
 	// blocks[b] summarizes what price would find in columns

@@ -70,46 +70,54 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 		pivots = sol.Iters
 	}
 	countSolve(start, sol, pivots)
-	if opt.Tracer != nil {
-		attrs := []telemetry.Attr{
-			telemetry.KV("model", m.name),
-			telemetry.KV("vars", len(m.vars)),
-			telemetry.KV("rows", len(m.rows)),
-		}
-		if err != nil {
-			attrs = append(attrs, telemetry.KV("error", err.Error()))
-		}
-		if sol != nil {
-			attrs = append(attrs,
-				telemetry.KV("status", sol.Status.String()),
-				telemetry.KV("iters", sol.Iters),
-				telemetry.KV("pricing", opt.Pricing.String()))
-			if sol.Phase1Iters > 0 {
-				attrs = append(attrs, telemetry.KV("phase1_iters", sol.Phase1Iters))
-			}
-			if sol.LexIters > 0 {
-				attrs = append(attrs, telemetry.KV("lex_iters", sol.LexIters))
-			}
-			if sol.BoundFlips > 0 {
-				attrs = append(attrs, telemetry.KV("bound_flips", sol.BoundFlips))
-			}
-			if sol.Warm != "" {
-				attrs = append(attrs, telemetry.KV("warm", sol.Warm))
-			}
-			if sol.Warm != "hit" { // the cold path ran
-				crash := telemetry.KV("crash", "slack")
-				if opt.ArtificialCrash {
-					crash = telemetry.KV("crash", "artificial")
-				}
-				attrs = append(attrs, crash)
-			}
-			if sol.Status == Optimal {
-				attrs = append(attrs, telemetry.KV("objective", sol.Objective))
-			}
-		}
-		sp.End(attrs...)
-	}
+	endSolveSpan(sp, m, opt, sol, err, sol != nil && sol.Warm != "hit")
 	return sol, err
+}
+
+// endSolveSpan closes the lp.solve span of one solve with its model, its
+// outcome, how it started — cold says the crash basis started it, which the
+// crash attribute then names — and the caller's extra attributes.
+func endSolveSpan(sp telemetry.Span, m *Model, opt Options, sol *Solution, err error, cold bool, extra ...telemetry.Attr) {
+	if opt.Tracer == nil {
+		return
+	}
+	attrs := append([]telemetry.Attr{
+		telemetry.KV("model", m.name),
+		telemetry.KV("vars", len(m.vars)),
+		telemetry.KV("rows", len(m.rows)),
+	}, extra...)
+	if err != nil {
+		attrs = append(attrs, telemetry.KV("error", err.Error()))
+	}
+	if sol != nil {
+		attrs = append(attrs,
+			telemetry.KV("status", sol.Status.String()),
+			telemetry.KV("iters", sol.Iters),
+			telemetry.KV("pricing", opt.Pricing.String()))
+		if sol.Phase1Iters > 0 {
+			attrs = append(attrs, telemetry.KV("phase1_iters", sol.Phase1Iters))
+		}
+		if sol.LexIters > 0 {
+			attrs = append(attrs, telemetry.KV("lex_iters", sol.LexIters))
+		}
+		if sol.BoundFlips > 0 {
+			attrs = append(attrs, telemetry.KV("bound_flips", sol.BoundFlips))
+		}
+		if sol.Warm != "" {
+			attrs = append(attrs, telemetry.KV("warm", sol.Warm))
+		}
+		if cold {
+			crash := telemetry.KV("crash", "slack")
+			if opt.ArtificialCrash {
+				crash = telemetry.KV("crash", "artificial")
+			}
+			attrs = append(attrs, crash)
+		}
+		if sol.Status == Optimal {
+			attrs = append(attrs, telemetry.KV("objective", sol.Objective))
+		}
+	}
+	sp.End(attrs...)
 }
 
 // solveCore runs the simplex on the working memory bf and returns the final
@@ -190,6 +198,7 @@ type solverBufs struct {
 	rho      []float64
 	dj       []float64
 	djGen    []uint32
+	colMark  []bool
 	blocks   []priceBlock
 	rowCover []int32
 	rowDirty []bool
@@ -305,6 +314,7 @@ func (bf *solverBufs) reshape(n, nRows int) {
 		bf.c, bf.cMin = make([]float64, capT), make([]float64, capT)
 		bf.pos, bf.state = make([]int, capT), make([]int8, capT)
 		bf.dj, bf.djGen = make([]float64, capT), make([]uint32, capT)
+		bf.colMark = make([]bool, capT)
 		bf.blocks = make([]priceBlock, numPriceBlocks(capT))
 		bf.b, bf.art = make([]float64, capM), make([]float64, capM)
 		bf.basis, bf.xB = make([]int, capM), make([]float64, capM)
@@ -317,6 +327,7 @@ func (bf *solverBufs) reshape(n, nRows int) {
 	bf.c, bf.cMin = bf.c[:t], bf.cMin[:t]
 	bf.pos, bf.state = bf.pos[:t], bf.state[:t]
 	bf.dj, bf.djGen = bf.dj[:t], bf.djGen[:t]
+	bf.colMark = bf.colMark[:t]
 	bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
 	bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
 	bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
@@ -326,6 +337,7 @@ func (bf *solverBufs) reshape(n, nRows int) {
 	clear(bf.c)
 	clear(bf.cMin)
 	clear(bf.djGen)
+	clear(bf.colMark)
 	clear(bf.blocks)
 	clear(bf.yRow)
 	clear(bf.yNext)
@@ -411,6 +423,7 @@ func (m *Model) assemble(opt Options, bf *solverBufs) *simplex {
 		djGen:    bf.djGen,
 		gen:      1,
 		byRow:    &bf.byRow,
+		colMark:  bf.colMark,
 		blocks:   bf.blocks,
 		rowCover: bf.rowCover,
 		rowDirty: bf.rowDirty,

@@ -10,6 +10,7 @@ import (
 	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/paths"
+	"wavesched/internal/timeslice"
 	"wavesched/internal/workload"
 )
 
@@ -98,11 +99,37 @@ func permuted(inst *Instance, perm []int) *Instance {
 type lexStart int
 
 const (
-	lexCold  lexStart = iota
-	lexStale          // warm from the optimal basis of the same model without the fairness floor
-	lexChain          // the colgen way: first paths only, the rest appended rank by rank through Basis.Extend
+	lexCold    lexStart = iota
+	lexStale            // warm from the optimal basis of the same model without the fairness floor
+	lexChain            // the colgen way: first paths only, the rest appended rank by rank through Basis.Extend
+	lexShifted          // the controller's way: carried by a Stage2Carry from a neighbour (shiftedNeighbour)
 	numLexStarts
 )
+
+// shiftedNeighbour is the instance a Stage2Carry might hold before inst, a
+// scheduling instant later: its grid starts a slice earlier, so every slice
+// of inst is the next one of the neighbour's; it lacks inst's first job, and
+// has a job inst lacks.
+func shiftedNeighbour(t *testing.T, inst *Instance) *Instance {
+	t.Helper()
+	grid, err := timeslice.Uniform(inst.Grid.Start(0)-inst.Grid.Len(0), inst.Grid.Len(0), inst.Grid.Num()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := &Instance{G: inst.G, Grid: grid}
+	add := func(jb job.Job, ps []paths.Path, w window) {
+		nb.Jobs = append(nb.Jobs, jb)
+		nb.JobPaths = append(nb.JobPaths, ps)
+		nb.windows = append(nb.windows, window{w.first + 1, w.last + 1})
+	}
+	for k := 1; k < inst.NumJobs(); k++ {
+		add(inst.Jobs[k], inst.JobPaths[k], inst.windows[k])
+	}
+	gone := inst.Jobs[0]
+	gone.ID += 1 << 20
+	add(gone, inst.JobPaths[0], window{0, inst.windows[0].last})
+	return nb
+}
 
 // lexSolve builds the case's stage-2 LP over inst (the case's instance or a
 // permutation of it) — closed, without its dominated capacity rows, or with
@@ -138,6 +165,15 @@ func lexSolve(t *testing.T, c lexCase, inst *Instance, opts lp.Options, start le
 		t.Fatal(err)
 	}
 	switch start {
+	case lexShifted:
+		carry := &Stage2Carry{}
+		nb := shiftedNeighbour(t, inst)
+		sol, err := solveStage2Frac(nb, c.zstar, lexAlpha, Config{Weight: c.weight, Solver: opts}, carry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carry.record(nb.Grid, []rung{{final: sol.final}})
+		opts.WarmStart = carry.start(build, m, xv, cells)
 	case lexStale:
 		floor, _ := m.Bounds(zvars[0])
 		for _, zv := range zvars {
@@ -192,7 +228,9 @@ func identityPerm(n int) []int {
 // objective of stage2Secondary the stage-2 LP has one answer. Over seeded
 // stage-2 LPs from buildStage2Model it solves each under every pricing rule
 // × RefactorEvery ∈ {1, 7, 64} × {cold, warm from a stale basis, warm through
-// a Basis.Extend chain} × {job order as built, shuffled} × {slack start,
+// a Basis.Extend chain, warm from what a Stage2Carry holds of a neighbour
+// instance — one job dropped, one added, the grid shifted by a slice} × {job
+// order as built, shuffled} × {slack start,
 // lp.Options.ArtificialCrash} × {dominated capacity rows dropped, every row}
 // — the chain appends the columns through a master's appendPath, so its
 // closed arm is the one production runs, rows given back as paths arrive —
@@ -223,6 +261,9 @@ func TestStage2LexInvariance(t *testing.T) {
 				c.seed, opts.Pricing, opts.RefactorEvery, start, opts.ArtificialCrash, closed, perm)
 			plain, lex, gotPlain, got, restored := lexSolve(t, c, permuted(c.inst, perm), opts, start, closed)
 			rowsRestored += restored
+			if start == lexShifted && (plain.Warm != "hit" || lex.Warm != "hit") {
+				t.Errorf("%s: the carried start was not taken (%q, %q)", name, plain.Warm, lex.Warm)
+			}
 			if d := math.Abs(lex.Objective - plain.Objective); d > 1e-9 {
 				t.Errorf("%s: primary objective %.12g, plain solve %.12g", name, lex.Objective, plain.Objective)
 			}

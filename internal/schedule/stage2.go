@@ -106,7 +106,7 @@ func (r *Result) LPDARTime() time.Duration { return r.LPDTime() + r.AdjustTime }
 // which is what the solve is when the instance is one block, or
 // Config.Monolithic says to treat it as one.
 func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
-	return maxThroughput(inst, nil, cfg)
+	return maxThroughput(inst, nil, cfg, nil)
 }
 
 // MaxThroughputWithZ runs stage 2 for an already-computed stage-1 result.
@@ -115,7 +115,7 @@ func MaxThroughput(inst *Instance, cfg Config) (*Result, error) {
 // such as one solved on a healthier topology, can overcommit the floor,
 // which the Remark-1 α ladder then loosens.
 func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
-	return maxThroughput(inst, s1, cfg)
+	return maxThroughput(inst, s1, cfg, nil)
 }
 
 // maxThroughput is the Section II-B pipeline over the instance's partition,
@@ -125,8 +125,10 @@ func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, 
 // exactly where a single model's ladder stops, since block feasibility is
 // monotone in α and every ladder steps through the same float sequence; a
 // re-solve at α of the components that settled below it; the merge; LPD and
-// LPDAR over the whole network.
-func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, err error) {
+// LPDAR over the whole network. With a carry, every stage-2 solve starts
+// from what it holds of the component's jobs, and the carry then holds the
+// components' final bases.
+func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config, carry *Stage2Carry) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	dsp := cfg.Solver.Tracer.Start("schedule.decompose")
 	comps := partition(inst, nil, cfg.Monolithic)
@@ -159,7 +161,7 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, e
 			telStage2MasterPlans.Inc()
 			lads[i] = rung{alpha: cfg.Alpha, frac: mp.frac, iters: mp.iters, dur: mp.dur}
 		default:
-			lads[i], err = stage2Ladder(comps[i].Inst, zstar, cfg)
+			lads[i], err = stage2Ladder(comps[i].Inst, zstar, cfg, carry)
 		}
 		return err
 	})
@@ -182,15 +184,15 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, e
 			return nil
 		}
 		start := time.Now()
-		frac, status, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
+		sol, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg, carry, l.final.basis)
 		if err != nil {
 			return err
 		}
-		if status != lp.Optimal {
-			return fmt.Errorf("schedule: stage 2: component re-solve at alpha=%g returned %v", alpha, status)
+		if sol.status != lp.Optimal {
+			return fmt.Errorf("schedule: stage 2: component re-solve at alpha=%g returned %v", alpha, sol.status)
 		}
-		l.frac = frac
-		l.iters += iters
+		l.frac, l.final = sol.frac, sol.final
+		l.iters += sol.iters
 		l.dur += time.Since(start)
 		return nil
 	})
@@ -209,6 +211,9 @@ func maxThroughput(inst *Instance, s1 *Stage1Result, cfg Config) (res *Result, e
 		fracs[i] = l.frac
 		iters += l.iters
 		serial += l.dur
+	}
+	if carry != nil && mp == nil {
+		carry.record(inst.Grid, lads)
 	}
 	res = integerize(mergeAssignments(inst, comps, fracs), cfg)
 	res.ZStar = zstar
@@ -436,58 +441,83 @@ func integerize(frac *Assignment, cfg Config) *Result {
 	return &Result{LP: frac, LPD: lpd, LPDAR: lpdar, TruncateTime: truncTime, AdjustTime: adjTime}
 }
 
-// solveStage2Frac builds and solves the fractional stage-2 LP, returning
-// the extracted assignment on an Optimal outcome and the status otherwise.
-// The solve ends with the lexicographic Quick-Finish phase
-// (stage2Secondary), so the plan is a function of the LP and not of the
-// solve that produced it: cold or up the α ladder, whole or per component,
-// this one or the priced master of a ColumnGen instance.
-func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, int, error) {
-	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, inst.closedCells())
+// stage2Solve is the outcome of one stage-2 solve: the extracted assignment
+// on an Optimal outcome, the status, the pivots, and — when a carry asked
+// for it — the model as the carry keeps it, its final basis included.
+type stage2Solve struct {
+	frac   *Assignment
+	status lp.Status
+	iters  int
+	final  stage2Model
+}
+
+// solveStage2Frac builds and solves the fractional stage-2 LP. With a
+// carry it captures the final basis and starts from warm, or, when warm is
+// nil, from what the carry holds of inst's jobs. The solve ends with the
+// lexicographic Quick-Finish phase (stage2Secondary), so the plan is a
+// function of the LP and not of the solve that produced it: cold, warm or up
+// the α ladder, whole or per component, this one or the priced master of a
+// ColumnGen instance.
+func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config, carry *Stage2Carry, warm *lp.Basis) (stage2Solve, error) {
+	cells := inst.closedCells()
+	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight, cells)
 	if err != nil {
-		return nil, lp.Infeasible, 0, err
+		return stage2Solve{status: lp.Infeasible}, err
 	}
 	opts := cfg.Solver
 	opts.Secondary = stage2Secondary(inst, m, xvars)
+	if carry != nil {
+		opts.CaptureBasis, opts.WarmStart = true, warm
+		if warm == nil {
+			opts.WarmStart = carry.start(inst, m, xvars, cells)
+		}
+	}
 	sol, err := m.SolveWith(opts)
 	if err != nil {
-		return nil, lp.Numerical, 0, fmt.Errorf("schedule: stage 2: %w", err)
+		return stage2Solve{status: lp.Numerical}, fmt.Errorf("schedule: stage 2: %w", err)
 	}
-	if sol.Status != lp.Optimal {
-		return nil, sol.Status, sol.Iters, nil
+	out := stage2Solve{status: sol.Status, iters: sol.Iters, final: stage2Model{
+		inst: inst, xv: xvars, cells: cells, nVars: m.NumVars(), nRows: m.NumRows(), basis: sol.Basis,
+	}}
+	if sol.Status == lp.Optimal {
+		out.frac = extractAssignment(inst, xvars, sol)
 	}
-	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Iters, nil
+	return out, nil
 }
 
 // rung is where one component stands on the Remark-1 α ladder: the first
 // feasible α, its fractional optimum there (until the re-solve at the global
-// α replaces it), and what reaching it cost.
+// α replaces it), what reaching it cost, and the model of its last solve.
 type rung struct {
 	alpha float64
 	frac  *Assignment
 	iters int
 	dur   time.Duration
+	final stage2Model
 }
 
 // stage2Ladder walks one component up the Remark-1 α ladder and returns
 // the first feasible α with its fractional optimum. Every component's
 // ladder accumulates α the same way, so all visit one float sequence and
 // the max over components is a single model's stopping point bit for bit.
-func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
+// With a carry, each rung after the first starts from the basis the last
+// one ended on.
+func stage2Ladder(inst *Instance, zstar float64, cfg Config, carry *Stage2Carry) (rung, error) {
 	start := time.Now()
 	r := rung{alpha: cfg.Alpha}
 	for {
-		frac, status, it, err := solveStage2Frac(inst, zstar, r.alpha, cfg)
-		r.iters += it
+		sol, err := solveStage2Frac(inst, zstar, r.alpha, cfg, carry, r.final.basis)
+		r.iters += sol.iters
 		r.dur = time.Since(start)
 		if err != nil {
 			return r, err
 		}
-		if status == lp.Optimal {
-			r.frac = frac
+		r.final = sol.final
+		if sol.status == lp.Optimal {
+			r.frac = sol.frac
 			return r, nil
 		}
-		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= maxAlpha {
+		if sol.status == lp.Infeasible && cfg.AlphaGrowth > 0 && r.alpha+cfg.AlphaGrowth <= maxAlpha {
 			telStage2AlphaRetries.Inc()
 			if cfg.Solver.Tracer != nil {
 				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
@@ -497,6 +527,6 @@ func stage2Ladder(inst *Instance, zstar float64, cfg Config) (rung, error) {
 			r.alpha += cfg.AlphaGrowth // Remark 1: increase α and retry
 			continue
 		}
-		return r, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, r.alpha)
+		return r, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", sol.status, r.alpha)
 	}
 }

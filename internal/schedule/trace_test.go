@@ -94,12 +94,13 @@ func TestRETTracePropagation(t *testing.T) {
 			lpUnderComp++
 		}
 		if r.Kind == "span" && r.Name == "lp.solve" {
-			// SUB-RET keeps the all-artificial start (RETConfig.withDefaults).
-			var a struct{ Warm, Crash string }
+			// SUB-RET keeps the all-artificial start (RETConfig.withDefaults);
+			// a probe that re-enters its chain starts from no crash at all.
+			var a struct{ Warm, Crash, Incremental string }
 			if err := json.Unmarshal(r.Attrs, &a); err != nil {
 				t.Fatal(err)
 			}
-			if a.Warm != "hit" && a.Crash != "artificial" {
+			if a.Warm != "hit" && a.Incremental != "reentry" && a.Crash != "artificial" {
 				t.Errorf("cold SUB-RET solve with attrs %s, want crash=artificial", r.Attrs)
 			}
 		}
