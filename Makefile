@@ -19,17 +19,19 @@ build:
 	$(GO) build ./...
 
 # The size of the tree, for ROADMAP's "non-test line count going down": Go
-# lines outside bench/ that are not tests, the largest such file, the same
+# lines outside bench/ that are neither tests nor test data, the largest such file, the same
 # lines inside internal/schedule and internal/controller, test lines, flag registrations under cmd/, instrument registrations on the
 # default telemetry registry, the settable (exported) fields of the solver
-# and controller config structs, and how many of those fields are documented
-# `Deprecated: ignored`. Printed, never gated.
+# and controller config structs, how many of those fields are documented
+# `Deprecated: ignored`, and the entries on the two allowlists of exported
+# functions and methods no program calls (internal/integration/callers_test.go).
+# Printed, never gated.
 CONFIG_STRUCTS = lp.Options=internal/lp/simplex.go schedule.Config=internal/schedule/stage2.go \
 	schedule.RETConfig=internal/schedule/ret.go schedule.ColGenConfig=internal/schedule/colgen.go \
 	schedule.InstanceOptions=internal/schedule/instance.go controller.Config=internal/controller/controller.go
 loc:
-	@printf 'non-test go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
-	@printf 'largest non-test go file outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | grep -v ' total$$' | sort -n | tail -1 | awk '{print $$2, $$1}'
+	@printf 'non-test go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'largest non-test go file outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | grep -v ' total$$' | sort -n | tail -1 | awk '{print $$2, $$1}'
 	@printf 'non-test go lines in internal/schedule: '; find internal/schedule -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'non-test go lines in internal/controller: '; find internal/controller -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'test go lines: '; find . -name '*_test.go' | xargs cat | wc -l
@@ -40,6 +42,7 @@ loc:
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /^\t[A-Z]/ {n++} END {print n + 0}' $${s#*=}; done
 	@printf 'deprecated (ignored) fields in those structs: '; for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; \
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /Deprecated: ignored/ {n++} END {print n + 0}' $${s#*=}; done | awk '{n += $$1} END {print n + 0}'
+	@printf 'exported without a program caller: '; awk '/^var (exportedWithoutCaller|methodsWithoutCaller) = map/ {body = 1; next} body && /^}/ {body = 0} body && /^\t"/ {n++} END {print n + 0}' internal/integration/callers_test.go
 
 test:
 	$(GO) test ./...

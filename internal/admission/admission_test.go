@@ -256,7 +256,7 @@ func TestSubmissionResolveWait(t *testing.T) {
 			d.Resolve(Decision{ID: d.Job.ID, Err: ErrQuotaExceeded, RetryAfter: 1.5})
 		}
 	}()
-	d := s.Wait()
+	d := <-s.Done()
 	if d.ID != 7 || !errors.Is(d.Err, ErrQuotaExceeded) || d.RetryAfter != 1.5 {
 		t.Fatalf("decision = %+v", d)
 	}

@@ -47,9 +47,6 @@ type Decision struct {
 	Degraded bool
 }
 
-// Wait blocks until the drain resolves the submission.
-func (s *Submission) Wait() Decision { return <-s.done }
-
 // Done exposes the decision channel for select loops (client timeout,
 // server shutdown).
 func (s *Submission) Done() <-chan Decision { return s.done }

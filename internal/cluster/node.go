@@ -66,9 +66,9 @@ type Config struct {
 // Locking: n.mu guards the log/apply/role state machine and is the
 // OUTER lock — paths under n.mu may take the server's mutex (via
 // srv.Apply / srv.Reset), never the reverse. The serving layer reads
-// membership through the lock-free atomic view (isLeader, leaderURLv,
-// highTok) so its handlers can stay under their own mutex without
-// ordering against n.mu.
+// membership through the lock-free atomic view (isLeader, leaderURLv)
+// so its handlers can stay under their own mutex without ordering
+// against n.mu.
 type Node struct {
 	cfg    Config
 	lease  *Lease
@@ -80,7 +80,6 @@ type Node struct {
 	// Lock-free view for server.ClusterView.
 	isLeader   atomic.Bool
 	leaderURLv atomic.Pointer[string]
-	highTok    atomic.Uint64
 
 	mu           sync.Mutex
 	role         Role
@@ -278,17 +277,6 @@ func (n *Node) LeaderURL() string {
 	return *n.leaderURLv.Load()
 }
 
-// Role returns the node's current role.
-func (n *Node) Role() Role {
-	if n.isLeader.Load() {
-		return RoleLeader
-	}
-	return RoleFollower
-}
-
-// Token returns the newest fencing token this node has witnessed.
-func (n *Node) Token() uint64 { return n.highTok.Load() }
-
 // publishViewLocked refreshes the atomic view from the canonical state.
 // Caller holds n.mu.
 func (n *Node) publishViewLocked(leaderURL string) {
@@ -297,7 +285,6 @@ func (n *Node) publishViewLocked(leaderURL string) {
 		u := leaderURL
 		n.leaderURLv.Store(&u)
 	}
-	n.highTok.Store(n.highestToken)
 }
 
 // observeLease folds a lease observation into the node's view.

@@ -44,9 +44,6 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// Window returns the requested transfer window length.
-func (j Job) Window() float64 { return j.End - j.Start }
-
 func (j Job) String() string {
 	return fmt.Sprintf("job %d: %d->%d size %.2f window [%.2f, %.2f] arrived %.2f",
 		j.ID, j.Src, j.Dst, j.Size, j.Start, j.End, j.Arrival)

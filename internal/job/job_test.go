@@ -33,13 +33,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	j := valid()
-	if j.Window() != 4 {
-		t.Errorf("Window = %g", j.Window())
-	}
-}
-
 func TestString(t *testing.T) {
 	s := valid().String()
 	if !strings.Contains(s, "job 1") || !strings.Contains(s, "0->1") {

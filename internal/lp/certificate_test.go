@@ -186,7 +186,7 @@ func TestCertificateRandomSoundness(t *testing.T) {
 			case 2:
 				if len(geRows) > 0 { // demand drain
 					r := geRows[rng.Intn(len(geRows))]
-					m.setRHS(r, m.RHS(r)*rng.Float64())
+					m.setRHS(r, m.rhs(r)*rng.Float64())
 				}
 			}
 			feas, ok := m.CheckFeasibleWithCertificate(cert)

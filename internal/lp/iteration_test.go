@@ -923,7 +923,7 @@ func perturbModel(rng *rand.Rand, m *Model) {
 		switch rng.Intn(3) {
 		case 0:
 			r := RowID(rng.Intn(m.NumRows()))
-			m.setRHS(r, m.RHS(r)+float64(rng.Intn(5)-2))
+			m.setRHS(r, m.rhs(r)+float64(rng.Intn(5)-2))
 		case 1:
 			boxOne(rng, m)
 		case 2:

@@ -6,9 +6,15 @@ import (
 	"testing"
 )
 
+// Solve optimizes the model with default options.
+func (m *Model) Solve() (*Solution, error) { return m.SolveWith(Options{}) }
+
 // setRHS replaces the right-hand side of row r: the mutation tests make
 // between re-solves of one model.
 func (m *Model) setRHS(r RowID, rhs float64) { m.rows[r].rhs = rhs }
+
+// rhs returns the right-hand side of row r.
+func (m *Model) rhs(r RowID) float64 { return m.rows[r].rhs }
 
 func mustSolve(t *testing.T, m *Model) *Solution {
 	t.Helper()
@@ -293,7 +299,7 @@ func TestStatusStrings(t *testing.T) {
 func TestModelAccessors(t *testing.T) {
 	m := NewModel("acc", Minimize)
 	x := m.AddVar("x", 0, 1, 2)
-	if m.Name() != "acc" || m.Sense() != Minimize {
+	if m.name != "acc" || m.Sense() != Minimize {
 		t.Error("name/sense")
 	}
 	if m.NumVars() != 1 || m.vars[x].name != "x" {
@@ -342,8 +348,8 @@ func TestForkSharesRowsCopyOnWrite(t *testing.T) {
 	}
 
 	f := m.Fork("probe")
-	if f.Name() != "probe" || f.Sense() != m.Sense() {
-		t.Fatalf("fork is named %q, sense %v", f.Name(), f.Sense())
+	if f.name != "probe" || f.Sense() != m.Sense() {
+		t.Fatalf("fork is named %q, sense %v", f.name, f.Sense())
 	}
 	same("forking", m, want)
 	same("the fork", f, want)

@@ -109,9 +109,6 @@ func NewModel(name string, sense Sense) *Model {
 	return &Model{name: name, sense: sense}
 }
 
-// Name returns the model's name.
-func (m *Model) Name() string { return m.name }
-
 // Sense returns the model's optimization direction.
 func (m *Model) Sense() Sense { return m.sense }
 
@@ -138,9 +135,6 @@ func (m *Model) SetBounds(v VarID, lb, ub float64) {
 	m.vars[v].lb = lb
 	m.vars[v].ub = ub
 }
-
-// RHS returns the right-hand side of row r.
-func (m *Model) RHS(r RowID) float64 { return m.rows[r].rhs }
 
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v VarID) (lb, ub float64) {

@@ -50,7 +50,7 @@ func tightenable(t *testing.T) (*lexLP, float64) {
 // scaleCaps scales the right-hand sides of the capacity rows by f.
 func scaleCaps(lp *lexLP, f float64) {
 	for _, r := range lp.caps {
-		lp.m.setRHS(r, lp.m.RHS(r)*f)
+		lp.m.setRHS(r, lp.m.rhs(r)*f)
 	}
 }
 

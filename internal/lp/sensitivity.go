@@ -279,117 +279,26 @@ type Range struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether v lies in the range (inclusive, with
-// tolerance).
-func (r Range) Contains(v float64) bool {
-	return v >= r.Lo-1e-9 && v <= r.Hi+1e-9
-}
-
-// Sensitivity carries classic post-optimal ranging information for an
-// optimal basis: how far each objective coefficient or row right-hand
-// side can move before the optimal basis changes.
+// Sensitivity carries post-optimal ranging information for an optimal
+// basis: how far each row right-hand side can move before the optimal
+// basis changes.
 type Sensitivity struct {
-	// Cost[j] is the interval for variable j's objective coefficient (in
-	// the model's own sense) within which the current optimal point stays
-	// optimal.
-	Cost []Range
 	// RHS[k] is the interval for row k's right-hand side within which the
 	// current basis stays optimal; inside it the objective changes
 	// linearly with slope Duals[k].
 	RHS []Range
 }
 
-// SolveWithSensitivity solves the model and, when optimal, computes the
-// ranging information from the final basis.
+// SolveWithSensitivity solves the model as SolveWith does and, when
+// optimal, ranges the right-hand sides on the final basis.
 func (m *Model) SolveWithSensitivity(opt Options) (*Solution, *Sensitivity, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	bf := borrowBufs(m.shape())
-	defer releaseBufs(bf)
-	s, sol, err := m.solveCore(opt, bf)
-	if err != nil {
-		return sol, nil, err
-	}
-	if sol.Status != Optimal || s == nil {
-		return sol, nil, nil
-	}
-	sens := &Sensitivity{
-		Cost: make([]Range, m.NumVars()),
-		RHS:  make([]Range, m.NumRows()),
-	}
-	negate := m.Sense() == Maximize
+	return m.solveWith(opt, true)
+}
 
-	// Current duals (min form).
-	y := make([]float64, s.m)
-	for slot, j := range s.basis {
-		y[slot] = s.c[j]
-	}
-	s.factor.btran(y)
-
-	rho := make([]float64, s.m)
-
-	for j := 0; j < m.NumVars(); j++ {
-		lo, hi := math.Inf(-1), math.Inf(1)
-		switch s.state[j] {
-		case stAtLower:
-			// Reduced cost must stay ≥ 0: c_j may drop by d_j.
-			d := s.c[j] - s.colDotY(j, y)
-			lo = s.c[j] - d
-		case stAtUpper:
-			d := s.c[j] - s.colDotY(j, y)
-			hi = s.c[j] - d // d ≤ 0: c_j may rise by |d|
-		case stBasic:
-			// Pivot row of the basic variable: ρ = B⁻ᵀ e_r.
-			r := s.pos[j]
-			for i := range rho {
-				rho[i] = 0
-			}
-			rho[r] = 1
-			s.factor.btran(rho)
-			dLo, dHi := math.Inf(-1), math.Inf(1)
-			for q := 0; q < s.nTotal(); q++ {
-				st := s.state[q]
-				if st == stBasic || s.l[q] == s.u[q] {
-					continue
-				}
-				alpha := s.colDotY(q, rho)
-				if math.Abs(alpha) < 1e-11 {
-					continue
-				}
-				d := s.c[q] - s.colDotY(q, y)
-				ratio := d / alpha
-				if st == stAtLower {
-					// need d − Δ·α ≥ 0
-					if alpha > 0 {
-						if ratio < dHi {
-							dHi = ratio
-						}
-					} else if ratio > dLo {
-						dLo = ratio
-					}
-				} else {
-					// need d − Δ·α ≤ 0
-					if alpha > 0 {
-						if ratio > dLo {
-							dLo = ratio
-						}
-					} else if ratio < dHi {
-						dHi = ratio
-					}
-				}
-			}
-			lo, hi = s.c[j]+dLo, s.c[j]+dHi
-		}
-		if negate {
-			// User-facing coefficients are the negation of the min form.
-			sens.Cost[j] = Range{Lo: -hi, Hi: -lo}
-		} else {
-			sens.Cost[j] = Range{Lo: lo, Hi: hi}
-		}
-	}
-
-	// RHS ranging: β = B⁻¹ e_k; feasibility of xB + Δ·β bounds Δ.
+// rhsRanges ranges every row's right-hand side on the optimal basis s
+// ends with: β = B⁻¹ e_k, and feasibility of xB + Δ·β bounds Δ.
+func (s *simplex) rhsRanges(m *Model) *Sensitivity {
+	sens := &Sensitivity{RHS: make([]Range, m.NumRows())}
 	beta := make([]float64, s.m)
 	for k := 0; k < m.NumRows(); k++ {
 		for i := range beta {
@@ -428,5 +337,5 @@ func (m *Model) SolveWithSensitivity(opt Options) (*Solution, *Sensitivity, erro
 		rhs := m.rows[k].rhs
 		sens.RHS[k] = Range{Lo: rhs + dLo, Hi: rhs + dHi}
 	}
-	return sol, sens, nil
+	return sens
 }

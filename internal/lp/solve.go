@@ -52,26 +52,34 @@ type Solution struct {
 // Value returns the primal value of v.
 func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
-// Solve optimizes the model with default options.
-func (m *Model) Solve() (*Solution, error) { return m.SolveWith(Options{}) }
-
 // SolveWith optimizes the model with the given options.
 func (m *Model) SolveWith(opt Options) (*Solution, error) {
+	sol, _, err := m.solveWith(opt, false)
+	return sol, err
+}
+
+// solveWith is SolveWith that, when ranging is set and the solve ends
+// Optimal, also ranges the right-hand sides on the final basis. Either way
+// the solve counts in the solve counters and is traced as an lp.solve span.
+func (m *Model) solveWith(opt Options, ranging bool) (*Solution, *Sensitivity, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	sp := opt.Tracer.Start("lp.solve")
 	bf := borrowBufs(m.shape())
-	_, sol, err := m.solveCore(opt, bf)
-	releaseBufs(bf)
+	defer releaseBufs(bf)
+	s, sol, err := m.solveCore(opt, bf)
 	pivots := 0
 	if sol != nil {
 		pivots = sol.Iters
 	}
 	countSolve(start, sol, pivots)
 	endSolveSpan(sp, m, opt, sol, err, sol != nil && sol.Warm != "hit")
-	return sol, err
+	if !ranging || err != nil || sol.Status != Optimal || s == nil {
+		return sol, nil, err
+	}
+	return sol, s.rhsRanges(m), nil
 }
 
 // endSolveSpan closes the lp.solve span of one solve with its model, its

@@ -72,7 +72,7 @@ func perturb(rng *rand.Rand, m *Model) {
 	}
 	for i := 0; i < m.NumRows(); i++ {
 		if rng.Float64() < 0.3 {
-			m.setRHS(RowID(i), m.RHS(RowID(i))+float64(rng.Intn(5)-2))
+			m.setRHS(RowID(i), m.rhs(RowID(i))+float64(rng.Intn(5)-2))
 		}
 	}
 }

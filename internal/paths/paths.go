@@ -32,15 +32,6 @@ type Path struct {
 	Cost  float64
 }
 
-// Clone returns a deep copy of the path.
-func (p Path) Clone() Path {
-	return Path{
-		Edges: append([]netgraph.EdgeID(nil), p.Edges...),
-		Nodes: append([]netgraph.NodeID(nil), p.Nodes...),
-		Cost:  p.Cost,
-	}
-}
-
 // Key returns a canonical string for de-duplication: the edge IDs as
 // fmt.Sprint renders the slice ("[1 2 3]"), which the stage-2 tie-break
 // hashes, built without fmt's reflection.

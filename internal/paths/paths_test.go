@@ -142,17 +142,6 @@ func TestKShortestEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPathClone(t *testing.T) {
-	g := netgraph.Line(3, 1, 1)
-	p, _ := Shortest(g, 0, 2, UnitCost, nil, nil)
-	q := p.Clone()
-	q.Edges[0] = 99
-	q.Nodes[0] = 99
-	if p.Edges[0] == 99 || p.Nodes[0] == 99 {
-		t.Error("Clone shares storage")
-	}
-}
-
 // TestPathKeyMatchesSprint holds the hand-built Key against the fmt
 // rendering it replaced: the stage-2 tie-break hashes the string, so the
 // canonical plans chosen under the old form must keep being chosen.

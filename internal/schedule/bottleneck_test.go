@@ -65,11 +65,14 @@ func TestBottleneckPredictsZStarGain(t *testing.T) {
 	tested := false
 	for _, b := range bns {
 		cur := inst.Capacity(b.Edge, b.Slice)
+		inRange := func(c int) bool {
+			return float64(c) >= b.CapRange.Lo-1e-9 && float64(c) <= b.CapRange.Hi+1e-9
+		}
 		var delta int
 		switch {
-		case b.CapRange.Contains(float64(cur + 1)):
+		case inRange(cur + 1):
 			delta = 1
-		case b.CapRange.Contains(float64(cur-1)) && cur > 0:
+		case inRange(cur-1) && cur > 0:
 			delta = -1
 		default:
 			continue

@@ -214,7 +214,7 @@ func checkDominatedRows(t testing.TB, sh domShape, st *domStats) {
 		t.Helper()
 		sol, err := m.SolveWith(o)
 		if err != nil || sol.Status != lp.Optimal {
-			t.Fatalf("%s: %s: %v, %v", name, m.Name(), sol, err)
+			t.Fatalf("%s: %d-row model: %v, %v", name, m.NumRows(), sol, err)
 		}
 		return sol
 	}
@@ -417,7 +417,7 @@ func checkDominatedRowsUnderGrowth(t testing.TB, sh domShape, st *growStats) {
 		t.Helper()
 		sol, err := m.SolveWith(o)
 		if err != nil || sol.Status != lp.Optimal {
-			t.Fatalf("%s: %s: %v, %v", name, m.Name(), sol, err)
+			t.Fatalf("%s: %d-row model: %v, %v", name, m.NumRows(), sol, err)
 		}
 		return sol
 	}
@@ -647,7 +647,7 @@ func TestClosedCellsFollowGrownPool(t *testing.T) {
 		o.Secondary = stage2Secondary(inst, m, xv)
 		sol, err := m.SolveWith(o)
 		if err != nil || sol.Status != lp.Optimal {
-			t.Fatalf("%s: %v, %v", m.Name(), sol, err)
+			t.Fatalf("stage 2: %v, %v", sol, err)
 		}
 		return extractAssignment(inst, xv, sol)
 	}

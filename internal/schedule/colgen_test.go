@@ -346,8 +346,8 @@ func TestPathCacheLRUBound(t *testing.T) {
 	fetch(1)
 	fetch(0) // bump 0 to the recency front
 	fetch(2) // evicts 1, the least recently used
-	if pc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", pc.Len())
+	if len(pc.entries) != 2 {
+		t.Fatalf("%d entries, want 2", len(pc.entries))
 	}
 	if _, _, ev := pathCacheCounts(t); ev-e0 != 1 {
 		t.Fatalf("evictions = %d, want 1", ev-e0)

@@ -147,10 +147,3 @@ func (pc *PathCache) insert(key pathCacheKey, ps []paths.Path) {
 		telPathCacheEvictions.Inc()
 	}
 }
-
-// Len returns the current entry count.
-func (pc *PathCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries)
-}

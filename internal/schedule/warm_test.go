@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"wavesched/internal/job"
@@ -118,11 +120,16 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 		}
 	}
 
-	P := newRETProber(E, cfg)
+	// The prober alone traces its solves, so its lp.solve spans name the
+	// fork's model.
+	var trace bytes.Buffer
+	pcfg := cfg
+	pcfg.Solver.Tracer = telemetry.NewTracer(&trace)
+	P := newRETProber(E, pcfg)
 	P.seedFrom(E)
 	ch := P.ensureChain()
-	if ch.m == E.m || ch.inc == E.inc || ch.m.Name() != "sub-ret-probe" || ch.m.NumRows() != E.m.NumRows() {
-		t.Fatalf("probe chain: model %q (%d rows) on the extraction chain's %q (%d rows)", ch.m.Name(), ch.m.NumRows(), E.m.Name(), E.m.NumRows())
+	if ch.m == E.m || ch.inc == E.inc || ch.m.NumRows() != E.m.NumRows() {
+		t.Fatalf("probe chain: model of %d rows on the extraction chain's of %d rows", ch.m.NumRows(), E.m.NumRows())
 	}
 	verdicts := 0
 	for _, b := range []float64{0.5, 4, 1.25, 0.1} {
@@ -140,6 +147,12 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 	}
 	if verdicts == 0 {
 		t.Fatal("the probe chain gave no verdict")
+	}
+	if err := pcfg.Solver.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(trace.String(), `"model":"sub-ret-probe"`) {
+		t.Fatalf("the probe chain's solves are not traced as model sub-ret-probe:\n%s", trace.String())
 	}
 	for k, last := range E.curLast {
 		if last != E.maxLast[k] {

@@ -555,22 +555,6 @@ func (s *Server) Records() []controller.Record {
 // not mutate it while the server is live.
 func (s *Server) Controller() *controller.Controller { return s.ctrl }
 
-// Explain returns a job's decision history. ok is false when the
-// controller has never seen the job.
-func (s *Server) Explain(id job.ID) (controller.Explanation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrl.Explain(id)
-}
-
-// AuditByTrace returns every audit event produced under one trace ID
-// (= epoch index), across all jobs, in decision order.
-func (s *Server) AuditByTrace(trace int64) []controller.AuditEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrl.AuditByTrace(trace)
-}
-
 // FlightFrames returns the flight recorder's retained epoch frames,
 // oldest first; nil when the recorder is disabled.
 func (s *Server) FlightFrames() []any {
