@@ -145,7 +145,7 @@ func TestIncrementalFullSolveAllocations(t *testing.T) {
 		t.Fatalf("first solve: status %v, err %v", sol.Status, err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		inc.valid = false
+		inc.s = nil
 		if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
 			t.Fatalf("status %v, err %v", sol.Status, err)
 		}

@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Basis is an opaque snapshot of a simplex basis, captured on
 // Solution.Basis when Options.CaptureBasis (or a warm start) was requested.
@@ -29,6 +26,10 @@ type Basis struct {
 	rowSlack []int     // row -> its slack column, or -1 for an EQ row
 	state    []int8    // column -> stAtLower/stAtUpper/stBasic, length nCols+nRows
 	art      []float64 // artificial signs, length nRows
+
+	// work is the re-entry budget of the chain that exported the basis
+	// (Incremental.Basis), which a chain it seeds inherits; 0 elsewhere.
+	work int
 }
 
 // Carried is one source of Remap: a basis captured on another model, and
@@ -318,86 +319,4 @@ func (s *simplex) squareBasis(cand, rowSlack []int) {
 		s.basis[kept] = j
 		kept++
 	}
-}
-
-// warmSolve attempts to solve from the basis in opt.WarmStart instead of
-// the two-phase cold start: install and factorize the snapshot (startFrom),
-// run the dual simplex to restore primal feasibility
-// under the (possibly changed) RHS and bounds, then a primal clean-up pass
-// for the (possibly changed) objective. The third return is false when the
-// warm attempt must be abandoned — structural mismatch, numerical stall —
-// in which case the caller rebuilds clean state and solves cold; the other
-// returns are then meaningless.
-//
-// Correctness does not depend on the snapshot being dual feasible for the
-// current costs: a dualInfeasible verdict rests on a sign argument over
-// the pivot row alone, and a dualOptimal exit is always re-certified by
-// primal pricing before extraction.
-func (s *simplex) warmSolve(m *Model, opt Options) (*Solution, error, bool) {
-	ws := opt.WarmStart
-	if !ws.compatible(s) || s.startFrom(ws) != nil {
-		return nil, nil, false
-	}
-	sol, err, ok := s.warmPhases(m)
-	if ok {
-		// The dual and primal pivots; optimum counted the lexicographic
-		// ones.
-		lex := 0
-		if sol != nil {
-			lex = sol.LexIters
-		}
-		telPhase2Pivots.Add(int64(s.iters - lex))
-	}
-	return sol, err, ok
-}
-
-// warmPhases runs the warm start's dual simplex and primal clean-up from the
-// installed, factorized basis; its returns are warmSolve's.
-func (s *simplex) warmPhases(m *Model) (*Solution, error, bool) {
-	st, err := s.dualSimplex()
-	if errors.Is(err, ErrTimeLimit) {
-		// Falling back would double the wall-clock budget; surface the
-		// timeout like the cold path does.
-		return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
-	}
-	if err != nil || st == dualStall {
-		return nil, nil, false
-	}
-	switch st {
-	case dualInfeasible:
-		sol := &Solution{Status: Infeasible, Iters: s.iters}
-		sol.Basis = s.snapshotBasis()
-		return sol, nil, true
-	case dualIterLimit:
-		return &Solution{Status: IterLimit, Iters: s.iters}, nil, true
-	}
-
-	// Primal clean-up: certify optimality for the current costs (the dual
-	// pass only restored primal feasibility) and absorb objective changes.
-	s.blandMode = false
-	s.degenRun = 0
-	if q := s.price(); q >= 0 {
-		stp, err := s.runPhase()
-		if errors.Is(err, ErrTimeLimit) {
-			return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
-		}
-		if err != nil {
-			return nil, nil, false
-		}
-		if stp != Optimal {
-			return &Solution{Status: stp, Iters: s.iters}, nil, true
-		}
-	}
-
-	sol, err := s.optimum(m)
-	if errors.Is(err, ErrTimeLimit) {
-		return sol, err, true
-	}
-	if err != nil {
-		return nil, nil, false
-	}
-	if sol.Status == Optimal {
-		sol.Basis = s.snapshotBasis()
-	}
-	return sol, nil, true
 }

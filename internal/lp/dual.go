@@ -3,9 +3,6 @@ package lp
 import (
 	"errors"
 	"math"
-	"time"
-
-	"wavesched/internal/telemetry"
 )
 
 // dualStatus reports the outcome of a dual-simplex run.
@@ -35,6 +32,9 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		if s.deadlineExceeded() {
 			telTimeouts.Inc()
 			return dualStall, ErrTimeLimit
+		}
+		if s.overBudget() {
+			return dualIterLimit, errBudget
 		}
 
 		// Leaving variable: the basic with the largest bound violation.
@@ -66,6 +66,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		}
 		rho[r] = 1
 		s.factor.btran(rho)
+		s.work += 2 * s.factor.btranWork() // this one and the duals' below
 
 		// Current duals for the ratio test, in the spare buffer: yRow stays
 		// what the primal pricing cache was computed from.
@@ -99,7 +100,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 				mark[s.n+i] = true
 			}
 		}
-		q := -1
+		q, read := -1, 0
 		var alphaQ float64
 		best := math.Inf(1)
 		for j := 0; j < s.nTotal(); j++ {
@@ -107,6 +108,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 				continue
 			}
 			mark[j] = false
+			read++
 			st := s.state[j]
 			if st == stBasic || s.l[j] == s.u[j] {
 				continue
@@ -133,6 +135,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 				alphaQ = alpha
 			}
 		}
+		s.work += read
 		if q < 0 {
 			// No entering candidate: the primal is infeasible under the
 			// new bounds. Record the exit row so a Farkas certificate can
@@ -144,6 +147,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		// Primal update: w = B⁻¹ a_q; the entering variable moves by
 		// t = delta / α_rq so the leaving variable lands on its bound.
 		w, nz := s.factor.ftranCol(s.column(q))
+		s.work += len(nz)
 		if math.Abs(w[r]) < pivotTol {
 			// Pivot row/column mismatch due to round-off: refactorize and
 			// retry once; if it persists, stall out to the primal fallback.
@@ -184,67 +188,223 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 	}
 }
 
-// Incremental solves a model once with the primal simplex and then
-// re-solves cheaply after bound changes using the dual simplex from the
-// previous optimal basis — the classic warm-start pattern for branch and
-// bound and for the RET δ-extension loop.
+// warmExit says how a warm path ended.
+type warmExit int
+
+const (
+	warmNone    warmExit = iota // no warm path ran
+	warmSolved                  // the solve's outcome is in hand, whatever its status
+	warmBudget                  // the work budget ran out
+	warmStall                   // the basis did not factor, or the dual simplex stalled
+	warmCleanup                 // the primal clean-up failed or ended Unbounded, or the optimum failed
+)
+
+func (e warmExit) String() string {
+	return [...]string{"", "solved", "budget", "stall", "cleanup"}[e]
+}
+
+// warm is the warm path, from the basis installed in s under the phase-2
+// costs — a carried one (startFrom) or a chain's live one (reenter) — with
+// the solve's pivots and work counted from zero: the dual simplex restores
+// primal feasibility under the current bounds and right-hand sides, a
+// primal clean-up certifies optimality under the current costs, and optimum
+// builds the Solution. A positive budget is the work it may spend before it
+// gives up (warmBudget). Unless it returns warmSolved, the state is
+// abandoned and the caller solves cold; the other returns are then
+// meaningless. Its dual and clean-up pivots are phase-2 pivots, kept or
+// given up.
+//
+// Correctness does not depend on the basis being dual feasible for the
+// current costs: a dualInfeasible verdict rests on a sign argument over the
+// pivot row alone, and a dualOptimal exit is always re-certified by primal
+// pricing before extraction. A timeout ends the solve rather than the warm
+// path: retrying cold would double the wall-clock budget.
+func (s *simplex) warm(m *Model, budget int) (sol *Solution, err error, exit warmExit) {
+	s.workCap = budget
+	defer func() {
+		lex := 0 // optimum counted the lexicographic pivots
+		if sol != nil {
+			lex = sol.LexIters
+			sol.BoundFlips = s.boundFlips
+		}
+		telPhase2Pivots.Add(int64(s.iters - lex))
+		s.workCap = 0
+	}()
+	st, err := s.dualSimplex()
+	switch {
+	case errors.Is(err, ErrTimeLimit):
+		return &Solution{Status: TimeLimit, Iters: s.iters}, err, warmSolved
+	case errors.Is(err, errBudget):
+		return nil, nil, warmBudget
+	case err != nil || st == dualStall:
+		return nil, nil, warmStall
+	case st != dualOptimal: // infeasible, or the caller's pivot limit
+		status := Infeasible
+		if st == dualIterLimit {
+			status = IterLimit
+		}
+		return &Solution{Status: status, Iters: s.iters}, nil, warmSolved
+	}
+	if q := s.price(); q >= 0 {
+		stp, err := s.runPhase()
+		switch {
+		case errors.Is(err, ErrTimeLimit):
+			return &Solution{Status: TimeLimit, Iters: s.iters}, err, warmSolved
+		case errors.Is(err, errBudget):
+			return nil, nil, warmBudget
+		case err != nil, stp == Unbounded: // a cold solve confirms Unbounded, or settles round-off
+			return nil, nil, warmCleanup
+		case stp != Optimal:
+			return &Solution{Status: stp, Iters: s.iters}, nil, warmSolved
+		}
+	}
+	sol, err = s.optimum(m)
+	if err != nil && !errors.Is(err, ErrTimeLimit) {
+		return sol, nil, warmCleanup
+	}
+	return sol, err, warmSolved
+}
+
+// reenter re-solves m from the live state s an earlier solve of it left, as
+// a warm start from that basis under opt: it takes up what changed in the
+// model since — bounds, costs, right-hand sides; not coefficients, which it
+// cannot see — and runs the warm path under the work budget.
+func (s *simplex) reenter(m *Model, opt Options, budget int) (*Solution, error, warmExit) {
+	s.opt = opt.withDefaults(s.m, s.n)
+	s.iters, s.boundFlips, s.work = 0, 0, 0
+	s.startClock()
+	moved := s.sync(m)
+	if s.phase1 {
+		// Chained from a cold infeasible exit: the state still carries
+		// phase-1 costs and loose artificials. Install the real costs and
+		// pin the artificials, as startFrom does; a basic artificial stuck
+		// at a positive value becomes a bound violation for the dual simplex.
+		s.enterPhase2()
+	}
+	if moved && s.refactorize() != nil {
+		return nil, nil, warmStall
+	}
+	return s.warm(m, budget)
+}
+
+// sync takes up the model's bounds, costs and right-hand sides, and reports
+// whether xB no longer solves the right-hand side: a nonbasic variable's
+// resting value or a right-hand side moved. The RET probes only toggle
+// columns between [0,0] and [0,∞) — the nonbasic value stays 0 either way —
+// so on that path both the basic values and the factorization stay exact.
+func (s *simplex) sync(m *Model) (moved bool) {
+	costs := false
+	for j := range m.vars {
+		v := &m.vars[j]
+		c := v.obj
+		if s.negate {
+			c = -c
+		}
+		if c != s.cMin[j] {
+			s.cMin[j], costs = c, true
+		}
+		if v.lb == s.l[j] && v.ub == s.u[j] {
+			continue
+		}
+		st := s.state[j]
+		var oldV float64
+		if st != stBasic {
+			oldV = s.nonbasicValue(j)
+		}
+		s.l[j], s.u[j] = v.lb, v.ub
+		if st == stAtUpper && math.IsInf(v.ub, 1) {
+			s.state[j] = stAtLower
+		}
+		s.dirtyBlock(j)
+		if st != stBasic && s.nonbasicValue(j) != oldV {
+			moved = true
+		}
+	}
+	for i := range m.rows {
+		if rhs := m.rows[i].rhs; rhs != s.b[i] {
+			s.b[i], moved = rhs, true
+		}
+	}
+	if costs && !s.phase1 {
+		s.enterPhase2()
+	}
+	if moved {
+		s.onlySwaps = false // xB no longer solves the right-hand side
+	}
+	return moved
+}
+
+// Incremental re-solves a model cheaply after changes to its bounds, costs
+// or right-hand sides: each Solve after the first is a warm start from the
+// basis the last one left (its live state, re-entered in place), and starts
+// over with a full solve when the structure changed, the last solve left no
+// basis to re-enter, or the re-entry gives up. That is the classic pattern
+// of branch and bound and of the RET search's probe chains.
 //
 // Usage:
 //
 //	inc := lp.NewIncremental(model, opts)
-//	sol, err := inc.Solve()          // full primal solve
+//	sol, err := inc.Solve()          // full solve
 //	model.SetBounds(v, 1, 4)         // tighten a bound
-//	sol, err = inc.Solve()           // dual re-solve from the old basis
+//	sol, err = inc.Solve()           // dual re-entry from the old basis
 //
-// Only bound changes are supported between solves; altering costs or rows
-// triggers a full re-solve (detected via row/variable counts — changing
-// coefficients in place is NOT detected and yields wrong results).
+// A row or variable added between solves makes the next one full; a
+// coefficient changed in place is NOT detected and yields wrong results.
+//
+// A re-entry gives up once its work (see simplex.work) reaches the chain's
+// reference: the work of its last full solve that reached an optimum (of its
+// last full solve, before one has), or the reference its seed carries (a
+// seed from CaptureBasis carries none: its warm solve's work stands in). That
+// estimates what starting over costs, so a re-entry that gives up has spent
+// about what the solve it falls back to then spends again — the ski-rental
+// rule. A full solve that proves infeasibility is no reference: phase 1
+// ends it early, and a cold solve of the next probe, which may reach an
+// optimum, costs several times more. Work is counted, not timed, so the
+// verdict is the same on every run and every host.
 //
 // The chain's solver state lives on one set of working memory, borrowed from
-// the package free list at the first solve and held across every re-solve
-// and full solve after it. Release gives it back; an Incremental that is
-// dropped without Release leaves it to the garbage collector.
+// the package free list at the first solve and held across every solve after
+// it. Release gives it back; an Incremental that is dropped without Release
+// leaves it to the garbage collector.
 type Incremental struct {
 	model *Model
 	opt   Options
-
-	s     *simplex
 	bufs  *solverBufs // what s lives on, held until Release
-	base  int         // pivots of the states full solves abandoned since the first solve
-	nVars int
-	nRows int
-	valid bool // s holds a chainable basis for the current costs
-	full  bool // the running Solve started over (fullSolve)
 
-	lastStatus Status
-	lastSol    *Solution
+	s     *simplex  // the live state, nil when there is no basis to re-enter
+	sol   *Solution // the last solve's outcome, for Certificate
+	full  bool      // the last solve started over instead of re-entering
+	iters int       // pivots of every solve since the first, given-up ones included
+	ref   int       // the work a re-entry may spend; 0 for no cap
 }
 
 // NewIncremental wraps a model for repeated solves. A secondary objective
 // is disabled (the dual re-entries end where the primary pivots end).
 func NewIncremental(m *Model, opt Options) *Incremental {
 	opt.Secondary = nil
-	return &Incremental{model: m, opt: opt, lastStatus: Numerical}
+	return &Incremental{model: m, opt: opt}
 }
 
-// SeedBasis supplies a warm-start basis for the first solve — typically
-// carried over from a previous Incremental over a structurally identical
-// model (the controller's previous epoch). Ignored after the first solve,
-// which already chains its own basis; a mismatched basis is harmless (the
-// first solve falls back to a cold start).
+// SeedBasis supplies a warm-start basis for the next full solve — typically
+// another chain's (Basis), over a structurally identical model. Ignored
+// while the chain has a live basis, and used by one solve at most; a
+// mismatched basis is harmless (the solve falls back to a cold start). The
+// chain's re-entries inherit the budget the seed carries.
 func (inc *Incremental) SeedBasis(b *Basis) {
 	if inc.s == nil {
 		inc.opt.WarmStart = b
 	}
 }
 
-// Basis snapshots the current basis for cross-session carry, or nil
-// before the first solve.
+// Basis snapshots the live basis, with the chain's re-entry budget, for a
+// chain SeedBasis starts; nil when there is none.
 func (inc *Incremental) Basis() *Basis {
 	if inc.s == nil {
 		return nil
 	}
-	return inc.s.snapshotBasis()
+	b := inc.s.snapshotBasis()
+	b.work = inc.ref
+	return b
 }
 
 // Certificate exports a feasibility or infeasibility certificate from the
@@ -254,213 +414,39 @@ func (inc *Incremental) Certificate() *Certificate {
 	if inc.s == nil {
 		return nil
 	}
-	switch inc.lastStatus {
-	case Optimal:
-		return feasCertificate(inc.model, inc.lastSol)
-	case Infeasible:
-		return inc.s.infeasCertificate(inc.model)
+	if inc.sol.Status == Optimal {
+		return feasCertificate(inc.model, inc.sol)
 	}
-	return nil
+	return inc.s.infeasCertificate(inc.model)
 }
 
-// Solve optimizes the wrapped model, reusing the previous basis via the
-// dual simplex when only bounds changed since the last call. Its pivots,
-// final status and wall time count in the solve counters as a SolveWith's
-// do, and it is traced as an lp.solve span like one, its incremental
-// attribute saying whether it re-entered the chain or started over.
+// Solve optimizes the wrapped model, re-entering the live basis when there
+// is one. Its pivots, given-up ones included, final status and wall time
+// count in the solve counters as a SolveWith's do, and it is traced as an
+// lp.solve span like one, which says whether it re-entered the chain or
+// started over and, when it tried to re-enter, how that ended.
 func (inc *Incremental) Solve() (*Solution, error) {
-	start, before := time.Now(), inc.Iters()
-	sp, opt := inc.opt.Tracer.Start("lp.solve"), inc.opt
-	inc.full = false
-	sol, err := inc.solve()
-	countSolve(start, sol, inc.Iters()-before)
-	if opt.Tracer != nil {
-		how := "reentry"
-		if inc.full {
-			how = "full"
-		}
-		endSolveSpan(sp, inc.model, opt, sol, err, inc.full && (sol == nil || sol.Warm != "hit"),
-			telemetry.KV("incremental", how))
-	}
-	if sol != nil {
-		inc.lastStatus = sol.Status
-		inc.lastSol = sol
-	} else {
-		inc.lastStatus = Numerical
-		inc.lastSol = nil
-	}
-	return sol, err
-}
-
-func (inc *Incremental) solve() (*Solution, error) {
-	if err := inc.model.Validate(); err != nil {
-		return nil, err
-	}
-	structureChanged := inc.model.NumVars() != inc.nVars || inc.model.NumRows() != inc.nRows
-	if !inc.valid || inc.s == nil || structureChanged {
-		return inc.fullSolve()
-	}
-
-	s := inc.s
-	before := s.iters
-	sol, err, ok := inc.reenter(s)
-	// The re-entry's dual and primal pivots, kept or abandoned below; a full
-	// solve counts its own phases.
-	telPhase2Pivots.Add(int64(s.iters - before))
-	if !ok {
-		return inc.fullSolve()
-	}
-	return sol, err
-}
-
-// reenter re-solves from the chained state s with the dual simplex. It
-// reports false when the state must be abandoned for a full solve (a stall,
-// the re-entry budget, a failed clean-up); the other returns are then
-// meaningless.
-func (inc *Incremental) reenter(s *simplex) (*Solution, error, bool) {
-	if inc.opt.TimeLimit > 0 {
-		s.deadline = time.Now().Add(inc.opt.TimeLimit)
-		s.untilTick = 0
-	}
-	needRecompute := s.syncBounds(inc.model)
-	if s.phase1 {
-		// Chained from a cold infeasible exit: the state still carries
-		// phase-1 costs and loose artificials. Install the real costs and
-		// pin the artificials, exactly as a warm start would; any basic
-		// artificial stuck at a positive value becomes a bound violation
-		// the dual simplex resolves below.
-		s.enterPhase2()
-	}
-	if needRecompute {
-		// A nonbasic resting value moved: rebuild the basic values (and
-		// the factorization, conservatively) from scratch.
-		if err := s.refactorize(); err != nil {
-			return nil, nil, false
-		}
-	}
-	// Budget the re-entry: from an unlucky (degenerate) basis the dual
-	// crawl plus cleanup can cost an order of magnitude more pivots than
-	// a cold solve. Past about one pivot per model dimension, cut losses
-	// and restart from scratch — the budget is deterministic, so chained
-	// and cold runs still agree on every verdict.
-	budget := inc.nRows + inc.nVars + 1000
-	savedMax := s.opt.MaxIter
-	budgeted := s.iters+budget < savedMax
-	if budgeted {
-		s.opt.MaxIter = s.iters + budget
-	}
-	defer func() { s.opt.MaxIter = savedMax }()
-
-	// Ratio-test-only re-entry: go straight to the dual simplex violation
-	// scan on the live basis.
-	st, err := s.dualSimplex()
-	if errors.Is(err, ErrTimeLimit) {
-		// Retrying from scratch would double the wall-clock budget, which
-		// defeats the point of a deadline: surface the timeout directly.
-		inc.valid = false
-		return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
-	}
-	if err != nil || st == dualStall {
-		return nil, nil, false
-	}
-	switch st {
-	case dualInfeasible:
-		// The basis keeps its meaning for chaining: a later bound
-		// relaxation re-enters the dual scan from right here.
-		return &Solution{Status: Infeasible, Iters: s.iters}, nil, true
-	case dualIterLimit:
-		if budgeted {
-			return nil, nil, false // re-entry budget exhausted, not the caller's cap
-		}
-		inc.valid = false
-		return &Solution{Status: IterLimit, Iters: s.iters}, nil, true
-	}
-	// Safety net: confirm dual feasibility with the primal pricing; clean
-	// up any residual attractive columns (tolerance drift).
-	if q := s.price(); q >= 0 {
-		stp, err := s.runPhase()
-		if errors.Is(err, ErrTimeLimit) {
-			inc.valid = false
-			return &Solution{Status: TimeLimit, Iters: s.iters}, err, true
-		}
-		if err != nil || stp != Optimal {
-			return nil, nil, false
-		}
-	}
-	sol, err := s.extract(inc.model, inc.model.Sense() == Maximize)
-	if err != nil {
-		return nil, nil, false
-	}
-	sol.BoundFlips = s.boundFlips
-	return sol, nil, true
-}
-
-// syncBounds refreshes the structural bounds from the model and reports
-// whether any nonbasic variable's resting VALUE moved. The RET probes only
-// toggle columns between [0,0] and [0,∞) — the nonbasic value stays 0 either
-// way — so on that path both the basic values and the factorization remain
-// exact and a refactorize/recompute step would be pure overhead.
-func (s *simplex) syncBounds(m *Model) (moved bool) {
-	for j := 0; j < s.nStruct; j++ {
-		lb, ub := m.Bounds(VarID(j))
-		if lb == s.l[j] && ub == s.u[j] {
-			continue
-		}
-		st := s.state[j]
-		var oldV float64
-		if st != stBasic {
-			oldV = s.nonbasicValue(j)
-		}
-		s.l[j], s.u[j] = lb, ub
-		if st == stAtUpper && math.IsInf(ub, 1) {
-			s.state[j] = stAtLower
-		}
-		s.dirtyBlock(j)
-		if st != stBasic && s.nonbasicValue(j) != oldV {
-			moved = true
-		}
-	}
-	if moved {
-		s.onlySwaps = false // xB no longer solves the right-hand side
-	}
-	return moved
-}
-
-// fullSolve runs the two-phase primal simplex from scratch (or from a
-// SeedBasis warm start) and caches the final state.
-func (inc *Incremental) fullSolve() (*Solution, error) {
-	// The state in hand is abandoned whether or not this solve succeeds, and
-	// the next one is built on its memory: its pivots go to the base first.
 	if inc.bufs == nil {
 		inc.bufs = borrowBufs(inc.model.shape())
 	}
-	if inc.s != nil {
-		inc.base += inc.s.iters
+	ch := chain{live: inc.s, ref: inc.ref}
+	if s := inc.s; s != nil && (s.nStruct != len(inc.model.vars) || s.m != len(inc.model.rows)) {
+		ch.live = nil // the structure changed
 	}
-	inc.valid, inc.full = false, true
-	s, sol, err := inc.model.solveCore(inc.opt, inc.bufs)
-	inc.opt.WarmStart = nil // a seed applies to the first solve only
-	inc.s = s
-	if err != nil {
-		return sol, err
+	s, sol, pivots, err := inc.model.solve(inc.opt, inc.bufs, &ch)
+	inc.opt.WarmStart = nil // a seed applies to one solve
+	inc.iters += pivots
+	inc.full, inc.ref = ch.exit != warmSolved, ch.ref
+	inc.s, inc.sol = nil, sol
+	if sol != nil && (sol.Status == Optimal || sol.Status == Infeasible) {
+		inc.s = s // an infeasible exit chains too: relaxing bounds re-enters it
 	}
-	inc.nVars = inc.model.NumVars()
-	inc.nRows = inc.model.NumRows()
-	// An Infeasible exit still leaves a chainable basis: relaxing bounds
-	// later re-enters the dual simplex from it (via the phase-1
-	// normalization above when the exit was a cold phase-1 one).
-	inc.valid = s != nil && (sol.Status == Optimal || sol.Status == Infeasible)
-	return sol, nil
+	return sol, err
 }
 
-// Iters returns the cumulative simplex iterations across all solves
-// (0 before the first solve), full solves that replaced the state included.
-func (inc *Incremental) Iters() int {
-	if inc.s == nil {
-		return inc.base
-	}
-	return inc.base + inc.s.iters
-}
+// Iters returns the pivots of every solve since the first (0 before it):
+// full solves that replaced the state and re-entries given up included.
+func (inc *Incremental) Iters() int { return inc.iters }
 
 // Release returns the chain's working memory to the free list for other
 // solves. The chain's basis goes with it: Basis, Certificate and Iters read
@@ -469,5 +455,5 @@ func (inc *Incremental) Iters() int {
 // before calling it.
 func (inc *Incremental) Release() {
 	releaseBufs(inc.bufs)
-	inc.bufs, inc.s, inc.base, inc.valid = nil, nil, 0, false
+	inc.bufs, inc.s, inc.iters = nil, nil, 0
 }

@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wavesched/internal/telemetry"
@@ -225,5 +228,169 @@ func TestIncrementalMatchesFreshSolve(t *testing.T) {
 				t.Fatalf("trial %d step %d: infeasible point (%g)", trial, step, got.PrimalInfeas)
 			}
 		}
+	}
+}
+
+// TestReentryGivesUpAtItsBudget: a re-entry whose work reaches the chain's
+// reference — here its first, optimal full solve — gives up and starts over.
+// The first solve ends on the slack basis of y_i ≥ x_i without a pivot.
+// Raising every x_i's lower bound then leaves each row's slack negative, and
+// the dual pivots that repair them, two BTRANs each, outgrow that solve's
+// one factorization, BTRAN and pricing scan. The fallback is a cold solve,
+// bit for bit SolveWith's; the span says the re-entry ran out of budget and
+// how many pivots it spent, which count in lp_pivots_total with the rest,
+// so that counter still moves by the phase counters' sum. The first solve
+// is cold, or a warm start from a basis CaptureBasis took, which carries no
+// reference of its own: its work is the reference then.
+func TestReentryGivesUpAtItsBudget(t *testing.T) {
+	const n = 12
+	for _, seeded := range []bool{false, true} {
+		m := NewModel("budget", Minimize)
+		xs := make([]VarID, n)
+		for i := range xs {
+			xs[i] = m.AddVar("x", 0, Inf, 0)
+			y := m.AddVar("y", 0, Inf, float64(1+i%3))
+			r := m.AddRow("y_covers_x", LE, 0)
+			m.AddTerm(r, xs[i], 1)
+			m.AddTerm(r, y, -1)
+		}
+		var buf bytes.Buffer
+		tr := telemetry.NewTracer(&buf)
+		inc := NewIncremental(m, Options{Tracer: tr})
+		defer inc.Release()
+		if seeded {
+			captured, err := m.SolveWith(Options{CaptureBasis: true})
+			if err != nil || captured.Basis == nil {
+				t.Fatalf("capture: %+v, %v", captured, err)
+			}
+			inc.SeedBasis(captured.Basis)
+		}
+		if sol, err := inc.Solve(); err != nil || sol.Status != Optimal || sol.Iters != 0 || (sol.Warm == "hit") != seeded {
+			t.Fatalf("seeded=%v: first solve: %+v, %v; want optimal on the slack basis", seeded, sol, err)
+		}
+		for _, x := range xs {
+			m.SetBounds(x, 1, Inf)
+		}
+		var sol *Solution
+		pivots, phases := pivotDeltas(func() {
+			var err error
+			if sol, err = inc.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !inc.full {
+			t.Fatalf("seeded=%v: the re-entry did not give up", seeded)
+		}
+		cold, err := m.SolveWith(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolution(t, "fallback vs cold SolveWith", cold, sol)
+		if pivots != phases {
+			t.Errorf("seeded=%v: lp_pivots_total moved by %d, the phase counters by %d", seeded, pivots, phases)
+		}
+
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		type span struct {
+			Incremental, Reentry string
+			Iters                int
+			ReentryIters         int `json:"reentry_iters"`
+		}
+		var spans []span
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec struct {
+				Name  string
+				Attrs json.RawMessage
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Name == "lp.solve" {
+				var sp span
+				if err := json.Unmarshal(rec.Attrs, &sp); err != nil {
+					t.Fatal(err)
+				}
+				spans = append(spans, sp)
+			}
+		}
+		if len(spans) != 2 {
+			t.Fatalf("seeded=%v: %d lp.solve spans, want 2", seeded, len(spans))
+		}
+		sp := spans[1]
+		if sp.Incremental != "full" || sp.Reentry != "budget" || sp.ReentryIters == 0 {
+			t.Errorf("seeded=%v: span: incremental=%q reentry=%q reentry_iters=%d, want full, budget and the re-entry's pivots",
+				seeded, sp.Incremental, sp.Reentry, sp.ReentryIters)
+		}
+		if got := int64(sp.Iters + sp.ReentryIters); got != pivots {
+			t.Errorf("seeded=%v: span iters %d + reentry_iters %d = %d, want the %d pivots counted",
+				seeded, sp.Iters, sp.ReentryIters, got, pivots)
+		}
+	}
+}
+
+// TestReentryUnboundedCleanupStartsOver: a re-entry whose primal clean-up
+// ends Unbounded is not believed — branch and bound would end the whole
+// search on it — but solved again cold, which here confirms it. The first
+// solve sits at x = y = 0; making x attractive lets x − y ≤ 5 hold along
+// x = y → ∞.
+func TestReentryUnboundedCleanupStartsOver(t *testing.T) {
+	m := NewModel("unbounded_cleanup", Minimize)
+	x := m.AddVar("x", 0, Inf, 1)
+	y := m.AddVar("y", 0, Inf, 0)
+	r := m.AddRow("r", LE, 5)
+	m.AddTerm(r, x, 1)
+	m.AddTerm(r, y, -1)
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(&buf)
+	inc := NewIncremental(m, Options{Tracer: tr})
+	defer inc.Release()
+	if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
+		t.Fatalf("first solve: %+v, %v", sol, err)
+	}
+	m.SetObj(x, -1)
+	sol, err := inc.Solve()
+	if err != nil || sol.Status != Unbounded {
+		t.Fatalf("second solve: %+v, %v; want Unbounded", sol, err)
+	}
+	if !inc.full {
+		t.Error("the re-entry's Unbounded clean-up was returned instead of a cold solve's")
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"reentry":"cleanup"`) {
+		t.Errorf("no lp.solve span with reentry=cleanup in\n%s", buf.String())
+	}
+}
+
+// TestIncrementalMaxIterIsPerSolve: Options.MaxIter caps each solve of a
+// chain, not the chain's running total, so a long chain of cheap re-entries
+// — branch and bound's — never ends in IterLimit for pivots earlier solves
+// spent.
+func TestIncrementalMaxIterIsPerSolve(t *testing.T) {
+	const maxIter = 4
+	m := NewModel("per_solve", Maximize)
+	x := m.AddVar("x", 0, 4, 1)
+	y := m.AddVar("y", 0, 4, 1)
+	r := m.AddRow("r", LE, 6)
+	m.AddTerm(r, x, 1)
+	m.AddTerm(r, y, 1)
+	inc := NewIncremental(m, Options{MaxIter: maxIter})
+	defer inc.Release()
+	for k := 0; k < 40; k++ {
+		ub := float64(k % 4)
+		m.SetBounds(x, 0, ub)
+		sol, err := inc.Solve()
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("solve %d (%d pivots so far): %+v, %v", k, inc.Iters(), sol, err)
+		}
+		if want := math.Min(6, ub+4); sol.Objective != want {
+			t.Fatalf("solve %d: objective %g, want %g", k, sol.Objective, want)
+		}
+	}
+	if inc.Iters() <= maxIter {
+		t.Fatalf("the chain spent %d pivots, not more than one solve's cap", inc.Iters())
 	}
 }

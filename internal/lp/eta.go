@@ -294,6 +294,12 @@ func (b *basisFactor) btran(c []float64) {
 	b.lu.solveT(c)
 }
 
+// btranWork is what one btran reads: the eta file's entries, the LU
+// factors' entries and the positions it scatters.
+func (b *basisFactor) btranWork() int {
+	return len(b.idx) + len(b.lu.lent) + len(b.lu.uent) + len(b.lu.perm)
+}
+
 // push records an eta update for basis position r with pivot column w
 // (dense, indexed by basis position; nz lists its nonzero positions in
 // ascending order). Entries with magnitude below luDropTol are dropped.

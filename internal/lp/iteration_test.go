@@ -697,7 +697,7 @@ func (ls *lockstep) checkCrash() {
 	}
 }
 
-// afterDual is the tail warmSolve and Incremental.solve share: a certifying
+// afterDual is the tail of the warm path (simplex.warm): a certifying
 // price call, then a primal clean-up if it finds a column.
 func (ls *lockstep) afterDual(dst dualStatus) Status {
 	ls.t.Helper()
@@ -715,8 +715,8 @@ func (ls *lockstep) afterDual(dst dualStatus) Status {
 	return Optimal
 }
 
-// warm is simplex.warmSolve from a snapshot; ok is false when production
-// would fall back to the cold path.
+// warm is a warm start from a snapshot (startFrom, then simplex.warm); ok is
+// false when production would fall back to the cold path.
 func (ls *lockstep) warm(ws *Basis) (st Status, ok bool) {
 	ls.t.Helper()
 	s := ls.s
@@ -734,12 +734,12 @@ func (ls *lockstep) warm(ws *Basis) (st Status, ok bool) {
 	return ls.afterDual(dst), true
 }
 
-// reenter is the re-entry half of Incremental.solve after the model's
-// bounds changed.
+// reenter is simplex.reenter after the model's bounds changed, up to the
+// warm path.
 func (ls *lockstep) reenter(m *Model) Status {
 	ls.t.Helper()
 	s := ls.s
-	moved := s.syncBounds(m)
+	moved := s.sync(m)
 	if s.phase1 {
 		s.enterPhase2()
 	}

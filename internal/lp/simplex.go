@@ -239,7 +239,27 @@ type simplex struct {
 
 	// Kernel work since the last flushKernelCounts.
 	nBtran, nBtranElided, nRescored, nScanned, nBlockHits int
+
+	// work counts what the kernels have done since the solve began, in
+	// entries read: a BTRAN the factors, eta file and positions it reads
+	// (btranWork), an FTRAN the nonzeros of its result, a refactorization
+	// the factors it builds, pricing and the dual ratio test one per column
+	// they read. The columns pricing read are folded in by
+	// flushKernelCounts; spent includes those not yet folded. It is a
+	// deterministic function of the pivot path, so a budget in it gives the
+	// same verdict on every host. workCap, when positive, is the work at
+	// which the pivot loops give up with errBudget.
+	work, workCap int
 }
+
+// errBudget ends a pivot loop whose work reached simplex.workCap.
+var errBudget = errors.New("lp: work budget spent")
+
+// spent is the work done since the solve began.
+func (s *simplex) spent() int { return s.work + s.nRescored + s.nScanned }
+
+// overBudget reports whether the work cap is set and reached.
+func (s *simplex) overBudget() bool { return s.workCap > 0 && s.spent() >= s.workCap }
 
 // priceBlockSize is the number of consecutive columns one pricing summary
 // covers. It only trades the cost of a rebuild against the columns a hit
@@ -276,6 +296,14 @@ func (s *simplex) dropBlocks() {
 // deadlineCheckEvery spaces out the wall-clock checks so the time syscall
 // stays off the per-pivot hot path.
 const deadlineCheckEvery = 64
+
+// startClock arms the wall-clock budget of a solve that starts now.
+func (s *simplex) startClock() {
+	s.deadline, s.untilTick = time.Time{}, 0
+	if s.opt.TimeLimit > 0 {
+		s.deadline = time.Now().Add(s.opt.TimeLimit)
+	}
+}
 
 // deadlineExceeded reports whether the wall-clock budget has expired. It
 // only looks at the clock once every deadlineCheckEvery calls — and on the
@@ -355,6 +383,7 @@ func (s *simplex) refactorize() error {
 		if err := s.factor.refactor(s.m, s.basisCol); err != nil {
 			return err
 		}
+		s.work += s.factor.btranWork()
 		s.luCurrent = true
 		telLUNnz.Set(float64(len(s.factor.lu.lent) + len(s.factor.lu.uent) + s.m))
 	}
@@ -486,6 +515,7 @@ func (s *simplex) refreshDuals() {
 	}
 	s.factor.btran(y)
 	s.nBtran++
+	s.work += s.factor.btranWork()
 	changed := s.changed[:0]
 	for r, v := range y {
 		if math.Float64bits(v) != math.Float64bits(old[r]) {
@@ -682,6 +712,7 @@ func (s *simplex) price() int {
 // false with status when the phase ends (unbounded), true otherwise.
 func (s *simplex) step(q int) (ok bool, status Status, err error) {
 	w, nz := s.factor.ftranCol(s.column(q))
+	s.work += len(nz)
 
 	dir := 1.0
 	if s.state[q] == stAtUpper {
@@ -867,6 +898,9 @@ func (s *simplex) runPhase() (Status, error) {
 			telTimeouts.Inc()
 			return TimeLimit, ErrTimeLimit
 		}
+		if s.overBudget() {
+			return IterLimit, errBudget
+		}
 		q := s.price()
 		if q < 0 {
 			return Optimal, nil
@@ -884,6 +918,7 @@ func (s *simplex) runPhase() (Status, error) {
 // flushKernelCounts moves the per-pivot kernel tallies to the process-wide
 // counters, once per phase rather than once per pivot.
 func (s *simplex) flushKernelCounts() {
+	s.work += s.nRescored + s.nScanned
 	telBtran.Add(int64(s.nBtran))
 	telBtranElided.Add(int64(s.nBtranElided))
 	telRescored.Add(int64(s.nRescored))

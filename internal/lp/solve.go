@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -59,27 +60,120 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 }
 
 // solveWith is SolveWith that, when ranging is set and the solve ends
-// Optimal, also ranges the right-hand sides on the final basis. Either way
-// the solve counts in the solve counters and is traced as an lp.solve span.
+// Optimal, also ranges the right-hand sides on the final basis.
 func (m *Model) solveWith(opt Options, ranging bool) (*Solution, *Sensitivity, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	sp := opt.Tracer.Start("lp.solve")
 	bf := borrowBufs(m.shape())
 	defer releaseBufs(bf)
-	s, sol, err := m.solveCore(opt, bf)
-	pivots := 0
-	if sol != nil {
-		pivots = sol.Iters
-	}
-	countSolve(start, sol, pivots)
-	endSolveSpan(sp, m, opt, sol, err, sol != nil && sol.Warm != "hit")
+	s, sol, _, err := m.solve(opt, bf, nil)
 	if !ranging || err != nil || sol.Status != Optimal || s == nil {
 		return sol, nil, err
 	}
 	return sol, s.rhsRanges(m), nil
+}
+
+// chain is an Incremental's part in a solve: the live state to re-enter (nil
+// to start over), and the chain's reference work — the budget of a
+// re-entry, which a full solve resets (see Incremental) — going in and
+// coming out; how the re-entry ended (warmNone when none ran), coming out.
+type chain struct {
+	live *simplex
+	ref  int
+	exit warmExit
+}
+
+// solve is one solve of m on the working memory bf, counted in the solve
+// counters and traced as one lp.solve span. An Incremental's solve passes
+// ch, and re-enters its live state when it has one. Otherwise, or when the
+// re-entry gives up, the solve warm-starts from opt.WarmStart when that is
+// set, and solves cold from the crash basis when it is not, does not fit, or
+// the warm start gives up too. It returns the final solver state, on bf —
+// nil on the paths that build none — for a chain to re-enter, and the pivots
+// it counted: the solution's and those of a re-entry or warm start given up.
+func (m *Model) solve(opt Options, bf *solverBufs, ch *chain) (*simplex, *Solution, int, error) {
+	start, sp := time.Now(), opt.Tracer.Start("lp.solve")
+	s, sol, abandoned, err := m.solveFrom(opt, bf, ch)
+	pivots := abandoned
+	if sol != nil {
+		pivots += sol.Iters
+	}
+	countSolve(start, sol, pivots)
+	if opt.Tracer != nil {
+		reentered := ch != nil && ch.exit == warmSolved
+		var extra []telemetry.Attr
+		if ch != nil {
+			how := "full"
+			if reentered {
+				how = "reentry"
+			}
+			extra = append(extra, telemetry.KV("incremental", how))
+			if ch.exit != warmNone {
+				extra = append(extra, telemetry.KV("reentry", ch.exit.String()))
+			}
+			if !reentered && abandoned > 0 {
+				extra = append(extra, telemetry.KV("reentry_iters", abandoned))
+			}
+		}
+		endSolveSpan(sp, m, opt, sol, err, !reentered && (sol == nil || sol.Warm != "hit"), extra...)
+	}
+	return s, sol, pivots, err
+}
+
+// solveFrom runs solve's sequence and returns, besides the final state and
+// the outcome, the pivots of a re-entry or warm start it gave up.
+func (m *Model) solveFrom(opt Options, bf *solverBufs, ch *chain) (*simplex, *Solution, int, error) {
+	if err := m.Validate(); err != nil {
+		return nil, nil, 0, err
+	}
+	if err := m.checkSecondary(opt.Secondary); err != nil {
+		return nil, nil, 0, err
+	}
+	if len(m.rows) == 0 {
+		return nil, m.solveUnconstrained(opt.Secondary), 0, nil
+	}
+
+	abandoned := 0
+	if ch != nil && ch.live != nil {
+		s := ch.live
+		sol, err, exit := s.reenter(m, opt, ch.ref)
+		if ch.exit = exit; exit == warmSolved {
+			return s, sol, 0, err
+		}
+		abandoned = s.iters
+	}
+	if ws := opt.WarmStart; ws != nil {
+		s := m.assemble(opt, bf)
+		var sol *Solution
+		var err error
+		exit := warmStall
+		if ws.compatible(s) && s.startFrom(ws) == nil {
+			sol, err, exit = s.warm(m, 0)
+		}
+		if exit == warmSolved {
+			telWarmHits.Inc()
+			sol.Warm = "hit"
+			if sol.Status == Optimal || sol.Status == Infeasible {
+				sol.Basis = s.snapshotBasis()
+			}
+			if ch != nil { // a CaptureBasis seed carries no reference: this solve's work stands in
+				ch.ref = cmp.Or(ws.work, s.spent())
+			}
+			return s, sol, abandoned, err
+		}
+		abandoned += s.iters
+		telWarmFallbacks.Inc()
+		// The warm attempt mutated the solver state; rebuild clean below.
+	}
+
+	s := m.assemble(opt, bf)
+	st, sol, err := m.coldSolve(s, opt)
+	sol.BoundFlips = s.boundFlips
+	if opt.WarmStart != nil {
+		sol.Warm = "fallback"
+	}
+	if ch != nil && (ch.ref == 0 || sol.Status == Optimal) {
+		ch.ref = s.spent()
+	}
+	return st, sol, abandoned, err
 }
 
 // endSolveSpan closes the lp.solve span of one solve with its model, its
@@ -126,59 +220,6 @@ func endSolveSpan(sp telemetry.Span, m *Model, opt Options, sol *Solution, err e
 		}
 	}
 	sp.End(attrs...)
-}
-
-// solveCore runs the simplex on the working memory bf and returns the final
-// solver state alongside the solution, so incremental re-solves can keep the
-// basis. The state lives on bf, and is nil on paths that never build a
-// simplex. When Options.WarmStart holds a structurally compatible basis, the
-// warm path (dual simplex from the supplied basis, then a primal clean-up)
-// replaces the two-phase cold start; any mismatch or numerical trouble falls
-// back to the cold path.
-func (m *Model) solveCore(opt Options, bf *solverBufs) (*simplex, *Solution, error) {
-	if err := m.checkSecondary(opt.Secondary); err != nil {
-		return nil, nil, err
-	}
-	if len(m.rows) == 0 {
-		cMin := make([]float64, len(m.vars))
-		negate := m.sense == Maximize
-		for j, v := range m.vars {
-			c := v.obj
-			if c == 0 && opt.Secondary != nil {
-				c = opt.Secondary[j] // only the secondary objective tells its bounds apart
-			}
-			if negate {
-				c = -c
-			}
-			cMin[j] = c
-		}
-		sol, err := m.solveUnconstrained(cMin, negate)
-		return nil, sol, err
-	}
-
-	if opt.WarmStart != nil {
-		s := m.assemble(opt, bf)
-		if sol, err, ok := s.warmSolve(m, opt); ok {
-			telWarmHits.Inc()
-			if sol != nil {
-				sol.Warm = "hit"
-				sol.BoundFlips = s.boundFlips
-			}
-			return s, sol, err
-		}
-		telWarmFallbacks.Inc()
-		// The warm attempt mutated the solver state; rebuild clean below.
-	}
-
-	s := m.assemble(opt, bf)
-	st, sol, err := m.coldSolve(s, opt)
-	if sol != nil {
-		sol.BoundFlips = s.boundFlips
-		if opt.WarmStart != nil {
-			sol.Warm = "fallback"
-		}
-	}
-	return st, sol, err
 }
 
 // solverBufs is one set of simplex working memory: the arrays a solve works
@@ -442,10 +483,7 @@ func (m *Model) assemble(opt Options, bf *solverBufs) *simplex {
 	for j := range s.pos {
 		s.pos[j] = -1
 	}
-	if opt.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opt.TimeLimit)
-		s.untilTick = 0
-	}
+	s.startClock()
 
 	s.nStruct = nVars
 	s.infeasRow = -1
@@ -682,26 +720,27 @@ func (s *simplex) extract(m *Model, negate bool) (*Solution, error) {
 
 // solveUnconstrained handles models with no rows: every variable sits at
 // whichever bound optimizes it; an improving direction with an infinite
-// bound makes the model unbounded.
-func (m *Model) solveUnconstrained(cMin []float64, negate bool) (*Solution, error) {
+// bound makes the model unbounded. A variable the objective leaves free
+// takes the bound the secondary objective prefers.
+func (m *Model) solveUnconstrained(secondary []float64) *Solution {
 	x := make([]float64, len(m.vars))
-	for j, v := range m.vars {
-		switch {
-		case cMin[j] > 0:
-			x[j] = v.lb
-		case cMin[j] < 0:
-			if math.IsInf(v.ub, 1) {
-				return &Solution{Status: Unbounded}, nil
-			}
-			x[j] = v.ub
-		default:
-			x[j] = v.lb
-		}
-	}
 	obj := 0.0
 	for j, v := range m.vars {
+		c := v.obj
+		if c == 0 && secondary != nil {
+			c = secondary[j]
+		}
+		if m.sense == Maximize {
+			c = -c
+		}
+		x[j] = v.lb
+		if c < 0 {
+			if math.IsInf(v.ub, 1) {
+				return &Solution{Status: Unbounded}
+			}
+			x[j] = v.ub
+		}
 		obj += v.obj * x[j]
 	}
-	_ = negate
-	return &Solution{Status: Optimal, Objective: obj, X: x, Duals: []float64{}}, nil
+	return &Solution{Status: Optimal, Objective: obj, X: x, Duals: []float64{}}
 }

@@ -211,7 +211,10 @@ func TestWarmStartHitCounted(t *testing.T) {
 }
 
 // FuzzWarmStartEquivalence drives the warm-vs-cold property from fuzzed
-// seeds so the corpus can grow adversarial perturbation sequences.
+// seeds so the corpus can grow adversarial perturbation sequences, for both
+// callers of the warm path: a solve warm-started from the captured basis,
+// and an Incremental that solved the model before the perturbation and
+// re-enters its live basis after it.
 func FuzzWarmStartEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -223,12 +226,19 @@ func FuzzWarmStartEquivalence(f *testing.F) {
 		if err != nil || base == nil || base.Basis == nil {
 			return
 		}
+		inc := NewIncremental(m, Options{})
+		defer inc.Release()
+		if _, err := inc.Solve(); err != nil {
+			return
+		}
 		perturb(rng, m)
 		cold, cerr := m.SolveWith(Options{})
 		warm, werr := m.SolveWith(Options{WarmStart: base.Basis})
-		if cerr != nil || werr != nil {
+		chained, ierr := inc.Solve()
+		if cerr != nil || werr != nil || ierr != nil {
 			return
 		}
 		agree(t, 0, cold, warm)
+		agree(t, 0, cold, chained)
 	})
 }
