@@ -76,13 +76,16 @@ cluster-test:
 # basis carried onto another model by Remap squares to one that factors and
 # warm-starts to the cold plan; and both callers of the warm path — a warm
 # start from a captured basis and an Incremental re-entering its live one —
-# agree with a cold solve after bound, cost and right-hand-side changes. A
+# agree with a cold solve after bound, cost and right-hand-side changes; and
+# every BTRAN that starts from the last one's result (the primal duals, the
+# dual loop's pivot row and duals) is the dense solve bit for bit. A
 # failing input is written under the package's testdata/fuzz; minimise and
 # commit it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapBasis$$' -fuzztime 4s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzWarmStartEquivalence$$' -fuzztime 4s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzRestrictedBTRAN$$' -fuzztime 4s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRows$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzStage1Bound$$' -fuzztime 4s ./internal/schedule

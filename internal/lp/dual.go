@@ -21,8 +21,7 @@ const (
 // It runs the bounded-variable dual simplex until no basic variable
 // violates its bounds.
 func (s *simplex) dualSimplex() (dualStatus, error) {
-	m := s.m
-	rho := s.rho
+	rho, y := s.rho, s.yDual
 	s.infeasRow, s.infeasSigma = -1, 0
 
 	for {
@@ -37,44 +36,12 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 			return dualIterLimit, errBudget
 		}
 
-		// Leaving variable: the basic with the largest bound violation.
-		r := -1
-		worst := optTol
-		sigma := 1.0 // +1: must decrease to its upper bound; −1: increase to lower
-		for i := 0; i < m; i++ {
-			bj := s.basis[i]
-			if v := s.l[bj] - s.xB[i]; v > worst {
-				worst = v
-				r = i
-				sigma = -1
-			}
-			if !math.IsInf(s.u[bj], 1) {
-				if v := s.xB[i] - s.u[bj]; v > worst {
-					worst = v
-					r = i
-					sigma = 1
-				}
-			}
-		}
+		r, sigma := s.leavingRow()
 		if r < 0 {
 			return dualOptimal, nil
 		}
-
-		// ρ = B⁻ᵀ e_r, then the pivot row α_j = ρ·a_j for nonbasic j.
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[r] = 1
-		s.factor.btran(rho)
-		s.work += 2 * s.factor.btranWork() // this one and the duals' below
-
-		// Current duals for the ratio test, in the spare buffer: yRow stays
-		// what the primal pricing cache was computed from.
-		y := s.yNext
-		for slot, j := range s.basis {
-			y[slot] = s.c[j]
-		}
-		s.factor.btran(y)
+		s.pivotRow(r)
+		s.work += 2 * s.factor.btranWork() // ρ's BTRAN and the duals'
 
 		leaving := s.basis[r]
 		var bound float64
@@ -87,19 +54,11 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 
 		// Ratio test: candidates keep dual feasibility after the pivot. Only
 		// a column with an entry in a row where ρ is nonzero can have α_j ≠ 0,
-		// and ρ is sparse: those columns are marked first, and the scan, in
-		// column order, computes α for them alone. Every other column's α is
-		// a sum of zeros, which fails the pivot tolerance, so the choice is
-		// that of a scan over every column.
+		// and pivotRow marked those; the scan, in column order, computes α
+		// for them alone. Every other column's α is a sum of zeros, which
+		// fails the pivot tolerance, so the choice is that of a scan over
+		// every column.
 		mark := s.colMark
-		for i, v := range rho {
-			if v != 0 {
-				for _, j := range s.byRow.row(i) {
-					mark[j] = true
-				}
-				mark[s.n+i] = true
-			}
-		}
 		q, read := -1, 0
 		var alphaQ float64
 		best := math.Inf(1)
@@ -136,6 +95,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 			}
 		}
 		s.work += read
+		s.clearPivotRow()
 		if q < 0 {
 			// No entering candidate: the primal is infeasible under the
 			// new bounds. Record the exit row so a Farkas certificate can
@@ -185,6 +145,66 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 				return dualStall, err
 			}
 		}
+	}
+}
+
+// leavingRow returns the slot of the basic variable with the largest bound
+// violation, −1 when none exceeds optTol, and the direction it must move:
+// +1 down to its upper bound, −1 up to its lower one.
+func (s *simplex) leavingRow() (r int, sigma float64) {
+	r, sigma = -1, 1
+	worst := optTol
+	for i := 0; i < s.m; i++ {
+		bj := s.basis[i]
+		if v := s.l[bj] - s.xB[i]; v > worst {
+			worst = v
+			r = i
+			sigma = -1
+		}
+		if !math.IsInf(s.u[bj], 1) {
+			if v := s.xB[i] - s.u[bj]; v > worst {
+				worst = v
+				r = i
+				sigma = 1
+			}
+		}
+	}
+	return r, sigma
+}
+
+// pivotRow sets up the dual ratio test on leaving slot r: the duals
+// (solveDuals) into yDual, which leaves yRow what the primal pricing cache
+// was computed from, and ρ = B⁻ᵀe_r into rho, whose entries give the pivot
+// row α_j = ρ·a_j; it marks in colMark every column with an entry on a row
+// where ρ is nonzero. Rows outside act keep the duals yDual was last written
+// with in full, and with r put on act (r becomes an eta pivot anyway) ρ is
+// zero outside act: its positions are all ρ scatters to rows, and all
+// clearPivotRow has to clear again.
+func (s *simplex) pivotRow(r int) {
+	s.solveDuals()
+	s.forRows(&s.yDualAt, func(k, i int) { s.yDual[i] = s.yPos[k] })
+
+	f := s.factor
+	f.addAct(r)
+	s.rhoPos[r] = 1
+	f.btranPos(s.rhoPos)
+	for _, k := range f.act {
+		i, v := f.lu.perm[k], s.rhoPos[k]
+		s.rho[i] = v
+		if v != 0 {
+			for _, j := range s.byRow.row(i) {
+				s.colMark[j] = true
+			}
+			s.colMark[s.n+i] = true
+		}
+	}
+}
+
+// clearPivotRow zeroes what pivotRow wrote of ρ, by position and by row.
+func (s *simplex) clearPivotRow() {
+	f := s.factor
+	for _, k := range f.act {
+		s.rhoPos[k], s.rho[f.lu.perm[k]] = 0, 0
 	}
 }
 

@@ -37,6 +37,18 @@ type basisFactor struct {
 	heap    []int
 	nz      []int
 	wDense  bool
+
+	// etaAt flags the positions that are the pivot of an eta on file.
+	etaAt []bool
+
+	// act lists the positions a BTRAN can write (inAct flags them): those of
+	// the LU's uact and lact and the pivots of the first actEtas etas. Every
+	// other position passes its entry through all three stages untouched.
+	// resetAct rebuilds it for the factors in hand, growAct takes in the etas
+	// pushed since.
+	act     []int
+	inAct   []bool
+	actEtas int
 }
 
 // hyperDiv sets where ftranCol stops tracking its reach: once more than
@@ -57,8 +69,9 @@ func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error 
 	}
 	if len(b.w) != m {
 		b.clearScratch()
-		b.w, b.mark = grow(b.w, m), grow(b.mark, m)
+		b.w, b.mark, b.etaAt, b.inAct = grow(b.w, m), grow(b.mark, m), grow(b.etaAt, m), grow(b.inAct, m)
 		b.touched, b.heap, b.nz = grow(b.touched, m)[:0], grow(b.heap, m)[:0], grow(b.nz, m)[:0]
+		b.act = grow(b.act, m)[:0]
 	}
 	if err := b.spare.factorize(m, col); err != nil {
 		return err
@@ -68,13 +81,17 @@ func (b *basisFactor) refactor(m int, col func(j int) ([]int, []float64)) error 
 	return nil
 }
 
-// clearScratch zeroes ftranCol's result and marks and the factors' dense
-// scratch over their whole capacity — what every call expects to find — so
-// that memory another solve used, at another size, reads as new.
+// clearScratch zeroes ftranCol's result and marks, the position flags and
+// the factors' dense scratch over their whole capacity — what every call
+// expects to find — and empties the eta file and act, so that memory another
+// solve used, at another size, reads as new.
 func (b *basisFactor) clearScratch() {
 	clear(b.w[:cap(b.w)])
 	clear(b.mark[:cap(b.mark)])
+	clear(b.etaAt[:cap(b.etaAt)])
+	clear(b.inAct[:cap(b.inAct)])
 	b.touched, b.heap, b.nz, b.wDense = b.touched[:0], b.heap[:0], b.nz[:0], false
+	b.etas, b.idx, b.vals, b.act, b.actEtas = b.etas[:0], b.idx[:0], b.vals[:0], b.act[:0], 0
 	for _, f := range []*luFactors{b.lu, b.spare} {
 		if f != nil {
 			clear(f.work[:cap(f.work)])
@@ -86,7 +103,10 @@ func (b *basisFactor) clearScratch() {
 // dropEtas empties the eta file, leaving B₀ and its factors as they are:
 // what refactor amounts to when the basis matrix is B₀ again.
 func (b *basisFactor) dropEtas() {
-	b.etas, b.idx, b.vals = b.etas[:0], b.idx[:0], b.vals[:0]
+	for k := range b.etas {
+		b.etaAt[b.etas[k].r] = false
+	}
+	b.etas, b.idx, b.vals, b.actEtas = b.etas[:0], b.idx[:0], b.vals[:0], 0
 }
 
 // ftran solves B x = v in place for a dense right-hand side. On input v is
@@ -122,7 +142,10 @@ func (b *basisFactor) etasFrom(v []float64, k int) {
 // after k, so a min-heap of touched positions pops them ascending. Backward:
 // U column j writes positions below j, so a max-heap pops them descending.
 // Etas apply in file order, and one whose pivot position is untouched
-// divides a zero and does nothing. An untouched position is a zero that
+// divides a zero and does nothing, so the file is read only when a touched
+// position is an eta pivot (etaAt); and a column of one entry on a position
+// with empty L and U columns and no eta is that entry over the pivot. An
+// untouched position is a zero that
 // every dense step skips (val == 0, xj == 0, t == 0), so the nonzeros of w
 // come out of the same floating-point operations in the same order, bit for
 // bit; only the sign of a zero can differ (ftran turns an untouched +0 into
@@ -140,6 +163,17 @@ func (b *basisFactor) ftranCol(rows []int, vals []float64) (w []float64, nz []in
 	} else {
 		for _, p := range b.touched {
 			w[p] = 0
+		}
+	}
+	if len(rows) == 1 {
+		// A unit step of every stage: the pivot alone divides.
+		if p := f.pinv[rows[0]]; f.lptr[p] == f.lptr[p+1] && f.uptr[p] == f.uptr[p+1] && !b.etaAt[p] {
+			w[p] = vals[0] / f.udiag[p]
+			b.touched, b.nz = append(b.touched[:0], p), b.nz[:0]
+			if w[p] != 0 {
+				b.nz = append(b.nz, p)
+			}
+			return w, b.nz
 		}
 	}
 	limit := f.m / hyperDiv
@@ -213,7 +247,14 @@ func (b *basisFactor) ftranCol(rows []int, vals []float64) (w []float64, nz []in
 		}
 	}
 
-	for k := range b.etas {
+	reached := false // an eta pivots on a touched position
+	for _, p := range touched {
+		if b.etaAt[p] {
+			reached = true
+			break
+		}
+	}
+	for k := 0; reached && k < len(b.etas); k++ {
 		e := &b.etas[k]
 		if !mark[e.r] {
 			continue
@@ -279,6 +320,14 @@ func (b *basisFactor) finishDense(touched []int, lfrom, ufrom, efrom int) (w []f
 // btran solves Bᵀ y = c in place. On input c is indexed by basis position;
 // on output it is indexed by original constraint row.
 func (b *basisFactor) btran(c []float64) {
+	b.btranPos(c)
+	b.lu.toRows(c)
+}
+
+// btranPos is btran without the final scatter: the result stays indexed by
+// position (y[lu.perm[k]] = c[k]). It writes the positions of act and no
+// other, once growAct has taken in the eta file.
+func (b *basisFactor) btranPos(c []float64) {
 	for k := len(b.etas) - 1; k >= 0; k-- {
 		e := &b.etas[k]
 		// (E⁻ᵀ c)_r = c_r − ((w·c − c_r)) / w_r … all other entries unchanged.
@@ -291,7 +340,37 @@ func (b *basisFactor) btran(c []float64) {
 		// y_r = c_r − ((w−e_r)·c)/w_r = c_r − (dot + (w_r−1)c_r)/w_r.
 		c[e.r] = c[e.r] - (dot+(e.wr-1)*c[e.r])/e.wr
 	}
-	b.lu.solveT(c)
+	b.lu.solveTPos(c)
+}
+
+// resetAct rebuilds act for the factors and eta file in hand.
+func (b *basisFactor) resetAct() {
+	for _, p := range b.act {
+		b.inAct[p] = false
+	}
+	b.act, b.actEtas = b.act[:0], 0
+	for _, p := range b.lu.uact {
+		b.addAct(p)
+	}
+	for _, p := range b.lu.lact {
+		b.addAct(p)
+	}
+	b.growAct()
+}
+
+// growAct adds the pivots of the etas pushed since act last took the file in.
+func (b *basisFactor) growAct() {
+	for ; b.actEtas < len(b.etas); b.actEtas++ {
+		b.addAct(b.etas[b.actEtas].r)
+	}
+}
+
+// addAct puts position p on act.
+func (b *basisFactor) addAct(p int) {
+	if !b.inAct[p] {
+		b.inAct[p] = true
+		b.act = append(b.act, p)
+	}
 }
 
 // btranWork is what one btran reads: the eta file's entries, the LU
@@ -314,4 +393,5 @@ func (b *basisFactor) push(r int, w []float64, nz []int) {
 		b.vals = append(b.vals, v)
 	}
 	b.etas = append(b.etas, eta{r: r, wr: w[r], idx: b.idx[start:], vals: b.vals[start:]})
+	b.etaAt[r] = true
 }

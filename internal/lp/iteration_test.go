@@ -227,6 +227,11 @@ type lockstep struct {
 	maxSwapRun  int
 
 	crashSlack, crashWrongSign int // cold start: rows put on their slack; inequality rows that could not be
+
+	// The BTRANs that started from the last one's result (solveDuals):
+	// primal pricing's, and the dual ratio test's; dense ones of the latter;
+	// and dual pivots followed by a refactorization.
+	restrictedDuals, restrictedRows, denseRows, dualRefactors int
 }
 
 func newLockstep(t *testing.T, name string, s *simplex) *lockstep {
@@ -467,6 +472,10 @@ func (ls *lockstep) primalStep() (more bool, st Status) {
 	lu, wasOnlySwaps := s.factor.lu, s.onlySwaps
 	negative := leave >= 0 && s.xB[leave] < 0
 
+	if s.yPosOK && !wasFresh {
+		ls.restrictedDuals++
+	}
+
 	// One production iteration.
 	limit := s.opt.MaxIter
 	s.opt.MaxIter = s.iters + 1
@@ -575,7 +584,9 @@ func (ls *lockstep) primal() Status {
 	}
 }
 
-// dual runs dualSimplex to its end a pivot at a time, checking each
+// dual runs dualSimplex to its end a pivot at a time, checking before each
+// pivot what pivotRow computes for it (checkPivotRow), and after it that the
+// pivot's own duals are the dense BTRAN's and that ρ was cleared, and each
 // entering column's FTRAN against the dense loops on the factors and eta
 // file the pivot started from.
 func (ls *lockstep) dual() dualStatus {
@@ -584,6 +595,7 @@ func (ls *lockstep) dual() dualStatus {
 	for {
 		copy(ls.basis, s.basis)
 		lu, etas, iters := s.factor.lu, len(s.factor.etas), s.iters
+		y := ls.checkPivotRow()
 		limit := s.opt.MaxIter
 		s.opt.MaxIter = s.iters + 1
 		st, err := s.dualSimplex()
@@ -591,6 +603,7 @@ func (ls *lockstep) dual() dualStatus {
 		if err != nil {
 			ls.fatalf("dualSimplex: %v", err)
 		}
+		ls.checkRhoCleared()
 		if s.iters == iters {
 			return st // ended without a pivot: optimal, infeasible or stalled
 		}
@@ -605,12 +618,83 @@ func (ls *lockstep) dual() dualStatus {
 					ls.checkColumn(j, nz)
 				}
 			}
+			for i := range y {
+				if !sameBits(s.yDual[i], y[i]) {
+					ls.fatalf("the dual ratio test read y[%d] = %b, a dense BTRAN gives %b", i, s.yDual[i], y[i])
+				}
+			}
 		} else if len(s.factor.etas) == 0 {
+			ls.dualRefactors++
 			ls.checkRefactor(lu)
 		}
 		ls.checkCache()
 		if st != dualIterLimit || s.iters >= limit {
 			return st
+		}
+	}
+}
+
+// checkPivotRow holds what pivotRow computes for the slot the next dual
+// pivot leaves on — ρ = B⁻ᵀe_r and the duals, at every row — to dense
+// BTRANs of the state in hand, bit for bit, and the columns it marks to
+// those with an entry on a row where ρ is nonzero. It returns the dense
+// duals (nil when no slot violates its bounds). It leaves the state as the
+// pivot will find it — marks and ρ cleared, and the duals to be solved again
+// the way they would have been — so the pivot takes its own path.
+func (ls *lockstep) checkPivotRow() []float64 {
+	ls.t.Helper()
+	s := ls.s
+	r, _ := s.leavingRow()
+	if r < 0 {
+		return nil
+	}
+	rho, y := make([]float64, s.m), make([]float64, s.m)
+	rho[r] = 1
+	s.factor.btran(rho)
+	for slot, j := range s.basis {
+		y[slot] = s.c[j]
+	}
+	s.factor.btran(y)
+
+	ok := s.yPosOK
+	if ok {
+		ls.restrictedRows++
+	} else {
+		ls.denseRows++
+	}
+	s.pivotRow(r)
+	for i := range rho {
+		if !sameBits(s.rho[i], rho[i]) {
+			ls.fatalf("leaving slot %d: ρ[%d] = %b, a dense BTRAN gives %b", r, i, s.rho[i], rho[i])
+		}
+		if !sameBits(s.yDual[i], y[i]) {
+			ls.fatalf("leaving slot %d: the ratio test's y[%d] = %b, a dense BTRAN gives %b", r, i, s.yDual[i], y[i])
+		}
+	}
+	for j := 0; j < s.nTotal(); j++ {
+		rows, _ := s.column(j)
+		want := false
+		for _, i := range rows {
+			want = want || rho[i] != 0
+		}
+		if s.colMark[j] != want {
+			ls.fatalf("leaving slot %d: column %d marked %v, ρ on its rows says %v", r, j, s.colMark[j], want)
+		}
+		s.colMark[j] = false
+	}
+	s.clearPivotRow()
+	ls.checkRhoCleared()
+	s.yPosOK = ok
+	return y
+}
+
+// checkRhoCleared requires ρ to be zero by row and by position between dual
+// pivots, whatever act held when it was written.
+func (ls *lockstep) checkRhoCleared() {
+	ls.t.Helper()
+	for i := range ls.s.rho {
+		if ls.s.rho[i] != 0 || ls.s.rhoPos[i] != 0 {
+			ls.fatalf("ρ left %b by row and %b by position at %d", ls.s.rho[i], ls.s.rhoPos[i], i)
 		}
 	}
 }

@@ -36,7 +36,7 @@ type luFactors struct {
 	// lact lists the positions with a nonempty L column, uact those with a
 	// nonempty U column or a diagonal other than 1, both ascending. Every
 	// other position is an identity step of the triangular solves (no
-	// entries, and x/1 is x bit for bit), so solve and solveT visit only
+	// entries, and x/1 is x bit for bit), so solve and solveTPos visit only
 	// these and still perform exactly the dense loops' operations.
 	lact, uact []int
 
@@ -272,9 +272,10 @@ func (f *luFactors) backwardFrom(v []float64, from int) {
 	}
 }
 
-// solveT computes y with Bᵀ y = c in place: c is indexed by basis position
-// on input; the result is indexed by original row on output.
-func (f *luFactors) solveT(c []float64) {
+// solveTPos solves Bᵀ y = c in place, with c and y indexed by basis
+// position (y[perm[k]] = c[k]; toRows moves it to rows). It writes the
+// positions of uact and lact and no other.
+func (f *luFactors) solveTPos(c []float64) {
 	// Solve Uᵀ w = c (forward over positions).
 	for _, j := range f.uact {
 		s := c[j]
@@ -292,7 +293,10 @@ func (f *luFactors) solveT(c []float64) {
 		}
 		c[k] = s
 	}
-	// Scatter z from positions to original rows: y[perm[k]] = z[k].
+}
+
+// toRows scatters z in place from positions to original rows: y[perm[k]] = z[k].
+func (f *luFactors) toRows(c []float64) {
 	w := f.work
 	for k, r := range f.perm {
 		w[r] = c[k]

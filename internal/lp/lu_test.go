@@ -124,6 +124,13 @@ func TestLUSolveRoundTrip(t *testing.T) {
 	}
 }
 
+// solveT computes y with Bᵀ y = c in place: c is indexed by basis position
+// on input; the result is indexed by original row on output.
+func (f *luFactors) solveT(c []float64) {
+	f.solveTPos(c)
+	f.toRows(c)
+}
+
 func TestLUPermutedMatrix(t *testing.T) {
 	// Requires row pivoting: zero on the leading diagonal.
 	a := [][]float64{
@@ -185,7 +192,7 @@ func TestEtaFtranBtranMatchRefactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := &basisFactor{lu: lu}
+	bf := &basisFactor{lu: lu, etaAt: make([]bool, m)}
 
 	// Replace basis slot r with a new column q.
 	r := 2

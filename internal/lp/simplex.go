@@ -196,7 +196,7 @@ type simplex struct {
 	infeasRow   int       // dual-simplex exit row, or -1
 	infeasSigma float64   // dual-simplex exit direction (±1)
 	scratch     []float64 // length m
-	rho         []float64 // dual-simplex pivot-row buffer, length m
+	rho, rhoPos []float64 // dual-simplex pivot row B⁻ᵀe_r by row and by position, all zero between its iterations
 	unitRow     [1]int    // row index of the artificial column last returned
 	deadline    time.Time // zero value: no wall-clock limit
 	untilTick   int       // pivots until the next wall-clock check
@@ -207,7 +207,6 @@ type simplex struct {
 	// price may skip its BTRAN. dj[j] = c_j − a_j·yRow is valid while
 	// djGen[j] == gen.
 	yRow       []float64 // duals, by row
-	yNext      []float64 // BTRAN target, swapped with yRow once compared
 	dualsFresh bool
 	dj         []float64 // cached raw reduced costs, length nTotal
 	djGen      []uint32
@@ -236,6 +235,17 @@ type simplex struct {
 	// moved — so xB is what recomputeXB would return and every eta on file
 	// is the identity.
 	luCurrent, onlySwaps bool
+
+	// The last BTRAN of c_B (see solveDuals). yPos is its result by
+	// position, valid while yPosOK; outside factor.act it is c_B's entry.
+	// ySolves counts the solves that rewrote every position; yRowAt and
+	// yDualAt say which one yRow and the dual loop's yDual were last written
+	// from in full, so that since then only the rows of act can differ.
+	yPos            []float64
+	yPosOK          bool
+	yDual           []float64
+	ySolves         int
+	yRowAt, yDualAt int
 
 	// Kernel work since the last flushKernelCounts.
 	nBtran, nBtranElided, nRescored, nScanned, nBlockHits int
@@ -389,6 +399,7 @@ func (s *simplex) refactorize() error {
 	}
 	telRefactorizations.Inc()
 	telRefactorSeconds.Add(time.Since(start).Seconds())
+	s.yPosOK = false
 
 	if !reused || !s.onlySwaps {
 		s.recomputeXB()
@@ -502,26 +513,69 @@ func (s *simplex) staleRow(r int) {
 	s.dirtyBlock(s.n + r)
 }
 
+// solveDuals brings yPos to B⁻ᵀc_B for the current basis, factors and
+// costs. The first solve after a refactorization or a cost change is the
+// dense one, and sets act for the factors in hand. Every later one starts
+// from the result in hand: no stage writes outside act, and a slot whose
+// column changed is an eta pivot, on act, so a position outside it still
+// holds c_B's entry. It resets the positions of act from c_B and runs the
+// same three stages — the same loops, in the same order, on the same
+// operands — so its result is the dense solve's, bit for bit, and only the
+// positions of act can differ from the last one's.
+func (s *simplex) solveDuals() {
+	f, y := s.factor, s.yPos
+	if s.yPosOK {
+		f.growAct()
+		for _, k := range f.act {
+			y[k] = s.c[s.basis[k]]
+		}
+	} else {
+		for slot, j := range s.basis {
+			y[slot] = s.c[j]
+		}
+		f.resetAct()
+		s.yPosOK = true
+		s.ySolves++
+	}
+	f.btranPos(y)
+}
+
+// forRows calls put(k, r) for each position k, and its row r, that a row
+// vector last written in full from the dense solve *at may hold stale: the
+// positions of act, or all of them after a dense solve it has not seen,
+// which it then records in *at.
+func (s *simplex) forRows(at *int, put func(k, r int)) {
+	perm := s.factor.lu.perm
+	if *at == s.ySolves {
+		for _, k := range s.factor.act {
+			put(k, perm[k])
+		}
+		return
+	}
+	for k, r := range perm {
+		put(k, r)
+	}
+	*at = s.ySolves
+}
+
 // refreshDuals computes y = B⁻ᵀ c_B into yRow and invalidates the cached
 // reduced costs it moves. d_j = c_j − a_j·y is a fixed expression over c_j
 // and the duals on column j's rows, so a column none of whose operands
 // changed bit pattern still has the d_j a fresh evaluation would return;
-// only the columns on rows whose dual changed are marked stale.
+// only the columns on rows whose dual changed are marked stale. Since the
+// dense solve yRow was last written from in full, only the rows of act can
+// have changed.
 func (s *simplex) refreshDuals() {
-	// y = B⁻ᵀ c_B, computed slot-indexed then transformed to row-indexed.
-	y, old := s.yNext, s.yRow
-	for slot, j := range s.basis {
-		y[slot] = s.c[j]
-	}
-	s.factor.btran(y)
+	s.solveDuals()
 	s.nBtran++
 	s.work += s.factor.btranWork()
-	changed := s.changed[:0]
-	for r, v := range y {
-		if math.Float64bits(v) != math.Float64bits(old[r]) {
+	y, changed := s.yRow, s.changed[:0]
+	s.forRows(&s.yRowAt, func(k, r int) {
+		if v := s.yPos[k]; math.Float64bits(v) != math.Float64bits(y[r]) {
+			y[r] = v
 			changed = append(changed, r)
 		}
-	}
+	})
 	if len(changed) > s.m/staleRowDiv {
 		s.dropReducedCosts()
 	} else {
@@ -529,7 +583,6 @@ func (s *simplex) refreshDuals() {
 			s.staleRow(r)
 		}
 	}
-	s.yRow, s.yNext = y, old
 	s.dualsFresh = true
 }
 

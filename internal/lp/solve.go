@@ -229,7 +229,8 @@ func endSolveSpan(sp telemetry.Span, m *Model, opt Options, sol *Solution, err e
 // Incremental holds one until Release. Every array is either fully
 // overwritten by assemble/coldSolve/warmSolve or zeroed by reshape (the
 // phase-cost vectors, whose structural entries the cold phase-1 start relies
-// on being zero, the reduced-cost stamps and summaries, and the duals), and
+// on being zero, the reduced-cost stamps and summaries, the duals, and the
+// dual loop's pivot row, which it keeps zero between iterations), and
 // borrowBufs clears the factor scratch that is kept zero between calls, so a
 // solve reads nothing its set's last user left behind.
 type solverBufs struct {
@@ -243,8 +244,10 @@ type solverBufs struct {
 	xB       []float64
 	scratch  []float64
 	yRow     []float64
-	yNext    []float64
+	yPos     []float64
+	yDual    []float64
 	rho      []float64
+	rhoPos   []float64
 	dj       []float64
 	djGen    []uint32
 	colMark  []bool
@@ -367,8 +370,8 @@ func (bf *solverBufs) reshape(n, nRows int) {
 		bf.blocks = make([]priceBlock, numPriceBlocks(capT))
 		bf.b, bf.art = make([]float64, capM), make([]float64, capM)
 		bf.basis, bf.xB = make([]int, capM), make([]float64, capM)
-		bf.scratch, bf.rho = make([]float64, capM), make([]float64, capM)
-		bf.yRow, bf.yNext = make([]float64, capM), make([]float64, capM)
+		bf.scratch, bf.rho, bf.rhoPos = make([]float64, capM), make([]float64, capM), make([]float64, capM)
+		bf.yRow, bf.yPos, bf.yDual = make([]float64, capM), make([]float64, capM), make([]float64, capM)
 		bf.rowCover, bf.rowDirty = make([]int32, capM), make([]bool, capM)
 		bf.dirtied, bf.changed = make([]int32, 0, capM), make([]int, 0, capM)
 	}
@@ -379,8 +382,8 @@ func (bf *solverBufs) reshape(n, nRows int) {
 	bf.colMark = bf.colMark[:t]
 	bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
 	bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
-	bf.scratch, bf.rho = bf.scratch[:nRows], bf.rho[:nRows]
-	bf.yRow, bf.yNext = bf.yRow[:nRows], bf.yNext[:nRows]
+	bf.scratch, bf.rho, bf.rhoPos = bf.scratch[:nRows], bf.rho[:nRows], bf.rhoPos[:nRows]
+	bf.yRow, bf.yPos, bf.yDual = bf.yRow[:nRows], bf.yPos[:nRows], bf.yDual[:nRows]
 	bf.rowCover, bf.rowDirty = bf.rowCover[:nRows], bf.rowDirty[:nRows]
 	bf.blocks = bf.blocks[:numPriceBlocks(t)]
 	clear(bf.c)
@@ -389,7 +392,8 @@ func (bf *solverBufs) reshape(n, nRows int) {
 	clear(bf.colMark)
 	clear(bf.blocks)
 	clear(bf.yRow)
-	clear(bf.yNext)
+	clear(bf.rho)
+	clear(bf.rhoPos)
 }
 
 // numPriceBlocks is the number of pricing summaries t columns take.
@@ -466,8 +470,10 @@ func (m *Model) assemble(opt Options, bf *solverBufs) *simplex {
 		xB:       bf.xB,
 		scratch:  bf.scratch,
 		rho:      bf.rho,
+		rhoPos:   bf.rhoPos,
 		yRow:     bf.yRow,
-		yNext:    bf.yNext,
+		yPos:     bf.yPos,
+		yDual:    bf.yDual,
 		dj:       bf.dj,
 		djGen:    bf.djGen,
 		gen:      1,
@@ -657,7 +663,7 @@ func (s *simplex) enterPhase2() {
 // costsChanged drops everything pricing derived from the phase costs.
 func (s *simplex) costsChanged() {
 	s.dropReducedCosts()
-	s.dualsFresh = false
+	s.dualsFresh, s.yPosOK = false, false
 }
 
 // extract builds the user-facing Solution from the final simplex state.

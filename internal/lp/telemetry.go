@@ -38,9 +38,9 @@ var (
 	telRefactorSeconds = telemetry.Default().Gauge("lp_refactor_seconds",
 		"Sum of the wall time spent in basis LU factorization, in seconds.")
 	telBtran = telemetry.Default().Counter("lp_btran_total",
-		"BTRAN solves run by primal pricing to bring the duals up to date.")
+		"BTRAN solves run by primal pricing to bring the duals up to date. The first after a refactorization or a cost change solves over every position; each later one resets and solves only the positions the LU factors and eta file can write, from the last one's result.")
 	telBtranElided = telemetry.Default().Counter("lp_btran_elided_total",
-		"Primal pricing calls that skipped the BTRAN: the last pivot (a bound flip, or a slack replacing the artificial of an isolated row) left the duals in hand exact. The elided share is this over its sum with lp_btran_total.")
+		"Primal pricing calls that skipped the BTRAN: the last pivot (a bound flip, or a slack replacing the artificial of an isolated row) left the duals in hand exact, so not even the restricted solve ran. The elided share is this over its sum with lp_btran_total.")
 	telRescored = telemetry.Default().Counter("lp_pricing_rescored_columns_total",
 		"Reduced costs recomputed by primal pricing (one sparse dot product each); columns scanned beyond these were served from the reduced-cost cache.")
 	telScanned = telemetry.Default().Counter("lp_pricing_scanned_columns_total",

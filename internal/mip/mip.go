@@ -146,11 +146,7 @@ func Solve(model *lp.Model, intVars []lp.VarID, opt Options) (*Result, error) {
 	stack := []node{{lb: rootLB, ub: rootUB}}
 	for len(stack) > 0 {
 		if res.Nodes >= opt.MaxNodes {
-			if res.HasBest {
-				res.Status = NodeLimit
-			} else {
-				res.Status = NodeLimit
-			}
+			res.Status = NodeLimit
 			return res, nil
 		}
 		nd := stack[len(stack)-1]

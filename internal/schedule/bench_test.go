@@ -3,7 +3,9 @@ package schedule
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"wavesched/internal/lp"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/timeslice"
 	"wavesched/internal/workload"
@@ -103,4 +105,58 @@ func BenchmarkRETEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSubRETCeiling solves one SUB-RET ceiling of steady-ret's shape
+// cold, as the RET search's first solve does: a 40-node, 80-link-pair
+// Waxman graph, five jobs with windows of 4–8 one-second slices at the
+// benchmark's load, and every window stretched to the 6× horizon BMax = 5
+// gives, from the all-artificial start RETConfig selects. Nearly every pivot
+// swaps a capacity row's artificial for its slack, so ns/pivot is the cost
+// of the pivot kernels on a basis that is mostly identity; min-ns/pivot is
+// the fastest solve, the figure to compare two kernels by.
+func BenchmarkSubRETCeiling(b *testing.B) {
+	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
+		Nodes: 40, LinkPairs: 80, Wavelengths: 4, GbpsPerWave: 5, Seed: 403,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	js, err := workload.Generate(g, workload.Config{
+		Jobs: 5, Seed: 404, MinWindow: 4, MaxWindow: 8,
+		GBToDemand: 2 * workload.GBToDemandFactor(5, 10),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := BuildRETInstance(g, js, 1, 4, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := RETConfig{BMax: 5, Solver: solverOpts()}.withDefaults()
+	m, _, _, err := buildSubRETModel("sub-ret", inst, retExtendedLast(inst, cfg.BMax))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.SolveWith(cfg.Solver); err != nil { // size the solver's buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	pivots, fastest := 0, 0.0
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		sol, err := m.SolveWith(cfg.Solver)
+		if err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("status %v, err %v", sol.Status, err)
+		}
+		if d := float64(time.Since(start).Nanoseconds()) / float64(sol.Iters); i == 0 || d < fastest {
+			fastest = d
+		}
+		pivots += sol.Iters
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+	b.ReportMetric(fastest, "min-ns/pivot")
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(m.NumRows()), "rows")
 }
