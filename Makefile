@@ -1,12 +1,12 @@
 # Developer entry points. `make check` is the gate run before sending a
-# change: formatting, vet, build, and the full test suite under the race
-# detector.
+# change: formatting, vet, build, the example programs, and the full test
+# suite under the race detector.
 
 GO ?= go
 
-.PHONY: check fmt-check vet build loc test race race-serve cluster-test fuzz-smoke bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard bench-cluster-guard clean
+.PHONY: check fmt-check vet build examples-smoke loc test race race-serve cluster-test fuzz-smoke bench bench-smoke bench-epoch-smoke bench-pairs bench-admission bench-ret bench-scale bench-telemetry bench-trace-guard bench-cluster-guard clean
 
-check: fmt-check vet build race-serve race cluster-test fuzz-smoke bench-epoch-smoke
+check: fmt-check vet build examples-smoke race-serve race cluster-test fuzz-smoke bench-epoch-smoke
 
 # Fails, listing them, when gofmt would rewrite any file.
 fmt-check:
@@ -17,6 +17,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Runs every example program once (each exits non-zero on an error, the
+# abilene one also when its schedule breaks eq. 3, 4 or 10) and fails on the
+# first that does; all of them take under a second.
+EXAMPLES = $(patsubst %/main.go,%,$(wildcard examples/*/main.go))
+examples-smoke:
+	@for e in $(EXAMPLES); do echo "$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # The size of the tree, for ROADMAP's "non-test line count going down": Go
 # lines outside bench/ that are neither tests nor test data, the largest such file, the same

@@ -121,14 +121,10 @@ func main() {
 		runRET(g, jobs, o.SliceLen, o.K, o.BMax, o.ColumnGen, o.Verbose)
 	case "admit":
 		runAdmit(g, jobs, o.Slices, o.SliceLen, o.K)
-	case "bottleneck":
-		runBottleneck(g, jobs, o.Slices, o.SliceLen, o.K)
 	case "sim":
 		if err := runSim(os.Stdout, g, jobs, o.simOptions); err != nil {
 			fatal("%v", err)
 		}
-	default:
-		fatal("unknown -algo %q (want maxthroughput, ret, admit, bottleneck, or sim)", o.Algo)
 	}
 }
 
@@ -157,7 +153,7 @@ func parseMainFlags(args []string) (mainOptions, error) {
 	fs.StringVar(&o.JobsPath, "jobs", "", "jobs JSON")
 	fs.IntVar(&o.Gen, "gen", 0, "generate this many random jobs instead of -jobs")
 	fs.Int64Var(&o.GenSeed, "gen-seed", 1, "workload seed for -gen")
-	fs.StringVar(&o.Algo, "algo", "maxthroughput", "algorithm: maxthroughput, ret, admit, bottleneck, or sim")
+	fs.StringVar(&o.Algo, "algo", "maxthroughput", "algorithm: maxthroughput, ret, admit, or sim")
 	fs.IntVar(&o.Slices, "slices", 10, "horizon length in slices")
 	fs.Float64Var(&o.SliceLen, "slice-len", 1, "slice duration")
 	fs.IntVar(&o.K, "k", 4, "allowed paths per job")
@@ -190,6 +186,14 @@ func parseMainFlags(args []string) (mainOptions, error) {
 	if o.NetPath == "" {
 		return o, fmt.Errorf("-net is required")
 	}
+	switch o.Algo {
+	case "maxthroughput", "ret", "admit", "sim":
+	default:
+		return o, fmt.Errorf("unknown -algo %q (want maxthroughput, ret, admit, or sim)", o.Algo)
+	}
+	if _, err := parsePolicy(o.Policy); err != nil {
+		return o, err
+	}
 	if err := checkSolverFlags(o.K, o.Alpha, o.BMax); err != nil {
 		return o, err
 	}
@@ -214,7 +218,7 @@ func runAdmit(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k
 	if err != nil {
 		fatal("%v", err)
 	}
-	res, err := schedule.AdmitPrefix(g, grid, jobs, k, schedule.ByRequestTime, lpOptions())
+	res, err := schedule.AdmitPrefix(g, grid, jobs, k, lpOptions())
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -225,39 +229,6 @@ func runAdmit(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k
 	}
 	for _, j := range res.Rejected {
 		fmt.Printf("  REJECT %s\n", j)
-	}
-}
-
-// runBottleneck reports the links whose extra wavelengths would raise Z*.
-func runBottleneck(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k int) {
-	grid, err := timeslice.Uniform(0, sliceLen, slices)
-	if err != nil {
-		fatal("%v", err)
-	}
-	inst, err := schedule.NewInstance(g, grid, jobs, k)
-	if err != nil {
-		fatal("%v", err)
-	}
-	bns, s1, err := schedule.BottleneckAnalysis(inst, lpOptions())
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("Z* = %.4f; %d binding capacity constraints\n\n", s1.ZStar, len(bns))
-	t := metrics.NewTable("capacity shadow prices (top 15)", "link", "slice", "dZ*/dC", "valid cap range")
-	for i, b := range bns {
-		if i == 15 {
-			break
-		}
-		e := g.Edge(b.Edge)
-		t.AddRow(
-			fmt.Sprintf("%s->%s", nodeLabel(g, e.From), nodeLabel(g, e.To)),
-			fmt.Sprintf("%d", b.Slice),
-			fmt.Sprintf("%.4f", b.ShadowPrice),
-			fmt.Sprintf("[%.1f, %.1f]", b.CapRange.Lo, b.CapRange.Hi),
-		)
-	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal("%v", err)
 	}
 }
 

@@ -64,13 +64,15 @@ func runQuickstart(t *testing.T, tracer *telemetry.Tracer) {
 }
 
 // TestSolverFlagsRejectedOutOfRange: the top-level command refuses a
-// solver flag a solver layer would otherwise replace with its default, and
-// a non-finite -max-time, -mtbf or -mttr, naming the flag. The serve
+// solver flag a solver layer would otherwise replace with its default, a
+// non-finite -max-time, -mtbf or -mttr, and an unknown -algo or -policy,
+// naming the flag, before it loads or prints anything. The serve
 // subcommand's half is in TestParseServeFlags.
 func TestSolverFlagsRejectedOutOfRange(t *testing.T) {
 	bad := append([]struct{ flag, value string }{
 		{"-max-time", "NaN"}, {"-max-time", "+Inf"}, {"-mtbf", "NaN"},
 		{"-mtbf", "Inf"}, {"-mttr", "NaN"}, {"-mttr", "-Inf"},
+		{"-algo", "bogus"}, {"-algo", "bottleneck"}, {"-policy", "bogus"},
 	}, badSolverFlags...)
 	for _, b := range bad {
 		_, err := parseMainFlags([]string{"-net", "x.json", b.flag, b.value})

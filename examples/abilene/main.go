@@ -1,13 +1,14 @@
 // Abilene: schedule an e-science workload on the Internet2 Abilene
 // backbone (the paper's Figure 2 setting: 11 nodes, 20 bidirectional
-// link pairs, 20 Gb/s per link) and provision concrete lightpaths.
+// link pairs, 20 Gb/s per link), check the integer schedule against the
+// paper's constraints and count the lightpaths it lights per slice.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 
-	"wavesched/internal/lightpath"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/schedule"
 	"wavesched/internal/timeslice"
@@ -58,18 +59,36 @@ func main() {
 			j.ID, src, dst, j.Size, res.LPDAR.Throughput(k))
 	}
 
-	// Turn the integer schedule into per-slice lightpaths (full wavelength
-	// conversion, as the paper's formulation assumes).
-	plan, err := lightpath.Assign(res.LPDAR, true)
-	if err != nil {
+	// The paper's formulation limits wavelength counts per link, so it
+	// assumes full wavelength conversion: an LPDAR schedule that is integral
+	// (eq. 10), within every link's capacity (eq. 3) and inside every job's
+	// window (eq. 4) can be lit as it stands, one lightpath per wavelength
+	// of X, each hop taking any free wavelength.
+	a := res.LPDAR
+	if err := a.VerifyIntegral(1e-9); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nprovisioned %d lightpath-slices (blocking rate %.3f)\n",
-		len(plan.Channels), plan.BlockingRate())
-	bySlice := plan.ChannelsBySlice()
-	for s := 0; s < grid.Num(); s++ {
-		if chs := bySlice[s]; len(chs) > 0 {
-			fmt.Printf("  slice %2d: %d active lightpaths\n", s, len(chs))
+	if err := a.VerifyCapacity(1e-9); err != nil {
+		log.Fatal(err)
+	}
+	if err := a.VerifyWindows(1e-9); err != nil {
+		log.Fatal(err)
+	}
+	perSlice := make([]int, grid.Num())
+	total := 0
+	for k := range a.X {
+		for p := range a.X[k] {
+			for s, v := range a.X[k][p] {
+				n := int(math.Round(v))
+				perSlice[s] += n
+				total += n
+			}
+		}
+	}
+	fmt.Printf("\nprovisioned %d lightpath-slices\n", total)
+	for s, n := range perSlice {
+		if n > 0 {
+			fmt.Printf("  slice %2d: %d active lightpaths\n", s, n)
 		}
 	}
 }

@@ -32,9 +32,8 @@ var exportedWithoutCaller = map[string]string{
 // methodsWithoutCaller lists the exported methods under internal/ that no
 // program calls, each with the reason it stays.
 var methodsWithoutCaller = map[string]string{
-	"schedule.Assignment.VerifyWindows": "reference oracle: tests check the paper's window constraint (4) on every schedule with it",
-	"dense.Problem.Solve":               "reference oracle: tests cross-check the sparse simplex against the dense tableau",
-	"server.Server.Controller":          "the cluster soak test, in another package, reads the live controller through it",
+	"dense.Problem.Solve":      "reference oracle: tests cross-check the sparse simplex against the dense tableau",
+	"server.Server.Controller": "the cluster soak test, in another package, reads the live controller through it",
 }
 
 // libraryInterfaces declares the standard-library interfaces the library

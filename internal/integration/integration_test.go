@@ -1,20 +1,17 @@
 // Package integration ties the full pipeline together the way a
 // downstream user would: generate a topology, serialize it, draw a
-// workload, run the periodic controller simulation, schedule with both
-// paper algorithms, and provision lightpaths — verifying cross-module
-// invariants at each step.
+// workload, run the periodic controller simulation and schedule with both
+// paper algorithms — verifying cross-module invariants at each step.
 package integration
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"wavesched/internal/controller"
 	"wavesched/internal/job"
-	"wavesched/internal/lightpath"
 	"wavesched/internal/netgraph"
 	"wavesched/internal/schedule"
 	"wavesched/internal/sim"
@@ -86,16 +83,11 @@ func TestFullPipelineWaxman(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 4. Lightpath provisioning with full conversion must never block.
-	plan, err := lightpath.Assign(res.LPDAR, true)
-	if err != nil {
+	if err := res.LPDAR.VerifyWindows(1e-9); err != nil {
 		t.Fatal(err)
 	}
-	if plan.BlockingRate() != 0 {
-		t.Fatalf("blocking rate %g with conversion", plan.BlockingRate())
-	}
 
-	// 5. Periodic controller simulation over the same workload.
+	// 4. Periodic controller simulation over the same workload.
 	ctrl, err := controller.New(g, controller.Config{Tau: 2, SliceLen: 1, K: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -147,26 +139,8 @@ func TestFullPipelineRETOnGeant2(t *testing.T) {
 	if err := res.LPDAR.VerifyWindows(1e-9); err != nil {
 		t.Fatal(err)
 	}
-	// Lightpath assignment of the RET schedule.
-	plan, err := lightpath.Assign(res.LPDAR, true)
-	if err != nil {
+	if err := res.LPDAR.VerifyIntegral(1e-9); err != nil {
 		t.Fatal(err)
-	}
-	if plan.BlockingRate() != 0 {
-		t.Fatalf("blocking rate %g", plan.BlockingRate())
-	}
-	// Energy check: total provisioned channel-slices equal total scheduled
-	// wavelength-slices.
-	scheduled := 0.0
-	for k := range res.LPDAR.X {
-		for p := range res.LPDAR.X[k] {
-			for _, v := range res.LPDAR.X[k][p] {
-				scheduled += v
-			}
-		}
-	}
-	if math.Abs(float64(len(plan.Channels))-scheduled) > 1e-9 {
-		t.Fatalf("provisioned %d channels for %g scheduled wavelength-slices", len(plan.Channels), scheduled)
 	}
 }
 

@@ -273,69 +273,3 @@ func (s *simplex) infeasCertificate(m *Model) *Certificate {
 	}
 	return farkasCertificate(m, y)
 }
-
-// Range is an interval of allowable values for a coefficient.
-type Range struct {
-	Lo, Hi float64
-}
-
-// Sensitivity carries post-optimal ranging information for an optimal
-// basis: how far each row right-hand side can move before the optimal
-// basis changes.
-type Sensitivity struct {
-	// RHS[k] is the interval for row k's right-hand side within which the
-	// current basis stays optimal; inside it the objective changes
-	// linearly with slope Duals[k].
-	RHS []Range
-}
-
-// SolveWithSensitivity solves the model as SolveWith does and, when
-// optimal, ranges the right-hand sides on the final basis.
-func (m *Model) SolveWithSensitivity(opt Options) (*Solution, *Sensitivity, error) {
-	return m.solveWith(opt, true)
-}
-
-// rhsRanges ranges every row's right-hand side on the optimal basis s
-// ends with: β = B⁻¹ e_k, and feasibility of xB + Δ·β bounds Δ.
-func (s *simplex) rhsRanges(m *Model) *Sensitivity {
-	sens := &Sensitivity{RHS: make([]Range, m.NumRows())}
-	beta := make([]float64, s.m)
-	for k := 0; k < m.NumRows(); k++ {
-		for i := range beta {
-			beta[i] = 0
-		}
-		beta[k] = 1
-		s.factor.ftran(beta)
-		dLo, dHi := math.Inf(-1), math.Inf(1)
-		for i := 0; i < s.m; i++ {
-			bi := beta[i]
-			if math.Abs(bi) < 1e-11 {
-				continue
-			}
-			bj := s.basis[i]
-			// l ≤ xB_i + Δ·β_i ≤ u
-			if bi > 0 {
-				if v := (s.l[bj] - s.xB[i]) / bi; v > dLo {
-					dLo = v
-				}
-				if !math.IsInf(s.u[bj], 1) {
-					if v := (s.u[bj] - s.xB[i]) / bi; v < dHi {
-						dHi = v
-					}
-				}
-			} else {
-				if v := (s.l[bj] - s.xB[i]) / bi; v < dHi {
-					dHi = v
-				}
-				if !math.IsInf(s.u[bj], 1) {
-					if v := (s.u[bj] - s.xB[i]) / bi; v > dLo {
-						dLo = v
-					}
-				}
-			}
-		}
-		rhs := m.rows[k].rhs
-		sens.RHS[k] = Range{Lo: rhs + dLo, Hi: rhs + dHi}
-	}
-	return sens
-}

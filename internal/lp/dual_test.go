@@ -171,6 +171,39 @@ func TestIncrementalItersCumulative(t *testing.T) {
 	}
 }
 
+// TestSolveWithIsCounted: a plain SolveWith counts in the solve counters and
+// is traced as one lp.solve span.
+func TestSolveWithIsCounted(t *testing.T) {
+	m, _, _, _ := textbookModel()
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(&buf)
+	solves, pivots := telSolvesByStatus[Optimal].Value(), telPivots.Value()
+	sol, err := m.SolveWith(Options{Tracer: tr})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("got %v, %v", sol, err)
+	}
+	if d := telSolvesByStatus[Optimal].Value() - solves; d != 1 {
+		t.Errorf(`lp_solves_total{status="optimal"} moved by %d, want 1`, d)
+	}
+	if d := telPivots.Value() - pivots; d != int64(sol.Iters) {
+		t.Errorf("lp_pivots_total moved by %d, want the solve's %d pivots", d, sol.Iters)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct{ Name string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		spans = append(spans, rec.Name)
+	}
+	if len(spans) != 1 || spans[0] != "lp.solve" {
+		t.Errorf("spans %q, want one lp.solve", spans)
+	}
+}
+
 // TestIncrementalMatchesFreshSolve drives random bound-change sequences
 // and compares every re-solve against a from-scratch solve.
 func TestIncrementalMatchesFreshSolve(t *testing.T) {

@@ -55,20 +55,10 @@ func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
 // SolveWith optimizes the model with the given options.
 func (m *Model) SolveWith(opt Options) (*Solution, error) {
-	sol, _, err := m.solveWith(opt, false)
-	return sol, err
-}
-
-// solveWith is SolveWith that, when ranging is set and the solve ends
-// Optimal, also ranges the right-hand sides on the final basis.
-func (m *Model) solveWith(opt Options, ranging bool) (*Solution, *Sensitivity, error) {
 	bf := borrowBufs(m.shape())
 	defer releaseBufs(bf)
-	s, sol, _, err := m.solve(opt, bf, nil)
-	if !ranging || err != nil || sol.Status != Optimal || s == nil {
-		return sol, nil, err
-	}
-	return sol, s.rhsRanges(m), nil
+	_, sol, _, err := m.solve(opt, bf, nil)
+	return sol, err
 }
 
 // chain is an Incremental's part in a solve: the live state to re-enter (nil

@@ -14,7 +14,7 @@ import (
 // non-nil.
 var (
 	telSolveSeconds = telemetry.Default().Histogram("lp_solve_seconds",
-		"Wall time of lp.Model.SolveWith, lp.Model.SolveWithSensitivity and lp.Incremental.Solve in seconds.", nil)
+		"Wall time of lp.Model.SolveWith and lp.Incremental.Solve in seconds.", nil)
 	telPivots = telemetry.Default().Counter("lp_pivots_total",
 		"Simplex pivots across both phases, summed over all solves.")
 	telPhase1Pivots = telemetry.Default().Counter("lp_phase1_pivots_total",
@@ -62,9 +62,9 @@ var (
 	}()
 )
 
-// countSolve feeds one solve — a SolveWith, a SolveWithSensitivity or an
-// Incremental.Solve — to the solve counters: its wall time, and, when it
-// returned a solution, its pivots and final status.
+// countSolve feeds one solve — a SolveWith or an Incremental.Solve — to the
+// solve counters: its wall time, and, when it returned a solution, its
+// pivots and final status.
 func countSolve(start time.Time, sol *Solution, pivots int) {
 	telSolveSeconds.ObserveSince(start)
 	if sol == nil {

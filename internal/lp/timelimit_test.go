@@ -7,6 +7,24 @@ import (
 	"time"
 )
 
+// textbookModel is max 3x + 5y subject to x ≤ 4, 2y ≤ 12 and 3x + 2y ≤ 18,
+// whose optimum is 36 at (2, 6).
+func textbookModel() (*Model, VarID, VarID, []RowID) {
+	m := NewModel("tb", Maximize)
+	x := m.AddVar("x", 0, Inf, 3)
+	y := m.AddVar("y", 0, Inf, 5)
+	rows := []RowID{
+		m.AddRow("r1", LE, 4),
+		m.AddRow("r2", LE, 12),
+		m.AddRow("r3", LE, 18),
+	}
+	m.AddTerm(rows[0], x, 1)
+	m.AddTerm(rows[1], y, 2)
+	m.AddTerm(rows[2], x, 3)
+	m.AddTerm(rows[2], y, 2)
+	return m, x, y, rows
+}
+
 func TestTimeLimitExpired(t *testing.T) {
 	// A 1 ns budget is expired by the time the first pivot-loop check
 	// runs, so the solve must abort with the typed sentinel before doing

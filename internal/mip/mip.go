@@ -47,11 +47,15 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
+// Search tolerances.
+const (
+	intTol = 1e-6 // integrality tolerance
+	gap    = 1e-9 // absolute pruning gap
+)
+
 // Options tunes the search. The zero value selects sensible defaults.
 type Options struct {
 	MaxNodes int        // LP relaxations to solve; ≤0 selects 100000
-	IntTol   float64    // integrality tolerance; ≤0 selects 1e-6
-	Gap      float64    // absolute pruning gap; ≤0 selects 1e-9
 	LP       lp.Options // passed to every relaxation
 	// ColdStart disables the dual-simplex warm start between nodes and
 	// solves every relaxation from scratch (mainly for benchmarking the
@@ -62,12 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 100000
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
-	}
-	if o.Gap <= 0 {
-		o.Gap = 1e-9
 	}
 	return o
 }
@@ -106,9 +104,9 @@ func Solve(model *lp.Model, intVars []lp.VarID, opt Options) (*Result, error) {
 	// canBeat: can a relaxation bound possibly improve on the incumbent?
 	canBeat := func(bound, incumbent float64) bool {
 		if maximize {
-			return bound > incumbent+opt.Gap
+			return bound > incumbent+gap
 		}
-		return bound < incumbent-opt.Gap
+		return bound < incumbent-gap
 	}
 
 	// Root bounds for the integer variables, tightened to integers.
@@ -116,8 +114,8 @@ func Solve(model *lp.Model, intVars []lp.VarID, opt Options) (*Result, error) {
 	rootUB := make([]float64, len(intVars))
 	for i, v := range intVars {
 		l, u := model.Bounds(v)
-		rootLB[i] = math.Ceil(l - opt.IntTol)
-		rootUB[i] = math.Floor(u + opt.IntTol)
+		rootLB[i] = math.Ceil(l - intTol)
+		rootUB[i] = math.Floor(u + intTol)
 		if rootLB[i] > rootUB[i] {
 			return &Result{Status: Infeasible}, nil
 		}
@@ -178,7 +176,7 @@ func Solve(model *lp.Model, intVars []lp.VarID, opt Options) (*Result, error) {
 
 		// Find the most fractional integer variable.
 		branch := -1
-		worst := opt.IntTol
+		worst := intTol
 		for i, v := range intVars {
 			x := sol.Value(v)
 			frac := math.Abs(x - math.Round(x))

@@ -9,23 +9,6 @@ import (
 	"wavesched/internal/timeslice"
 )
 
-// AdmitPolicy orders jobs for the reject-based admission control of the
-// paper's footnote 1: jobs are listed by administrative policy and a
-// binary search finds the longest prefix that the network can complete on
-// time.
-type AdmitPolicy int
-
-// Admission orderings.
-const (
-	// ByRequestTime admits earlier requests first (FCFS).
-	ByRequestTime AdmitPolicy = iota
-	// BySizeDescending favors large jobs (the paper's default weighting
-	// regards larger e-science transfers as more important).
-	BySizeDescending
-	// BySizeAscending favors small jobs (finish more jobs).
-	BySizeAscending
-)
-
 // AdmitResult reports the admission decision.
 type AdmitResult struct {
 	Admitted []job.Job
@@ -34,22 +17,14 @@ type AdmitResult struct {
 	LPSolves int     // stage-1 solves performed by the binary search
 }
 
-// AdmitPrefix implements footnote 1: order the jobs by policy, then binary
-// search for the longest prefix whose stage-1 maximum concurrent
-// throughput Z* is at least 1 (every job in the prefix can be completed by
-// its end time). The remaining jobs are rejected.
-func AdmitPrefix(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, k int,
-	policy AdmitPolicy, opts lp.Options) (*AdmitResult, error) {
-
+// AdmitPrefix implements footnote 1: order the jobs by request time
+// (stable, so equal arrivals keep their input order), then binary search
+// for the longest prefix whose stage-1 maximum concurrent throughput Z* is
+// at least 1 (every job in the prefix can be completed by its end time).
+// The remaining jobs are rejected.
+func AdmitPrefix(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, k int, opts lp.Options) (*AdmitResult, error) {
 	ordered := append([]job.Job(nil), jobs...)
-	switch policy {
-	case ByRequestTime:
-		sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Arrival < ordered[b].Arrival })
-	case BySizeDescending:
-		sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Size > ordered[b].Size })
-	case BySizeAscending:
-		sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Size < ordered[b].Size })
-	}
+	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Arrival < ordered[b].Arrival })
 
 	res := &AdmitResult{}
 	// z is the Z* of the longest prefix found feasible so far, or of the

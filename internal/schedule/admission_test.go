@@ -16,7 +16,7 @@ func TestAdmitAllWhenFeasible(t *testing.T) {
 		{ID: 1, Src: 0, Dst: 1, Size: 3, Start: 0, End: 4},
 		{ID: 2, Src: 0, Dst: 1, Size: 3, Start: 0, End: 4},
 	}
-	res, err := AdmitPrefix(g, grid, jobs, 2, ByRequestTime, solverOpts())
+	res, err := AdmitPrefix(g, grid, jobs, 2, solverOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAdmitPrefixRejectsOverload(t *testing.T) {
 		{ID: 2, Arrival: 1, Src: 0, Dst: 1, Size: 4, Start: 1, End: 4},
 		{ID: 3, Arrival: 2, Src: 0, Dst: 1, Size: 4, Start: 2, End: 4},
 	}
-	res, err := AdmitPrefix(g, grid, jobs, 2, ByRequestTime, solverOpts())
+	res, err := AdmitPrefix(g, grid, jobs, 2, solverOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,36 +58,10 @@ func TestAdmitPrefixRejectsOverload(t *testing.T) {
 	}
 }
 
-func TestAdmitPolicies(t *testing.T) {
-	// Capacity fits only one of the two: size ordering decides which.
-	g := netgraph.Line(2, 1, 10)
-	grid, _ := timeslice.Uniform(0, 1, 4)
-	jobs := []job.Job{
-		{ID: 1, Arrival: 0, Src: 0, Dst: 1, Size: 4, Start: 0, End: 4},
-		{ID: 2, Arrival: 0, Src: 0, Dst: 1, Size: 1, Start: 0, End: 4},
-	}
-	big, err := AdmitPrefix(g, grid, jobs, 2, BySizeDescending, solverOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big.Admitted) != 1 || big.Admitted[0].ID != 1 {
-		t.Errorf("BySizeDescending admitted %v, want job 1", big.Admitted)
-	}
-	small, err := AdmitPrefix(g, grid, jobs, 2, BySizeAscending, solverOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Smallest-first: job 2 (size 1) then job 1 (size 4); both fit? 1+4=5 >
-	// capacity 4 ⇒ only job 2.
-	if len(small.Admitted) != 1 || small.Admitted[0].ID != 2 {
-		t.Errorf("BySizeAscending admitted %v, want job 2", small.Admitted)
-	}
-}
-
 func TestAdmitEmpty(t *testing.T) {
 	g := netgraph.Line(2, 1, 10)
 	grid, _ := timeslice.Uniform(0, 1, 4)
-	res, err := AdmitPrefix(g, grid, nil, 2, ByRequestTime, solverOpts())
+	res, err := AdmitPrefix(g, grid, nil, 2, solverOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +75,7 @@ func TestAdmitNothingFits(t *testing.T) {
 	g := netgraph.Line(2, 1, 10)
 	grid, _ := timeslice.Uniform(0, 1, 2)
 	jobs := []job.Job{{ID: 1, Src: 0, Dst: 1, Size: 100, Start: 0, End: 2}}
-	res, err := AdmitPrefix(g, grid, jobs, 2, ByRequestTime, solverOpts())
+	res, err := AdmitPrefix(g, grid, jobs, 2, solverOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

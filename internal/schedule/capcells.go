@@ -35,8 +35,7 @@ import (
 // those duals are a primal-dual optimal pair of the full master, and a
 // pricing round proves what it proved before. SUB-RET, whose vertex still
 // depends on the pivot path (DESIGN §10), keeps every row, its master
-// included; so does BottleneckAnalysis, which reports a shadow price per
-// cell.
+// included.
 
 // capCells is the capacity-row layout of a model: a closed one, or one built
 // with every capacity row (addCapacityRows), which drops no cell and has no

@@ -66,7 +66,7 @@ func Example_admission() {
 		{ID: 1, Arrival: 0, Src: 0, Dst: 1, Size: 5, Start: 0, End: 4},
 		{ID: 2, Arrival: 1, Src: 0, Dst: 1, Size: 5, Start: 1, End: 4},
 	}
-	res, err := schedule.AdmitPrefix(g, grid, jobs, 2, schedule.ByRequestTime, lp.Options{})
+	res, err := schedule.AdmitPrefix(g, grid, jobs, 2, lp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
