@@ -85,17 +85,24 @@ cluster-test:
 # start from a captured basis and an Incremental re-entering its live one —
 # agree with a cold solve after bound, cost and right-hand-side changes; and
 # every BTRAN that starts from the last one's result (the primal duals, the
-# dual loop's pivot row and duals) is the dense solve bit for bit. A
+# dual loop's pivot row and duals) is the dense solve bit for bit; and the RET
+# search's two answers without a solve — a stored plan's window fit and the
+# interval bound — agree with a fresh solve. A
 # failing input is written under the package's testdata/fuzz; minimise and
-# commit it.
+# commit it. A budget includes replaying the corpus the local cache has
+# grown, so each is set above that replay and every step tries new inputs
+# (replays on a warm 2-CPU cache: lex 2.1 s, remap 0.8 s, warm path 0.7 s,
+# restricted BTRAN 6.0 s, dominated rows 3.4 s, under growth 3.5 s, stage-1
+# bound 1.6 s, RET probes 1.4 s). A fresh CI cache fuzzes from the start.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapBasis$$' -fuzztime 4s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzWarmStartEquivalence$$' -fuzztime 4s ./internal/lp
-	$(GO) test -run '^$$' -fuzz '^FuzzRestrictedBTRAN$$' -fuzztime 4s ./internal/lp
-	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRows$$' -fuzztime 4s ./internal/schedule
-	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 4s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzRestrictedBTRAN$$' -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRows$$' -fuzztime 8s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 8s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzStage1Bound$$' -fuzztime 4s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzRETProbeAnswers$$' -fuzztime 4s ./internal/schedule
 
 # Full benchmark harness at quick scale (minutes).
 bench:

@@ -7,7 +7,7 @@
 //	benchfig -fig 2            # Fig. 2: the same on Abilene
 //	benchfig -fig 3            # Fig. 3: computation time vs jobs
 //	benchfig -fig 4            # Fig. 4 + §III-B.1: RET end times & fractions
-//	benchfig -fig ret          # RET probe economy: certificate-pruned search
+//	benchfig -fig ret          # RET probe economy: probes answered without a solve
 //	benchfig -fig decomp       # decomposition: mono vs per-component solves
 //	benchfig -fig scale        # scale tier: K=8 enumeration vs column generation
 //	benchfig -fig all          # everything
@@ -241,7 +241,7 @@ func main() {
 			"finished_lpdar":       last.FracLPDAR,
 		})
 		render(experiments.RETTable(
-			"RET probe economy — certificate-pruned search (fig. 4 sweep)", rows))
+			"RET probe economy — probes answered without a solve (fig. 4 sweep)", rows))
 	}
 	if want("admission") && *fig != "all" {
 		// Explicit selection only: the sustained load hammers a real WAL

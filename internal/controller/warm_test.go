@@ -45,8 +45,9 @@ func runScenario(t *testing.T, policy Policy, coldCarry bool) ([]Record, []Epoch
 		t.Fatal(err)
 	}
 	// BMax is sized so the first epoch runs a full bisection search (b̂ ≈
-	// 4.35): that exercises chained re-entry and certificate pruning inside
-	// the search, which TestControllerWarmByteIdenticalRecords depends on. Degraded
+	// 4.35): that exercises chained re-entry and probes answered without a
+	// solve inside the search, which TestControllerWarmByteIdenticalRecords
+	// depends on. Degraded
 	// (RET-infeasible) epochs are covered by fault_test.go; log noise from
 	// the disruption epochs is discarded.
 	c, err := New(g, Config{
@@ -101,7 +102,8 @@ func statsBytes(stats []EpochStat) string {
 // across the two runs, or WAL replay would diverge. Under PolicyRET, whose
 // searches chain warm-started probes within each epoch, the epochs'
 // searches must answer some probe by a chained re-entry (an lp warm-start
-// hit) or, with no solve at all, by a certificate. Under
+// hit) or, with no solve at all, by a plan's window fit or the interval
+// bound. Under
 // PolicyMaxThroughput, whose stage-2 solves start from the previous
 // solve's bases (schedule.Stage2Carry), the first run must start some
 // stage-2 solve warm, and the second is the replay of its events into a
@@ -127,7 +129,7 @@ func TestControllerWarmByteIdenticalRecords(t *testing.T) {
 		hits := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
 		pruned := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
 		if hits == hitsBefore && pruned == prunedBefore {
-			t.Error("the RET searches engaged neither the lp warm-start path nor certificate pruning")
+			t.Error("the RET searches engaged neither the lp warm-start path nor a probe answered without a solve")
 		}
 		againRecs, againStats := runScenario(t, PolicyRET, false)
 		compare(t, firstRecs, againRecs, firstStats, againStats)

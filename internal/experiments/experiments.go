@@ -275,11 +275,11 @@ type RETRow struct {
 	LPms        float64 // mean LP optimization time (search + solve), ms
 
 	// Probe-economy metrics of the binary search (PR 9): how many
-	// feasibility probes were answered by a simplex solve vs a
-	// certificate / window-memo check, and the pivots spent per solved
-	// probe-or-round.
+	// feasibility probes were answered by a simplex solve vs the window
+	// memo, a plan's window fit or the interval bound, and the pivots spent
+	// per solved probe-or-round.
 	ProbesSolved   float64 // mean probes answered by a solve
-	ProbesPruned   float64 // mean probes answered by certificate or memo
+	ProbesPruned   float64 // mean probes answered by memo, fit or bound
 	PivotsPerSolve float64 // mean simplex pivots per LP solve (probes + rounds)
 }
 

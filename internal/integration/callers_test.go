@@ -20,7 +20,6 @@ import (
 // no program calls, each with the reason it stays.
 var exportedWithoutCaller = map[string]string{
 	"paths.Disjoint":               "reference oracle: tests check edge-disjoint path sets against it",
-	"lp.PointCertificate":          "reference oracle: tests check RET certificates against it",
 	"job.WriteJSON":                "writer half of the job format the command reads",
 	"sim.WriteLinkTrace":           "writer half of the failure-trace format -fail-trace reads",
 	"schedule.WeightUniform":       "one of the paper's stage-2 weight alternatives, chosen through Config.Weight",

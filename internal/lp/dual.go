@@ -22,7 +22,6 @@ const (
 // violates its bounds.
 func (s *simplex) dualSimplex() (dualStatus, error) {
 	rho, y := s.rho, s.yDual
-	s.infeasRow, s.infeasSigma = -1, 0
 
 	for {
 		if s.iters >= s.opt.MaxIter {
@@ -98,9 +97,7 @@ func (s *simplex) dualSimplex() (dualStatus, error) {
 		s.clearPivotRow()
 		if q < 0 {
 			// No entering candidate: the primal is infeasible under the
-			// new bounds. Record the exit row so a Farkas certificate can
-			// be extracted (y = σ·B⁻ᵀe_r).
-			s.infeasRow, s.infeasSigma = r, sigma
+			// new bounds.
 			return dualInfeasible, nil
 		}
 
@@ -391,11 +388,10 @@ type Incremental struct {
 	opt   Options
 	bufs  *solverBufs // what s lives on, held until Release
 
-	s     *simplex  // the live state, nil when there is no basis to re-enter
-	sol   *Solution // the last solve's outcome, for Certificate
-	full  bool      // the last solve started over instead of re-entering
-	iters int       // pivots of every solve since the first, given-up ones included
-	ref   int       // the work a re-entry may spend; 0 for no cap
+	s     *simplex // the live state, nil when there is no basis to re-enter
+	full  bool     // the last solve started over instead of re-entering
+	iters int      // pivots of every solve since the first, given-up ones included
+	ref   int      // the work a re-entry may spend; 0 for no cap
 }
 
 // NewIncremental wraps a model for repeated solves. A secondary objective
@@ -427,19 +423,6 @@ func (inc *Incremental) Basis() *Basis {
 	return b
 }
 
-// Certificate exports a feasibility or infeasibility certificate from the
-// last solve (nil when the last outcome supports none). See
-// Model.CheckFeasibleWithCertificate.
-func (inc *Incremental) Certificate() *Certificate {
-	if inc.s == nil {
-		return nil
-	}
-	if inc.sol.Status == Optimal {
-		return feasCertificate(inc.model, inc.sol)
-	}
-	return inc.s.infeasCertificate(inc.model)
-}
-
 // Solve optimizes the wrapped model, re-entering the live basis when there
 // is one. Its pivots, given-up ones included, final status and wall time
 // count in the solve counters as a SolveWith's do, and it is traced as an
@@ -457,7 +440,7 @@ func (inc *Incremental) Solve() (*Solution, error) {
 	inc.opt.WarmStart = nil // a seed applies to one solve
 	inc.iters += pivots
 	inc.full, inc.ref = ch.exit != warmSolved, ch.ref
-	inc.s, inc.sol = nil, sol
+	inc.s = nil
 	if sol != nil && (sol.Status == Optimal || sol.Status == Infeasible) {
 		inc.s = s // an infeasible exit chains too: relaxing bounds re-enters it
 	}
@@ -469,7 +452,7 @@ func (inc *Incremental) Solve() (*Solution, error) {
 func (inc *Incremental) Iters() int { return inc.iters }
 
 // Release returns the chain's working memory to the free list for other
-// solves. The chain's basis goes with it: Basis, Certificate and Iters read
+// solves. The chain's basis goes with it: Basis and Iters read
 // as before the first solve, and a later Solve starts over with a full
 // solve on memory borrowed anew. Export what the chain should hand on
 // before calling it.

@@ -191,10 +191,7 @@ type simplex struct {
 	blandMode  bool
 	cursor     int // rotating start for partial pricing
 
-	// Infeasibility provenance, for Farkas-certificate extraction.
 	phase1      bool      // state still holds phase-1 costs (cold infeasible exit)
-	infeasRow   int       // dual-simplex exit row, or -1
-	infeasSigma float64   // dual-simplex exit direction (±1)
 	scratch     []float64 // length m
 	rho, rhoPos []float64 // dual-simplex pivot row B⁻ᵀe_r by row and by position, all zero between its iterations
 	unitRow     [1]int    // row index of the artificial column last returned

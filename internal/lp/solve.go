@@ -482,7 +482,6 @@ func (m *Model) assemble(opt Options, bf *solverBufs) *simplex {
 	s.startClock()
 
 	s.nStruct = nVars
-	s.infeasRow = -1
 	return s
 }
 
@@ -523,8 +522,7 @@ func (m *Model) coldSolve(s *simplex, opt Options) (*simplex, *Solution, error) 
 		if capture {
 			sol.Basis = s.snapshotBasis()
 		}
-		// Return the state: its phase-1 duals are a Farkas ray, and an
-		// incremental caller can chain from the basis.
+		// Return the state: an incremental caller can chain from the basis.
 		return s, sol, nil
 	}
 

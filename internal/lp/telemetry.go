@@ -31,8 +31,6 @@ var (
 		"Solves that ran to completion from a supplied warm-start basis.")
 	telWarmFallbacks = telemetry.Default().Counter("lp_warmstart_fallbacks_total",
 		"Warm-start attempts abandoned for the cold path (structural mismatch, singular basis, or numerical trouble).")
-	telProbePruned = telemetry.Default().Counter("lp_probe_pruned_total",
-		"Feasibility probes answered by a certificate check instead of a simplex solve.")
 	telRefactorizations = telemetry.Default().Counter("lp_refactorizations_total",
 		"Basis LU factorizations: the first of each solve, one per Options.RefactorEvery eta updates, and the repair ones.")
 	telRefactorSeconds = telemetry.Default().Gauge("lp_refactor_seconds",

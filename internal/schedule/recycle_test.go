@@ -9,9 +9,9 @@ import (
 // TestSolveOrderIsInvisible: a solve borrows solver memory that any earlier
 // model may have used, at any size, so nothing it returns may depend on what
 // ran before it. MaxThroughput and SolveRET (its extraction and probe
-// chains, certificates and window memo on) on instance A, then on a larger
-// instance B, then on A again return the same plans, byte for byte, and the
-// same probe trajectory up to wall time.
+// chains, window fit, interval bound and window memo on) on instance A,
+// then on a larger instance B, then on A again return the same plans, byte
+// for byte, and the same probe trajectory up to wall time.
 func TestSolveOrderIsInvisible(t *testing.T) {
 	a, b := retWarmInstance(t), clusteredRETInstance(t, 3, 40)
 	type outcome struct {

@@ -68,14 +68,14 @@ const (
 	StageB0     ProbeStage = "b0"     // the b = 0 probe, answered by a fresh per-b solve
 	StageBMax   ProbeStage = "bmax"   // the b = BMax ceiling probe (the extraction chain's seed solve)
 	StageBisect ProbeStage = "bisect" // a bisection midpoint, answered by a solve
-	StagePruned ProbeStage = "pruned" // answered by a certificate or the window memo — no solve
+	StagePruned ProbeStage = "pruned" // answered without a solve: see ProbeStep.Cert
 )
 
-// Probe certificate kinds, recorded in ProbeStep.Cert for pruned probes.
+// How a pruned probe was answered, recorded in ProbeStep.Cert.
 const (
 	CertWindow = "window" // window memo: same quantized windows as an earlier probe
-	CertPoint  = "point"  // stored feasible point lies within the probe's bounds
-	CertFarkas = "farkas" // stored Farkas ray proves the probe infeasible
+	CertPoint  = "point"  // the last feasible plan fits inside the probe's windows
+	CertBound  = "bound"  // the interval bound refutes the probe (retBound)
 )
 
 // ProbeStep is one feasibility probe of the RET binary search, recorded
@@ -120,8 +120,8 @@ type RETResult struct {
 
 	// ProbesSolved and ProbesPruned split the search trajectory by how
 	// each probe was answered: a simplex solve (stages b0/bmax/bisect)
-	// versus a certificate or window-memo check (stage pruned). Their sum
-	// is the probe count.
+	// versus the window memo, a window fit of the last feasible plan or the
+	// interval bound (stage pruned). Their sum is the probe count.
 	ProbesSolved int
 	ProbesPruned int
 
@@ -180,7 +180,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 				telemetry.KV("delta_rounds", res.Rounds),
 				telemetry.KV("lp_iters", res.LPIters),
 				telemetry.KV("probes_solved", res.ProbesSolved),
-				telemetry.KV("certificate_hits", res.ProbesPruned),
+				telemetry.KV("probes_pruned", res.ProbesPruned),
 			}
 		})
 	}()
@@ -318,7 +318,7 @@ func SolveRET(inst *Instance, cfg RETConfig) (res *RETResult, err error) {
 // retComponent is one component's state through a RET solve.
 type retComponent struct {
 	chain  *retChain  // extraction chain; survives from the search into the δ-rounds
-	prober *retProber // probe chain + certificates; nil when the chain build failed
+	prober *retProber // probe chain, stored plan and bound; nil when the chain build failed
 	bhat   float64
 	iters  int // of the search, then of the latest δ-round solve
 	dur    time.Duration
@@ -348,11 +348,12 @@ func retSearch(inst *Instance, cfg RETConfig, P *retProber, comp string) (bhat f
 	// the cheapest sound mechanism available:
 	//
 	//  1. the b = BMax probe IS the extraction chain's seed solve, so probing
-	//     cannot perturb the chain. Its optimum doubles as the feasible-point
-	//     certificate: the quick-finish objective concentrates flow early, so
-	//     the ceiling optimum typically satisfies every narrower window down
-	//     to b̂ and prunes the feasible half of the bisection outright;
-	//  2. the window memo and stored certificates (stage "pruned");
+	//     cannot perturb the chain. Its optimum is the first stored plan:
+	//     the quick-finish objective concentrates flow early, so the ceiling
+	//     optimum typically fits every narrower window down to b̂ and
+	//     prunes the feasible half of the bisection outright;
+	//  2. the window memo, the stored plan's window fit and the interval
+	//     bound (stage "pruned");
 	//  3. the incremental probe chain, falling back to a fresh per-b solve
 	//     when the chain cannot give an authoritative verdict. The b = 0
 	//     probe skips the chain — re-entering the ceiling basis with every
@@ -419,8 +420,8 @@ func retSearch(inst *Instance, cfg RETConfig, P *retProber, comp string) (bhat f
 
 	// Feasibility of SUB-RET is monotone in b: larger b only widens
 	// windows. The ceiling probe runs first — it is the extraction
-	// chain's seed solve and the source of the feasible-point
-	// certificate — then b = 0, then bisection.
+	// chain's seed solve and the first stored plan — then b = 0, then
+	// bisection.
 	feasMax, iters, err := probe(cfg.BMax, StageBMax)
 	itersTotal += iters
 	if err != nil {
@@ -685,13 +686,19 @@ func lastKey(last []int) string {
 	return sb.String()
 }
 
+// retFitTol is the slack a stored plan may have and still answer a probe:
+// the solver's primal tolerance, on the plan's rows and on the columns the
+// probe's windows pin to zero.
+const retFitTol = 1e-7
+
 // retProber answers feasibility probes for one component: first from the
-// window memo, then from stored certificates, and only then by an
-// incremental solve on its own probe chain. The chain is separate from
-// the extraction chain — a fork of it: the same rows, read-only, under
-// bounds, a basis and solver buffers of its own — so probe traffic cannot
-// perturb the extraction solve sequence (which is what keeps the schedule
-// a function of b̂ alone).
+// window memo, then by fitting the last feasible plan inside the probe's
+// windows, then by the interval bound, and only then by an incremental
+// solve on its own probe chain. The chain is separate from the extraction
+// chain — a fork of it: the same rows, read-only, under bounds, a basis and
+// solver buffers of its own — so probe traffic cannot perturb the
+// extraction solve sequence (which is what keeps the schedule a function of
+// b̂ alone).
 type retProber struct {
 	ext *retChain // the extraction chain the probe chain is forked from
 	cfg RETConfig
@@ -699,9 +706,9 @@ type retProber struct {
 	seed  *lp.Basis // first-solve warm start: the extraction chain's ceiling basis
 	chain *retChain // lazily forked: a fully pruned search never pays for it
 
-	memo   map[string]bool // window fingerprint → feasibility verdict
-	feas   *lp.Certificate // most recent feasible witness (smallest proven b)
-	infeas *lp.Certificate // most recent Farkas ray (largest refuted b)
+	memo  map[string]bool // window fingerprint → feasibility verdict
+	plan  []float64       // Solution.X of the last feasible solve (smallest b proven), or nil
+	bound *retBound       // built by the first probe that reaches it
 }
 
 // newRETProber wires the prober to its component's extraction chain.
@@ -712,10 +719,9 @@ func newRETProber(ext *retChain, cfg RETConfig) *retProber {
 // ceiling answers the b = BMax probe by the extraction chain's seed solve (a
 // fresh per-b solve when the chain gives no authoritative verdict) and keeps
 // what it leaves: the basis seeds the probe chain, the verdict goes in the
-// window memo, the certificate prunes later probes.
+// window memo, the plan answers later probes it fits.
 func (p *retProber) ceiling(inst *Instance, b float64) (feasible bool, iters int, err error) {
-	var ok bool
-	feasible, _, iters, ok, err = p.ext.solveAt(inst, b)
+	feasible, sol, iters, ok, err := p.ext.solveAt(inst, b)
 	if err == nil && !ok {
 		var it2 int
 		feasible, _, it2, err = solveSubRET(inst, b, p.cfg, false)
@@ -724,29 +730,24 @@ func (p *retProber) ceiling(inst *Instance, b float64) (feasible bool, iters int
 	if err != nil {
 		return false, iters, err
 	}
-	p.seedFrom(p.ext)
+	p.seed = p.ext.inc.Basis()
 	p.note(inst, b, feasible)
-	p.adopt(p.ext.inc.Certificate())
+	if ok {
+		p.keep(feasible, sol)
+	}
 	return feasible, iters, nil
 }
 
-// seedFrom adopts the extraction chain's current basis as the probe
-// chain's first-solve warm start.
-func (p *retProber) seedFrom(E *retChain) {
-	p.seed = E.inc.Basis()
-}
-
-// adopt stores a solve's certificate, replacing the stored one of the same
-// direction: the newest feasible witness is for the smallest b proven so
-// far, the newest Farkas ray for the largest b refuted.
-func (p *retProber) adopt(c *lp.Certificate) {
-	if c == nil {
+// keep stores the plan of a feasible chain solve, replacing the stored one:
+// the newest is for the smallest b proven so far. A plan that breaks a row
+// by more than retFitTol is no witness, and none is kept in its place.
+func (p *retProber) keep(feasible bool, sol *lp.Solution) {
+	if !feasible {
 		return
 	}
-	if c.Feasible() {
-		p.feas = c
-	} else {
-		p.infeas = c
+	p.plan = nil
+	if sol.PrimalInfeas <= retFitTol {
+		p.plan = sol.X
 	}
 }
 
@@ -767,29 +768,51 @@ func (p *retProber) ensureChain() *retChain {
 }
 
 // check tries to answer the probe at b without a solve: window memo, then
-// stored feasible point, then stored Farkas ray. ok is false when nothing
-// applies; answers are exact (certificates self-verify against the
-// current bounds, so one that does not apply declines rather than lies).
+// the stored plan's window fit, then the interval bound. ok is false when
+// nothing applies. Every answer is a fact about the probe's LP: a plan that
+// fits is a feasible point of it, and the bound a combination of its rows.
 func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string, ok bool) {
 	last := retExtendedLast(inst, b)
 	key := lastKey(last)
 	if v, hit := p.memo[key]; hit {
 		return v, CertWindow, true
 	}
-	if p.feas == nil && p.infeas == nil {
+	switch {
+	case p.plan != nil && p.fits(last):
+		feasible, via = true, CertPoint
+	case p.refutes(inst, last):
+		feasible, via = false, CertBound
+	default:
 		return false, "", false
 	}
-	ch := p.ensureChain()
-	ch.applyLast(last)
-	if f, ok := ch.m.CheckFeasibleWithCertificate(p.feas); ok {
-		p.memo[key] = f
-		return f, CertPoint, true
+	telProbePruned.Inc()
+	p.memo[key] = feasible
+	return feasible, via, true
+}
+
+// fits reports whether the stored plan lies inside the windows last: the
+// plan already meets every row, so it is feasible at last when no column
+// past a job's last slice — pinned to [0, 0] there, where every other
+// column is [0, ∞) — carries more than retFitTol.
+func (p *retProber) fits(last []int) bool {
+	for k, vars := range p.ext.xv {
+		for _, row := range vars {
+			for j := last[k] + 1; j < len(row); j++ {
+				if v := row[j]; v >= 0 && p.plan[v] > retFitTol {
+					return false
+				}
+			}
+		}
 	}
-	if f, ok := ch.m.CheckFeasibleWithCertificate(p.infeas); ok {
-		p.memo[key] = f
-		return f, CertFarkas, true
+	return true
+}
+
+// refutes runs the interval bound, building it on first use.
+func (p *retProber) refutes(inst *Instance, last []int) bool {
+	if p.bound == nil {
+		p.bound = newRETBound(inst)
 	}
-	return false, "", false
+	return p.bound.refutes(last)
 }
 
 // solve answers the probe at b on the incremental probe chain. ok is
@@ -797,13 +820,13 @@ func (p *retProber) check(inst *Instance, b float64) (feasible bool, via string,
 // caller then falls back to a fresh per-b solve.
 func (p *retProber) solve(inst *Instance, b float64) (feasible bool, iters int, ok bool, err error) {
 	ch := p.ensureChain()
-	feasible, _, iters, ok, err = ch.solveAt(inst, b)
+	feasible, sol, iters, ok, err := ch.solveAt(inst, b)
 	if err != nil {
 		return false, iters, false, fmt.Errorf("schedule: SUB-RET probe(b=%g): %w", b, err)
 	}
 	if ok {
 		p.memo[lastKey(ch.curLast)] = feasible
-		p.adopt(ch.inc.Certificate())
+		p.keep(feasible, sol)
 	}
 	return feasible, iters, ok, nil
 }

@@ -18,8 +18,8 @@ var retIdentityOpts = []struct {
 // plainRETSearch is the oracle SolveRET's search is checked against:
 // Algorithm 2's binary search on b as the paper states it, run per component
 // of the partition SolveRET takes, with a fresh per-b SUB-RET model for every
-// probe — no chain, no certificates, no window memo. It returns the global b̂
-// and each component's by Component.Key.
+// probe — no chain, no window fit or bound, no window memo. It returns the
+// global b̂ and each component's by Component.Key.
 func plainRETSearch(t testing.TB, inst *Instance, cfg RETConfig) (float64, map[string]float64) {
 	t.Helper()
 	cfg = cfg.withDefaults()

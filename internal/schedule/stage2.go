@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wavesched/internal/lp"
-	"wavesched/internal/netgraph"
 	"wavesched/internal/telemetry"
 )
 
@@ -299,52 +298,6 @@ func stage1Min(comps []*Component, cfg Config) (*Stage1Result, error) {
 	telParallelWallSeconds.Observe(merged.Time.Seconds())
 	telSerialSolveSeconds.Observe(serial.Seconds())
 	return merged, nil
-}
-
-// stage1Bounds returns, per block, a lower bound on its stage-1 optimum:
-// the Z of one fixed feasible routing, in which every job sends Z·D_k at a
-// constant rate over its window, split evenly over its paths. That routing
-// loads each (edge, slice) with Z times a fixed coefficient, so the largest
-// Z it carries is the least C_e(j) / coefficient over the cells it loads. The
-// blocks share the parent's graph and grid, so one (slice × edge) buffer
-// serves them all.
-func stage1Bounds(comps []*Component) []float64 {
-	nE := comps[0].Inst.G.NumEdges()
-	load := make([]float64, comps[0].Inst.Grid.Num()*nE)
-	var touched []int
-	bounds := make([]float64, len(comps))
-	for c, comp := range comps {
-		in := comp.Inst
-		for k, jb := range in.Jobs {
-			first, last := in.Window(k)
-			span := 0.0
-			for j := first; j <= last; j++ {
-				span += in.Grid.Len(j)
-			}
-			rate := jb.Size / (span * float64(len(in.JobPaths[k])))
-			for _, p := range in.JobPaths[k] {
-				for j := first; j <= last; j++ {
-					for _, e := range p.Edges {
-						i := j*nE + int(e)
-						if load[i] == 0 {
-							touched = append(touched, i)
-						}
-						load[i] += rate
-					}
-				}
-			}
-		}
-		b := math.Inf(1)
-		for _, i := range touched {
-			if z := float64(in.Capacity(netgraph.EdgeID(i%nE), i/nE)) / load[i]; z < b {
-				b = z
-			}
-			load[i] = 0
-		}
-		touched = touched[:0]
-		bounds[c] = b
-	}
-	return bounds
 }
 
 // endStage2 closes a schedule.stage2 span with the outcome of the work it

@@ -35,6 +35,10 @@ var (
 		"Delta-extension rounds after b-hat before LPDAR completed every job.")
 	telRETFinalB = telemetry.Default().Gauge("ret_b_final",
 		"Final extension factor b of the most recent RET solve.")
+	// lp_probe_pruned_total keeps the lp_ prefix from when the solver
+	// answered these probes: the daemon-epoch benchmark reads it by name.
+	telProbePruned = telemetry.Default().Counter("lp_probe_pruned_total",
+		"RET feasibility probes answered without a simplex solve, by a window fit of the last feasible plan or by the interval bound.")
 
 	telPathCacheHits = telemetry.Default().Counter("schedule_pathcache_hits_total",
 		"Path-set computations served from a PathCache.")

@@ -126,7 +126,7 @@ func TestRETProbeChainIsAFork(t *testing.T) {
 	pcfg := cfg
 	pcfg.Solver.Tracer = telemetry.NewTracer(&trace)
 	P := newRETProber(E, pcfg)
-	P.seedFrom(E)
+	P.seed = E.inc.Basis()
 	ch := P.ensureChain()
 	if ch.m == E.m || ch.inc == E.inc || ch.m.NumRows() != E.m.NumRows() {
 		t.Fatalf("probe chain: model of %d rows on the extraction chain's of %d rows", ch.m.NumRows(), E.m.NumRows())
