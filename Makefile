@@ -87,13 +87,15 @@ cluster-test:
 # every BTRAN that starts from the last one's result (the primal duals, the
 # dual loop's pivot row and duals) is the dense solve bit for bit; and the RET
 # search's two answers without a solve — a stored plan's window fit and the
-# interval bound — agree with a fresh solve. A
+# interval bound — agree with a fresh solve; and Yen's k-shortest paths
+# over stamped ban sets are the map-based oracle's, path for path. A
 # failing input is written under the package's testdata/fuzz; minimise and
 # commit it. A budget includes replaying the corpus the local cache has
 # grown, so each is set above that replay and every step tries new inputs
 # (replays on a warm 2-CPU cache: lex 2.1 s, remap 0.8 s, warm path 0.7 s,
 # restricted BTRAN 6.0 s, dominated rows 3.4 s, under growth 3.5 s, stage-1
-# bound 1.6 s, RET probes 1.4 s). A fresh CI cache fuzzes from the start.
+# bound 1.6 s, RET probes 1.4 s, Yen under 1 s). A fresh CI cache fuzzes
+# from the start.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexInvariance -fuzztime 8s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapBasis$$' -fuzztime 4s ./internal/lp
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatedRowsUnderGrowth$$' -fuzztime 8s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzStage1Bound$$' -fuzztime 4s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzRETProbeAnswers$$' -fuzztime 4s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzKShortestAvoiding$$' -fuzztime 4s ./internal/paths
 
 # Full benchmark harness at quick scale (minutes).
 bench:

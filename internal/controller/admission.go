@@ -19,7 +19,9 @@ var ErrTooLate = errors.New("deadline already passed")
 // window is already unusable are rejected immediately: a job whose end
 // time precedes the controller clock gets a rejected record and
 // ErrTooLate instead of being silently buffered for a planning run that
-// could never serve it.
+// could never serve it. An accepted request's path set is looked up under
+// the current topology here, so the next epoch's admission and instance
+// build find it cached unless a link event changes the topology first.
 func (c *Controller) Submit(j job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -38,6 +40,7 @@ func (c *Controller) Submit(j job.Job) error {
 		Detail: fmt.Sprintf("window [%g, %g] size %g %d->%d", j.Start, j.End, j.Size, j.Src, j.Dst),
 		Trace:  int64(c.Epochs) + 1,
 	})
+	c.pathSet(j)
 	c.pending = append(c.pending, j)
 	return nil
 }

@@ -186,12 +186,13 @@ type Controller struct {
 	prevPlan  *schedule.Assignment
 	prevFresh []*activeJob
 
-	// down is the set of currently-failed links; resid caches the residual
-	// topology derived from it (invalidated on every link event).
-	down  map[netgraph.EdgeID]bool
-	resid *netgraph.Graph
-	// zeroWave lists edges that carry no wavelengths even when healthy.
-	zeroWave map[netgraph.EdgeID]bool
+	// down is the set of currently-failed links. topo is the topology
+	// planning uses — g, or the residual topology with every failed link at
+	// zero wavelengths — and dead its zero-wavelength edges; both are
+	// derived once per link event (setTopology).
+	down map[netgraph.EdgeID]bool
+	topo *netgraph.Graph
+	dead schedule.DeadLinks
 
 	// lastEvent is the latest instant of an applied event, a link event
 	// or a scheduling instant; a link event dated before it is refused.
@@ -205,7 +206,9 @@ type Controller struct {
 	extends      bool
 	admitControl bool
 	// pathCache memoizes per-(src, dst) path sets across epoch instance
-	// builds, keyed by the failed-link set (see schedule.PathCache).
+	// builds, keyed by the failed-link set (see schedule.PathCache). Submit
+	// fills it, so a build only computes the sets of pairs a link event
+	// re-keyed since.
 	pathCache *schedule.PathCache
 
 	disruptions []Disruption
@@ -275,12 +278,7 @@ func New(g *netgraph.Graph, cfg Config) (*Controller, error) {
 	default:
 		ctrl.planner = &maxThroughputPlanner{c: ctrl}
 	}
-	ctrl.zeroWave = make(map[netgraph.EdgeID]bool)
-	for _, e := range g.Edges() {
-		if e.Wavelengths == 0 {
-			ctrl.zeroWave[e.ID] = true
-		}
-	}
+	ctrl.setTopology()
 	return ctrl, nil
 }
 

@@ -262,8 +262,9 @@ func (c *Controller) buildInstance(now float64) (*schedule.Instance, []*activeJo
 // pricing — enough for feasibility probes that only consult Z*; such a
 // run adds to the cache entries and never evicts from them.
 //
-// Inside an epoch the build is the schedule.build span: path enumeration, or
-// the pricing loop with its schedule.colgen spans.
+// Inside an epoch the build is the schedule.build span: the path-set
+// lookups, cache hits unless a link event re-keyed a pair after Submit
+// priced it, or the pricing loop with its schedule.colgen spans.
 func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Only bool) (inst *schedule.Instance, err error) {
 	sp := c.epochTracer.Start("schedule.build")
 	defer func() {
@@ -283,8 +284,7 @@ func (c *Controller) newInstance(grid *timeslice.Grid, jobs []job.Job, stage1Onl
 		}
 		sp.End(attrs...)
 	}()
-	opts := schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache, ColumnGen: c.cfg.ColumnGen}
-	inst, err = schedule.NewInstanceOpts(c.graph(), grid, jobs, opts)
+	inst, err = schedule.NewInstanceOpts(c.topo, grid, jobs, c.instanceOptions())
 	if err != nil || !c.cfg.ColumnGen {
 		return inst, err
 	}

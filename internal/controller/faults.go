@@ -101,25 +101,45 @@ func (c *Controller) drop(aj *activeJob, t float64, e netgraph.EdgeID) {
 	c.addDisruption(aj.orig.ID, t, e, DisruptedDropped)
 }
 
-// graph returns the topology planning should use: the full graph, or the
-// residual topology with every failed link at zero wavelengths.
-func (c *Controller) graph() *netgraph.Graph {
-	if len(c.down) == 0 {
-		return c.g
-	}
-	if c.resid == nil {
-		r, err := c.g.WithLinksDown(c.DownLinks()...)
-		if err != nil { // unreachable: LinkDown validates IDs
-			return c.g
+// setTopology derives the topology planning uses from the down set — the
+// full graph, or the residual topology with every failed link at zero
+// wavelengths — and its dead links, which key the path cache. It runs at
+// New and at every link event, so neither an instance build nor a route
+// check derives them again.
+func (c *Controller) setTopology() {
+	c.topo = c.g
+	if len(c.down) > 0 {
+		if r, err := c.g.WithLinksDown(c.DownLinks()...); err == nil { // LinkDown validates IDs
+			c.topo = r
 		}
-		c.resid = r
 	}
-	return c.resid
+	c.dead = schedule.NewDeadLinks(c.topo)
 }
 
-// hasRoute reports whether src→dst is connected over healthy links.
+// pathSet looks up j's allowed path set under the current topology, the
+// lookup the next instance build runs for j.
+func (c *Controller) pathSet(j job.Job) []paths.Path {
+	return schedule.PathSet(c.topo, j.Src, j.Dst, c.dead, c.instanceOptions())
+}
+
+// instanceOptions is the controller's path configuration.
+func (c *Controller) instanceOptions() schedule.InstanceOptions {
+	return schedule.InstanceOptions{K: c.cfg.K, PathCache: c.pathCache, ColumnGen: c.cfg.ColumnGen}
+}
+
+// hasRoute reports whether src→dst is connected over healthy links: whether
+// j's path set is non-empty. The first of Yen's paths, and of the colgen
+// seeds, is the shortest path that avoids every dead link.
 func (c *Controller) hasRoute(j job.Job) bool {
-	_, ok := paths.Shortest(c.g, j.Src, j.Dst, paths.UnitCost, union(c.zeroWave, c.down), nil)
+	return len(c.pathSet(j)) > 0
+}
+
+// connected answers hasRoute without pricing j's path set: a Dijkstra that
+// avoids every dead link. LinkDown asks it of every active job under a
+// topology the next link event may replace before a build reads it, so a
+// lookup there would price sets no build uses.
+func (c *Controller) connected(j job.Job) bool {
+	_, ok := paths.Shortest(c.topo, j.Src, j.Dst, paths.UnitCost, c.dead.Edges(), nil)
 	return ok
 }
 
@@ -206,11 +226,11 @@ func (c *Controller) LinkDown(e netgraph.EdgeID, t float64) error {
 		c.down = make(map[netgraph.EdgeID]bool)
 	}
 	c.down[e] = true
-	c.resid = nil
+	c.setTopology()
 
 	// Drop jobs with no route left.
 	for _, aj := range c.active {
-		if aj.retired || c.hasRoute(aj.orig) {
+		if aj.retired || c.connected(aj.orig) {
 			continue
 		}
 		c.drop(aj, t, e)
@@ -240,7 +260,7 @@ func (c *Controller) LinkUp(e netgraph.EdgeID, t float64) error {
 	c.applied(t)
 	c.settleAcross(t, nil)
 	delete(c.down, e)
-	c.resid = nil
+	c.setTopology()
 	return nil
 }
 

@@ -9,9 +9,9 @@ import "math"
 // the point the second phase ends on. A second phase that does not end
 // Optimal is the solve's outcome, with ErrTimeLimit when the clock ended it.
 func (s *simplex) optimum(m *Model) (*Solution, error) {
-	sol, err := s.extract(m, s.negate)
-	if err != nil || s.opt.Secondary == nil {
-		return sol, err
+	duals := s.basisDuals()
+	if s.opt.Secondary == nil {
+		return s.extract(m, duals), nil
 	}
 	before := s.iters
 	st, err := s.lexPhase(s.opt.Secondary)
@@ -20,12 +20,9 @@ func (s *simplex) optimum(m *Model) (*Solution, error) {
 	if err != nil || st != Optimal {
 		return &Solution{Status: st, Iters: s.iters, LexIters: lexIters}, err
 	}
-	duals := sol.Duals
-	sol, err = s.extract(m, s.negate)
-	if sol != nil {
-		sol.Duals, sol.LexIters = duals, lexIters
-	}
-	return sol, err
+	sol := s.extract(m, duals)
+	sol.LexIters = lexIters
+	return sol, nil
 }
 
 // lexPhase is the second phase of a lexicographic solve. It runs at a primary

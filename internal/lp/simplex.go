@@ -177,7 +177,7 @@ type simplex struct {
 	nStruct int       // structural columns only (first nStruct of n)
 	art     []float64 // artificial signs; artificial i is column n+i = sign·e_i
 	cMin    []float64 // phase-2 (minimization) costs, length nTotal
-	negate  bool      // original sense was Maximize; negate objective on extract
+	negate  bool      // original sense was Maximize: cMin is the negated objective
 
 	basis  []int  // slot -> column
 	pos    []int  // column -> slot, or -1

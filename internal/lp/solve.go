@@ -654,8 +654,9 @@ func (s *simplex) costsChanged() {
 	s.dualsFresh, s.yPosOK = false, false
 }
 
-// extract builds the user-facing Solution from the final simplex state.
-func (s *simplex) extract(m *Model, negate bool) (*Solution, error) {
+// extract builds the user-facing Solution from the final simplex state and
+// the duals the caller took from it (basisDuals).
+func (s *simplex) extract(m *Model, duals []float64) *Solution {
 	s.flushKernelCounts() // a certifying price call may have run outside runPhase
 	nVars := len(m.vars)
 	x := make([]float64, nVars)
@@ -674,12 +675,6 @@ func (s *simplex) extract(m *Model, negate bool) (*Solution, error) {
 	for j, v := range m.vars {
 		obj += v.obj * x[j]
 	}
-	// Duals from the final basis with the minimization-form costs.
-	y := make([]float64, s.m)
-	for slot, j := range s.basis {
-		y[slot] = s.c[j]
-	}
-	s.factor.btran(y)
 
 	// Primal infeasibility of the clamped point against the original rows.
 	infeas := 0.0
@@ -706,10 +701,21 @@ func (s *simplex) extract(m *Model, negate bool) (*Solution, error) {
 		Status:       Optimal,
 		Objective:    obj,
 		X:            x,
-		Duals:        y,
+		Duals:        duals,
 		Iters:        s.iters,
 		PrimalInfeas: infeas,
-	}, nil
+	}
+}
+
+// basisDuals returns the duals of the current basis under the current
+// (minimization-form) costs: c_B B⁻¹.
+func (s *simplex) basisDuals() []float64 {
+	y := make([]float64, s.m)
+	for slot, j := range s.basis {
+		y[slot] = s.c[j]
+	}
+	s.factor.btran(y)
+	return y
 }
 
 // solveUnconstrained handles models with no rows: every variable sits at

@@ -10,7 +10,7 @@
 //
 // All package-level functions are safe for concurrent use; they draw a
 // pooled Solver whose Dijkstra scratch (dist, predecessor, visited, heap)
-// and Yen ban-sets are reused across calls, mirroring lp's per-model
+// and ban sets are reused across calls, mirroring lp's per-model
 // scratch-buffer cache. Long-lived callers with many queries can hold
 // their own Solver to skip the pool round-trip.
 package paths
@@ -106,30 +106,35 @@ func (q *pq) pop() pqItem {
 }
 
 // Solver holds the Dijkstra and Yen working state — distance, predecessor,
-// visited arrays, the binary heap, and the spur ban-sets — so repeated
-// queries reuse one set of allocations instead of rebuilding them per call
-// (the scale-tier pricing loop runs thousands of Dijkstras per round). The
-// zero value is ready to use. A Solver is not safe for concurrent use;
-// the package-level functions draw distinct Solvers from an internal pool.
+// visited arrays, the binary heap, and the ban sets — so repeated queries
+// reuse one set of allocations instead of rebuilding them per call (the
+// scale-tier pricing loop runs thousands of Dijkstras per round). The zero
+// value is ready to use. A Solver is not safe for concurrent use; the
+// package-level functions draw distinct Solvers from an internal pool.
 type Solver struct {
 	dist     []float64
 	prevEdge []netgraph.EdgeID
 	done     []bool
 	q        pq
 
-	// Yen / disjoint scratch.
-	banEdges map[netgraph.EdgeID]bool
-	banNodes map[netgraph.NodeID]bool
+	// The ban sets of the current search, as stamps: edge e (node v) is
+	// banned while edgeBan[e] (nodeBan[v]) equals stamp. Every search — each
+	// of Yen's spurs — starts an empty set by bumping stamp, instead of
+	// clearing a map that every edge relaxation would probe.
+	edgeBan []uint32
+	nodeBan []uint32
+	stamp   uint32
 }
 
 // NewSolver returns a Solver with scratch pre-sized for an n-node graph.
 func NewSolver(n int) *Solver {
 	s := &Solver{}
-	s.grow(n)
+	s.grow(n, 0)
 	return s
 }
 
-func (s *Solver) grow(n int) {
+// grow sizes the scratch for a graph of n nodes and m edges.
+func (s *Solver) grow(n, m int) {
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
 		s.prevEdge = make([]netgraph.EdgeID, n)
@@ -138,9 +143,46 @@ func (s *Solver) grow(n int) {
 	s.dist = s.dist[:n]
 	s.prevEdge = s.prevEdge[:n]
 	s.done = s.done[:n]
-	if s.banEdges == nil {
-		s.banEdges = make(map[netgraph.EdgeID]bool)
-		s.banNodes = make(map[netgraph.NodeID]bool)
+	if cap(s.nodeBan) < n {
+		s.nodeBan = make([]uint32, n)
+	}
+	s.nodeBan = s.nodeBan[:n]
+	if cap(s.edgeBan) < m {
+		s.edgeBan = make([]uint32, m)
+	}
+	s.edgeBan = s.edgeBan[:m]
+}
+
+// start sizes the scratch for g and starts an empty ban set.
+func (s *Solver) start(g *netgraph.Graph) {
+	s.grow(g.NumNodes(), g.NumEdges())
+	s.newBans()
+}
+
+// newBans starts an empty ban set: every mark made before is stale.
+func (s *Solver) newBans() {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: an old mark could equal a new stamp
+		clear(s.edgeBan[:cap(s.edgeBan)])
+		clear(s.nodeBan[:cap(s.nodeBan)])
+		s.stamp = 1
+	}
+}
+
+// banEdge adds e to the current ban set; an ID outside the graph bans
+// nothing, as it would in a map.
+func (s *Solver) banEdge(e netgraph.EdgeID) {
+	if uint(e) < uint(len(s.edgeBan)) {
+		s.edgeBan[e] = s.stamp
+	}
+}
+
+// banEdges adds the edges that m maps to true to the current ban set.
+func (s *Solver) banEdges(m map[netgraph.EdgeID]bool) {
+	for e, ban := range m {
+		if ban {
+			s.banEdge(e)
+		}
 	}
 }
 
@@ -160,7 +202,14 @@ func Shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
 // Shortest is the Solver-scratch form of the package-level Shortest.
 func (s *Solver) Shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
 	bannedEdges map[netgraph.EdgeID]bool, bannedNodes map[netgraph.NodeID]bool) (Path, bool) {
-	return s.shortest(g, src, dst, cost, nil, bannedEdges, bannedNodes)
+	s.start(g)
+	s.banEdges(bannedEdges)
+	for v, ban := range bannedNodes {
+		if ban && uint(v) < uint(len(s.nodeBan)) {
+			s.nodeBan[v] = s.stamp
+		}
+	}
+	return s.shortest(g, src, dst, cost, nil)
 }
 
 // PricedShortest returns the minimum-weight src→dst path where each edge e
@@ -172,22 +221,24 @@ func (s *Solver) Shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost Cost
 // the dual load term of the reduced cost over all simple paths.
 func (s *Solver) PricedShortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
 	prices []float64, avoid map[netgraph.EdgeID]bool) (Path, bool) {
-	return s.shortest(g, src, dst, cost, prices, avoid, nil)
+	s.start(g)
+	s.banEdges(avoid)
+	return s.shortest(g, src, dst, cost, prices)
 }
 
-// shortest is the shared Dijkstra core: edge weight = cost(e) + prices[e],
-// either part optional, clamped positive.
+// shortest is the shared Dijkstra core over the current ban set (start and
+// the ban methods fill it): edge weight = cost(e) + prices[e], either part
+// optional, clamped positive.
 func (s *Solver) shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost CostFunc,
-	prices []float64, bannedEdges map[netgraph.EdgeID]bool, bannedNodes map[netgraph.NodeID]bool) (Path, bool) {
-	n := g.NumNodes()
-	s.grow(n)
+	prices []float64) (Path, bool) {
 	dist, prevEdge, done := s.dist, s.prevEdge, s.done
+	edgeBan, nodeBan, stamp := s.edgeBan, s.nodeBan, s.stamp
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prevEdge[i] = -1
 		done[i] = false
 	}
-	if bannedNodes[src] || bannedNodes[dst] {
+	if nodeBan[src] == stamp || nodeBan[dst] == stamp {
 		return Path{}, false
 	}
 	dist[src] = 0
@@ -204,11 +255,11 @@ func (s *Solver) shortest(g *netgraph.Graph, src, dst netgraph.NodeID, cost Cost
 			break
 		}
 		for _, eid := range g.Out(v) {
-			if bannedEdges[eid] {
+			if edgeBan[eid] == stamp {
 				continue
 			}
 			e := g.Edge(eid)
-			if bannedNodes[e.To] {
+			if nodeBan[e.To] == stamp {
 				continue
 			}
 			c := 0.0
@@ -266,15 +317,14 @@ func KShortestAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost 
 }
 
 // KShortestAvoiding is the Solver-scratch form of the package-level
-// KShortestAvoiding: the spur-node Dijkstras and ban-sets reuse the
+// KShortestAvoiding: the spur-node Dijkstras and ban sets reuse the
 // Solver's buffers instead of allocating per spur.
 func (s *Solver) KShortestAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, k int, cost CostFunc,
 	avoid map[netgraph.EdgeID]bool) []Path {
 	if k <= 0 || src == dst {
 		return nil
 	}
-	s.grow(g.NumNodes())
-	first, ok := s.Shortest(g, src, dst, cost, avoid, nil)
+	first, ok := s.PricedShortest(g, src, dst, cost, nil, avoid)
 	if !ok {
 		return nil
 	}
@@ -290,25 +340,20 @@ func (s *Solver) KShortestAvoiding(g *netgraph.Graph, src, dst netgraph.NodeID, 
 			spur := prev.Nodes[i]
 			rootEdges := prev.Edges[:i]
 
-			bannedEdges := s.banEdges
-			clear(bannedEdges)
-			for eid := range avoid {
-				bannedEdges[eid] = true
-			}
-			bannedNodes := s.banNodes
-			clear(bannedNodes)
+			s.newBans()
+			s.banEdges(avoid)
 			// Ban edges used by earlier results that share the same root.
 			for _, rp := range result {
 				if len(rp.Edges) > i && sameEdges(rp.Edges[:i], rootEdges) {
-					bannedEdges[rp.Edges[i]] = true
+					s.banEdge(rp.Edges[i])
 				}
 			}
 			// Ban the root's interior nodes to keep paths loopless.
 			for _, v := range prev.Nodes[:i] {
-				bannedNodes[v] = true
+				s.nodeBan[v] = s.stamp
 			}
 
-			spurPath, ok := s.Shortest(g, spur, dst, cost, bannedEdges, bannedNodes)
+			spurPath, ok := s.shortest(g, spur, dst, cost, nil)
 			if !ok {
 				continue
 			}
@@ -355,21 +400,17 @@ func (s *Solver) EdgeDisjointAvoiding(g *netgraph.Graph, src, dst netgraph.NodeI
 	if k <= 0 || src == dst {
 		return nil
 	}
-	s.grow(g.NumNodes())
-	banned := s.banEdges
-	clear(banned)
-	for eid := range avoid {
-		banned[eid] = true
-	}
+	s.start(g)
+	s.banEdges(avoid)
 	var out []Path
 	for len(out) < k {
-		p, ok := s.Shortest(g, src, dst, cost, banned, nil)
+		p, ok := s.shortest(g, src, dst, cost, nil)
 		if !ok {
 			break
 		}
 		out = append(out, p)
 		for _, eid := range p.Edges {
-			banned[eid] = true
+			s.banEdge(eid)
 		}
 	}
 	return out

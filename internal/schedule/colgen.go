@@ -357,18 +357,9 @@ func samePartition(a, b []*Component, numJobs int) bool {
 // ColumnGen) the zero-wavelength edges.
 func (in *Instance) colgenAvoid() map[netgraph.EdgeID]bool {
 	if in.colgen != nil {
-		return in.colgen.avoid
+		return in.colgen.dead.edges
 	}
-	var avoid map[netgraph.EdgeID]bool
-	for _, e := range in.G.Edges() {
-		if e.Wavelengths == 0 {
-			if avoid == nil {
-				avoid = make(map[netgraph.EdgeID]bool)
-			}
-			avoid[e.ID] = true
-		}
-	}
-	return avoid
+	return NewDeadLinks(in.G).edges
 }
 
 // publishColGenPaths overwrites each (src, dst) pair's colgen entry in the
@@ -417,7 +408,7 @@ func (in *Instance) publishColGenPaths(carried []int, used [][]bool, evict bool)
 		cg.cache.put(pathCacheKey{
 			src: key.src, dst: key.dst,
 			k: seedPaths, colgen: true,
-			avoid: cg.avoidStr,
+			avoid: cg.dead.key,
 		}, ps)
 	}
 	return evicted

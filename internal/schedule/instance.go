@@ -77,9 +77,8 @@ func (in *Instance) forgetDerived() {
 
 // colgenInfo is the column-generation build context of an instance.
 type colgenInfo struct {
-	cache    *PathCache
-	avoid    map[netgraph.EdgeID]bool
-	avoidStr string
+	cache *PathCache
+	dead  DeadLinks
 }
 
 // seedPaths is the per-pair seed set size under ColumnGen.
@@ -160,41 +159,12 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 	if err := job.ValidateAll(jobs); err != nil {
 		return nil, err
 	}
-	if opts.K <= 0 {
-		opts.K = 4
-	}
 	inst := &Instance{G: g, Grid: grid, Jobs: jobs}
-	// Dead links (zero wavelengths — e.g. failed links in a residual
-	// topology) can never carry flow, so keep them out of path sets
-	// entirely; otherwise a job whose only allowed paths cross a dead link
-	// would be admitted and then starve.
-	var avoid map[netgraph.EdgeID]bool
-	for _, e := range g.Edges() {
-		if e.Wavelengths == 0 {
-			if avoid == nil {
-				avoid = make(map[netgraph.EdgeID]bool)
-			}
-			avoid[e.ID] = true
-		}
-	}
-	avoidStr := ""
-	if opts.PathCache != nil {
-		avoidStr = avoidKey(avoid)
-	}
+	dead := NewDeadLinks(g)
 	if opts.ColumnGen {
-		inst.colgen = &colgenInfo{
-			cache:    opts.PathCache,
-			avoid:    avoid,
-			avoidStr: avoidStr,
-		}
+		inst.colgen = &colgenInfo{cache: opts.PathCache, dead: dead}
 	}
-	compute := func(src, dst netgraph.NodeID) []paths.Path {
-		if opts.ColumnGen {
-			return paths.EdgeDisjointAvoiding(g, src, dst, seedPaths, paths.UnitCost, avoid)
-		}
-		return paths.KShortestAvoiding(g, src, dst, opts.K, paths.UnitCost, avoid)
-	}
-	cache := make(map[[2]netgraph.NodeID][]paths.Path)
+	sets := make(map[[2]netgraph.NodeID][]paths.Path)
 	for _, j := range jobs {
 		first, last, ok := grid.Window(j.Start, j.End)
 		if !ok {
@@ -202,21 +172,10 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 				j.ID, j.Start, j.End)
 		}
 		key := [2]netgraph.NodeID{j.Src, j.Dst}
-		ps, seen := cache[key]
+		ps, seen := sets[key]
 		if !seen {
-			if opts.PathCache != nil {
-				// Under ColumnGen the entry starts as the seed set and is
-				// overwritten by every GeneratePaths run with the seeds plus
-				// the paths its master optima used.
-				ck := pathCacheKey{src: j.Src, dst: j.Dst, k: opts.K, avoid: avoidStr}
-				if opts.ColumnGen {
-					ck.k, ck.colgen = seedPaths, true
-				}
-				ps = opts.PathCache.get(ck, func() []paths.Path { return compute(j.Src, j.Dst) })
-			} else {
-				ps = compute(j.Src, j.Dst)
-			}
-			cache[key] = ps
+			ps = PathSet(g, j.Src, j.Dst, dead, opts)
+			sets[key] = ps
 		}
 		if len(ps) == 0 {
 			return nil, fmt.Errorf("schedule: job %d has no path from %d to %d", j.ID, j.Src, j.Dst)
@@ -225,6 +184,63 @@ func NewInstanceOpts(g *netgraph.Graph, grid *timeslice.Grid, jobs []job.Job, op
 		inst.windows = append(inst.windows, window{first, last})
 	}
 	return inst, nil
+}
+
+// DeadLinks is the set of a topology's zero-wavelength edges — links failed
+// in a residual topology (netgraph.Graph.WithLinksDown), or never lit —
+// with the key PathCache files path sets under. No path set uses a dead
+// link: a job whose only allowed paths crossed one would be admitted and
+// then starve.
+type DeadLinks struct {
+	edges map[netgraph.EdgeID]bool
+	key   string
+}
+
+// NewDeadLinks collects g's zero-wavelength edges.
+func NewDeadLinks(g *netgraph.Graph) DeadLinks {
+	var edges map[netgraph.EdgeID]bool
+	for _, e := range g.Edges() {
+		if e.Wavelengths == 0 {
+			if edges == nil {
+				edges = make(map[netgraph.EdgeID]bool)
+			}
+			edges[e.ID] = true
+		}
+	}
+	return DeadLinks{edges: edges, key: avoidKey(edges)}
+}
+
+// Edges returns the dead links as a set, for a search that must avoid them.
+func (d DeadLinks) Edges() map[netgraph.EdgeID]bool { return d.edges }
+
+// PathSet returns the allowed paths of the pair (src, dst) over g, whose
+// dead links dead must hold: Yen's opts.K shortest by hop count, or under
+// opts.ColumnGen the column-generation starting set, through opts.PathCache
+// when one is set. It is NewInstanceOpts' per-pair lookup; a caller that
+// runs it ahead of the build (the controller, when it accepts a job) leaves
+// the build a cache hit.
+func PathSet(g *netgraph.Graph, src, dst netgraph.NodeID, dead DeadLinks, opts InstanceOptions) []paths.Path {
+	k := opts.K
+	if k <= 0 {
+		k = 4
+	}
+	compute := func() []paths.Path {
+		if opts.ColumnGen {
+			return paths.EdgeDisjointAvoiding(g, src, dst, seedPaths, paths.UnitCost, dead.edges)
+		}
+		return paths.KShortestAvoiding(g, src, dst, k, paths.UnitCost, dead.edges)
+	}
+	if opts.PathCache == nil {
+		return compute()
+	}
+	// Under ColumnGen the entry starts as the seed set and is overwritten by
+	// every GeneratePaths run with the seeds plus the paths its master optima
+	// used.
+	ck := pathCacheKey{src: src, dst: dst, k: k, avoid: dead.key}
+	if opts.ColumnGen {
+		ck.k, ck.colgen = seedPaths, true
+	}
+	return opts.PathCache.get(ck, compute)
 }
 
 // Window returns the inclusive usable slice range of job index k.

@@ -35,16 +35,17 @@ type pathCacheKey struct {
 const DefaultPathCacheSize = 4096
 
 // PathCache memoizes per-(src, dst) path sets across instance builds,
-// keyed by the avoided-edge set. NewInstanceOpts consults it when
-// InstanceOptions.PathCache is set; the controller keeps one per base
-// topology so each epoch's rebuild — and each re-plan against a repeated
-// link failure — skips the k-shortest-path computation entirely.
+// keyed by the avoided-edge set. PathSet, and through it NewInstanceOpts,
+// consults it when InstanceOptions.PathCache is set; the controller keeps
+// one per base topology and looks a job's set up when it accepts the job,
+// so each epoch's rebuild — and each re-plan against a repeated link
+// failure — skips the k-shortest-path computation entirely.
 //
 // A cache is bound to one base topology (node/edge structure and costs):
 // entries are keyed by endpoints and failures only, so sharing a cache
 // across structurally different graphs returns wrong paths. Failures are
 // assumed to manifest as zero-wavelength edges (as WithLinksDown
-// produces), which NewInstanceOpts folds into the avoid set.
+// produces), which NewDeadLinks folds into the avoid set.
 //
 // The cache holds at most its size bound (DefaultPathCacheSize unless
 // NewPathCacheSize chose otherwise) and evicts least-recently-used
