@@ -30,9 +30,10 @@ examples-smoke:
 # lines inside internal/schedule, internal/controller and internal/lp, test lines, flag registrations under cmd/, instrument registrations on the
 # default telemetry registry, the settable (exported) fields of the solver
 # and controller config structs, how many of those fields are documented
-# `Deprecated: ignored`, and the entries on the two allowlists of exported
-# functions and methods no program calls (internal/integration/callers_test.go).
-# Printed, never gated.
+# `Deprecated: ignored`, the entries on the two allowlists of exported
+# functions and methods no program calls (internal/integration/callers_test.go),
+# and the byte counts of DESIGN.md and README.md (their budgets are
+# TestDesignFitsInAHead's). Printed, never gated.
 CONFIG_STRUCTS = lp.Options=internal/lp/simplex.go schedule.Config=internal/schedule/stage2.go \
 	schedule.RETConfig=internal/schedule/ret.go schedule.ColGenConfig=internal/schedule/colgen.go \
 	schedule.InstanceOptions=internal/schedule/instance.go controller.Config=internal/controller/controller.go
@@ -51,6 +52,8 @@ loc:
 	@printf 'deprecated (ignored) fields in those structs: '; for s in $(CONFIG_STRUCTS); do name=$${s%%=*}; \
 		awk -v t="$${name#*.}" '$$0 ~ "^type " t " struct" {body = 1; next} body && /^}/ {exit} body && /Deprecated: ignored/ {n++} END {print n + 0}' $${s#*=}; done | awk '{n += $$1} END {print n + 0}'
 	@printf 'exported without a program caller: '; awk '/^var (exportedWithoutCaller|methodsWithoutCaller) = map/ {body = 1; next} body && /^}/ {body = 0} body && /^\t"/ {n++} END {print n + 0}' internal/integration/callers_test.go
+	@printf 'DESIGN.md bytes: '; wc -c < DESIGN.md
+	@printf 'README.md bytes: '; wc -c < README.md
 
 test:
 	$(GO) test ./...

@@ -29,7 +29,7 @@
 // membership, probe bounds, disruptions, final outcome); the controller is
 // deterministic, so the history is the one any run of the same flags made.
 // The traceconv subcommand converts a -trace JSONL file to Chrome
-// trace_event JSON for chrome://tracing or Perfetto. See DESIGN.md §12.
+// trace_event JSON for chrome://tracing or Perfetto. See DESIGN.md §11.
 //
 // Observability flags:
 //

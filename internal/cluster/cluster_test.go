@@ -480,3 +480,262 @@ func TestFollowerRestartCatchUp(t *testing.T) {
 		t.Fatalf("restarted follower schedule diverged:\nleader: %s\nfollower: %s", want, got)
 	}
 }
+
+// TestPromotionReplacesDivergedLog: a deposed leader keeps its fenced,
+// never-replicated entry. If it promotes later, while a peer holds a
+// longer log, it must take that peer's history in place of its own, not
+// join the peer's entries onto its diverged one.
+func TestPromotionReplacesDivergedLog(t *testing.T) {
+	c := newTestCluster(t, 3, 2)
+	n1, n2, n3 := c.nodes["n1"], c.nodes["n2"], c.nodes["n3"]
+
+	n1.node.ElectTick()
+	if !n1.node.IsLeader() {
+		t.Fatal("n1 did not take the empty lease")
+	}
+	if code := n1.submit(t, 1, 0, 2, 4, 0, 9, 0, false); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	seq := n1.node.rlog.Seq()
+	n2.waitCaughtUp(t, seq)
+	n3.waitCaughtUp(t, seq)
+
+	// Partition n1 and let n2 take over; n1's stale append is fenced but
+	// stays in its own log.
+	n1.hs.Close()
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n2.node.ElectTick()
+	if !n2.node.IsLeader() {
+		t.Fatal("n2 did not promote")
+	}
+	if code := submitViaHandler(t, n1.node, 9, 3, 1, 2, 1, 8, 0.5); code != http.StatusInternalServerError {
+		t.Fatalf("stale-leader submit: code %d, want 500 (fenced append)", code)
+	}
+	n1.node.ElectTick()
+	if n1.node.IsLeader() {
+		t.Fatal("fenced leader did not step down")
+	}
+
+	// n2 replicates more history to n3 only, so n3's log outgrows n1's.
+	for i, sp := range [][2]int{{1, 3}, {2, 0}} {
+		if code := n2.submit(t, i+2, sp[0], sp[1], 3, 0, 7, 0, false); code != http.StatusAccepted {
+			t.Fatalf("submit %d: code %d", i+2, code)
+		}
+	}
+	if err := n2.node.Server().Tick(); err != nil {
+		t.Fatal(err)
+	}
+	n3.waitCaughtUp(t, n2.node.rlog.Seq())
+	if n1.node.rlog.Seq() >= n3.node.rlog.Seq() {
+		t.Fatalf("n1 at seq %d, want fewer than n3's %d", n1.node.rlog.Seq(), n3.node.rlog.Seq())
+	}
+	committed := n3.node.rlog.EntriesFrom(0)
+
+	// n2 dies; n1's listener returns; n1 promotes once the lease lapses.
+	n2.kill()
+	ln, err := net.Listen("tcp", n1.addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", n1.addr, err)
+	}
+	n1.hs = &http.Server{Handler: n1.node.Handler()}
+	go n1.hs.Serve(ln)
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n1.node.ElectTick()
+	if !n1.node.IsLeader() {
+		t.Fatal("n1 did not promote after n2's lease lapsed")
+	}
+
+	n3.waitCaughtUp(t, n1.node.rlog.Seq())
+	a, b := n1.node.rlog.EntriesFrom(0), n3.node.rlog.EntriesFrom(0)
+	if len(a) != len(b) || len(a) < len(committed) {
+		t.Fatalf("n1 holds %d entries, n3 %d, the history before promotion %d", len(a), len(b), len(committed))
+	}
+	for i := range a {
+		if !sameEntry(a[i], b[i]) {
+			t.Fatalf("entry %d differs:\nn1: %+v\nn3: %+v", i+1, a[i], b[i])
+		}
+		if i < len(committed) && !sameEntry(a[i], committed[i]) {
+			t.Fatalf("entry %d is not the history n2 committed:\nn1: %+v\nwant: %+v", i+1, a[i], committed[i])
+		}
+	}
+	if err := n1.node.Server().Tick(); err != nil {
+		t.Fatal(err)
+	}
+	n3.waitCaughtUp(t, n1.node.rlog.Seq())
+	if want, got := n3.get(t, "/v1/schedule"), n1.get(t, "/v1/schedule"); !bytes.Equal(want, got) {
+		t.Fatalf("promoted node's schedule diverged:\nn3: %s\nn1: %s", want, got)
+	}
+}
+
+// TestPromotionKeepsNewerLogOverDeposedPeer is the other side of the
+// divergence check: a follower holding the history a newer leader wrote
+// must not take a deposed leader's fenced log in its place, even when the
+// deposed node is the most advanced peer it can reach. The log whose last
+// leadership entry carries the newer token wins, and the deposed node
+// resyncs from the new leader instead.
+func TestPromotionKeepsNewerLogOverDeposedPeer(t *testing.T) {
+	c := newTestCluster(t, 3, 2)
+	n1, n2, n3 := c.nodes["n1"], c.nodes["n2"], c.nodes["n3"]
+
+	n1.node.ElectTick()
+	if !n1.node.IsLeader() {
+		t.Fatal("n1 did not take the empty lease")
+	}
+	if code := n1.submit(t, 1, 0, 2, 4, 0, 9, 0, false); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	seq := n1.node.rlog.Seq()
+	n2.waitCaughtUp(t, seq)
+	n3.waitCaughtUp(t, seq)
+
+	// n1 is partitioned and deposed; its fenced entry sits at the seq
+	// where n3 holds n2's leadership entry.
+	n1.hs.Close()
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n2.node.ElectTick()
+	if !n2.node.IsLeader() {
+		t.Fatal("n2 did not promote")
+	}
+	n3.waitCaughtUp(t, n2.node.rlog.Seq())
+	if code := submitViaHandler(t, n1.node, 9, 3, 1, 2, 1, 8, 0.5); code != http.StatusInternalServerError {
+		t.Fatalf("stale-leader submit: code %d, want 500 (fenced append)", code)
+	}
+	n1.node.ElectTick()
+	if n1.node.IsLeader() {
+		t.Fatal("fenced leader did not step down")
+	}
+	committed := n3.node.rlog.EntriesFrom(0)
+	if n1.node.rlog.Seq() < uint64(len(committed)) {
+		t.Fatalf("n1 at seq %d, want at least n3's %d", n1.node.rlog.Seq(), len(committed))
+	}
+
+	// n2 dies; n1 is reachable again and as advanced as n3; n3 promotes.
+	n2.kill()
+	ln, err := net.Listen("tcp", n1.addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", n1.addr, err)
+	}
+	n1.hs = &http.Server{Handler: n1.node.Handler()}
+	go n1.hs.Serve(ln)
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n3.node.ElectTick()
+	if !n3.node.IsLeader() {
+		t.Fatal("n3 did not promote after n2's lease lapsed")
+	}
+	got := n3.node.rlog.EntriesFrom(0)
+	if len(got) < len(committed) {
+		t.Fatalf("n3 holds %d entries, fewer than the %d n2 committed", len(got), len(committed))
+	}
+	for i := range committed {
+		if !sameEntry(got[i], committed[i]) {
+			t.Fatalf("entry %d is not the history n2 committed:\nn3: %+v\nwant: %+v", i+1, got[i], committed[i])
+		}
+	}
+
+	// The deposed node heals from the new leader.
+	if err := n3.node.Server().Tick(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a, b := n1.node.rlog.EntriesFrom(0), n3.node.rlog.EntriesFrom(0)
+		if len(a) == len(b) && sameEntry(a[len(a)-1], b[len(b)-1]) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deposed node never resynced: n1=%d entries, n3=%d entries", len(a), len(b))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	n1.waitCaughtUp(t, n3.node.rlog.Seq())
+	if want, got := n3.get(t, "/v1/schedule"), n1.get(t, "/v1/schedule"); !bytes.Equal(want, got) {
+		t.Fatalf("healed node's schedule diverged:\nn3: %s\nn1: %s", want, got)
+	}
+}
+
+// TestRestartKeepsNewerLogOverDeposedPeer: the token rule holds at
+// startup too. A member that restarts holding the history a newer leader
+// wrote, with only the deposed leader reachable, keeps its log rather than
+// take the fenced one; after it promotes, the deposed node resyncs from it.
+func TestRestartKeepsNewerLogOverDeposedPeer(t *testing.T) {
+	c := newTestCluster(t, 3, 2)
+	n1, n2, n3 := c.nodes["n1"], c.nodes["n2"], c.nodes["n3"]
+
+	n1.node.ElectTick()
+	if !n1.node.IsLeader() {
+		t.Fatal("n1 did not take the empty lease")
+	}
+	if code := n1.submit(t, 1, 0, 2, 4, 0, 9, 0, false); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	seq := n1.node.rlog.Seq()
+	n2.waitCaughtUp(t, seq)
+	n3.waitCaughtUp(t, seq)
+
+	// n1 is partitioned and deposed; its fenced entry sits at the seq
+	// where n3 holds n2's leadership entry.
+	n1.hs.Close()
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n2.node.ElectTick()
+	if !n2.node.IsLeader() {
+		t.Fatal("n2 did not promote")
+	}
+	n3.waitCaughtUp(t, n2.node.rlog.Seq())
+	if code := submitViaHandler(t, n1.node, 9, 3, 1, 2, 1, 8, 0.5); code != http.StatusInternalServerError {
+		t.Fatalf("stale-leader submit: code %d, want 500 (fenced append)", code)
+	}
+	n1.node.ElectTick()
+	if n1.node.IsLeader() {
+		t.Fatal("fenced leader did not step down")
+	}
+	committed := n3.node.rlog.EntriesFrom(0)
+	if n1.node.rlog.Seq() < uint64(len(committed)) {
+		t.Fatalf("n1 at seq %d, want at least n3's %d", n1.node.rlog.Seq(), len(committed))
+	}
+
+	// n3 and n2 die; n1 is reachable again; n3 restarts with n1 its only
+	// peer.
+	n3.kill()
+	n2.kill()
+	ln, err := net.Listen("tcp", n1.addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", n1.addr, err)
+	}
+	n1.hs = &http.Server{Handler: n1.node.Handler()}
+	go n1.hs.Serve(ln)
+	c.restart("n3")
+	got := n3.node.rlog.EntriesFrom(0)
+	if len(got) != len(committed) {
+		t.Fatalf("restarted n3 holds %d entries, want the %d n2 committed", len(got), len(committed))
+	}
+	for i := range committed {
+		if !sameEntry(got[i], committed[i]) {
+			t.Fatalf("entry %d is not the history n2 committed:\nn3: %+v\nwant: %+v", i+1, got[i], committed[i])
+		}
+	}
+
+	// n3 promotes once n2's lease lapses, and the deposed node heals.
+	time.Sleep(testTTL + 50*time.Millisecond)
+	n3.node.ElectTick()
+	if !n3.node.IsLeader() {
+		t.Fatal("n3 did not promote after n2's lease lapsed")
+	}
+	if err := n3.node.Server().Tick(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a, b := n1.node.rlog.EntriesFrom(0), n3.node.rlog.EntriesFrom(0)
+		if len(a) == len(b) && sameEntry(a[len(a)-1], b[len(b)-1]) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deposed node never resynced: n1=%d entries, n3=%d entries", len(a), len(b))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	n1.waitCaughtUp(t, n3.node.rlog.Seq())
+	if want, got := n3.get(t, "/v1/schedule"), n1.get(t, "/v1/schedule"); !bytes.Equal(want, got) {
+		t.Fatalf("healed node's schedule diverged:\nn3: %s\nn1: %s", want, got)
+	}
+}

@@ -166,70 +166,85 @@ func NewNode(g *netgraph.Graph, srvCfg server.Config, cfg Config) (*Node, error)
 
 // startupCatchUp reconciles the local log with the cluster before the
 // controller replays it. Returns the (possibly extended or replaced)
-// entry history. Divergence is detected by comparing our head entry
-// with the peer's entry at the same sequence — two logs of equal length
-// can still disagree if we kept a suffix the cluster fenced off.
+// entry history.
 func (n *Node) startupCatchUp(entries []store.Entry) ([]store.Entry, error) {
-	best, bestSeq, ok := n.bestPeer()
-	if !ok {
+	peer, got, replace, err := n.catchUp()
+	switch {
+	case err != nil && replace:
+		return nil, fmt.Errorf("cluster: resync fetch: %w", err)
+	case err != nil:
+		n.logger.Warn("cluster: startup catch-up failed", "peer", peer.ID, "err", err)
 		return entries, nil
-	}
-	localSeq := uint64(len(entries))
-	if localSeq == 0 {
-		if bestSeq == 0 {
-			return entries, nil
-		}
-		fetched, err := n.fetchSnapshot(best, 0)
-		if err != nil {
-			n.logger.Warn("cluster: startup catch-up failed", "peer", best.ID, "err", err)
-			return entries, nil
-		}
-		if err := n.rlog.appendLocal(fetched); err != nil {
-			return nil, fmt.Errorf("cluster: startup catch-up: %w", err)
-		}
-		n.logger.Info("cluster: pulled snapshot from peer", "peer", best.ID, "entries", len(fetched))
-		return fetched, nil
-	}
-
-	probe := localSeq
-	if bestSeq < localSeq {
-		probe = bestSeq
-	}
-	if probe == 0 {
-		return entries, nil
-	}
-	fetched, err := n.fetchSnapshot(best, probe-1)
-	if err != nil {
-		n.logger.Warn("cluster: startup catch-up failed", "peer", best.ID, "err", err)
-		return entries, nil
-	}
-	if len(fetched) == 0 {
-		return entries, nil // peer has nothing at probe; leave the log alone
-	}
-	if !sameEntry(fetched[0], entries[probe-1]) {
-		// Our history contradicts the cluster's at probe: resync from
-		// scratch (unless the peer has no valid claim — but any peer
-		// that answered and disagrees wins over a node that just died).
-		fetched, err = n.fetchSnapshot(best, 0)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: resync fetch: %w", err)
-		}
-		if err := n.rlog.ReplaceAll(fetched); err != nil {
+	case replace:
+		if err := n.rlog.ReplaceAll(got); err != nil {
 			return nil, fmt.Errorf("cluster: resync: %w", err)
 		}
 		n.logger.Warn("cluster: local log diverged; replaced from peer",
-			"peer", best.ID, "entries", len(fetched))
-		return fetched, nil
-	}
-	add := fetched[1:]
-	if len(add) == 0 {
+			"peer", peer.ID, "entries", len(got))
+		return got, nil
+	case len(got) == 0:
 		return entries, nil
 	}
-	if err := n.rlog.appendLocal(add); err != nil {
+	if err := n.rlog.appendLocal(got); err != nil {
 		return nil, fmt.Errorf("cluster: startup catch-up: %w", err)
 	}
-	n.logger.Info("cluster: caught up from peer", "peer", best.ID, "entries", len(add))
-	return append(entries, add...), nil
+	n.logger.Info("cluster: caught up from peer", "peer", peer.ID, "entries", len(got))
+	return append(entries, got...), nil
+}
+
+// catchUp compares the local log with the most advanced reachable peer's
+// and returns what reconciles them: the entries the peer holds beyond our
+// head, or — with replace set — the peer's whole history, when our head
+// contradicts the peer's entry at the same sequence (two logs of equal
+// length can still disagree if one kept a suffix the cluster fenced off).
+// Of two diverged logs the one whose newest leadership entry carries the
+// higher fencing token is the cluster's: a deposed leader's fenced suffix
+// was written under an older token than the election that deposed it. So
+// the peer's history replaces ours unless ours is the newer, in which case
+// nothing is taken and the peer resyncs when we replicate to it. With no
+// reachable peer, or nothing to take, it returns no entries. A failed
+// fetch returns its error, with replace set when it was the fetch of the
+// whole history.
+func (n *Node) catchUp() (peer Peer, entries []store.Entry, replace bool, err error) {
+	best, bestSeq, ok := n.bestPeer()
+	if !ok {
+		return Peer{}, nil, false, nil
+	}
+	probe := min(n.rlog.Seq(), bestSeq)
+	if probe == 0 {
+		if bestSeq == 0 {
+			return best, nil, false, nil
+		}
+		entries, err = n.fetchSnapshot(best, 0)
+		return best, entries, false, err
+	}
+	fetched, err := n.fetchSnapshot(best, probe-1)
+	if err != nil || len(fetched) == 0 {
+		return best, nil, false, err // a peer with nothing at probe leaves the log alone
+	}
+	if head, _ := n.rlog.entryAt(probe); sameEntry(fetched[0], head) {
+		return best, fetched[1:], false, nil
+	}
+	entries, err = n.fetchSnapshot(best, 0)
+	if err != nil {
+		return best, nil, true, err
+	}
+	if newestToken(entries) < newestToken(n.rlog.EntriesFrom(0)) {
+		return best, nil, false, nil
+	}
+	return best, entries, true, nil
+}
+
+// newestToken returns the highest fencing token a leadership entry of
+// entries carries (0 when there is none).
+func newestToken(entries []store.Entry) uint64 {
+	var tok uint64
+	for _, e := range entries {
+		if e.Type == store.EntryLeadership && e.Token > tok {
+			tok = e.Token
+		}
+	}
+	return tok
 }
 
 // bestPeer returns the reachable peer with the highest log sequence.
@@ -388,24 +403,30 @@ func (n *Node) resync() {
 		n.mu.Unlock()
 		return
 	}
-	n.applyQ = nil
-	if err := n.rlog.ReplaceAll(fetched); err != nil {
-		n.mu.Unlock()
-		n.logger.Error("cluster: resync replace failed", "err", err)
+	err = n.replaceLocked(fetched)
+	n.mu.Unlock()
+	if err != nil {
+		n.logger.Error("cluster: resync failed", "err", err)
 		return
 	}
-	// Rebuild the controller from the authoritative history while still
-	// holding n.mu (n.mu → srv.mu is the designed lock order), so no
-	// replicated entry can interleave with the rebuild.
-	if err := n.srv.Reset(fetched); err != nil {
-		n.mu.Unlock()
-		n.logger.Error("cluster: resync replay failed", "err", err)
-		return
+	n.logger.Info("cluster: resynced from leader", "leader", rec.Holder, "entries", len(fetched))
+}
+
+// replaceLocked swaps the local log for the given history and rebuilds
+// the controller from it. It runs under n.mu (n.mu → srv.mu is the
+// designed lock order), so no replicated entry can interleave with the
+// rebuild. Caller holds n.mu.
+func (n *Node) replaceLocked(entries []store.Entry) error {
+	n.applyQ = nil
+	if err := n.rlog.ReplaceAll(entries); err != nil {
+		return fmt.Errorf("replace: %w", err)
+	}
+	if err := n.srv.Reset(entries); err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	n.applied = n.rlog.Seq()
 	n.applyCond.Broadcast()
-	n.mu.Unlock()
-	n.logger.Info("cluster: resynced from leader", "leader", rec.Holder, "entries", len(fetched))
+	return nil
 }
 
 // --- election ---
@@ -485,7 +506,9 @@ func (n *Node) ElectTick() {
 // token, and record the change in the replicated log.
 func (n *Node) tryPromote() {
 	t0 := time.Now()
-	n.promoteCatchUp()
+	if !n.promoteCatchUp() {
+		return
+	}
 	rec, held, err := n.lease.TryAcquire()
 	if err != nil {
 		n.logger.Warn("cluster: lease acquire error", "err", err)
@@ -525,24 +548,39 @@ func (n *Node) tryPromote() {
 
 // promoteCatchUp pulls any entries a reachable peer holds beyond our
 // log, so promotion never loses an acknowledged write that survived on
-// another follower.
-func (n *Node) promoteCatchUp() {
-	best, bestSeq, ok := n.bestPeer()
-	if !ok || bestSeq <= n.rlog.Seq() {
-		return
-	}
-	fetched, err := n.fetchSnapshot(best, n.rlog.Seq())
+// another follower; when our head contradicts that peer's log (we kept a
+// fenced-off suffix), it replaces our log from the peer and rebuilds the
+// controller, as resync does. It reports whether the node may take the
+// lease: not while its log is known to diverge.
+func (n *Node) promoteCatchUp() bool {
+	peer, got, replace, err := n.catchUp()
 	if err != nil {
-		n.logger.Warn("cluster: pre-promotion catch-up failed", "peer", best.ID, "err", err)
-		return
+		n.logger.Warn("cluster: pre-promotion catch-up failed", "peer", peer.ID, "err", err)
+		return !replace
+	}
+	if len(got) == 0 && !replace {
+		return true
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err := n.rlog.appendLocal(fetched); err != nil {
-		n.logger.Warn("cluster: pre-promotion append failed", "err", err)
-		return
+	if n.stopped {
+		return false
 	}
-	n.enqueueApplyLocked(fetched)
+	if replace {
+		if err := n.replaceLocked(got); err != nil {
+			n.logger.Error("cluster: pre-promotion resync failed", "peer", peer.ID, "err", err)
+			return false
+		}
+		n.logger.Warn("cluster: local log diverged; replaced from peer before promotion",
+			"peer", peer.ID, "entries", len(got))
+		return true
+	}
+	if err := n.rlog.appendLocal(got); err != nil {
+		n.logger.Warn("cluster: pre-promotion append failed", "err", err)
+		return true
+	}
+	n.enqueueApplyLocked(got)
+	return true
 }
 
 // stepDown demotes this node to follower.

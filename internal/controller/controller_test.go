@@ -270,7 +270,7 @@ func TestEpochStats(t *testing.T) {
 // all-artificial pivot path used to land on (4, 4) and this test used to pin
 // that; the canonical vertex does not, and neither does any other path.
 // Only the floor is asserted here. Capping Z_i at the remaining demand
-// (DESIGN §10 lever (b), ROADMAP item 1) would restore 8 of 8: this is its
+// (DESIGN §14, the Z_i cap; ROADMAP item 18) would restore 8 of 8: this is its
 // regression case.
 func TestPolicyRejectTrimsOverload(t *testing.T) {
 	run := func(t *testing.T, size float64) Summary {

@@ -3,6 +3,7 @@ package controller
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
@@ -188,4 +189,134 @@ func TestHasRouteMatchesShortest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLinkDownDropsExactlyTheUnroutable: on random graphs under random
+// failure and repair sequences, after each LinkDown every active job that
+// survives has a shortest route over the residual topology, and every job
+// that event dropped has none. Windows outlast the run, so no drop is for
+// want of time. A first, fixed case keeps a plan that crosses an earlier
+// failed link in force: the replan after the first failure cannot solve,
+// so the carry tier keeps the old plan, which still routes over the dead
+// link at the next failure, and the job must still be dropped.
+func TestLinkDownDropsExactlyTheUnroutable(t *testing.T) {
+	g := faultDiamond(t, 1)
+	c, err := New(g, Config{Tau: 2, SliceLen: 1, K: 2, Policy: PolicyMaxThroughput})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(job.Job{ID: 1, Src: 0, Dst: 3, Size: 50, Start: 0, End: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	// Every replan fails from here on: the carry tier keeps the old plan.
+	c.cfg.Solver.TimeLimit = time.Nanosecond
+	for i, hop := range [][2]netgraph.NodeID{{0, 1}, {2, 3}} { // a→u, then l→b
+		for _, e := range g.Edges() {
+			if e.From == hop[0] && e.To == hop[1] {
+				if err := c.LinkDown(e.ID, 0.5+0.2*float64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if ds := c.Disruptions(); len(ds) == 0 || ds[len(ds)-1].Outcome != DisruptedDropped {
+		t.Fatalf("disruptions %+v: the job with both routes cut was not dropped", ds)
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	drops, survivors := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		n := 4 + rng.Intn(6)
+		g := netgraph.New("random")
+		for i := 0; i < n; i++ {
+			g.AddNode("", float64(i), 0)
+		}
+		for e := 0; e < 2*n; e++ {
+			a, b := netgraph.NodeID(rng.Intn(n)), netgraph.NodeID(rng.Intn(n))
+			if a == b {
+				continue
+			}
+			if _, err := g.AddEdge(a, b, rng.Intn(3), 10); err != nil { // a third never lit
+				t.Fatal(err)
+			}
+		}
+		if g.NumEdges() == 0 {
+			continue
+		}
+		c := newCtrl(t, g, PolicyMaxThroughput)
+		for i := 0; i < 3*n; i++ {
+			a, b := netgraph.NodeID(rng.Intn(n)), netgraph.NodeID(rng.Intn(n))
+			if a == b {
+				continue
+			}
+			c.Submit(job.Job{ID: job.ID(i + 1), Src: a, Dst: b, Size: 1 + 4*rng.Float64(), Start: 0, End: 100})
+		}
+		for epoch := 0; epoch < 6; epoch++ {
+			if err := c.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			at := c.Now() - 1 // the period RunEpoch just committed
+			for ev := 0; ev < 3; ev++ {
+				at += 0.3 * rng.Float64()
+				if down := c.DownLinks(); len(down) > 0 && rng.Intn(3) == 0 {
+					if err := c.LinkUp(down[rng.Intn(len(down))], at); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				e := netgraph.EdgeID(rng.Intn(g.NumEdges()))
+				before := len(c.Disruptions())
+				if err := c.LinkDown(e, at); err != nil {
+					t.Fatal(err)
+				}
+				residual, err := g.WithLinksDown(c.DownLinks()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dead := map[netgraph.EdgeID]bool{}
+				for _, edge := range residual.Edges() {
+					if edge.Wavelengths == 0 {
+						dead[edge.ID] = true
+					}
+				}
+				routed := func(j job.Job) bool {
+					_, ok := paths.Shortest(residual, j.Src, j.Dst, paths.UnitCost, dead, nil)
+					return ok
+				}
+				for _, aj := range c.active {
+					if !aj.retired {
+						survivors++
+						if !routed(aj.orig) {
+							t.Fatalf("trial %d: job %d survives the failure of edge %d at t=%g with no route", trial, aj.orig.ID, e, at)
+						}
+					}
+				}
+				for _, d := range c.Disruptions()[before:] {
+					if d.Outcome != DisruptedDropped {
+						continue
+					}
+					drops++
+					var dropped *job.Job
+					for _, aj := range c.active {
+						if aj.orig.ID == d.JobID {
+							dropped = &aj.orig
+						}
+					}
+					if dropped == nil {
+						t.Fatalf("trial %d: job %d dropped but not among the active jobs", trial, d.JobID)
+					}
+					if routed(*dropped) {
+						t.Fatalf("trial %d: job %d dropped at the failure of edge %d at t=%g, but a route remains", trial, d.JobID, e, at)
+					}
+				}
+			}
+		}
+	}
+	if drops == 0 || survivors == 0 {
+		t.Fatalf("%d drops and %d surviving jobs checked: the sequences exercise nothing", drops, survivors)
+	}
+	t.Logf("%d drops, %d surviving jobs checked", drops, survivors)
 }

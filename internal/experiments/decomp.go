@@ -159,7 +159,7 @@ func CompareDecomposition(sc Scale, clusterCounts []int, cfg RETConfig) ([]Decom
 			// mono/decomposed boundary: the δ-extension loop is a discrete
 			// cascade over rounding-sensitive integerization outcomes, so the
 			// final b can legitimately differ by a δ-step under the production
-			// refactorization interval (see DESIGN.md §11). Serial vs parallel
+			// refactorization interval (see DESIGN.md §10). Serial vs parallel
 			// decomposed runs are the same computation and must match exactly.
 			tol := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(b)) }
 			match := tol(mono.BHat, ser.BHat) &&

@@ -16,10 +16,17 @@ var designRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)+§(\d+)`)
 // designHeading matches a numbered section heading of DESIGN.md.
 var designHeading = regexp.MustCompile(`(?m)^## (\d+)\.`)
 
+// historyDocs keep the section numbers of the DESIGN.md they were written
+// against: the change log and the paper's sources.
+var historyDocs = map[string]bool{"CHANGES.md": true, "PAPER.md": true, "PAPERS.md": true, "SNIPPETS.md": true}
+
 // TestDesignReferencesResolve: every "DESIGN §n" in the Go sources, the
-// Makefile, the CI workflow, README.md, ROADMAP.md and DESIGN.md itself
-// names a section DESIGN.md has, as a "## n." heading — so a rewrite that
-// renumbers or folds sections cannot leave a reference dangling.
+// Makefile, the CI workflow and every Markdown file outside bench/ but the
+// history documents (the builders' notes under .claude/ included; other
+// hidden directories are skipped) names a section DESIGN.md has, as a
+// "## n." heading —
+// so a rewrite that renumbers or folds sections cannot leave a reference
+// dangling.
 func TestDesignReferencesResolve(t *testing.T) {
 	root := filepath.Join("..", "..")
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
@@ -33,22 +40,34 @@ func TestDesignReferencesResolve(t *testing.T) {
 	if len(sections) == 0 {
 		t.Fatal("DESIGN.md has no numbered section heading")
 	}
-	files := []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ROADMAP.md", "DESIGN.md"}
+	files := []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")}
+	markdown := 0
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
-			return filepath.SkipDir
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && d.Name() != ".claude" && path != root {
+				return filepath.SkipDir
+			}
+			return nil
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			rel, _ := filepath.Rel(root, path)
+		switch {
+		case strings.HasSuffix(rel, ".go"):
 			files = append(files, rel)
+		case strings.HasSuffix(rel, ".md") && !historyDocs[rel] &&
+			!strings.HasPrefix(rel, "bench"+string(filepath.Separator)):
+			files = append(files, rel)
+			markdown++
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if markdown < 4 {
+		t.Fatalf("the scan found %d Markdown files: DESIGN.md, README.md, ROADMAP.md and EXPERIMENTS.md at least", markdown)
 	}
 	refs := 0
 	for _, f := range files {
@@ -66,5 +85,25 @@ func TestDesignReferencesResolve(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Fatal("no DESIGN §n reference found: the scan reads nothing")
+	}
+}
+
+// TestDesignFitsInAHead: DESIGN.md and README.md, the two documents every
+// reader opens first, stay within their byte budgets, so a change that adds
+// to either removes at least as much. DESIGN.md says what the code does now
+// (its history is in CHANGES.md and git), README.md how to run it.
+func TestDesignFitsInAHead(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, doc := range []struct {
+		name string
+		max  int64
+	}{{"DESIGN.md", 51200}, {"README.md", 25600}} {
+		fi, err := os.Stat(filepath.Join(root, doc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > doc.max {
+			t.Errorf("%s is %d bytes, over its budget of %d: remove as much as was added", doc.name, fi.Size(), doc.max)
+		}
 	}
 }

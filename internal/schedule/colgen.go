@@ -589,7 +589,7 @@ func (d *cgDiscovery) run(ms *cgMaster) (sol *lp.Solution, priced bool, err erro
 	if err == nil && sol.Status == lp.Optimal {
 		// The vertex pricing ended on, not the canonical one below: carrying
 		// the lexicographic plan's support instead, or both, measured slower
-		// (DESIGN §16).
+		// (DESIGN §14).
 		d.markSupport(ms, sol)
 	}
 	if priced && ms.lex {

@@ -135,7 +135,7 @@ func TestMasterPlanLifetime(t *testing.T) {
 	solve(short, cfg, PlanCold)
 }
 
-// TestColGenDecomposedSolvesForItsPlan pins the choice DESIGN §16 records
+// TestColGenDecomposedSolvesForItsPlan pins the choice DESIGN §10 records
 // for a ColumnGen instance that decomposes: the multi-component branch does
 // not assemble a plan from per-component masters, it solves — each component
 // ending with the lexicographic phase — and Config.Monolithic reads the
